@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all vet build test race race-parallel bench-smoke bench bench-json bench-gate perf fuzz-smoke trace-gate fault-smoke oracle-sweep parallel-smoke obs-smoke scale-smoke ci
+.PHONY: all vet build test race race-parallel bench-smoke bench bench-json bench-gate repo-bench repo-bench-compare perf fuzz-smoke trace-gate fault-smoke oracle-sweep parallel-smoke obs-smoke scale-smoke ci
 
 all: ci
 
@@ -30,7 +30,7 @@ race-parallel:
 # Quick benchmark smoke: exercises the perf-critical paths without the
 # full figure grids.
 bench-smoke:
-	$(GO) test -run xxx -bench 'BenchmarkEngineStep|BenchmarkEngineIdleSkip|BenchmarkDenseCompute|BenchmarkMeshDelivery|BenchmarkL1HitPath|BenchmarkTraceCodec' -benchtime 2000x .
+	$(GO) test -run xxx -bench 'BenchmarkEngineStep|BenchmarkEngineIdleSkip|BenchmarkEngineDispatchWide|BenchmarkDenseCompute|BenchmarkMeshDelivery|BenchmarkL1HitPath|BenchmarkTraceCodec' -benchtime 2000x .
 
 bench:
 	$(GO) test -run xxx -bench . -benchtime 1x .
@@ -71,10 +71,25 @@ bench-gate:
 	$(GO) run ./cmd/tsocc-bench -perf -cores 8 -scale 4 > $$tmp; \
 	$(GO) run ./cmd/tsocc-benchdiff -gate $$tmp
 
-# Short fuzz iteration of the trace codec round-trip property (the CI
-# fuzz smoke; the corpus grows under internal/trace/testdata).
+# The repository's benchmark (bench/README.md is the contract): six
+# workloads, end-to-end pass plus traced per-layer pass, about 2.5
+# minutes. Every performance claim is measured with this; pass
+# ARGS='-workload miss64 -out /tmp/a.json' to narrow it or keep the report.
+repo-bench:
+	$(GO) run ./bench $(ARGS)
+
+# One verdict per (workload, end-to-end metric) between two reports
+# written with `-out`: make repo-bench-compare A=/tmp/a.json B=/tmp/b.json
+repo-bench-compare:
+	$(GO) run ./bench -compare $(A) $(B)
+
+# Short fuzz iterations (the CI fuzz smoke): the trace codec round-trip
+# property (the corpus grows under internal/trace/testdata) and the
+# wake-set scheduler's scan-all reference properties over fuzzed
+# scenario seeds.
 fuzz-smoke:
 	$(GO) test -run xxx -fuzz FuzzTraceRoundTrip -fuzztime 10s ./internal/trace
+	$(GO) test -run xxx -fuzz FuzzWakeWheel -fuzztime 10s ./internal/sim
 
 # Fault-injection smoke: the litmus suite with invariant oracles armed
 # under two fault profiles × two protocols (mirrors the CI fault job);

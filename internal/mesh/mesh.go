@@ -44,6 +44,7 @@ type Network struct {
 	cfg  Config
 	rows int
 	cols int
+	xy   []point // router index -> (column, row), tabulated so routing never divides
 
 	// nodes is the endpoint directory, indexed directly by NodeID.
 	// NodeIDs are dense by construction (L1s are 0..cores-1, L2s are
@@ -114,6 +115,8 @@ type attachment struct {
 	ep     Endpoint
 }
 
+type point struct{ x, y int32 }
+
 const (
 	dirEast = iota
 	dirWest
@@ -150,6 +153,10 @@ func New(cfg Config) *Network {
 	}
 	for d := 0; d < 4; d++ {
 		n.linkBusy[d] = make([]sim.Cycle, rows*cols)
+	}
+	n.xy = make([]point, rows*cols)
+	for r := range n.xy {
+		n.xy[r] = point{x: int32(r % cols), y: int32(r / cols)}
 	}
 	n.MsgsSent.SetName("mesh.msgs_sent")
 	n.FlitsSent.SetName("mesh.flits_sent")
@@ -291,9 +298,6 @@ func (n *Network) Send(now sim.Cycle, m *coherence.Msg) {
 	if dst.ep == nil {
 		panic(fmt.Sprintf("mesh: cycle %d: unknown dst %d in %s", now, m.Dst, m))
 	}
-	if TraceAll || (TraceAddr != 0 && m.Addr == TraceAddr) {
-		TraceLog = append(TraceLog, fmt.Sprintf("cyc=%d %s", now, m))
-	}
 	if n.plan != nil {
 		n.sendSharded(now, m, src, dst)
 		return
@@ -331,39 +335,62 @@ func (n *Network) Send(now sim.Cycle, m *coherence.Msg) {
 	n.schedule(now, at, m, dst.ep, fid)
 }
 
+// coords reports router r's mesh column and row.
+func (n *Network) coords(r int) (x, y int) {
+	p := n.xy[r]
+	return int(p.x), int(p.y)
+}
+
 // walkLinks routes flits from router src to router dst at cycle now,
-// reserving link bandwidth along the XY path, and returns the delivery
-// cycle. Link state is global; in sharded mode only the barrier merge
-// (coordinator goroutine) calls this, replaying cross-tile sends in
-// serial key order so reservations are computed exactly as a serial run
-// would.
+// reserving link bandwidth along the XY path (all column hops, then all
+// row hops), and returns the delivery cycle. Link state is global; in
+// sharded mode only the barrier merge (coordinator goroutine) calls
+// this, replaying cross-tile sends in serial key order so reservations
+// are computed exactly as a serial run would.
 func (n *Network) walkLinks(now sim.Cycle, flits, src, dst int) sim.Cycle {
 	if now-n.linkBase >= linkEpoch {
 		n.rebaseLinks(now)
 	}
-	t := now
-	r := src
-	hops := 0
-	for r != dst {
-		d, next := n.xyStep(r, dst)
+	sx, sy := n.coords(src)
+	dx, dy := n.coords(dst)
+	xDir, xStep, xHops := dirEast, 1, dx-sx
+	if xHops < 0 {
+		xDir, xStep, xHops = dirWest, -1, -xHops
+	}
+	yDir, yStep, yHops := dirSouth, n.cols, dy-sy
+	if yHops < 0 {
+		yDir, yStep, yHops = dirNorth, -n.cols, -yHops
+	}
+	t := n.walkLeg(now, flits, src, xDir, xStep, xHops)
+	t = n.walkLeg(t, flits, src+xStep*xHops, yDir, yStep, yHops)
+	// Tail-flit serialization at the destination.
+	t += sim.Cycle(flits - 1)
+	n.FlitHops.Add(int64(flits * (xHops + yHops)))
+	return t + 1
+}
+
+// walkLeg reserves the direction-dir outgoing links of hops consecutive
+// routers starting at r (step apart), for a head flit reaching r at
+// cycle t, and returns the cycle it reaches the router after the last.
+func (n *Network) walkLeg(t sim.Cycle, flits, r, dir, step, hops int) sim.Cycle {
+	busy, base, latency := n.linkBusy[dir], n.linkBase, n.cfg.LinkLatency
+	if n.metricsOn {
+		for i, q := 0, r; i < hops; i, q = i+1, q+step {
+			n.occ[dir][q] += int64(flits)
+		}
+	}
+	for ; hops > 0; hops-- {
 		depart := t
-		if busy := n.linkBase + n.linkBusy[d][r]; busy > depart {
-			depart = busy
+		if b := base + busy[r]; b > depart {
+			depart = b
 		}
 		// The link is occupied while the message's flits stream
 		// across it.
-		n.linkBusy[d][r] = depart + sim.Cycle(flits) - n.linkBase
-		if n.metricsOn {
-			n.occ[d][r] += int64(flits)
-		}
-		t = depart + n.cfg.LinkLatency
-		r = next
-		hops++
+		busy[r] = depart + sim.Cycle(flits) - base
+		t = depart + latency
+		r += step
 	}
-	// Tail-flit serialization at the destination.
-	t += sim.Cycle(flits - 1)
-	n.FlitHops.Add(int64(flits * hops))
-	return t + 1
+	return t
 }
 
 // rebaseLinks starts a new link-reservation epoch at now: reservations
@@ -383,22 +410,6 @@ func (n *Network) rebaseLinks(now sim.Cycle) {
 		}
 	}
 	n.linkBase = now
-}
-
-func (n *Network) xyStep(r, dst int) (dir, next int) {
-	rx, ry := r%n.cols, r/n.cols
-	dx, dy := dst%n.cols, dst/n.cols
-	switch {
-	case rx < dx:
-		return dirEast, r + 1
-	case rx > dx:
-		return dirWest, r - 1
-	case ry < dy:
-		return dirSouth, r + n.cols
-	case ry > dy:
-		return dirNorth, r - n.cols
-	}
-	panic(fmt.Sprintf("mesh: xyStep called with router %d already at destination %d", r, dst))
 }
 
 // BindWaker implements sim.WakeSink: the engine hands the network its
@@ -434,9 +445,6 @@ func (n *Network) Tick(now sim.Cycle) {
 	due := n.q.pop(now, n.scratch)
 	n.scratch = due[:0]
 	for i := range due {
-		if TraceAll {
-			TraceLog = append(TraceLog, fmt.Sprintf("cyc=%d DELIVER(seq=%d) %s", now, due[i].key.seq, due[i].msg))
-		}
 		if due[i].fid != 0 {
 			// Flow arrival must be emitted before Deliver: the endpoint
 			// may consume and recycle the message.
@@ -538,8 +546,8 @@ func (n *Network) HopDistance(a, b coherence.NodeID) int {
 	if sa.ep == nil || sb.ep == nil {
 		return 0
 	}
-	ax, ay := sa.router%n.cols, sa.router/n.cols
-	bx, by := sb.router%n.cols, sb.router/n.cols
+	ax, ay := n.coords(sa.router)
+	bx, by := n.coords(sb.router)
 	return abs(ax-bx) + abs(ay-by)
 }
 
@@ -549,12 +557,3 @@ func abs(x int) int {
 	}
 	return x
 }
-
-// TraceAddr enables message tracing for one block address (debug only).
-var TraceAddr uint64
-
-// TraceAll traces every message (debug only).
-var TraceAll bool
-
-// TraceLog accumulates traced messages.
-var TraceLog []string

@@ -14,18 +14,33 @@ type workRec struct {
 	at Cycle
 }
 
+// edgeGaps are the wake distances the due wheel treats differently:
+// next cycle, the ring's last slot, the first cycle that lands in the
+// far set, one past it, and several ring turns out.
+var edgeGaps = []Cycle{1, wheelSlots - 1, wheelSlots, wheelSlots + 1, 3 * wheelSlots}
+
 // stimToy is a randomized component for the wake-set property test. It
 // has a scripted schedule of self-driven work (selfDue, covered by
 // NextWake) and accepts external stimulations (AddStim — the analogue
 // of a mesh delivery or a completion callback), which wake it through
 // its Waker. Whenever it does work it may, deterministically from its
-// own RNG, stimulate a random peer at a random near-future cycle —
-// including the current cycle, in both the forward (peer not yet
-// ticked) and backward (peer's turn already passed) directions.
+// own RNG, stimulate a random peer at a random future cycle — near or
+// at one of the edgeGaps — including the current cycle, in both the
+// forward (peer not yet ticked) and backward (peer's turn already
+// passed) directions. A toy with nothing pending hints WakeNever.
 type stimToy struct {
 	id    int
 	peers []*stimToy
 	waker Waker // zero in reference mode
+
+	// Engine-run instrumentation (zero in reference mode): idleTicks
+	// counts ticks after cycle 1 that found no work — the engine must
+	// never issue one, so past the start-up dispatch (which ticks every
+	// component, as per-cycle execution does) a toy's tick sequence is
+	// exactly its work sequence — and check, when set, runs inside every
+	// tick (the engine's wheel invariants, mid-dispatch).
+	idleTicks int
+	check     func()
 
 	selfDue []Cycle // ascending; consumed from the front
 	stim    []Cycle // pending external stimulations
@@ -66,7 +81,13 @@ func (t *stimToy) Tick(now Cycle) {
 		}
 	}
 	t.stim = kept
+	if t.check != nil {
+		t.check()
+	}
 	if !worked {
+		if now > 1 {
+			t.idleTicks++
+		}
 		return
 	}
 	*t.log = append(*t.log, workRec{id: t.id, at: now})
@@ -76,6 +97,9 @@ func (t *stimToy) Tick(now Cycle) {
 	if t.rng != nil && t.rng.Intn(2) == 0 {
 		target := t.peers[t.rng.Intn(len(t.peers))]
 		delta := Cycle(t.rng.Intn(4)) // 0..3; 0 = same-cycle stimulation
+		if t.rng.Intn(4) == 0 {
+			delta = edgeGaps[t.rng.Intn(len(edgeGaps))]
+		}
 		if target.shard != t.shard {
 			if delta < t.look {
 				delta = t.look // cross-shard: conservative lookahead floor
@@ -105,32 +129,35 @@ func (t *stimToy) NextWake(now Cycle) Cycle {
 func (t *stimToy) Done() bool { return len(t.selfDue) == 0 && len(t.stim) == 0 }
 
 // buildToys constructs one seeded scenario: n toys with sparse random
-// self-schedules, wired as mutual peers.
+// self-schedules, wired as mutual peers. One scenario in four is wide
+// (65-200 toys, so the dispatch masks span several words); one
+// self-scheduled gap in three is an edgeGap.
 func buildToys(seed uint64, log *[]workRec) []*stimToy {
 	rng := NewRNG(seed)
 	n := 1 + rng.Intn(8)
+	if rng.Intn(4) == 0 {
+		n = 65 + rng.Intn(136)
+	}
 	toys := make([]*stimToy, n)
 	for i := range toys {
 		toys[i] = &stimToy{id: i, rng: NewRNG(seed*1000 + uint64(i)), log: log}
 	}
-	for i, t := range toys {
+	work := false
+	for _, t := range toys {
 		t.peers = toys
 		c := Cycle(0)
-		for k := 0; k < rng.Intn(20); k++ {
-			c += 1 + Cycle(rng.Intn(200))
+		for k := rng.Intn(20); k > 0; k-- {
+			if rng.Intn(3) == 0 {
+				c += edgeGaps[rng.Intn(len(edgeGaps))]
+			} else {
+				c += 1 + Cycle(rng.Intn(200))
+			}
 			t.selfDue = append(t.selfDue, c)
+			work = true
 		}
-		_ = i
 	}
 	// Guarantee at least one unit of work so Run has something to do.
-	if allEmpty := func() bool {
-		for _, t := range toys {
-			if len(t.selfDue) > 0 {
-				return false
-			}
-		}
-		return true
-	}(); allEmpty {
+	if !work {
 		toys[0].selfDue = append(toys[0].selfDue, 1)
 	}
 	return toys
@@ -140,8 +167,10 @@ func buildToys(seed uint64, log *[]workRec) []*stimToy {
 // component's NextWake, leap to the earliest, tick ALL components in
 // registration order. This is the old event engine's contract; toys
 // record work only when they actually have some, so its log is directly
-// comparable to the wake-set engine's.
-func runReference(t *testing.T, toys []*stimToy, maxCycle Cycle) Cycle {
+// comparable to the wake-set engine's. It also reports how many cycles
+// it leapt over: the wake-set engine dispatches exactly the cycles in
+// which some component works, so its IdleSkipped must be the same.
+func runReference(t *testing.T, toys []*stimToy, maxCycle Cycle) (final Cycle, skipped int64) {
 	t.Helper()
 	now := Cycle(0)
 	done := func() bool {
@@ -168,55 +197,88 @@ func runReference(t *testing.T, toys []*stimToy, maxCycle Cycle) Cycle {
 		if next <= now {
 			next = now + 1
 		}
+		skipped += int64(next - now - 1)
 		now = next
 		for _, toy := range toys {
 			toy.Tick(now)
 		}
 	}
-	return now
+	return now, skipped
 }
 
 // TestWakeSetMatchesScanAllReference is the wake-set scheduler's
 // property gate: across many random interleavings of self-scheduled
 // work, cross-component WakeAt stimulation (same-cycle forward and
-// backward, and future-cycle), NextWake polling and ticking, the
-// wake-set engine must produce exactly the scan-all reference's work
-// sequence — same cycles, same intra-cycle order, same final cycle.
+// backward, and future-cycle, inside the ring and in the far set),
+// NextWake polling and ticking, the wake-set engine must produce
+// exactly the scan-all reference's work sequence — same cycles, same
+// intra-cycle order, same final cycle — while ticking no component
+// that has no work and skipping exactly the cycles the reference skips.
 func TestWakeSetMatchesScanAllReference(t *testing.T) {
-	for seed := uint64(1); seed <= 60; seed++ {
-		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
-			const limit = 1_000_000
+	for seed := uint64(1); seed <= 120; seed++ {
+		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) { checkWakeSet(t, seed) })
+	}
+}
 
-			var refLog []workRec
-			refToys := buildToys(seed, &refLog)
-			refCycles := runReference(t, refToys, limit)
+// checkWakeSet runs one seeded scenario through the scan-all reference
+// and the wake-set engine and compares them (the property body shared
+// with FuzzWakeWheel).
+func checkWakeSet(t *testing.T, seed uint64) {
+	const limit = 1_000_000
 
-			var wsLog []workRec
-			wsToys := buildToys(seed, &wsLog)
-			e := NewEngine(limit)
-			for _, toy := range wsToys {
-				e.Register(toy)
-			}
-			if !e.EventDriven() {
-				t.Fatal("toys should enable wake-set mode")
-			}
-			wsCycles, err := e.Run()
-			if err != nil {
-				t.Fatal(err)
-			}
+	var refLog []workRec
+	refToys := buildToys(seed, &refLog)
+	refCycles, refSkipped := runReference(t, refToys, limit)
 
-			if wsCycles != refCycles {
-				t.Fatalf("final cycles differ: wake-set %d, reference %d", wsCycles, refCycles)
-			}
-			if len(wsLog) != len(refLog) {
-				t.Fatalf("work counts differ: wake-set %d, reference %d", len(wsLog), len(refLog))
-			}
-			for i := range wsLog {
-				if wsLog[i] != refLog[i] {
-					t.Fatalf("work[%d]: wake-set %+v, reference %+v", i, wsLog[i], refLog[i])
-				}
-			}
-		})
+	var wsLog []workRec
+	wsToys := buildToys(seed, &wsLog)
+	e := NewEngine(limit)
+	for _, toy := range wsToys {
+		toy.check = func() { checkWheel(t, e) }
+		e.Register(toy)
+	}
+	if !e.EventDriven() {
+		t.Fatal("toys should enable wake-set mode")
+	}
+	wsCycles, err := e.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkWheel(t, e)
+
+	if wsCycles != refCycles {
+		t.Fatalf("final cycles differ: wake-set %d, reference %d", wsCycles, refCycles)
+	}
+	if refLog[0].at > 1 {
+		refSkipped-- // the engine's start-up dispatch simulates cycle 1 regardless
+	}
+	if e.IdleSkipped != refSkipped {
+		t.Fatalf("skipped cycles differ: wake-set %d, reference %d", e.IdleSkipped, refSkipped)
+	}
+	compareWork(t, wsLog, refLog)
+	assertNoIdleTicks(t, wsToys)
+}
+
+// assertNoIdleTicks fails if the engine ticked any toy that had no work.
+func assertNoIdleTicks(t *testing.T, toys []*stimToy) {
+	t.Helper()
+	for _, toy := range toys {
+		if toy.idleTicks != 0 {
+			t.Fatalf("toy %d was ticked %d time(s) with no work", toy.id, toy.idleTicks)
+		}
+	}
+}
+
+// compareWork asserts two work logs are the same sequence.
+func compareWork(t *testing.T, got, want []workRec) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("work counts differ: engine %d, reference %d", len(got), len(want))
+	}
+	for i := range got {
+		if got[i] != want[i] {
+			t.Fatalf("work[%d]: engine %+v, reference %+v", i, got[i], want[i])
+		}
 	}
 }
 
