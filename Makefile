@@ -28,9 +28,11 @@ race-parallel:
 	GOMAXPROCS=4 $(GO) test -race ./internal/sim/
 
 # Quick benchmark smoke: exercises the perf-critical paths without the
-# full figure grids.
+# full figure grids. The trace synthesis and decode benchmarks work on
+# megabytes per op, hence their own, short leg.
 bench-smoke:
 	$(GO) test -run xxx -bench 'BenchmarkEngineStep|BenchmarkEngineIdleSkip|BenchmarkEngineDispatchWide|BenchmarkDenseCompute|BenchmarkMeshDelivery|BenchmarkL1HitPath|BenchmarkTraceCodec' -benchtime 2000x .
+	$(GO) test -run xxx -bench 'BenchmarkTraceSynth|BenchmarkTraceDecode' -benchtime 5x .
 
 bench:
 	$(GO) test -run xxx -bench . -benchtime 1x .

@@ -268,13 +268,14 @@ func cmdInfo(args []string) error {
 	fmt.Printf("  init mem:  %d words\n", len(tr.InitMem))
 	var kinds [config.NumTraceOps]int64
 	for _, s := range tr.Streams {
-		for _, op := range s.Ops {
+		c := s.Ops.Cursor()
+		for op, ok := c.Next(); ok; op, ok = c.Next() {
 			kinds[op.Kind]++
 		}
 	}
 	fmt.Printf("  streams:   %d (total %d ops)\n", len(tr.Streams), tr.Ops())
 	for _, s := range tr.Streams {
-		fmt.Printf("    core %-3d %d ops\n", s.Core, len(s.Ops))
+		fmt.Printf("    core %-3d %d ops\n", s.Core, s.Ops.Len())
 	}
 	fmt.Printf("  op mix:   ")
 	for k := config.TraceOp(0); k < config.NumTraceOps; k++ {

@@ -2,7 +2,6 @@ package trace
 
 import (
 	"encoding/binary"
-	"fmt"
 	"os"
 
 	"repro/internal/config"
@@ -49,11 +48,31 @@ import (
 // version-1 payloads — which never contain markers — decode unchanged
 // through the same loop; the encoder always writes version 2.
 //
-// The encoding is canonical: runs are maximal, so Encode is a pure
-// function of the trace and encode → decode → re-encode is
-// byte-identical (FuzzTraceRoundTrip enforces it, over both versions),
-// which is what lets the conformance gates diff trace files across
-// engine modes and core models directly.
+// The encoding is canonical: runs are maximal and varints minimal, so
+// Encode is a pure function of the trace and encode → decode →
+// re-encode is byte-identical (FuzzTraceRoundTrip enforces it, over
+// both versions), which is what lets the conformance gates diff trace
+// files across engine modes and core models directly.
+//
+// The in-memory form of a stream is this wire form (see Ops): the op
+// records above are exactly the bytes a Stream holds. So
+//
+//   - Encode writes the header and copies each stream's records behind
+//     it; it never looks inside them.
+//   - Decode parses the header, then checks each stream's records in one
+//     scan (scanOps) — framing, the per-op rule (checkOp), halt
+//     placement, the op budget — and keeps the sub-slice of data it
+//     just checked. Nothing is expanded, so a repeat marker declaring
+//     millions of ops costs no memory. Decode therefore retains data:
+//     the caller must not modify it afterwards. Records that are valid
+//     but not canonical (version-1 runs, split runs, padded varints) are
+//     rebuilt through an OpsBuilder instead of kept.
+//   - Who validates what: per-op fields and halt placement are checked
+//     once, where the op enters (OpsBuilder.Append / Finish for values,
+//     scanOps for bytes) and cannot be broken afterwards, so
+//     Trace.Validate only checks what spans streams — header cores,
+//     init-memory order and alignment, stream order and core range,
+//     no empty stream — in O(streams + init words).
 const (
 	formatVersion   = 2
 	formatVersionV1 = 1 // still decoded; see encodeV1 in codec_test.go
@@ -62,18 +81,18 @@ const (
 
 	// maxDecodeOps floors the decoder's total-op budget (see
 	// decodeOpBudget) — far above any trace the simulator produces
-	// today, and what stands between a ~20-byte corrupt file and a
-	// multi-GB allocation.
+	// today.
 	maxDecodeOps = 4 << 20
 )
 
 // decodeOpBudget is the total op count, across all streams, a decoder
-// will expand from an n-byte file: one shared budget (a corrupt file
+// will accept from an n-byte file: one shared budget (a corrupt file
 // cannot multiply a per-stream allowance by a fabricated stream count)
 // that scales with input size, so legitimately large traces keep
 // decoding — a real capture spends several bytes per op outside its
-// RLE runs — while the allocation from a tiny corrupt file stays
-// bounded by the maxDecodeOps floor. Encode enforces the same formula
+// RLE runs. Decoding allocates nothing per op, so what the budget
+// bounds is time: what a few corrupt bytes can cost whoever walks the
+// stream afterwards. Encode enforces the same formula
 // against its own output, so the codec never produces a file it would
 // refuse to read back.
 func decodeOpBudget(n int) int {
@@ -85,7 +104,8 @@ func decodeOpBudget(n int) int {
 
 var magic = [magicLen]byte{'T', 'S', 'O', 'C', 'C', 'T', 'R', 'C'}
 
-// Encode serializes a validated trace to its canonical binary form.
+// Encode serializes a validated trace to its canonical binary form: the
+// header, then each stream's records copied as they are.
 func Encode(t *Trace) ([]byte, error) {
 	if err := t.Validate(); err != nil {
 		return nil, err
@@ -93,10 +113,16 @@ func Encode(t *Trace) ([]byte, error) {
 	sys := t.Meta.Sys
 	for _, v := range geometryFields(sys) {
 		if v < 0 {
-			return nil, fmt.Errorf("trace: negative geometry field in header")
+			return nil, formatErr("geometry", "negative geometry field in header")
 		}
 	}
-	e := encoder{buf: make([]byte, 0, 256+16*t.Ops())}
+	// Upper bound on the encoded size, so the buffer is allocated once.
+	size := 256 + len(t.Meta.Protocol) + len(t.Meta.Workload) +
+		2*binary.MaxVarintLen64*(len(t.InitMem)+len(t.Streams))
+	for _, s := range t.Streams {
+		size += s.Ops.Size()
+	}
+	e := encoder{buf: make([]byte, 0, size)}
 	e.buf = append(e.buf, magic[:]...)
 	e.uvarint(formatVersion)
 	e.str(t.Meta.Protocol)
@@ -119,68 +145,18 @@ func Encode(t *Trace) ([]byte, error) {
 	e.uvarint(uint64(len(t.Streams)))
 	for _, s := range t.Streams {
 		e.uvarint(uint64(s.Core))
-		e.uvarint(uint64(len(s.Ops)))
-		prev := uint64(0)
-		for i := 0; i < len(s.Ops); {
-			op := s.Ops[i]
-			e.buf = append(e.buf, byte(op.Kind))
-			e.uvarint(uint64(op.Gap))
-			e.uvarint(uint64(op.Instrs))
-			if op.Kind.HasAddr() {
-				e.zigzag(int64(op.Addr - prev))
-				prev = op.Addr
-			}
-			if op.Kind.HasVal() {
-				e.uvarint(op.Val)
-			}
-			if op.Kind == config.TraceCAS {
-				e.uvarint(op.Val2)
-			}
-			// Maximal run of wire-identical ops, emitted as one repeat
-			// marker. Maximality keeps the encoding canonical, and the
-			// comparison covers exactly the fields the format encodes for
-			// this kind — a full struct compare would see fields the wire
-			// drops (e.g. a stray Addr on a fence), split the run, and
-			// break encode ∘ decode ∘ encode byte-identity.
-			run := 0
-			for i+1+run < len(s.Ops) && sameWire(s.Ops[i+1+run], op) {
-				run++
-			}
-			if run > 0 {
-				e.buf = append(e.buf, rleMarker)
-				e.uvarint(uint64(run))
-			}
-			i += 1 + run
-		}
+		e.uvarint(uint64(s.Ops.Len()))
+		e.buf = append(e.buf, s.Ops.rec...)
 	}
 	// Self-check against the decoder's budget (see decodeOpBudget): only
 	// a degenerate trace — millions of ops collapsing into a few runs —
 	// can trip this, and refusing here beats writing a file no decoder
 	// will accept.
 	if total := t.Ops(); total > decodeOpBudget(len(e.buf)) {
-		return nil, fmt.Errorf("trace: %d total ops exceeds the decode budget for a %d-byte encoding",
+		return nil, formatErr("ops", "%d total ops exceeds the decode budget for a %d-byte encoding",
 			total, len(e.buf))
 	}
 	return e.buf, nil
-}
-
-// sameWire reports whether two ops have identical wire encodings: the
-// always-encoded fields plus whichever optional fields a's kind
-// serializes. Fields the format drops for this kind are ignored.
-func sameWire(a, b Op) bool {
-	if a.Kind != b.Kind || a.Gap != b.Gap || a.Instrs != b.Instrs {
-		return false
-	}
-	if a.Kind.HasAddr() && a.Addr != b.Addr {
-		return false
-	}
-	if a.Kind.HasVal() && a.Val != b.Val {
-		return false
-	}
-	if a.Kind == config.TraceCAS && a.Val2 != b.Val2 {
-		return false
-	}
-	return true
 }
 
 // geometryFields lists the header's machine-geometry values in encoding
@@ -203,10 +179,6 @@ func (e *encoder) uvarint(v uint64) {
 	e.buf = binary.AppendUvarint(e.buf, v)
 }
 
-func (e *encoder) zigzag(v int64) {
-	e.uvarint(uint64(v)<<1 ^ uint64(v>>63))
-}
-
 func (e *encoder) str(s string) {
 	e.uvarint(uint64(len(s)))
 	e.buf = append(e.buf, s...)
@@ -214,11 +186,13 @@ func (e *encoder) str(s string) {
 
 // Decode parses a binary trace. It never panics on malformed input:
 // truncated data, corrupt headers, bad varints and structurally invalid
-// traces all return errors.
+// traces all return a *FormatError. The returned trace's streams alias
+// data (see the format notes above): data must not be modified while
+// the trace is in use.
 func Decode(data []byte) (*Trace, error) {
 	d := decoder{buf: data}
 	if len(data) < magicLen || string(data[:magicLen]) != string(magic[:]) {
-		return nil, fmt.Errorf("trace: bad magic (not a trace file)")
+		return nil, formatErr("magic", "bad magic (not a trace file)")
 	}
 	d.pos = magicLen
 	version, err := d.uvarint("version")
@@ -226,7 +200,7 @@ func Decode(data []byte) (*Trace, error) {
 		return nil, err
 	}
 	if version != formatVersion && version != formatVersionV1 {
-		return nil, fmt.Errorf("trace: unsupported format version %d (have %d)", version, formatVersion)
+		return nil, formatErr("version", "unsupported format version %d (have %d)", version, formatVersion)
 	}
 	t := &Trace{}
 	if t.Meta.Protocol, err = d.str("protocol"); err != nil {
@@ -245,7 +219,7 @@ func Decode(data []byte) (*Trace, error) {
 			return nil, err
 		}
 		if v > 1<<62 {
-			return nil, fmt.Errorf("trace: geometry field %d out of range", i)
+			return nil, formatErr("geometry", "geometry field %d out of range", i)
 		}
 		geo[i] = int64(v)
 	}
@@ -262,7 +236,7 @@ func Decode(data []byte) (*Trace, error) {
 	}
 	addr := uint64(0)
 	for i := 0; i < nmem; i++ {
-		delta, err := d.uvarint("initmem addr")
+		delta, err := d.uvarint("initmem")
 		if err != nil {
 			return nil, err
 		}
@@ -271,11 +245,11 @@ func Decode(data []byte) (*Trace, error) {
 		} else {
 			next := addr + delta
 			if next < addr {
-				return nil, fmt.Errorf("trace: init memory address overflow")
+				return nil, formatErr("initmem", "init memory address overflow")
 			}
 			addr = next
 		}
-		val, err := d.uvarint("initmem value")
+		val, err := d.uvarint("initmem")
 		if err != nil {
 			return nil, err
 		}
@@ -287,102 +261,33 @@ func Decode(data []byte) (*Trace, error) {
 	}
 	opBudget := decodeOpBudget(len(data))
 	for i := 0; i < nstreams; i++ {
-		core, err := d.uvarint("stream core")
+		core, err := d.uvarint("core")
 		if err != nil {
 			return nil, err
 		}
 		if core > 1<<20 {
-			return nil, fmt.Errorf("trace: stream core id %d out of range", core)
+			return nil, formatErr("core", "stream core id %d out of range", core)
 		}
 		// The op count cannot be bounded by the remaining input: run-length
-		// markers expand to arbitrarily many ops by design. A decoder-side
-		// sanity budget — shared across every stream in the file — keeps
-		// corrupt counts from driving huge allocations, and the capacity
-		// hint never trusts the count beyond the bytes actually present
-		// (append grows as markers expand).
-		nopsU, err := d.uvarint("ops")
+		// markers stand for arbitrarily many ops by design. The budget —
+		// shared across every stream in the file — is the bound instead.
+		nops, err := d.uvarint("ops")
 		if err != nil {
 			return nil, err
 		}
-		if nopsU > uint64(opBudget) {
-			return nil, fmt.Errorf("trace: ops count %d exceeds remaining decoder budget %d",
-				nopsU, opBudget)
+		if nops > uint64(opBudget) {
+			return nil, formatErr("ops", "core %d: ops count %d exceeds remaining decoder budget %d",
+				core, nops, opBudget)
 		}
-		nops := int(nopsU)
-		opBudget -= nops
-		capHint := nops
-		if rem := len(d.buf) - d.pos; capHint > rem {
-			capHint = rem
+		opBudget -= int(nops)
+		ops, err := d.scanOps(int(core), int(nops), version == formatVersionV1)
+		if err != nil {
+			return nil, err
 		}
-		s := Stream{Core: int(core), Ops: make([]Op, 0, capHint)}
-		prev := uint64(0)
-		for j := 0; j < nops; j++ {
-			if d.pos >= len(d.buf) {
-				return nil, fmt.Errorf("trace: truncated at core %d op %d", core, j)
-			}
-			if version >= 2 && d.buf[d.pos] == rleMarker {
-				// Repeat marker: replicate the previous op. Bounded by the
-				// declared op count, so corrupt repeats cannot blow up the
-				// allocation.
-				d.pos++
-				if j == 0 {
-					return nil, fmt.Errorf("trace: core %d: repeat marker before any op", core)
-				}
-				count, err := d.uvarint("op repeat")
-				if err != nil {
-					return nil, err
-				}
-				if count < 1 || count > uint64(nops-j) {
-					return nil, fmt.Errorf("trace: core %d op %d: repeat count %d exceeds declared ops", core, j, count)
-				}
-				last := s.Ops[len(s.Ops)-1]
-				for k := uint64(0); k < count; k++ {
-					s.Ops = append(s.Ops, last)
-				}
-				j += int(count) - 1
-				continue
-			}
-			op := Op{Kind: config.TraceOp(d.buf[d.pos])}
-			d.pos++
-			if op.Kind >= config.NumTraceOps {
-				return nil, fmt.Errorf("trace: core %d op %d: bad kind %d", core, j, op.Kind)
-			}
-			gap, err := d.uvarint("op gap")
-			if err != nil {
-				return nil, err
-			}
-			instrs, err := d.uvarint("op instrs")
-			if err != nil {
-				return nil, err
-			}
-			if gap > 1<<62 || instrs > 1<<62 {
-				return nil, fmt.Errorf("trace: core %d op %d: gap/instrs out of range", core, j)
-			}
-			op.Gap, op.Instrs = int64(gap), int64(instrs)
-			if op.Kind.HasAddr() {
-				delta, err := d.zigzag("op addr")
-				if err != nil {
-					return nil, err
-				}
-				prev += uint64(delta)
-				op.Addr = prev
-			}
-			if op.Kind.HasVal() {
-				if op.Val, err = d.uvarint("op val"); err != nil {
-					return nil, err
-				}
-			}
-			if op.Kind == config.TraceCAS {
-				if op.Val2, err = d.uvarint("op val2"); err != nil {
-					return nil, err
-				}
-			}
-			s.Ops = append(s.Ops, op)
-		}
-		t.Streams = append(t.Streams, s)
+		t.Streams = append(t.Streams, Stream{Core: int(core), Ops: ops})
 	}
 	if d.pos != len(d.buf) {
-		return nil, fmt.Errorf("trace: %d trailing bytes after streams", len(d.buf)-d.pos)
+		return nil, formatErr("streams", "%d trailing bytes after streams", len(d.buf)-d.pos)
 	}
 	if err := t.Validate(); err != nil {
 		return nil, err
@@ -390,26 +295,152 @@ func Decode(data []byte) (*Trace, error) {
 	return t, nil
 }
 
+// scanOps checks the nops op records at d.pos and returns them as an
+// Ops without expanding anything: framing, checkOp on every record (a
+// repeat marker re-states an op already checked), one halt and only at
+// the end. Canonical records — what Encode writes — are kept as the
+// sub-slice just scanned; valid records in any other spelling (a
+// version-1 payload with adjacent identical ops, a run split across
+// records or markers, a padded varint) are rebuilt through an
+// OpsBuilder, so an Ops holds canonical bytes however it was made.
+func (d *decoder) scanOps(core, nops int, v1 bool) (Ops, error) {
+	if nops == 0 {
+		return Ops{}, formatErr("ops", "core %d stream is empty", core)
+	}
+	start := d.pos
+	d.padded = false
+	var (
+		last        Op
+		prev, span  uint64 // running address; one past the highest seen
+		canonical   = true
+		afterMarker bool
+	)
+	for j := 0; j < nops; {
+		if d.pos >= len(d.buf) {
+			return Ops{}, formatErr("ops", "truncated at core %d op %d", core, j)
+		}
+		if !v1 && d.buf[d.pos] == rleMarker {
+			d.pos++
+			if j == 0 {
+				return Ops{}, formatErr("rle", "core %d: repeat marker before any op", core)
+			}
+			count, err := d.uvarint("rle")
+			if err != nil {
+				return Ops{}, err
+			}
+			if count < 1 || count > uint64(nops-j) {
+				return Ops{}, formatErr("rle", "core %d op %d: repeat count %d exceeds declared ops", core, j, count)
+			}
+			canonical = canonical && !afterMarker
+			afterMarker = true
+			j += int(count)
+			continue
+		}
+		op, err := d.record(&prev)
+		if err == nil {
+			err = checkOp(op, j)
+		}
+		if err != nil {
+			return Ops{}, inCore(core, err)
+		}
+		if op.Kind.HasAddr() && op.Addr >= span {
+			span = op.Addr + 8
+		}
+		if op.Kind == config.TraceHalt && j != nops-1 {
+			return Ops{}, formatErr("halt", "core %d has halt at op %d before end of stream", core, j)
+		}
+		if j > 0 && sameWire(last, op) {
+			canonical = false // a run the encoder would have folded
+		}
+		last, afterMarker = op, false
+		j++
+	}
+	if last.Kind != config.TraceHalt {
+		return Ops{}, formatErr("halt", "core %d stream does not end in halt", core)
+	}
+	if canonical && !d.padded {
+		return Ops{rec: d.buf[start:d.pos:d.pos], n: nops, span: span}, nil
+	}
+	var b OpsBuilder
+	b.Grow(d.pos - start)
+	c := Cursor{rec: d.buf[start:d.pos]}
+	for op, ok := c.Next(); ok; op, ok = c.Next() {
+		if err := b.Append(op); err != nil {
+			return Ops{}, inCore(core, err) // unreachable: every op was checked above
+		}
+	}
+	return b.Finish()
+}
+
+// record reads one op record at d.pos; *prev is the stream's running
+// address. A kind past the known ones is returned as is, with no fields
+// read, for checkOp to reject.
+func (d *decoder) record(prev *uint64) (Op, error) {
+	op := Op{Kind: config.TraceOp(d.buf[d.pos])}
+	d.pos++
+	if op.Kind >= config.NumTraceOps {
+		return op, nil
+	}
+	gap, err := d.uvarint("gap")
+	if err != nil {
+		return op, err
+	}
+	instrs, err := d.uvarint("instrs")
+	if err != nil {
+		return op, err
+	}
+	// A value past 2^62 converts to one checkOp rejects: above the bound
+	// or negative.
+	op.Gap, op.Instrs = int64(gap), int64(instrs)
+	if op.Kind.HasAddr() {
+		delta, err := d.uvarint("addr")
+		if err != nil {
+			return op, err
+		}
+		*prev += uint64(unzigzag(delta))
+		op.Addr = *prev
+	}
+	if op.Kind.HasVal() {
+		if op.Val, err = d.uvarint("val"); err != nil {
+			return op, err
+		}
+	}
+	if op.Kind == config.TraceCAS {
+		if op.Val2, err = d.uvarint("val2"); err != nil {
+			return op, err
+		}
+	}
+	return op, nil
+}
+
 type decoder struct {
 	buf []byte
 	pos int
+	// padded records that some varint read since it was last cleared was
+	// longer than its value needs — valid, but not what Encode writes.
+	padded bool
 }
 
 func (d *decoder) uvarint(what string) (uint64, error) {
-	v, n := binary.Uvarint(d.buf[d.pos:])
-	if n <= 0 {
-		return 0, fmt.Errorf("trace: bad or truncated varint (%s) at offset %d", what, d.pos)
+	// Most fields of a real stream are one byte; the rest is out of line
+	// so that this much inlines into the scan.
+	if p := d.pos; p < len(d.buf) && d.buf[p] < 0x80 {
+		d.pos = p + 1
+		return uint64(d.buf[p]), nil
 	}
-	d.pos += n
-	return v, nil
+	return d.uvarintLong(what)
 }
 
-func (d *decoder) zigzag(what string) (int64, error) {
-	v, err := d.uvarint(what)
-	if err != nil {
-		return 0, err
+func (d *decoder) uvarintLong(what string) (uint64, error) {
+	v, n := binary.Uvarint(d.buf[d.pos:])
+	if n <= 0 {
+		return 0, formatErr(what, "bad or truncated varint (%s) at offset %d", what, d.pos)
 	}
-	return int64(v>>1) ^ -int64(v&1), nil
+	d.pos += n
+	if d.buf[d.pos-1] == 0 {
+		d.padded = true
+	}
+	return v, nil
 }
 
 func (d *decoder) str(what string) (string, error) {
@@ -418,7 +449,7 @@ func (d *decoder) str(what string) (string, error) {
 		return "", err
 	}
 	if n > uint64(len(d.buf)-d.pos) {
-		return "", fmt.Errorf("trace: string (%s) length %d exceeds remaining input", what, n)
+		return "", formatErr(what, "string (%s) length %d exceeds remaining input", what, n)
 	}
 	s := string(d.buf[d.pos : d.pos+int(n)])
 	d.pos += int(n)
@@ -434,7 +465,7 @@ func (d *decoder) count(what string) (int, error) {
 		return 0, err
 	}
 	if n > uint64(len(d.buf)-d.pos) {
-		return 0, fmt.Errorf("trace: %s count %d exceeds remaining input", what, n)
+		return 0, formatErr(what, "%s count %d exceeds remaining input", what, n)
 	}
 	return int(n), nil
 }

@@ -2,16 +2,19 @@ package trace
 
 import (
 	"bytes"
+	"errors"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"repro/internal/config"
 )
 
-// sampleTrace builds a small trace exercising every op kind, both value
-// widths and the address-delta paths (forward and backward).
-func sampleTrace() *Trace {
-	return &Trace{
+// sampleRef builds a small trace exercising every op kind, both value
+// widths and the address-delta paths (forward and backward), as op
+// values; pack turns it into a Trace.
+func sampleRef() *refTrace {
+	return &refTrace{
 		Meta: Meta{
 			Protocol: "TSO-CC-4-12-3",
 			Workload: "sample",
@@ -19,7 +22,7 @@ func sampleTrace() *Trace {
 			Sys:      normalizeSys(config.Small(2)),
 		},
 		InitMem: []MemWord{{Addr: 0x1000, Val: 7}, {Addr: 0x2000, Val: 1 << 60}},
-		Streams: []Stream{
+		Streams: []refStream{
 			{Core: 0, Ops: []Op{
 				{Kind: config.TraceLoad, Addr: 0x1000, Gap: 1, Instrs: 3},
 				{Kind: config.TraceStore, Addr: 0x2000, Val: 99, Gap: 4, Instrs: 5},
@@ -39,60 +42,15 @@ func sampleTrace() *Trace {
 
 // encodeV1 emits the legacy version-1 encoding (no run-length markers):
 // the generator for decoder coverage of traces written before the v2
-// compaction. It mirrors Encode byte for byte apart from the version
-// number and the absence of RLE.
+// compaction.
 func encodeV1(t *Trace) ([]byte, error) {
-	if err := t.Validate(); err != nil {
-		return nil, err
-	}
-	e := encoder{buf: make([]byte, 0, 256+16*t.Ops())}
-	e.buf = append(e.buf, magic[:]...)
-	e.uvarint(formatVersionV1)
-	e.str(t.Meta.Protocol)
-	e.str(t.Meta.Workload)
-	e.uvarint(t.Meta.Seed)
-	for _, v := range geometryFields(t.Meta.Sys) {
-		e.uvarint(uint64(v))
-	}
-	e.uvarint(uint64(len(t.InitMem)))
-	prevAddr := uint64(0)
-	for i, w := range t.InitMem {
-		if i == 0 {
-			e.uvarint(w.Addr)
-		} else {
-			e.uvarint(w.Addr - prevAddr)
-		}
-		prevAddr = w.Addr
-		e.uvarint(w.Val)
-	}
-	e.uvarint(uint64(len(t.Streams)))
-	for _, s := range t.Streams {
-		e.uvarint(uint64(s.Core))
-		e.uvarint(uint64(len(s.Ops)))
-		prev := uint64(0)
-		for _, op := range s.Ops {
-			e.buf = append(e.buf, byte(op.Kind))
-			e.uvarint(uint64(op.Gap))
-			e.uvarint(uint64(op.Instrs))
-			if op.Kind.HasAddr() {
-				e.zigzag(int64(op.Addr - prev))
-				prev = op.Addr
-			}
-			if op.Kind.HasVal() {
-				e.uvarint(op.Val)
-			}
-			if op.Kind == config.TraceCAS {
-				e.uvarint(op.Val2)
-			}
-		}
-	}
-	return e.buf, nil
+	return refEncode(unpack(t), formatVersionV1)
 }
 
-// spinTrace builds a lock-probe-shaped stream: long bursts of identical
+// spinRef builds a lock-probe-shaped stream: long bursts of identical
 // same-address/same-gap loads and CAS probes — the shape v2's RLE
 // exists for.
-func spinTrace(probes int) *Trace {
+func spinRef(probes int) *refTrace {
 	var ops []Op
 	for round := 0; round < 4; round++ {
 		ops = append(ops, Op{Kind: config.TraceCAS, Addr: 0x1000, Val: 0, Val2: 1, Gap: 3, Instrs: 2})
@@ -102,10 +60,10 @@ func spinTrace(probes int) *Trace {
 		ops = append(ops, Op{Kind: config.TraceStore, Addr: 0x2000, Val: uint64(round), Gap: 1, Instrs: 2})
 	}
 	ops = append(ops, Op{Kind: config.TraceHalt, Gap: 1, Instrs: 1})
-	return &Trace{
+	return &refTrace{
 		Meta: Meta{Protocol: "TSO-CC-4-12-3", Workload: "spin",
 			Seed: 7, Sys: normalizeSys(config.Small(1))},
-		Streams: []Stream{{Core: 0, Ops: ops}},
+		Streams: []refStream{{Core: 0, Ops: ops}},
 	}
 }
 
@@ -114,7 +72,8 @@ func spinTrace(probes int) *Trace {
 // and a repeat marker inside a version-1 payload is rejected as a bad
 // kind (v1 never contained one).
 func TestCodecV1Decodes(t *testing.T) {
-	for _, tr := range []*Trace{sampleTrace(), spinTrace(50)} {
+	for _, ref := range []*refTrace{sampleRef(), spinRef(50)} {
+		tr := ref.pack(t)
 		v1, err := encodeV1(tr)
 		if err != nil {
 			t.Fatal(err)
@@ -138,6 +97,16 @@ func TestCodecV1Decodes(t *testing.T) {
 			t.Fatal("v1 -> v2 re-encode round trip mismatch")
 		}
 	}
+	v2, err := Encode(spinRef(50).pack(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	asV1 := append([]byte(nil), v2...)
+	asV1[magicLen] = formatVersionV1
+	var fe *FormatError
+	if _, err := Decode(asV1); !errors.As(err, &fe) || fe.Field != "kind" {
+		t.Fatalf("repeat marker in a v1 payload: got %v, want a bad-kind FormatError", err)
+	}
 }
 
 // TestCodecRLECompression checks v2 actually compacts the spin shape:
@@ -145,7 +114,7 @@ func TestCodecV1Decodes(t *testing.T) {
 // of magnitude relative to v1, and the bytes-per-op headline must drop
 // below one.
 func TestCodecRLECompression(t *testing.T) {
-	tr := spinTrace(200)
+	tr := spinRef(200).pack(t)
 	v1, err := encodeV1(tr)
 	if err != nil {
 		t.Fatal(err)
@@ -171,18 +140,32 @@ func TestCodecRLECompression(t *testing.T) {
 // TestCodecRLEIgnoresUnencodedFields pins the run comparison to the
 // wire format: ops differing only in fields their kind never encodes
 // (a stray Addr on a fence) must still form a run, keeping
-// encode ∘ decode ∘ encode byte-identical.
+// encode ∘ decode ∘ encode byte-identical, and a Cursor hands them back
+// with those fields zero.
 func TestCodecRLEIgnoresUnencodedFields(t *testing.T) {
-	tr := &Trace{
+	tr := (&refTrace{
 		Meta: Meta{Protocol: "MESI", Workload: "junkfields",
 			Seed: 1, Sys: normalizeSys(config.Small(1))},
-		Streams: []Stream{{Core: 0, Ops: []Op{
+		Streams: []refStream{{Core: 0, Ops: []Op{
 			{Kind: config.TraceFence, Addr: 0x1000, Gap: 2, Instrs: 1},
 			{Kind: config.TraceFence, Addr: 0x2000, Gap: 2, Instrs: 1},
 			{Kind: config.TraceLoad, Addr: 0x1000, Val: 99, Gap: 3, Instrs: 1},
 			{Kind: config.TraceLoad, Addr: 0x1000, Val: 7, Gap: 3, Instrs: 1},
 			{Kind: config.TraceHalt, Gap: 1, Instrs: 1},
 		}}},
+	}).pack(t)
+	if got, want := tr.Streams[0].Ops.Size(), 3+2+5+2+3; got != want {
+		t.Fatalf("packed stream is %d bytes, want %d (two runs of two)", got, want)
+	}
+	want := []Op{
+		{Kind: config.TraceFence, Gap: 2, Instrs: 1},
+		{Kind: config.TraceFence, Gap: 2, Instrs: 1},
+		{Kind: config.TraceLoad, Addr: 0x1000, Gap: 3, Instrs: 1},
+		{Kind: config.TraceLoad, Addr: 0x1000, Gap: 3, Instrs: 1},
+		{Kind: config.TraceHalt, Gap: 1, Instrs: 1},
+	}
+	if got := opsOf(tr.Streams[0].Ops); !reflect.DeepEqual(got, want) {
+		t.Fatalf("cursor yielded %+v, want %+v", got, want)
 	}
 	enc, err := Encode(tr)
 	if err != nil {
@@ -201,12 +184,9 @@ func TestCodecRLEIgnoresUnencodedFields(t *testing.T) {
 	}
 }
 
-// TestCodecDecodeOpBudget pins the allocation guard: a crafted file
-// declaring more total ops than the decoder budget is rejected at the
-// count, before any expansion loop runs — RLE decouples op counts from
-// input size, so this cap is what stands between a ~20-byte corrupt
-// file and a multi-GB allocation.
-func TestCodecDecodeOpBudget(t *testing.T) {
+// bombHeader is the header of a one-core, one-stream file whose stream
+// declares nops ops; the caller appends the records.
+func bombHeader(nops uint64) []byte {
 	e := encoder{}
 	e.buf = append(e.buf, magic[:]...)
 	e.uvarint(formatVersion)
@@ -216,19 +196,109 @@ func TestCodecDecodeOpBudget(t *testing.T) {
 	for _, v := range geometryFields(normalizeSys(config.Small(1))) {
 		e.uvarint(uint64(v))
 	}
-	e.uvarint(0)                // initmem count
-	e.uvarint(1)                // stream count
-	e.uvarint(0)                // core 0
-	e.uvarint(maxDecodeOps + 1) // declared ops past the budget
-	e.buf = append(e.buf, 0)    // one op would follow...
-	_, err := Decode(e.buf)
-	if err == nil {
-		t.Fatal("decode accepted an op count past the decoder budget")
+	e.uvarint(0) // initmem count
+	e.uvarint(1) // stream count
+	e.uvarint(0) // core 0
+	e.uvarint(nops)
+	return e.buf
+}
+
+// TestCodecDecodeOpBudget pins the budget: a crafted file declaring
+// more total ops than the decoder budget is rejected at the count, with
+// the typed error naming it.
+func TestCodecDecodeOpBudget(t *testing.T) {
+	data := append(bombHeader(maxDecodeOps+1), 0) // one op would follow...
+	_, err := Decode(data)
+	var fe *FormatError
+	if !errors.As(err, &fe) || fe.Field != "ops" {
+		t.Fatalf("decode of an op count past the budget: got %v, want a FormatError on ops", err)
+	}
+}
+
+// allocated reports the bytes f allocates (all goroutines; the tests of
+// this package do not run in parallel).
+func allocated(f func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// TestCodecDecodeAllocation pins what packed streams buy the decoder:
+// it allocates in proportion to its input, never to the op count the
+// input declares. The budget admits maxDecodeOps ops from any file, so
+// a ~50-byte file can declare 4 Mi of them through one repeat marker;
+// the materializing decoder turned that into 4 Mi x 48 B = 201 MB.
+// Both spellings of the bomb (one maximal run, kept as is; a split run,
+// rebuilt through the builder) and a real 19 MB Zipf encoding must
+// decode within 2 x len(data) plus a constant for the Trace itself.
+func TestCodecDecodeAllocation(t *testing.T) {
+	const slack = 4 << 10
+	load := []byte{byte(config.TraceLoad), 1, 1, 0x10} // gap 1, instrs 1, addr +8
+	halt := []byte{byte(config.TraceHalt), 1, 1}
+	marker := func(n int) []byte {
+		var e encoder
+		e.marker(n)
+		return e.buf
+	}
+	join := func(parts ...[]byte) []byte { return bytes.Join(parts, nil) }
+
+	zipf, err := Encode(Zipf(SynthParams{Cores: 8, OpsPerCore: 300000, Seed: 1}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct {
+		name string
+		data []byte
+		ops  int
+	}{
+		{"bomb, one run", join(bombHeader(maxDecodeOps), load, marker(maxDecodeOps-2), halt), maxDecodeOps},
+		{"bomb, split run", join(bombHeader(maxDecodeOps), load, marker(maxDecodeOps/2),
+			marker(maxDecodeOps-2-maxDecodeOps/2), halt), maxDecodeOps},
+		{"zipf 8x300k", zipf, 8 * 300001},
+	}
+	for _, tc := range cases {
+		var tr *Trace
+		got := allocated(func() {
+			if tr, err = Decode(tc.data); err != nil {
+				t.Fatalf("%s: %v", tc.name, err)
+			}
+		})
+		if tr.Ops() != tc.ops {
+			t.Fatalf("%s: decoded %d ops, want %d", tc.name, tr.Ops(), tc.ops)
+		}
+		if limit := uint64(2*len(tc.data) + slack); got > limit {
+			t.Errorf("%s: Decode of %d bytes allocated %d, want <= %d", tc.name, len(tc.data), got, limit)
+		}
+		t.Logf("%s: %d bytes in, %d ops, %d bytes allocated", tc.name, len(tc.data), tc.ops, got)
+	}
+
+	// The bomb is a real stream: a cursor walks all of it in place.
+	tr, err := Decode(cases[1].data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tr.Streams[0].Ops.Size() != len(load)+len(marker(maxDecodeOps-2))+len(halt) {
+		t.Fatalf("split run was not folded: stream holds %d bytes", tr.Streams[0].Ops.Size())
+	}
+	n, loads := 0, 0
+	c := tr.Streams[0].Ops.Cursor()
+	for op, ok := c.Next(); ok; op, ok = c.Next() {
+		n++
+		if op.Kind == config.TraceLoad && op.Addr == 8 {
+			loads++
+		}
+	}
+	if n != maxDecodeOps || loads != maxDecodeOps-1 {
+		t.Fatalf("cursor walked %d ops (%d loads), want %d (%d)", n, loads, maxDecodeOps, maxDecodeOps-1)
 	}
 }
 
 func TestCodecRoundTrip(t *testing.T) {
-	orig := sampleTrace()
+	ref := sampleRef()
+	orig := ref.pack(t)
 	data, err := Encode(orig)
 	if err != nil {
 		t.Fatal(err)
@@ -239,6 +309,9 @@ func TestCodecRoundTrip(t *testing.T) {
 	}
 	if !reflect.DeepEqual(orig, got) {
 		t.Fatalf("decode mismatch:\n orig: %+v\n got:  %+v", orig, got)
+	}
+	if !reflect.DeepEqual(ref, unpack(got)) {
+		t.Fatalf("cursors do not yield the ops that went in:\n in:  %+v\n out: %+v", ref, unpack(got))
 	}
 	again, err := Encode(got)
 	if err != nil {
@@ -252,7 +325,7 @@ func TestCodecRoundTrip(t *testing.T) {
 // TestCodecTruncation feeds every strict prefix of a valid encoding to
 // the decoder: all must error, none may panic.
 func TestCodecTruncation(t *testing.T) {
-	data, err := Encode(sampleTrace())
+	data, err := Encode(sampleRef().pack(t))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -264,80 +337,198 @@ func TestCodecTruncation(t *testing.T) {
 }
 
 func TestCodecCorruption(t *testing.T) {
-	valid, err := Encode(sampleTrace())
+	valid, err := Encode(sampleRef().pack(t))
 	if err != nil {
 		t.Fatal(err)
 	}
 	corrupt := func(name string, mutate func(b []byte) []byte) {
 		b := append([]byte(nil), valid...)
-		if _, err := Decode(mutate(b)); err == nil {
-			t.Errorf("%s: decode accepted corrupt input", name)
+		var fe *FormatError
+		if _, err := Decode(mutate(b)); !errors.As(err, &fe) {
+			t.Errorf("%s: decode of corrupt input returned %v, want a FormatError", name, err)
 		}
 	}
 	corrupt("bad magic", func(b []byte) []byte { b[0] = 'X'; return b })
 	corrupt("bad version", func(b []byte) []byte { b[magicLen] = 0x7F; return b })
 	corrupt("trailing garbage", func(b []byte) []byte { return append(b, 0xAA) })
 	corrupt("bad op kind", func(b []byte) []byte {
-		// Corrupt the first stream's first op kind byte by scanning for
-		// the known kind value after the header; safer: flip every byte
-		// position one at a time and require no panic (errors optional).
+		// Overwrite the final stream's last byte (the halt's instrs
+		// field) with the repeat marker.
 		return append(b[:len(b)-1], 0xFF)
 	})
-	// No byte flip anywhere in the file may cause a panic.
+	// No byte flip anywhere in the file may cause a panic, and whatever
+	// the decoder still accepts the referee must accept too, as the same
+	// ops.
 	for i := range valid {
 		b := append([]byte(nil), valid...)
 		b[i] ^= 0xFF
-		_, _ = Decode(b) // must not panic; error or sheer luck both fine
+		checkAgainstReferee(t, b)
 	}
 }
 
+// TestValidateRejects has one row per rejection the pre-packing
+// Trace.Validate performed (refTrace.validate, which every row must
+// still trip), and pins where each is made now that a stream cannot be
+// malformed after construction: the stage that refuses the trace when it
+// is built from op values, and the field the typed error names — the
+// same field Decode names when it meets the same trace as bytes.
 func TestValidateRejects(t *testing.T) {
+	halt := Op{Kind: config.TraceHalt, Gap: 1, Instrs: 1}
 	cases := []struct {
 		name   string
-		mutate func(t *Trace)
+		mutate func(t *refTrace)
+		stage  string // OpsBuilder.Append, OpsBuilder.Finish or Trace.Validate
+		field  string
 	}{
-		{"no halt", func(t *Trace) {
+		{"header cores not positive", func(t *refTrace) {
+			t.Meta.Sys.Cores = 0
+		}, "Validate", "cores"},
+		{"init word unaligned", func(t *refTrace) {
+			t.InitMem[0].Addr = 0x1004
+		}, "Validate", "initmem"},
+		{"init memory not ascending", func(t *refTrace) {
+			t.InitMem[0], t.InitMem[1] = t.InitMem[1], t.InitMem[0]
+		}, "Validate", "initmem"},
+		{"init memory repeats an address", func(t *refTrace) {
+			t.InitMem[1].Addr = t.InitMem[0].Addr
+		}, "Validate", "initmem"},
+		{"core out of range", func(t *refTrace) {
+			t.Streams[1].Core = t.Meta.Sys.Cores
+		}, "Validate", "core"},
+		{"streams not ascending", func(t *refTrace) {
+			t.Streams[0].Core, t.Streams[1].Core = 1, 0
+		}, "Validate", "core"},
+		{"streams repeat a core", func(t *refTrace) {
+			t.Streams[1].Core = 0
+		}, "Validate", "core"},
+		{"empty stream", func(t *refTrace) {
+			t.Streams[1].Ops = nil
+		}, "Finish", "ops"},
+		{"bad kind", func(t *refTrace) {
+			t.Streams[0].Ops[1].Kind = config.NumTraceOps
+		}, "Append", "kind"},
+		{"negative gap", func(t *refTrace) {
+			t.Streams[0].Ops[0].Gap = -1
+		}, "Append", "gap"},
+		{"negative instrs", func(t *refTrace) {
+			t.Streams[0].Ops[2].Instrs = -5
+		}, "Append", "instrs"},
+		{"unaligned op address", func(t *refTrace) {
+			t.Streams[0].Ops[0].Addr = 0x1001
+		}, "Append", "addr"},
+		{"halt before end", func(t *refTrace) {
+			t.Streams[0].Ops[1] = halt
+		}, "Append", "halt"},
+		{"halt twice at end", func(t *refTrace) {
+			t.Streams[1].Ops = append(t.Streams[1].Ops, halt)
+		}, "Append", "halt"},
+		{"missing final halt", func(t *refTrace) {
 			s := &t.Streams[0]
 			s.Ops = s.Ops[:len(s.Ops)-1]
-		}},
-		{"halt mid-stream", func(t *Trace) {
-			s := &t.Streams[0]
-			s.Ops[1] = Op{Kind: config.TraceHalt}
-		}},
-		{"unsorted initmem", func(t *Trace) {
-			t.InitMem[0], t.InitMem[1] = t.InitMem[1], t.InitMem[0]
-		}},
-		{"unaligned op addr", func(t *Trace) {
-			t.Streams[0].Ops[0].Addr = 0x1001
-		}},
-		{"unsorted streams", func(t *Trace) {
-			t.Streams[0].Core, t.Streams[1].Core = 1, 0
-		}},
-		{"core out of range", func(t *Trace) {
-			t.Streams[1].Core = t.Meta.Sys.Cores
-		}},
-		{"empty stream", func(t *Trace) {
-			t.Streams[1].Ops = nil
-		}},
-		{"negative gap", func(t *Trace) {
-			t.Streams[0].Ops[0].Gap = -1
-		}},
+		}, "Finish", "halt"},
 	}
 	for _, tc := range cases {
-		tr := sampleTrace()
-		tc.mutate(tr)
-		if err := tr.Validate(); err == nil {
-			t.Errorf("%s: Validate accepted an invalid trace", tc.name)
+		ref := sampleRef()
+		tc.mutate(ref)
+		if err := ref.validate(); err == nil {
+			t.Errorf("%s: not a rejection of the old Validate; the row pins nothing", tc.name)
 		}
-		if _, err := Encode(tr); err == nil {
-			t.Errorf("%s: Encode accepted an invalid trace", tc.name)
+		stage, err := buildStaged(ref)
+		var fe *FormatError
+		if !errors.As(err, &fe) {
+			t.Errorf("%s: building the trace returned %v, want a FormatError", tc.name, err)
+			continue
 		}
+		if stage != tc.stage || fe.Field != tc.field {
+			t.Errorf("%s: rejected by %s naming %q (%v), want %s naming %q",
+				tc.name, stage, fe.Field, err, tc.stage, tc.field)
+		}
+		// The same trace as bytes: Decode refuses it, naming the same field.
+		for _, version := range []uint64{formatVersionV1, formatVersion} {
+			_, err := Decode(rawEncode(ref, version))
+			if !errors.As(err, &fe) || fe.Field != tc.field {
+				t.Errorf("%s: Decode (v%d) returned %v, want a FormatError naming %q",
+					tc.name, version, err, tc.field)
+			}
+		}
+	}
+
+	// A Stream can still be given no Ops at all; that is the one stream
+	// fault left for Validate, and Encode, to catch.
+	tr := sampleRef().pack(t)
+	tr.Streams[1].Ops = Ops{}
+	var fe *FormatError
+	if err := tr.Validate(); !errors.As(err, &fe) || fe.Field != "ops" {
+		t.Errorf("zero Ops: Validate returned %v, want a FormatError naming ops", err)
+	}
+	if _, err := Encode(tr); err == nil {
+		t.Error("zero Ops: Encode accepted an invalid trace")
+	}
+}
+
+// buildStaged builds ref the way every producer does — ops through an
+// OpsBuilder, the assembled trace through Validate — and reports which
+// step refused it.
+func buildStaged(ref *refTrace) (string, error) {
+	tr := &Trace{Meta: ref.Meta, InitMem: ref.InitMem}
+	for _, s := range ref.Streams {
+		var b OpsBuilder
+		for _, op := range s.Ops {
+			if err := b.Append(op); err != nil {
+				return "Append", err
+			}
+		}
+		ops, err := b.Finish()
+		if err != nil {
+			return "Finish", err
+		}
+		tr.Streams = append(tr.Streams, Stream{Core: s.Core, Ops: ops})
+	}
+	if err := tr.Validate(); err != nil {
+		return "Validate", err
+	}
+	return "", nil
+}
+
+// TestOpsBuilderRejectionLeavesBuilderUsable: a refused op changes
+// nothing, so the stream built around it equals the stream built without
+// it.
+func TestOpsBuilderRejectionLeavesBuilderUsable(t *testing.T) {
+	good := sampleRef().Streams[0].Ops
+	want, err := packOps(good)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var b OpsBuilder
+	for i, op := range good {
+		bad := op
+		switch i % 3 {
+		case 0:
+			bad.Gap = -1
+		case 1:
+			bad.Kind = 0xFF
+		default:
+			bad.Kind, bad.Addr = config.TraceLoad, 3
+		}
+		if err := b.Append(bad); err == nil {
+			t.Fatalf("op %d: builder accepted %+v", i, bad)
+		}
+		if err := b.Append(op); err != nil {
+			t.Fatal(err)
+		}
+	}
+	got, err := b.Finish()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatal("rejected ops left a mark on the stream")
 	}
 }
 
 func TestReadWriteFile(t *testing.T) {
 	path := t.TempDir() + "/sample.trc"
-	orig := sampleTrace()
+	orig := sampleRef().pack(t)
 	if err := WriteFile(path, orig); err != nil {
 		t.Fatal(err)
 	}

@@ -28,6 +28,12 @@ import (
 // (store payloads, CAS operands) are not rewritten: composition assumes
 // data values are not reused as pointers, which holds for every
 // workload and synthesizer in this repository.
+//
+// Nothing is decoded or re-encoded: a stream's addresses are delta-coded
+// from 0, so shifting them all changes one record (Ops.rehomed) and the
+// rest of the stream is a byte copy. Composing costs one copy of each
+// placed stream — the composed trace's own size — and the first
+// instance, at offset 0, shares its part's bytes outright.
 func Compose(cores int, parts ...*Trace) (*Trace, error) {
 	if cores <= 0 {
 		return nil, fmt.Errorf("trace: compose target cores must be positive, got %d", cores)
@@ -65,14 +71,7 @@ func Compose(cores int, parts ...*Trace) (*Trace, error) {
 		}
 		off := stride * uint64(inst)
 		for _, s := range p.Streams {
-			ops := make([]Op, len(s.Ops))
-			for j, op := range s.Ops {
-				if op.Kind.HasAddr() {
-					op.Addr += off
-				}
-				ops[j] = op
-			}
-			out.Streams = append(out.Streams, Stream{Core: base + s.Core, Ops: ops})
+			out.Streams = append(out.Streams, Stream{Core: base + s.Core, Ops: s.Ops.rehomed(off)})
 		}
 		for _, w := range p.InitMem {
 			out.InitMem = append(out.InitMem, MemWord{Addr: w.Addr + off, Val: w.Val})
@@ -95,10 +94,8 @@ func Compose(cores int, parts ...*Trace) (*Trace, error) {
 func (t *Trace) addrSpan() uint64 {
 	var hi uint64
 	for _, s := range t.Streams {
-		for _, op := range s.Ops {
-			if op.Kind.HasAddr() && op.Addr >= hi {
-				hi = op.Addr + 8
-			}
+		if s.Ops.span > hi {
+			hi = s.Ops.span
 		}
 	}
 	for _, w := range t.InitMem {

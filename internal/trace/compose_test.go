@@ -2,6 +2,7 @@ package trace_test
 
 import (
 	"bytes"
+	"runtime"
 	"testing"
 
 	"repro/internal/config"
@@ -44,7 +45,8 @@ func TestComposeStructure(t *testing.T) {
 	}
 	for _, s := range out.Streams {
 		inst := s.Core / 2
-		for _, op := range s.Ops {
+		c := s.Ops.Cursor()
+		for op, ok := c.Next(); ok; op, ok = c.Next() {
 			if !op.Kind.HasAddr() {
 				continue
 			}
@@ -94,17 +96,7 @@ func TestComposeStructure(t *testing.T) {
 // instances are independent, so nothing is lost or double-counted.
 func TestComposeReplay(t *testing.T) {
 	src := trace.Zipf(trace.SynthParams{Cores: 2, OpsPerCore: 40, Seed: 3})
-	var wantLoads, wantStores int64
-	for _, s := range src.Streams {
-		for _, op := range s.Ops {
-			switch op.Kind {
-			case config.TraceLoad:
-				wantLoads++
-			case config.TraceStore:
-				wantStores++
-			}
-		}
-	}
+	wantLoads, wantStores := countLoadsStores(src)
 	out, err := trace.Compose(6, src)
 	if err != nil {
 		t.Fatal(err)
@@ -116,5 +108,54 @@ func TestComposeReplay(t *testing.T) {
 	if rep.Loads != 3*wantLoads || rep.Stores != 3*wantStores {
 		t.Fatalf("composed replay issued ld=%d st=%d, want ld=%d st=%d",
 			rep.Loads, rep.Stores, 3*wantLoads, 3*wantStores)
+	}
+}
+
+// TestComposeLargeAllocation composes 8-core parts onto 256 cores — 32
+// instances — and pins what that costs: one copy of each placed stream's
+// bytes, i.e. the composed trace's own size, not 48 bytes per op and not
+// a decode plus a re-encode. (The first instance, at offset 0, shares
+// its part's bytes, so the copy is in fact 31/32 of that.)
+func TestComposeLargeAllocation(t *testing.T) {
+	p := trace.SynthParams{Cores: 8, OpsPerCore: 20000, Seed: 4}
+	zipf, scan := trace.Zipf(p), trace.Scan(p)
+
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	out, err := trace.Compose(256, zipf, scan)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(out.Streams) != 256 || out.Ops() != 16*(zipf.Ops()+scan.Ops()) {
+		t.Fatalf("composed %d streams, %d ops; want 256 streams, %d ops",
+			len(out.Streams), out.Ops(), 16*(zipf.Ops()+scan.Ops()))
+	}
+	size := 0
+	for _, s := range out.Streams {
+		size += s.Ops.Size()
+	}
+	got := after.TotalAlloc - before.TotalAlloc
+	if limit := uint64(size + size/20 + 64<<10); got > limit {
+		t.Errorf("Compose allocated %d bytes for %d bytes of streams (%d ops); want <= %d",
+			got, size, out.Ops(), limit)
+	}
+	t.Logf("256-core composition: %d ops, %d stream bytes, %d bytes allocated (%.2f B/op)",
+		out.Ops(), size, got, float64(got)/float64(out.Ops()))
+
+	// It is the trace it claims to be: the last instance is the second
+	// part shifted by 31 strides, op for op.
+	first := func(o trace.Ops) trace.Op {
+		c := o.Cursor()
+		op, _ := c.Next()
+		return op
+	}
+	a, b := first(scan.Streams[7].Ops), first(out.Streams[255].Ops)
+	if b.Addr <= a.Addr || (b.Addr-a.Addr)%31 != 0 || b.Kind != a.Kind || b.Gap != a.Gap {
+		t.Fatalf("last instance's first op %+v is not part op %+v shifted by 31 strides", b, a)
+	}
+	if _, err := trace.Encode(out); err != nil {
+		t.Fatalf("composed trace does not encode: %v", err)
 	}
 }

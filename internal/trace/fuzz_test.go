@@ -9,11 +9,14 @@ import (
 	"repro/internal/sim"
 )
 
-// traceFromBytes deterministically derives a structurally valid Trace
-// from arbitrary fuzz input: the bytes seed an RNG that draws sizes,
-// kinds, addresses and values, so every input maps to some well-formed
-// trace while small input mutations explore very different shapes.
-func traceFromBytes(data []byte) *Trace {
+// traceFromBytes deterministically derives a structurally valid trace,
+// as op values, from arbitrary fuzz input: the bytes seed an RNG that
+// draws sizes, kinds, addresses and values, so every input maps to some
+// well-formed trace while small input mutations explore very different
+// shapes. One op in five repeats its predecessor, so runs — and, in the
+// version-1 spelling, the adjacent identical records the decoder must
+// fold — are common.
+func traceFromBytes(data []byte) *refTrace {
 	seed := uint64(len(data))
 	for i, b := range data {
 		seed = seed*1099511628211 + uint64(b)<<(uint(i)%56)
@@ -21,7 +24,7 @@ func traceFromBytes(data []byte) *Trace {
 	rng := sim.NewRNG(seed)
 	cores := 1 + rng.Intn(6)
 	sys := normalizeSys(config.Small(cores))
-	t := &Trace{Meta: Meta{
+	t := &refTrace{Meta: Meta{
 		Protocol: "fuzz-proto",
 		Workload: "fuzz",
 		Seed:     rng.Uint64(),
@@ -38,6 +41,12 @@ func traceFromBytes(data []byte) *Trace {
 		}
 		var ops []Op
 		for i := 0; i < rng.Intn(40); i++ {
+			if len(ops) > 0 && rng.Intn(5) == 0 {
+				for n := 1 + rng.Intn(4); n > 0; n-- {
+					ops = append(ops, ops[len(ops)-1])
+				}
+				continue
+			}
 			op := Op{
 				Kind:   config.TraceOp(rng.Intn(int(config.TraceHalt))),
 				Gap:    rng.Int63n(1 << 20),
@@ -56,72 +65,145 @@ func traceFromBytes(data []byte) *Trace {
 		}
 		g := 1 + rng.Int63n(100)
 		ops = append(ops, Op{Kind: config.TraceHalt, Gap: g, Instrs: g})
-		t.Streams = append(t.Streams, Stream{Core: core, Ops: ops})
+		t.Streams = append(t.Streams, refStream{Core: core, Ops: ops})
 	}
 	return t
 }
 
-// FuzzTraceRoundTrip is the codec's fuzz gate with three properties:
+// splitRuns re-spells a version-2 encoding of ref with every repeat
+// marker of count >= 2 split in two and, where the run allows it, one
+// repeat written out as a full record: valid, the same ops, but not the
+// bytes Encode writes. Decode must fold it back.
+func splitRuns(ref *refTrace) []byte {
+	e := encoder{buf: rawEncode(&refTrace{Meta: ref.Meta, InitMem: ref.InitMem}, formatVersion)}
+	e.buf = e.buf[:len(e.buf)-1] // drop the empty stream count
+	e.uvarint(uint64(len(ref.Streams)))
+	for _, s := range ref.Streams {
+		e.uvarint(uint64(s.Core))
+		e.uvarint(uint64(len(s.Ops)))
+		prev := uint64(0)
+		for i := 0; i < len(s.Ops); {
+			op := s.Ops[i]
+			e.record(op, &prev)
+			run := 0
+			for i+1+run < len(s.Ops) && sameWire(s.Ops[i+1+run], op) {
+				run++
+			}
+			switch {
+			case run >= 3: // marker, full record, marker
+				e.marker(1)
+				e.record(op, &prev)
+				e.marker(run - 2)
+			case run == 2: // two markers
+				e.marker(1)
+				e.marker(1)
+			case run == 1: // full record with a zero address delta
+				e.record(op, &prev)
+			}
+			i += 1 + run
+		}
+	}
+	return e.buf
+}
+
+// checkAgainstReferee holds the packed codec to the materializing one
+// on arbitrary bytes: Decode accepts data iff refDecode does, cursors
+// yield refDecode's ops, and re-encoding writes refEncode's bytes —
+// which decode, packed, to a deep-equal trace. It returns the decoded
+// trace, nil if data was rejected.
+func checkAgainstReferee(t *testing.T, data []byte) *Trace {
+	t.Helper()
+	ref, refErr := refDecode(data)
+	tr, err := Decode(data)
+	if (err == nil) != (refErr == nil) {
+		t.Fatalf("Decode and the referee disagree on acceptance:\n packed:  %v\n referee: %v", err, refErr)
+	}
+	if err != nil {
+		return nil
+	}
+	if err := tr.Validate(); err != nil {
+		t.Fatalf("decode accepted a structurally invalid trace: %v", err)
+	}
+	if got := unpack(tr); !reflect.DeepEqual(got, ref) {
+		t.Fatalf("cursors do not yield the referee's ops:\n packed:  %+v\n referee: %+v", got, ref)
+	}
+	want, refErr := refEncode(ref, formatVersion)
+	enc, err := Encode(tr)
+	if (err == nil) != (refErr == nil) {
+		t.Fatalf("Encode and the referee disagree:\n packed:  %v\n referee: %v", err, refErr)
+	}
+	if err != nil {
+		return tr // over the op budget for its own encoding; both refuse
+	}
+	if !bytes.Equal(enc, want) {
+		t.Fatalf("Encode wrote %d bytes, the referee %d, and they differ", len(enc), len(want))
+	}
+	again, err := Decode(enc)
+	if err != nil {
+		t.Fatalf("decode of own encoding: %v", err)
+	}
+	if !reflect.DeepEqual(tr, again) {
+		t.Fatal("decode of the re-encoding does not deep-equal the first decode: Decode kept non-canonical bytes")
+	}
+	return tr
+}
+
+// FuzzTraceRoundTrip is the codec's fuzz gate. For a structurally valid
+// trace derived from the fuzz input:
 //
-//  1. For any structurally valid trace (derived from the fuzz input),
-//     encode → decode → re-encode is byte-identical and the decoded
-//     trace deep-equals the original (version 2, the current format).
-//  2. The same trace's legacy version-1 encoding (no RLE) decodes to a
-//     deep-equal trace — both format versions stay covered.
-//  3. Decoding the raw fuzz input itself — almost always garbage —
-//     must return an error or a valid trace, and must never panic.
+//  1. Building it through OpsBuilder and encoding it writes the bytes
+//     the referee encoder writes; decode deep-equals the built trace
+//     and re-encode is byte-identical (version 2, the current format).
+//  2. Its legacy version-1 encoding (no RLE) and a version-2 spelling
+//     with every run split decode to the same deep-equal trace: Decode
+//     folds them through the builder, it does not keep their bytes.
+//
+// And for the raw fuzz input itself — almost always garbage:
+//
+//  3. Decode never panics, accepts it iff the referee decoder does,
+//     and then agrees with the referee op for op and byte for byte.
 func FuzzTraceRoundTrip(f *testing.F) {
 	f.Add([]byte(nil))
 	f.Add([]byte("TSOCCTRC"))
-	if seed, err := Encode(sampleTrace()); err == nil {
+	if seed, err := Encode(sampleRef().pack(f)); err == nil {
 		f.Add(seed)
 	}
-	if seed, err := encodeV1(sampleTrace()); err == nil {
+	if seed, err := refEncode(sampleRef(), formatVersionV1); err == nil {
 		f.Add(seed)
 	}
 	f.Add([]byte{0, 1, 2, 3, 4, 5, 6, 7, 8, 9})
+	f.Add(splitRuns(spinRef(3)))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		tr := traceFromBytes(data)
-		if err := tr.Validate(); err != nil {
+		ref := traceFromBytes(data)
+		if err := ref.validate(); err != nil {
 			t.Fatalf("generator emitted invalid trace: %v", err)
 		}
+		tr := ref.pack(t)
 		enc, err := Encode(tr)
 		if err != nil {
 			t.Fatalf("encode: %v", err)
 		}
-		dec, err := Decode(enc)
-		if err != nil {
-			t.Fatalf("decode of valid encoding: %v", err)
-		}
-		if !reflect.DeepEqual(tr, dec) {
+		if dec := checkAgainstReferee(t, enc); !reflect.DeepEqual(tr, dec) {
 			t.Fatal("decode does not deep-equal the original")
 		}
-		enc2, err := Encode(dec)
-		if err != nil {
-			t.Fatalf("re-encode: %v", err)
-		}
-		if !bytes.Equal(enc, enc2) {
-			t.Fatalf("re-encode not byte-identical (%d vs %d bytes)", len(enc), len(enc2))
+		if !reflect.DeepEqual(ref, unpack(tr)) {
+			t.Fatal("cursors do not yield the ops that were appended")
 		}
 
-		// Legacy version-1 payloads must keep decoding to the same trace.
-		v1, err := encodeV1(tr)
+		// Other spellings of the same trace must decode to the same Trace —
+		// the same canonical bytes in memory, not an alias of the input.
+		v1, err := refEncode(ref, formatVersionV1)
 		if err != nil {
 			t.Fatalf("v1 encode: %v", err)
 		}
-		decV1, err := Decode(v1)
-		if err != nil {
-			t.Fatalf("decode of valid v1 encoding: %v", err)
-		}
-		if !reflect.DeepEqual(tr, decV1) {
+		if dec := checkAgainstReferee(t, v1); !reflect.DeepEqual(tr, dec) {
 			t.Fatal("v1 decode does not deep-equal the original")
 		}
-
-		// Raw input: decode must never panic.
-		if tr2, err := Decode(data); err == nil {
-			if err := tr2.Validate(); err != nil {
-				t.Fatalf("decode accepted a structurally invalid trace: %v", err)
-			}
+		if dec := checkAgainstReferee(t, splitRuns(ref)); !reflect.DeepEqual(tr, dec) {
+			t.Fatal("decode of split runs does not deep-equal the original")
 		}
+
+		// Raw input.
+		checkAgainstReferee(t, data)
 	})
 }

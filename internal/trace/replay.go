@@ -34,9 +34,16 @@ import (
 // batched core's straight-line runs.
 type ReplayCore struct {
 	ID   int
-	ops  []Op
-	idx  int
 	port coherence.CorePort
+
+	// op is the current operation, decoded one ahead of its issue: a
+	// port-busy retry re-reads this field, never the stream bytes. more
+	// is false once the stream is exhausted; idx of n ops are behind op.
+	cur  Cursor
+	op   Op
+	more bool
+	idx  int
+	n    int
 
 	wb         []wbEntry
 	wbHead     int
@@ -47,7 +54,7 @@ type ReplayCore struct {
 	waiting bool
 	halted  bool
 
-	// readyAt is the earliest cycle ops[idx] may issue. gapArmed defers
+	// readyAt is the earliest cycle op may issue. gapArmed defers
 	// the anchor for async completions: the callback cycle is not known
 	// until the core ticks on it, at which point readyAt = now + Gap.
 	readyAt  sim.Cycle
@@ -89,21 +96,21 @@ type wbEntry struct {
 // NewReplayCore builds a replay frontend for one stream against port,
 // with a write buffer of wbEntries slots (use the recording geometry's
 // WriteBuffer for bit-identical replay).
-func NewReplayCore(id int, ops []Op, port coherence.CorePort, wbEntries int) *ReplayCore {
+func NewReplayCore(id int, ops Ops, port coherence.CorePort, wbEntries int) *ReplayCore {
 	if wbEntries <= 0 {
 		panic("trace: replay write buffer must have at least one entry")
 	}
-	c := &ReplayCore{ID: id, ops: ops, port: port, wb: make([]wbEntry, wbEntries)}
+	c := &ReplayCore{ID: id, port: port, cur: ops.Cursor(), n: ops.Len(), wb: make([]wbEntry, wbEntries)}
 	c.Loads.SetName(fmt.Sprintf("replay%d.loads", id))
 	c.Stores.SetName(fmt.Sprintf("replay%d.stores", id))
 	c.RMWs.SetName(fmt.Sprintf("replay%d.rmws", id))
 	c.Fences.SetName(fmt.Sprintf("replay%d.fences", id))
 	c.Instructions.SetName(fmt.Sprintf("replay%d.instructions", id))
 	c.WBForwards.SetName(fmt.Sprintf("replay%d.wb_forwards", id))
-	if len(ops) > 0 {
+	if c.op, c.more = c.cur.Next(); c.more {
 		// The stream's anchor is cycle 0; the first op's Gap is its
 		// absolute first-attempt cycle.
-		c.readyAt = sim.Cycle(ops[0].Gap)
+		c.readyAt = sim.Cycle(c.op.Gap)
 	} else {
 		c.halted = true
 	}
@@ -196,7 +203,7 @@ func (c *ReplayCore) Tick(now sim.Cycle) {
 	if c.gapArmed {
 		// The async callback fired earlier this cycle; anchor the next
 		// op's ready time on it.
-		c.readyAt = now + sim.Cycle(c.ops[c.idx].Gap)
+		c.readyAt = now + sim.Cycle(c.op.Gap)
 		c.gapArmed = false
 	}
 	if now < c.readyAt {
@@ -208,10 +215,10 @@ func (c *ReplayCore) Tick(now sim.Cycle) {
 	c.attempt(now)
 }
 
-// attempt issues ops[idx]; on rejection the op stays current and is
+// attempt issues the current op; on rejection it stays current and is
 // retried next tick.
 func (c *ReplayCore) attempt(now sim.Cycle) {
-	op := &c.ops[c.idx]
+	op := &c.op
 	switch op.Kind {
 	case config.TraceLoad:
 		c.doLoad(now, op)
@@ -220,11 +227,10 @@ func (c *ReplayCore) attempt(now sim.Cycle) {
 	case config.TraceRMWAdd, config.TraceRMWXchg, config.TraceCAS:
 		c.doAtomic(now, op)
 	case config.TraceFence:
-		c.doFence(now, op)
+		c.doFence(now)
 	case config.TraceHalt:
 		c.halted = true
-		c.Instructions.Add(op.Instrs)
-		c.idx++
+		c.retire()
 	default:
 		panic(fmt.Sprintf("trace: replay core %d: bad op kind %d", c.ID, op.Kind))
 	}
@@ -233,24 +239,30 @@ func (c *ReplayCore) attempt(now sim.Cycle) {
 // finishSync completes a synchronously-retiring op: the next op's gap is
 // anchored on the current cycle (the gap already covers this op's own
 // cycle).
-func (c *ReplayCore) finishSync(now sim.Cycle, op *Op) {
-	c.Instructions.Add(op.Instrs)
-	c.idx++
-	if c.idx < len(c.ops) {
-		c.readyAt = now + sim.Cycle(c.ops[c.idx].Gap)
+func (c *ReplayCore) finishSync(now sim.Cycle) {
+	c.retire()
+	if c.more {
+		c.readyAt = now + sim.Cycle(c.op.Gap)
 	}
 }
 
 // finishAsync completes an op whose callback will arrive later: the
 // next op's gap is anchored on the callback cycle, resolved by the
 // gapArmed step in Tick.
-func (c *ReplayCore) finishAsync(op *Op) {
-	c.Instructions.Add(op.Instrs)
-	c.idx++
+func (c *ReplayCore) finishAsync() {
+	c.retire()
 	c.waiting = true
-	if c.idx < len(c.ops) {
+	if c.more {
 		c.gapArmed = true
 	}
+}
+
+// retire counts the current op's instructions and decodes the next op
+// into its place. Callers are done with the op's fields by then.
+func (c *ReplayCore) retire() {
+	c.Instructions.Add(c.op.Instrs)
+	c.idx++
+	c.op, c.more = c.cur.Next()
 }
 
 func (c *ReplayCore) doLoad(now sim.Cycle, op *Op) {
@@ -262,7 +274,7 @@ func (c *ReplayCore) doLoad(now sim.Cycle, op *Op) {
 		if e.addr == op.Addr {
 			c.Loads.Inc()
 			c.WBForwards.Inc()
-			c.finishSync(now, op)
+			c.finishSync(now)
 			return
 		}
 	}
@@ -272,7 +284,7 @@ func (c *ReplayCore) doLoad(now sim.Cycle, op *Op) {
 	}
 	c.stallOpen(now, obs.StallMissOutstanding)
 	c.Loads.Inc()
-	c.finishAsync(op)
+	c.finishAsync()
 }
 
 func (c *ReplayCore) doStore(now sim.Cycle, op *Op) {
@@ -283,7 +295,7 @@ func (c *ReplayCore) doStore(now sim.Cycle, op *Op) {
 	c.wb[(c.wbHead+c.wbLen)%len(c.wb)] = wbEntry{addr: op.Addr, val: op.Val}
 	c.wbLen++
 	c.Stores.Inc()
-	c.finishSync(now, op)
+	c.finishSync(now)
 }
 
 func (c *ReplayCore) doAtomic(now sim.Cycle, op *Op) {
@@ -308,10 +320,10 @@ func (c *ReplayCore) doAtomic(now sim.Cycle, op *Op) {
 	}
 	c.stallOpen(now, obs.StallMissOutstanding)
 	c.RMWs.Inc()
-	c.finishAsync(op)
+	c.finishAsync()
 }
 
-func (c *ReplayCore) doFence(now sim.Cycle, op *Op) {
+func (c *ReplayCore) doFence(now sim.Cycle) {
 	if c.wbLen > 0 || c.wbInFlight {
 		c.stallOpen(now, obs.StallFenceDrain)
 		return
@@ -322,7 +334,7 @@ func (c *ReplayCore) doFence(now sim.Cycle, op *Op) {
 	}
 	c.stallOpen(now, obs.StallFenceDrain)
 	c.Fences.Inc()
-	c.finishAsync(op)
+	c.finishAsync()
 }
 
 func (c *ReplayCore) drainWriteBuffer(now sim.Cycle) {
@@ -367,5 +379,5 @@ func (c *ReplayCore) ComponentLabel() string { return fmt.Sprintf("replay core %
 // Debug renders the replay state (deadlock diagnostics).
 func (c *ReplayCore) Debug() string {
 	return fmt.Sprintf("replay core %d: op %d/%d halted=%v waiting=%v wb=%d inflight=%v readyAt=%d",
-		c.ID, c.idx, len(c.ops), c.halted, c.waiting, c.wbLen, c.wbInFlight, c.readyAt)
+		c.ID, c.idx, c.n, c.halted, c.waiting, c.wbLen, c.wbInFlight, c.readyAt)
 }

@@ -2,7 +2,6 @@ package trace
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/config"
 	"repro/internal/sim"
@@ -10,7 +9,8 @@ import (
 
 // Synthetic trace generators: parameterized, seeded, deterministic
 // access-pattern synthesizers for the access classes whose locality the
-// paper's lazy self-invalidation exploits. Each returns a validated
+// paper's lazy self-invalidation exploits. Each appends its ops straight
+// into wire form (OpsBuilder checks every one) and returns a valid
 // Trace replayable through ReplayCore (or convertible to a
 // program-based workload with Trace.Workload). Identical parameters
 // always produce byte-identical traces.
@@ -64,10 +64,97 @@ func synthGap(rng *sim.RNG, p SynthParams) int64 {
 	return 1 + rng.Int63n(p.MaxGap)
 }
 
-// endStream appends the closing halt record with a final compute tail.
-func endStream(ops []Op, rng *sim.RNG, p SynthParams) []Op {
+// synthStream accumulates one synthesized stream. A generator that emits an
+// op the builder refuses has a bug; it is not an input error, so it
+// panics.
+type synthStream struct {
+	core int
+	b    OpsBuilder
+}
+
+func newSynthStream(core int, p SynthParams) *synthStream {
+	s := &synthStream{core: core}
+	s.b.Grow(10 * (p.OpsPerCore + 1)) // the generators write 5-9.3 B/op
+	return s
+}
+
+func (s *synthStream) add(op Op) {
+	if err := s.b.Append(op); err != nil {
+		s.fail(err)
+	}
+}
+
+func (s *synthStream) fail(err error) {
+	panic(fmt.Sprintf("trace: generator produced invalid trace: %v", inCore(s.core, err)))
+}
+
+// end appends the closing halt record with a final compute tail and
+// returns the finished stream.
+func (s *synthStream) end(rng *sim.RNG, p SynthParams) Stream {
 	g := synthGap(rng, p)
-	return append(ops, Op{Kind: config.TraceHalt, Gap: g, Instrs: g})
+	s.add(Op{Kind: config.TraceHalt, Gap: g, Instrs: g})
+	ops, err := s.b.Finish()
+	if err != nil {
+		s.fail(err)
+	}
+	return Stream{Core: s.core, Ops: ops}
+}
+
+// zipfSampler draws block ranks with probability proportional to
+// 1/(rank+1). It answers exactly what sort.SearchFloat64s(cdf, u) does —
+// the smallest rank whose cumulative weight reaches u — but starts from
+// a guide table instead of bisecting: bucket k of the table covers
+// u in [k/G, (k+1)/G) and holds the answer for u = k/G, a lower bound
+// for the whole bucket, from which a short forward scan finishes. With
+// G >= the block count the scan averages under two steps against
+// bisection's twelve.
+//
+// The bucket arithmetic is exact only because G is a power of two:
+// u*G and k/G are then pure exponent shifts, so int(u*G) == k implies
+// k/G <= u with no rounding, and the guide entry really is a lower
+// bound. Any other G can round u*G up across a bucket edge and start
+// the scan past the answer.
+type zipfSampler struct {
+	cdf   []float64
+	guide []int32
+	scale float64 // G as a float
+}
+
+func newZipfSampler(blocks int) *zipfSampler {
+	// Zipf CDF over block ranks (exponent 1: weight 1/(rank+1)).
+	cdf := make([]float64, blocks)
+	sum := 0.0
+	for i := range cdf {
+		sum += 1 / float64(i+1)
+		cdf[i] = sum
+	}
+	for i := range cdf {
+		cdf[i] /= sum
+	}
+	g := 1
+	for g < blocks {
+		g <<= 1
+	}
+	z := &zipfSampler{cdf: cdf, guide: make([]int32, g), scale: float64(g)}
+	rank := 0
+	for k := range z.guide {
+		edge := float64(k) / z.scale
+		for rank < blocks && cdf[rank] < edge {
+			rank++
+		}
+		z.guide[k] = int32(rank)
+	}
+	return z
+}
+
+// rank returns the smallest i with cdf[i] >= u, or len(cdf) if there is
+// none, for u in [0, 1).
+func (z *zipfSampler) rank(u float64) int {
+	i := int(z.guide[int(u*z.scale)])
+	for i < len(z.cdf) && z.cdf[i] < u {
+		i++
+	}
+	return i
 }
 
 // Zipf synthesizes a shared working set with Zipf-distributed block
@@ -77,23 +164,14 @@ func endStream(ops []Op, rng *sim.RNG, p SynthParams) []Op {
 // in four is a store.
 func Zipf(p SynthParams) *Trace {
 	p = p.defaults(4096)
-	// Zipf CDF over block ranks (exponent 1: weight 1/(rank+1)).
-	cdf := make([]float64, p.Blocks)
-	sum := 0.0
-	for i := range cdf {
-		sum += 1 / float64(i+1)
-		cdf[i] = sum
-	}
-	for i := range cdf {
-		cdf[i] /= sum
-	}
+	z := newZipfSampler(p.Blocks)
 	t := &Trace{Meta: synthMeta("synth-zipf", p)}
 	root := sim.NewRNG(p.Seed ^ 0x5A1F)
 	for core := 0; core < p.Cores; core++ {
 		rng := root.Fork()
-		ops := make([]Op, 0, p.OpsPerCore+1)
+		s := newSynthStream(core, p)
 		for i := 0; i < p.OpsPerCore; i++ {
-			blk := sort.SearchFloat64s(cdf, rng.Float64())
+			blk := z.rank(rng.Float64())
 			if blk >= p.Blocks {
 				blk = p.Blocks - 1
 			}
@@ -104,11 +182,10 @@ func Zipf(p SynthParams) *Trace {
 				op.Val = rng.Uint64()
 			}
 			op.Instrs = op.Gap
-			ops = append(ops, op)
+			s.add(op)
 		}
-		t.Streams = append(t.Streams, Stream{Core: core, Ops: endStream(ops, rng, p)})
+		t.Streams = append(t.Streams, s.end(rng, p))
 	}
-	mustValid(t)
 	return t
 }
 
@@ -123,23 +200,22 @@ func Migratory(p SynthParams) *Trace {
 	root := sim.NewRNG(p.Seed ^ 0x316)
 	for core := 0; core < p.Cores; core++ {
 		rng := root.Fork()
-		ops := make([]Op, 0, p.OpsPerCore+1)
-		for i := 0; len(ops) < p.OpsPerCore; i++ {
+		s := newSynthStream(core, p)
+		for i := 0; s.b.Len() < p.OpsPerCore; i++ {
 			// Visit objects in a rotating schedule so each is handed
 			// core-to-core; read the object header then write it back.
 			obj := (i + core) % p.Blocks
 			addr := uint64(synthMigrBase + obj*64)
 			g := synthGap(rng, p)
-			ops = append(ops, Op{Kind: config.TraceLoad, Addr: addr, Gap: g, Instrs: g})
-			if len(ops) < p.OpsPerCore {
+			s.add(Op{Kind: config.TraceLoad, Addr: addr, Gap: g, Instrs: g})
+			if s.b.Len() < p.OpsPerCore {
 				g = synthGap(rng, p)
-				ops = append(ops, Op{Kind: config.TraceStore, Addr: addr,
+				s.add(Op{Kind: config.TraceStore, Addr: addr,
 					Val: rng.Uint64(), Gap: g, Instrs: g})
 			}
 		}
-		t.Streams = append(t.Streams, Stream{Core: core, Ops: endStream(ops, rng, p)})
+		t.Streams = append(t.Streams, s.end(rng, p))
 	}
-	mustValid(t)
 	return t
 }
 
@@ -155,7 +231,7 @@ func Scan(p SynthParams) *Trace {
 	for core := 0; core < p.Cores; core++ {
 		rng := root.Fork()
 		start := (core * p.Blocks) / p.Cores
-		ops := make([]Op, 0, p.OpsPerCore+1)
+		s := newSynthStream(core, p)
 		for i := 0; i < p.OpsPerCore; i++ {
 			blk := (start + i) % p.Blocks
 			addr := uint64(synthScanBase + blk*64)
@@ -165,18 +241,9 @@ func Scan(p SynthParams) *Trace {
 				op.Val = uint64(core)<<32 | uint64(i)
 			}
 			op.Instrs = op.Gap
-			ops = append(ops, op)
+			s.add(op)
 		}
-		t.Streams = append(t.Streams, Stream{Core: core, Ops: endStream(ops, rng, p)})
+		t.Streams = append(t.Streams, s.end(rng, p))
 	}
-	mustValid(t)
 	return t
-}
-
-// mustValid guards generator invariants: a generator emitting an
-// invalid trace is a programming error, not an input error.
-func mustValid(t *Trace) {
-	if err := t.Validate(); err != nil {
-		panic(fmt.Sprintf("trace: generator produced invalid trace: %v", err))
-	}
 }

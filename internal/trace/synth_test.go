@@ -19,6 +19,22 @@ var synthGens = []struct {
 	{"scan", trace.Scan},
 }
 
+// countLoadsStores walks every stream's cursor.
+func countLoadsStores(tr *trace.Trace) (loads, stores int64) {
+	for _, s := range tr.Streams {
+		c := s.Ops.Cursor()
+		for op, ok := c.Next(); ok; op, ok = c.Next() {
+			switch op.Kind {
+			case config.TraceLoad:
+				loads++
+			case config.TraceStore:
+				stores++
+			}
+		}
+	}
+	return loads, stores
+}
+
 // TestSynthDeterministic: identical parameters produce byte-identical
 // traces; a different seed produces a different stream.
 func TestSynthDeterministic(t *testing.T) {
@@ -55,17 +71,7 @@ func TestSynthReplayAndConvert(t *testing.T) {
 	for _, g := range synthGens {
 		t.Run(g.name, func(t *testing.T) {
 			tr := g.gen(trace.SynthParams{Cores: 2, OpsPerCore: 48, Seed: 5})
-			var wantLoads, wantStores int64
-			for _, s := range tr.Streams {
-				for _, op := range s.Ops {
-					switch op.Kind {
-					case config.TraceLoad:
-						wantLoads++
-					case config.TraceStore:
-						wantStores++
-					}
-				}
-			}
+			wantLoads, wantStores := countLoadsStores(tr)
 			cfg := config.Small(2)
 			rep, err := system.Replay(cfg, tsocc.New(config.C12x3()), tr)
 			if err != nil {

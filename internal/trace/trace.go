@@ -22,7 +22,9 @@ import (
 	"repro/internal/config"
 )
 
-// Op is one decoded trace operation. Gap and Instrs follow the
+// Op is one trace operation as a value: what OpsBuilder.Append takes and
+// Cursor.Next yields. Streams do not store Ops (see Ops). Gap and Instrs
+// follow the
 // config.TraceEvent contract: Gap is the cycle distance from the
 // previous op's completion to this op's first issue attempt, Instrs the
 // instructions retired since the previous op (this one included).
@@ -40,7 +42,7 @@ type Op struct {
 // knows the cycle on which the core goes quiescent.
 type Stream struct {
 	Core int
-	Ops  []Op
+	Ops  Ops
 }
 
 // MemWord is one word of the initial memory image.
@@ -61,7 +63,7 @@ type Meta struct {
 	Sys      config.System
 }
 
-// Trace is a fully decoded trace file.
+// Trace is a trace file in memory.
 type Trace struct {
 	Meta    Meta
 	InitMem []MemWord // sorted by strictly ascending address
@@ -73,7 +75,7 @@ type Trace struct {
 func (t *Trace) Ops() int {
 	n := 0
 	for _, s := range t.Streams {
-		n += len(s.Ops)
+		n += s.Ops.Len()
 	}
 	return n
 }
@@ -86,50 +88,35 @@ func normalizeSys(sys config.System) config.System {
 	return sys
 }
 
-// Validate checks structural well-formedness: stream and memory
-// ordering, address alignment, gap/instr sanity, and halt placement.
-// Both the encoder and the decoder run it, so a malformed trace can
-// neither be written nor replayed.
+// Validate checks the structure that spans streams: header cores, init
+// memory order and alignment, stream order and core range, no empty
+// stream. What is inside a stream — op fields, halt placement — was
+// checked when its Ops was built or decoded and cannot be broken since,
+// so this is O(streams + init words). Both the encoder and the decoder
+// run it, so a malformed trace can neither be written nor replayed.
 func (t *Trace) Validate() error {
 	if t.Meta.Sys.Cores <= 0 {
-		return fmt.Errorf("trace: header cores must be positive, got %d", t.Meta.Sys.Cores)
+		return formatErr("cores", "header cores must be positive, got %d", t.Meta.Sys.Cores)
 	}
 	for i, w := range t.InitMem {
 		if w.Addr%8 != 0 {
-			return fmt.Errorf("trace: init word %d at %#x not 8-aligned", i, w.Addr)
+			return formatErr("initmem", "init word %d at %#x not 8-aligned", i, w.Addr)
 		}
 		if i > 0 && w.Addr <= t.InitMem[i-1].Addr {
-			return fmt.Errorf("trace: init memory not strictly ascending at %d (%#x after %#x)",
+			return formatErr("initmem", "init memory not strictly ascending at %d (%#x after %#x)",
 				i, w.Addr, t.InitMem[i-1].Addr)
 		}
 	}
 	for i, s := range t.Streams {
 		if s.Core < 0 || s.Core >= t.Meta.Sys.Cores {
-			return fmt.Errorf("trace: stream %d core %d outside [0,%d)", i, s.Core, t.Meta.Sys.Cores)
+			return formatErr("core", "stream %d core %d outside [0,%d)", i, s.Core, t.Meta.Sys.Cores)
 		}
 		if i > 0 && s.Core <= t.Streams[i-1].Core {
-			return fmt.Errorf("trace: streams not strictly ascending at %d (core %d after %d)",
+			return formatErr("core", "streams not strictly ascending at %d (core %d after %d)",
 				i, s.Core, t.Streams[i-1].Core)
 		}
-		if len(s.Ops) == 0 {
-			return fmt.Errorf("trace: core %d stream is empty", s.Core)
-		}
-		for j, op := range s.Ops {
-			if op.Kind >= config.NumTraceOps {
-				return fmt.Errorf("trace: core %d op %d has bad kind %d", s.Core, j, op.Kind)
-			}
-			if op.Gap < 0 || op.Instrs < 0 {
-				return fmt.Errorf("trace: core %d op %d has negative gap/instrs", s.Core, j)
-			}
-			if op.Kind.HasAddr() && op.Addr%8 != 0 {
-				return fmt.Errorf("trace: core %d op %d address %#x not 8-aligned", s.Core, j, op.Addr)
-			}
-			if op.Kind == config.TraceHalt && j != len(s.Ops)-1 {
-				return fmt.Errorf("trace: core %d has halt at op %d before end of stream", s.Core, j)
-			}
-		}
-		if last := s.Ops[len(s.Ops)-1]; last.Kind != config.TraceHalt {
-			return fmt.Errorf("trace: core %d stream does not end in halt", s.Core)
+		if s.Ops.Len() == 0 {
+			return formatErr("ops", "core %d stream is empty", s.Core)
 		}
 	}
 	return nil
@@ -137,11 +124,13 @@ func (t *Trace) Validate() error {
 
 // Recorder is the config.TraceSink that accumulates capture events into
 // per-core streams. It is single-goroutine (the simulation loop) and
-// assembles a Trace once the run completes.
+// assembles a Trace once the run completes. Events go straight into
+// wire form, so a long capture holds a few bytes per retired memory op.
 type Recorder struct {
 	meta    Meta
 	initMem []MemWord
-	streams [][]Op // indexed by core id
+	streams []OpsBuilder // indexed by core id
+	err     error        // first event a builder refused
 }
 
 // NewRecorder returns a recorder for a machine with cfg's geometry
@@ -149,20 +138,24 @@ type Recorder struct {
 func NewRecorder(cfg config.System, protocol, workload string, seed uint64) *Recorder {
 	return &Recorder{
 		meta:    Meta{Protocol: protocol, Workload: workload, Seed: seed, Sys: normalizeSys(cfg)},
-		streams: make([][]Op, cfg.Cores),
+		streams: make([]OpsBuilder, cfg.Cores),
 	}
 }
 
-// RecordOp implements config.TraceSink.
+// RecordOp implements config.TraceSink. A malformed event is reported
+// by Trace, not here: the sink interface has no error path.
 func (r *Recorder) RecordOp(ev config.TraceEvent) {
 	if ev.Core < 0 || ev.Core >= len(r.streams) {
 		panic(fmt.Sprintf("trace: recorded event for core %d outside geometry (%d cores)",
 			ev.Core, len(r.streams)))
 	}
-	r.streams[ev.Core] = append(r.streams[ev.Core], Op{
+	err := r.streams[ev.Core].Append(Op{
 		Kind: ev.Op, Addr: ev.Addr, Val: ev.Val, Val2: ev.Val2,
 		Gap: ev.Gap, Instrs: ev.Instrs,
 	})
+	if err != nil && r.err == nil {
+		r.err = inCore(ev.Core, err)
+	}
 }
 
 // SetInitMem captures the workload's initial memory image (sorted into
@@ -177,15 +170,26 @@ func (r *Recorder) SetInitMem(mem map[uint64]uint64) {
 
 // Trace assembles the recorded streams into a validated Trace.
 func (r *Recorder) Trace() (*Trace, error) {
+	malformed := func(err error) (*Trace, error) {
+		return nil, fmt.Errorf("recorded run produced a malformed trace (incomplete run?): %w", err)
+	}
+	if r.err != nil {
+		return malformed(r.err)
+	}
 	t := &Trace{Meta: r.meta, InitMem: r.initMem}
-	for core, ops := range r.streams {
-		if len(ops) == 0 {
+	for core := range r.streams {
+		b := &r.streams[core]
+		if b.Len() == 0 {
 			continue // idle core (no program loaded)
+		}
+		ops, err := b.Finish()
+		if err != nil {
+			return malformed(inCore(core, err))
 		}
 		t.Streams = append(t.Streams, Stream{Core: core, Ops: ops})
 	}
 	if err := t.Validate(); err != nil {
-		return nil, fmt.Errorf("recorded run produced a malformed trace (incomplete run?): %w", err)
+		return malformed(err)
 	}
 	return t, nil
 }

@@ -30,7 +30,8 @@ func (t *Trace) Workload() *program.Workload {
 	byCore := make([]*program.Program, maxCore+1)
 	for _, s := range t.Streams {
 		b := program.NewBuilder(fmt.Sprintf("%s-t%d", t.Meta.Workload, s.Core))
-		for _, op := range s.Ops {
+		c := s.Ops.Cursor()
+		for op, ok := c.Next(); ok; op, ok = c.Next() {
 			emitted := opProgramLen(op.Kind)
 			if pad := op.Gap - emitted; pad > 0 {
 				b.Nop(pad)

@@ -589,3 +589,53 @@ func BenchmarkL1HitPath(b *testing.B) {
 	}
 	_ = sink
 }
+
+// synthBenchParams sizes the synthesis and decode benchmarks: the repo
+// benchmark's replay_zipf8 shape at a sixth of its length, so one op of
+// either is tens of milliseconds.
+var synthBenchParams = trace.SynthParams{Cores: 8, OpsPerCore: 50000, Seed: 1}
+
+// BenchmarkTraceSynth measures trace synthesis straight into wire form,
+// one sub-benchmark per generator: MB/s of stream bytes produced, with
+// allocations — which should be the streams themselves and little else.
+func BenchmarkTraceSynth(b *testing.B) {
+	gens := []struct {
+		name string
+		gen  func(trace.SynthParams) *trace.Trace
+	}{{"zipf", trace.Zipf}, {"migratory", trace.Migratory}, {"scan", trace.Scan}}
+	for _, g := range gens {
+		b.Run(g.name, func(b *testing.B) {
+			size := 0
+			for _, s := range g.gen(synthBenchParams).Streams {
+				size += s.Ops.Size()
+			}
+			b.ReportAllocs()
+			b.SetBytes(int64(size))
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				g.gen(synthBenchParams)
+			}
+			b.ReportMetric(float64(size)/float64(synthBenchParams.Cores*(synthBenchParams.OpsPerCore+1)), "bytes/traceop")
+		})
+	}
+}
+
+// BenchmarkTraceDecode measures Decode on a synthesized Zipf encoding —
+// unlike the recorded ssca2 trace of BenchmarkTraceCodec, long enough
+// (3.2 MB) that the per-op validating scan is all there is to see. It
+// must report a handful of allocations however long the input: decoding
+// keeps the bytes it checked and expands nothing.
+func BenchmarkTraceDecode(b *testing.B) {
+	data, err := trace.Encode(trace.Zipf(synthBenchParams))
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.SetBytes(int64(len(data)))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := trace.Decode(data); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
