@@ -269,7 +269,10 @@ func runTraceMode(traceOut, traceIn, benchList string, protos []system.Protocol,
 		cfg := config.Scaled(cores)
 		cfg.Shards = shards
 		cfg.Obs = obsCfg
-		w := e.Gen(workloads.Params{Threads: cores, Scale: scale, Seed: seed})
+		w, err := harness.Gen(cfg, e, scale, seed)
+		if err != nil {
+			return err
+		}
 		res, tr, err := system.RunRecorded(cfg, proto, w, seed)
 		var final int64
 		if res != nil {
@@ -370,6 +373,11 @@ func parseScaling(spec string) ([]int, error) {
 // batched-core acceptance case) is always appended to the selection.
 func runPerf(cores, scale int, seed uint64, shards int, benches []string, protos []system.Protocol,
 	faultSpec string, faultSeed uint64, checks bool, pprofLabels bool, scalingCores []int) error {
+	// Every leg below hands cores to a generator; validate first (see
+	// harness.Gen).
+	if err := config.Scaled(cores).Validate(); err != nil {
+		return err
+	}
 	// The scaling leg re-times real workloads at each requested machine
 	// size; the synthetic ALU benchmark would only measure the batched
 	// core, so it is excluded even when -bench selects it.

@@ -46,6 +46,11 @@ func main() {
 		return
 	}
 
+	if *iters < 1 {
+		// Zero iterations would print the all-clear having run nothing.
+		fmt.Fprintf(os.Stderr, "-iters must be at least 1 (got %d)\n", *iters)
+		os.Exit(2)
+	}
 	protos := coherence.Protocols()
 	if *protoList != "" {
 		protos = protos[:0]

@@ -101,7 +101,11 @@ func main() {
 
 	cfg.Obs = obs.FromPaths(*metricsOut, *timelineOut)
 
-	w := e.Gen(workloads.Params{Threads: *cores, Scale: *scale, Seed: *seed})
+	w, err := harness.Gen(cfg, e, *scale, *seed)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
+	}
 	res, err := system.Run(cfg, chosen, w)
 	// Dump the armed sinks even on failure: a deadlocked or
 	// cycle-limited run's partial timeline is exactly what forensics
@@ -144,7 +148,11 @@ func runShrink(cfg config.System, proto system.Protocol, e *workloads.Entry,
 	probe := func(scale int, from, until uint64) shrink.Outcome {
 		c := cfg
 		c.FaultFrom, c.FaultUntil = from, until
-		w := e.Gen(workloads.Params{Threads: cores, Scale: scale, Seed: seed})
+		w, err := harness.Gen(c, e, scale, seed)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			os.Exit(2)
+		}
 		m, err := system.NewMachine(c, proto, w)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "shrink probe failed to build:", err)

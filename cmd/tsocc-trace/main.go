@@ -115,7 +115,10 @@ func cmdRecord(args []string) error {
 	}
 	cfg := config.Scaled(*cores)
 	cfg.Obs = obs.FromPaths(*metricsOut, *timelineOut)
-	w := e.Gen(workloads.Params{Threads: *cores, Scale: *scale, Seed: *seed})
+	w, err := harness.Gen(cfg, e, *scale, *seed)
+	if err != nil {
+		return err
+	}
 	res, tr, err := system.RunRecorded(cfg, p, w, *seed)
 	if werr := cfg.Obs.WriteFiles(*metricsOut, *timelineOut, resultCycles(res)); werr != nil && err == nil {
 		err = werr
@@ -219,6 +222,12 @@ func cmdSynth(args []string) error {
 	fs.Parse(args)
 	if *out == "" {
 		return fmt.Errorf("synth: -o is required")
+	}
+	// SynthParams reads 0 as "use the default"; a negative value would
+	// silently get the default too, so refuse it here.
+	if *cores < 0 || *ops < 0 || *blocks < 0 || *maxGap < 0 {
+		return fmt.Errorf("synth: -cores, -ops, -blocks and -maxgap must be non-negative (0 = default); got %d, %d, %d, %d",
+			*cores, *ops, *blocks, *maxGap)
 	}
 	p := trace.SynthParams{Cores: *cores, OpsPerCore: *ops, Seed: *seed,
 		Blocks: *blocks, MaxGap: *maxGap}

@@ -105,34 +105,60 @@ func TestFaultModesBitIdentical(t *testing.T) {
 	}
 }
 
-// TestFaultDifferentSeedsDiverge sanity-checks that injection actually
-// does something: across a batch of seeds, at least one perturbs the
-// run relative to the nominal (fault-free) execution.
+// probeProfiles are the profiles delivered through coherence.Probe
+// fields (EvictFault, ResetFault, AckDelay) rather than the mesh or the
+// core port: a protocol that never consults a field silently ignores
+// its profile.
+var probeProfiles = []string{"evict", "reset-storm", "victim"}
+
+// TestFaultDifferentSeedsDiverge checks that every Probe field is
+// consulted where it should be and nowhere else. For every registered
+// protocol, each probe-delivered profile must perturb the run relative
+// to the nominal (fault-free) execution for at least one of five seeds
+// — except reset-storm on a protocol without timestamps, which has no
+// timestamp assignment to consult the hook from and must stay
+// bit-identical to the nominal run on all five. The flagship preset
+// additionally rides the mesh/port profiles and the composite spec.
 func TestFaultDifferentSeedsDiverge(t *testing.T) {
 	e := workloads.ByName("ssca2")
 	p := workloads.Params{Threads: 4, Scale: 1, Seed: 1}
-	proto := tsocc.New(config.C12x3())
-	base, err := system.Run(config.Small(4), proto, e.Gen(p))
-	if err != nil {
-		t.Fatal(err)
-	}
-	baseFP := fingerprint(base)
-	for _, prof := range faultProfiles {
-		diverged := false
-		for seed := uint64(1); seed <= 5 && !diverged; seed++ {
-			cfg := config.Small(4)
-			cfg.FaultProfile = prof
-			cfg.FaultSeed = seed
-			r, err := system.Run(cfg, proto, e.Gen(p))
-			if err != nil {
-				t.Fatalf("%s seed %d: %v", prof, seed, err)
-			}
-			if fingerprint(r) != baseFP {
-				diverged = true
-			}
+	flagship := config.C12x3().Name()
+	for _, proto := range coherence.Protocols() {
+		timestamps := false
+		if tp, ok := proto.(tsocc.Protocol); ok {
+			timestamps = tp.Cfg.Timestamps()
 		}
-		if !diverged {
-			t.Errorf("profile %s: five seeds all matched the nominal run — injection inert?", prof)
+		profiles := probeProfiles
+		if proto.Name() == flagship {
+			profiles = faultProfiles
+		}
+		base, err := system.Run(config.Small(4), proto, e.Gen(p))
+		if err != nil {
+			t.Fatal(err)
+		}
+		baseFP := fingerprint(base)
+		for _, prof := range profiles {
+			inert := prof == "reset-storm" && !timestamps
+			diverged := 0
+			for seed := uint64(1); seed <= 5 && (inert || diverged == 0); seed++ {
+				cfg := config.Small(4)
+				cfg.FaultProfile = prof
+				cfg.FaultSeed = seed
+				r, err := system.Run(cfg, proto, e.Gen(p))
+				if err != nil {
+					t.Fatalf("%s/%s seed %d: %v", proto.Name(), prof, seed, err)
+				}
+				if fingerprint(r) != baseFP {
+					diverged++
+				}
+			}
+			switch {
+			case inert && diverged != 0:
+				t.Errorf("%s/%s: %d of five seeds diverged from the nominal run — a protocol without timestamps consulted ResetFault",
+					proto.Name(), prof, diverged)
+			case !inert && diverged == 0:
+				t.Errorf("%s/%s: five seeds all matched the nominal run — injection inert?", proto.Name(), prof)
+			}
 		}
 	}
 }

@@ -253,7 +253,7 @@ func (t *Tracker) observe(p *Port, addr, val uint64) {
 
 // LegalitySink builds a transition sink for one controller that
 // validates every reported state hop against the protocol's registered
-// legality table (see coherence.TransitionReporter). node identifies
+// legality table (see coherence.Probe.Transition). node identifies
 // the controller in violation records (core index for L1s, tile index
 // for L2s); level labels the message ("L1"/"L2"). The sink runs
 // continuously — an illegal hop is recorded the cycle it happens, with
@@ -268,7 +268,7 @@ func (t *Tracker) LegalitySink(node int, level string, tbl *coherence.StateTable
 }
 
 // TxLifeSink builds a report function for one directory tile's TxTable
-// lifecycle audit (see coherence.TxAuditor): double registrations,
+// lifecycle audit (see coherence.TxTable.ArmAudit): double registrations,
 // unregistered retirements, and transactions outstanding past the audit
 // age all land here as "txlife" violations instead of only surfacing in
 // an end-of-run leak count.

@@ -46,6 +46,7 @@ func (l *lyingPort) Load(now sim.Cycle, addr uint64, cb func(uint64)) bool {
 
 // fakeL1 is a Controller stub whose SnoopBlock authority is test-set.
 type fakeL1 struct {
+	coherence.Probe
 	owns map[uint64]bool
 }
 
@@ -55,6 +56,7 @@ func (f *fakeL1) NextWake(now sim.Cycle) sim.Cycle        { return sim.WakeNever
 func (f *fakeL1) BindWaker(w sim.Waker)                   {}
 func (f *fakeL1) Busy() bool                              { return false }
 func (f *fakeL1) SnoopBlock(addr uint64) ([]byte, bool)   { return nil, f.owns[addr] }
+func (f *fakeL1) PrewarmStorage()                         {}
 
 type clock struct{ c sim.Cycle }
 

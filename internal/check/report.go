@@ -37,7 +37,7 @@ type Report struct {
 	Oracle error
 
 	// TxTables holds each directory tile's transaction-table dump
-	// (coherence.TxDebugger), so a stuck transaction is visible in the
+	// (coherence.TxTable.Debug), so a stuck transaction is visible in the
 	// report without re-running under -tags txdebug.
 	TxTables []string
 }

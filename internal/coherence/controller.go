@@ -1,6 +1,9 @@
 package coherence
 
-import "repro/internal/sim"
+import (
+	"repro/internal/sim"
+	"repro/internal/stats"
+)
 
 // Controller is the engine-facing interface of any coherence endpoint
 // (L1 or L2). Deliver is the mesh endpoint hook; Busy reports whether
@@ -23,6 +26,15 @@ type Controller interface {
 	// line). Used after a run completes so functional checks observe the
 	// freshest value without forcing writebacks.
 	SnoopBlock(addr uint64) ([]byte, bool)
+	// Hooks returns the controller's probe surface; the system layer
+	// sets fields on it at build time (see Probe).
+	Hooks() *Probe
+	// PrewarmStorage materializes the controller's lazily allocated
+	// cache array (memsys.Cache chunks). Timing harnesses prewarm every
+	// controller before starting the clock so first-touch chunk
+	// allocation lands in setup, not the measured run; everything else
+	// keeps the lazy footprint.
+	PrewarmStorage()
 }
 
 // L1Like is the full interface of a private-cache controller: a
@@ -32,4 +44,70 @@ type L1Like interface {
 	Controller
 	CorePort
 	L1Stats() *L1Stats
+}
+
+// Directory is the system layer's view of a directory (L2) tile: a
+// Controller that owns a TxTable. DirBase implements everything but
+// SnoopOwner, so a protocol's tile satisfies it by embedding the base.
+type Directory interface {
+	Controller
+	sim.Labeled
+	// Tx exposes the tile's transaction table: the stall hook, the
+	// lifecycle audit, the obs sinks and the forensic dump live on it.
+	Tx() *TxTable
+	// TxKindName names a transaction kind in protocol state terms
+	// (timeline span labels, e.g. "await-ack").
+	TxKindName(kind int) string
+	// ObsCounters lists the tile's event counters for the metrics
+	// registry; each must carry a name (the registry's unnamed-counter
+	// test enforces this).
+	ObsCounters() []*stats.Counter
+	// SnoopOwner reports the L1 holding addr exclusively, if any, so
+	// post-run functional reads snoop only the cache that can hold the
+	// freshest copy.
+	SnoopOwner(addr uint64) (NodeID, bool)
+}
+
+// Probe is the one probe surface of a controller: every point where a
+// fault profile perturbs it or an oracle / the observability layer
+// watches it. L1Base and DirBase embed one, so a protocol inherits every
+// hook by embedding a base; the system layer sets the fields it needs
+// after Protocol.Build and before the first tick. All fields are nil in
+// a nominal run and every consultation is nil-guarded, so a run without
+// faults, checks or obs pays one predictable branch per site.
+type Probe struct {
+	// EvictFault (L1, "evict" profile) is consulted by Load/Store/RMW on
+	// an access that hits a valid, unpinned line; a true return makes
+	// the controller evict the line through its normal victim machinery
+	// and take the miss path instead.
+	EvictFault func() bool
+	// ResetFault (L1 and directory, "reset-storm" profile) is consulted
+	// at each timestamp assignment; a true return forces the
+	// controller's reset/rollover broadcast as if the timestamp space
+	// were exhausted. Controllers without timestamps never consult it.
+	ResetFault func() bool
+	// AckDelay (directory, "victim" profile) is consulted by
+	// DirBase.SendPutAck and returns extra cycles to hold the PutAck
+	// back (0 = on time).
+	AckDelay func() sim.Cycle
+	// Transition (L1 and directory, legality oracle) receives every
+	// line-state mutation as (address, from, to) in the protocol's own
+	// state ids (0 = invalid/absent) — direct hops only. Protocols
+	// report through Trans.
+	Transition func(addr uint64, from, to int)
+	// MissLatency (L1, obs layer) receives each completed miss: whether
+	// it was a read and how many cycles the request was outstanding.
+	// Called by L1Base.FinishRead / FinishWrite.
+	MissLatency func(read bool, cycles sim.Cycle)
+}
+
+// Hooks implements Controller for anything that embeds a Probe.
+func (p *Probe) Hooks() *Probe { return p }
+
+// Trans reports a line-state transition to the legality oracle;
+// self-loops are dropped here so call sites stay simple.
+func (p *Probe) Trans(addr uint64, from, to int) {
+	if p.Transition != nil && from != to {
+		p.Transition(addr, from, to)
+	}
 }

@@ -1,0 +1,304 @@
+package coherence
+
+import (
+	"fmt"
+
+	"repro/internal/sim"
+)
+
+// ReadTx is an L1's outstanding read miss.
+type ReadTx struct {
+	Addr     uint64 // block address
+	WordAddr uint64
+	Cb       func(uint64)
+	Issued   sim.Cycle
+	Squashed bool // an Inv for Addr arrived while the miss was in flight
+}
+
+// WriteTx is an L1's outstanding write or RMW miss. IssueWrite's caller
+// fills WordAddr and the operation fields; the base stamps Addr and
+// Issued. Upgrade is protocol scratch (MESI: the line was Shared locally
+// when requested).
+type WriteTx struct {
+	Addr     uint64 // block address
+	WordAddr uint64
+	IsRMW    bool
+	Val      uint64 // plain store value
+	F        func(old uint64) (uint64, bool)
+	StoreCb  func()
+	RMWCb    func(uint64)
+	Issued   sim.Cycle
+	Upgrade  bool
+}
+
+// Apply returns the value the write leaves in a word that held old, and
+// whether it writes at all (an RMW's F may decline, as a failed CAS does).
+func (tx *WriteTx) Apply(old uint64) (uint64, bool) {
+	if tx.IsRMW {
+		return tx.F(old)
+	}
+	return tx.Val, true
+}
+
+// EvictEntry is one eviction-buffer slot: an owned line's data between
+// its Put and the PutAck, from which forwards and recalls that cross the
+// Put are served. TS/TSOwn are protocol scratch (TSO-CC line timestamp).
+type EvictEntry struct {
+	Data        []byte
+	Dirty       bool
+	TS          uint32
+	TSOwn       bool
+	Transferred bool // ownership passed to another core while in flight
+}
+
+// L1Base is the protocol-independent skeleton of a private-cache
+// controller: identity, the mesh send path, the engine's wake contract
+// (inbox + timers), the read/write transaction slots with their gating
+// and completion, the eviction buffer, the statistics block and the
+// probe surface. A protocol's L1 embeds it and supplies the cache array
+// with its line metadata, the Load/Store/RMW/Fence bodies, the message
+// handler bound at Init, and SnoopBlock / PrewarmStorage over its array.
+type L1Base struct {
+	ID     NodeID
+	Cores  int
+	HitLat sim.Cycle
+
+	Timers Timers
+	Probe
+	Stats L1Stats
+
+	// Rd/Wr point at rdBuf/wrBuf when active: an L1 serves one read and
+	// one write transaction at a time, so the records are preallocated
+	// scratch, not per-miss allocations.
+	Rd    *ReadTx
+	Wr    *WriteTx
+	rdBuf ReadTx
+	wrBuf WriteTx
+
+	net    Network
+	pool   *MsgPool
+	handle func(now sim.Cycle, m *Msg)
+	inbox  []*Msg
+	waker  sim.Waker
+
+	evict     map[uint64]*EvictEntry
+	evictFree []*EvictEntry
+
+	label string
+}
+
+// Init wires the base for core `core`. proto prefixes the component
+// label ("mesi L1 3"); Tick calls handle for every delivered message and
+// recycles the message afterwards, so handlers never retain one.
+func (l *L1Base) Init(proto string, core, cores int, hitLat sim.Cycle, net Network, handle func(now sim.Cycle, m *Msg)) {
+	l.ID = L1ID(core)
+	l.Cores = cores
+	l.HitLat = hitLat
+	l.net = net
+	l.pool = net.MsgPoolFor(core)
+	l.handle = handle
+	l.evict = make(map[uint64]*EvictEntry)
+	l.label = fmt.Sprintf("%s L1 %d", proto, core)
+}
+
+// Home returns the directory tile addr is interleaved onto.
+func (l *L1Base) Home(addr uint64) NodeID {
+	return L2ID(int(addr>>BlockShift)%l.Cores, l.Cores)
+}
+
+// Send stamps a pooled copy of tmpl (payload taken from data, not
+// tmpl.Data) and injects it into the mesh.
+func (l *L1Base) Send(now sim.Cycle, tmpl Msg, data []byte) {
+	m := l.pool.NewFrom(tmpl, data)
+	m.Src = l.ID
+	l.net.Send(now, m)
+}
+
+// BindWaker implements sim.WakeSink: stored for inbox deliveries and
+// forwarded to the timer heap, so any work landing on this L1 from
+// outside its own Tick (a mesh delivery, a hit latency scheduled during
+// the core's tick) marks it due.
+func (l *L1Base) BindWaker(w sim.Waker) {
+	l.waker = w
+	l.Timers.SetWaker(w)
+}
+
+// Deliver implements mesh.Endpoint.
+func (l *L1Base) Deliver(now sim.Cycle, m *Msg) {
+	l.inbox = append(l.inbox, m)
+	l.waker.Wake()
+}
+
+// Tick processes due timers and delivered messages.
+func (l *L1Base) Tick(now sim.Cycle) {
+	l.Timers.Tick(now)
+	if len(l.inbox) == 0 {
+		return
+	}
+	msgs := l.inbox
+	l.inbox = l.inbox[:0]
+	for _, m := range msgs {
+		l.handle(now, m)
+		l.pool.Put(m) // L1 handlers never retain a delivered message
+	}
+}
+
+// NextWake implements sim.WakeHinter: the earliest due timer, or next
+// cycle if messages are queued. Outstanding transactions need no wake of
+// their own — they advance only when a message or timer fires.
+func (l *L1Base) NextWake(now sim.Cycle) sim.Cycle {
+	if len(l.inbox) > 0 {
+		return now + 1
+	}
+	if due, ok := l.Timers.NextDue(); ok {
+		return due
+	}
+	return sim.WakeNever
+}
+
+// Busy reports whether any transaction is outstanding (completion check).
+func (l *L1Base) Busy() bool {
+	return l.Rd != nil || l.Wr != nil || len(l.evict) > 0 || l.Timers.Pending() > 0 || len(l.inbox) > 0
+}
+
+// L1Stats implements L1Like.
+func (l *L1Base) L1Stats() *L1Stats { return &l.Stats }
+
+// LoadBlocked reports whether a load to block blk must be declined this
+// cycle: the read slot is taken, or a write to the same block is in
+// flight (same-block read/write transactions are serialized).
+func (l *L1Base) LoadBlocked(blk uint64) bool {
+	return l.Rd != nil || l.WritePending(blk)
+}
+
+// StoreBlocked is LoadBlocked for stores and RMWs.
+func (l *L1Base) StoreBlocked(blk uint64) bool {
+	return l.Wr != nil || (l.Rd != nil && l.Rd.Addr == blk)
+}
+
+// WritePending reports whether the write slot holds a miss for blk.
+func (l *L1Base) WritePending(blk uint64) bool {
+	return l.Wr != nil && l.Wr.Addr == blk
+}
+
+// IssueRead occupies the read slot with a miss on the word at addr and
+// sends the GetS to its home tile.
+func (l *L1Base) IssueRead(now sim.Cycle, addr uint64, cb func(uint64)) {
+	blk := BlockAddr(addr)
+	l.rdBuf = ReadTx{Addr: blk, WordAddr: addr, Cb: cb, Issued: now}
+	l.Rd = &l.rdBuf
+	l.Send(now, Msg{Type: MsgGetS, Dst: l.Home(blk), Addr: blk, Requestor: l.ID}, nil)
+}
+
+// IssueWrite occupies the write slot with tx (see WriteTx for the
+// fields the caller fills) and sends the GetX to its home tile.
+func (l *L1Base) IssueWrite(now sim.Cycle, tx WriteTx) {
+	tx.Addr, tx.Issued = BlockAddr(tx.WordAddr), now
+	l.wrBuf = tx
+	l.Wr = &l.wrBuf
+	l.Send(now, Msg{Type: MsgGetX, Dst: l.Home(tx.Addr), Addr: tx.Addr, Requestor: l.ID}, nil)
+}
+
+// PendingRead returns the read miss the data response m answers (one
+// that matches none is a protocol bug) and whether m's data may be
+// cached. Responses sent by the L2 itself are FIFO-ordered after any Inv
+// the L2 issued, so they are always fresh; only owner-forwarded data can
+// be overtaken by a later invalidation (the squash case).
+func (l *L1Base) PendingRead(now sim.Cycle, m *Msg) (tx *ReadTx, install bool) {
+	if l.Rd == nil || l.Rd.Addr != m.Addr {
+		panic(fmt.Sprintf("%s cycle %d: data response without read tx %s", l.label, now, m))
+	}
+	return l.Rd, !l.Rd.Squashed || m.Type != MsgDataOwner
+}
+
+// SquashRead marks an in-flight read of addr as overtaken by an
+// invalidation (see PendingRead).
+func (l *L1Base) SquashRead(addr uint64) {
+	if l.Rd != nil && l.Rd.Addr == addr {
+		l.Rd.Squashed = true
+	}
+}
+
+// FinishRead retires the read miss: reports its latency, frees the slot,
+// then completes the core's load (whose callback may issue the next).
+func (l *L1Base) FinishRead(now sim.Cycle, val uint64) {
+	tx := l.Rd
+	if l.MissLatency != nil {
+		l.MissLatency(true, now-tx.Issued)
+	}
+	l.Rd = nil
+	tx.Cb(val)
+}
+
+// FinishWrite retires the write miss after the protocol applied it to
+// the line: records RMW latency (Figure 8), reports the miss latency,
+// frees the slot and completes the core's store, or its RMW with old.
+func (l *L1Base) FinishWrite(now sim.Cycle, old uint64) {
+	tx := l.Wr
+	if tx.IsRMW {
+		l.Stats.RMWLat.Observe(int64(now - tx.Issued))
+	}
+	if l.MissLatency != nil {
+		l.MissLatency(false, now-tx.Issued)
+	}
+	l.Wr = nil
+	if tx.IsRMW {
+		tx.RMWCb(old)
+	} else {
+		tx.StoreCb()
+	}
+}
+
+// BufferEvict parks a copy of an evicted owned line until its PutAck,
+// reusing entries from the free list; protocol scratch starts zero.
+func (l *L1Base) BufferEvict(addr uint64, data []byte, dirty bool) *EvictEntry {
+	var e *EvictEntry
+	if n := len(l.evictFree); n > 0 {
+		e = l.evictFree[n-1]
+		l.evictFree = l.evictFree[:n-1]
+	} else {
+		e = &EvictEntry{}
+	}
+	*e = EvictEntry{Data: append(e.Data[:0], data...), Dirty: dirty}
+	l.evict[addr] = e
+	return e
+}
+
+// ForwardEvicted returns the buffered entry for addr, or nil. Only a
+// forward or recall that crossed the Put looks an evicted line up, and
+// serving it hands ownership on, so the entry is marked transferred.
+func (l *L1Base) ForwardEvicted(addr uint64) *EvictEntry {
+	e := l.evict[addr]
+	if e != nil {
+		e.Transferred = true
+	}
+	return e
+}
+
+// ReleaseEvict handles a PutAck: the buffered entry, if any, returns to
+// the free list.
+func (l *L1Base) ReleaseEvict(addr uint64) {
+	if e, ok := l.evict[addr]; ok {
+		delete(l.evict, addr)
+		l.evictFree = append(l.evictFree, e)
+	}
+}
+
+// ComponentLabel implements sim.Labeled (forensic reports, panics).
+func (l *L1Base) ComponentLabel() string { return l.label }
+
+// Debug renders in-flight transaction state (deadlock diagnostics).
+func (l *L1Base) Debug() string {
+	s := fmt.Sprintf("L1 %d:", l.ID)
+	if l.Rd != nil {
+		s += fmt.Sprintf(" rd=%#x(squash=%v)", l.Rd.Addr, l.Rd.Squashed)
+	}
+	if l.Wr != nil {
+		s += fmt.Sprintf(" wr=%#x(upg=%v rmw=%v issued=%d)", l.Wr.Addr, l.Wr.Upgrade, l.Wr.IsRMW, l.Wr.Issued)
+	}
+	for a, e := range l.evict {
+		s += fmt.Sprintf(" evict=%#x(dirty=%v xfer=%v)", a, e.Dirty, e.Transferred)
+	}
+	s += fmt.Sprintf(" timers=%d%v inbox=%d", l.Timers.Pending(), l.Timers.DueCycles(), len(l.inbox))
+	return s
+}

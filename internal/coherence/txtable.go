@@ -23,9 +23,8 @@ type Tx struct {
 }
 
 // TxTable owns the transaction lifecycle and message-ownership
-// discipline of a directory controller. Both L2 implementations used to
-// duplicate this machinery (newTx/delTx, waiter lists, retry queues, the
-// consume/retained recycling dance over MsgPool); it now lives here once.
+// discipline of a directory controller: transaction records, waiter
+// lists, retry queues and the consume/retained recycling over MsgPool.
 //
 // Ownership rules:
 //

@@ -212,6 +212,10 @@ func (s System) Validate() error {
 	if s.Shards < 0 {
 		return fmt.Errorf("config: shards must be non-negative")
 	}
+	if s.FaultUntil != 0 && s.FaultFrom >= s.FaultUntil {
+		return fmt.Errorf("config: fault window [FaultFrom=%d, FaultUntil=%d) is empty: a run labelled fault-injected would inject nothing",
+			s.FaultFrom, s.FaultUntil)
+	}
 	return nil
 }
 

@@ -137,6 +137,8 @@ func TestValidateArbitraryCores(t *testing.T) {
 		func() System { s := Scaled(512); return s }(),                // far beyond
 		func() System { s := Scaled(4); s.MeshRows = 5; return s }(),  // more rows than cores
 		func() System { s := Scaled(8); s.MeshRows = -1; return s }(), // negative rows
+		// empty fault-decision window: From >= Until with Until set
+		func() System { s := Scaled(8); s.FaultFrom, s.FaultUntil = 20, 20; return s }(),
 	}
 	for i, s := range bad {
 		if err := s.Validate(); err == nil {

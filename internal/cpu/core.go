@@ -213,7 +213,7 @@ func (c *Core) Counts() (loads, stores, rmws, fences, instrs int64) {
 		c.Fences.Value(), c.Instructions.Value()
 }
 
-// ObsCounters implements coherence.ObsCounterProvider.
+// ObsCounters implements system.Frontend.
 func (c *Core) ObsCounters() []*stats.Counter {
 	return []*stats.Counter{&c.Loads, &c.Stores, &c.RMWs, &c.Fences,
 		&c.Instructions, &c.WBForwards, &c.WBFullStalls}

@@ -382,12 +382,12 @@ func TestThreadIDConvention(t *testing.T) {
 // rejected attempts — port busy, write buffer full — count nothing.
 func TestInstructionCountExact(t *testing.T) {
 	b := program.NewBuilder("count")
-	b.Li(1, 0x1000) // 1
-	b.Ld(2, 1, 0)   // 2
-	b.St(1, 8, 2)   // 3
-	b.Fence()       // 4
+	b.Li(1, 0x1000)      // 1
+	b.Ld(2, 1, 0)        // 2
+	b.St(1, 8, 2)        // 3
+	b.Fence()            // 4
 	b.RmwAdd(3, 1, 0, 2) // 5
-	b.Halt()        // 6
+	b.Halt()             // 6
 	c := runCore(t, b.MustBuild(), newFakePort(40), 10_000)
 	if got := c.Instructions.Value(); got != 6 {
 		t.Fatalf("Instructions = %d, want 6 (one per retired instruction)", got)

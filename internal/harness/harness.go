@@ -13,6 +13,7 @@ import (
 	"repro/internal/coherence"
 	"repro/internal/config"
 	"repro/internal/obs"
+	"repro/internal/program"
 	"repro/internal/system"
 	"repro/internal/workloads"
 
@@ -53,6 +54,18 @@ func ListProtocols(w io.Writer) {
 	}
 }
 
+// Gen validates sys and only then generates e's workload, one thread
+// per core. Generators size their slices from the thread count and
+// panic on a non-positive one, so the CLIs generate through here: a bad
+// -cores is reported by config.System.Validate, naming the field,
+// before any generator runs.
+func Gen(sys config.System, e *workloads.Entry, scale int, seed uint64) (*program.Workload, error) {
+	if err := sys.Validate(); err != nil {
+		return nil, err
+	}
+	return e.Gen(workloads.Params{Threads: sys.Cores, Scale: scale, Seed: seed}), nil
+}
+
 // Grid holds the full result matrix.
 type Grid struct {
 	Benchmarks []string
@@ -82,6 +95,10 @@ type gridJob struct {
 func RunGrid(sys config.System, p workloads.Params, protos []system.Protocol,
 	benches []string, w io.Writer) (*Grid, error) {
 
+	// Every worker hands p to a generator; validate first (see Gen).
+	if err := sys.Validate(); err != nil {
+		return nil, err
+	}
 	if len(protos) == 0 {
 		protos = Protocols()
 	}

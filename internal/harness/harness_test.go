@@ -116,3 +116,26 @@ func TestUnknownBenchmarkFails(t *testing.T) {
 		t.Fatal("expected error for unknown benchmark")
 	}
 }
+
+// TestBadCoresRejectedBeforeGeneration: workload generators size their
+// slices from the thread count and panic on a non-positive one, so a
+// bad core count must be turned into config.Validate's error — naming
+// the field — before any generator runs, both for a single workload
+// (Gen) and for a grid (RunGrid).
+func TestBadCoresRejectedBeforeGeneration(t *testing.T) {
+	e := workloads.ByName("x264")
+	for _, cores := range []int{-3, 0} {
+		cfg := config.Scaled(cores)
+		if w, err := harness.Gen(cfg, e, 1, 1); err == nil || w != nil || !strings.Contains(err.Error(), "cores") {
+			t.Errorf("Gen at %d cores: workload %v, error %v; want an error naming cores", cores, w, err)
+		}
+		p := workloads.Params{Threads: cores, Scale: 1, Seed: 1}
+		if _, err := harness.RunGrid(cfg, p, nil, []string{"x264"}, nil); err == nil || !strings.Contains(err.Error(), "cores") {
+			t.Errorf("RunGrid at %d cores: error %v; want one naming cores", cores, err)
+		}
+	}
+	w, err := harness.Gen(config.Small(4), e, 1, 1)
+	if err != nil || len(w.Programs) != 4 {
+		t.Fatalf("Gen at 4 cores: %v, %v", w, err)
+	}
+}

@@ -58,9 +58,6 @@ func (Protocol) Build(cfg config.System, net coherence.Network, mem coherence.Me
 	return l1s, l2s
 }
 
-// L1Stats implements coherence.L1Like.
-func (l *L1) L1Stats() *coherence.L1Stats { return &l.Stats }
-
 // SnoopBlock implements coherence.Controller: L1s are authoritative for
 // Exclusive/Modified lines.
 func (l *L1) SnoopBlock(addr uint64) ([]byte, bool) {
@@ -79,9 +76,7 @@ func (t *L2) SnoopBlock(addr uint64) ([]byte, bool) {
 	return nil, false
 }
 
-// SnoopOwner reports the L1 holding addr exclusively, if any (used by
-// post-run functional reads to snoop only the cache that can hold the
-// freshest copy).
+// SnoopOwner implements coherence.Directory.
 func (t *L2) SnoopOwner(addr uint64) (coherence.NodeID, bool) {
 	if w := t.cache.Peek(addr); w != nil && w.Meta.state == dirX {
 		return w.Meta.owner, true

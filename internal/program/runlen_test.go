@@ -138,7 +138,7 @@ func decodeFuzzProgram(data []byte) *Program {
 // analysis and checks the batching invariants hold for every pc.
 func FuzzRunLens(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 0})
-	f.Add([]byte{2, 1, 2, 3, 11, 1, 2, 3, 17, 0, 0, 1}) // add, ld, beq
+	f.Add([]byte{2, 1, 2, 3, 11, 1, 2, 3, 17, 0, 0, 1})             // add, ld, beq
 	f.Add([]byte{0, 1, 0, 0, 21, 0, 0, 0, 2, 1, 1, 2, 23, 0, 0, 0}) // li, jmp, add, halt
 	f.Fuzz(func(t *testing.T, data []byte) {
 		p := decodeFuzzProgram(data)

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"strconv"
 
-	"repro/internal/coherence"
 	"repro/internal/obs"
 	"repro/internal/sim"
 	"repro/internal/trace"
@@ -73,16 +72,14 @@ func (m *Machine) installObs() {
 			s := l1.L1Stats()
 			s.SetNames(fmt.Sprintf("l1.%d", i))
 			reg.RegisterCounter(s.Counters()...)
-			if mr, ok := l1.(coherence.MissLatencyReporter); ok {
-				rh := reg.NewHist("l1.read_miss_latency")
-				wh := reg.NewHist("l1.write_miss_latency")
-				mr.SetMissLatencySink(func(read bool, cycles sim.Cycle) {
-					if read {
-						rh.Observe(int64(cycles))
-					} else {
-						wh.Observe(int64(cycles))
-					}
-				})
+			rh := reg.NewHist("l1.read_miss_latency")
+			wh := reg.NewHist("l1.write_miss_latency")
+			l1.Hooks().MissLatency = func(read bool, cycles sim.Cycle) {
+				if read {
+					rh.Observe(int64(cycles))
+				} else {
+					wh.Observe(int64(cycles))
+				}
 			}
 		}
 	}
@@ -93,42 +90,27 @@ func (m *Machine) installObs() {
 	if tl != nil {
 		tl.ProcessName(obs.PidTx, "directory tx")
 	}
-	for tile, l2 := range m.L2s {
-		if reg != nil {
-			if cp, ok := l2.(coherence.ObsCounterProvider); ok {
-				reg.RegisterCounter(cp.ObsCounters()...)
-			}
-		}
-		to, ok := l2.(coherence.TxObserver)
-		if !ok {
-			continue
-		}
+	for tile := range m.L2s {
+		d := m.dir(tile)
 		var lat func(sim.Cycle)
 		if reg != nil {
+			reg.RegisterCounter(d.ObsCounters()...)
 			h := reg.NewHist("coherence.tx_latency")
 			lat = func(cycles sim.Cycle) { h.Observe(int64(cycles)) }
 		}
 		var span func(bool, sim.Cycle, uint64, int)
 		if tl != nil {
-			tile := tile
 			tl.ThreadName(obs.PidTx, tile, "tile "+strconv.Itoa(tile))
 			cat := "tx.t" + strconv.Itoa(tile)
-			namer, hasNames := l2.(coherence.TxKindNamer)
-			kindName := func(kind int) string {
-				if hasNames {
-					return namer.TxKindName(kind)
-				}
-				return "kind-" + strconv.Itoa(kind)
-			}
 			span = func(begin bool, now sim.Cycle, addr uint64, kind int) {
 				if begin {
-					tl.AsyncBegin(cat, addr, obs.PidTx, tile, kindName(kind), int64(now))
+					tl.AsyncBegin(cat, addr, obs.PidTx, tile, d.TxKindName(kind), int64(now))
 				} else {
-					tl.AsyncEnd(cat, addr, obs.PidTx, tile, kindName(kind), int64(now))
+					tl.AsyncEnd(cat, addr, obs.PidTx, tile, d.TxKindName(kind), int64(now))
 				}
 			}
 		}
-		to.SetTxObs(lat, span)
+		d.Tx().SetObsSinks(lat, span)
 	}
 
 	// Frontends: retirement counters and stall-attribution histograms
@@ -139,12 +121,8 @@ func (m *Machine) installObs() {
 			if _, replay := f.(*trace.ReplayCore); replay {
 				prefix = "replay" + strconv.Itoa(m.frontCore[i])
 			}
-			if cp, ok := f.(coherence.ObsCounterProvider); ok {
-				reg.RegisterCounter(cp.ObsCounters()...)
-			}
-			if sr, ok := f.(interface{ SetStalls(*obs.CoreStalls) }); ok {
-				sr.SetStalls(reg.NewCoreStalls(prefix))
-			}
+			reg.RegisterCounter(f.ObsCounters()...)
+			f.SetStalls(reg.NewCoreStalls(prefix))
 		}
 	}
 }

@@ -16,6 +16,7 @@ import (
 	"repro/internal/faults"
 	"repro/internal/memsys"
 	"repro/internal/mesh"
+	"repro/internal/obs"
 	"repro/internal/program"
 	"repro/internal/sim"
 	"repro/internal/stats"
@@ -43,6 +44,12 @@ type Frontend interface {
 	Done() bool
 	// Counts reports the core-level counters aggregated into Result.
 	Counts() (loads, stores, rmws, fences, instrs int64)
+	// ObsCounters lists the frontend's named retirement counters for
+	// metrics-registry registration.
+	ObsCounters() []*stats.Counter
+	// SetStalls attaches the stall-attribution histograms (nil, the
+	// default, keeps every stall path branch-only).
+	SetStalls(s *obs.CoreStalls)
 }
 
 // Result captures one run's outcome.
@@ -167,21 +174,24 @@ type Machine struct {
 // tests can inspect recorded violations directly.
 func (m *Machine) Checks() *check.Tracker { return m.checks }
 
+// dir is the one Controller → Directory view: Machine.L2s is typed
+// []coherence.Controller (Protocol.Build's signature), and every
+// directory tile is a coherence.Directory by embedding DirBase.
+func (m *Machine) dir(tile int) coherence.Directory {
+	return m.L2s[tile].(coherence.Directory)
+}
+
 // Prewarm materializes every controller's lazily-allocated cache
-// storage (coherence.StoragePrewarmer). Timing harnesses call it
+// storage (Controller.PrewarmStorage). Timing harnesses call it
 // before starting the clock so first-touch chunk allocation is setup
 // cost, not measured run cost; conformance and litmus runs skip it and
 // keep the sparse footprint.
 func (m *Machine) Prewarm() {
 	for _, l1 := range m.L1s {
-		if p, ok := l1.(coherence.StoragePrewarmer); ok {
-			p.PrewarmStorage()
-		}
+		l1.PrewarmStorage()
 	}
 	for _, l2 := range m.L2s {
-		if p, ok := l2.(coherence.StoragePrewarmer); ok {
-			p.PrewarmStorage()
-		}
+		l2.PrewarmStorage()
 	}
 }
 
@@ -265,8 +275,8 @@ func newBase(cfg config.System, proto Protocol, initMem map[uint64]uint64) (*Mac
 	m.Mem = mem
 	l1s, l2s := proto.Build(cfg, net, mem)
 	for i := 0; i < cfg.Cores; i++ {
-		net.Attach(coherence.L1ID(i), i, endpoint{l1s[i]})
-		net.Attach(coherence.L2ID(i, cfg.Cores), i, endpoint{l2s[i]})
+		net.Attach(coherence.L1ID(i), i, l1s[i])
+		net.Attach(coherence.L2ID(i, cfg.Cores), i, l2s[i])
 	}
 	m.L1s, m.L2s = l1s, l2s
 	if cfg.FaultProfile != "" {
@@ -289,41 +299,27 @@ func newBase(cfg config.System, proto Protocol, initMem map[uint64]uint64) (*Mac
 			}
 		}
 		if inj.TxActive() {
-			for tile, l2 := range l2s {
-				if st, ok := l2.(interface {
-					SetStall(func(m *coherence.Msg) bool)
-				}); ok {
-					st.SetStall(inj.TxStall(tile))
-				}
+			for tile := range l2s {
+				m.dir(tile).Tx().SetStall(inj.TxStall(tile))
 			}
 		}
 		if inj.EvictActive() {
 			for core, l1 := range l1s {
-				if ef, ok := l1.(coherence.EvictFaulter); ok {
-					ef.SetEvictFault(inj.EvictHook(core))
-				}
+				l1.Hooks().EvictFault = inj.EvictHook(core)
 			}
 		}
 		if inj.ResetActive() {
 			// Timestamp-reset storms hit every bounded-timestamp domain:
-			// L1 epochs and L2 timestamp sources. Protocols without
-			// timestamps simply don't implement the interface.
-			for core, l1 := range l1s {
-				if rf, ok := l1.(coherence.ResetFaulter); ok {
-					rf.SetResetFault(inj.ResetHook(coherence.L1ID(core)))
-				}
-			}
-			for tile, l2 := range l2s {
-				if rf, ok := l2.(coherence.ResetFaulter); ok {
-					rf.SetResetFault(inj.ResetHook(coherence.L2ID(tile, cfg.Cores)))
-				}
+			// L1 epochs and L2 timestamp sources. Controllers without
+			// timestamps never consult the hook.
+			for i := range l1s {
+				l1s[i].Hooks().ResetFault = inj.ResetHook(coherence.L1ID(i))
+				l2s[i].Hooks().ResetFault = inj.ResetHook(coherence.L2ID(i, cfg.Cores))
 			}
 		}
 		if inj.VictimActive() {
 			for tile, l2 := range l2s {
-				if af, ok := l2.(coherence.AckDelayFaulter); ok {
-					af.SetAckDelayFault(inj.AckDelay(tile))
-				}
+				l2.Hooks().AckDelay = inj.AckDelay(tile)
 			}
 		}
 		inj.SetWindow(cfg.FaultFrom, cfg.FaultUntil)
@@ -341,21 +337,13 @@ func newBase(cfg config.System, proto Protocol, initMem map[uint64]uint64) (*Mac
 		}
 		m.checks = check.New(ctrls, m.Engine.Now)
 		if leg := coherence.LegalityByName(proto.Name()); leg != nil {
-			for core, l1 := range l1s {
-				if tr, ok := l1.(coherence.TransitionReporter); ok {
-					tr.SetTransitionSink(m.checks.LegalitySink(core, "L1", &leg.L1))
-				}
-			}
-			for tile, l2 := range l2s {
-				if tr, ok := l2.(coherence.TransitionReporter); ok {
-					tr.SetTransitionSink(m.checks.LegalitySink(tile, "L2", &leg.L2))
-				}
+			for i := range l1s {
+				l1s[i].Hooks().Transition = m.checks.LegalitySink(i, "L1", &leg.L1)
+				l2s[i].Hooks().Transition = m.checks.LegalitySink(i, "L2", &leg.L2)
 			}
 		}
-		for tile, l2 := range l2s {
-			if ta, ok := l2.(coherence.TxAuditor); ok {
-				ta.ArmTxAudit(txAuditAge, m.checks.TxLifeSink(tile))
-			}
+		for tile := range l2s {
+			m.dir(tile).Tx().ArmAudit(txAuditAge, m.checks.TxLifeSink(tile))
 		}
 	}
 	return m, nil
@@ -574,11 +562,6 @@ func NewReplayMachine(cfg config.System, proto Protocol, tr *trace.Trace) (*Mach
 	return m, nil
 }
 
-// endpoint adapts a coherence.Controller to mesh.Endpoint.
-type endpoint struct{ c coherence.Controller }
-
-func (e endpoint) Deliver(now sim.Cycle, m *coherence.Msg) { e.c.Deliver(now, m) }
-
 // engineNow, engineSnapshot and engineRun dispatch to whichever engine
 // flavor the machine was built with.
 func (m *Machine) engineNow() sim.Cycle {
@@ -606,11 +589,10 @@ func (m *Machine) engineRun() (sim.Cycle, error) {
 // component snapshot plus mesh/pool state and any oracle findings.
 func (m *Machine) forensics(reason string, panicValue any, stack []byte) *check.Report {
 	gets, live := m.Net.PoolTotals()
-	var txd []string
-	for _, l2 := range m.L2s {
-		if d, ok := l2.(coherence.TxDebugger); ok {
-			txd = append(txd, d.TxDebug())
-		}
+	txd := make([]string, len(m.L2s))
+	for tile := range m.L2s {
+		d := m.dir(tile)
+		txd[tile] = d.ComponentLabel() + ":" + d.Tx().Debug()
 	}
 	return &check.Report{
 		Reason:      reason,
@@ -630,10 +612,8 @@ func (m *Machine) forensics(reason string, panicValue any, stack []byte) *check.
 // across all tiles; zero after any clean run.
 func (m *Machine) txLive() int64 {
 	var n int64
-	for _, l2 := range m.L2s {
-		if tl, ok := l2.(interface{ TxLive() int64 }); ok {
-			n += tl.TxLive()
-		}
+	for tile := range m.L2s {
+		n += m.dir(tile).Tx().LiveTx()
 	}
 	return n
 }
@@ -802,32 +782,15 @@ func (m *Machine) Reader() program.MemReader {
 
 type hierReader struct{ m *Machine }
 
-// ownerSnooper is implemented by directory tiles that can name the L1
-// holding a block exclusively. It lets the reader consult the single
-// cache that can hold a fresher copy instead of scanning every L1 per
-// word read.
-type ownerSnooper interface {
-	SnoopOwner(addr uint64) (coherence.NodeID, bool)
-}
-
 func (r hierReader) ReadWord(addr uint64) uint64 {
 	// Resolve the home tile once; on a quiesced machine its directory
 	// state is exact (exclusive L2 lines are inclusive of their L1 copy),
-	// so only the recorded owner can hold the block dirty.
-	tile := int(addr>>coherence.BlockShift) % r.m.Cfg.Cores
-	home := r.m.L2s[tile]
-	if os, ok := home.(ownerSnooper); ok {
-		if owner, held := os.SnoopOwner(addr); held {
-			if blk, ok := r.m.L1s[int(owner)].SnoopBlock(addr); ok {
-				return memsys.GetWord(blk, addr)
-			}
-		}
-	} else {
-		// Unknown directory flavor: fall back to scanning every L1.
-		for _, l1 := range r.m.L1s {
-			if blk, ok := l1.SnoopBlock(addr); ok {
-				return memsys.GetWord(blk, addr)
-			}
+	// so only the recorded owner can hold the block dirty — the reader
+	// consults that single cache instead of scanning every L1 per word.
+	home := r.m.dir(int(addr>>coherence.BlockShift) % r.m.Cfg.Cores)
+	if owner, held := home.SnoopOwner(addr); held {
+		if blk, ok := r.m.L1s[int(owner)].SnoopBlock(addr); ok {
+			return memsys.GetWord(blk, addr)
 		}
 	}
 	if blk, ok := home.SnoopBlock(addr); ok {

@@ -37,25 +37,22 @@ const (
 	txEvict    // evicting: waiting for recall WBData / InvAcks
 )
 
-// L2 is one TSO-CC NUCA tile.
+var txKindNames = []string{
+	txMemFetch: "mem-fetch",
+	txAwaitAck: "await-ack",
+	txFwdGetS:  "fwd-gets",
+	txFwdGetX:  "fwd-getx",
+	txSROInv:   "sro-inv",
+	txEvict:    "evict",
+}
+
+// L2 is one TSO-CC NUCA tile: the shared skeleton (coherence.DirBase)
+// plus the sharing-vector-free directory states, the last-seen writer
+// timestamps and the SharedRO timestamp source.
 type L2 struct {
-	id    coherence.NodeID
-	tile  int
-	cores int
+	coherence.DirBase
 	cfg   config.TSOCC
 	cache *memsys.Cache[l2Line]
-	net   coherence.Network
-	pool  *coherence.MsgPool
-	mem   coherence.Memory
-
-	accessLat sim.Cycle
-
-	timers coherence.Timers
-	sendFn func(now sim.Cycle, m *coherence.Msg) // bound once; see sendAfterAccess
-
-	// txs owns the transaction lifecycle and message-ownership
-	// discipline (see coherence.TxTable).
-	txs coherence.TxTable
 
 	membersBuf []int // scratch for coarse sharer expansion
 
@@ -71,14 +68,6 @@ type L2 struct {
 	flag1    bool
 	flag2    bool
 
-	// Optional hooks, nil in nominal runs (see coherence hooks doc):
-	// resetFault forces early SharedRO timestamp rollovers,
-	// ackDelayFault holds back eviction acknowledgements, transSink
-	// reports directory-state transitions to the legality oracle.
-	resetFault    func() bool
-	ackDelayFault func() sim.Cycle
-	transSink     func(addr uint64, from, to int)
-
 	// Tile-level stats.
 	SROTransitions  stats.Counter
 	SROInvBcasts    stats.Counter
@@ -86,141 +75,30 @@ type L2 struct {
 	TimestampResets stats.Counter
 }
 
-// SetResetFault implements coherence.ResetFaulter.
-func (t *L2) SetResetFault(f func() bool) { t.resetFault = f }
-
-// SetAckDelayFault implements coherence.AckDelayFaulter.
-func (t *L2) SetAckDelayFault(f func() sim.Cycle) { t.ackDelayFault = f }
-
-// SetTransitionSink implements coherence.TransitionReporter.
-func (t *L2) SetTransitionSink(f func(addr uint64, from, to int)) { t.transSink = f }
-
-// ArmTxAudit implements coherence.TxAuditor.
-func (t *L2) ArmTxAudit(maxAge sim.Cycle, report func(string)) { t.txs.ArmAudit(maxAge, report) }
-
-// TxDebug implements coherence.TxDebugger (forensic TxTable dumps).
-func (t *L2) TxDebug() string { return fmt.Sprintf("tsocc L2 tile %d:%s", t.tile, t.txs.Debug()) }
-
-// SetTxObs implements coherence.TxObserver.
-func (t *L2) SetTxObs(lat func(cycles sim.Cycle), span func(begin bool, now sim.Cycle, addr uint64, kind int)) {
-	t.txs.SetObsSinks(lat, span)
-}
-
-var txKindNames = [...]string{
-	txMemFetch: "mem-fetch",
-	txAwaitAck: "await-ack",
-	txFwdGetS:  "fwd-gets",
-	txFwdGetX:  "fwd-getx",
-	txSROInv:   "sro-inv",
-	txEvict:    "evict",
-}
-
-// TxKindName implements coherence.TxKindNamer.
-func (t *L2) TxKindName(kind int) string {
-	if kind > 0 && kind < len(txKindNames) {
-		return txKindNames[kind]
-	}
-	return fmt.Sprintf("kind-%d", kind)
-}
-
-// TxLive reports registered-but-unretired transactions (leak check).
-func (t *L2) TxLive() int64 { return t.txs.LiveTx() }
-
-// ObsCounters implements coherence.ObsCounterProvider.
-func (t *L2) ObsCounters() []*stats.Counter {
-	return append(t.txs.Counters(),
-		&t.SROTransitions, &t.SROInvBcasts, &t.DecayEvents, &t.TimestampResets)
-}
-
-// trans reports a directory-state transition to the legality oracle;
-// self-loops are dropped here so call sites stay simple.
-func (t *L2) trans(addr uint64, from, to int) {
-	if t.transSink != nil && from != to {
-		t.transSink(addr, from, to)
-	}
-}
+var _ coherence.Directory = (*L2)(nil)
 
 // NewL2 builds TSO-CC tile `tile`.
 func NewL2(tile, cores int, sys config.System, cfg config.TSOCC, net coherence.Network, mem coherence.Memory) *L2 {
-	l2 := &L2{
-		id:        coherence.L2ID(tile, cores),
-		tile:      tile,
-		cores:     cores,
-		cfg:       cfg,
-		cache:     memsys.NewCache[l2Line](sys.L2TileSize, sys.L2Ways),
-		net:       net,
-		pool:      net.MsgPoolFor(tile),
-		mem:       mem,
-		accessLat: sys.L2AccessLat,
-		tsL1:      newLastSeen(0, cores),
-		epochL1:   make([]uint8, cores),
-		sroSrc:    tsFirst,
+	t := &L2{
+		cfg:     cfg,
+		cache:   memsys.NewCache[l2Line](sys.L2TileSize, sys.L2Ways),
+		tsL1:    newLastSeen(0, cores),
+		epochL1: make([]uint8, cores),
+		sroSrc:  tsFirst,
 	}
-	l2.sendFn = l2.send
-	l2.txs.Init(l2.pool, l2.handle)
-	label := fmt.Sprintf("tsocc.l2.%d", tile)
-	l2.SROTransitions.SetName(label + ".sro_transitions")
-	l2.SROInvBcasts.SetName(label + ".sro_inv_bcasts")
-	l2.DecayEvents.SetName(label + ".decay_events")
-	l2.TimestampResets.SetName(label + ".timestamp_resets")
-	l2.txs.SetLabel(label)
-	return l2
-}
-
-func (t *L2) send(now sim.Cycle, m *coherence.Msg) {
-	m.Src = t.id
-	t.net.Send(now, m)
-}
-
-// sendAfterAccess sends m after the tile access latency so that every
-// directory-originated message to a given L1 leaves in processing order
-// (an invalidation must never overtake an earlier data response).
-func (t *L2) sendAfterAccess(now sim.Cycle, tmpl coherence.Msg, data []byte) {
-	t.timers.AtMsg(now+t.accessLat, t.sendFn, t.pool.NewFrom(tmpl, data))
-}
-
-// sendPutAck schedules an eviction acknowledgement, adding any victim
-// fault delay. PutAck is the one directory-originated message allowed
-// to slip behind later traffic to the same L1: its handler only clears
-// an evict-buffer entry, so reordering it is protocol-legal and is
-// exactly the victim/writeback race the profile injects.
-func (t *L2) sendPutAck(now sim.Cycle, dst coherence.NodeID, addr uint64) {
-	extra := sim.Cycle(0)
-	if t.ackDelayFault != nil {
-		extra = t.ackDelayFault()
-	}
-	t.timers.AtMsg(now+t.accessLat+extra, t.sendFn,
-		t.pool.NewFrom(coherence.Msg{Type: coherence.MsgPutAck, Dst: dst, Addr: addr}, nil))
+	t.Init("tsocc", tile, cores, sys.L2AccessLat, net, mem, txKindNames, t.handle, t.filled)
+	t.AddCounter(&t.SROTransitions, ".sro_transitions")
+	t.AddCounter(&t.SROInvBcasts, ".sro_inv_bcasts")
+	t.AddCounter(&t.DecayEvents, ".decay_events")
+	t.AddCounter(&t.TimestampResets, ".timestamp_resets")
+	return t
 }
 
 // coarseMembersBuf expands a coarse sharer vector into preallocated
 // scratch (valid until the next call).
 func (t *L2) coarseMembersBuf(vec uint64) []int {
-	t.membersBuf = appendCoarseMembers(t.membersBuf[:0], vec, t.cores)
+	t.membersBuf = appendCoarseMembers(t.membersBuf[:0], vec, t.Cores)
 	return t.membersBuf
-}
-
-// BindWaker implements sim.WakeSink: the wake handle flows into the
-// timer heap and the transaction table, which mark this tile due for
-// scheduled actions and delivered messages respectively.
-func (t *L2) BindWaker(w sim.Waker) {
-	t.timers.SetWaker(w)
-	t.txs.SetWaker(w)
-}
-
-// Deliver implements mesh.Endpoint.
-func (t *L2) Deliver(now sim.Cycle, m *coherence.Msg) { t.txs.Deliver(m) }
-
-// SetStall installs a TxTable consumption-stall hook (fault injection;
-// see faults.Injector.TxStall).
-func (t *L2) SetStall(f func(m *coherence.Msg) bool) { t.txs.SetStall(f) }
-
-// ComponentLabel implements sim.Labeled (forensic reports).
-func (t *L2) ComponentLabel() string { return fmt.Sprintf("tsocc L2 tile %d", t.tile) }
-
-// Debug renders outstanding directory state (deadlock diagnostics).
-func (t *L2) Debug() string {
-	return fmt.Sprintf("L2 %d:%s timers=%d", t.tile, t.txs.Debug(), t.timers.Pending())
 }
 
 // TileStats reports SharedRO transitions, Shared->SharedRO decay events,
@@ -231,23 +109,6 @@ func (t *L2) TileStats() (sro, decay, bcasts, resets int64) {
 		t.SROInvBcasts.Value(), t.TimestampResets.Value()
 }
 
-// Busy implements coherence.Controller.
-func (t *L2) Busy() bool {
-	return t.txs.Outstanding() || t.timers.Pending() > 0
-}
-
-// NextWake implements sim.WakeHinter: queued messages and retries need
-// the very next cycle; otherwise the earliest due timer.
-func (t *L2) NextWake(now sim.Cycle) sim.Cycle {
-	if t.txs.QueuedWork() {
-		return now + 1
-	}
-	if due, ok := t.timers.NextDue(); ok {
-		return due
-	}
-	return sim.WakeNever
-}
-
 // SnoopBlock implements coherence.Controller.
 func (t *L2) SnoopBlock(addr uint64) ([]byte, bool) {
 	if w := t.cache.Peek(addr); w != nil && w.Meta.state != dirX {
@@ -256,20 +117,12 @@ func (t *L2) SnoopBlock(addr uint64) ([]byte, bool) {
 	return nil, false
 }
 
-// SnoopOwner reports the L1 holding addr exclusively, if any (used by
-// post-run functional reads to snoop only the cache that can hold the
-// freshest copy).
+// SnoopOwner implements coherence.Directory.
 func (t *L2) SnoopOwner(addr uint64) (coherence.NodeID, bool) {
 	if w := t.cache.Peek(addr); w != nil && w.Meta.state == dirX {
 		return w.Meta.owner, true
 	}
 	return 0, false
-}
-
-// Tick implements sim.Ticker.
-func (t *L2) Tick(now sim.Cycle) {
-	t.timers.Tick(now)
-	t.txs.Drain(now)
 }
 
 func (t *L2) handle(now sim.Cycle, m *coherence.Msg) {
@@ -289,7 +142,7 @@ func (t *L2) handle(now sim.Cycle, m *coherence.Msg) {
 		t.tsL1.drop(src)
 		t.epochL1[src] = m.Epoch
 	default:
-		panic(fmt.Sprintf("tsocc: L2 %d cycle %d: unexpected message %s", t.id, now, m))
+		panic(fmt.Sprintf("tsocc: L2 %d cycle %d: unexpected message %s", t.ID, now, m))
 	}
 }
 
@@ -304,7 +157,7 @@ func (t *L2) respTS(w *l2Line) (uint32, uint8, bool) {
 		return tsInvalid, 0, false
 	}
 	writer := int(w.owner)
-	if writer < 0 || writer >= t.cores {
+	if writer < 0 || writer >= t.Cores {
 		return tsInvalid, 0, false
 	}
 	last, ok := t.tsL1.get(writer)
@@ -332,7 +185,7 @@ func (t *L2) assignSROTS(now sim.Cycle) uint32 {
 	if !t.cfg.Timestamps() {
 		return tsInvalid
 	}
-	if t.resetFault != nil && t.resetFault() {
+	if t.ResetFault != nil && t.ResetFault() {
 		// Reset-storm fault: roll the SharedRO timestamp space over as
 		// if TSMax were reached before assigning.
 		t.resetSRO(now)
@@ -352,9 +205,9 @@ func (t *L2) resetSRO(now sim.Cycle) {
 	t.TimestampResets.Inc()
 	t.sroEpoch = (t.sroEpoch + 1) & uint8((1<<uint(t.cfg.EpochBits))-1)
 	t.sroSrc = tsFirst
-	for c := 0; c < t.cores; c++ {
-		t.send(now, t.pool.NewFrom(coherence.Msg{Type: coherence.MsgTSResetL2,
-			Dst: coherence.L1ID(c), Epoch: t.sroEpoch}, nil))
+	for c := 0; c < t.Cores; c++ {
+		t.Send(now, coherence.Msg{Type: coherence.MsgTSResetL2,
+			Dst: coherence.L1ID(c), Epoch: t.sroEpoch}, nil)
 	}
 }
 
@@ -376,8 +229,8 @@ func (t *L2) noteWriterTS(writer coherence.NodeID, m *coherence.Msg) {
 // ---- Request handling ----
 
 func (t *L2) handleRequest(now sim.Cycle, m *coherence.Msg) {
-	if t.txs.BusyLine(m.Addr) {
-		t.txs.EnqueueWaiting(m)
+	if t.Txs.BusyLine(m.Addr) {
+		t.Txs.EnqueueWaiting(m)
 		return
 	}
 	w := t.cache.Peek(m.Addr)
@@ -395,37 +248,34 @@ func (t *L2) handleRequest(now sim.Cycle, m *coherence.Msg) {
 func (t *L2) startFetch(now sim.Cycle, m *coherence.Msg) {
 	v := t.cache.Victim(m.Addr)
 	if v == nil {
-		t.txs.EnqueueRetry(m)
+		t.Txs.EnqueueRetry(m)
 		return
 	}
 	if v.Valid {
 		if t.cache.AnyBusy(m.Addr) {
-			t.txs.EnqueueRetry(m)
+			t.Txs.EnqueueRetry(m)
 			return
 		}
 		if !t.evictLine(now, v) {
-			t.txs.EnqueueRetry(m)
+			t.Txs.EnqueueRetry(m)
 			return
 		}
 	}
 	t.cache.Install(v, m.Addr)
 	v.Busy = true
-	t.txs.New(m.Addr, txMemFetch, m, 0)
-	addr := m.Addr
-	t.timers.At(now+t.accessLat+t.mem.Latency(addr), func(nw sim.Cycle) {
-		way := t.cache.Peek(addr)
-		t.mem.ReadBlock(addr, way.Data[:])
-		t.trans(addr, 0, dirV)
-		way.Meta = l2Line{state: dirV, owner: -1}
-		way.Busy = false
-		tx, _ := t.txs.Get(addr)
-		req := tx.Req
-		t.txs.Del(addr, tx, false)
-		// The request's ownership flows back through the dispatch path:
-		// the line is now present, so Consume re-serves it (recycling
-		// the message unless a fresh transaction retains it).
-		t.txs.Consume(nw, req)
-	})
+	t.StartFetch(now, txMemFetch, m)
+}
+
+// filled is StartFetch's completion (see coherence.DirBase.Init).
+func (t *L2) filled(addr uint64) []byte {
+	way := t.cache.Peek(addr)
+	if way == nil {
+		return nil
+	}
+	t.Trans(addr, 0, dirV)
+	way.Meta = l2Line{state: dirV, owner: -1}
+	way.Busy = false
+	return way.Data[:]
 }
 
 // evictLine evicts v; true = completed synchronously.
@@ -438,10 +288,10 @@ func (t *L2) evictLine(now sim.Cycle, v *memsys.Way[l2Line]) bool {
 		// timestamps are lost, which later forces mandatory
 		// self-invalidation at readers (invalid-ts responses).
 		if v.Meta.dirty {
-			t.mem.WriteBlock(addr, v.Data[:])
+			t.Mem.WriteBlock(addr, v.Data[:])
 			t.flag1 = true // condition 1: dirty line left the L2
 		}
-		t.trans(addr, v.Meta.state, 0)
+		t.Trans(addr, v.Meta.state, 0)
 		t.cache.Invalidate(v)
 		return true
 	case dirR:
@@ -451,26 +301,26 @@ func (t *L2) evictLine(now sim.Cycle, v *memsys.Way[l2Line]) bool {
 		members := t.coarseMembersBuf(v.Meta.sharerBits)
 		if len(members) == 0 {
 			if v.Meta.dirty {
-				t.mem.WriteBlock(addr, v.Data[:])
+				t.Mem.WriteBlock(addr, v.Data[:])
 				t.flag1 = true
 			}
-			t.trans(addr, dirR, 0)
+			t.Trans(addr, dirR, 0)
 			t.cache.Invalidate(v)
 			return true
 		}
 		for _, c := range members {
-			t.sendAfterAccess(now, coherence.Msg{Type: coherence.MsgInv, Dst: coherence.L1ID(c), Addr: addr}, nil)
+			t.SendAfterAccess(now, coherence.Msg{Type: coherence.MsgInv, Dst: coherence.L1ID(c), Addr: addr}, nil)
 		}
 		v.Busy = true
-		t.txs.New(addr, txEvict, nil, len(members))
+		t.Txs.New(addr, txEvict, nil, len(members))
 		return false
 	case dirX:
-		t.sendAfterAccess(now, coherence.Msg{Type: coherence.MsgInv, Dst: v.Meta.owner, Addr: addr}, nil)
+		t.SendAfterAccess(now, coherence.Msg{Type: coherence.MsgInv, Dst: v.Meta.owner, Addr: addr}, nil)
 		v.Busy = true
-		t.txs.New(addr, txEvict, nil, 1)
+		t.Txs.New(addr, txEvict, nil, 1)
 		return false
 	}
-	panic(fmt.Sprintf("tsocc: L2 %d cycle %d: evictLine on invalid state %d for %#x", t.id, now, v.Meta.state, v.Tag))
+	panic(fmt.Sprintf("tsocc: L2 %d cycle %d: evictLine on invalid state %d for %#x", t.ID, now, v.Meta.state, v.Tag))
 }
 
 func (t *L2) serveGetS(now sim.Cycle, m *coherence.Msg, w *memsys.Way[l2Line]) {
@@ -482,15 +332,15 @@ func (t *L2) serveGetS(now sim.Cycle, m *coherence.Msg, w *memsys.Way[l2Line]) {
 		}
 		ts, ep, valid := t.respTS(&w.Meta)
 		w.Busy = true
-		t.txs.New(m.Addr, txAwaitAck, m, 0)
+		t.Txs.New(m.Addr, txAwaitAck, m, 0)
 		t.respond(now, m.Requestor, coherence.MsgDataE, m.Addr, w.Data[:], w.Meta.owner, ts, ep, valid)
 	case dirX:
 		if w.Meta.owner == m.Requestor {
-			panic(fmt.Sprintf("tsocc: L2 %d cycle %d: GetS from current owner %s", t.id, now, m))
+			panic(fmt.Sprintf("tsocc: L2 %d cycle %d: GetS from current owner %s", t.ID, now, m))
 		}
 		w.Busy = true
-		t.txs.New(m.Addr, txFwdGetS, m, 0)
-		t.sendAfterAccess(now, coherence.Msg{Type: coherence.MsgFwdGetS, Dst: w.Meta.owner, Addr: m.Addr, Requestor: m.Requestor}, nil)
+		t.Txs.New(m.Addr, txFwdGetS, m, 0)
+		t.SendAfterAccess(now, coherence.Msg{Type: coherence.MsgFwdGetS, Dst: w.Meta.owner, Addr: m.Addr, Requestor: m.Requestor}, nil)
 	case dirS:
 		if t.shouldDecay(&w.Meta) {
 			t.DecayEvents.Inc()
@@ -502,7 +352,7 @@ func (t *L2) serveGetS(now sim.Cycle, m *coherence.Msg, w *memsys.Way[l2Line]) {
 		t.respond(now, m.Requestor, coherence.MsgDataS, m.Addr, w.Data[:], w.Meta.owner, ts, ep, valid)
 	case dirR:
 		ts, ep, valid := t.sroTS(&w.Meta)
-		w.Meta.sharerBits |= coarseBit(m.Requestor, t.cores)
+		w.Meta.sharerBits |= coarseBit(m.Requestor, t.Cores)
 		t.respond(now, m.Requestor, coherence.MsgDataSRO, m.Addr, w.Data[:], -1, ts, ep, valid)
 	}
 }
@@ -518,7 +368,7 @@ func (t *L2) shouldDecay(w *l2Line) bool {
 		return false
 	}
 	writer := int(w.owner)
-	if writer < 0 || writer >= t.cores {
+	if writer < 0 || writer >= t.Cores {
 		return false
 	}
 	last, ok := t.tsL1.get(writer)
@@ -535,7 +385,7 @@ func (t *L2) shouldDecay(w *l2Line) bool {
 // toSharedRO transitions a line to SharedRO, assigning a tile timestamp.
 func (t *L2) toSharedRO(now sim.Cycle, w *memsys.Way[l2Line]) {
 	t.SROTransitions.Inc()
-	t.trans(w.Tag, w.Meta.state, dirR)
+	t.Trans(w.Tag, w.Meta.state, dirR)
 	w.Meta.state = dirR
 	w.Meta.sharerBits = 0
 	w.Meta.ts = t.assignSROTS(now)
@@ -547,22 +397,22 @@ func (t *L2) serveGetX(now sim.Cycle, m *coherence.Msg, w *memsys.Way[l2Line]) {
 	case dirV:
 		ts, ep, valid := t.respTS(&w.Meta)
 		w.Busy = true
-		t.txs.New(m.Addr, txAwaitAck, m, 0)
+		t.Txs.New(m.Addr, txAwaitAck, m, 0)
 		t.respond(now, m.Requestor, coherence.MsgDataE, m.Addr, w.Data[:], w.Meta.owner, ts, ep, valid)
 	case dirX:
 		if w.Meta.owner == m.Requestor {
-			panic(fmt.Sprintf("tsocc: L2 %d cycle %d: GetX from current owner %s", t.id, now, m))
+			panic(fmt.Sprintf("tsocc: L2 %d cycle %d: GetX from current owner %s", t.ID, now, m))
 		}
 		w.Busy = true
-		t.txs.New(m.Addr, txFwdGetX, m, 0)
-		t.sendAfterAccess(now, coherence.Msg{Type: coherence.MsgFwdGetX, Dst: w.Meta.owner, Addr: m.Addr, Requestor: m.Requestor}, nil)
+		t.Txs.New(m.Addr, txFwdGetX, m, 0)
+		t.SendAfterAccess(now, coherence.Msg{Type: coherence.MsgFwdGetX, Dst: w.Meta.owner, Addr: m.Addr, Requestor: m.Requestor}, nil)
 	case dirS:
 		// The lazy write path: respond immediately with the full line;
 		// unaware sharers keep stale copies until they self-invalidate
 		// (§3.2). No invalidation fan-out.
 		ts, ep, valid := t.respTS(&w.Meta)
 		w.Busy = true
-		t.txs.New(m.Addr, txAwaitAck, m, 0)
+		t.Txs.New(m.Addr, txAwaitAck, m, 0)
 		t.respond(now, m.Requestor, coherence.MsgDataE, m.Addr, w.Data[:], w.Meta.owner, ts, ep, valid)
 	case dirR:
 		// Writes to SharedRO lines broadcast invalidations to the
@@ -574,33 +424,33 @@ func (t *L2) serveGetX(now sim.Cycle, m *coherence.Msg, w *memsys.Way[l2Line]) {
 		if len(members) == 0 {
 			ts, ep, valid := t.sroTS(&w.Meta)
 			w.Busy = true
-			t.txs.New(m.Addr, txAwaitAck, m, 0)
+			t.Txs.New(m.Addr, txAwaitAck, m, 0)
 			t.respond(now, m.Requestor, coherence.MsgDataE, m.Addr, w.Data[:], -1, ts, ep, valid)
 			return
 		}
 		for _, c := range members {
-			t.sendAfterAccess(now, coherence.Msg{Type: coherence.MsgInv, Dst: coherence.L1ID(c), Addr: m.Addr}, nil)
+			t.SendAfterAccess(now, coherence.Msg{Type: coherence.MsgInv, Dst: coherence.L1ID(c), Addr: m.Addr}, nil)
 		}
 		w.Busy = true
-		t.txs.New(m.Addr, txSROInv, m, len(members))
+		t.Txs.New(m.Addr, txSROInv, m, len(members))
 	}
 }
 
 func (t *L2) respond(now sim.Cycle, dst coherence.NodeID, typ coherence.MsgType, addr uint64,
 	data []byte, owner coherence.NodeID, ts uint32, epoch uint8, tsValid bool) {
-	t.sendAfterAccess(now, coherence.Msg{Type: typ, Dst: dst, Addr: addr, Owner: owner,
+	t.SendAfterAccess(now, coherence.Msg{Type: typ, Dst: dst, Addr: addr, Owner: owner,
 		TS: ts, Epoch: epoch, TSValid: tsValid}, data)
 }
 
 // ---- Completion handling ----
 
 func (t *L2) handleAck(now sim.Cycle, m *coherence.Msg) {
-	tx, ok := t.txs.Get(m.Addr)
-	if !ok || (tx.Kind != txAwaitAck && tx.Kind != txFwdGetX) {
-		panic(fmt.Sprintf("tsocc: L2 %d cycle %d: stray Ack %s", t.id, now, m))
+	tx := t.TxFor(now, m)
+	if tx.Kind != txAwaitAck && tx.Kind != txFwdGetX {
+		panic(fmt.Sprintf("tsocc: L2 %d cycle %d: stray Ack %s", t.ID, now, m))
 	}
 	w := t.cache.Peek(m.Addr)
-	t.trans(m.Addr, w.Meta.state, dirX)
+	t.Trans(m.Addr, w.Meta.state, dirX)
 	w.Meta.state = dirX
 	w.Meta.owner = tx.Req.Requestor
 	w.Meta.sharerBits = 0
@@ -612,15 +462,12 @@ func (t *L2) handleAck(now sim.Cycle, m *coherence.Msg) {
 		t.noteWriterTS(tx.Req.Requestor, m)
 	}
 	w.Busy = false
-	t.txs.Del(m.Addr, tx, true)
-	t.txs.DrainWaiting(now, m.Addr)
+	t.Txs.Del(m.Addr, tx, true)
+	t.Txs.DrainWaiting(now, m.Addr)
 }
 
 func (t *L2) handleInvAck(now sim.Cycle, m *coherence.Msg) {
-	tx, ok := t.txs.Get(m.Addr)
-	if !ok {
-		panic(fmt.Sprintf("tsocc: L2 %d cycle %d: stray InvAck %s", t.id, now, m))
-	}
+	tx := t.TxFor(now, m)
 	tx.AcksLeft--
 	if tx.AcksLeft > 0 {
 		return
@@ -636,15 +483,12 @@ func (t *L2) handleInvAck(now sim.Cycle, m *coherence.Msg) {
 	case txEvict:
 		t.finishEvict(now, w)
 	default:
-		panic(fmt.Sprintf("tsocc: L2 %d cycle %d: InvAck in tx kind %d", t.id, now, tx.Kind))
+		panic(fmt.Sprintf("tsocc: L2 %d cycle %d: InvAck in tx kind %d", t.ID, now, tx.Kind))
 	}
 }
 
 func (t *L2) handleWBData(now sim.Cycle, m *coherence.Msg) {
-	tx, ok := t.txs.Get(m.Addr)
-	if !ok {
-		panic(fmt.Sprintf("tsocc: L2 %d cycle %d: stray WBData %s", t.id, now, m))
-	}
+	tx := t.TxFor(now, m)
 	w := t.cache.Peek(m.Addr)
 	switch tx.Kind {
 	case txFwdGetS:
@@ -661,26 +505,26 @@ func (t *L2) handleWBData(now sim.Cycle, m *coherence.Msg) {
 			t.noteWriterTS(prevOwner, m)
 			// Modified by the previous owner: enters Shared (§3.4),
 			// last writer = previous owner.
-			t.trans(m.Addr, w.Meta.state, dirS)
+			t.Trans(m.Addr, w.Meta.state, dirS)
 			w.Meta.state = dirS
 			w.Meta.owner = prevOwner
 			t.flag2 = true // condition 2: line entered Shared
 		} else if t.cfg.SharedRO {
 			// Unmodified by the previous owner: SharedRO.
 			t.toSharedRO(now, w)
-			w.Meta.sharerBits = coarseBit(tx.Req.Requestor, t.cores)
+			w.Meta.sharerBits = coarseBit(tx.Req.Requestor, t.Cores)
 			if !m.NoCopy {
-				w.Meta.sharerBits |= coarseBit(prevOwner, t.cores)
+				w.Meta.sharerBits |= coarseBit(prevOwner, t.Cores)
 			}
 		} else {
-			t.trans(m.Addr, w.Meta.state, dirS)
+			t.Trans(m.Addr, w.Meta.state, dirS)
 			w.Meta.state = dirS
 			w.Meta.owner = prevOwner
 			t.flag2 = true
 		}
 		w.Busy = false
-		t.txs.Del(m.Addr, tx, true)
-		t.txs.DrainWaiting(now, m.Addr)
+		t.Txs.Del(m.Addr, tx, true)
+		t.Txs.DrainWaiting(now, m.Addr)
 	case txEvict:
 		if m.Dirty {
 			copy(w.Data[:], m.Data)
@@ -688,33 +532,33 @@ func (t *L2) handleWBData(now sim.Cycle, m *coherence.Msg) {
 		}
 		t.finishEvict(now, w)
 	default:
-		panic(fmt.Sprintf("tsocc: L2 %d cycle %d: WBData in tx kind %d", t.id, now, tx.Kind))
+		panic(fmt.Sprintf("tsocc: L2 %d cycle %d: WBData in tx kind %d", t.ID, now, tx.Kind))
 	}
 }
 
 func (t *L2) finishEvict(now sim.Cycle, w *memsys.Way[l2Line]) {
 	addr := w.Tag
 	if w.Meta.dirty {
-		t.mem.WriteBlock(addr, w.Data[:])
+		t.Mem.WriteBlock(addr, w.Data[:])
 		t.flag1 = true
 	}
-	tx, _ := t.txs.Get(addr)
-	t.txs.Del(addr, tx, false)
-	t.trans(addr, w.Meta.state, 0)
+	tx, _ := t.Txs.Get(addr)
+	t.Txs.Del(addr, tx, false)
+	t.Trans(addr, w.Meta.state, 0)
 	t.cache.Invalidate(w)
-	t.txs.DrainWaiting(now, addr)
+	t.Txs.DrainWaiting(now, addr)
 }
 
 func (t *L2) handlePut(now sim.Cycle, m *coherence.Msg) {
-	if t.txs.BusyLine(m.Addr) {
-		t.txs.EnqueueWaiting(m)
+	if t.Txs.BusyLine(m.Addr) {
+		t.Txs.EnqueueWaiting(m)
 		return
 	}
 	w := t.cache.Peek(m.Addr)
 	if w == nil || w.Meta.state != dirX || w.Meta.owner != m.Src {
 		// Stale writeback (ownership moved while the Put was in
 		// flight): acknowledge and drop.
-		t.sendPutAck(now, m.Src, m.Addr)
+		t.SendPutAck(now, m.Src, m.Addr)
 		return
 	}
 	if m.Type == coherence.MsgPutM {
@@ -728,11 +572,11 @@ func (t *L2) handlePut(now sim.Cycle, m *coherence.Msg) {
 		}
 		t.noteWriterTS(m.Src, m)
 	}
-	t.trans(m.Addr, w.Meta.state, dirV)
+	t.Trans(m.Addr, w.Meta.state, dirV)
 	w.Meta.state = dirV
 	// Keep owner as last-writer for timestamp responses.
-	t.sendPutAck(now, m.Src, m.Addr)
+	t.SendPutAck(now, m.Src, m.Addr)
 }
 
-// PrewarmStorage implements coherence.StoragePrewarmer.
+// PrewarmStorage implements coherence.Controller.
 func (t *L2) PrewarmStorage() { t.cache.Prewarm() }

@@ -44,43 +44,40 @@ func (p buggyMESI) Name() string { return p.inner.Name() }
 func (p buggyMESI) Build(cfg config.System, net coherence.Network, mem coherence.Memory) ([]coherence.L1Like, []coherence.Controller) {
 	l1s, l2s := p.inner.Build(cfg, net, mem)
 	for i, l1 := range l1s {
-		l1s[i] = &buggyL1{L1Like: l1}
+		l1s[i] = newBuggyL1(l1)
 	}
 	return l1s, l2s
 }
 
+// buggyL1 presents its own probe surface to the system layer and
+// installs interposers on the real L1's: transitions pass through to
+// whatever sink the oracle set, evict-fault fires pass through too, and
+// the buggyTrigger-th one also reports the illegal M → E transition.
 type buggyL1 struct {
 	coherence.L1Like
-	sink  func(addr uint64, from, to int)
+	probe coherence.Probe
 	fires int
 }
 
-// SetTransitionSink intercepts the oracle's sink so the wrapper can
-// inject its bogus report, then forwards it to the real L1.
-func (b *buggyL1) SetTransitionSink(f func(addr uint64, from, to int)) {
-	b.sink = f
-	if tr, ok := b.L1Like.(coherence.TransitionReporter); ok {
-		tr.SetTransitionSink(f)
-	}
-}
-
-// SetEvictFault wraps the injector's hook: fires pass through, and the
-// buggyTrigger-th one also reports the illegal M → E transition.
-func (b *buggyL1) SetEvictFault(g func() bool) {
-	wrapped := func() bool {
-		fired := g()
+func newBuggyL1(inner coherence.L1Like) *buggyL1 {
+	b := &buggyL1{L1Like: inner}
+	real := inner.Hooks()
+	real.Transition = b.probe.Trans
+	real.EvictFault = func() bool {
+		fired := b.probe.EvictFault != nil && b.probe.EvictFault()
 		if fired {
 			b.fires++
-			if b.fires == buggyTrigger && b.sink != nil {
-				b.sink(0xbad0, mesiL1M, mesiL1E)
+			if b.fires == buggyTrigger {
+				b.probe.Trans(0xbad0, mesiL1M, mesiL1E)
 			}
 		}
 		return fired
 	}
-	if ef, ok := b.L1Like.(coherence.EvictFaulter); ok {
-		ef.SetEvictFault(wrapped)
-	}
+	return b
 }
+
+// Hooks shadows the embedded L1's so the system layer arms the wrapper.
+func (b *buggyL1) Hooks() *coherence.Probe { return &b.probe }
 
 func TestSeededLegalityBugShrinks(t *testing.T) {
 	e := workloads.ByName("ssca2")
