@@ -89,12 +89,14 @@ repo-bench-compare:
 	$(GO) run ./bench -compare $(A) $(B)
 
 # Short fuzz iterations (the CI fuzz smoke): the trace codec round-trip
-# property (the corpus grows under internal/trace/testdata) and the
+# property (the corpus grows under internal/trace/testdata), the
 # wake-set scheduler's scan-all reference properties over fuzzed
-# scenario seeds.
+# scenario seeds, and "whatever config.Validate accepts builds and
+# prewarms inside its footprint bound".
 fuzz-smoke:
 	$(GO) test -run xxx -fuzz FuzzTraceRoundTrip -fuzztime 10s ./internal/trace
 	$(GO) test -run xxx -fuzz FuzzWakeWheel -fuzztime 10s ./internal/sim
+	$(GO) test -run xxx -fuzz FuzzValidateBuilds -fuzztime 10s ./internal/system
 
 # Fault-injection smoke: the litmus suite with invariant oracles armed
 # under two fault profiles × two protocols (mirrors the CI fault job);

@@ -4,6 +4,9 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/internal/config"
+	"repro/internal/trace"
 )
 
 // TestRecordRejectsBadCores: record hands the core count to a workload
@@ -33,5 +36,31 @@ func TestSynthRefusesNegatives(t *testing.T) {
 	}
 	if err := cmdSynth([]string{"-cores", "0", "-ops", "0", "-o", out}); err != nil {
 		t.Fatalf("synth with 0 (= default) sizes: %v", err)
+	}
+}
+
+// TestReplayRefusesHostileGeometry: replay builds the machine from the
+// file's header, so a header carrying a geometry that used to panic in
+// memsys.NewCache, build a bigger cache than declared, or run the host
+// out of memory must come back as config.Validate's one-line error.
+func TestReplayRefusesHostileGeometry(t *testing.T) {
+	for _, tc := range []struct {
+		field string
+		mut   func(*config.System)
+	}{
+		{"L1Size", func(s *config.System) { s.L1Size = 3000 }},
+		{"L1Size", func(s *config.System) { s.L1Size, s.L1Ways = 64, 4 }},
+		{"WriteBuffer", func(s *config.System) { s.WriteBuffer = 1 << 40 }},
+	} {
+		tr := trace.Zipf(trace.SynthParams{Cores: 2, OpsPerCore: 16, Seed: 1})
+		tc.mut(&tr.Meta.Sys)
+		path := filepath.Join(t.TempDir(), "hostile.trc")
+		if _, err := writeTrace(path, tr); err != nil {
+			t.Fatal(err)
+		}
+		err := cmdReplay([]string{"-i", path, "-proto", "MESI"})
+		if err == nil || !strings.Contains(err.Error(), tc.field) || strings.Contains(err.Error(), "\n") {
+			t.Errorf("replay with hostile %s: error %v; want one line naming the field", tc.field, err)
+		}
 	}
 }

@@ -29,10 +29,11 @@ type Controller interface {
 	// Hooks returns the controller's probe surface; the system layer
 	// sets fields on it at build time (see Probe).
 	Hooks() *Probe
-	// PrewarmStorage materializes the controller's lazily allocated
-	// cache array (memsys.Cache chunks). Timing harnesses prewarm every
-	// controller before starting the clock so first-touch chunk
-	// allocation lands in setup, not the measured run; everything else
+	// PrewarmStorage materializes the tag records of the controller's
+	// lazily allocated cache array (memsys.Cache.Prewarm). Timing
+	// harnesses prewarm every controller before starting the clock so
+	// tag-chunk allocation lands in setup, not the measured run; data
+	// blocks still arrive with the lines the run fills. Everything else
 	// keeps the lazy footprint.
 	PrewarmStorage()
 }

@@ -5,12 +5,25 @@
 // protocol independent.
 package coherence
 
-import "fmt"
+import (
+	"fmt"
+
+	"repro/internal/config"
+)
 
 // NodeID names a protocol endpoint. L1 controllers (one per core) occupy
 // IDs [0, N); the NUCA L2 tiles occupy [N, 2N). L1 i and L2 tile i are
 // co-located at mesh router i, matching a tiled CMP floorplan.
 type NodeID int
+
+// OwnerID is a NodeID at the width per-line directory metadata stores
+// it. A line's owner or last writer is always an L1 — an id in
+// [0, MaxCores) — or -1 for none, and the field sits in every L2 way
+// of the machine, so its width is host footprint (see memsys.Way).
+type OwnerID int16
+
+// Node widens o back to the NodeID messages carry.
+func (o OwnerID) Node() NodeID { return NodeID(o) }
 
 // L1ID returns the NodeID of core i's L1 controller.
 func L1ID(core int) NodeID { return NodeID(core) }
@@ -97,7 +110,7 @@ func (t MsgType) CarriesData() bool {
 
 // Wire sizing, matching the paper's GARNET configuration (Table 2).
 const (
-	BlockSize  = 64 // bytes per cache block
+	BlockSize  = config.BlockSize // bytes per cache block
 	BlockShift = 6
 	FlitBytes  = 16
 	// BlockFlits is the flit count of a data-carrying message:

@@ -181,13 +181,50 @@ func Small(cores int) System {
 	}
 }
 
+// BlockSize is the cache block size in bytes (coherence.BlockSize is
+// defined from it); array geometry is validated against it.
+const BlockSize = 64
+
+// Bounds on the fields that size host memory or simulated time. They
+// sit far above the paper's values (Table 2: 32 KB and 1 MB arrays, a
+// 32-entry write buffer, memory at 230 cycles) and low enough that no
+// configuration Validate accepts — a trace header supplies one from
+// outside the program — can overflow a cycle count or allocate beyond
+// Cores × the arrays' tag records (system.FuzzValidateBuilds).
+const (
+	MaxCacheSize   = 16 << 20 // bytes, per L1 and per L2 tile
+	MaxWriteBuffer = 1 << 10  // entries per core
+	MaxLatency     = 1 << 20  // cycles, each latency field
+)
+
+// checkArray validates one cache array's geometry: memsys.NewCache
+// needs a whole, power-of-two number of sets of ways × BlockSize bytes.
+func checkArray(sizeField string, size int, waysField string, ways int) error {
+	if ways <= 0 {
+		return fmt.Errorf("config: %s %d must be positive", waysField, ways)
+	}
+	if size <= 0 || size > MaxCacheSize {
+		return fmt.Errorf("config: %s %d must be in [1, %d] bytes", sizeField, size, MaxCacheSize)
+	}
+	if ways > size/BlockSize || size%(ways*BlockSize) != 0 {
+		return fmt.Errorf("config: %s %d is not a multiple of %s × %d-byte blocks (%d × %d)",
+			sizeField, size, waysField, BlockSize, ways, BlockSize)
+	}
+	if sets := size / (ways * BlockSize); sets&(sets-1) != 0 {
+		return fmt.Errorf("config: %s %d / %s %d gives %d sets, not a power of two",
+			sizeField, size, waysField, ways, sets)
+	}
+	return nil
+}
+
 // Validate checks structural sanity, including arbitrary core counts:
 // any count in [1, MaxCores] is accepted — non-square counts get a
 // near-square (possibly ragged) mesh factorization that XY routing
 // handles — while counts beyond the widest directory sharing vector are
 // rejected explicitly rather than overflowing at run time. An explicit
 // MeshRows must leave at least one column and place every core on the
-// grid.
+// grid. Cache arrays must be buildable as declared, and the fields that
+// size host memory or simulated time stay under the Max* constants.
 func (s System) Validate() error {
 	if s.Cores <= 0 {
 		return fmt.Errorf("config: cores must be positive")
@@ -203,11 +240,22 @@ func (s System) Validate() error {
 		return fmt.Errorf("config: %d mesh rows exceed %d cores (empty rows are not routable geometry)",
 			s.MeshRows, s.Cores)
 	}
-	if s.L1Size <= 0 || s.L1Ways <= 0 || s.L2TileSize <= 0 || s.L2Ways <= 0 {
-		return fmt.Errorf("config: cache geometry must be positive")
+	if err := checkArray("L1Size", s.L1Size, "L1Ways", s.L1Ways); err != nil {
+		return err
 	}
-	if s.WriteBuffer <= 0 {
-		return fmt.Errorf("config: write buffer must be positive")
+	if err := checkArray("L2TileSize", s.L2TileSize, "L2Ways", s.L2Ways); err != nil {
+		return err
+	}
+	if s.WriteBuffer <= 0 || s.WriteBuffer > MaxWriteBuffer {
+		return fmt.Errorf("config: WriteBuffer %d must be in [1, %d] entries", s.WriteBuffer, MaxWriteBuffer)
+	}
+	for _, f := range []struct {
+		name string
+		lat  sim.Cycle
+	}{{"L1HitLat", s.L1HitLat}, {"L2AccessLat", s.L2AccessLat}, {"MemBase", s.MemBase}, {"MemSpread", s.MemSpread}} {
+		if f.lat < 0 || f.lat > MaxLatency {
+			return fmt.Errorf("config: %s %d must be in [0, %d] cycles", f.name, f.lat, MaxLatency)
+		}
 	}
 	if s.Shards < 0 {
 		return fmt.Errorf("config: shards must be non-negative")

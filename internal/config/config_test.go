@@ -1,6 +1,9 @@
 package config
 
-import "testing"
+import (
+	"strings"
+	"testing"
+)
 
 func TestPresetNames(t *testing.T) {
 	cases := map[string]TSOCC{
@@ -107,6 +110,53 @@ func TestValidateRejectsBadConfigs(t *testing.T) {
 		if err := s.Validate(); err == nil {
 			t.Fatalf("case %d: expected validation error", i)
 		}
+	}
+
+	// Geometries that used to pass Validate and then panic in
+	// memsys.NewCache, build a cache larger than declared, or exhaust
+	// host memory. Each refusal is one line naming the field.
+	for _, tc := range []struct {
+		field string
+		mut   func(*System)
+	}{
+		{"L1Size", func(s *System) { s.L1Size = 3000 }},              // 11.7 sets
+		{"L1Size", func(s *System) { s.L1Size, s.L1Ways = 64, 4 }},   // 1 line declared, 4 ways
+		{"L1Size", func(s *System) { s.L1Size = 3 * 4 * BlockSize }}, // 3 sets
+		{"L1Size", func(s *System) { s.L1Size = 0 }},
+		{"L1Size", func(s *System) { s.L1Size = 2 * MaxCacheSize }},
+		{"L1Ways", func(s *System) { s.L1Ways = 0 }},
+		{"L1Ways", func(s *System) { s.L1Ways = 1 << 62 }}, // ways × 64 overflows
+		{"L2TileSize", func(s *System) { s.L2TileSize = 1<<20 + 64 }},
+		{"L2TileSize", func(s *System) { s.L2TileSize = 1 << 40 }},
+		{"L2TileSize", func(s *System) { s.L2TileSize = 48 * 1024 }}, // 48 sets
+		{"L2Ways", func(s *System) { s.L2Ways = -16 }},
+		{"WriteBuffer", func(s *System) { s.WriteBuffer = 1 << 40 }}, // out of memory in cpu.New
+		{"WriteBuffer", func(s *System) { s.WriteBuffer = 0 }},
+		{"L1HitLat", func(s *System) { s.L1HitLat = -1 }},
+		{"L2AccessLat", func(s *System) { s.L2AccessLat = 1 << 62 }}, // cycle arithmetic overflows
+		{"MemBase", func(s *System) { s.MemBase = MaxLatency + 1 }},
+		{"MemSpread", func(s *System) { s.MemSpread = -110 }},
+	} {
+		s := Table2()
+		tc.mut(&s)
+		err := s.Validate()
+		if err == nil {
+			t.Errorf("%s: expected validation error for %+v", tc.field, s)
+			continue
+		}
+		if msg := err.Error(); !strings.Contains(msg, tc.field) || strings.Contains(msg, "\n") {
+			t.Errorf("%s: error %q should be one line naming the field", tc.field, msg)
+		}
+	}
+
+	// The bounds themselves are accepted.
+	s := Table2()
+	s.L1Size, s.L1Ways = BlockSize, 1
+	s.L2TileSize, s.L2Ways = MaxCacheSize, MaxCacheSize/BlockSize
+	s.WriteBuffer = MaxWriteBuffer
+	s.L1HitLat, s.L2AccessLat, s.MemBase, s.MemSpread = 0, MaxLatency, MaxLatency, 0
+	if err := s.Validate(); err != nil {
+		t.Errorf("boundary geometry refused: %v", err)
 	}
 }
 

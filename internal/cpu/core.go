@@ -134,7 +134,7 @@ func New(id int, prog *program.Program, port coherence.CorePort, wbEntries int) 
 		c.waker.Wake()
 	}
 	c.storeCb = func() {
-		c.wbHead = (c.wbHead + 1) % len(c.wb)
+		c.wbHead = c.wbSlot(1)
 		c.wbLen--
 		c.wbInFlight = false
 		c.waker.Wake()
@@ -510,12 +510,24 @@ func (c *Core) effAddr(in program.Instr) uint64 {
 	return a
 }
 
+// wbSlot maps the i-th oldest write-buffer entry (0 <= i <= wbLen) to
+// its ring index. wbHead+i stays below 2*len(wb), so one compare wraps
+// it: the depth is a run-time value and a modulo here is a division on
+// every store, drain and forwarded-load probe.
+func (c *Core) wbSlot(i int) int {
+	s := c.wbHead + i
+	if s >= len(c.wb) {
+		s -= len(c.wb)
+	}
+	return s
+}
+
 func (c *Core) doLoad(now sim.Cycle, in program.Instr) bool {
 	addr := c.effAddr(in)
 	// Store→load forwarding: newest matching write-buffer entry wins.
 	// TSO requires reads of pending writes to see them.
 	for i := c.wbLen - 1; i >= 0; i-- {
-		e := &c.wb[(c.wbHead+i)%len(c.wb)]
+		e := &c.wb[c.wbSlot(i)]
 		if e.addr == addr {
 			c.regs[in.Dst] = int64(e.val)
 			c.Loads.Inc()
@@ -560,7 +572,7 @@ func (c *Core) doStore(now sim.Cycle, in program.Instr) bool {
 		return false // write buffer full; retry
 	}
 	e := wbEntry{addr: c.effAddr(in), val: uint64(c.regs[in.B])}
-	c.wb[(c.wbHead+c.wbLen)%len(c.wb)] = e
+	c.wb[c.wbSlot(c.wbLen)] = e
 	c.wbLen++
 	c.Stores.Inc()
 	if c.trace != nil {

@@ -5,42 +5,49 @@
 package memsys
 
 import (
+	"encoding/binary"
 	"fmt"
+	"reflect"
 
 	"repro/internal/coherence"
 	"repro/internal/sim"
 	"repro/internal/stats"
 )
 
-// Way is one cache way: the tag/valid/LRU bookkeeping plus a functional
-// data block and protocol-specific metadata of type L. The data block
-// is embedded, not sliced from a shared array: as long as L is
-// pointer-free the whole way array is too, so the GC never scans cache
-// storage — at 64+ cores that storage is most of the live heap, and
-// mark-phase scans of per-way Data slice headers were a top-five
-// profile entry. Tag+data colocation also puts the block on the same
-// cache lines the tag match just pulled in.
+// Way is one cache way's tag record: what a set scan reads — tag, valid
+// and busy bits, LRU stamp — plus protocol-specific metadata of type L
+// and a handle to the way's data block. The block itself lives in the
+// owning cache's slab (Cache.Block), not here: a lookup compares up to
+// sixteen tags per set and reads at most one block, so keeping the 64
+// data bytes out of the record more than halves the host cache lines a
+// scan pulls in, and only ways that were ever filled cost data storage.
+// The record holds no pointer and no array; as long as L is pointer-free
+// the way arrays are too, so the GC never scans cache storage — at 64+
+// cores the tag arrays are most of the live heap.
 type Way[L any] struct {
 	Tag     uint64
+	lastUse int64
+	blk     uint32 // slab handle + 1; 0 until the first Install
 	Valid   bool
 	Busy    bool // a transaction holds this line (blocking directory / MSHR)
-	lastUse int64
-	Data    [coherence.BlockSize]byte
 	Meta    L
 }
 
-// Cache is a set-associative array indexed by block address. Storage is
-// array-backed in chunks of contiguous sets: within a chunk every way
-// lives in one slice and every data block is a window into one byte
-// array, so walking a set touches adjacent memory instead of chasing
-// per-way pointers. Chunks materialize on first install: a 256-tile
-// machine builds hundreds of MB of nominal cache capacity, and eagerly
-// zeroing it dominated large-machine profiles (41% of a 64-core run in
-// memclr) while most sets were never touched. Lookups into an
-// unmaterialized chunk are misses by construction — laziness is
-// invisible to replacement order and simulation results.
+// Cache is a set-associative array indexed by block address, stored as
+// two pointer-free structures. Tag records (Way) are array-backed in
+// chunks of contiguous sets, so walking a set touches adjacent memory;
+// chunks materialize on first install or all at once in Prewarm: a
+// 256-tile machine declares hundreds of MB of nominal capacity, and
+// lookups into an unmaterialized chunk are misses by construction, so
+// laziness is invisible to replacement order and simulation results.
+// Data blocks come from a slab that grows by slabBlocks at a time: a
+// way is handed a block on its first Install and keeps it for life, so
+// data storage follows the blocks a run touches, not the capacity the
+// geometry declares.
 type Cache[L any] struct {
 	chunks     []cacheChunk[L]
+	slab       []*slabChunk // fixed-size, never moved: Block slices stay valid as it grows
+	slabUsed   uint32       // blocks handed out
 	setMask    uint64
 	perSet     int
 	numSets    int
@@ -52,18 +59,49 @@ type Cache[L any] struct {
 // cacheChunk is one lazily-allocated group of contiguous sets; ways is
 // nil until the first Victim call targets the chunk.
 type cacheChunk[L any] struct {
-	ways []Way[L] // set-major within the chunk, data embedded per way
+	ways []Way[L] // set-major within the chunk
 }
 
 // chunkTargetSets bounds how many sets materialize per chunk: 64 sets
-// of a 16-way L2 tile is 64KB of data — big enough to amortize the
-// allocation, small enough that a tile touching one hot page doesn't
-// pay for the whole megabyte.
+// of a 16-way L2 tile is 1024 tag records — big enough to amortize the
+// allocation, small enough that a sparse conformance run touching one
+// hot page doesn't pay for the whole tile.
 const chunkTargetSets = 64
+
+// slabBlocks is the slab's growth step: 16 KiB of data per allocation,
+// half a Table 2 L1, 1/64 of an L2 tile.
+const (
+	slabShift  = 8
+	slabBlocks = 1 << slabShift
+)
+
+type slabChunk [slabBlocks][coherence.BlockSize]byte
+
+// PointerFree reports whether a value of type t holds no pointer
+// anywhere inside it: the property of Way[L] that keeps way arrays out
+// of GC scans. Protocol packages pin it for their line types in tests.
+func PointerFree(t reflect.Type) bool {
+	switch t.Kind() {
+	case reflect.Pointer, reflect.UnsafePointer, reflect.Slice, reflect.String,
+		reflect.Map, reflect.Chan, reflect.Func, reflect.Interface:
+		return false
+	case reflect.Array:
+		return PointerFree(t.Elem())
+	case reflect.Struct:
+		for i := 0; i < t.NumField(); i++ {
+			if !PointerFree(t.Field(i).Type) {
+				return false
+			}
+		}
+	}
+	return true
+}
 
 // NewCache builds a cache of sizeBytes capacity with the given
 // associativity, 64-byte blocks. Only the chunk directory is allocated
-// here; way and data storage materializes per chunk on first install.
+// here; tag chunks and data blocks materialize on first install. The
+// geometry panics are programmer-error asserts: configurations from
+// outside the program are refused by config.System.Validate first.
 func NewCache[L any](sizeBytes, ways int) *Cache[L] {
 	if sizeBytes <= 0 || ways <= 0 {
 		panic("memsys: invalid cache geometry")
@@ -94,10 +132,12 @@ func NewCache[L any](sizeBytes, ways int) *Cache[L] {
 	}
 }
 
-// Prewarm materializes every chunk up front. Timing harnesses call it
-// (via the machine) before starting the clock, so first-touch
-// allocation cost lands in setup instead of the measured run; sparse
-// workloads and conformance tests skip it and keep the lazy footprint.
+// Prewarm materializes every tag chunk up front. Timing harnesses call
+// it (via the machine) before starting the clock, so the measured run
+// never allocates tag storage; sparse workloads and conformance tests
+// skip it and keep the lazy footprint. Data blocks are not pre-faulted:
+// they stay proportional to the blocks the run fills, at the cost of
+// one slabChunk allocation per slabBlocks first fills of a cache.
 func (c *Cache[L]) Prewarm() {
 	for i := range c.chunks {
 		if c.chunks[i].ways == nil {
@@ -186,20 +226,40 @@ func (c *Cache[L]) Victim(addr uint64) *Way[L] {
 	return lru
 }
 
+// Block returns w's data block: a 64-byte window into the slab that
+// stays valid, and keeps aliasing the same line, for the cache's
+// lifetime. w must have been installed at least once; a never-filled
+// way has no block and the index below panics.
+func (c *Cache[L]) Block(w *Way[L]) []byte {
+	h := w.blk - 1
+	return c.slab[h>>slabShift][h&(slabBlocks-1)][:]
+}
+
 // Install claims way for addr, resetting data and metadata to zero
 // values. The caller is responsible for having evicted any prior line.
+// A way's first Install takes the next slab block; later ones clear the
+// block it already holds, so there is no free list to manage.
 func (c *Cache[L]) Install(w *Way[L], addr uint64) {
 	w.Tag = coherence.BlockAddr(addr)
 	w.Valid = true
 	w.Busy = false
-	w.Data = [coherence.BlockSize]byte{}
+	if w.blk == 0 {
+		if c.slabUsed>>slabShift == uint32(len(c.slab)) {
+			c.slab = append(c.slab, new(slabChunk))
+		}
+		c.slabUsed++
+		w.blk = c.slabUsed
+	} else {
+		clear(c.Block(w))
+	}
 	var zero L
 	w.Meta = zero
 	c.useClock++
 	w.lastUse = c.useClock
 }
 
-// Invalidate drops the line held by w.
+// Invalidate drops the line held by w. The way keeps its data block
+// for its next Install.
 func (c *Cache[L]) Invalidate(w *Way[L]) {
 	w.Valid = false
 	w.Busy = false
@@ -396,17 +456,11 @@ func (m *Memory) WriteWord(addr uint64, v uint64) {
 // GetWord reads the 8-byte word containing addr from block data.
 func GetWord(block []byte, addr uint64) uint64 {
 	off := addr & (coherence.BlockSize - 1) &^ 7
-	var v uint64
-	for i := 0; i < 8; i++ {
-		v |= uint64(block[off+uint64(i)]) << (8 * i)
-	}
-	return v
+	return binary.LittleEndian.Uint64(block[off : off+8])
 }
 
 // PutWord writes the 8-byte word containing addr into block data.
 func PutWord(block []byte, addr uint64, v uint64) {
 	off := addr & (coherence.BlockSize - 1) &^ 7
-	for i := 0; i < 8; i++ {
-		block[off+uint64(i)] = byte(v >> (8 * i))
-	}
+	binary.LittleEndian.PutUint64(block[off:off+8], v)
 }

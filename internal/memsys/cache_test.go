@@ -1,8 +1,10 @@
 package memsys
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"repro/internal/coherence"
 )
@@ -50,13 +52,28 @@ func TestLookupMissThenInstall(t *testing.T) {
 func TestInstallResetsState(t *testing.T) {
 	c := NewCache[meta](1<<10, 2)
 	w := c.Victim(0x40)
-	w.Data[0] = 0xAB
+	c.Install(w, 0x40)
+	blk := c.Block(w)
+	blk[0] = 0xAB
 	w.Meta.tag = 7
 	w.Busy = true
 	c.Install(w, 0x40)
-	if w.Data[0] != 0 || w.Meta.tag != 0 || w.Busy {
+	if c.Block(w)[0] != 0 || w.Meta.tag != 0 || w.Busy {
 		t.Fatal("install did not reset way state")
 	}
+	if &c.Block(w)[0] != &blk[0] {
+		t.Fatal("re-install moved the way's block")
+	}
+}
+
+func TestBlockOfNeverInstalledWayPanics(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("expected panic")
+		}
+	}()
+	c := NewCache[meta](1<<10, 2)
+	c.Block(c.Victim(0x40))
 }
 
 func TestLRUVictimSelection(t *testing.T) {
@@ -207,5 +224,41 @@ func TestMemoryLatencyBand(t *testing.T) {
 	}
 	if len(seen) < 10 {
 		t.Fatalf("latency band has only %d distinct values", len(seen))
+	}
+}
+
+func TestPointerFree(t *testing.T) {
+	type line struct {
+		bits [4]uint64
+		ts   uint32
+		own  int16
+		st   uint8
+		d    bool
+	}
+	if !PointerFree(reflect.TypeOf(Way[line]{})) {
+		t.Error("a way over a scalar-only line must be pointer-free")
+	}
+	for _, v := range []any{
+		Way[struct{ p *int }]{}, Way[struct{ s []byte }]{}, Way[struct{ s string }]{},
+		Way[struct{ m map[int]int }]{}, Way[struct{ f func() }]{}, Way[struct{ i any }]{},
+		Way[struct{ c chan int }]{}, Way[struct{ a [2]struct{ p unsafe.Pointer } }]{},
+	} {
+		if PointerFree(reflect.TypeOf(v)) {
+			t.Errorf("%T reported pointer-free", v)
+		}
+	}
+}
+
+// TestWayHoldsNoBlock: the record a set scan reads carries a handle, not
+// the 64 data bytes.
+func TestWayHoldsNoBlock(t *testing.T) {
+	typ := reflect.TypeOf(Way[struct{}]{})
+	for i := 0; i < typ.NumField(); i++ {
+		if f := typ.Field(i); f.Type.Kind() == reflect.Array {
+			t.Errorf("Way.%s is an array", f.Name)
+		}
+	}
+	if got := typ.Size(); got != 24 {
+		t.Errorf("bare way record is %d bytes, want 24", got)
 	}
 }

@@ -1,0 +1,295 @@
+package memsys
+
+import (
+	"bytes"
+	"fmt"
+	"math/rand"
+	"slices"
+	"sort"
+	"testing"
+
+	"repro/internal/coherence"
+)
+
+// refCache is the independent statement of what Cache promises: a map
+// from set index to that set's lines, each line carrying its own copy
+// of the data, with the replacement policy written the obvious way
+// (first invalid way, else the least recently used way that is not
+// busy). It knows nothing of chunks, handles or slabs.
+type refCache struct {
+	sets  map[int][]refLine
+	nSets int
+	ways  int
+	clock int64
+}
+
+type refLine struct {
+	tag     uint64
+	valid   bool
+	busy    bool
+	lastUse int64
+	data    [coherence.BlockSize]byte
+}
+
+func newRefCache(sizeBytes, ways int) *refCache {
+	return &refCache{sets: map[int][]refLine{}, nSets: sizeBytes / coherence.BlockSize / ways, ways: ways}
+}
+
+func (r *refCache) set(addr uint64) []refLine {
+	s := int(addr>>coherence.BlockShift) % r.nSets
+	if r.sets[s] == nil {
+		r.sets[s] = make([]refLine, r.ways)
+	}
+	return r.sets[s]
+}
+
+// find returns the way index holding addr, or -1.
+func (r *refCache) find(addr uint64, touch bool) int {
+	set := r.set(addr)
+	for i := range set {
+		if set[i].valid && set[i].tag == coherence.BlockAddr(addr) {
+			if touch {
+				r.clock++
+				set[i].lastUse = r.clock
+			}
+			return i
+		}
+	}
+	return -1
+}
+
+func (r *refCache) victim(addr uint64) int {
+	set, lru := r.set(addr), -1
+	for i := range set {
+		switch {
+		case set[i].busy:
+		case !set[i].valid:
+			return i
+		case lru < 0 || set[i].lastUse < set[lru].lastUse:
+			lru = i
+		}
+	}
+	return lru
+}
+
+func (r *refCache) install(addr uint64, i int) *refLine {
+	r.clock++
+	l := &r.set(addr)[i]
+	*l = refLine{tag: coherence.BlockAddr(addr), valid: true, lastUse: r.clock}
+	return l
+}
+
+// lruOrder lists the valid way indices of a set, least recently used
+// first.
+func lruOrder(n int, valid func(i int) bool, lastUse func(i int) int64) []int {
+	var order []int
+	for i := 0; i < n; i++ {
+		if valid(i) {
+			order = append(order, i)
+		}
+	}
+	sort.Slice(order, func(a, b int) bool { return lastUse(order[a]) < lastUse(order[b]) })
+	return order
+}
+
+// wayIndex locates w inside addr's set of c (-1 for nil).
+func wayIndex(c *Cache[meta], addr uint64, w *Way[meta]) int {
+	if w == nil {
+		return -1
+	}
+	set := c.setFor(coherence.BlockAddr(addr))
+	for i := range set {
+		if &set[i] == w {
+			return i
+		}
+	}
+	panic("way returned for an address outside its set")
+}
+
+// sameState compares every set of c with the referee: valid set, tags,
+// busy bits, data of every valid line, LRU order; and checks that no
+// two ways hold the same slab block.
+func sameState(c *Cache[meta], r *refCache) error {
+	owners := map[uint32]int{}
+	valid := 0
+	for s := 0; s < r.nSets; s++ {
+		addr := uint64(s) << coherence.BlockShift
+		set, ref := c.setFor(addr), r.set(addr)
+		if set == nil {
+			for i := range ref {
+				if ref[i].valid || ref[i].busy {
+					return fmt.Errorf("set %d: referee holds a line in a set the cache never materialized", s)
+				}
+			}
+			continue
+		}
+		for i := range set {
+			w, l := &set[i], &ref[i]
+			if w.Valid != l.valid || w.Busy != l.busy || (w.Valid && w.Tag != l.tag) {
+				return fmt.Errorf("set %d way %d: cache {valid %v busy %v tag %#x}, referee {valid %v busy %v tag %#x}",
+					s, i, w.Valid, w.Busy, w.Tag, l.valid, l.busy, l.tag)
+			}
+			if w.blk != 0 {
+				at := s*r.ways + i
+				if prev, dup := owners[w.blk]; dup {
+					return fmt.Errorf("set %d way %d and set %d way %d share slab block %d",
+						prev/r.ways, prev%r.ways, s, i, w.blk-1)
+				}
+				owners[w.blk] = at
+			}
+			if w.Valid {
+				valid++
+				if !bytes.Equal(c.Block(w), l.data[:]) {
+					return fmt.Errorf("set %d way %d: data differs from the referee's copy", s, i)
+				}
+			}
+		}
+		got := lruOrder(len(set), func(i int) bool { return set[i].Valid }, func(i int) int64 { return set[i].lastUse })
+		want := lruOrder(len(ref), func(i int) bool { return ref[i].valid }, func(i int) int64 { return ref[i].lastUse })
+		if !slices.Equal(got, want) {
+			return fmt.Errorf("set %d: LRU order %v, referee %v", s, got, want)
+		}
+	}
+	if n := c.CountValid(func(*Way[meta]) bool { return true }); n != valid {
+		return fmt.Errorf("ForEachValid visits %d lines, sets hold %d", n, valid)
+	}
+	if int(c.slabUsed) != len(owners) {
+		return fmt.Errorf("slab handed out %d blocks, %d ways hold one", c.slabUsed, len(owners))
+	}
+	return nil
+}
+
+// TestCacheMatchesReferee drives random operation sequences through
+// Cache and the map-backed referee and compares the complete state
+// after every operation.
+func TestCacheMatchesReferee(t *testing.T) {
+	for _, g := range []struct{ size, ways, ops int }{
+		{64, 1, 2000},        // one line
+		{4 * 64, 4, 4000},    // one set
+		{8 * 64, 2, 4000},    // four sets
+		{4 << 10, 4, 6000},   // config.Small's L2 tile
+		{16 << 10, 2, 3000},  // 128 sets: two tag chunks, one full slab chunk
+		{48 << 10, 3, 3000},  // 768 blocks: the slab grows to three chunks
+		{32 << 10, 16, 3000}, // Table 2 associativity
+	} {
+		for seed := int64(1); seed <= 3; seed++ {
+			g, seed := g, seed
+			t.Run(fmt.Sprintf("%dB-%dway/seed%d", g.size, g.ways, seed), func(t *testing.T) {
+				runReferee(t, g.size, g.ways, g.ops, seed)
+			})
+		}
+	}
+}
+
+func runReferee(t *testing.T, size, ways, ops int, seed int64) {
+	rng := rand.New(rand.NewSource(seed))
+	c, r := NewCache[meta](size, ways), newRefCache(size, ways)
+	blocks := size / coherence.BlockSize
+	pick := func() uint64 { // 4x the capacity, any byte offset
+		return uint64(rng.Intn(4*blocks))<<coherence.BlockShift | uint64(rng.Intn(coherence.BlockSize))
+	}
+	for op := 0; op < ops; op++ {
+		addr := pick()
+		what := ""
+		switch k := rng.Intn(10); {
+		case k < 2:
+			what = "Lookup"
+			if got, want := wayIndex(c, addr, c.Lookup(addr)), r.find(addr, true); got != want {
+				t.Fatalf("op %d Lookup(%#x): way %d, referee %d", op, addr, got, want)
+			}
+		case k < 3:
+			what = "Peek"
+			if got, want := wayIndex(c, addr, c.Peek(addr)), r.find(addr, false); got != want {
+				t.Fatalf("op %d Peek(%#x): way %d, referee %d", op, addr, got, want)
+			}
+		case k < 7:
+			what = "Victim+Install"
+			if r.find(addr, false) >= 0 {
+				continue // a set never holds one tag twice
+			}
+			w := c.Victim(addr)
+			i := r.victim(addr)
+			if got := wayIndex(c, addr, w); got != i {
+				t.Fatalf("op %d Victim(%#x): way %d, referee %d", op, addr, got, i)
+			}
+			if w == nil {
+				continue
+			}
+			w.Meta.tag = op
+			c.Install(w, addr)
+			l := r.install(addr, i)
+			blk := c.Block(w)
+			if w.Meta.tag != 0 || !bytes.Equal(blk, l.data[:]) {
+				t.Fatalf("op %d Install(%#x): way not zeroed (meta %d, block %x)", op, addr, w.Meta.tag, blk)
+			}
+			rng.Read(blk)
+			copy(l.data[:], blk)
+		case k < 8:
+			what = "Invalidate"
+			w, i := c.Peek(addr), r.find(addr, false)
+			if w == nil {
+				continue
+			}
+			c.Invalidate(w)
+			l := &r.set(addr)[i]
+			l.valid, l.busy = false, false
+		case k < 9:
+			what = "Busy"
+			w, i := c.Peek(addr), r.find(addr, false)
+			if w == nil {
+				continue
+			}
+			w.Busy = !w.Busy
+			r.set(addr)[i].busy = w.Busy
+		default:
+			what = "AnyBusy"
+			want := false
+			for _, l := range r.set(addr) {
+				want = want || l.busy
+			}
+			if got := c.AnyBusy(addr); got != want {
+				t.Fatalf("op %d AnyBusy(%#x) = %v, referee %v", op, addr, got, want)
+			}
+		}
+		if err := sameState(c, r); err != nil {
+			t.Fatalf("after op %d (%s %#x): %v", op, what, addr, err)
+		}
+	}
+	if max := (blocks + slabBlocks - 1) / slabBlocks; len(c.slab) > max {
+		t.Fatalf("slab grew to %d chunks for %d blocks of capacity", len(c.slab), blocks)
+	}
+}
+
+// TestBlockSurvivesSlabGrowth: a Block slice taken while the slab had
+// one chunk keeps aliasing its line after the slab has grown tenfold.
+func TestBlockSurvivesSlabGrowth(t *testing.T) {
+	c := NewCache[meta](1<<20, 16)
+	install := func(addr uint64) *Way[meta] {
+		w := c.Victim(addr)
+		c.Install(w, addr)
+		return w
+	}
+	w0 := install(0)
+	early := c.Block(w0)
+	early[5] = 0x5A
+	if len(c.slab) != 1 {
+		t.Fatalf("slab has %d chunks after one install", len(c.slab))
+	}
+	for b := 1; b < 10*slabBlocks+1; b++ {
+		install(uint64(b) << coherence.BlockShift)
+	}
+	if len(c.slab) < 10 {
+		t.Fatalf("slab has %d chunks after %d installs", len(c.slab), 10*slabBlocks+1)
+	}
+	if c.Lookup(0) != w0 {
+		t.Fatal("first line was displaced; the test needs it resident")
+	}
+	now := c.Block(w0)
+	if &now[0] != &early[0] || now[5] != 0x5A {
+		t.Fatal("the way's block moved while the slab grew")
+	}
+	early[6] = 0xA5
+	if c.Block(w0)[6] != 0xA5 {
+		t.Fatal("a write through the early slice did not reach the line")
+	}
+}

@@ -21,7 +21,7 @@ const (
 )
 
 type l1Line struct {
-	state int
+	state uint8
 }
 
 // L1 is one core's private cache controller: the shared skeleton
@@ -54,7 +54,7 @@ func (l *L1) Load(now sim.Cycle, addr uint64, cb func(uint64)) bool {
 			} else {
 				l.Stats.ReadHitPrivate.Inc()
 			}
-			l.Timers.AtVal(now+l.HitLat, cb, memsys.GetWord(w.Data[:], addr))
+			l.Timers.AtVal(now+l.HitLat, cb, memsys.GetWord(l.cache.Block(w), addr))
 			return true
 		}
 	}
@@ -73,9 +73,9 @@ func (l *L1) Store(now sim.Cycle, addr uint64, val uint64, cb func()) bool {
 		if l.EvictFault != nil && !w.Busy && l.EvictFault() {
 			l.evictLine(now, w) // forced early self-eviction; take the miss path
 		} else {
-			l.Trans(blk, w.Meta.state, stateM)
+			l.Trans(blk, int(w.Meta.state), stateM)
 			w.Meta.state = stateM
-			memsys.PutWord(w.Data[:], addr, val)
+			memsys.PutWord(l.cache.Block(w), addr, val)
 			l.Stats.WriteHitPrivate.Inc()
 			l.Timers.AtDone(now+1, cb)
 			return true
@@ -95,10 +95,10 @@ func (l *L1) RMW(now sim.Cycle, addr uint64, f func(uint64) (uint64, bool), cb f
 		if l.EvictFault != nil && !w.Busy && l.EvictFault() {
 			l.evictLine(now, w) // forced early self-eviction; take the miss path
 		} else {
-			old := memsys.GetWord(w.Data[:], addr)
+			old := memsys.GetWord(l.cache.Block(w), addr)
 			if nv, doWrite := f(old); doWrite {
-				memsys.PutWord(w.Data[:], addr, nv)
-				l.Trans(blk, w.Meta.state, stateM)
+				memsys.PutWord(l.cache.Block(w), addr, nv)
+				l.Trans(blk, int(w.Meta.state), stateM)
 				w.Meta.state = stateM
 			}
 			l.Stats.WriteHitPrivate.Inc()
@@ -191,7 +191,7 @@ func (l *L1) completeWrite(now sim.Cycle, data []byte) {
 	w := l.cache.Peek(tx.Addr)
 	from := 0
 	if w != nil {
-		from = w.Meta.state
+		from = int(w.Meta.state)
 	}
 	if data != nil {
 		// Fresh data arrived; (re)install the line.
@@ -203,18 +203,18 @@ func (l *L1) completeWrite(now sim.Cycle, data []byte) {
 	w.Busy = false
 	l.Trans(tx.Addr, from, stateM)
 	w.Meta.state = stateM
-	old := memsys.GetWord(w.Data[:], tx.WordAddr)
+	old := memsys.GetWord(l.cache.Block(w), tx.WordAddr)
 	if nv, wrote := tx.Apply(old); wrote {
-		memsys.PutWord(w.Data[:], tx.WordAddr, nv)
+		memsys.PutWord(l.cache.Block(w), tx.WordAddr, nv)
 	}
 	l.FinishWrite(now, old)
 }
 
-func (l *L1) completeRead(now sim.Cycle, m *coherence.Msg, state int) {
+func (l *L1) completeRead(now sim.Cycle, m *coherence.Msg, state uint8) {
 	tx, install := l.PendingRead(now, m)
 	if install {
 		w, from := l.install(now, m.Addr, m.Data)
-		l.Trans(m.Addr, from, state)
+		l.Trans(m.Addr, from, int(state))
 		w.Meta.state = state
 	}
 	l.FinishRead(now, memsys.GetWord(m.Data, tx.WordAddr))
@@ -224,8 +224,8 @@ func (l *L1) completeRead(now sim.Cycle, m *coherence.Msg, state int) {
 // prior state (0 when freshly installed) for transition reporting.
 func (l *L1) install(now sim.Cycle, addr uint64, data []byte) (*memsys.Way[l1Line], int) {
 	if w := l.cache.Peek(addr); w != nil {
-		copy(w.Data[:], data)
-		return w, w.Meta.state
+		copy(l.cache.Block(w), data)
+		return w, int(w.Meta.state)
 	}
 	w := l.cache.Victim(addr)
 	if w == nil {
@@ -235,23 +235,23 @@ func (l *L1) install(now sim.Cycle, addr uint64, data []byte) (*memsys.Way[l1Lin
 		l.evictLine(now, w)
 	}
 	l.cache.Install(w, addr)
-	copy(w.Data[:], data)
+	copy(l.cache.Block(w), data)
 	return w, 0
 }
 
 func (l *L1) evictLine(now sim.Cycle, w *memsys.Way[l1Line]) {
 	addr := w.Tag
-	l.Trans(addr, w.Meta.state, 0)
+	l.Trans(addr, int(w.Meta.state), 0)
 	switch w.Meta.state {
 	case stateS:
 		l.Send(now, coherence.Msg{Type: coherence.MsgPutS, Dst: l.Home(addr), Addr: addr}, nil)
 	case stateE:
-		l.BufferEvict(addr, w.Data[:], false)
+		l.BufferEvict(addr, l.cache.Block(w), false)
 		l.Send(now, coherence.Msg{Type: coherence.MsgPutE, Dst: l.Home(addr), Addr: addr}, nil)
 	case stateM:
-		l.BufferEvict(addr, w.Data[:], true)
+		l.BufferEvict(addr, l.cache.Block(w), true)
 		l.Send(now, coherence.Msg{Type: coherence.MsgPutM, Dst: l.Home(addr), Addr: addr,
-			Dirty: true}, w.Data[:])
+			Dirty: true}, l.cache.Block(w))
 	}
 	l.cache.Invalidate(w)
 }
@@ -259,11 +259,11 @@ func (l *L1) evictLine(now sim.Cycle, w *memsys.Way[l1Line]) {
 func (l *L1) handleFwdGetS(now sim.Cycle, m *coherence.Msg) {
 	if w := l.cache.Peek(m.Addr); w != nil && w.Meta.state != stateS {
 		dirty := w.Meta.state == stateM
-		l.Trans(m.Addr, w.Meta.state, stateS)
+		l.Trans(m.Addr, int(w.Meta.state), stateS)
 		w.Meta.state = stateS
-		l.Send(now, coherence.Msg{Type: coherence.MsgDataOwner, Dst: m.Requestor, Addr: m.Addr}, w.Data[:])
+		l.Send(now, coherence.Msg{Type: coherence.MsgDataOwner, Dst: m.Requestor, Addr: m.Addr}, l.cache.Block(w))
 		l.Send(now, coherence.Msg{Type: coherence.MsgWBData, Dst: l.Home(m.Addr), Addr: m.Addr,
-			Dirty: dirty}, w.Data[:])
+			Dirty: dirty}, l.cache.Block(w))
 		return
 	}
 	if e := l.ForwardEvicted(m.Addr); e != nil {
@@ -278,8 +278,8 @@ func (l *L1) handleFwdGetS(now sim.Cycle, m *coherence.Msg) {
 func (l *L1) handleFwdGetX(now sim.Cycle, m *coherence.Msg) {
 	if w := l.cache.Peek(m.Addr); w != nil && w.Meta.state != stateS {
 		l.Send(now, coherence.Msg{Type: coherence.MsgDataOwner, Dst: m.Requestor, Addr: m.Addr,
-			Dirty: w.Meta.state == stateM}, w.Data[:])
-		l.Trans(m.Addr, w.Meta.state, 0)
+			Dirty: w.Meta.state == stateM}, l.cache.Block(w))
+		l.Trans(m.Addr, int(w.Meta.state), 0)
 		l.cache.Invalidate(w)
 		return
 	}
@@ -295,11 +295,11 @@ func (l *L1) handleInv(now sim.Cycle, m *coherence.Msg) {
 	l.Stats.InvalidationsReceived.Inc()
 	l.SquashRead(m.Addr)
 	if w := l.cache.Peek(m.Addr); w != nil {
-		l.Trans(m.Addr, w.Meta.state, 0)
+		l.Trans(m.Addr, int(w.Meta.state), 0)
 		if w.Meta.state != stateS {
 			// Directory recall of an exclusive line (L2 eviction).
 			l.Send(now, coherence.Msg{Type: coherence.MsgWBData, Dst: m.Src, Addr: m.Addr,
-				Dirty: w.Meta.state == stateM}, w.Data[:])
+				Dirty: w.Meta.state == stateM}, l.cache.Block(w))
 			l.cache.Invalidate(w)
 			return
 		}

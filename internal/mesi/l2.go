@@ -16,9 +16,9 @@ const (
 )
 
 type l2Line struct {
-	state   int
 	sharers coherence.CoreSet // full sharing vector (bit per core)
-	owner   coherence.NodeID
+	owner   coherence.OwnerID
+	state   uint8
 	dirty   bool // data newer than memory
 }
 
@@ -131,7 +131,7 @@ func (t *L2) filled(addr uint64) []byte {
 	t.Trans(addr, 0, dirV)
 	way.Meta.state = dirV
 	way.Busy = false
-	return way.Data[:]
+	return t.cache.Block(way)
 }
 
 // evictLine evicts v. It returns true if the eviction completed
@@ -142,7 +142,7 @@ func (t *L2) evictLine(now sim.Cycle, v *memsys.Way[l2Line]) bool {
 	switch v.Meta.state {
 	case dirV:
 		if v.Meta.dirty {
-			t.Mem.WriteBlock(addr, v.Data[:])
+			t.Mem.WriteBlock(addr, t.cache.Block(v))
 		}
 		t.Trans(addr, dirV, 0)
 		t.cache.Invalidate(v)
@@ -159,7 +159,7 @@ func (t *L2) evictLine(now sim.Cycle, v *memsys.Way[l2Line]) bool {
 		t.Txs.New(addr, txEvict, nil, n)
 		return false
 	case dirX:
-		t.SendAfterAccess(now, coherence.Msg{Type: coherence.MsgInv, Dst: v.Meta.owner, Addr: addr}, nil)
+		t.SendAfterAccess(now, coherence.Msg{Type: coherence.MsgInv, Dst: v.Meta.owner.Node(), Addr: addr}, nil)
 		v.Busy = true
 		t.Txs.New(addr, txEvict, nil, 1)
 		return false
@@ -174,17 +174,17 @@ func (t *L2) serveGetS(now sim.Cycle, m *coherence.Msg, w *memsys.Way[l2Line]) {
 		w.Busy = true
 		tx := t.Txs.New(m.Addr, txAwaitAck, m, 0)
 		tx.NextOwner = m.Requestor
-		t.SendAfterAccess(now, coherence.Msg{Type: coherence.MsgDataE, Dst: m.Requestor, Addr: m.Addr}, w.Data[:])
+		t.SendAfterAccess(now, coherence.Msg{Type: coherence.MsgDataE, Dst: m.Requestor, Addr: m.Addr}, t.cache.Block(w))
 	case dirS:
 		w.Meta.sharers.Add(int(m.Requestor))
-		t.SendAfterAccess(now, coherence.Msg{Type: coherence.MsgDataS, Dst: m.Requestor, Addr: m.Addr}, w.Data[:])
+		t.SendAfterAccess(now, coherence.Msg{Type: coherence.MsgDataS, Dst: m.Requestor, Addr: m.Addr}, t.cache.Block(w))
 	case dirX:
-		if w.Meta.owner == m.Requestor {
+		if w.Meta.owner.Node() == m.Requestor {
 			panic(fmt.Sprintf("mesi: L2 %d cycle %d: GetS from current owner %s", t.ID, now, m))
 		}
 		w.Busy = true
 		t.Txs.New(m.Addr, txFwdGetS, m, 0)
-		t.SendAfterAccess(now, coherence.Msg{Type: coherence.MsgFwdGetS, Dst: w.Meta.owner, Addr: m.Addr, Requestor: m.Requestor}, nil)
+		t.SendAfterAccess(now, coherence.Msg{Type: coherence.MsgFwdGetS, Dst: w.Meta.owner.Node(), Addr: m.Addr, Requestor: m.Requestor}, nil)
 	}
 }
 
@@ -194,7 +194,7 @@ func (t *L2) serveGetX(now sim.Cycle, m *coherence.Msg, w *memsys.Way[l2Line]) {
 		w.Busy = true
 		tx := t.Txs.New(m.Addr, txAwaitAck, m, 0)
 		tx.NextOwner = m.Requestor
-		t.SendAfterAccess(now, coherence.Msg{Type: coherence.MsgDataE, Dst: m.Requestor, Addr: m.Addr}, w.Data[:])
+		t.SendAfterAccess(now, coherence.Msg{Type: coherence.MsgDataE, Dst: m.Requestor, Addr: m.Addr}, t.cache.Block(w))
 	case dirS:
 		isUpgrade := w.Meta.sharers.Has(int(m.Requestor))
 		others := 0
@@ -214,13 +214,13 @@ func (t *L2) serveGetX(now sim.Cycle, m *coherence.Msg, w *memsys.Way[l2Line]) {
 			tx.NextOwner, tx.IsUpgrade = m.Requestor, isUpgrade
 		}
 	case dirX:
-		if w.Meta.owner == m.Requestor {
+		if w.Meta.owner.Node() == m.Requestor {
 			panic(fmt.Sprintf("mesi: L2 %d cycle %d: GetX from current owner %s", t.ID, now, m))
 		}
 		w.Busy = true
 		tx := t.Txs.New(m.Addr, txFwdGetX, m, 0)
 		tx.NextOwner = m.Requestor
-		t.SendAfterAccess(now, coherence.Msg{Type: coherence.MsgFwdGetX, Dst: w.Meta.owner, Addr: m.Addr, Requestor: m.Requestor}, nil)
+		t.SendAfterAccess(now, coherence.Msg{Type: coherence.MsgFwdGetX, Dst: w.Meta.owner.Node(), Addr: m.Addr, Requestor: m.Requestor}, nil)
 	}
 }
 
@@ -228,7 +228,7 @@ func (t *L2) grantX(now sim.Cycle, m *coherence.Msg, w *memsys.Way[l2Line], isUp
 	if isUpgrade {
 		t.SendAfterAccess(now, coherence.Msg{Type: coherence.MsgUpgAck, Dst: m.Requestor, Addr: m.Addr}, nil)
 	} else {
-		t.SendAfterAccess(now, coherence.Msg{Type: coherence.MsgDataE, Dst: m.Requestor, Addr: m.Addr}, w.Data[:])
+		t.SendAfterAccess(now, coherence.Msg{Type: coherence.MsgDataE, Dst: m.Requestor, Addr: m.Addr}, t.cache.Block(w))
 	}
 }
 
@@ -238,9 +238,9 @@ func (t *L2) handleAck(now sim.Cycle, m *coherence.Msg) {
 		panic(fmt.Sprintf("mesi: L2 %d cycle %d: stray Ack %s", t.ID, now, m))
 	}
 	w := t.cache.Peek(m.Addr)
-	t.Trans(m.Addr, w.Meta.state, dirX)
+	t.Trans(m.Addr, int(w.Meta.state), dirX)
 	w.Meta.state = dirX
-	w.Meta.owner = tx.NextOwner
+	w.Meta.owner = coherence.OwnerID(tx.NextOwner)
 	w.Meta.sharers = coherence.CoreSet{}
 	w.Busy = false
 	t.Txs.Del(m.Addr, tx, true)
@@ -272,12 +272,12 @@ func (t *L2) handleWBData(now sim.Cycle, m *coherence.Msg) {
 	w := t.cache.Peek(m.Addr)
 	switch tx.Kind {
 	case txFwdGetS:
-		copy(w.Data[:], m.Data)
+		copy(t.cache.Block(w), m.Data)
 		if m.Dirty {
 			w.Meta.dirty = true
 		}
-		prevOwner := w.Meta.owner
-		t.Trans(m.Addr, w.Meta.state, dirS)
+		prevOwner := w.Meta.owner.Node()
+		t.Trans(m.Addr, int(w.Meta.state), dirS)
 		w.Meta.state = dirS
 		w.Meta.sharers = coherence.CoreSet{}
 		w.Meta.sharers.Add(int(tx.Req.Requestor))
@@ -291,7 +291,7 @@ func (t *L2) handleWBData(now sim.Cycle, m *coherence.Msg) {
 		t.Txs.DrainWaiting(now, m.Addr)
 	case txEvict:
 		if m.Dirty {
-			copy(w.Data[:], m.Data)
+			copy(t.cache.Block(w), m.Data)
 			w.Meta.dirty = true
 		}
 		t.finishEvict(now, w)
@@ -303,11 +303,11 @@ func (t *L2) handleWBData(now sim.Cycle, m *coherence.Msg) {
 func (t *L2) finishEvict(now sim.Cycle, w *memsys.Way[l2Line]) {
 	addr := w.Tag
 	if w.Meta.dirty {
-		t.Mem.WriteBlock(addr, w.Data[:])
+		t.Mem.WriteBlock(addr, t.cache.Block(w))
 	}
 	tx, _ := t.Txs.Get(addr)
 	t.Txs.Del(addr, tx, false)
-	t.Trans(addr, w.Meta.state, 0)
+	t.Trans(addr, int(w.Meta.state), 0)
 	t.cache.Invalidate(w)
 	// Requests that queued behind the eviction now miss and refetch.
 	t.Txs.DrainWaiting(now, addr)
@@ -337,13 +337,13 @@ func (t *L2) handlePut(now sim.Cycle, m *coherence.Msg) {
 		return
 	}
 	w := t.cache.Peek(m.Addr)
-	if w == nil || w.Meta.state != dirX || w.Meta.owner != m.Src {
+	if w == nil || w.Meta.state != dirX || w.Meta.owner.Node() != m.Src {
 		// Stale writeback: ownership already moved on. Ack and drop.
 		t.SendPutAck(now, m.Src, m.Addr)
 		return
 	}
 	if m.Type == coherence.MsgPutM {
-		copy(w.Data[:], m.Data)
+		copy(t.cache.Block(w), m.Data)
 		w.Meta.dirty = true
 	}
 	t.Trans(m.Addr, dirX, dirV)

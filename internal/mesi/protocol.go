@@ -62,7 +62,7 @@ func (Protocol) Build(cfg config.System, net coherence.Network, mem coherence.Me
 // Exclusive/Modified lines.
 func (l *L1) SnoopBlock(addr uint64) ([]byte, bool) {
 	if w := l.cache.Peek(addr); w != nil && w.Meta.state != stateS {
-		return w.Data[:], true
+		return l.cache.Block(w), true
 	}
 	return nil, false
 }
@@ -71,7 +71,7 @@ func (l *L1) SnoopBlock(addr uint64) ([]byte, bool) {
 // authoritative unless an L1 holds it exclusively.
 func (t *L2) SnoopBlock(addr uint64) ([]byte, bool) {
 	if w := t.cache.Peek(addr); w != nil && w.Meta.state != dirX {
-		return w.Data[:], true
+		return t.cache.Block(w), true
 	}
 	return nil, false
 }
@@ -79,7 +79,7 @@ func (t *L2) SnoopBlock(addr uint64) ([]byte, bool) {
 // SnoopOwner implements coherence.Directory.
 func (t *L2) SnoopOwner(addr uint64) (coherence.NodeID, bool) {
 	if w := t.cache.Peek(addr); w != nil && w.Meta.state == dirX {
-		return w.Meta.owner, true
+		return w.Meta.owner.Node(), true
 	}
 	return 0, false
 }

@@ -181,11 +181,11 @@ func (m *Machine) dir(tile int) coherence.Directory {
 	return m.L2s[tile].(coherence.Directory)
 }
 
-// Prewarm materializes every controller's lazily-allocated cache
-// storage (Controller.PrewarmStorage). Timing harnesses call it
-// before starting the clock so first-touch chunk allocation is setup
-// cost, not measured run cost; conformance and litmus runs skip it and
-// keep the sparse footprint.
+// Prewarm materializes every controller's lazily-allocated tag storage
+// (Controller.PrewarmStorage). Timing harnesses call it before starting
+// the clock so tag-chunk allocation is setup cost, not measured run
+// cost; data blocks are not pre-faulted and follow the run's footprint.
+// Conformance and litmus runs skip it and keep the sparse footprint.
 func (m *Machine) Prewarm() {
 	for _, l1 := range m.L1s {
 		l1.PrewarmStorage()
@@ -237,9 +237,12 @@ func newBase(cfg config.System, proto Protocol, initMem map[uint64]uint64) (*Mac
 		// is the mesh's conservative lookahead.
 		se := sim.NewShardedEngine(shards, net.Lookahead(), cfg.MaxCycles)
 		m.SE = se
-		m.shardOfTile = make([]int, cfg.Cores)
+		// A ragged grid (a prime core count goes on two rows) has more
+		// routers than tiles; the plan covers the grid, and the spare
+		// routers — links only, no endpoint — go with the last tile.
+		m.shardOfTile = make([]int, net.Rows()*net.Cols())
 		for t := range m.shardOfTile {
-			m.shardOfTile[t] = t * shards / cfg.Cores
+			m.shardOfTile[t] = min(t, cfg.Cores-1) * shards / cfg.Cores
 		}
 		net.SetShards(mesh.ShardPlan{
 			NumShards:     shards,

@@ -123,7 +123,7 @@ func NewReplayCore(id int, ops Ops, port coherence.CorePort, wbEntries int) *Rep
 		c.waker.Wake()
 	}
 	c.storeCb = func() {
-		c.wbHead = (c.wbHead + 1) % len(c.wb)
+		c.wbHead = c.wbSlot(1)
 		c.wbLen--
 		c.wbInFlight = false
 		c.waker.Wake()
@@ -265,12 +265,24 @@ func (c *ReplayCore) retire() {
 	c.op, c.more = c.cur.Next()
 }
 
+// wbSlot maps the i-th oldest write-buffer entry (0 <= i <= wbLen) to
+// its ring index. wbHead+i stays below 2*len(wb), so one compare wraps
+// it: the depth is a run-time value and a modulo here is a division on
+// every store, drain and forwarded-load probe.
+func (c *ReplayCore) wbSlot(i int) int {
+	s := c.wbHead + i
+	if s >= len(c.wb) {
+		s -= len(c.wb)
+	}
+	return s
+}
+
 func (c *ReplayCore) doLoad(now sim.Cycle, op *Op) {
 	// Store→load forwarding against the replayed write buffer: the
 	// buffer holds the same entries the recorded core's did, so the
 	// forwarding decision reproduces.
 	for i := c.wbLen - 1; i >= 0; i-- {
-		e := &c.wb[(c.wbHead+i)%len(c.wb)]
+		e := &c.wb[c.wbSlot(i)]
 		if e.addr == op.Addr {
 			c.Loads.Inc()
 			c.WBForwards.Inc()
@@ -292,7 +304,7 @@ func (c *ReplayCore) doStore(now sim.Cycle, op *Op) {
 		c.stallOpen(now, obs.StallWBFull)
 		return // write buffer full; retry
 	}
-	c.wb[(c.wbHead+c.wbLen)%len(c.wb)] = wbEntry{addr: op.Addr, val: op.Val}
+	c.wb[c.wbSlot(c.wbLen)] = wbEntry{addr: op.Addr, val: op.Val}
 	c.wbLen++
 	c.Stores.Inc()
 	c.finishSync(now)

@@ -18,11 +18,11 @@ const (
 )
 
 type l1Line struct {
-	state  int
 	acnt   uint32 // accesses since last L2 fill (b.acnt)
 	ts     uint32 // last-written timestamp (b.ts)
-	tsOwn  bool   // ts was assigned by this core's own writes
-	listed bool   // way sits in the L1's shared-way sweep index
+	state  uint8
+	tsOwn  bool // ts was assigned by this core's own writes
+	listed bool // way sits in the L1's shared-way sweep index
 }
 
 // L1 is one core's TSO-CC private cache controller: the shared
@@ -77,7 +77,7 @@ func NewL1(core, cores int, sys config.System, cfg config.TSOCC, net coherence.N
 // SnoopBlock implements coherence.Controller.
 func (l *L1) SnoopBlock(addr uint64) ([]byte, bool) {
 	if w := l.cache.Peek(addr); w != nil && (w.Meta.state == stateE || w.Meta.state == stateM) {
-		return w.Data[:], true
+		return l.cache.Block(w), true
 	}
 	return nil, false
 }
@@ -154,11 +154,11 @@ func (l *L1) Load(now sim.Cycle, addr uint64, cb func(uint64)) bool {
 			switch w.Meta.state {
 			case stateE, stateM:
 				l.Stats.ReadHitPrivate.Inc()
-				l.Timers.AtVal(now+l.HitLat, cb, memsys.GetWord(w.Data[:], addr))
+				l.Timers.AtVal(now+l.HitLat, cb, memsys.GetWord(l.cache.Block(w), addr))
 				return true
 			case stateR:
 				l.Stats.ReadHitSRO.Inc()
-				l.Timers.AtVal(now+l.HitLat, cb, memsys.GetWord(w.Data[:], addr))
+				l.Timers.AtVal(now+l.HitLat, cb, memsys.GetWord(l.cache.Block(w), addr))
 				return true
 			case stateS:
 				if w.Meta.acnt < l.cfg.MaxAccesses() {
@@ -167,7 +167,7 @@ func (l *L1) Load(now sim.Cycle, addr uint64, cb func(uint64)) bool {
 					// propagation, §3.1).
 					w.Meta.acnt++
 					l.Stats.ReadHitShared.Inc()
-					l.Timers.AtVal(now+l.HitLat, cb, memsys.GetWord(w.Data[:], addr))
+					l.Timers.AtVal(now+l.HitLat, cb, memsys.GetWord(l.cache.Block(w), addr))
 					return true
 				}
 				l.Stats.ReadMissShared.Inc()
@@ -191,9 +191,9 @@ func (l *L1) Store(now sim.Cycle, addr uint64, val uint64, cb func()) bool {
 		if l.EvictFault != nil && l.EvictFault() {
 			l.evictLine(now, w) // fall through to the write miss below
 		} else {
-			l.Trans(blk, w.Meta.state, stateM)
+			l.Trans(blk, int(w.Meta.state), stateM)
 			w.Meta.state = stateM
-			memsys.PutWord(w.Data[:], addr, val)
+			memsys.PutWord(l.cache.Block(w), addr, val)
 			w.Meta.ts = l.assignTS(now)
 			w.Meta.tsOwn = true
 			l.Stats.WriteHitPrivate.Inc()
@@ -216,10 +216,10 @@ func (l *L1) RMW(now sim.Cycle, addr uint64, f func(uint64) (uint64, bool), cb f
 		if l.EvictFault != nil && l.EvictFault() {
 			l.evictLine(now, w) // fall through to the write miss below
 		} else {
-			old := memsys.GetWord(w.Data[:], addr)
+			old := memsys.GetWord(l.cache.Block(w), addr)
 			if nv, doWrite := f(old); doWrite {
-				memsys.PutWord(w.Data[:], addr, nv)
-				l.Trans(blk, w.Meta.state, stateM)
+				memsys.PutWord(l.cache.Block(w), addr, nv)
+				l.Trans(blk, int(w.Meta.state), stateM)
 				w.Meta.state = stateM
 				w.Meta.ts = l.assignTS(now)
 				w.Meta.tsOwn = true
@@ -417,11 +417,11 @@ func (l *L1) completeWrite(now sim.Cycle, m *coherence.Msg) {
 	w, from := l.install(now, tx.Addr, m.Data)
 	l.Trans(tx.Addr, from, stateM)
 	w.Meta.state = stateM
-	old := memsys.GetWord(w.Data[:], tx.WordAddr)
+	old := memsys.GetWord(l.cache.Block(w), tx.WordAddr)
 	nv, wrote := tx.Apply(old)
 	ackTS := tsInvalid
 	if wrote {
-		memsys.PutWord(w.Data[:], tx.WordAddr, nv)
+		memsys.PutWord(l.cache.Block(w), tx.WordAddr, nv)
 		ackTS = l.assignTS(now)
 		w.Meta.ts = ackTS
 		w.Meta.tsOwn = true
@@ -433,7 +433,7 @@ func (l *L1) completeWrite(now sim.Cycle, m *coherence.Msg) {
 	l.FinishWrite(now, old)
 }
 
-func (l *L1) completeRead(now sim.Cycle, m *coherence.Msg, state int) {
+func (l *L1) completeRead(now sim.Cycle, m *coherence.Msg, state uint8) {
 	tx, install := l.PendingRead(now, m)
 	if state == stateS && l.cfg.MaxAccesses() == 0 {
 		// CC-shared-to-L2: Shared data is never cached locally.
@@ -441,7 +441,7 @@ func (l *L1) completeRead(now sim.Cycle, m *coherence.Msg, state int) {
 	}
 	if install {
 		w, from := l.install(now, m.Addr, m.Data)
-		l.Trans(m.Addr, from, state)
+		l.Trans(m.Addr, from, int(state))
 		w.Meta.state = state
 		w.Meta.acnt = 0
 		w.Meta.ts = m.TS
@@ -452,7 +452,7 @@ func (l *L1) completeRead(now sim.Cycle, m *coherence.Msg, state int) {
 	} else if w := l.cache.Peek(m.Addr); w != nil && w.Meta.state == stateS {
 		// Not re-installing (always-miss mode) but a stale Shared copy
 		// exists from before: refresh it rather than leaving it stale.
-		copy(w.Data[:], m.Data)
+		copy(l.cache.Block(w), m.Data)
 		w.Meta.acnt = 0
 	}
 	l.FinishRead(now, memsys.GetWord(m.Data, tx.WordAddr))
@@ -463,9 +463,9 @@ func (l *L1) completeRead(now sim.Cycle, m *coherence.Msg, state int) {
 // report the transition once they assign the new state.
 func (l *L1) install(now sim.Cycle, addr uint64, data []byte) (*memsys.Way[l1Line], int) {
 	if w := l.cache.Peek(addr); w != nil {
-		copy(w.Data[:], data)
+		copy(l.cache.Block(w), data)
 		w.Meta.acnt = 0
-		return w, w.Meta.state
+		return w, int(w.Meta.state)
 	}
 	w := l.cache.Victim(addr)
 	if w == nil {
@@ -475,26 +475,26 @@ func (l *L1) install(now sim.Cycle, addr uint64, data []byte) (*memsys.Way[l1Lin
 		l.evictLine(now, w)
 	}
 	l.cache.Install(w, addr)
-	copy(w.Data[:], data)
+	copy(l.cache.Block(w), data)
 	return w, 0
 }
 
 func (l *L1) evictLine(now sim.Cycle, w *memsys.Way[l1Line]) {
 	addr := w.Tag
-	l.Trans(addr, w.Meta.state, 0)
+	l.Trans(addr, int(w.Meta.state), 0)
 	switch w.Meta.state {
 	case stateS, stateR:
 		// Shared and SharedRO evictions are silent (§3.2, §3.4).
 	case stateE:
-		e := l.BufferEvict(addr, w.Data[:], false)
+		e := l.BufferEvict(addr, l.cache.Block(w), false)
 		e.TS, e.TSOwn = w.Meta.ts, w.Meta.tsOwn
 		l.Send(now, coherence.Msg{Type: coherence.MsgPutE, Dst: l.Home(addr), Addr: addr}, nil)
 	case stateM:
 		ts, valid := l.sendableTS(&w.Meta)
-		e := l.BufferEvict(addr, w.Data[:], true)
+		e := l.BufferEvict(addr, l.cache.Block(w), true)
 		e.TS, e.TSOwn = w.Meta.ts, w.Meta.tsOwn
 		l.Send(now, coherence.Msg{Type: coherence.MsgPutM, Dst: l.Home(addr), Addr: addr,
-			Dirty: true, TS: ts, TSValid: valid, Epoch: l.epoch}, w.Data[:])
+			Dirty: true, TS: ts, TSValid: valid, Epoch: l.epoch}, l.cache.Block(w))
 	}
 	l.cache.Invalidate(w)
 }
@@ -504,11 +504,11 @@ func (l *L1) handleFwdGetS(now sim.Cycle, m *coherence.Msg) {
 		dirty := w.Meta.state == stateM
 		ts, valid := l.sendableTS(&w.Meta)
 		l.Send(now, coherence.Msg{Type: coherence.MsgDataOwner, Dst: m.Requestor, Addr: m.Addr,
-			Owner: l.ID, TS: ts, TSValid: valid, Epoch: l.epoch, Dirty: dirty}, w.Data[:])
+			Owner: l.ID, TS: ts, TSValid: valid, Epoch: l.epoch, Dirty: dirty}, l.cache.Block(w))
 		l.Send(now, coherence.Msg{Type: coherence.MsgWBData, Dst: l.Home(m.Addr), Addr: m.Addr,
-			Dirty: dirty, TS: ts, TSValid: valid, Epoch: l.epoch}, w.Data[:])
+			Dirty: dirty, TS: ts, TSValid: valid, Epoch: l.epoch}, l.cache.Block(w))
 		// Downgrade to Shared, keeping the copy with a fresh budget.
-		l.Trans(m.Addr, w.Meta.state, stateS)
+		l.Trans(m.Addr, int(w.Meta.state), stateS)
 		w.Meta.state = stateS
 		w.Meta.acnt = 0
 		l.noteShared(w)
@@ -534,8 +534,8 @@ func (l *L1) handleFwdGetX(now sim.Cycle, m *coherence.Msg) {
 		ts, valid := l.sendableTS(&w.Meta)
 		l.Send(now, coherence.Msg{Type: coherence.MsgDataOwner, Dst: m.Requestor, Addr: m.Addr,
 			Owner: l.ID, TS: ts, TSValid: valid, Epoch: l.epoch,
-			Dirty: w.Meta.state == stateM}, w.Data[:])
-		l.Trans(m.Addr, w.Meta.state, 0)
+			Dirty: w.Meta.state == stateM}, l.cache.Block(w))
+		l.Trans(m.Addr, int(w.Meta.state), 0)
 		l.cache.Invalidate(w)
 		return
 	}
@@ -557,13 +557,13 @@ func (l *L1) handleInv(now sim.Cycle, m *coherence.Msg) {
 			ts, valid := l.sendableTS(&w.Meta)
 			l.Send(now, coherence.Msg{Type: coherence.MsgWBData, Dst: m.Src, Addr: m.Addr,
 				Dirty: w.Meta.state == stateM,
-				TS:    ts, TSValid: valid, Epoch: l.epoch}, w.Data[:])
-			l.Trans(m.Addr, w.Meta.state, 0)
+				TS:    ts, TSValid: valid, Epoch: l.epoch}, l.cache.Block(w))
+			l.Trans(m.Addr, int(w.Meta.state), 0)
 			l.cache.Invalidate(w)
 			return
 		}
 		// SharedRO broadcast invalidation (or a stale Shared copy).
-		l.Trans(m.Addr, w.Meta.state, 0)
+		l.Trans(m.Addr, int(w.Meta.state), 0)
 		l.cache.Invalidate(w)
 		l.Send(now, coherence.Msg{Type: coherence.MsgInvAck, Dst: m.Src, Addr: m.Addr}, nil)
 		return

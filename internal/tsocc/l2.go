@@ -19,12 +19,12 @@ const (
 )
 
 type l2Line struct {
-	state       int
-	owner       coherence.NodeID // owner (X) / last writer (V, S)
-	sharerBits  uint64           // coarse vector (R); reuses the owner field's storage
-	ts          uint32           // writer ts (V/S) or tile SRO ts (R)
-	dirty       bool             // data newer than memory
-	wasModified bool             // written since the L2 obtained this copy
+	sharerBits  uint64            // coarse vector (R); reuses the owner field's storage
+	ts          uint32            // writer ts (V/S) or tile SRO ts (R)
+	owner       coherence.OwnerID // owner (X) / last writer (V, S)
+	state       uint8
+	dirty       bool // data newer than memory
+	wasModified bool // written since the L2 obtained this copy
 }
 
 // Transaction kinds (coherence.Tx.Kind).
@@ -112,7 +112,7 @@ func (t *L2) TileStats() (sro, decay, bcasts, resets int64) {
 // SnoopBlock implements coherence.Controller.
 func (t *L2) SnoopBlock(addr uint64) ([]byte, bool) {
 	if w := t.cache.Peek(addr); w != nil && w.Meta.state != dirX {
-		return w.Data[:], true
+		return t.cache.Block(w), true
 	}
 	return nil, false
 }
@@ -120,7 +120,7 @@ func (t *L2) SnoopBlock(addr uint64) ([]byte, bool) {
 // SnoopOwner implements coherence.Directory.
 func (t *L2) SnoopOwner(addr uint64) (coherence.NodeID, bool) {
 	if w := t.cache.Peek(addr); w != nil && w.Meta.state == dirX {
-		return w.Meta.owner, true
+		return w.Meta.owner.Node(), true
 	}
 	return 0, false
 }
@@ -275,7 +275,7 @@ func (t *L2) filled(addr uint64) []byte {
 	t.Trans(addr, 0, dirV)
 	way.Meta = l2Line{state: dirV, owner: -1}
 	way.Busy = false
-	return way.Data[:]
+	return t.cache.Block(way)
 }
 
 // evictLine evicts v; true = completed synchronously.
@@ -288,10 +288,10 @@ func (t *L2) evictLine(now sim.Cycle, v *memsys.Way[l2Line]) bool {
 		// timestamps are lost, which later forces mandatory
 		// self-invalidation at readers (invalid-ts responses).
 		if v.Meta.dirty {
-			t.Mem.WriteBlock(addr, v.Data[:])
+			t.Mem.WriteBlock(addr, t.cache.Block(v))
 			t.flag1 = true // condition 1: dirty line left the L2
 		}
-		t.Trans(addr, v.Meta.state, 0)
+		t.Trans(addr, int(v.Meta.state), 0)
 		t.cache.Invalidate(v)
 		return true
 	case dirR:
@@ -301,7 +301,7 @@ func (t *L2) evictLine(now sim.Cycle, v *memsys.Way[l2Line]) bool {
 		members := t.coarseMembersBuf(v.Meta.sharerBits)
 		if len(members) == 0 {
 			if v.Meta.dirty {
-				t.Mem.WriteBlock(addr, v.Data[:])
+				t.Mem.WriteBlock(addr, t.cache.Block(v))
 				t.flag1 = true
 			}
 			t.Trans(addr, dirR, 0)
@@ -315,7 +315,7 @@ func (t *L2) evictLine(now sim.Cycle, v *memsys.Way[l2Line]) bool {
 		t.Txs.New(addr, txEvict, nil, len(members))
 		return false
 	case dirX:
-		t.SendAfterAccess(now, coherence.Msg{Type: coherence.MsgInv, Dst: v.Meta.owner, Addr: addr}, nil)
+		t.SendAfterAccess(now, coherence.Msg{Type: coherence.MsgInv, Dst: v.Meta.owner.Node(), Addr: addr}, nil)
 		v.Busy = true
 		t.Txs.New(addr, txEvict, nil, 1)
 		return false
@@ -333,14 +333,14 @@ func (t *L2) serveGetS(now sim.Cycle, m *coherence.Msg, w *memsys.Way[l2Line]) {
 		ts, ep, valid := t.respTS(&w.Meta)
 		w.Busy = true
 		t.Txs.New(m.Addr, txAwaitAck, m, 0)
-		t.respond(now, m.Requestor, coherence.MsgDataE, m.Addr, w.Data[:], w.Meta.owner, ts, ep, valid)
+		t.respond(now, m.Requestor, coherence.MsgDataE, m.Addr, t.cache.Block(w), w.Meta.owner.Node(), ts, ep, valid)
 	case dirX:
-		if w.Meta.owner == m.Requestor {
+		if w.Meta.owner.Node() == m.Requestor {
 			panic(fmt.Sprintf("tsocc: L2 %d cycle %d: GetS from current owner %s", t.ID, now, m))
 		}
 		w.Busy = true
 		t.Txs.New(m.Addr, txFwdGetS, m, 0)
-		t.SendAfterAccess(now, coherence.Msg{Type: coherence.MsgFwdGetS, Dst: w.Meta.owner, Addr: m.Addr, Requestor: m.Requestor}, nil)
+		t.SendAfterAccess(now, coherence.Msg{Type: coherence.MsgFwdGetS, Dst: w.Meta.owner.Node(), Addr: m.Addr, Requestor: m.Requestor}, nil)
 	case dirS:
 		if t.shouldDecay(&w.Meta) {
 			t.DecayEvents.Inc()
@@ -349,11 +349,11 @@ func (t *L2) serveGetS(now sim.Cycle, m *coherence.Msg, w *memsys.Way[l2Line]) {
 			return
 		}
 		ts, ep, valid := t.respTS(&w.Meta)
-		t.respond(now, m.Requestor, coherence.MsgDataS, m.Addr, w.Data[:], w.Meta.owner, ts, ep, valid)
+		t.respond(now, m.Requestor, coherence.MsgDataS, m.Addr, t.cache.Block(w), w.Meta.owner.Node(), ts, ep, valid)
 	case dirR:
 		ts, ep, valid := t.sroTS(&w.Meta)
 		w.Meta.sharerBits |= coarseBit(m.Requestor, t.Cores)
-		t.respond(now, m.Requestor, coherence.MsgDataSRO, m.Addr, w.Data[:], -1, ts, ep, valid)
+		t.respond(now, m.Requestor, coherence.MsgDataSRO, m.Addr, t.cache.Block(w), -1, ts, ep, valid)
 	}
 }
 
@@ -385,7 +385,7 @@ func (t *L2) shouldDecay(w *l2Line) bool {
 // toSharedRO transitions a line to SharedRO, assigning a tile timestamp.
 func (t *L2) toSharedRO(now sim.Cycle, w *memsys.Way[l2Line]) {
 	t.SROTransitions.Inc()
-	t.Trans(w.Tag, w.Meta.state, dirR)
+	t.Trans(w.Tag, int(w.Meta.state), dirR)
 	w.Meta.state = dirR
 	w.Meta.sharerBits = 0
 	w.Meta.ts = t.assignSROTS(now)
@@ -398,14 +398,14 @@ func (t *L2) serveGetX(now sim.Cycle, m *coherence.Msg, w *memsys.Way[l2Line]) {
 		ts, ep, valid := t.respTS(&w.Meta)
 		w.Busy = true
 		t.Txs.New(m.Addr, txAwaitAck, m, 0)
-		t.respond(now, m.Requestor, coherence.MsgDataE, m.Addr, w.Data[:], w.Meta.owner, ts, ep, valid)
+		t.respond(now, m.Requestor, coherence.MsgDataE, m.Addr, t.cache.Block(w), w.Meta.owner.Node(), ts, ep, valid)
 	case dirX:
-		if w.Meta.owner == m.Requestor {
+		if w.Meta.owner.Node() == m.Requestor {
 			panic(fmt.Sprintf("tsocc: L2 %d cycle %d: GetX from current owner %s", t.ID, now, m))
 		}
 		w.Busy = true
 		t.Txs.New(m.Addr, txFwdGetX, m, 0)
-		t.SendAfterAccess(now, coherence.Msg{Type: coherence.MsgFwdGetX, Dst: w.Meta.owner, Addr: m.Addr, Requestor: m.Requestor}, nil)
+		t.SendAfterAccess(now, coherence.Msg{Type: coherence.MsgFwdGetX, Dst: w.Meta.owner.Node(), Addr: m.Addr, Requestor: m.Requestor}, nil)
 	case dirS:
 		// The lazy write path: respond immediately with the full line;
 		// unaware sharers keep stale copies until they self-invalidate
@@ -413,7 +413,7 @@ func (t *L2) serveGetX(now sim.Cycle, m *coherence.Msg, w *memsys.Way[l2Line]) {
 		ts, ep, valid := t.respTS(&w.Meta)
 		w.Busy = true
 		t.Txs.New(m.Addr, txAwaitAck, m, 0)
-		t.respond(now, m.Requestor, coherence.MsgDataE, m.Addr, w.Data[:], w.Meta.owner, ts, ep, valid)
+		t.respond(now, m.Requestor, coherence.MsgDataE, m.Addr, t.cache.Block(w), w.Meta.owner.Node(), ts, ep, valid)
 	case dirR:
 		// Writes to SharedRO lines broadcast invalidations to the
 		// coarse sharer groups (§3.4).
@@ -425,7 +425,7 @@ func (t *L2) serveGetX(now sim.Cycle, m *coherence.Msg, w *memsys.Way[l2Line]) {
 			ts, ep, valid := t.sroTS(&w.Meta)
 			w.Busy = true
 			t.Txs.New(m.Addr, txAwaitAck, m, 0)
-			t.respond(now, m.Requestor, coherence.MsgDataE, m.Addr, w.Data[:], -1, ts, ep, valid)
+			t.respond(now, m.Requestor, coherence.MsgDataE, m.Addr, t.cache.Block(w), -1, ts, ep, valid)
 			return
 		}
 		for _, c := range members {
@@ -450,9 +450,9 @@ func (t *L2) handleAck(now sim.Cycle, m *coherence.Msg) {
 		panic(fmt.Sprintf("tsocc: L2 %d cycle %d: stray Ack %s", t.ID, now, m))
 	}
 	w := t.cache.Peek(m.Addr)
-	t.Trans(m.Addr, w.Meta.state, dirX)
+	t.Trans(m.Addr, int(w.Meta.state), dirX)
 	w.Meta.state = dirX
-	w.Meta.owner = tx.Req.Requestor
+	w.Meta.owner = coherence.OwnerID(tx.Req.Requestor)
 	w.Meta.sharerBits = 0
 	if m.TSValid {
 		// The ack finalizes a write: record its timestamp (§3.5's
@@ -479,7 +479,7 @@ func (t *L2) handleInvAck(now sim.Cycle, m *coherence.Msg) {
 		ts, ep, valid := t.sroTS(&w.Meta)
 		tx.Kind = txAwaitAck
 		w.Meta.sharerBits = 0
-		t.respond(now, tx.Req.Requestor, coherence.MsgDataE, m.Addr, w.Data[:], -1, ts, ep, valid)
+		t.respond(now, tx.Req.Requestor, coherence.MsgDataE, m.Addr, t.cache.Block(w), -1, ts, ep, valid)
 	case txEvict:
 		t.finishEvict(now, w)
 	default:
@@ -492,8 +492,8 @@ func (t *L2) handleWBData(now sim.Cycle, m *coherence.Msg) {
 	w := t.cache.Peek(m.Addr)
 	switch tx.Kind {
 	case txFwdGetS:
-		prevOwner := w.Meta.owner
-		copy(w.Data[:], m.Data)
+		prevOwner := w.Meta.owner.Node()
+		copy(t.cache.Block(w), m.Data)
 		if m.Dirty {
 			w.Meta.dirty = true
 			w.Meta.wasModified = true
@@ -505,9 +505,9 @@ func (t *L2) handleWBData(now sim.Cycle, m *coherence.Msg) {
 			t.noteWriterTS(prevOwner, m)
 			// Modified by the previous owner: enters Shared (§3.4),
 			// last writer = previous owner.
-			t.Trans(m.Addr, w.Meta.state, dirS)
+			t.Trans(m.Addr, int(w.Meta.state), dirS)
 			w.Meta.state = dirS
-			w.Meta.owner = prevOwner
+			w.Meta.owner = coherence.OwnerID(prevOwner)
 			t.flag2 = true // condition 2: line entered Shared
 		} else if t.cfg.SharedRO {
 			// Unmodified by the previous owner: SharedRO.
@@ -517,9 +517,9 @@ func (t *L2) handleWBData(now sim.Cycle, m *coherence.Msg) {
 				w.Meta.sharerBits |= coarseBit(prevOwner, t.Cores)
 			}
 		} else {
-			t.Trans(m.Addr, w.Meta.state, dirS)
+			t.Trans(m.Addr, int(w.Meta.state), dirS)
 			w.Meta.state = dirS
-			w.Meta.owner = prevOwner
+			w.Meta.owner = coherence.OwnerID(prevOwner)
 			t.flag2 = true
 		}
 		w.Busy = false
@@ -527,7 +527,7 @@ func (t *L2) handleWBData(now sim.Cycle, m *coherence.Msg) {
 		t.Txs.DrainWaiting(now, m.Addr)
 	case txEvict:
 		if m.Dirty {
-			copy(w.Data[:], m.Data)
+			copy(t.cache.Block(w), m.Data)
 			w.Meta.dirty = true
 		}
 		t.finishEvict(now, w)
@@ -539,12 +539,12 @@ func (t *L2) handleWBData(now sim.Cycle, m *coherence.Msg) {
 func (t *L2) finishEvict(now sim.Cycle, w *memsys.Way[l2Line]) {
 	addr := w.Tag
 	if w.Meta.dirty {
-		t.Mem.WriteBlock(addr, w.Data[:])
+		t.Mem.WriteBlock(addr, t.cache.Block(w))
 		t.flag1 = true
 	}
 	tx, _ := t.Txs.Get(addr)
 	t.Txs.Del(addr, tx, false)
-	t.Trans(addr, w.Meta.state, 0)
+	t.Trans(addr, int(w.Meta.state), 0)
 	t.cache.Invalidate(w)
 	t.Txs.DrainWaiting(now, addr)
 }
@@ -555,14 +555,14 @@ func (t *L2) handlePut(now sim.Cycle, m *coherence.Msg) {
 		return
 	}
 	w := t.cache.Peek(m.Addr)
-	if w == nil || w.Meta.state != dirX || w.Meta.owner != m.Src {
+	if w == nil || w.Meta.state != dirX || w.Meta.owner.Node() != m.Src {
 		// Stale writeback (ownership moved while the Put was in
 		// flight): acknowledge and drop.
 		t.SendPutAck(now, m.Src, m.Addr)
 		return
 	}
 	if m.Type == coherence.MsgPutM {
-		copy(w.Data[:], m.Data)
+		copy(t.cache.Block(w), m.Data)
 		w.Meta.dirty = true
 		w.Meta.wasModified = true
 		if m.TSValid {
@@ -572,7 +572,7 @@ func (t *L2) handlePut(now sim.Cycle, m *coherence.Msg) {
 		}
 		t.noteWriterTS(m.Src, m)
 	}
-	t.Trans(m.Addr, w.Meta.state, dirV)
+	t.Trans(m.Addr, int(w.Meta.state), dirV)
 	w.Meta.state = dirV
 	// Keep owner as last-writer for timestamp responses.
 	t.SendPutAck(now, m.Src, m.Addr)

@@ -12,6 +12,7 @@ import (
 
 	"repro/internal/coherence"
 	"repro/internal/config"
+	"repro/internal/memsys"
 	"repro/internal/mesh"
 	"repro/internal/program"
 	"repro/internal/sim"
@@ -394,10 +395,12 @@ func BenchmarkMeshDelivery(b *testing.B) {
 	b.ReportMetric(float64(sinks[0].received), "sink0-msgs")
 }
 
-// TestHotPathZeroAlloc is the alloc-regression gate: the two paths the
+// TestHotPathZeroAlloc is the alloc-regression gate: the paths the
 // ROADMAP guarantees allocation-free (L1 hits through the CorePort, mesh
-// scheduling + delivery through the calendar queue) are measured with
-// the real benchmark bodies and must report exactly 0 allocs/op. This
+// scheduling + delivery through the calendar queue, wake-set dispatch,
+// a cache hit read through its slab block and a line replacing another
+// in a way that already owns one) are measured with the real benchmark
+// bodies and must report exactly 0 allocs/op. This
 // fails in plain `go test`, so a regression cannot hide behind a
 // benchmark nobody reads.
 func TestHotPathZeroAlloc(t *testing.T) {
@@ -413,6 +416,8 @@ func TestHotPathZeroAlloc(t *testing.T) {
 		{"MeshDelivery", BenchmarkMeshDelivery},
 		{"MeshDeliveryFaultsOff", BenchmarkMeshDeliveryFaultsOff},
 		{"EngineDispatchWide", BenchmarkEngineDispatchWide},
+		{"CacheHitBlock", BenchmarkCacheHitBlock},
+		{"CacheReinstall", BenchmarkCacheReinstall},
 	} {
 		t.Run(bench.name, func(t *testing.T) {
 			res := testing.Benchmark(bench.fn)
@@ -588,6 +593,52 @@ func BenchmarkL1HitPath(b *testing.B) {
 		now++
 	}
 	_ = sink
+}
+
+// filledCache returns a Table 2 L1 array with every way installed once,
+// so each way already owns its slab block.
+func filledCache(b *testing.B) *memsys.Cache[struct{}] {
+	cfg := config.Table2()
+	c := memsys.NewCache[struct{}](cfg.L1Size, cfg.L1Ways)
+	for addr := uint64(0); addr < uint64(cfg.L1Size); addr += coherence.BlockSize {
+		w := c.Victim(addr)
+		if w == nil || w.Valid {
+			b.Fatalf("fill: no free way for %#x", addr)
+		}
+		c.Install(w, addr)
+	}
+	return c
+}
+
+// BenchmarkCacheHitBlock is the array half of an L1 hit: tag match,
+// then the word read through the way's slab block.
+func BenchmarkCacheHitBlock(b *testing.B) {
+	c := filledCache(b)
+	span := uint64(config.Table2().L1Size)
+	var sink uint64
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		addr := uint64(i) * 8 % span
+		sink += memsys.GetWord(c.Block(c.Lookup(addr)), addr)
+	}
+	_ = sink
+}
+
+// BenchmarkCacheReinstall replaces lines in a full array: every Install
+// lands on a way that already holds a block and must clear it in place,
+// not take a new one from the slab.
+func BenchmarkCacheReinstall(b *testing.B) {
+	c := filledCache(b)
+	span := uint64(config.Table2().L1Size)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		addr := span + uint64(i)*coherence.BlockSize
+		w := c.Victim(addr)
+		c.Install(w, addr)
+		memsys.PutWord(c.Block(w), addr, addr)
+	}
 }
 
 // synthBenchParams sizes the synthesis and decode benchmarks: the repo
