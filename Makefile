@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all vet build test race race-parallel bench-smoke bench bench-json bench-gate repo-bench repo-bench-compare perf fuzz-smoke trace-gate fault-smoke oracle-sweep parallel-smoke obs-smoke scale-smoke ci
+.PHONY: all vet build test race race-parallel bench-smoke bench repo-bench repo-bench-compare fuzz-smoke trace-gate fault-smoke oracle-sweep parallel-smoke obs-smoke scale-smoke ci
 
 all: ci
 
@@ -34,52 +34,18 @@ race-parallel:
 # full figure grids. The trace synthesis and decode benchmarks work on
 # megabytes per op, hence their own, short leg.
 bench-smoke:
-	$(GO) test -run xxx -bench 'BenchmarkEngineStep|BenchmarkEngineIdleSkip|BenchmarkEngineDispatchWide|BenchmarkDenseCompute|BenchmarkMeshDelivery|BenchmarkL1HitPath|BenchmarkTraceCodec' -benchtime 2000x .
+	$(GO) test -run xxx -bench 'BenchmarkEngineStep|BenchmarkEngineIdleSkip|BenchmarkLowIdleWorkload|BenchmarkEngineDispatchWide|BenchmarkDenseCompute|BenchmarkMeshDelivery|BenchmarkL1HitPath|BenchmarkTraceCodec' -benchtime 2000x .
 	$(GO) test -run xxx -bench 'BenchmarkTraceSynth|BenchmarkTraceDecode' -benchtime 5x .
 
 bench:
 	$(GO) test -run xxx -bench . -benchtime 1x .
 
-# Simulator throughput JSON (for BENCH_*.json trajectories).
-perf:
-	$(GO) run ./cmd/tsocc-bench -perf -cores 8
-
-# Dated engine + hot-path throughput snapshot (per-cycle, event, and
-# batched-core numbers for the standard benches plus dense-compute,
-# with trace replay/codec throughput and host metadata per benchmark,
-# plus the 8->256-core scaling curve), then a delta report against the
-# latest committed snapshot and the event>=per-cycle regression gate —
-# which also requires event >= per-cycle on every scaling point at
-# >= 64 cores.
-bench-json:
-	@set -e; tmp=$$(mktemp); trap 'rm -f $$tmp' EXIT; \
-	latest=$$(git ls-files 'BENCH_*.json' | sort | tail -1); \
-	out=BENCH_$$(date +%Y-%m-%d).json; \
-	$(GO) run ./cmd/tsocc-bench -perf -cores 8 -scaling 8,64,128,256 > $$out; \
-	echo "wrote $$out"; \
-	if [ -n "$$latest" ]; then \
-	  git show HEAD:$$latest > $$tmp; \
-	  echo "delta vs committed $$latest:"; \
-	  $(GO) run ./cmd/tsocc-benchdiff -gate $$tmp $$out; \
-	else \
-	  $(GO) run ./cmd/tsocc-benchdiff -gate $$out; \
-	fi
-
-# Regression gate without writing a snapshot: the event engine must be
-# at least as fast as the per-cycle conformance ticker on every Table-3
-# benchmark (speedup is a within-run ratio, so this is stable across
-# machines; mirrors the CI bench job). -scale 4 lengthens each timed
-# run (x264 is only ~8k cycles at scale 1 — a few ms of wall time) so
-# one scheduler blip on a noisy runner cannot flip the ratio.
-bench-gate:
-	@set -e; tmp=$$(mktemp); trap 'rm -f $$tmp' EXIT; \
-	$(GO) run ./cmd/tsocc-bench -perf -cores 8 -scale 4 > $$tmp; \
-	$(GO) run ./cmd/tsocc-benchdiff -gate $$tmp
-
 # The repository's benchmark (bench/README.md is the contract): six
 # workloads, end-to-end pass plus traced per-layer pass, about 2.5
 # minutes. Every performance claim is measured with this; pass
-# ARGS='-workload miss64 -out /tmp/a.json' to narrow it or keep the report.
+# ARGS='-workload miss64 -out /tmp/a.json' to narrow it or keep the
+# report, and ARGS='-out BENCH_<date>.json' for a dated trajectory
+# point to commit.
 repo-bench:
 	$(GO) run ./bench $(ARGS)
 
@@ -182,12 +148,13 @@ obs-smoke:
 # the shared link-reservation table while shard goroutines tick. The
 # race cell stays at 4 cores — 64-core runs under -race cost tens of
 # minutes and race coverage depends on the code paths, not the
-# geometry. Bounded by design; the full scaling curve lives in
-# `tsocc-bench -perf -scaling`, not CI.
+# geometry. Bounded by design; host cost at 64 cores is measured by the
+# repository benchmark's `miss64` workload, and larger machines run
+# end to end with e.g. `tsocc-sim -cores 256`.
 scale-smoke:
 	$(GO) test -run 'TestScale64' .
 	$(GO) test -run 'TestFlitHopConservation|TestHopDistanceMatchesXYRoute|TestLinkEpochRebase' ./internal/mesh/
 	GOMAXPROCS=4 $(GO) test -race -run 'TestFlitHopConservation|TestLinkEpochRebase' ./internal/mesh/
 	GOMAXPROCS=4 $(GO) test -race -run 'TestParallelEngineBitIdentical/TSO-CC-4-12-3/canneal$$' .
 
-ci: vet build test race race-parallel bench-smoke bench-gate trace-gate fault-smoke oracle-sweep parallel-smoke obs-smoke scale-smoke
+ci: vet build test race race-parallel bench-smoke trace-gate fault-smoke oracle-sweep parallel-smoke obs-smoke scale-smoke

@@ -35,7 +35,7 @@ var benchSubset = []string{"blackscholes", "lu-noncont", "radix", "intruder"}
 
 func runGrid(b *testing.B, protos []system.Protocol, benches []string) *harness.Grid {
 	b.Helper()
-	cfg := benchSystem(benchCores)
+	cfg := config.Scaled(benchCores)
 	p := workloads.Params{Threads: benchCores, Scale: 1, Seed: 1}
 	g, err := harness.RunGrid(cfg, p, protos, benches, nil)
 	if err != nil {

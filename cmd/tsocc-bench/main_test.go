@@ -5,14 +5,13 @@ import (
 	"testing"
 )
 
-// TestRunPerfRejectsBadCores: -perf hands the core count to workload
-// generators, which panic on a non-positive one; runPerf must return
-// config.Validate's error naming the field before any of them runs.
-func TestRunPerfRejectsBadCores(t *testing.T) {
-	for _, cores := range []int{-3, 0} {
-		err := runPerf(cores, 1, 1, 1, []string{"x264"}, nil, "", 0, false, false, nil)
-		if err == nil || !strings.Contains(err.Error(), "cores") {
-			t.Errorf("runPerf at %d cores: error %v; want one naming cores", cores, err)
+// TestBadFigureRejected: a figure outside {0, 2…9} selects no table, so
+// it must be refused, naming -figure, instead of running the grid.
+func TestBadFigureRejected(t *testing.T) {
+	for _, n := range []string{"11", "1", "-1", "10"} {
+		err := run([]string{"-figure", n, "-q", "-cores", "4", "-bench", "x264", "-proto", "MESI"})
+		if err == nil || !strings.Contains(err.Error(), "-figure") || strings.Contains(err.Error(), "\n") {
+			t.Errorf("-figure %s: error %v; want one line naming -figure", n, err)
 		}
 	}
 }

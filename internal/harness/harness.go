@@ -54,16 +54,29 @@ func ListProtocols(w io.Writer) {
 	}
 }
 
-// Gen validates sys and only then generates e's workload, one thread
-// per core. Generators size their slices from the thread count and
-// panic on a non-positive one, so the CLIs generate through here: a bad
-// -cores is reported by config.System.Validate, naming the field,
+// Gen validates sys and scale and only then generates e's workload, one
+// thread per core. Generators size their slices from the thread count
+// and panic on a non-positive one, so the CLIs generate through here: a
+// bad -cores is reported by config.System.Validate, naming the field,
 // before any generator runs.
 func Gen(sys config.System, e *workloads.Entry, scale int, seed uint64) (*program.Workload, error) {
-	if err := sys.Validate(); err != nil {
+	if err := validate(sys, scale); err != nil {
 		return nil, err
 	}
 	return e.Gen(workloads.Params{Threads: sys.Cores, Scale: scale, Seed: seed}), nil
+}
+
+// validate checks what Gen and RunGrid hand to generators. Generators
+// run a scale below 1 as scale 1, so it is refused here rather than
+// reported under a size that did not run.
+func validate(sys config.System, scale int) error {
+	if err := sys.Validate(); err != nil {
+		return err
+	}
+	if scale < 1 {
+		return fmt.Errorf("harness: scale %d must be at least 1", scale)
+	}
+	return nil
 }
 
 // Grid holds the full result matrix.
@@ -96,7 +109,7 @@ func RunGrid(sys config.System, p workloads.Params, protos []system.Protocol,
 	benches []string, w io.Writer) (*Grid, error) {
 
 	// Every worker hands p to a generator; validate first (see Gen).
-	if err := sys.Validate(); err != nil {
+	if err := validate(sys, p.Scale); err != nil {
 		return nil, err
 	}
 	if len(protos) == 0 {

@@ -121,17 +121,26 @@ func TestUnknownBenchmarkFails(t *testing.T) {
 // slices from the thread count and panic on a non-positive one, so a
 // bad core count must be turned into config.Validate's error — naming
 // the field — before any generator runs, both for a single workload
-// (Gen) and for a grid (RunGrid).
+// (Gen) and for a grid (RunGrid). Generators run a scale below 1 as
+// scale 1, so a bad scale must be refused the same way rather than
+// labelled with a size that did not run.
 func TestBadCoresRejectedBeforeGeneration(t *testing.T) {
 	e := workloads.ByName("x264")
-	for _, cores := range []int{-3, 0} {
-		cfg := config.Scaled(cores)
-		if w, err := harness.Gen(cfg, e, 1, 1); err == nil || w != nil || !strings.Contains(err.Error(), "cores") {
-			t.Errorf("Gen at %d cores: workload %v, error %v; want an error naming cores", cores, w, err)
+	for _, tc := range []struct {
+		cores, scale int
+		field        string
+	}{
+		{-3, 1, "cores"}, {0, 1, "cores"},
+		{4, 0, "scale"}, {4, -2, "scale"},
+	} {
+		cfg := config.Scaled(tc.cores)
+		if w, err := harness.Gen(cfg, e, tc.scale, 1); err == nil || w != nil || !strings.Contains(err.Error(), tc.field) {
+			t.Errorf("Gen at %d cores, scale %d: workload %v, error %v; want an error naming %s",
+				tc.cores, tc.scale, w, err, tc.field)
 		}
-		p := workloads.Params{Threads: cores, Scale: 1, Seed: 1}
-		if _, err := harness.RunGrid(cfg, p, nil, []string{"x264"}, nil); err == nil || !strings.Contains(err.Error(), "cores") {
-			t.Errorf("RunGrid at %d cores: error %v; want one naming cores", cores, err)
+		p := workloads.Params{Threads: tc.cores, Scale: tc.scale, Seed: 1}
+		if _, err := harness.RunGrid(cfg, p, nil, []string{"x264"}, nil); err == nil || !strings.Contains(err.Error(), tc.field) {
+			t.Errorf("RunGrid at %d cores, scale %d: error %v; want one naming %s", tc.cores, tc.scale, err, tc.field)
 		}
 	}
 	w, err := harness.Gen(config.Small(4), e, 1, 1)

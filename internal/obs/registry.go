@@ -256,7 +256,7 @@ func (r *Registry) Hists() []HistSnapshot {
 }
 
 // HistSnapshotFor returns the merged snapshot for one series name
-// (zero-valued if the series does not exist) — the benchfmt bridge.
+// (zero-valued if the series does not exist).
 func (r *Registry) HistSnapshotFor(name string) HistSnapshot {
 	for _, s := range r.Hists() {
 		if s.Name == name {

@@ -14,8 +14,8 @@ const (
 )
 
 // DenseCompute is the ALU-density microbenchmark behind
-// BenchmarkDenseCompute and the tsocc-bench -perf "dense-compute"
-// record. It is deliberately not part of the Table 3 registry (the
+// BenchmarkDenseCompute and the "dense-compute" synthetic extra. It is
+// deliberately not part of the Table 3 registry (the
 // paper does not evaluate it): its only job is to fill the pipeline
 // with back-to-back register instructions — the dense phase the
 // batched core model exists for. Each thread runs scale(200) rounds of

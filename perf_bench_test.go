@@ -7,7 +7,6 @@ package repro_test
 
 import (
 	"fmt"
-	"os"
 	"testing"
 
 	"repro/internal/coherence"
@@ -21,17 +20,6 @@ import (
 	"repro/internal/tsocc"
 	"repro/internal/workloads"
 )
-
-// benchSystem returns the benchmark machine configuration, honoring the
-// BATCHED_CORE environment override (set BATCHED_CORE=0 to bench the
-// instruction-at-a-time core model; CI smokes both settings).
-func benchSystem(cores int) config.System {
-	cfg := config.Scaled(cores)
-	if os.Getenv("BATCHED_CORE") == "0" {
-		cfg.BatchedCore = false
-	}
-	return cfg
-}
 
 // spinWorkload is the examples/spinlock shape: contended
 // test-and-test-and-set with paused probes, a shared counter in the
@@ -92,7 +80,7 @@ func runWorkload(b *testing.B, perCycle bool, gen func() *program.Workload) (sim
 	b.Helper()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		cfg := benchSystem(8)
+		cfg := config.Scaled(8)
 		cfg.PerCycleEngine = perCycle
 		m, err := system.NewMachine(cfg, tsocc.New(config.C12x3()), gen())
 		if err != nil {
@@ -301,7 +289,7 @@ func benchTrace(b *testing.B) *trace.Trace {
 // op, reported as trace ops replayed per second of host time.
 func BenchmarkTraceReplay(b *testing.B) {
 	tr := benchTrace(b)
-	cfg := benchSystem(8)
+	cfg := config.Scaled(8)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
