@@ -8,6 +8,7 @@ import (
 	"repro/internal/config"
 	"repro/internal/litmus"
 	"repro/internal/mesi"
+	"repro/internal/program"
 	"repro/internal/system"
 	"repro/internal/tsocc"
 	"repro/internal/workloads"
@@ -184,6 +185,63 @@ func TestEngineModesSpinlockIdentical(t *testing.T) {
 		if fps[i] != fps[0] {
 			t.Fatalf("spinlock diverged:\n %s: %s\n %s: %s",
 				engineModes[0].name, fps[0], engineModes[i].name, fps[i])
+		}
+	}
+}
+
+// TestEngineModesFarHitCompletions: with an L1 hit latency past the
+// wake-set engine's 64-slot due wheel, every hit completion is filed in
+// the far set and pulled into the ring as the clock reaches it. Per-cycle,
+// wake-set and 2-shard runs must agree bit for bit on ssca2 and on a
+// chain of load hits, and the chain must take the full latency per hit.
+func TestEngineModesFarHitCompletions(t *testing.T) {
+	const hitLat, hits = 70, 20
+	hitChain := func() *program.Workload {
+		chain := program.NewBuilder("hit-chain")
+		chain.Li(1, 0x1000)
+		for i := 0; i < hits+1; i++ { // one miss, then hits
+			chain.Ld(2, 1, 0)
+		}
+		chain.Halt()
+		return &program.Workload{Name: "hit-chain", Programs: []*program.Program{chain.MustBuild()}}
+	}
+	ssca2 := func() *program.Workload {
+		return workloads.ByName("ssca2").Gen(workloads.Params{Threads: 4, Scale: 1, Seed: 1})
+	}
+	modes := []struct {
+		name     string
+		perCycle bool
+		shards   int
+	}{{"per-cycle", true, 1}, {"event", false, 1}, {"shards=2", false, 2}}
+	for _, proto := range []system.Protocol{mesi.New(), tsocc.New(config.C12x3())} {
+		for _, gen := range []func() *program.Workload{ssca2, hitChain} {
+			name := gen().Name
+			t.Run(proto.Name()+"/"+name, func(t *testing.T) {
+				fps := make([]string, len(modes))
+				for i, mode := range modes {
+					cfg := config.Small(4)
+					cfg.L1HitLat = hitLat
+					cfg.PerCycleEngine = mode.perCycle
+					cfg.Shards = mode.shards
+					r, err := system.Run(cfg, proto, gen())
+					if err != nil {
+						t.Fatalf("%s: %v", mode.name, err)
+					}
+					if r.CheckErr != nil {
+						t.Fatalf("%s: functional check: %v", mode.name, r.CheckErr)
+					}
+					if name == "hit-chain" && r.Cycles < hits*hitLat {
+						t.Fatalf("%s: %d load hits took %d cycles, want at least %d", mode.name, hits, r.Cycles, hits*hitLat)
+					}
+					fps[i] = fingerprint(r)
+				}
+				for i := 1; i < len(fps); i++ {
+					if fps[i] != fps[0] {
+						t.Fatalf("far hit completions diverged:\n %s: %s\n %s: %s",
+							modes[0].name, fps[0], modes[i].name, fps[i])
+					}
+				}
+			})
 		}
 	}
 }

@@ -75,15 +75,16 @@ func TestL1BaseWakeContract(t *testing.T) {
 		t.Fatalf("label %q", got)
 	}
 
-	// A timer alone: due at its cycle, and the engine was told.
-	fired := false
-	l.Timers.AtDone(7, func() { fired = true })
-	if l.NextWake(1) != 7 || e.NextDue() != 7 || !l.Busy() {
-		t.Fatalf("timer at 7: NextWake=%d engine=%d busy=%v", l.NextWake(1), e.NextDue(), l.Busy())
+	// A hit completion is the engine's: due there at now+HitLat, while
+	// the L1 itself stays idle.
+	var got uint64
+	l.CompleteVal(4, func(v uint64) { got = v }, 9)
+	if l.NextWake(1) != sim.WakeNever || e.NextDue() != 7 || l.Busy() {
+		t.Fatalf("hit at 4: NextWake=%d engine=%d busy=%v", l.NextWake(1), e.NextDue(), l.Busy())
 	}
 
 	// A delivery wakes the L1 (outside a dispatch: the next cycle);
-	// queued work asks for the next cycle whatever the timers say.
+	// queued work asks for the next cycle.
 	l.Deliver(e.Now(), net.msg(MsgInv, 0x40))
 	if e.NextDue() != e.Now()+1 {
 		t.Fatalf("Deliver did not wake: engine next due %d, now %d", e.NextDue(), e.Now())
@@ -91,19 +92,23 @@ func TestL1BaseWakeContract(t *testing.T) {
 	if l.NextWake(2) != 3 {
 		t.Fatalf("queued message: NextWake(2)=%d, want 3", l.NextWake(2))
 	}
-	l.Tick(2)
+	e.RunWindow(7)
 	if len(l.handled) != 1 || l.handled[0] != MsgInv {
 		t.Fatalf("handled %v", l.handled)
 	}
 	if net.pool.Live() != 0 {
 		t.Fatalf("delivered message not recycled: live=%d", net.pool.Live())
 	}
-	if fired || l.NextWake(2) != 7 {
-		t.Fatalf("timer fired early or lost: fired=%v NextWake=%d", fired, l.NextWake(2))
+	if got != 0 || e.NextDue() != 7 {
+		t.Fatalf("completion fired early or lost: got=%d engine=%d", got, e.NextDue())
 	}
-	l.Tick(7)
-	if !fired || l.Busy() || l.NextWake(7) != sim.WakeNever {
-		t.Fatalf("after timer: fired=%v busy=%v next=%d", fired, l.Busy(), l.NextWake(7))
+	e.RunWindow(8)
+	if got != 9 || l.Busy() || e.NextDue() != sim.WakeNever {
+		t.Fatalf("after completion: got=%d busy=%v engine=%d", got, l.Busy(), e.NextDue())
+	}
+	l.CompleteNext(e.Now(), func() { got = 0 })
+	if e.RunWindow(9); got != 0 {
+		t.Fatal("CompleteNext did not fire on the next cycle")
 	}
 }
 

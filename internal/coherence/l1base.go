@@ -53,17 +53,17 @@ type EvictEntry struct {
 
 // L1Base is the protocol-independent skeleton of a private-cache
 // controller: identity, the mesh send path, the engine's wake contract
-// (inbox + timers), the read/write transaction slots with their gating
-// and completion, the eviction buffer, the statistics block and the
-// probe surface. A protocol's L1 embeds it and supplies the cache array
-// with its line metadata, the Load/Store/RMW/Fence bodies, the message
-// handler bound at Init, and SnoopBlock / PrewarmStorage over its array.
+// (the inbox), hit completion through engine completion events, the
+// read/write transaction slots with their gating and completion, the
+// eviction buffer, the statistics block and the probe surface. A
+// protocol's L1 embeds it and supplies the cache array with its line
+// metadata, the Load/Store/RMW/Fence bodies, the message handler bound
+// at Init, and SnoopBlock / PrewarmStorage over its array.
 type L1Base struct {
 	ID     NodeID
 	Cores  int
 	HitLat sim.Cycle
 
-	Timers Timers
 	Probe
 	Stats L1Stats
 
@@ -114,13 +114,22 @@ func (l *L1Base) Send(now sim.Cycle, tmpl Msg, data []byte) {
 	l.net.Send(now, m)
 }
 
-// BindWaker implements sim.WakeSink: stored for inbox deliveries and
-// forwarded to the timer heap, so any work landing on this L1 from
-// outside its own Tick (a mesh delivery, a hit latency scheduled during
-// the core's tick) marks it due.
-func (l *L1Base) BindWaker(w sim.Waker) {
-	l.waker = w
-	l.Timers.SetWaker(w)
+// BindWaker implements sim.WakeSink: the handle marks this L1 due when a
+// mesh delivery lands in its inbox and files its hit completions.
+func (l *L1Base) BindWaker(w sim.Waker) { l.waker = w }
+
+// CompleteVal completes a hit the core issued at now: cb(v) fires
+// HitLat cycles later as an engine completion event, so the hit costs
+// this L1 no tick. The L1 has already applied the access; the event
+// only hands the core its value.
+func (l *L1Base) CompleteVal(now sim.Cycle, cb func(uint64), v uint64) {
+	l.waker.CompleteAt(now+l.HitLat, cb, v)
+}
+
+// CompleteNext is CompleteVal for the core's store-hit and fence
+// callbacks, which fire on the next cycle.
+func (l *L1Base) CompleteNext(now sim.Cycle, cb func()) {
+	l.waker.DoneAt(now+1, cb)
 }
 
 // Deliver implements mesh.Endpoint.
@@ -129,9 +138,8 @@ func (l *L1Base) Deliver(now sim.Cycle, m *Msg) {
 	l.waker.Wake()
 }
 
-// Tick processes due timers and delivered messages.
+// Tick processes delivered messages.
 func (l *L1Base) Tick(now sim.Cycle) {
-	l.Timers.Tick(now)
 	if len(l.inbox) == 0 {
 		return
 	}
@@ -143,22 +151,21 @@ func (l *L1Base) Tick(now sim.Cycle) {
 	}
 }
 
-// NextWake implements sim.WakeHinter: the earliest due timer, or next
-// cycle if messages are queued. Outstanding transactions need no wake of
-// their own — they advance only when a message or timer fires.
+// NextWake implements sim.WakeHinter: next cycle if messages are
+// queued. Outstanding transactions need no wake of their own — they
+// advance only when a message arrives — and a pending hit completion is
+// the engine's, not this L1's.
 func (l *L1Base) NextWake(now sim.Cycle) sim.Cycle {
 	if len(l.inbox) > 0 {
 		return now + 1
-	}
-	if due, ok := l.Timers.NextDue(); ok {
-		return due
 	}
 	return sim.WakeNever
 }
 
 // Busy reports whether any transaction is outstanding (completion check).
+// A pending hit completion keeps its core, not the L1, from being done.
 func (l *L1Base) Busy() bool {
-	return l.Rd != nil || l.Wr != nil || len(l.evict) > 0 || l.Timers.Pending() > 0 || len(l.inbox) > 0
+	return l.Rd != nil || l.Wr != nil || len(l.evict) > 0 || len(l.inbox) > 0
 }
 
 // L1Stats implements L1Like.
@@ -299,6 +306,6 @@ func (l *L1Base) Debug() string {
 	for a, e := range l.evict {
 		s += fmt.Sprintf(" evict=%#x(dirty=%v xfer=%v)", a, e.Dirty, e.Transferred)
 	}
-	s += fmt.Sprintf(" timers=%d%v inbox=%d", l.Timers.Pending(), l.Timers.DueCycles(), len(l.inbox))
+	s += fmt.Sprintf(" inbox=%d", len(l.inbox))
 	return s
 }

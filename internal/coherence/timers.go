@@ -2,41 +2,26 @@ package coherence
 
 import "repro/internal/sim"
 
-// timerKind selects which of an event's callback shapes fires. The
-// split exists so the hot paths (L1 hit completions) can schedule a
-// pre-existing callback value with a payload instead of allocating a
-// fresh closure per operation.
-type timerKind uint8
-
-const (
-	timerFn   timerKind = iota // fn(now)
-	timerVal                   // valCb(val)
-	timerDone                  // doneCb()
-	timerMsg                   // msgCb(now, msg)
-)
-
+// timerEvent is one deferred action: msgCb(now, msg) when msgCb is set
+// (the closure-free send path), fn(now) otherwise.
 type timerEvent struct {
-	kind  timerKind
-	val   uint64
 	msg   *Msg
 	fn    func(now sim.Cycle)
-	valCb func(val uint64)
-	done  func()
 	msgCb func(now sim.Cycle, m *Msg)
 }
 
-// Timers schedules deferred actions inside a controller (array access
-// latencies, memory fills). Actions scheduled for the same cycle run in
-// scheduling order, keeping controllers deterministic. The store is the
-// shared EventHeap ordered by (cycle, scheduling sequence), so the
-// earliest deadline is exposed in O(1) for the engine's wake hints and
-// firing is allocation-free in steady state.
+// Timers schedules a directory tile's deferred actions (array access
+// latencies, memory fills, delayed sends). Actions scheduled for the
+// same cycle run in scheduling order, keeping controllers deterministic.
+// The store is the shared EventHeap ordered by (cycle, scheduling
+// sequence), so the earliest deadline is exposed in O(1) for the
+// engine's wake hints and firing is allocation-free in steady state.
 //
 // Every scheduled action also wakes the owning controller at its due
-// cycle through the bound sim.Waker: timers are frequently pushed from
-// outside the owner's own Tick (an L1 hit scheduled during the core's
-// tick), and under wake-set scheduling the engine will not re-poll the
-// owner's NextWake until it next ticks.
+// cycle through the bound sim.Waker, since under wake-set scheduling the
+// engine re-polls the owner's NextWake only after it ticks. L1 hits do
+// not come through here: their only effect is the core's callback, which
+// they file as an engine completion event (L1Base.CompleteVal).
 type Timers struct {
 	heap  EventHeap[timerEvent]
 	waker sim.Waker
@@ -48,28 +33,14 @@ func (t *Timers) SetWaker(w sim.Waker) { t.waker = w }
 
 // At schedules f to run at cycle c (or the next tick if c is in the past).
 func (t *Timers) At(c sim.Cycle, f func(now sim.Cycle)) {
-	t.heap.PushAuto(c, timerEvent{kind: timerFn, fn: f})
-	t.waker.WakeAt(c)
-}
-
-// AtVal schedules cb(val) at cycle c. Unlike At with a capturing
-// closure, this allocates nothing: cb is an existing callback value and
-// val rides in the event.
-func (t *Timers) AtVal(c sim.Cycle, cb func(val uint64), val uint64) {
-	t.heap.PushAuto(c, timerEvent{kind: timerVal, valCb: cb, val: val})
-	t.waker.WakeAt(c)
-}
-
-// AtDone schedules cb() at cycle c without allocating.
-func (t *Timers) AtDone(c sim.Cycle, cb func()) {
-	t.heap.PushAuto(c, timerEvent{kind: timerDone, done: cb})
+	t.heap.PushAuto(c, timerEvent{fn: f})
 	t.waker.WakeAt(c)
 }
 
 // AtMsg schedules cb(now, m) at cycle c without allocating (cb should be
 // a callback value stored once by the controller, e.g. its send method).
 func (t *Timers) AtMsg(c sim.Cycle, cb func(now sim.Cycle, m *Msg), m *Msg) {
-	t.heap.PushAuto(c, timerEvent{kind: timerMsg, msgCb: cb, msg: m})
+	t.heap.PushAuto(c, timerEvent{msgCb: cb, msg: m})
 	t.waker.WakeAt(c)
 }
 
@@ -85,15 +56,10 @@ func (t *Timers) Tick(now sim.Cycle) {
 		// schedule new timers, which reuses the heap storage.
 		ev := it.Item
 		t.heap.DropMin()
-		switch ev.kind {
-		case timerFn:
-			ev.fn(now)
-		case timerVal:
-			ev.valCb(ev.val)
-		case timerDone:
-			ev.done()
-		case timerMsg:
+		if ev.msgCb != nil {
 			ev.msgCb(now, ev.msg)
+		} else {
+			ev.fn(now)
 		}
 	}
 }
@@ -103,10 +69,3 @@ func (t *Timers) NextDue() (sim.Cycle, bool) { return t.heap.Min() }
 
 // Pending reports the number of scheduled actions (deadlock diagnostics).
 func (t *Timers) Pending() int { return t.heap.Len() }
-
-// DueCycles lists the cycles with scheduled actions (diagnostics).
-func (t *Timers) DueCycles() []sim.Cycle {
-	var out []sim.Cycle
-	t.heap.Scan(func(c sim.Cycle, _ *timerEvent) { out = append(out, c) })
-	return out
-}

@@ -49,6 +49,9 @@ type TxTable struct {
 	tx      map[uint64]*Tx
 	free    []*Tx
 	waiting map[uint64][]*Msg
+	// waitFree holds emptied waiting queues for reuse: every busy-line
+	// episode would otherwise start a fresh slice.
+	waitFree [][]*Msg
 
 	inbox []*Msg
 
@@ -254,7 +257,12 @@ func (t *TxTable) BusyLine(addr uint64) bool {
 // it when the transaction retires. Owns the retained flag.
 func (t *TxTable) EnqueueWaiting(m *Msg) {
 	t.Waits.Inc()
-	t.waiting[m.Addr] = append(t.waiting[m.Addr], m)
+	q, ok := t.waiting[m.Addr]
+	if n := len(t.waitFree); !ok && n > 0 {
+		q = t.waitFree[n-1]
+		t.waitFree = t.waitFree[:n-1]
+	}
+	t.waiting[m.Addr] = append(q, m)
 	t.retained = true
 }
 
@@ -326,17 +334,20 @@ func (t *TxTable) Drain(now sim.Cycle) {
 }
 
 // DrainWaiting re-dispatches every message parked behind addr (after its
-// transaction retired), in arrival order.
+// transaction retired), in arrival order. A message that parks again
+// while the queue drains starts a new queue; the drained one is recycled
+// afterwards.
 func (t *TxTable) DrainWaiting(now sim.Cycle, addr uint64) {
 	q, ok := t.waiting[addr]
-	if !ok || len(q) == 0 {
-		delete(t.waiting, addr)
+	if !ok {
 		return
 	}
 	delete(t.waiting, addr)
 	for _, m := range q {
 		t.Consume(now, m)
 	}
+	clear(q)
+	t.waitFree = append(t.waitFree, q[:0])
 }
 
 // QueuedWork reports whether messages are queued for the next tick

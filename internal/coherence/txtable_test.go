@@ -232,3 +232,32 @@ func TestMsgPoolLeakCheck(t *testing.T) {
 		t.Fatalf("live = %d", p.Live())
 	}
 }
+
+// TestTxTableWaitingQueueReused: a park → drain episode on a busy line
+// reuses an emptied waiting queue instead of growing a fresh one, so in
+// steady state it allocates nothing; the drained messages are recycled.
+func TestTxTableWaitingQueueReused(t *testing.T) {
+	h := newTxHarness()
+	now := sim.Cycle(0)
+	addr := uint64(0x40)
+	episode := func() {
+		now++
+		addr ^= 0x1c0 // alternate lines: each episode starts a new map entry
+		tx := h.txs.New(addr, 1, nil, 0)
+		for i := 0; i < 3; i++ {
+			m := h.pool.Get()
+			m.Addr = addr
+			h.txs.EnqueueWaiting(m)
+		}
+		h.txs.Del(addr, tx, true)
+		h.txs.DrainWaiting(now, addr)
+		h.handled = h.handled[:0]
+	}
+	episode() // warm up: the first queue, the pool and the map
+	if n := testing.AllocsPerRun(200, episode); n != 0 {
+		t.Fatalf("park -> drain allocates %.1f/op, want 0", n)
+	}
+	if h.pool.Live() != 0 || len(h.txs.waiting) != 0 || len(h.txs.waitFree) != 1 {
+		t.Fatalf("after drains: live=%d waiting=%d free queues=%d", h.pool.Live(), len(h.txs.waiting), len(h.txs.waitFree))
+	}
+}

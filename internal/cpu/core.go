@@ -47,9 +47,11 @@ type Core struct {
 	halted     bool
 
 	// waker marks the core due when one of its completion callbacks
-	// fires (inside the L1's tick, earlier in the same cycle): that is
-	// the only way a blocked core is re-enabled, and under wake-set
-	// scheduling the engine ticks only components that were marked due.
+	// fires — inside the L1's tick for a miss, or as an engine completion
+	// event at the start of the cycle for a hit; either way earlier in the
+	// same cycle than the core's turn. That is the only way a blocked core
+	// is re-enabled, and under wake-set scheduling the engine ticks only
+	// components that were marked due.
 	waker sim.Waker
 
 	// batched enables straight-line run execution: a whole block of
@@ -353,8 +355,9 @@ func (c *Core) drainWriteBuffer(now sim.Cycle) {
 		// The L1 declined. Every decline reason is a transaction this
 		// same core has in flight (a same-block load/RMW, or its own
 		// write), and every such transaction completes by firing one of
-		// this core's callbacks — which call waker.Wake — so the retry
-		// is re-dispatched on exactly the cycle the L1 frees up. This
+		// this core's callbacks — from the L1's tick or as an engine
+		// completion event, and either way calling waker.Wake — so the
+		// retry is re-dispatched on exactly the cycle the L1 frees up. This
 		// invariant is load-bearing under wake-set scheduling: a stalled
 		// head with the core otherwise quiescent reports WakeNever, so
 		// an L1 decline reason with no pending same-core callback would
@@ -367,8 +370,9 @@ func (c *Core) drainWriteBuffer(now sim.Cycle) {
 // has self-driven work: an instruction to execute, a stall expiring, or
 // a write-buffer head to (re)issue. While blocked on an L1 callback it
 // is externally driven — the callback itself wakes the core through its
-// Waker on the cycle it fires (inside the L1's tick, earlier in that
-// same cycle, so the core's turn is still ahead).
+// Waker on the cycle it fires (inside the L1's tick for a miss, at the
+// start of the cycle as an engine completion event for a hit: either way
+// the core's turn is still ahead).
 func (c *Core) NextWake(now sim.Cycle) sim.Cycle {
 	if c.wbLen > 0 && !c.wbInFlight && !c.wbStalled {
 		return now + 1 // a freshly buffered store to issue

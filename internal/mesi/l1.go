@@ -54,7 +54,7 @@ func (l *L1) Load(now sim.Cycle, addr uint64, cb func(uint64)) bool {
 			} else {
 				l.Stats.ReadHitPrivate.Inc()
 			}
-			l.Timers.AtVal(now+l.HitLat, cb, memsys.GetWord(l.cache.Block(w), addr))
+			l.CompleteVal(now, cb, memsys.GetWord(l.cache.Block(w), addr))
 			return true
 		}
 	}
@@ -77,7 +77,7 @@ func (l *L1) Store(now sim.Cycle, addr uint64, val uint64, cb func()) bool {
 			w.Meta.state = stateM
 			memsys.PutWord(l.cache.Block(w), addr, val)
 			l.Stats.WriteHitPrivate.Inc()
-			l.Timers.AtDone(now+1, cb)
+			l.CompleteNext(now, cb)
 			return true
 		}
 	}
@@ -103,7 +103,7 @@ func (l *L1) RMW(now sim.Cycle, addr uint64, f func(uint64) (uint64, bool), cb f
 			}
 			l.Stats.WriteHitPrivate.Inc()
 			l.Stats.RMWLat.Observe(int64(l.HitLat))
-			l.Timers.AtVal(now+l.HitLat, cb, old)
+			l.CompleteVal(now, cb, old)
 			return true
 		}
 	}
@@ -128,7 +128,7 @@ func (l *L1) pinForUpgrade(addr uint64) bool {
 // Fence implements coherence.CorePort. MESI is eagerly coherent; a fence
 // needs no cache actions beyond the core's write-buffer drain.
 func (l *L1) Fence(now sim.Cycle, cb func()) bool {
-	l.Timers.AtDone(now+1, cb)
+	l.CompleteNext(now, cb)
 	return true
 }
 

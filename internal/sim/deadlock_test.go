@@ -100,3 +100,50 @@ func TestDeadlockErrorAtLimit(t *testing.T) {
 		t.Fatalf("error does not name the pending component: %v", err)
 	}
 }
+
+// stuckHit models a front end whose L1 hit completion is filed past the
+// cycle limit: the engine has work scheduled, but none before the limit.
+type stuckHit struct {
+	waker Waker
+	fired bool
+}
+
+func (s *stuckHit) BindWaker(w Waker) { s.waker = w }
+func (s *stuckHit) Tick(now Cycle) {
+	if now == 1 {
+		s.waker.DoneAt(1000, func() { s.fired = true })
+	}
+}
+func (s *stuckHit) NextWake(now Cycle) Cycle { return WakeNever }
+func (s *stuckHit) Done() bool               { return s.fired }
+func (s *stuckHit) ComponentLabel() string   { return "stuck-hit" }
+func (s *stuckHit) Debug() string            { return "waiting on its hit" }
+
+// TestDeadlockReportListsPendingCompletions: a run that stops with a
+// completion event outstanding reports it under the component that
+// filed it, after the component's own Debug detail, in both engine modes.
+func TestDeadlockReportListsPendingCompletions(t *testing.T) {
+	for _, perCycle := range []bool{false, true} {
+		e := NewEngine(100)
+		e.SetPerCycle(perCycle)
+		e.Register(healthy{})
+		e.Register(&stuckHit{})
+		_, err := e.Run()
+		var dl *DeadlockError
+		if !errors.As(err, &dl) {
+			t.Fatalf("perCycle=%v: err = %v, want *DeadlockError", perCycle, err)
+		}
+		if dl.Stalled || dl.Cycle != 100 {
+			t.Fatalf("perCycle=%v: want a cycle-limit exit at 100, got %+v", perCycle, dl)
+		}
+		for _, c := range dl.Components {
+			want := ""
+			if c.Label == "stuck-hit" {
+				want = "waiting on its hit completion due @1000"
+			}
+			if c.Detail != want {
+				t.Fatalf("perCycle=%v: %s detail %q, want %q", perCycle, c.Label, c.Detail, want)
+			}
+		}
+	}
+}

@@ -23,6 +23,16 @@
 // due, the sequence of effective (non-no-op) ticks — and therefore all
 // simulated state — is bit-identical to per-cycle execution.
 //
+// Besides components, the engine schedules completion events: a
+// callback with an optional payload that a component files for a later
+// cycle (Waker.CompleteAt / Waker.DoneAt) instead of waking itself to
+// run it. Every mode fires a cycle's completions at the start of that
+// cycle, in filing order, before any component ticks; under wake-set
+// scheduling a wake they issue folds into the same cycle. They carry
+// work whose only effect is on components registered after the filer
+// (an L1 hit's callback into its front end), so running it before the
+// filer's own turn instead of inside it changes no simulated state.
+//
 // Due cycles are indexed by a due wheel (see Engine): a ring of
 // per-cycle component bitmasks kept exact on every change, so an active
 // cycle costs host time in proportion to the components due in it, not
@@ -41,6 +51,7 @@ import (
 	"fmt"
 	"math/bits"
 	"runtime/pprof"
+	"sort"
 	"strings"
 
 	"repro/internal/obs"
@@ -83,8 +94,10 @@ type WakeHinter interface {
 // It is handed out at registration (see WakeSink) and is what lets
 // external events — a mesh delivery into an inbox, a completion
 // callback into a core, a timer scheduled from another component's tick
-// — reach a component without the engine rescanning every hint. The
-// zero Waker is valid and wakes nothing (standalone component tests).
+// — reach a component without the engine rescanning every hint. It is
+// also how the component files completion events. The zero Waker is
+// valid and wakes nothing (standalone component tests); filing a
+// completion through it panics, since nothing would ever fire it.
 type Waker struct {
 	e  *Engine
 	id int
@@ -107,6 +120,44 @@ func (w Waker) WakeAt(c Cycle) {
 func (w Waker) Wake() {
 	if w.e != nil {
 		w.e.WakeAt(w.id, w.e.now)
+	}
+}
+
+// CompleteAt files cb(v) to fire at the start of cycle c (the next cycle
+// if c is not after the current one), before any component ticks in c.
+// It allocates nothing in steady state: cb is an existing callback value
+// and v rides in the event.
+func (w Waker) CompleteAt(c Cycle, cb func(uint64), v uint64) {
+	w.engine().complete(completion{at: c, owner: w.id, valCb: cb, val: v})
+}
+
+// DoneAt is CompleteAt for a callback without a payload.
+func (w Waker) DoneAt(c Cycle, cb func()) {
+	w.engine().complete(completion{at: c, owner: w.id, done: cb})
+}
+
+func (w Waker) engine() *Engine {
+	if w.e == nil {
+		panic("sim: completion filed through an unbound Waker")
+	}
+	return w.e
+}
+
+// completion is a filed completion event (see Waker.CompleteAt). owner is
+// the filing component's registration index, for forensic snapshots.
+type completion struct {
+	at    Cycle
+	owner int
+	val   uint64
+	valCb func(uint64)
+	done  func()
+}
+
+func (ev *completion) fire() {
+	if ev.done != nil {
+		ev.done()
+	} else {
+		ev.valCb(ev.val)
 	}
 }
 
@@ -152,14 +203,18 @@ type Engine struct {
 	//     shard whose clock lags); farMin is the exact minimum of their
 	//     due cycles (WakeNever when far is empty). advance moves far
 	//     entries into the ring as the window reaches them.
+	//   - completions ride the same ring: evs[s] lists, in filing order,
+	//     the completion events due at the cycle slot s stands for, and
+	//     farEvs those filed at or beyond now+wheelSlots. occ and farMin
+	//     cover them too.
 	//
 	// Every component with a finite dueAt has exactly one entry for it —
 	// in the ring or in far — and quiescent components have none: an
 	// entry is removed when its due cycle is lowered (setDue) or when the
 	// component is ticked, whether at that cycle or earlier through a
 	// same-cycle fold (which adds a second, dispatch-mask bit until the
-	// component's turn). So every dispatch ticks at least one component
-	// and nextDue is exact, not a bound.
+	// component's turn). So every dispatch ticks a component or fires a
+	// completion, and nextDue is exact, not a bound.
 	dueAt  []Cycle
 	words  int
 	wheel  []uint64
@@ -167,9 +222,12 @@ type Engine struct {
 	occ    uint64
 	far    []uint64
 	farMin Cycle
+	evs    [wheelSlots][]completion
+	farEvs []completion
 	// pos is the highest registration index whose turn has come this
-	// cycle; outside a dispatch it is len(tickers), so "id > pos" alone
-	// means "mid-dispatch and id's turn is still ahead".
+	// cycle (-1 while the cycle's completions fire); outside a dispatch it
+	// is len(tickers), so "id > pos" alone means "mid-dispatch and id's
+	// turn is still ahead".
 	pos int
 
 	// Shard-local quiescence tracking (RunWindow). doneAt is the cycle
@@ -379,6 +437,7 @@ func (e *Engine) Snapshot() []PendingComponent {
 			done[i] = d.Done()
 		}
 	}
+	pending := e.pendingCompletions()
 	out := make([]PendingComponent, 0, len(e.tickers))
 	for i, t := range e.tickers {
 		pc := PendingComponent{Index: i, Due: e.dueAt[i], Done: true}
@@ -401,6 +460,12 @@ func (e *Engine) Snapshot() []PendingComponent {
 		if dbg, ok := t.(Debugger); ok {
 			pc.Detail = dbg.Debug()
 		}
+		for _, c := range pending[i] {
+			if pc.Detail != "" {
+				pc.Detail += " "
+			}
+			pc.Detail += fmt.Sprintf("completion due @%d", c)
+		}
 		out = append(out, pc)
 	}
 	for di, d := range e.doners {
@@ -417,6 +482,21 @@ func (e *Engine) Snapshot() []PendingComponent {
 			pc.Detail = dbg.Debug()
 		}
 		out = append(out, pc)
+	}
+	return out
+}
+
+// pendingCompletions maps each filing component to the due cycles of its
+// outstanding completion events, in firing order.
+func (e *Engine) pendingCompletions() map[int][]Cycle {
+	all := append([]completion(nil), e.farEvs...)
+	for s := range e.evs {
+		all = append(all, e.evs[s]...)
+	}
+	sort.SliceStable(all, func(i, j int) bool { return all[i].at < all[j].at })
+	out := make(map[int][]Cycle)
+	for _, ev := range all {
+		out[ev.owner] = append(out[ev.owner], ev.at)
 	}
 	return out
 }
@@ -490,7 +570,7 @@ func (e *Engine) unfile(id int, old Cycle) {
 	for _, word := range slot {
 		left |= word
 	}
-	if left == 0 {
+	if left == 0 && len(e.evs[s]) == 0 {
 		e.occ &^= 1 << uint(s)
 	}
 }
@@ -511,7 +591,43 @@ func (e *Engine) file(id int, c Cycle) {
 	e.occ |= 1 << uint(s)
 }
 
-// scanFar reports the minimum due cycle over the far set.
+// complete files a completion event, clamping a due cycle at or before
+// now to the next cycle.
+func (e *Engine) complete(ev completion) {
+	if ev.at <= e.now {
+		ev.at = e.now + 1
+	}
+	e.fileEvent(ev)
+}
+
+// fileEvent appends ev to its ring slot, or to farEvs when it lies at or
+// beyond now+wheelSlots.
+func (e *Engine) fileEvent(ev completion) {
+	if ev.at-e.now >= wheelSlots {
+		e.farEvs = append(e.farEvs, ev)
+		if ev.at < e.farMin {
+			e.farMin = ev.at
+		}
+		return
+	}
+	s := int(ev.at) & (wheelSlots - 1)
+	e.evs[s] = append(e.evs[s], ev)
+	e.occ |= 1 << uint(s)
+}
+
+// fire runs the completions of ring slot s in filing order and empties
+// it. None of them can file into s again: a completion is clamped to at
+// least now+1, and one for now+wheelSlots goes to farEvs.
+func (e *Engine) fire(s int) {
+	evs := e.evs[s]
+	for i := range evs {
+		evs[i].fire()
+	}
+	e.evs[s] = evs[:0]
+}
+
+// scanFar reports the minimum due cycle over the far set, components
+// and completions alike.
 func (e *Engine) scanFar() Cycle {
 	m := WakeNever
 	for w, word := range e.far {
@@ -519,6 +635,11 @@ func (e *Engine) scanFar() Cycle {
 			if d := e.dueAt[w<<6+bits.TrailingZeros64(word)]; d < m {
 				m = d
 			}
+		}
+	}
+	for i := range e.farEvs {
+		if d := e.farEvs[i].at; d < m {
+			m = d
 		}
 	}
 	return m
@@ -541,10 +662,24 @@ func (e *Engine) advance(c Cycle) {
 			}
 		}
 	}
+	// Completions move in filing order, and before any completion for the
+	// same cycle can be filed straight into the ring (that needs a clock
+	// within wheelSlots of it, which this call is the first to reach), so
+	// every slot stays in filing order.
+	kept := e.farEvs[:0]
+	for _, ev := range e.farEvs {
+		if ev.at-c < wheelSlots {
+			e.fileEvent(ev)
+		} else {
+			kept = append(kept, ev)
+		}
+	}
+	e.farEvs = kept
 	e.farMin = e.scanFar()
 }
 
-// resetDue makes every component due on the next cycle.
+// resetDue makes every component due on the next cycle. Filed
+// completions keep their place.
 func (e *Engine) resetDue() {
 	for i := range e.wheel {
 		e.wheel[i] = 0
@@ -552,7 +687,13 @@ func (e *Engine) resetDue() {
 	for i := range e.far {
 		e.far[i] = 0
 	}
-	e.occ, e.farMin = 0, WakeNever
+	e.occ = 0
+	for s := range e.evs {
+		if len(e.evs[s]) > 0 {
+			e.occ |= 1 << uint(s)
+		}
+	}
+	e.farMin = e.scanFar()
 	for i := range e.dueAt {
 		e.dueAt[i] = e.now + 1
 		e.file(i, e.now+1)
@@ -574,17 +715,20 @@ func (e *Engine) WakeAt(id int, c Cycle) {
 	e.setDue(id, c)
 }
 
-// Step advances the simulation a single cycle, ticking every component
-// (per-cycle semantics).
+// Step advances the simulation a single cycle, firing the cycle's
+// completions and then ticking every component (per-cycle semantics).
 func (e *Engine) Step() {
-	e.now++
+	e.advance(e.now + 1)
+	// pos stays len(tickers): a wake issued by a completion goes to the
+	// wheel, which per-cycle ticking does not consult.
+	e.fire(int(e.now) & (wheelSlots - 1))
 	for _, t := range e.tickers {
 		t.Tick(e.now)
 	}
 }
 
-// nextDue reports the earliest cycle any component is due at, or
-// WakeNever: the first occupied ring slot after now, else the far
+// nextDue reports the earliest cycle any component or completion is due
+// at, or WakeNever: the first occupied ring slot after now, else the far
 // minimum (every far entry lies beyond every ring entry).
 func (e *Engine) nextDue() Cycle {
 	if e.occ == 0 {
@@ -594,19 +738,23 @@ func (e *Engine) nextDue() Cycle {
 	return from + Cycle(bits.TrailingZeros64(bits.RotateLeft64(e.occ, -int(from&(wheelSlots-1)))))
 }
 
-// dispatch ticks every due component at the current cycle in
-// registration order. Components woken mid-dispatch for this same cycle
-// (a mesh delivery into an inbox, a completion callback into a core)
-// are picked up in the same pass as long as their turn has not passed;
-// bit identity with per-cycle execution holds because stimulation only
-// flows forward in registration order within a cycle (network → L2s →
-// L1s → frontends), which mirrors per-cycle tick order.
+// dispatch fires the current cycle's completions, then ticks every due
+// component in registration order. Components woken mid-dispatch for
+// this same cycle (a mesh delivery into an inbox, a completion callback
+// into a core) are picked up in the same pass as long as their turn has
+// not passed — a completion's wake always folds, since it fires before
+// any turn; bit identity with per-cycle execution holds because
+// stimulation only flows forward in registration order within a cycle
+// (network → L2s → L1s → frontends), which mirrors per-cycle tick order.
 func (e *Engine) dispatch() {
 	now := e.now
 	slot := int(now) & (wheelSlots - 1)
 	mask := e.wheel[slot*e.words : (slot+1)*e.words]
 	e.mask = mask
 	e.pos = -1
+	if len(e.evs[slot]) > 0 {
+		e.fire(slot)
+	}
 	ticked := 0
 	for w := 0; w < len(mask); {
 		wordBits := mask[w]

@@ -27,7 +27,9 @@ var edgeGaps = []Cycle{1, wheelSlots - 1, wheelSlots, wheelSlots + 1, 3 * wheelS
 // own RNG, stimulate a random peer at a random future cycle — near or
 // at one of the edgeGaps — including the current cycle, in both the
 // forward (peer not yet ticked) and backward (peer's turn already
-// passed) directions. A toy with nothing pending hints WakeNever.
+// passed) directions. Some same-shard stimulations travel as completion
+// events instead: filed now, they stimulate the peer for the cycle they
+// fire at. A toy with nothing pending hints WakeNever.
 type stimToy struct {
 	id    int
 	peers []*stimToy
@@ -44,8 +46,13 @@ type stimToy struct {
 
 	selfDue []Cycle // ascending; consumed from the front
 	stim    []Cycle // pending external stimulations
+	filed   int     // completions this toy filed that have not fired yet
 	rng     *RNG
 	log     *[]workRec
+
+	// refQ, set in reference mode, receives the toy's completions in
+	// place of the engine.
+	refQ *[]refCompletion
 
 	// Sharded-property-test fields (zero in the single-engine tests):
 	// toys on different shards may only stimulate each other at least
@@ -108,9 +115,33 @@ func (t *stimToy) Tick(now Cycle) {
 				t.route(target, now+delta)
 				return
 			}
+		} else if t.rng.Intn(3) == 0 {
+			t.complete(now+max(delta, 1), target)
+			return
 		}
 		target.AddStim(now + delta)
 	}
+}
+
+// refCompletion is a completion event queued by the scan-all reference.
+type refCompletion struct {
+	at   Cycle
+	fire func()
+}
+
+// complete files a completion for cycle at that stimulates target for
+// that same cycle when it fires.
+func (t *stimToy) complete(at Cycle, target *stimToy) {
+	t.filed++
+	fire := func() {
+		t.filed--
+		target.AddStim(at)
+	}
+	if t.refQ != nil {
+		*t.refQ = append(*t.refQ, refCompletion{at: at, fire: fire})
+		return
+	}
+	t.waker.DoneAt(at, fire)
 }
 
 func (t *stimToy) NextWake(now Cycle) Cycle {
@@ -126,7 +157,7 @@ func (t *stimToy) NextWake(now Cycle) Cycle {
 	return earliest
 }
 
-func (t *stimToy) Done() bool { return len(t.selfDue) == 0 && len(t.stim) == 0 }
+func (t *stimToy) Done() bool { return len(t.selfDue) == 0 && len(t.stim) == 0 && t.filed == 0 }
 
 // buildToys constructs one seeded scenario: n toys with sparse random
 // self-schedules, wired as mutual peers. One scenario in four is wide
@@ -164,8 +195,10 @@ func buildToys(seed uint64, log *[]workRec) []*stimToy {
 }
 
 // runReference executes the scan-all baseline: at every step, poll every
-// component's NextWake, leap to the earliest, tick ALL components in
-// registration order. This is the old event engine's contract; toys
+// component's NextWake and the earliest queued completion, leap to the
+// earliest, fire that cycle's completions in filing order, then tick ALL
+// components in registration order. This is the old event engine's
+// contract (plus completions, which no component had to hint); toys
 // record work only when they actually have some, so its log is directly
 // comparable to the wake-set engine's. It also reports how many cycles
 // it leapt over: the wake-set engine dispatches exactly the cycles in
@@ -173,6 +206,10 @@ func buildToys(seed uint64, log *[]workRec) []*stimToy {
 func runReference(t *testing.T, toys []*stimToy, maxCycle Cycle) (final Cycle, skipped int64) {
 	t.Helper()
 	now := Cycle(0)
+	var q []refCompletion
+	for _, toy := range toys {
+		toy.refQ = &q
+	}
 	done := func() bool {
 		for _, toy := range toys {
 			if !toy.Done() {
@@ -191,6 +228,11 @@ func runReference(t *testing.T, toys []*stimToy, maxCycle Cycle) (final Cycle, s
 				next = h
 			}
 		}
+		for _, c := range q {
+			if c.at < next {
+				next = c.at
+			}
+		}
 		if next == WakeNever {
 			t.Fatal("reference run stuck: pending work but no wake")
 		}
@@ -199,6 +241,19 @@ func runReference(t *testing.T, toys []*stimToy, maxCycle Cycle) (final Cycle, s
 		}
 		skipped += int64(next - now - 1)
 		now = next
+		var due []refCompletion
+		kept := q[:0]
+		for _, c := range q {
+			if c.at == now {
+				due = append(due, c)
+			} else {
+				kept = append(kept, c)
+			}
+		}
+		q = kept
+		for _, c := range due {
+			c.fire()
+		}
 		for _, toy := range toys {
 			toy.Tick(now)
 		}

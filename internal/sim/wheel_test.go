@@ -8,8 +8,9 @@ import (
 // checkWheel asserts the due wheel indexes dueAt exactly: every
 // component with a finite due cycle has one entry for it — in the ring
 // slot of that cycle, which must lie inside the window, or in far —
-// quiescent components have none, and the occupancy word and the far
-// minimum agree with the masks. The slot being dispatched is the
+// quiescent components have none, every completion sits in its cycle's
+// slot inside the window or in the far list, and the occupancy word and
+// the far minimum agree with the masks and the completions. The slot being dispatched is the
 // dispatch mask: it may hold only components whose turn is still ahead,
 // and a folded component's bit there comes on top of its dueAt entry.
 // It reports with Errorf so toys may call it from shard goroutines.
@@ -41,12 +42,23 @@ func checkWheel(t *testing.T, e *Engine) {
 				}
 			}
 		}
+		for _, ev := range e.evs[s] {
+			if int(ev.at)&(wheelSlots-1) != s || ev.at <= e.now || ev.at-e.now >= wheelSlots {
+				t.Errorf("completion due %d sits in slot %d at %d", ev.at, s, e.now)
+			}
+		}
 		// Dispatch clears the current slot's bit when the pass ends.
-		if s != cur && (e.occ>>uint(s))&1 == 1 != (n > 0) {
-			t.Errorf("slot %d occupancy bit disagrees with its %d entries", s, n)
+		if s != cur && (e.occ>>uint(s))&1 == 1 != (n > 0 || len(e.evs[s]) > 0) {
+			t.Errorf("slot %d occupancy bit disagrees with its %d entries and %d completions", s, n, len(e.evs[s]))
 		}
 	}
 	farMin := WakeNever
+	for _, ev := range e.farEvs {
+		if ev.at-e.now < wheelSlots {
+			t.Errorf("completion due %d sits in far inside the window at %d", ev.at, e.now)
+		}
+		farMin = min(farMin, ev.at)
+	}
 	for id, d := range e.dueAt {
 		inFar := e.far[id>>6]&(1<<(uint(id)&63)) != 0
 		switch {
@@ -220,7 +232,8 @@ func TestMergeWakeIntoLaggingShard(t *testing.T) {
 // scenario seeds: the generator covers masks wider than one word, wake
 // distances on both sides of the ring's edge, far entries lowered into
 // the window, same-cycle folds of components holding future entries,
-// and cross-shard wakes into lagging shard clocks.
+// completion events near and far, and cross-shard wakes into lagging
+// shard clocks.
 func FuzzWakeWheel(f *testing.F) {
 	for _, seed := range []uint64{1, 7, 42, 1 << 40} {
 		f.Add(seed)

@@ -60,8 +60,10 @@ type ReplayCore struct {
 	readyAt  sim.Cycle
 	gapArmed bool
 
-	// waker marks the core due when a completion callback fires (the
-	// wake-set contract, mirroring cpu.Core).
+	// waker marks the core due when a completion callback fires — inside
+	// the L1's tick for a miss, as an engine completion event at the
+	// start of the cycle for a hit (the wake-set contract, mirroring
+	// cpu.Core).
 	waker sim.Waker
 
 	loadCb  func(val uint64)
@@ -201,8 +203,8 @@ func (c *ReplayCore) Tick(now sim.Cycle) {
 		return
 	}
 	if c.gapArmed {
-		// The async callback fired earlier this cycle; anchor the next
-		// op's ready time on it.
+		// The async callback fired earlier this cycle (in the L1's tick or
+		// as a completion event); anchor the next op's ready time on it.
 		c.readyAt = now + sim.Cycle(c.op.Gap)
 		c.gapArmed = false
 	}

@@ -154,11 +154,11 @@ func (l *L1) Load(now sim.Cycle, addr uint64, cb func(uint64)) bool {
 			switch w.Meta.state {
 			case stateE, stateM:
 				l.Stats.ReadHitPrivate.Inc()
-				l.Timers.AtVal(now+l.HitLat, cb, memsys.GetWord(l.cache.Block(w), addr))
+				l.CompleteVal(now, cb, memsys.GetWord(l.cache.Block(w), addr))
 				return true
 			case stateR:
 				l.Stats.ReadHitSRO.Inc()
-				l.Timers.AtVal(now+l.HitLat, cb, memsys.GetWord(l.cache.Block(w), addr))
+				l.CompleteVal(now, cb, memsys.GetWord(l.cache.Block(w), addr))
 				return true
 			case stateS:
 				if w.Meta.acnt < l.cfg.MaxAccesses() {
@@ -167,7 +167,7 @@ func (l *L1) Load(now sim.Cycle, addr uint64, cb func(uint64)) bool {
 					// propagation, §3.1).
 					w.Meta.acnt++
 					l.Stats.ReadHitShared.Inc()
-					l.Timers.AtVal(now+l.HitLat, cb, memsys.GetWord(l.cache.Block(w), addr))
+					l.CompleteVal(now, cb, memsys.GetWord(l.cache.Block(w), addr))
 					return true
 				}
 				l.Stats.ReadMissShared.Inc()
@@ -197,7 +197,7 @@ func (l *L1) Store(now sim.Cycle, addr uint64, val uint64, cb func()) bool {
 			w.Meta.ts = l.assignTS(now)
 			w.Meta.tsOwn = true
 			l.Stats.WriteHitPrivate.Inc()
-			l.Timers.AtDone(now+1, cb)
+			l.CompleteNext(now, cb)
 			return true
 		}
 	}
@@ -226,7 +226,7 @@ func (l *L1) RMW(now sim.Cycle, addr uint64, f func(uint64) (uint64, bool), cb f
 			}
 			l.Stats.WriteHitPrivate.Inc()
 			l.Stats.RMWLat.Observe(int64(l.HitLat))
-			l.Timers.AtVal(now+l.HitLat, cb, old)
+			l.CompleteVal(now, cb, old)
 			return true
 		}
 	}
@@ -253,7 +253,7 @@ func (l *L1) countWriteMiss(blk uint64) {
 // self-invalidate Shared lines (§3.6).
 func (l *L1) Fence(now sim.Cycle, cb func()) bool {
 	l.selfInvalidate(coherence.CauseFence)
-	l.Timers.AtDone(now+1, cb)
+	l.CompleteNext(now, cb)
 	return true
 }
 

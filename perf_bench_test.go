@@ -162,6 +162,28 @@ func (w *wideTicker) Tick(now sim.Cycle) {
 func (w *wideTicker) NextWake(now sim.Cycle) sim.Cycle { return w.next }
 func (w *wideTicker) Done() bool                       { return w.next > w.end }
 
+// wideEngine registers the EngineDispatchWide shape: 193 hinting
+// components that quiesce after cycle end.
+func wideEngine(end sim.Cycle) (*sim.Engine, []*wideTicker) {
+	const components = 193
+	e := sim.NewEngine(end + 64)
+	ts := make([]*wideTicker, components)
+	for i := range ts {
+		ts[i] = &wideTicker{rng: uint64(i)*0x9e3779b97f4a7c15 + 1, end: end}
+		e.Register(ts[i])
+	}
+	for i, t := range ts {
+		t.peer = ts[(i*7+3)%components]
+	}
+	return e, ts
+}
+
+// engineDispatchWideOp dispatches one due cycle of a wideEngine.
+func engineDispatchWideOp(testing.TB) func() {
+	e, _ := wideEngine(1 << 40)
+	return func() { e.RunWindow(e.NextDue() + 1) }
+}
+
 // BenchmarkEngineDispatchWide isolates wake-set dispatch at the shape
 // the repo benchmark's miss64 workload measured: 193 hinting
 // components, about 10 of them due on an average cycle, almost no idle
@@ -169,16 +191,7 @@ func (w *wideTicker) Done() bool                       { return w.next > w.end }
 // cost per cycle plus ten trivial ticks; it must follow the number of
 // components due, not the number registered.
 func BenchmarkEngineDispatchWide(b *testing.B) {
-	const components = 193
-	e := sim.NewEngine(sim.Cycle(b.N) + 64)
-	ts := make([]*wideTicker, components)
-	for i := range ts {
-		ts[i] = &wideTicker{rng: uint64(i)*0x9e3779b97f4a7c15 + 1, end: sim.Cycle(b.N)}
-		e.Register(ts[i])
-	}
-	for i, t := range ts {
-		t.peer = ts[(i*7+3)%components]
-	}
+	e, ts := wideEngine(sim.Cycle(b.N))
 	b.ReportAllocs()
 	b.ResetTimer()
 	cycles, err := e.Run()
@@ -351,126 +364,10 @@ func (s *poolSink) Deliver(now sim.Cycle, m *coherence.Msg) {
 	s.net.Pool.Put(m)
 }
 
-// BenchmarkMeshDelivery measures scheduling + delivery through the
-// calendar-queue ring buffer: one data message per op, fully pooled.
-// Expect 0 allocs/op in steady state.
-func BenchmarkMeshDelivery(b *testing.B) {
-	net := mesh.New(mesh.Config{Routers: 16})
-	sinks := make([]*poolSink, 16)
-	for i := range sinks {
-		sinks[i] = &poolSink{net: net}
-		net.Attach(coherence.NodeID(i), i, sinks[i])
-	}
-	payload := make([]byte, 64)
-	now := sim.Cycle(0)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m := net.Pool.Get()
-		m.Type = coherence.MsgDataS
-		m.Src = coherence.NodeID(i % 16)
-		m.Dst = coherence.NodeID((i*7 + 3) % 16)
-		m.SetData(payload)
-		if m.Src == m.Dst {
-			m.Dst = coherence.NodeID((int(m.Dst) + 1) % 16)
-		}
-		net.Send(now, m)
-		for net.Pending() > 0 {
-			now++
-			net.Tick(now)
-		}
-	}
-	b.ReportMetric(float64(sinks[0].received), "sink0-msgs")
-}
-
-// TestHotPathZeroAlloc is the alloc-regression gate: the paths the
-// ROADMAP guarantees allocation-free (L1 hits through the CorePort, mesh
-// scheduling + delivery through the calendar queue, wake-set dispatch,
-// a cache hit read through its slab block and a line replacing another
-// in a way that already owns one) are measured with the real benchmark
-// bodies and must report exactly 0 allocs/op. This
-// fails in plain `go test`, so a regression cannot hide behind a
-// benchmark nobody reads.
-func TestHotPathZeroAlloc(t *testing.T) {
-	if raceEnabled {
-		t.Skip("race instrumentation allocates")
-	}
-	for _, bench := range []struct {
-		name string
-		fn   func(b *testing.B)
-	}{
-		{"L1HitPath", BenchmarkL1HitPath},
-		{"L1HitPathFaultsChecksOff", BenchmarkL1HitPathFaultsChecksOff},
-		{"MeshDelivery", BenchmarkMeshDelivery},
-		{"MeshDeliveryFaultsOff", BenchmarkMeshDeliveryFaultsOff},
-		{"EngineDispatchWide", BenchmarkEngineDispatchWide},
-		{"CacheHitBlock", BenchmarkCacheHitBlock},
-		{"CacheReinstall", BenchmarkCacheReinstall},
-	} {
-		t.Run(bench.name, func(t *testing.T) {
-			res := testing.Benchmark(bench.fn)
-			if allocs := res.AllocsPerOp(); allocs != 0 {
-				t.Fatalf("%s allocates %d allocs/op (%d B/op), want 0",
-					bench.name, allocs, res.AllocedBytesPerOp())
-			}
-		})
-	}
-}
-
-// BenchmarkL1HitPathFaultsChecksOff is BenchmarkL1HitPath driven through
-// the machine's wired port chain with fault injection and invariant
-// oracles explicitly disabled: portFor must hand back the raw L1 (no
-// decorator) and the hit path must stay allocation-free.
-func BenchmarkL1HitPathFaultsChecksOff(b *testing.B) {
-	cfg := config.Scaled(1)
-	cfg.FaultProfile = ""
-	cfg.Checks = false
-	warm := program.NewBuilder("warm")
-	warm.Li(1, 0x1000)
-	warm.Ld(2, 1, 0)
-	warm.Halt()
-	w := &program.Workload{Name: "warm", Programs: []*program.Program{warm.MustBuild()}}
-	m, err := system.NewMachine(cfg, tsocc.New(config.C12x3()), w)
-	if err != nil {
-		b.Fatal(err)
-	}
-	if _, err := m.Engine.Run(); err != nil {
-		b.Fatal(err)
-	}
-	port := m.CorePort(0)
-	l1 := m.L1s[0]
-	now := m.Engine.Now() + 1
-	var sink uint64
-	cb := func(val uint64) { sink = val }
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if !port.Load(now, 0x1000, cb) {
-			b.Fatal("port refused a hit load")
-		}
-		now += cfg.L1HitLat
-		l1.Tick(now)
-		now++
-	}
-	_ = sink
-}
-
-// BenchmarkMeshDeliveryFaultsOff drives the pooled send/deliver cycle
-// through the mesh of a machine built with fault injection disabled:
-// system wiring must install no delay hook and the calendar-queue path
-// must stay allocation-free.
-func BenchmarkMeshDeliveryFaultsOff(b *testing.B) {
-	cfg := config.Scaled(16)
-	cfg.FaultProfile = ""
-	idle := program.NewBuilder("idle")
-	idle.Halt()
-	w := &program.Workload{Name: "idle", Programs: []*program.Program{idle.MustBuild()}}
-	m, err := system.NewMachine(cfg, tsocc.New(config.C12x3()), w)
-	if err != nil {
-		b.Fatal(err)
-	}
-	net := m.Net
-	base := coherence.NodeID(0x7000)
+// meshDeliveryOp sends one pooled data message between two of 16
+// poolSinks attached at node IDs base.. on net and ticks the mesh until
+// it is delivered.
+func meshDeliveryOp(net *mesh.Network, base coherence.NodeID) (func(), []*poolSink) {
 	sinks := make([]*poolSink, 16)
 	for i := range sinks {
 		sinks[i] = &poolSink{net: net}
@@ -478,23 +375,157 @@ func BenchmarkMeshDeliveryFaultsOff(b *testing.B) {
 	}
 	payload := make([]byte, 64)
 	now := sim.Cycle(0)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		msg := net.Pool.Get()
-		msg.Type = coherence.MsgDataS
-		msg.Src = base + coherence.NodeID(i%16)
-		msg.Dst = base + coherence.NodeID((i*7+3)%16)
-		msg.SetData(payload)
-		if msg.Src == msg.Dst {
-			msg.Dst = base + coherence.NodeID((i%16+1)%16)
+	i := 0
+	return func() {
+		m := net.Pool.Get()
+		m.Type = coherence.MsgDataS
+		m.Src = base + coherence.NodeID(i%16)
+		m.Dst = base + coherence.NodeID((i*7+3)%16)
+		m.SetData(payload)
+		if m.Src == m.Dst {
+			m.Dst = base + coherence.NodeID((i%16+1)%16)
 		}
-		net.Send(now, msg)
+		i++
+		net.Send(now, m)
 		for net.Pending() > 0 {
 			now++
 			net.Tick(now)
 		}
+	}, sinks
+}
+
+// runOp times b.N calls of one benchmark body.
+func runOp(b *testing.B, op func()) {
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		op()
 	}
+}
+
+// BenchmarkMeshDelivery measures scheduling + delivery through the
+// calendar-queue ring buffer: one data message per op, fully pooled.
+// Expect 0 allocs/op in steady state.
+func BenchmarkMeshDelivery(b *testing.B) {
+	op, sinks := meshDeliveryOp(mesh.New(mesh.Config{Routers: 16}), 0)
+	runOp(b, op)
+	b.ReportMetric(float64(sinks[0].received), "sink0-msgs")
+}
+
+// TestHotPathZeroAlloc is the alloc-regression gate: the paths the
+// ROADMAP guarantees allocation-free (L1 hits through the CorePort, mesh
+// scheduling + delivery through the calendar queue, wake-set dispatch,
+// a cache hit read through its slab block and a line replacing another
+// in a way that already owns one) run the benchmark bodies under
+// testing.AllocsPerRun and must average 0 allocations per op. This
+// fails in plain `go test`, so a regression cannot hide behind a
+// benchmark nobody reads.
+func TestHotPathZeroAlloc(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates")
+	}
+	for _, body := range []struct {
+		name string
+		op   func(testing.TB) func()
+	}{
+		{"L1HitPath", l1HitPathOp},
+		{"L1HitPathFaultsChecksOff", l1HitPathFaultsChecksOffOp},
+		{"MeshDelivery", func(testing.TB) func() {
+			op, _ := meshDeliveryOp(mesh.New(mesh.Config{Routers: 16}), 0)
+			return op
+		}},
+		{"MeshDeliveryFaultsOff", func(tb testing.TB) func() {
+			op, _ := meshDeliveryFaultsOffOp(tb)
+			return op
+		}},
+		{"EngineDispatchWide", engineDispatchWideOp},
+		{"CacheHitBlock", cacheHitBlockOp},
+		{"CacheReinstall", cacheReinstallOp},
+	} {
+		t.Run(body.name, func(t *testing.T) {
+			if allocs := testing.AllocsPerRun(1000, body.op(t)); allocs != 0 {
+				t.Fatalf("%s allocates %.0f/op, want 0", body.name, allocs)
+			}
+		})
+	}
+}
+
+// l1HitOp builds a one-core machine for cfg, warms line 0x1000 into core
+// 0's L1 and returns one load hit through port(m): the L1 accepts it and
+// the engine advances until its completion has fired.
+func l1HitOp(tb testing.TB, cfg config.System, port func(*system.Machine) coherence.CorePort) func() {
+	warm := program.NewBuilder("warm")
+	warm.Li(1, 0x1000)
+	warm.Ld(2, 1, 0)
+	warm.Halt()
+	w := &program.Workload{Name: "warm", Programs: []*program.Program{warm.MustBuild()}}
+	m, err := system.NewMachine(cfg, tsocc.New(config.C12x3()), w)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if _, err := m.Engine.Run(); err != nil {
+		tb.Fatal(err)
+	}
+	p, e := port(m), m.Engine
+	issued, fired := 0, 0
+	cb := func(uint64) { fired++ }
+	return func() {
+		now := e.Now()
+		if !p.Load(now, 0x1000, cb) {
+			tb.Fatal("port refused a hit load")
+		}
+		issued++
+		e.RunWindow(now + cfg.L1HitLat + 1)
+		if fired != issued {
+			tb.Fatalf("hit completion did not fire: %d of %d", fired, issued)
+		}
+	}
+}
+
+// l1HitPathOp drives the raw L1 (see BenchmarkL1HitPath).
+func l1HitPathOp(tb testing.TB) func() {
+	return l1HitOp(tb, config.Scaled(1), func(m *system.Machine) coherence.CorePort { return m.L1s[0] })
+}
+
+// l1HitPathFaultsChecksOffOp drives the machine's wired port chain with
+// faults and checks off (see BenchmarkL1HitPathFaultsChecksOff).
+func l1HitPathFaultsChecksOffOp(tb testing.TB) func() {
+	cfg := config.Scaled(1)
+	cfg.FaultProfile = ""
+	cfg.Checks = false
+	return l1HitOp(tb, cfg, func(m *system.Machine) coherence.CorePort { return m.CorePort(0) })
+}
+
+// BenchmarkL1HitPathFaultsChecksOff is BenchmarkL1HitPath driven through
+// the machine's wired port chain with fault injection and invariant
+// oracles explicitly disabled: portFor must hand back the raw L1 (no
+// decorator) and the hit path must stay allocation-free.
+func BenchmarkL1HitPathFaultsChecksOff(b *testing.B) {
+	runOp(b, l1HitPathFaultsChecksOffOp(b))
+}
+
+// meshDeliveryFaultsOffOp is meshDeliveryOp on the mesh of a 16-core
+// machine built with fault injection disabled.
+func meshDeliveryFaultsOffOp(tb testing.TB) (func(), []*poolSink) {
+	cfg := config.Scaled(16)
+	cfg.FaultProfile = ""
+	idle := program.NewBuilder("idle")
+	idle.Halt()
+	w := &program.Workload{Name: "idle", Programs: []*program.Program{idle.MustBuild()}}
+	m, err := system.NewMachine(cfg, tsocc.New(config.C12x3()), w)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return meshDeliveryOp(m.Net, 0x7000)
+}
+
+// BenchmarkMeshDeliveryFaultsOff drives the pooled send/deliver cycle
+// through the mesh of a machine built with fault injection disabled:
+// system wiring must install no delay hook and the calendar-queue path
+// must stay allocation-free.
+func BenchmarkMeshDeliveryFaultsOff(b *testing.B) {
+	op, sinks := meshDeliveryFaultsOffOp(b)
+	runOp(b, op)
 	b.ReportMetric(float64(sinks[0].received), "sink0-msgs")
 }
 
@@ -550,84 +581,60 @@ func BenchmarkDataResponsePath(b *testing.B) {
 }
 
 // BenchmarkL1HitPath drives load hits against a warmed Exclusive line
-// through the real CorePort interface. The acceptance bar is 0
-// allocs/op: no closures, no timer-heap churn, no message traffic.
-func BenchmarkL1HitPath(b *testing.B) {
-	cfg := config.Scaled(1)
-	warm := program.NewBuilder("warm")
-	warm.Li(1, 0x1000)
-	warm.Ld(2, 1, 0)
-	warm.Halt()
-	w := &program.Workload{Name: "warm", Programs: []*program.Program{warm.MustBuild()}}
-	m, err := system.NewMachine(cfg, tsocc.New(config.C12x3()), w)
-	if err != nil {
-		b.Fatal(err)
-	}
-	if _, err := m.Engine.Run(); err != nil {
-		b.Fatal(err)
-	}
-	l1 := m.L1s[0]
-	now := m.Engine.Now() + 1
-	var sink uint64
-	cb := func(val uint64) { sink = val }
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if !l1.Load(now, 0x1000, cb) {
-			b.Fatal("L1 refused a hit load")
-		}
-		now += cfg.L1HitLat
-		l1.Tick(now)
-		now++
-	}
-	_ = sink
-}
+// through the real CorePort interface, advancing the engine over each
+// hit's latency. The acceptance bar is 0 allocs/op: no closures, no
+// event churn, no message traffic.
+func BenchmarkL1HitPath(b *testing.B) { runOp(b, l1HitPathOp(b)) }
 
 // filledCache returns a Table 2 L1 array with every way installed once,
 // so each way already owns its slab block.
-func filledCache(b *testing.B) *memsys.Cache[struct{}] {
+func filledCache(tb testing.TB) *memsys.Cache[struct{}] {
 	cfg := config.Table2()
 	c := memsys.NewCache[struct{}](cfg.L1Size, cfg.L1Ways)
 	for addr := uint64(0); addr < uint64(cfg.L1Size); addr += coherence.BlockSize {
 		w := c.Victim(addr)
 		if w == nil || w.Valid {
-			b.Fatalf("fill: no free way for %#x", addr)
+			tb.Fatalf("fill: no free way for %#x", addr)
 		}
 		c.Install(w, addr)
 	}
 	return c
 }
 
-// BenchmarkCacheHitBlock is the array half of an L1 hit: tag match,
-// then the word read through the way's slab block.
-func BenchmarkCacheHitBlock(b *testing.B) {
-	c := filledCache(b)
+// cacheHitBlockOp is the array half of an L1 hit: tag match, then the
+// word read through the way's slab block.
+func cacheHitBlockOp(tb testing.TB) func() {
+	c := filledCache(tb)
 	span := uint64(config.Table2().L1Size)
-	var sink uint64
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		addr := uint64(i) * 8 % span
+	var i, sink uint64
+	return func() {
+		addr := i * 8 % span
+		i++
 		sink += memsys.GetWord(c.Block(c.Lookup(addr)), addr)
 	}
-	_ = sink
 }
 
-// BenchmarkCacheReinstall replaces lines in a full array: every Install
-// lands on a way that already holds a block and must clear it in place,
-// not take a new one from the slab.
-func BenchmarkCacheReinstall(b *testing.B) {
-	c := filledCache(b)
+// BenchmarkCacheHitBlock times cacheHitBlockOp.
+func BenchmarkCacheHitBlock(b *testing.B) { runOp(b, cacheHitBlockOp(b)) }
+
+// cacheReinstallOp replaces a line in a full array: every Install lands
+// on a way that already holds a block and must clear it in place, not
+// take a new one from the slab.
+func cacheReinstallOp(tb testing.TB) func() {
+	c := filledCache(tb)
 	span := uint64(config.Table2().L1Size)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		addr := span + uint64(i)*coherence.BlockSize
+	var i uint64
+	return func() {
+		addr := span + i*coherence.BlockSize
+		i++
 		w := c.Victim(addr)
 		c.Install(w, addr)
 		memsys.PutWord(c.Block(w), addr, addr)
 	}
 }
+
+// BenchmarkCacheReinstall times cacheReinstallOp.
+func BenchmarkCacheReinstall(b *testing.B) { runOp(b, cacheReinstallOp(b)) }
 
 // synthBenchParams sizes the synthesis and decode benchmarks: the repo
 // benchmark's replay_zipf8 shape at a sixth of its length, so one op of
