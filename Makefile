@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all vet build test race race-parallel bench-smoke bench repo-bench repo-bench-compare fuzz-smoke trace-gate fault-smoke oracle-sweep parallel-smoke obs-smoke scale-smoke ci
+.PHONY: all vet build test inline-check race race-parallel bench-smoke bench repo-bench repo-bench-compare fuzz-smoke trace-gate fault-smoke oracle-sweep parallel-smoke obs-smoke scale-smoke ci
 
 all: ci
 
@@ -15,6 +15,14 @@ build:
 
 test:
 	$(GO) test ./...
+
+# The L1 hit path calls these L1Base helpers once per access and relies
+# on the compiler inlining them; fail if any stops being inlinable.
+inline-check:
+	@out=$$($(GO) build -gcflags=-m ./internal/coherence 2>&1) || { echo "$$out"; exit 1; }; \
+	for f in LoadBlocked StoreBlocked WritePending CompleteVal CompleteNext; do \
+	  echo "$$out" | grep -q "can inline (\*[A-Za-z0-9]*)\.$$f$$" || { echo "inline-check: $$f is not inlinable"; exit 1; }; \
+	done; echo "inline-check: L1 hit-path helpers inlinable"
 
 # Unit-test packages under the race detector with the TxTable lifecycle
 # assertions compiled in (mirrors the CI race job).
@@ -157,4 +165,4 @@ scale-smoke:
 	GOMAXPROCS=4 $(GO) test -race -run 'TestFlitHopConservation|TestLinkEpochRebase' ./internal/mesh/
 	GOMAXPROCS=4 $(GO) test -race -run 'TestParallelEngineBitIdentical/TSO-CC-4-12-3/canneal$$' .
 
-ci: vet build test race race-parallel bench-smoke trace-gate fault-smoke oracle-sweep parallel-smoke obs-smoke scale-smoke
+ci: vet build test inline-check race race-parallel bench-smoke trace-gate fault-smoke oracle-sweep parallel-smoke obs-smoke scale-smoke

@@ -34,6 +34,7 @@ import (
 	"fmt"
 
 	"repro/internal/coherence"
+	"repro/internal/config"
 	"repro/internal/sim"
 )
 
@@ -186,7 +187,7 @@ func (t *Tracker) commit(p *Port, addr, val uint64) {
 	p.floors[addr] = floor{seq: t.seq, cycle: t.now()}
 
 	// SWMR: at most one L1 may hold the block authoritatively (E/M).
-	block := coherence.BlockAddr(addr)
+	block := config.BlockAddr(addr)
 	t.scratch = t.scratch[:0]
 	for i, l1 := range t.l1s {
 		if _, ok := l1.SnoopBlock(block); ok {

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/coherence"
+	"repro/internal/config"
 	"repro/internal/sim"
 )
 
@@ -117,7 +118,7 @@ func TestSWMRViolation(t *testing.T) {
 	b := &fakeL1{owns: map[uint64]bool{}}
 	tr, ck := newTracker(a, b)
 	p := tr.WrapPort(0, &memPort{mem: map[uint64]uint64{}})
-	block := coherence.BlockAddr(64)
+	block := config.BlockAddr(64)
 	a.owns[block] = true
 	b.owns[block] = true
 	ck.c = 5

@@ -4,6 +4,8 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/config"
+	"repro/internal/memsys"
 	"repro/internal/sim"
 	"repro/internal/stats"
 )
@@ -30,7 +32,7 @@ func (n *fakeNet) msg(t MsgType, addr uint64) *Msg {
 }
 
 // fakeMem is a Memory with a fixed latency and a recognisable fill.
-type fakeMem struct{ reads int }
+type fakeMem struct{ reads, writes int }
 
 func (*fakeMem) Latency(uint64) sim.Cycle { return 20 }
 func (f *fakeMem) ReadBlock(_ uint64, dst []byte) {
@@ -39,27 +41,67 @@ func (f *fakeMem) ReadBlock(_ uint64, dst []byte) {
 		dst[i] = 0xab
 	}
 }
-func (*fakeMem) WriteBlock(uint64, []byte) {}
+func (f *fakeMem) WriteBlock(uint64, []byte) { f.writes++ }
 
-// testL1 is the least a protocol supplies on top of L1Base.
-type testL1 struct {
-	L1Base
-	handled []MsgType
+// testLine is the least line metadata a protocol brings.
+type testLine struct {
+	owner OwnerID
+	dirty bool
 }
 
-func (l *testL1) SnoopBlock(uint64) ([]byte, bool) { return nil, false }
-func (l *testL1) PrewarmStorage()                  {}
+func (m testLine) Owner() OwnerID { return m.owner }
+func (m testLine) Dirty() bool    { return m.dirty }
 
-var _ Controller = (*testL1)(nil)
+// Test state ids: the bases only know 0 (invalid), the fill state, the
+// directory's exclusive state and the L1's owned states.
+const (
+	stShared = 1 // L1: not owned; tile: the fill state
+	stOwned  = 2 // L1: owned
+	stExcl   = 3 // L1: owned; tile: an L1 owns the line
+)
 
-// newTestL1 builds core 1 of 4 on a fake network and registers it with
-// an engine, which binds the waker the wake-contract tests observe. The
-// engine is run past the tick every registration is owed, so it starts
-// quiescent (NextDue = WakeNever) at cycle 1.
+// hop is one reported transition.
+type hop struct {
+	addr     uint64
+	from, to int
+}
+
+// recordHops arms p's legality sink and returns what it receives.
+func recordHops(p *Probe) *[]hop {
+	var hops []hop
+	p.Transition = func(addr uint64, from, to int) { hops = append(hops, hop{addr, from, to}) }
+	return &hops
+}
+
+// testL1 is the least a protocol supplies on top of L1Base: an evict
+// body that records the lines handed to it.
+type testL1 struct {
+	L1Base[testLine]
+	handled []MsgType
+	evicted []hop // tag and state at eviction (to: unused)
+}
+
+var _ L1Like = (*testL1)(nil)
+
+func (*testL1) Load(sim.Cycle, uint64, func(uint64)) bool                             { return false }
+func (*testL1) Store(sim.Cycle, uint64, uint64, func()) bool                          { return false }
+func (*testL1) RMW(sim.Cycle, uint64, func(uint64) (uint64, bool), func(uint64)) bool { return false }
+func (*testL1) Fence(sim.Cycle, func()) bool                                          { return false }
+
+// newTestL1 builds core 1 of 4 — its array one set of two ways — on a
+// fake network and registers it with an engine, which binds the waker
+// the wake-contract tests observe. The engine is run past the tick
+// every registration is owed, so it starts quiescent (NextDue =
+// WakeNever) at cycle 1.
 func newTestL1() (*testL1, *fakeNet, *sim.Engine) {
 	net := &fakeNet{}
 	l := &testL1{}
-	l.Init("test", 1, 4, 3, net, func(now sim.Cycle, m *Msg) { l.handled = append(l.handled, m.Type) })
+	sys := config.System{Cores: 4, L1HitLat: 3, L1Size: 2 * config.BlockSize, L1Ways: 2}
+	l.Init("test", 1, sys, net, []uint8{stOwned, stExcl},
+		func(now sim.Cycle, m *Msg) { l.handled = append(l.handled, m.Type) },
+		func(now sim.Cycle, w *memsys.Way[testLine]) {
+			l.evicted = append(l.evicted, hop{w.Tag, int(w.State), 0})
+		})
 	e := sim.NewEngine(1 << 20)
 	e.Register(l)
 	e.RunWindow(3)
@@ -129,7 +171,7 @@ func TestL1BaseSlotsAndBusy(t *testing.T) {
 		m.Dst != L2ID(1, 4) || at != 10 {
 		t.Fatalf("GetS %s at %d", m, at)
 	}
-	if !l.Busy() || !l.LoadBlocked(0x80) || l.StoreBlocked(0x80) || !l.StoreBlocked(0x140) {
+	if !l.Busy() || !l.LoadBlocked(0x80) || l.StoreBlocked(0x80) || !l.StoreBlocked(0x148) {
 		t.Fatal("read slot gating wrong")
 	}
 	data := net.msg(MsgDataOwner, 0x140)
@@ -156,7 +198,7 @@ func TestL1BaseSlotsAndBusy(t *testing.T) {
 		t.Fatalf("GetX %s", m)
 	}
 	if !l.Busy() || !l.WritePending(0x200) || l.WritePending(0x240) ||
-		!l.StoreBlocked(0x80) || l.LoadBlocked(0x80) || !l.LoadBlocked(0x200) {
+		!l.StoreBlocked(0x80) || l.LoadBlocked(0x80) || !l.LoadBlocked(0x210) {
 		t.Fatal("write slot gating wrong")
 	}
 	l.FinishWrite(42, 7)
@@ -189,8 +231,8 @@ func TestL1BaseEvictBuffer(t *testing.T) {
 	if e := l.ForwardEvicted(0x40); e != a || !e.Transferred {
 		t.Fatalf("ForwardEvicted: %+v", e)
 	}
-	l.ReleaseEvict(0x80) // stale PutAck: ignored
-	l.ReleaseEvict(0x40)
+	l.releaseEvict(0x80) // stale PutAck: ignored
+	l.releaseEvict(0x40)
 	if l.Busy() || len(l.evictFree) != 1 {
 		t.Fatalf("after PutAck: busy=%v free=%d", l.Busy(), len(l.evictFree))
 	}
@@ -200,6 +242,106 @@ func TestL1BaseEvictBuffer(t *testing.T) {
 	}
 	if len(b.Data) != 1 || b.Data[0] != 7 || b.Dirty || b.TS != 0 || b.TSOwn || b.Transferred {
 		t.Fatalf("reused entry carries stale state: %+v", b)
+	}
+}
+
+// block returns a data block filled with v.
+func block(v byte) []byte {
+	b := make([]byte, config.BlockSize)
+	for i := range b {
+		b[i] = v
+	}
+	return b
+}
+
+// TestL1BaseInstall: a present line is refilled in place, keeping its
+// state and way; a miss in a full set evicts the LRU way through the
+// protocol's evict body — which still sees the line's state — drops it
+// with its hop reported, and reuses the way for the new line.
+func TestL1BaseInstall(t *testing.T) {
+	l, _, _ := newTestL1()
+	hops := recordHops(&l.Probe)
+	a := l.Install(5, 0x48, block(1))
+	if a.Tag != 0x40 || !a.Valid || a.State != 0 || l.Cache.Block(a)[0] != 1 {
+		t.Fatalf("fresh install: tag %#x valid %v state %d", a.Tag, a.Valid, a.State)
+	}
+	l.Set(a, stOwned)
+	b := l.Install(5, 0x80, block(2))
+	l.Set(b, stExcl)
+
+	if w := l.Install(6, 0x40, block(7)); w != a || a.State != stOwned || l.Cache.Block(a)[0] != 7 {
+		t.Fatalf("refill in place: way %p (want %p) state %d data %d", w, a, a.State, l.Cache.Block(a)[0])
+	}
+	if len(l.evicted) != 0 {
+		t.Fatalf("refill evicted %v", l.evicted)
+	}
+
+	l.Cache.Lookup(0x40) // b is now the LRU way
+	*hops = nil
+	c := l.Install(7, 0xc0, block(9))
+	if c != b || c.Tag != 0xc0 || c.State != 0 || l.Cache.Block(c)[0] != 9 {
+		t.Fatalf("victim install: way %p (want %p) tag %#x state %d", c, b, c.Tag, c.State)
+	}
+	if len(l.evicted) != 1 || l.evicted[0] != (hop{0x80, stExcl, 0}) {
+		t.Fatalf("evict body saw %v, want the LRU line 0x80 in its state", l.evicted)
+	}
+	if len(*hops) != 1 || (*hops)[0] != (hop{0x80, stExcl, 0}) {
+		t.Fatalf("hops %v, want the victim's drop", *hops)
+	}
+	if l.Cache.Peek(0x80) != nil || l.Cache.Peek(0x40) != a {
+		t.Fatal("wrong line left the set")
+	}
+}
+
+// TestL1BaseSelfEvicts: without the evict profile a hit stays a hit; a
+// firing fault evicts the line through the evict body; a pinned way is
+// exempt without consulting the fault.
+func TestL1BaseSelfEvicts(t *testing.T) {
+	l, _, _ := newTestL1()
+	w := l.Install(1, 0x40, block(1))
+	l.Set(w, stExcl)
+	if l.SelfEvicts(1, w) {
+		t.Fatal("self-eviction without an evict fault")
+	}
+	asked := 0
+	l.EvictFault = func() bool { asked++; return true }
+	w.Busy = true
+	if l.SelfEvicts(2, w) || asked != 0 {
+		t.Fatalf("pinned way: evicted or consulted (%d)", asked)
+	}
+	w.Busy = false
+	if !l.SelfEvicts(3, w) || asked != 1 || w.Valid || len(l.evicted) != 1 || l.evicted[0] != (hop{0x40, stExcl, 0}) {
+		t.Fatalf("fault: asked=%d valid=%v evicted=%v", asked, w.Valid, l.evicted)
+	}
+}
+
+// TestSetReportsExactlyTheHops: the state setter reports every hop and
+// no self-loop, in protocol state ids, and writes the state whether or
+// not a sink is armed.
+func TestSetReportsExactlyTheHops(t *testing.T) {
+	l, _, _ := newTestL1()
+	w := l.Install(1, 0x40, block(0))
+	l.Set(w, stShared) // no sink: state still written
+	if w.State != stShared {
+		t.Fatalf("state %d", w.State)
+	}
+	hops := recordHops(&l.Probe)
+	l.Set(w, stShared)
+	l.Set(w, stExcl)
+	l.Set(w, stExcl)
+	l.Set(w, stOwned)
+	l.Drop(w)
+	want := []hop{{0x40, stShared, stExcl}, {0x40, stExcl, stOwned}, {0x40, stOwned, 0}}
+	if len(*hops) != len(want) {
+		t.Fatalf("hops %v, want %v", *hops, want)
+	}
+	for i := range want {
+		if (*hops)[i] != want[i] {
+			t.Fatalf("hops %v, want %v", *hops, want)
+		}
+	}
+	if w.Valid || w.State != 0 {
+		t.Fatalf("after Drop: valid=%v state=%d", w.Valid, w.State)
 	}
 }
 
@@ -215,29 +357,61 @@ func TestProbeTrans(t *testing.T) {
 	}
 }
 
-// testDir is the least a protocol supplies on top of DirBase.
+// testDir is the least a protocol supplies on top of DirBase: a handler
+// that routes requests and Puts through the front ends and records the
+// lines they hand back, and a recall body that invalidates nRecall L1
+// copies.
 type testDir struct {
-	DirBase
-	handled []MsgType
-	line    []byte // the one line `filled` hands back; nil = vanished
+	DirBase[testLine]
+	handled  []MsgType
+	served   []uint64 // lines the front ends returned for protocol work
+	recalled []uint64
+	nRecall  int
 }
-
-func (d *testDir) SnoopBlock(uint64) ([]byte, bool) { return nil, false }
-func (d *testDir) SnoopOwner(uint64) (NodeID, bool) { return 0, false }
-func (d *testDir) PrewarmStorage()                  {}
-func (d *testDir) filled(uint64) []byte             { return d.line }
-func (d *testDir) handle(now sim.Cycle, m *Msg)     { d.handled = append(d.handled, m.Type) }
 
 var _ Directory = (*testDir)(nil)
 
+func (d *testDir) handle(now sim.Cycle, m *Msg) {
+	d.handled = append(d.handled, m.Type)
+	var w *memsys.Way[testLine]
+	switch m.Type {
+	case MsgGetS, MsgGetX:
+		w = d.OnRequest(now, m)
+	case MsgPutE, MsgPutM:
+		w = d.OnPut(now, m)
+	case MsgInvAck:
+		_, w = d.OnInvAck(now, m)
+	}
+	if w != nil {
+		d.served = append(d.served, w.Tag)
+	}
+}
+
+func (d *testDir) recall(now sim.Cycle, w *memsys.Way[testLine]) int {
+	d.recalled = append(d.recalled, w.Tag)
+	return d.nRecall
+}
+
+// newTestDir builds tile 2 of 4 — one set of two ways, access latency
+// 5, memory latency 20 — registered with an engine like newTestL1.
 func newTestDir() (*testDir, *fakeNet, *fakeMem, *sim.Engine) {
 	net, mem := &fakeNet{}, &fakeMem{}
-	d := &testDir{line: make([]byte, BlockSize)}
-	d.Init("test", 2, 4, 5, net, mem, []string{1: "mem-fetch", 2: "await-ack"}, d.handle, d.filled)
+	d := &testDir{}
+	sys := config.System{Cores: 4, L2AccessLat: 5, L2TileSize: 2 * config.BlockSize, L2Ways: 2}
+	d.Init("test", 2, sys, net, mem, "inv-test", stExcl, stShared, testLine{owner: -1}, d.handle, d.recall)
 	e := sim.NewEngine(1 << 20)
 	e.Register(d)
 	e.RunWindow(3)
 	return d, net, mem, e
+}
+
+// stage installs addr directly in state s, owned by owner.
+func (d *testDir) stage(addr uint64, s uint8, owner NodeID) *memsys.Way[testLine] {
+	w := d.Cache.Victim(addr)
+	d.Cache.Install(w, addr)
+	d.Set(w, s)
+	w.Meta.owner = OwnerID(owner)
+	return w
 }
 
 func TestDirBaseWakeContractAndBusy(t *testing.T) {
@@ -248,7 +422,7 @@ func TestDirBaseWakeContractAndBusy(t *testing.T) {
 	if d.ComponentLabel() != "test L2 tile 2" || d.ID != L2ID(2, 4) {
 		t.Fatalf("identity: %q id=%d", d.ComponentLabel(), d.ID)
 	}
-	d.Deliver(e.Now(), net.msg(MsgGetS, 0x80))
+	d.Deliver(e.Now(), net.msg(MsgPutS, 0x80))
 	if e.NextDue() != e.Now()+1 || !d.Busy() || d.NextWake(4) != 5 {
 		t.Fatalf("Deliver: engine due %d busy=%v NextWake(4)=%d", e.NextDue(), d.Busy(), d.NextWake(4))
 	}
@@ -259,7 +433,7 @@ func TestDirBaseWakeContractAndBusy(t *testing.T) {
 
 	// An open transaction and a pending timer each keep the tile busy;
 	// only the timer gives it a wake of its own.
-	tx := d.Txs.New(0x80, 2, nil, 0)
+	tx := d.Txs.New(0x80, TxAwaitAck, nil, 0)
 	if !d.Busy() || d.NextWake(4) != sim.WakeNever || d.TxLive() != 1 || d.Tx() != &d.Txs {
 		t.Fatal("open transaction accounting wrong")
 	}
@@ -310,18 +484,28 @@ func TestDirBaseSendPutAckHonoursAckDelay(t *testing.T) {
 	}
 }
 
+// TestDirBaseStartFetch: a request that misses claims a way and fetches
+// the line; the fill puts it in the fill state with the fill metadata
+// and re-dispatches the request, which the protocol then serves.
 func TestDirBaseStartFetch(t *testing.T) {
 	d, net, mem, _ := newTestDir()
-	d.StartFetch(10, 1, net.msg(MsgGetS, 0x100)) // what a handler does on a miss
-	if !d.Txs.BusyLine(0x100) || d.NextWake(10) != 10+5+20 {
-		t.Fatalf("fetch: busy=%v NextWake=%d, want 35", d.Txs.BusyLine(0x100), d.NextWake(10))
+	hops := recordHops(&d.Probe)
+	d.Deliver(10, net.msg(MsgGetS, 0x100))
+	d.Tick(10)
+	w := d.Cache.Peek(0x100)
+	if w == nil || !w.Busy || w.State != 0 || !d.Txs.BusyLine(0x100) || d.NextWake(10) != 10+5+20 || len(d.served) != 0 {
+		t.Fatalf("fetch: way %v busy=%v NextWake=%d served=%v, want a busy way and a fill at 35",
+			w != nil, d.Txs.BusyLine(0x100), d.NextWake(10), d.served)
 	}
 	d.Tick(35)
-	if mem.reads != 1 || d.line[0] != 0xab || d.line[BlockSize-1] != 0xab {
+	if mem.reads != 1 || d.Cache.Block(w)[0] != 0xab || d.Cache.Block(w)[config.BlockSize-1] != 0xab {
 		t.Fatal("line not filled from memory")
 	}
-	if d.Txs.BusyLine(0x100) || d.TxLive() != 0 || len(d.handled) != 1 || d.handled[0] != MsgGetS {
-		t.Fatalf("after fill: busy=%v live=%d handled=%v", d.Txs.BusyLine(0x100), d.TxLive(), d.handled)
+	if w.Busy || w.State != stShared || w.Meta.owner != -1 || len(*hops) != 1 || (*hops)[0] != (hop{0x100, 0, stShared}) {
+		t.Fatalf("after fill: busy=%v state=%d owner=%d hops=%v", w.Busy, w.State, w.Meta.owner, *hops)
+	}
+	if d.Txs.BusyLine(0x100) || d.TxLive() != 0 || len(d.handled) != 2 || len(d.served) != 1 || d.served[0] != 0x100 {
+		t.Fatalf("after fill: busy=%v live=%d handled=%v served=%v", d.Txs.BusyLine(0x100), d.TxLive(), d.handled, d.served)
 	}
 	if net.pool.Live() != 0 {
 		t.Fatalf("request not recycled after re-dispatch: live=%d", net.pool.Live())
@@ -329,8 +513,9 @@ func TestDirBaseStartFetch(t *testing.T) {
 
 	// A fetched line that is gone when the fill fires is a protocol bug,
 	// reported with the tile and the firing cycle (not the issue cycle).
-	d.line = nil
-	d.StartFetch(40, 1, net.msg(MsgGetX, 0x140))
+	d.Deliver(40, net.msg(MsgGetX, 0x140))
+	d.Tick(40)
+	d.Cache.Invalidate(d.Cache.Peek(0x140))
 	defer func() {
 		r, _ := recover().(string)
 		if !strings.Contains(r, "test L2 tile 2 cycle 65: fetched line vanished 0x140") {
@@ -340,10 +525,184 @@ func TestDirBaseStartFetch(t *testing.T) {
 	d.Tick(65)
 }
 
+// TestDirBaseRequestRetries walks a miss in a full set through each
+// retry the front end owes it: every way busy, a transaction active in
+// the set, and a victim whose recall has just started; then the
+// recall's acks finish the eviction — writing the dirty victim back —
+// and the retried request fetches into the freed way.
+func TestDirBaseRequestRetries(t *testing.T) {
+	d, net, mem, _ := newTestDir()
+	a := d.stage(0x40, stExcl, L1ID(3)) // the LRU way
+	b := d.stage(0x80, stShared, 0)
+	a.Busy, b.Busy = true, true
+	hops := recordHops(&d.Probe)
+	now := sim.Cycle(10)
+	request := func() {
+		now++
+		d.Deliver(now, net.msg(MsgGetS, 0xc0))
+		d.Tick(now)
+	}
+
+	request()
+	if d.Txs.Retries.Value() != 1 || len(d.recalled) != 0 || d.NextWake(now) != now+1 {
+		t.Fatalf("all ways busy: retries=%d recalled=%v NextWake=%d", d.Txs.Retries.Value(), d.recalled, d.NextWake(now))
+	}
+
+	b.Busy = false // b is now the valid victim, but a still holds a transaction in the set
+	d.Tick(now + 1)
+	now++
+	if d.Txs.Retries.Value() != 2 || len(d.recalled) != 0 {
+		t.Fatalf("AnyBusy: retries=%d recalled=%v", d.Txs.Retries.Value(), d.recalled)
+	}
+
+	a.Busy = false // both idle: a (LRU) is recalled, the request retries behind it
+	d.nRecall = 2
+	a.Meta.dirty = true
+	d.Tick(now + 1)
+	now++
+	if d.Txs.Retries.Value() != 3 || len(d.recalled) != 1 || d.recalled[0] != 0x40 || !a.Busy {
+		t.Fatalf("eviction started: retries=%d recalled=%v busy=%v", d.Txs.Retries.Value(), d.recalled, a.Busy)
+	}
+	if tx, ok := d.Txs.Get(0x40); !ok || tx.Kind != TxEvict || tx.AcksLeft != 2 {
+		t.Fatal("no eviction transaction counting two acks")
+	}
+
+	// While the eviction runs, the retried request keeps retrying (the
+	// set is busy); each InvAck counts down and the last finishes it.
+	for i, want := range []bool{true, false} {
+		now++
+		d.Deliver(now, net.msg(MsgInvAck, 0x40))
+		d.Tick(now)
+		if d.Txs.BusyLine(0x40) != want {
+			t.Fatalf("InvAck %d: eviction pending=%v, want %v", i+1, !want, want)
+		}
+	}
+	if mem.writes != 1 || d.Cache.Peek(0x40) != nil || len(*hops) != 1 || (*hops)[0] != (hop{0x40, stExcl, 0}) {
+		t.Fatalf("eviction finished: writes=%d present=%v hops=%v", mem.writes, d.Cache.Peek(0x40) != nil, *hops)
+	}
+	now++
+	d.Tick(now)
+	if w := d.Cache.Peek(0xc0); w != a || !w.Busy || !d.Txs.BusyLine(0xc0) {
+		t.Fatal("retried request did not fetch into the freed way")
+	}
+
+	// A request for a line with a transaction in flight parks behind it.
+	now++
+	d.Deliver(now, net.msg(MsgGetX, 0xc0))
+	d.Tick(now)
+	if d.Txs.Waits.Value() != 1 {
+		t.Fatalf("request to a busy line: waits=%d", d.Txs.Waits.Value())
+	}
+
+	// A victim with no L1 copy to recall goes synchronously, clean
+	// lines without a writeback.
+	d2, net2, mem2, _ := newTestDir()
+	d2.stage(0x40, stShared, 0)
+	d2.stage(0x80, stShared, 0)
+	d2.Deliver(1, net2.msg(MsgGetS, 0xc0))
+	d2.Tick(1)
+	if d2.Txs.Retries.Value() != 0 || d2.Cache.Peek(0x40) != nil || !d2.Txs.BusyLine(0xc0) || mem2.writes != 0 {
+		t.Fatalf("synchronous eviction: retries=%d victim present=%v fetching=%v writes=%d",
+			d2.Txs.Retries.Value(), d2.Cache.Peek(0x40) != nil, d2.Txs.BusyLine(0xc0), mem2.writes)
+	}
+}
+
+// TestDirBasePutFrontEnd: every Put the front end does not park is
+// acknowledged; only the current owner's is handed to the protocol,
+// with PutM's data taken.
+func TestDirBasePutFrontEnd(t *testing.T) {
+	d, net, _, _ := newTestDir()
+	w := d.stage(0x40, stExcl, L1ID(1))
+	put := func(now sim.Cycle, typ MsgType, addr uint64, src NodeID) {
+		m := net.msg(typ, addr)
+		m.Src = src
+		if typ == MsgPutM {
+			m.Data = block(5)
+		}
+		d.Deliver(now, m)
+		d.Tick(now)
+	}
+	acks := func(now sim.Cycle) (n int) {
+		d.Tick(now + 5)
+		for _, m := range net.sent {
+			if m.Type == MsgPutAck {
+				n++
+			}
+			net.pool.Put(m) // the mesh would deliver and recycle
+		}
+		net.drop()
+		return n
+	}
+
+	put(10, MsgPutE, 0x40, L1ID(2)) // not the owner: stale
+	put(10, MsgPutE, 0x80, L1ID(1)) // line absent: stale
+	if n := acks(10); n != 2 || len(d.served) != 0 || w.State != stExcl {
+		t.Fatalf("stale Puts: %d acks, served %v, state %d", n, d.served, w.State)
+	}
+	d.Set(w, stShared)
+	put(20, MsgPutE, 0x40, L1ID(1)) // no longer exclusive: stale
+	if n := acks(20); n != 1 || len(d.served) != 0 {
+		t.Fatalf("Put of a non-exclusive line: %d acks, served %v", n, d.served)
+	}
+
+	d.Set(w, stExcl)
+	tx := d.Txs.New(0x40, TxAwaitAck, nil, 0)
+	put(30, MsgPutM, 0x40, L1ID(1)) // busy line: parked, not acked
+	if n := acks(30); n != 0 || d.Txs.Waits.Value() != 1 {
+		t.Fatalf("Put behind a busy line: %d acks, waits %d", n, d.Txs.Waits.Value())
+	}
+	d.Retire(40, w, tx) // re-dispatches the parked PutM: the owner's own
+	if n := acks(40); n != 1 || len(d.served) != 1 || d.served[0] != 0x40 || d.Cache.Block(w)[0] != 5 {
+		t.Fatalf("owner's PutM: %d acks, served %v, data %d", n, d.served, d.Cache.Block(w)[0])
+	}
+	if net.pool.Live() != 0 {
+		t.Fatalf("messages leaked: %d", net.pool.Live())
+	}
+}
+
+// TestBasesSnoopAuthority: an L1 is authoritative only in its owned
+// states; a tile is authoritative unless an L1 owns the line, in which
+// case SnoopOwner names that L1.
+func TestBasesSnoopAuthority(t *testing.T) {
+	l, _, _ := newTestL1()
+	w := l.Install(1, 0x40, block(3))
+	for s, want := range map[uint8]bool{stShared: false, stOwned: true, stExcl: true} {
+		l.Set(w, s)
+		if blk, ok := l.SnoopBlock(0x48); ok != want || ok && blk[0] != 3 {
+			t.Fatalf("L1 state %d: authoritative=%v, want %v", s, ok, want)
+		}
+	}
+	if _, ok := l.SnoopBlock(0x80); ok {
+		t.Fatal("L1 authoritative for an absent line")
+	}
+
+	d, _, _, _ := newTestDir()
+	v := d.stage(0x40, stShared, 0)
+	d.Cache.Block(v)[0] = 4
+	if blk, ok := d.SnoopBlock(0x40); !ok || blk[0] != 4 {
+		t.Fatal("tile not authoritative for an unowned line")
+	}
+	if _, ok := d.SnoopOwner(0x40); ok {
+		t.Fatal("owner reported for an unowned line")
+	}
+	d.Set(v, stExcl)
+	v.Meta.owner = OwnerID(L1ID(3))
+	if _, ok := d.SnoopBlock(0x40); ok {
+		t.Fatal("tile authoritative for an L1-owned line")
+	}
+	if o, ok := d.SnoopOwner(0x40); !ok || o != L1ID(3) {
+		t.Fatalf("SnoopOwner = %d, %v", o, ok)
+	}
+	if _, ok := d.SnoopOwner(0x80); ok {
+		t.Fatal("owner reported for an absent line")
+	}
+}
+
 func TestDirBaseNamesAndCounters(t *testing.T) {
 	d, net, _, _ := newTestDir()
-	if d.TxKindName(2) != "await-ack" || d.TxKindName(0) != "kind-0" || d.TxKindName(9) != "kind-9" {
-		t.Fatalf("kind names: %q %q %q", d.TxKindName(2), d.TxKindName(0), d.TxKindName(9))
+	if d.TxKindName(TxAwaitAck) != "await-ack" || d.TxKindName(TxInvs) != "inv-test" ||
+		d.TxKindName(0) != "kind-0" || d.TxKindName(9) != "kind-9" {
+		t.Fatalf("kind names: %q %q %q %q", d.TxKindName(TxAwaitAck), d.TxKindName(TxInvs), d.TxKindName(0), d.TxKindName(9))
 	}
 	var decays stats.Counter
 	d.AddCounter(&decays, ".decay_events")
@@ -361,7 +720,7 @@ func TestDirBaseNamesAndCounters(t *testing.T) {
 			t.Fatalf("recovered %q", r)
 		}
 	}()
-	d.TxFor(3, net.msg(MsgInvAck, 0x40))
+	d.txFor(3, net.msg(MsgInvAck, 0x40))
 }
 
 // TestBasesSteadyStateZeroAlloc: once the inbox, the pool and the timer

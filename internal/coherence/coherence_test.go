@@ -2,7 +2,6 @@ package coherence
 
 import (
 	"testing"
-	"testing/quick"
 
 	"repro/internal/sim"
 )
@@ -45,30 +44,6 @@ func TestMsgTypeStrings(t *testing.T) {
 		if s := mt.String(); s == "" || s[0] == 'M' && len(s) > 20 {
 			t.Fatalf("missing name for message type %d", mt)
 		}
-	}
-}
-
-func TestBlockAddr(t *testing.T) {
-	cases := map[uint64]uint64{
-		0x0:    0x0,
-		0x3f:   0x0,
-		0x40:   0x40,
-		0x1234: 0x1200,
-	}
-	for in, want := range cases {
-		if got := BlockAddr(in); got != want {
-			t.Fatalf("BlockAddr(%#x) = %#x, want %#x", in, got, want)
-		}
-	}
-}
-
-func TestBlockAddrIdempotent(t *testing.T) {
-	check := func(addr uint64) bool {
-		b := BlockAddr(addr)
-		return BlockAddr(b) == b && b <= addr && addr-b < BlockSize
-	}
-	if err := quick.Check(check, nil); err != nil {
-		t.Fatal(err)
 	}
 }
 

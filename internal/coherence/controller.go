@@ -1,6 +1,9 @@
 package coherence
 
 import (
+	"fmt"
+
+	"repro/internal/memsys"
 	"repro/internal/sim"
 	"repro/internal/stats"
 )
@@ -48,8 +51,8 @@ type L1Like interface {
 }
 
 // Directory is the system layer's view of a directory (L2) tile: a
-// Controller that owns a TxTable. DirBase implements everything but
-// SnoopOwner, so a protocol's tile satisfies it by embedding the base.
+// Controller that owns a TxTable. DirBase implements all of it, so a
+// protocol's tile satisfies it by embedding the base.
 type Directory interface {
 	Controller
 	sim.Labeled
@@ -77,10 +80,10 @@ type Directory interface {
 // a nominal run and every consultation is nil-guarded, so a run without
 // faults, checks or obs pays one predictable branch per site.
 type Probe struct {
-	// EvictFault (L1, "evict" profile) is consulted by Load/Store/RMW on
-	// an access that hits a valid, unpinned line; a true return makes
-	// the controller evict the line through its normal victim machinery
-	// and take the miss path instead.
+	// EvictFault (L1, "evict" profile) is consulted by L1Base.SelfEvicts,
+	// which Load/Store/RMW call on an access that hits a valid, unpinned
+	// line; a true return evicts the line through the normal victim
+	// machinery and the access takes the miss path instead.
 	EvictFault func() bool
 	// ResetFault (L1 and directory, "reset-storm" profile) is consulted
 	// at each timestamp assignment; a true return forces the
@@ -93,8 +96,8 @@ type Probe struct {
 	AckDelay func() sim.Cycle
 	// Transition (L1 and directory, legality oracle) receives every
 	// line-state mutation as (address, from, to) in the protocol's own
-	// state ids (0 = invalid/absent) — direct hops only. Protocols
-	// report through Trans.
+	// state ids (0 = invalid/absent) — direct hops only. The bases'
+	// state setter (Set / Drop) reports every hop through Trans.
 	Transition func(addr uint64, from, to int)
 	// MissLatency (L1, obs layer) receives each completed miss: whether
 	// it was a read and how many cycles the request was outstanding.
@@ -106,9 +109,53 @@ type Probe struct {
 func (p *Probe) Hooks() *Probe { return p }
 
 // Trans reports a line-state transition to the legality oracle;
-// self-loops are dropped here so call sites stay simple.
+// self-loops are dropped here so call sites stay simple. It is kept out
+// of line: its one caller, the state setter, runs on every store hit
+// and must stay within the inlining budget, while Trans runs only when
+// the oracle is armed.
+//
+//go:noinline
 func (p *Probe) Trans(addr uint64, from, to int) {
 	if p.Transition != nil && from != to {
 		p.Transition(addr, from, to)
 	}
+}
+
+// lines is a controller's cache array as both bases hold it, with the
+// one state setter: protocols write a line's state only through Set and
+// Drop, so the legality oracle sees every hop.
+type lines[M any] struct {
+	Cache *memsys.Cache[M]
+	probe *Probe // the owning base's
+}
+
+// Set moves w to protocol state s, reporting the hop to the probe
+// (self-loops are not hops).
+func (a *lines[M]) Set(w *memsys.Way[M], s uint8) {
+	if a.probe.Transition != nil {
+		a.probe.Trans(w.Tag, int(w.State), int(s))
+	}
+	w.State = s
+}
+
+// Drop invalidates w, reporting its hop to state 0.
+func (a *lines[M]) Drop(w *memsys.Way[M]) {
+	a.Set(w, 0)
+	a.Cache.Invalidate(w)
+}
+
+// PrewarmStorage implements Controller.
+func (a *lines[M]) PrewarmStorage() { a.Cache.Prewarm() }
+
+// ctlLabel names a controller in forensic reports and panics ("mesi L1
+// 3", "tsocc L2 tile 0").
+type ctlLabel string
+
+// ComponentLabel implements sim.Labeled.
+func (c ctlLabel) ComponentLabel() string { return string(c) }
+
+// Panicf reports a protocol bug: it panics with the controller's label
+// and the cycle, e.g. "mesi L2 tile 3 cycle 120: stray Ack ...".
+func (c ctlLabel) Panicf(now sim.Cycle, format string, args ...any) {
+	panic(fmt.Sprintf("%s cycle %d: %s", c, now, fmt.Sprintf(format, args...)))
 }

@@ -31,6 +31,10 @@ func L1ID(core int) NodeID { return NodeID(core) }
 // L2ID returns the NodeID of L2 tile t in a system with n cores.
 func L2ID(tile, n int) NodeID { return NodeID(n + tile) }
 
+// HomeTile returns the directory tile the block holding addr is
+// interleaved onto in an n-tile machine.
+func HomeTile(addr uint64, n int) int { return int(addr>>config.BlockShift) % n }
+
 // IsL1 reports whether id names an L1 controller in an n-core system.
 func IsL1(id NodeID, n int) bool { return int(id) < n }
 
@@ -110,12 +114,10 @@ func (t MsgType) CarriesData() bool {
 
 // Wire sizing, matching the paper's GARNET configuration (Table 2).
 const (
-	BlockSize  = config.BlockSize // bytes per cache block
-	BlockShift = 6
-	FlitBytes  = 16
+	FlitBytes = 16
 	// BlockFlits is the flit count of a data-carrying message:
 	// one head/control flit plus the block payload.
-	BlockFlits   = 1 + BlockSize/FlitBytes
+	BlockFlits   = 1 + config.BlockSize/FlitBytes
 	ControlFlits = 1
 )
 
@@ -134,7 +136,7 @@ type Msg struct {
 	Src  NodeID
 	Dst  NodeID
 	Addr uint64 // block-aligned address
-	Data []byte // BlockSize payload for data-carrying messages
+	Data []byte // config.BlockSize payload for data-carrying messages
 
 	Requestor NodeID // original requester, for forwarded messages
 	Owner     NodeID // last writer / owner conveyed in data responses
@@ -153,9 +155,6 @@ type Msg struct {
 	// protocol logic may read it.
 	FaultStalls uint8
 }
-
-// BlockAddr masks addr down to its containing block address.
-func BlockAddr(addr uint64) uint64 { return addr &^ uint64(BlockSize-1) }
 
 // String renders a short human-readable form, used in traces and tests.
 func (m *Msg) String() string {

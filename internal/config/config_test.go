@@ -3,6 +3,7 @@ package config
 import (
 	"strings"
 	"testing"
+	"testing/quick"
 )
 
 func TestPresetNames(t *testing.T) {
@@ -225,6 +226,30 @@ func TestScaledKeepsShape(t *testing.T) {
 		t.Fatal("Scaled should only change core count")
 	}
 	if err := s.Validate(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func TestBlockAddr(t *testing.T) {
+	cases := map[uint64]uint64{
+		0x0:    0x0,
+		0x3f:   0x0,
+		0x40:   0x40,
+		0x1234: 0x1200,
+	}
+	for in, want := range cases {
+		if got := BlockAddr(in); got != want {
+			t.Fatalf("BlockAddr(%#x) = %#x, want %#x", in, got, want)
+		}
+	}
+}
+
+func TestBlockAddrIdempotent(t *testing.T) {
+	check := func(addr uint64) bool {
+		b := BlockAddr(addr)
+		return BlockAddr(b) == b && b <= addr && addr-b < BlockSize
+	}
+	if err := quick.Check(check, nil); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -19,11 +19,6 @@ import (
 	"repro/internal/stats"
 )
 
-type wbEntry struct {
-	addr uint64
-	val  uint64
-}
-
 // Core is one simulated processor.
 type Core struct {
 	ID   int
@@ -33,14 +28,7 @@ type Core struct {
 	regs [program.NumRegs]int64
 	pc   int
 
-	// The write buffer is a fixed-capacity FIFO ring: entries enter at
-	// (head+len)%cap and drain from head, so steady-state store traffic
-	// allocates nothing.
-	wb         []wbEntry
-	wbHead     int
-	wbLen      int
-	wbInFlight bool
-	wbStalled  bool // last drain attempt was rejected by the L1
+	wb WriteBuffer
 
 	waiting    bool // blocked on an outstanding load/RMW/fence callback
 	stallUntil sim.Cycle
@@ -100,15 +88,9 @@ type Core struct {
 
 	rmwIssue sim.Cycle
 
-	// Stall attribution (internal/obs), nil when disabled. Episodes are
-	// interval-based because the wake-set engine skips a stalled core's
-	// idle cycles entirely: an episode opens at the tick that detects
-	// the stall and closes at the next tick that makes progress, so the
-	// observed length covers skipped cycles too. Batched-run interior
-	// cycles are attributed immediately (the engine leaps them).
-	stalls     *obs.CoreStalls
-	stallWhy   obs.StallReason
-	stallStart sim.Cycle
+	// Stall attribution; batched-run interior cycles are attributed
+	// immediately (the engine leaps them).
+	stalls Stalls
 }
 
 // New builds a core executing prog against port, with a write buffer of
@@ -117,7 +99,7 @@ func New(id int, prog *program.Program, port coherence.CorePort, wbEntries int) 
 	if wbEntries <= 0 {
 		panic("cpu: write buffer must have at least one entry")
 	}
-	c := &Core{ID: id, prog: prog, port: port, wb: make([]wbEntry, wbEntries)}
+	c := &Core{ID: id, prog: prog, port: port, wb: NewWriteBuffer(wbEntries)}
 	c.Loads.SetName(fmt.Sprintf("core%d.loads", id))
 	c.Stores.SetName(fmt.Sprintf("core%d.stores", id))
 	c.RMWs.SetName(fmt.Sprintf("core%d.rmws", id))
@@ -136,9 +118,7 @@ func New(id int, prog *program.Program, port coherence.CorePort, wbEntries int) 
 		c.waker.Wake()
 	}
 	c.storeCb = func() {
-		c.wbHead = c.wbSlot(1)
-		c.wbLen--
-		c.wbInFlight = false
+		c.wb.Pop()
 		c.waker.Wake()
 	}
 	c.fenceCb = func() {
@@ -159,31 +139,9 @@ func New(id int, prog *program.Program, port coherence.CorePort, wbEntries int) 
 // BindWaker implements sim.WakeSink (see the waker field).
 func (c *Core) BindWaker(w sim.Waker) { c.waker = w }
 
-// SetStalls attaches the stall-attribution histograms (see the stalls
-// field). Nil (the default) keeps every stall path branch-only.
-func (c *Core) SetStalls(s *obs.CoreStalls) {
-	c.stalls = s
-	c.stallWhy = obs.StallNone
-}
-
-// stallOpen begins a stall episode at now unless one is already open
-// (a continuing stall keeps its original start and reason).
-func (c *Core) stallOpen(now sim.Cycle, why obs.StallReason) {
-	if c.stalls == nil || c.stallWhy != obs.StallNone {
-		return
-	}
-	c.stallWhy = why
-	c.stallStart = now
-}
-
-// stallClose observes and ends the open stall episode, if any.
-func (c *Core) stallClose(now sim.Cycle) {
-	if c.stalls == nil || c.stallWhy == obs.StallNone {
-		return
-	}
-	c.stalls.Observe(c.stallWhy, int64(now-c.stallStart))
-	c.stallWhy = obs.StallNone
-}
+// SetStalls attaches the stall-attribution histograms. Nil (the
+// default) keeps every stall path branch-only.
+func (c *Core) SetStalls(s *obs.CoreStalls) { c.stalls.Attach(s) }
 
 // SetBatched toggles batched straight-line execution
 // (config.System.BatchedCore). Both settings produce bit-identical
@@ -205,7 +163,7 @@ func (c *Core) SetTrace(sink config.TraceSink) {
 
 // Done reports whether the core has halted and fully drained its writes.
 func (c *Core) Done() bool {
-	return c.halted && c.wbLen == 0 && !c.wbInFlight && !c.waiting
+	return c.halted && c.wb.Empty() && !c.waiting
 }
 
 // Counts implements system.Frontend: the core-level counters aggregated
@@ -229,7 +187,7 @@ func (c *Core) SetReg(r uint8, v int64) { c.regs[r] = v }
 
 // Tick advances the core one cycle.
 func (c *Core) Tick(now sim.Cycle) {
-	c.drainWriteBuffer(now)
+	c.wb.Drain(now, c.port, c.storeCb)
 
 	if c.halted {
 		if c.Done() && c.FinishCycle == 0 {
@@ -240,8 +198,8 @@ func (c *Core) Tick(now sim.Cycle) {
 	if c.waiting || now < c.stallUntil {
 		return
 	}
-	if c.stalls != nil {
-		c.stallClose(now)
+	if c.stalls.On() {
+		c.stalls.Close(now)
 	}
 	if c.prog == nil || c.pc >= len(c.prog.Instrs) {
 		c.halted = true
@@ -329,9 +287,9 @@ func (c *Core) executeRun(now sim.Cycle, n int) {
 	c.pc = pc
 	c.stallUntil = now + sim.Cycle(n)
 	c.Instructions.Add(int64(n))
-	if c.stalls != nil && n > 1 {
+	if c.stalls.On() && n > 1 {
 		// The run's interior cycles never tick; attribute them now.
-		c.stalls.Observe(obs.StallBatchInterior, int64(n-1))
+		c.stalls.hist.Observe(obs.StallBatchInterior, int64(n-1))
 	}
 	if c.trace != nil {
 		// A run of n register/branch instructions occupies exactly n
@@ -343,29 +301,6 @@ func (c *Core) executeRun(now sim.Cycle, n int) {
 	}
 }
 
-func (c *Core) drainWriteBuffer(now sim.Cycle) {
-	if c.wbInFlight || c.wbLen == 0 {
-		return
-	}
-	head := c.wb[c.wbHead]
-	if c.port.Store(now, head.addr, head.val, c.storeCb) {
-		c.wbInFlight = true
-		c.wbStalled = false
-	} else {
-		// The L1 declined. Every decline reason is a transaction this
-		// same core has in flight (a same-block load/RMW, or its own
-		// write), and every such transaction completes by firing one of
-		// this core's callbacks — from the L1's tick or as an engine
-		// completion event, and either way calling waker.Wake — so the
-		// retry is re-dispatched on exactly the cycle the L1 frees up. This
-		// invariant is load-bearing under wake-set scheduling: a stalled
-		// head with the core otherwise quiescent reports WakeNever, so
-		// an L1 decline reason with no pending same-core callback would
-		// be a lost-wakeup deadlock. Do not add one.
-		c.wbStalled = true
-	}
-}
-
 // NextWake implements sim.WakeHinter. The core must be ticked while it
 // has self-driven work: an instruction to execute, a stall expiring, or
 // a write-buffer head to (re)issue. While blocked on an L1 callback it
@@ -374,7 +309,7 @@ func (c *Core) drainWriteBuffer(now sim.Cycle) {
 // start of the cycle as an engine completion event for a hit: either way
 // the core's turn is still ahead).
 func (c *Core) NextWake(now sim.Cycle) sim.Cycle {
-	if c.wbLen > 0 && !c.wbInFlight && !c.wbStalled {
+	if c.wb.Ready() {
 		return now + 1 // a freshly buffered store to issue
 	}
 	if c.halted || c.waiting {
@@ -514,47 +449,32 @@ func (c *Core) effAddr(in program.Instr) uint64 {
 	return a
 }
 
-// wbSlot maps the i-th oldest write-buffer entry (0 <= i <= wbLen) to
-// its ring index. wbHead+i stays below 2*len(wb), so one compare wraps
-// it: the depth is a run-time value and a modulo here is a division on
-// every store, drain and forwarded-load probe.
-func (c *Core) wbSlot(i int) int {
-	s := c.wbHead + i
-	if s >= len(c.wb) {
-		s -= len(c.wb)
-	}
-	return s
-}
-
 func (c *Core) doLoad(now sim.Cycle, in program.Instr) bool {
 	addr := c.effAddr(in)
 	// Store→load forwarding: newest matching write-buffer entry wins.
 	// TSO requires reads of pending writes to see them.
-	for i := c.wbLen - 1; i >= 0; i-- {
-		e := &c.wb[c.wbSlot(i)]
-		if e.addr == addr {
-			c.regs[in.Dst] = int64(e.val)
-			c.Loads.Inc()
-			c.WBForwards.Inc()
-			if c.trace != nil {
-				// Forwarded loads complete synchronously: like a store,
-				// the instruction itself occupies one cycle before the
-				// next dispatch, hence the gap re-seed of 1. Replay makes
-				// the same forwarding decision against its identical
-				// write buffer, so the trace needs no forwarded marker.
-				c.trace.RecordOp(config.TraceEvent{Core: c.ID, Op: config.TraceLoad,
-					Addr: addr, Gap: c.traceGap, Instrs: c.traceIns + 1})
-				c.traceGap, c.traceIns = 1, 0
-			}
-			return true
+	if val, ok := c.wb.Forward(addr); ok {
+		c.regs[in.Dst] = int64(val)
+		c.Loads.Inc()
+		c.WBForwards.Inc()
+		if c.trace != nil {
+			// Forwarded loads complete synchronously: like a store,
+			// the instruction itself occupies one cycle before the
+			// next dispatch, hence the gap re-seed of 1. Replay makes
+			// the same forwarding decision against its identical
+			// write buffer, so the trace needs no forwarded marker.
+			c.trace.RecordOp(config.TraceEvent{Core: c.ID, Op: config.TraceLoad,
+				Addr: addr, Gap: c.traceGap, Instrs: c.traceIns + 1})
+			c.traceGap, c.traceIns = 1, 0
 		}
+		return true
 	}
 	c.opDst = in.Dst
 	if !c.port.Load(now, addr, c.loadCb) {
-		c.stallOpen(now, obs.StallPortBusy)
+		c.stalls.Open(now, obs.StallPortBusy)
 		return false // port busy; retry next cycle without advancing pc
 	}
-	c.stallOpen(now, obs.StallMissOutstanding)
+	c.stalls.Open(now, obs.StallMissOutstanding)
 	c.Loads.Inc()
 	if c.trace != nil {
 		// Asynchronous completion: the next instruction dispatches on
@@ -570,18 +490,17 @@ func (c *Core) doLoad(now sim.Cycle, in program.Instr) bool {
 }
 
 func (c *Core) doStore(now sim.Cycle, in program.Instr) bool {
-	if c.wbLen >= len(c.wb) {
+	if c.wb.Full() {
 		c.WBFullStalls.Inc()
-		c.stallOpen(now, obs.StallWBFull)
+		c.stalls.Open(now, obs.StallWBFull)
 		return false // write buffer full; retry
 	}
-	e := wbEntry{addr: c.effAddr(in), val: uint64(c.regs[in.B])}
-	c.wb[c.wbSlot(c.wbLen)] = e
-	c.wbLen++
+	addr, val := c.effAddr(in), uint64(c.regs[in.B])
+	c.wb.Push(addr, val)
 	c.Stores.Inc()
 	if c.trace != nil {
 		c.trace.RecordOp(config.TraceEvent{Core: c.ID, Op: config.TraceStore,
-			Addr: e.addr, Val: e.val, Gap: c.traceGap, Instrs: c.traceIns + 1})
+			Addr: addr, Val: val, Gap: c.traceGap, Instrs: c.traceIns + 1})
 		c.traceGap, c.traceIns = 1, 0
 	}
 	return true
@@ -589,8 +508,8 @@ func (c *Core) doStore(now sim.Cycle, in program.Instr) bool {
 
 func (c *Core) doAtomic(now sim.Cycle, in program.Instr) bool {
 	// x86 locked operations drain the write buffer first (full barrier).
-	if c.wbLen > 0 || c.wbInFlight {
-		c.stallOpen(now, obs.StallFenceDrain)
+	if !c.wb.Empty() {
+		c.stalls.Open(now, obs.StallFenceDrain)
 		return false
 	}
 	addr := c.effAddr(in)
@@ -609,10 +528,10 @@ func (c *Core) doAtomic(now sim.Cycle, in program.Instr) bool {
 	}
 	c.opDst = in.Dst
 	if !c.port.RMW(now, addr, f, c.rmwCb) {
-		c.stallOpen(now, obs.StallPortBusy)
+		c.stalls.Open(now, obs.StallPortBusy)
 		return false
 	}
-	c.stallOpen(now, obs.StallMissOutstanding)
+	c.stalls.Open(now, obs.StallMissOutstanding)
 	c.RMWs.Inc()
 	if c.trace != nil {
 		var op config.TraceOp
@@ -637,15 +556,15 @@ func (c *Core) doAtomic(now sim.Cycle, in program.Instr) bool {
 }
 
 func (c *Core) doFence(now sim.Cycle) bool {
-	if c.wbLen > 0 || c.wbInFlight {
-		c.stallOpen(now, obs.StallFenceDrain)
+	if !c.wb.Empty() {
+		c.stalls.Open(now, obs.StallFenceDrain)
 		return false
 	}
 	if !c.port.Fence(now, c.fenceCb) {
-		c.stallOpen(now, obs.StallPortBusy)
+		c.stalls.Open(now, obs.StallPortBusy)
 		return false
 	}
-	c.stallOpen(now, obs.StallFenceDrain)
+	c.stalls.Open(now, obs.StallFenceDrain)
 	c.Fences.Inc()
 	if c.trace != nil {
 		c.trace.RecordOp(config.TraceEvent{Core: c.ID, Op: config.TraceFence,
@@ -668,5 +587,5 @@ func (c *Core) Debug() string {
 		instr = c.prog.Instrs[c.pc-1].String()
 	}
 	return fmt.Sprintf("core %d: pc=%d (prev: %s) halted=%v waiting=%v wb=%d inflight=%v stallUntil=%d",
-		c.ID, c.pc, instr, c.halted, c.waiting, c.wbLen, c.wbInFlight, c.stallUntil)
+		c.ID, c.pc, instr, c.halted, c.waiting, c.wb.Len(), c.wb.InFlight(), c.stallUntil)
 }

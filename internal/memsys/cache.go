@@ -9,14 +9,18 @@ import (
 	"fmt"
 	"reflect"
 
-	"repro/internal/coherence"
+	"repro/internal/config"
 	"repro/internal/sim"
 	"repro/internal/stats"
 )
 
 // Way is one cache way's tag record: what a set scan reads — tag, valid
-// and busy bits, LRU stamp — plus protocol-specific metadata of type L
-// and a handle to the way's data block. The block itself lives in the
+// and busy bits, LRU stamp, the line's protocol state — plus the rest of
+// the protocol's line metadata, of type L, and a handle to the way's
+// data block. State sits in the record's padding; it is 0 on an invalid
+// way and after Install, and protocols write it only through their
+// controller base (coherence), which reports every hop to the legality
+// oracle. The block itself lives in the
 // owning cache's slab (Cache.Block), not here: a lookup compares up to
 // sixteen tags per set and reads at most one block, so keeping the 64
 // data bytes out of the record more than halves the host cache lines a
@@ -29,7 +33,8 @@ type Way[L any] struct {
 	lastUse int64
 	blk     uint32 // slab handle + 1; 0 until the first Install
 	Valid   bool
-	Busy    bool // a transaction holds this line (blocking directory / MSHR)
+	Busy    bool  // a transaction holds this line (blocking directory / MSHR)
+	State   uint8 // protocol state id; 0 = invalid / not yet filled
 	Meta    L
 }
 
@@ -75,7 +80,7 @@ const (
 	slabBlocks = 1 << slabShift
 )
 
-type slabChunk [slabBlocks][coherence.BlockSize]byte
+type slabChunk [slabBlocks][config.BlockSize]byte
 
 // PointerFree reports whether a value of type t holds no pointer
 // anywhere inside it: the property of Way[L] that keeps way arrays out
@@ -106,7 +111,7 @@ func NewCache[L any](sizeBytes, ways int) *Cache[L] {
 	if sizeBytes <= 0 || ways <= 0 {
 		panic("memsys: invalid cache geometry")
 	}
-	blocks := sizeBytes / coherence.BlockSize
+	blocks := sizeBytes / config.BlockSize
 	numSets := blocks / ways
 	if numSets == 0 {
 		numSets = 1
@@ -149,14 +154,11 @@ func (c *Cache[L]) Prewarm() {
 // Sets reports the number of sets.
 func (c *Cache[L]) Sets() int { return c.numSets }
 
-// WaysPerSet reports the associativity.
-func (c *Cache[L]) WaysPerSet() int { return c.perSet }
-
 // setFor returns the ways of addr's set, or nil when the owning chunk
 // has never been installed into (every lookup outcome on a nil set —
 // miss, no victim conflict, nothing busy — matches an all-invalid set).
 func (c *Cache[L]) setFor(addr uint64) []Way[L] {
-	s := int((addr >> coherence.BlockShift) & c.setMask)
+	s := int((addr >> config.BlockShift) & c.setMask)
 	ch := &c.chunks[s>>c.chunkShift]
 	if ch.ways == nil {
 		return nil
@@ -168,7 +170,7 @@ func (c *Cache[L]) setFor(addr uint64) []Way[L] {
 // setForAlloc is setFor on the install path: it materializes the
 // owning chunk when absent.
 func (c *Cache[L]) setForAlloc(addr uint64) []Way[L] {
-	s := int((addr >> coherence.BlockShift) & c.setMask)
+	s := int((addr >> config.BlockShift) & c.setMask)
 	ch := &c.chunks[s>>c.chunkShift]
 	if ch.ways == nil {
 		ch.ways = make([]Way[L], c.chunkSets*c.perSet)
@@ -180,7 +182,7 @@ func (c *Cache[L]) setForAlloc(addr uint64) []Way[L] {
 // Lookup returns the way holding addr and refreshes its LRU state, or
 // nil on miss.
 func (c *Cache[L]) Lookup(addr uint64) *Way[L] {
-	addr = coherence.BlockAddr(addr)
+	addr = config.BlockAddr(addr)
 	set := c.setFor(addr)
 	for i := range set {
 		if w := &set[i]; w.Valid && w.Tag == addr {
@@ -194,7 +196,7 @@ func (c *Cache[L]) Lookup(addr uint64) *Way[L] {
 
 // Peek returns the way holding addr without touching LRU state.
 func (c *Cache[L]) Peek(addr uint64) *Way[L] {
-	addr = coherence.BlockAddr(addr)
+	addr = config.BlockAddr(addr)
 	set := c.setFor(addr)
 	for i := range set {
 		if w := &set[i]; w.Valid && w.Tag == addr {
@@ -210,7 +212,7 @@ func (c *Cache[L]) Peek(addr uint64) *Way[L] {
 // The returned way may still hold a valid line that needs eviction.
 func (c *Cache[L]) Victim(addr uint64) *Way[L] {
 	var lru *Way[L]
-	set := c.setForAlloc(coherence.BlockAddr(addr))
+	set := c.setForAlloc(config.BlockAddr(addr))
 	for i := range set {
 		w := &set[i]
 		if w.Busy {
@@ -235,14 +237,16 @@ func (c *Cache[L]) Block(w *Way[L]) []byte {
 	return c.slab[h>>slabShift][h&(slabBlocks-1)][:]
 }
 
-// Install claims way for addr, resetting data and metadata to zero
-// values. The caller is responsible for having evicted any prior line.
+// Install claims way for addr, resetting data, state and metadata to
+// zero values. The caller is responsible for having evicted any prior
+// line.
 // A way's first Install takes the next slab block; later ones clear the
 // block it already holds, so there is no free list to manage.
 func (c *Cache[L]) Install(w *Way[L], addr uint64) {
-	w.Tag = coherence.BlockAddr(addr)
+	w.Tag = config.BlockAddr(addr)
 	w.Valid = true
 	w.Busy = false
+	w.State = 0
 	if w.blk == 0 {
 		if c.slabUsed>>slabShift == uint32(len(c.slab)) {
 			c.slab = append(c.slab, new(slabChunk))
@@ -263,42 +267,20 @@ func (c *Cache[L]) Install(w *Way[L], addr uint64) {
 func (c *Cache[L]) Invalidate(w *Way[L]) {
 	w.Valid = false
 	w.Busy = false
+	w.State = 0
 	var zero L
 	w.Meta = zero
 }
 
 // AnyBusy reports whether any way in addr's set is transaction-busy.
 func (c *Cache[L]) AnyBusy(addr uint64) bool {
-	set := c.setFor(coherence.BlockAddr(addr))
+	set := c.setFor(config.BlockAddr(addr))
 	for i := range set {
 		if set[i].Busy {
 			return true
 		}
 	}
 	return false
-}
-
-// ForEachValid visits every valid way in deterministic (set, way) order.
-func (c *Cache[L]) ForEachValid(fn func(w *Way[L])) {
-	for ci := range c.chunks {
-		ways := c.chunks[ci].ways
-		for i := range ways {
-			if ways[i].Valid {
-				fn(&ways[i])
-			}
-		}
-	}
-}
-
-// CountValid reports the number of valid lines satisfying pred.
-func (c *Cache[L]) CountValid(pred func(w *Way[L]) bool) int {
-	n := 0
-	c.ForEachValid(func(w *Way[L]) {
-		if pred(w) {
-			n++
-		}
-	})
-	return n
 }
 
 // Memory is the off-chip backing store: an infinite sparse block store
@@ -397,14 +379,14 @@ func (m *Memory) Latency(addr uint64) sim.Cycle {
 	if m.Spread <= 0 {
 		return m.Base
 	}
-	h := (addr >> coherence.BlockShift) * 0x9E3779B97F4A7C15
+	h := (addr >> config.BlockShift) * 0x9E3779B97F4A7C15
 	return m.Base + sim.Cycle(h%uint64(m.Spread))
 }
 
 // ReadBlock copies the block at addr into dst (allocating zeroes for
 // untouched memory).
 func (m *Memory) ReadBlock(addr uint64, dst []byte) {
-	addr = coherence.BlockAddr(addr)
+	addr = config.BlockAddr(addr)
 	blocks, reads, _ := m.store(addr)
 	reads.Inc()
 	if b, ok := blocks[addr]; ok {
@@ -418,12 +400,12 @@ func (m *Memory) ReadBlock(addr uint64, dst []byte) {
 
 // WriteBlock stores a copy of src as the block at addr.
 func (m *Memory) WriteBlock(addr uint64, src []byte) {
-	addr = coherence.BlockAddr(addr)
+	addr = config.BlockAddr(addr)
 	blocks, _, writes := m.store(addr)
 	writes.Inc()
 	b, ok := blocks[addr]
 	if !ok {
-		b = make([]byte, coherence.BlockSize)
+		b = make([]byte, config.BlockSize)
 		blocks[addr] = b
 	}
 	copy(b, src)
@@ -431,7 +413,7 @@ func (m *Memory) WriteBlock(addr uint64, src []byte) {
 
 // ReadWord returns the 8-byte little-endian word at addr (8-aligned).
 func (m *Memory) ReadWord(addr uint64) uint64 {
-	blk := coherence.BlockAddr(addr)
+	blk := config.BlockAddr(addr)
 	blocks, _, _ := m.store(blk)
 	b, ok := blocks[blk]
 	if !ok {
@@ -443,11 +425,11 @@ func (m *Memory) ReadWord(addr uint64) uint64 {
 // WriteWord stores an 8-byte little-endian word at addr (8-aligned),
 // bypassing latency modelling; used for initial state setup.
 func (m *Memory) WriteWord(addr uint64, v uint64) {
-	blk := coherence.BlockAddr(addr)
+	blk := config.BlockAddr(addr)
 	blocks, _, _ := m.store(blk)
 	b, ok := blocks[blk]
 	if !ok {
-		b = make([]byte, coherence.BlockSize)
+		b = make([]byte, config.BlockSize)
 		blocks[blk] = b
 	}
 	PutWord(b, addr, v)
@@ -455,12 +437,12 @@ func (m *Memory) WriteWord(addr uint64, v uint64) {
 
 // GetWord reads the 8-byte word containing addr from block data.
 func GetWord(block []byte, addr uint64) uint64 {
-	off := addr & (coherence.BlockSize - 1) &^ 7
+	off := addr & (config.BlockSize - 1) &^ 7
 	return binary.LittleEndian.Uint64(block[off : off+8])
 }
 
 // PutWord writes the 8-byte word containing addr into block data.
 func PutWord(block []byte, addr uint64, v uint64) {
-	off := addr & (coherence.BlockSize - 1) &^ 7
+	off := addr & (config.BlockSize - 1) &^ 7
 	binary.LittleEndian.PutUint64(block[off:off+8], v)
 }

@@ -6,15 +6,15 @@ import (
 	"testing/quick"
 	"unsafe"
 
-	"repro/internal/coherence"
+	"repro/internal/config"
 )
 
 type meta struct{ tag int }
 
 func TestCacheGeometry(t *testing.T) {
 	c := NewCache[meta](32<<10, 4) // 32KB, 4-way, 64B lines
-	if c.Sets() != 128 || c.WaysPerSet() != 4 {
-		t.Fatalf("sets=%d ways=%d, want 128/4", c.Sets(), c.WaysPerSet())
+	if c.Sets() != 128 || c.perSet != 4 {
+		t.Fatalf("sets=%d ways=%d, want 128/4", c.Sets(), c.perSet)
 	}
 }
 
@@ -57,8 +57,9 @@ func TestInstallResetsState(t *testing.T) {
 	blk[0] = 0xAB
 	w.Meta.tag = 7
 	w.Busy = true
+	w.State = 3
 	c.Install(w, 0x40)
-	if c.Block(w)[0] != 0 || w.Meta.tag != 0 || w.Busy {
+	if c.Block(w)[0] != 0 || w.Meta.tag != 0 || w.Busy || w.State != 0 {
 		t.Fatal("install did not reset way state")
 	}
 	if &c.Block(w)[0] != &blk[0] {
@@ -120,8 +121,9 @@ func TestInvalidate(t *testing.T) {
 	w := c.Victim(0x40)
 	c.Install(w, 0x40)
 	w.Meta.tag = 9
+	w.State = 2
 	c.Invalidate(w)
-	if w.Valid || w.Meta.tag != 0 {
+	if w.Valid || w.Meta.tag != 0 || w.State != 0 {
 		t.Fatal("invalidate did not clear the way")
 	}
 	if c.Lookup(0x40) != nil {
@@ -129,28 +131,9 @@ func TestInvalidate(t *testing.T) {
 	}
 }
 
-func TestForEachValidAndCount(t *testing.T) {
-	c := NewCache[meta](1<<10, 2)
-	for i := 0; i < 5; i++ {
-		addr := uint64(i * 64)
-		w := c.Victim(addr)
-		c.Install(w, addr)
-		w.Meta.tag = i
-	}
-	n := 0
-	c.ForEachValid(func(w *Way[meta]) { n++ })
-	if n != 5 {
-		t.Fatalf("visited %d, want 5", n)
-	}
-	even := c.CountValid(func(w *Way[meta]) bool { return w.Meta.tag%2 == 0 })
-	if even != 3 {
-		t.Fatalf("count = %d, want 3", even)
-	}
-}
-
 func TestWordRoundTrip(t *testing.T) {
 	check := func(addr uint64, val uint64) bool {
-		block := make([]byte, coherence.BlockSize)
+		block := make([]byte, config.BlockSize)
 		a := addr &^ 7 // 8-aligned
 		PutWord(block, a, val)
 		return GetWord(block, a) == val
@@ -161,7 +144,7 @@ func TestWordRoundTrip(t *testing.T) {
 }
 
 func TestWordsDoNotOverlap(t *testing.T) {
-	block := make([]byte, coherence.BlockSize)
+	block := make([]byte, config.BlockSize)
 	for i := uint64(0); i < 8; i++ {
 		PutWord(block, i*8, i+1)
 	}
@@ -174,12 +157,12 @@ func TestWordsDoNotOverlap(t *testing.T) {
 
 func TestMemoryReadWriteBlock(t *testing.T) {
 	m := NewMemory()
-	src := make([]byte, coherence.BlockSize)
+	src := make([]byte, config.BlockSize)
 	for i := range src {
 		src[i] = byte(i)
 	}
 	m.WriteBlock(0x1000, src)
-	dst := make([]byte, coherence.BlockSize)
+	dst := make([]byte, config.BlockSize)
 	m.ReadBlock(0x1000, dst)
 	for i := range dst {
 		if dst[i] != byte(i) {

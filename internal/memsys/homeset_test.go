@@ -9,7 +9,7 @@ import (
 )
 
 // TestL2SetsReachablePerTile pins a known modelling gap (README, "Known
-// modelling gaps"): a block's home tile is block % Cores (L1Base.Home)
+// modelling gaps"): a block's home tile is block % Cores (coherence.HomeTile)
 // and its set in that tile's L2 is block & (sets-1), so with a
 // power-of-two core count a tile only ever indexes the sets congruent to
 // its own number modulo Cores, and the effective L2 per tile is
@@ -18,7 +18,6 @@ import (
 func TestL2SetsReachablePerTile(t *testing.T) {
 	sys := config.Table2()
 	for _, cores := range []int{8, sys.Cores} {
-		home := coherence.L1Base{Cores: cores}
 		for _, tile := range []int{0, cores - 1} {
 			c := memsys.NewCache[struct{}](sys.L2TileSize, sys.L2Ways)
 			// A fresh set's victim is its first way, so distinct victims
@@ -26,8 +25,8 @@ func TestL2SetsReachablePerTile(t *testing.T) {
 			// pair the interleaving can produce.
 			sets := make(map[*memsys.Way[struct{}]]bool)
 			for blk := 0; blk < c.Sets()*cores; blk++ {
-				addr := uint64(blk) << coherence.BlockShift
-				if home.Home(addr) == coherence.L2ID(tile, cores) {
+				addr := uint64(blk) << config.BlockShift
+				if coherence.HomeTile(addr, cores) == tile {
 					sets[c.Victim(addr)] = true
 				}
 			}

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/coherence"
+	"repro/internal/config"
 	"repro/internal/sim"
 )
 
@@ -161,7 +162,7 @@ func TestNetworkTickPastEmptyCycles(t *testing.T) {
 	}
 	n.Send(0, &coherence.Msg{Type: coherence.MsgGetS, Src: 0, Dst: 3})
 	n.Send(0, &coherence.Msg{Type: coherence.MsgDataS, Src: 1, Dst: 2,
-		Data: make([]byte, coherence.BlockSize)})
+		Data: make([]byte, config.BlockSize)})
 	for n.Pending() > 0 {
 		at := n.NextWake(0)
 		if at == sim.WakeNever {

@@ -5,6 +5,7 @@ import (
 	"testing/quick"
 
 	"repro/internal/coherence"
+	"repro/internal/config"
 	"repro/internal/sim"
 )
 
@@ -72,7 +73,7 @@ func TestRemoteDeliveryLatencyAndFlits(t *testing.T) {
 func TestDataMessageFlitAccounting(t *testing.T) {
 	n, _ := build(4)
 	n.Send(0, &coherence.Msg{Type: coherence.MsgDataS, Src: 0, Dst: 3,
-		Data: make([]byte, coherence.BlockSize)})
+		Data: make([]byte, config.BlockSize)})
 	run(n, 30)
 	wantFlits := int64(coherence.BlockFlits)
 	if n.FlitsSent.Value() != wantFlits {
@@ -89,7 +90,7 @@ func TestLinkContentionSerializes(t *testing.T) {
 	// second must arrive later than the first.
 	for i := 0; i < 2; i++ {
 		n.Send(0, &coherence.Msg{Type: coherence.MsgDataS, Src: 0, Dst: 1,
-			Data: make([]byte, coherence.BlockSize)})
+			Data: make([]byte, config.BlockSize)})
 	}
 	run(n, 40)
 	if len(sinks[1].got) != 2 {
@@ -111,7 +112,7 @@ func TestPerPairFIFO(t *testing.T) {
 		m := &coherence.Msg{Src: 0, Dst: 15, Addr: uint64(seq)}
 		if i%3 == 0 {
 			m.Type = coherence.MsgDataS
-			m.Data = make([]byte, coherence.BlockSize)
+			m.Data = make([]byte, config.BlockSize)
 		} else {
 			m.Type = coherence.MsgInv
 		}
@@ -231,7 +232,7 @@ func TestUnknownEndpointPanics(t *testing.T) {
 // nothing; deliveries are drained by the caller via wake hints.
 func sendData(n *Network, now sim.Cycle) {
 	n.Send(now, &coherence.Msg{Type: coherence.MsgDataS, Src: 0, Dst: 1,
-		Data: make([]byte, coherence.BlockSize)})
+		Data: make([]byte, config.BlockSize)})
 }
 
 // drainByWake ticks the network only at its advertised wake cycles,

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/coherence"
+	"repro/internal/config"
 	"repro/internal/obs"
 	"repro/internal/sim"
 )
@@ -45,7 +46,7 @@ func TestFlitHopConservation(t *testing.T) {
 				}
 				if rng.Intn(2) == 0 {
 					m.Type = coherence.MsgDataS
-					m.Data = make([]byte, coherence.BlockSize)
+					m.Data = make([]byte, config.BlockSize)
 				} else {
 					m.Type = coherence.MsgInv
 				}

@@ -6,35 +6,32 @@
 package mesi
 
 import (
-	"fmt"
-
 	"repro/internal/coherence"
+	"repro/internal/config"
 	"repro/internal/memsys"
 	"repro/internal/sim"
 )
 
-// L1 line states.
+// L1 line states (memsys.Way.State; 0 = Invalid).
 const (
 	stateS = iota + 1
 	stateE
 	stateM
 )
 
-type l1Line struct {
-	state uint8
-}
+// l1Line is the MESI L1's line metadata beyond the state: none.
+type l1Line struct{}
 
 // L1 is one core's private cache controller: the shared skeleton
 // (coherence.L1Base) plus the MESI line states and handlers.
 type L1 struct {
-	coherence.L1Base
-	cache *memsys.Cache[l1Line]
+	coherence.L1Base[l1Line]
 }
 
 // NewL1 builds the L1 controller for the given core.
-func NewL1(core, cores int, sizeBytes, ways int, hitLat sim.Cycle, net coherence.Network) *L1 {
-	l := &L1{cache: memsys.NewCache[l1Line](sizeBytes, ways)}
-	l.Init("mesi", core, cores, hitLat, net, l.handle)
+func NewL1(core int, sys config.System, net coherence.Network) *L1 {
+	l := &L1{}
+	l.Init("mesi", core, sys, net, []uint8{stateE, stateM}, l.handle, l.evict)
 	return l
 }
 
@@ -42,21 +39,17 @@ func NewL1(core, cores int, sizeBytes, ways int, hitLat sim.Cycle, net coherence
 
 // Load implements coherence.CorePort.
 func (l *L1) Load(now sim.Cycle, addr uint64, cb func(uint64)) bool {
-	if l.LoadBlocked(coherence.BlockAddr(addr)) {
+	if l.LoadBlocked(addr) {
 		return false
 	}
-	if w := l.cache.Lookup(addr); w != nil {
-		if l.EvictFault != nil && !w.Busy && l.EvictFault() {
-			l.evictLine(now, w) // forced early self-eviction; take the miss path
+	if w := l.Cache.Lookup(addr); w != nil && !l.SelfEvicts(now, w) {
+		if w.State == stateS {
+			l.Stats.ReadHitShared.Inc()
 		} else {
-			if w.Meta.state == stateS {
-				l.Stats.ReadHitShared.Inc()
-			} else {
-				l.Stats.ReadHitPrivate.Inc()
-			}
-			l.CompleteVal(now, cb, memsys.GetWord(l.cache.Block(w), addr))
-			return true
+			l.Stats.ReadHitPrivate.Inc()
 		}
+		l.CompleteVal(now, cb, memsys.GetWord(l.Cache.Block(w), addr))
+		return true
 	}
 	l.Stats.ReadMissInvalid.Inc()
 	l.IssueRead(now, addr, cb)
@@ -65,21 +58,15 @@ func (l *L1) Load(now sim.Cycle, addr uint64, cb func(uint64)) bool {
 
 // Store implements coherence.CorePort.
 func (l *L1) Store(now sim.Cycle, addr uint64, val uint64, cb func()) bool {
-	blk := coherence.BlockAddr(addr)
-	if l.StoreBlocked(blk) {
+	if l.StoreBlocked(addr) {
 		return false
 	}
-	if w := l.cache.Lookup(addr); w != nil && w.Meta.state != stateS {
-		if l.EvictFault != nil && !w.Busy && l.EvictFault() {
-			l.evictLine(now, w) // forced early self-eviction; take the miss path
-		} else {
-			l.Trans(blk, int(w.Meta.state), stateM)
-			w.Meta.state = stateM
-			memsys.PutWord(l.cache.Block(w), addr, val)
-			l.Stats.WriteHitPrivate.Inc()
-			l.CompleteNext(now, cb)
-			return true
-		}
+	if w := l.Cache.Lookup(addr); w != nil && w.State != stateS && !l.SelfEvicts(now, w) {
+		l.Set(w, stateM)
+		memsys.PutWord(l.Cache.Block(w), addr, val)
+		l.Stats.WriteHitPrivate.Inc()
+		l.CompleteNext(now, cb)
+		return true
 	}
 	l.IssueWrite(now, coherence.WriteTx{WordAddr: addr, Val: val, StoreCb: cb, Upgrade: l.pinForUpgrade(addr)})
 	return true
@@ -87,25 +74,19 @@ func (l *L1) Store(now sim.Cycle, addr uint64, val uint64, cb func()) bool {
 
 // RMW implements coherence.CorePort.
 func (l *L1) RMW(now sim.Cycle, addr uint64, f func(uint64) (uint64, bool), cb func(uint64)) bool {
-	blk := coherence.BlockAddr(addr)
-	if l.StoreBlocked(blk) {
+	if l.StoreBlocked(addr) {
 		return false
 	}
-	if w := l.cache.Lookup(addr); w != nil && w.Meta.state != stateS {
-		if l.EvictFault != nil && !w.Busy && l.EvictFault() {
-			l.evictLine(now, w) // forced early self-eviction; take the miss path
-		} else {
-			old := memsys.GetWord(l.cache.Block(w), addr)
-			if nv, doWrite := f(old); doWrite {
-				memsys.PutWord(l.cache.Block(w), addr, nv)
-				l.Trans(blk, int(w.Meta.state), stateM)
-				w.Meta.state = stateM
-			}
-			l.Stats.WriteHitPrivate.Inc()
-			l.Stats.RMWLat.Observe(int64(l.HitLat))
-			l.CompleteVal(now, cb, old)
-			return true
+	if w := l.Cache.Lookup(addr); w != nil && w.State != stateS && !l.SelfEvicts(now, w) {
+		old := memsys.GetWord(l.Cache.Block(w), addr)
+		if nv, doWrite := f(old); doWrite {
+			memsys.PutWord(l.Cache.Block(w), addr, nv)
+			l.Set(w, stateM)
 		}
+		l.Stats.WriteHitPrivate.Inc()
+		l.Stats.RMWLat.Observe(int64(l.HitLat))
+		l.CompleteVal(now, cb, old)
+		return true
 	}
 	l.IssueWrite(now, coherence.WriteTx{WordAddr: addr, IsRMW: true, F: f, RMWCb: cb, Upgrade: l.pinForUpgrade(addr)})
 	return true
@@ -116,7 +97,7 @@ func (l *L1) RMW(now sim.Cycle, addr uint64, f func(uint64) (uint64, bool), cb f
 // fill must not evict it while the upgrade is in flight (a data-less
 // UpgAck would then have nothing to upgrade).
 func (l *L1) pinForUpgrade(addr uint64) bool {
-	if w := l.cache.Peek(addr); w != nil && w.Meta.state == stateS {
+	if w := l.Cache.Peek(addr); w != nil && w.State == stateS {
 		w.Busy = true
 		l.Stats.WriteMissShared.Inc()
 		return true
@@ -160,11 +141,10 @@ func (l *L1) handle(now sim.Cycle, m *coherence.Msg) {
 
 	case coherence.MsgUpgAck:
 		if !l.WritePending(m.Addr) {
-			panic(fmt.Sprintf("mesi: L1 %d cycle %d: unexpected UpgAck %s", l.ID, now, m))
+			l.Panicf(now, "unexpected UpgAck %s", m)
 		}
-		w := l.cache.Peek(m.Addr)
-		if w == nil || w.Meta.state != stateS {
-			panic(fmt.Sprintf("mesi: L1 %d cycle %d: UpgAck without Shared line %s", l.ID, now, m))
+		if w := l.Cache.Peek(m.Addr); w == nil || w.State != stateS {
+			l.Panicf(now, "UpgAck without Shared line %s", m)
 		}
 		l.completeWrite(now, nil)
 		l.Send(now, coherence.Msg{Type: coherence.MsgAck, Dst: l.Home(m.Addr), Addr: m.Addr}, nil)
@@ -178,34 +158,25 @@ func (l *L1) handle(now sim.Cycle, m *coherence.Msg) {
 	case coherence.MsgInv:
 		l.handleInv(now, m)
 
-	case coherence.MsgPutAck:
-		l.ReleaseEvict(m.Addr)
-
 	default:
-		panic(fmt.Sprintf("mesi: L1 %d cycle %d: unexpected message %s", l.ID, now, m))
+		l.Panicf(now, "unexpected message %s", m)
 	}
 }
 
+// completeWrite applies the pending write once the line is exclusive:
+// with fresh data (re)installed, or — for an UpgAck, data nil — on the
+// pinned Shared copy.
 func (l *L1) completeWrite(now sim.Cycle, data []byte) {
 	tx := l.Wr
-	w := l.cache.Peek(tx.Addr)
-	from := 0
-	if w != nil {
-		from = int(w.Meta.state)
-	}
+	w := l.Cache.Peek(tx.Addr)
 	if data != nil {
-		// Fresh data arrived; (re)install the line.
-		w, from = l.install(now, tx.Addr, data)
-	}
-	if w == nil {
-		panic(fmt.Sprintf("mesi: L1 %d cycle %d: write completion without line %#x", l.ID, now, tx.Addr))
+		w = l.Install(now, tx.Addr, data)
 	}
 	w.Busy = false
-	l.Trans(tx.Addr, from, stateM)
-	w.Meta.state = stateM
-	old := memsys.GetWord(l.cache.Block(w), tx.WordAddr)
+	l.Set(w, stateM)
+	old := memsys.GetWord(l.Cache.Block(w), tx.WordAddr)
 	if nv, wrote := tx.Apply(old); wrote {
-		memsys.PutWord(l.cache.Block(w), tx.WordAddr, nv)
+		memsys.PutWord(l.Cache.Block(w), tx.WordAddr, nv)
 	}
 	l.FinishWrite(now, old)
 }
@@ -213,57 +184,36 @@ func (l *L1) completeWrite(now sim.Cycle, data []byte) {
 func (l *L1) completeRead(now sim.Cycle, m *coherence.Msg, state uint8) {
 	tx, install := l.PendingRead(now, m)
 	if install {
-		w, from := l.install(now, m.Addr, m.Data)
-		l.Trans(m.Addr, from, int(state))
-		w.Meta.state = state
+		l.Set(l.Install(now, m.Addr, m.Data), state)
 	}
 	l.FinishRead(now, memsys.GetWord(m.Data, tx.WordAddr))
 }
 
-// install places data for addr and returns the way plus the line's
-// prior state (0 when freshly installed) for transition reporting.
-func (l *L1) install(now sim.Cycle, addr uint64, data []byte) (*memsys.Way[l1Line], int) {
-	if w := l.cache.Peek(addr); w != nil {
-		copy(l.cache.Block(w), data)
-		return w, int(w.Meta.state)
-	}
-	w := l.cache.Victim(addr)
-	if w == nil {
-		panic(fmt.Sprintf("mesi: L1 %d cycle %d: no victim for %#x", l.ID, now, addr))
-	}
-	if w.Valid {
-		l.evictLine(now, w)
-	}
-	l.cache.Install(w, addr)
-	copy(l.cache.Block(w), data)
-	return w, 0
-}
-
-func (l *L1) evictLine(now sim.Cycle, w *memsys.Way[l1Line]) {
+// evict is the L1Base evict body: a Shared copy leaves with a PutS; an
+// owned one is buffered until its PutAck, serving forwards and recalls
+// that cross the Put.
+func (l *L1) evict(now sim.Cycle, w *memsys.Way[l1Line]) {
 	addr := w.Tag
-	l.Trans(addr, int(w.Meta.state), 0)
-	switch w.Meta.state {
+	switch w.State {
 	case stateS:
 		l.Send(now, coherence.Msg{Type: coherence.MsgPutS, Dst: l.Home(addr), Addr: addr}, nil)
 	case stateE:
-		l.BufferEvict(addr, l.cache.Block(w), false)
+		l.BufferEvict(addr, l.Cache.Block(w), false)
 		l.Send(now, coherence.Msg{Type: coherence.MsgPutE, Dst: l.Home(addr), Addr: addr}, nil)
 	case stateM:
-		l.BufferEvict(addr, l.cache.Block(w), true)
+		l.BufferEvict(addr, l.Cache.Block(w), true)
 		l.Send(now, coherence.Msg{Type: coherence.MsgPutM, Dst: l.Home(addr), Addr: addr,
-			Dirty: true}, l.cache.Block(w))
+			Dirty: true}, l.Cache.Block(w))
 	}
-	l.cache.Invalidate(w)
 }
 
 func (l *L1) handleFwdGetS(now sim.Cycle, m *coherence.Msg) {
-	if w := l.cache.Peek(m.Addr); w != nil && w.Meta.state != stateS {
-		dirty := w.Meta.state == stateM
-		l.Trans(m.Addr, int(w.Meta.state), stateS)
-		w.Meta.state = stateS
-		l.Send(now, coherence.Msg{Type: coherence.MsgDataOwner, Dst: m.Requestor, Addr: m.Addr}, l.cache.Block(w))
+	if w := l.Cache.Peek(m.Addr); w != nil && w.State != stateS {
+		dirty := w.State == stateM
+		l.Set(w, stateS)
+		l.Send(now, coherence.Msg{Type: coherence.MsgDataOwner, Dst: m.Requestor, Addr: m.Addr}, l.Cache.Block(w))
 		l.Send(now, coherence.Msg{Type: coherence.MsgWBData, Dst: l.Home(m.Addr), Addr: m.Addr,
-			Dirty: dirty}, l.cache.Block(w))
+			Dirty: dirty}, l.Cache.Block(w))
 		return
 	}
 	if e := l.ForwardEvicted(m.Addr); e != nil {
@@ -272,15 +222,14 @@ func (l *L1) handleFwdGetS(now sim.Cycle, m *coherence.Msg) {
 			Dirty: e.Dirty, NoCopy: true}, e.Data)
 		return
 	}
-	panic(fmt.Sprintf("mesi: L1 %d cycle %d: FwdGetS for absent line %s", l.ID, now, m))
+	l.Panicf(now, "FwdGetS for absent line %s", m)
 }
 
 func (l *L1) handleFwdGetX(now sim.Cycle, m *coherence.Msg) {
-	if w := l.cache.Peek(m.Addr); w != nil && w.Meta.state != stateS {
+	if w := l.Cache.Peek(m.Addr); w != nil && w.State != stateS {
 		l.Send(now, coherence.Msg{Type: coherence.MsgDataOwner, Dst: m.Requestor, Addr: m.Addr,
-			Dirty: w.Meta.state == stateM}, l.cache.Block(w))
-		l.Trans(m.Addr, int(w.Meta.state), 0)
-		l.cache.Invalidate(w)
+			Dirty: w.State == stateM}, l.Cache.Block(w))
+		l.Drop(w)
 		return
 	}
 	if e := l.ForwardEvicted(m.Addr); e != nil {
@@ -288,22 +237,21 @@ func (l *L1) handleFwdGetX(now sim.Cycle, m *coherence.Msg) {
 			Dirty: e.Dirty}, e.Data)
 		return
 	}
-	panic(fmt.Sprintf("mesi: L1 %d cycle %d: FwdGetX for absent line %s", l.ID, now, m))
+	l.Panicf(now, "FwdGetX for absent line %s", m)
 }
 
 func (l *L1) handleInv(now sim.Cycle, m *coherence.Msg) {
 	l.Stats.InvalidationsReceived.Inc()
 	l.SquashRead(m.Addr)
-	if w := l.cache.Peek(m.Addr); w != nil {
-		l.Trans(m.Addr, int(w.Meta.state), 0)
-		if w.Meta.state != stateS {
+	if w := l.Cache.Peek(m.Addr); w != nil {
+		if w.State != stateS {
 			// Directory recall of an exclusive line (L2 eviction).
 			l.Send(now, coherence.Msg{Type: coherence.MsgWBData, Dst: m.Src, Addr: m.Addr,
-				Dirty: w.Meta.state == stateM}, l.cache.Block(w))
-			l.cache.Invalidate(w)
+				Dirty: w.State == stateM}, l.Cache.Block(w))
+			l.Drop(w)
 			return
 		}
-		l.cache.Invalidate(w)
+		l.Drop(w)
 		l.Send(now, coherence.Msg{Type: coherence.MsgInvAck, Dst: m.Src, Addr: m.Addr}, nil)
 		return
 	}
@@ -315,6 +263,3 @@ func (l *L1) handleInv(now sim.Cycle, m *coherence.Msg) {
 	// Invalidation for a line we no longer hold (crossed a PutS).
 	l.Send(now, coherence.Msg{Type: coherence.MsgInvAck, Dst: m.Src, Addr: m.Addr}, nil)
 }
-
-// PrewarmStorage implements coherence.Controller.
-func (l *L1) PrewarmStorage() { l.cache.Prewarm() }

@@ -52,34 +52,8 @@ func (Protocol) Build(cfg config.System, net coherence.Network, mem coherence.Me
 	l1s := make([]coherence.L1Like, cfg.Cores)
 	l2s := make([]coherence.Controller, cfg.Cores)
 	for i := 0; i < cfg.Cores; i++ {
-		l1s[i] = NewL1(i, cfg.Cores, cfg.L1Size, cfg.L1Ways, cfg.L1HitLat, net)
-		l2s[i] = NewL2(i, cfg.Cores, cfg.L2TileSize, cfg.L2Ways, cfg.L2AccessLat, net, mem)
+		l1s[i] = NewL1(i, cfg, net)
+		l2s[i] = NewL2(i, cfg, net, mem)
 	}
 	return l1s, l2s
-}
-
-// SnoopBlock implements coherence.Controller: L1s are authoritative for
-// Exclusive/Modified lines.
-func (l *L1) SnoopBlock(addr uint64) ([]byte, bool) {
-	if w := l.cache.Peek(addr); w != nil && w.Meta.state != stateS {
-		return l.cache.Block(w), true
-	}
-	return nil, false
-}
-
-// SnoopBlock implements coherence.Controller: a valid L2 line is
-// authoritative unless an L1 holds it exclusively.
-func (t *L2) SnoopBlock(addr uint64) ([]byte, bool) {
-	if w := t.cache.Peek(addr); w != nil && w.Meta.state != dirX {
-		return t.cache.Block(w), true
-	}
-	return nil, false
-}
-
-// SnoopOwner implements coherence.Directory.
-func (t *L2) SnoopOwner(addr uint64) (coherence.NodeID, bool) {
-	if w := t.cache.Peek(addr); w != nil && w.Meta.state == dirX {
-		return w.Meta.owner.Node(), true
-	}
-	return 0, false
 }

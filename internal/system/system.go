@@ -270,9 +270,9 @@ func newBase(cfg config.System, proto Protocol, initMem map[uint64]uint64) (*Mac
 	if shards > 1 {
 		// Bank the backing store by home tile so each bank is only ever
 		// accessed by its owning shard's goroutine.
-		shardOf, cores := m.shardOfTile, uint64(cfg.Cores)
+		shardOf, cores := m.shardOfTile, cfg.Cores
 		mem.Interleave(shards, func(blk uint64) int {
-			return shardOf[(blk>>coherence.BlockShift)%cores]
+			return shardOf[coherence.HomeTile(blk, cores)]
 		})
 	}
 	m.Mem = mem
@@ -790,7 +790,7 @@ func (r hierReader) ReadWord(addr uint64) uint64 {
 	// state is exact (exclusive L2 lines are inclusive of their L1 copy),
 	// so only the recorded owner can hold the block dirty — the reader
 	// consults that single cache instead of scanning every L1 per word.
-	home := r.m.dir(int(addr>>coherence.BlockShift) % r.m.Cfg.Cores)
+	home := r.m.dir(coherence.HomeTile(addr, r.m.Cfg.Cores))
 	if owner, held := home.SnoopOwner(addr); held {
 		if blk, ok := r.m.L1s[int(owner)].SnoopBlock(addr); ok {
 			return memsys.GetWord(blk, addr)

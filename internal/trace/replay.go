@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/coherence"
 	"repro/internal/config"
+	"repro/internal/cpu"
 	"repro/internal/obs"
 	"repro/internal/sim"
 	"repro/internal/stats"
@@ -13,8 +14,8 @@ import (
 // ReplayCore drives a recorded (or synthesized) per-core operation
 // stream through a coherence.CorePort. It implements the same
 // sim.Ticker + sim.WakeHinter scheduling contract as cpu.Core and
-// models the identical TSO front end — FIFO write buffer with
-// store→load forwarding, drain-before-atomic/fence, port-busy retries —
+// models the identical TSO front end — the same cpu.WriteBuffer (FIFO,
+// store→load forwarding), drain-before-atomic/fence, port-busy retries —
 // so that replaying a trace on the machine it was recorded under
 // reproduces every port call on its original cycle:
 //
@@ -45,11 +46,7 @@ type ReplayCore struct {
 	idx  int
 	n    int
 
-	wb         []wbEntry
-	wbHead     int
-	wbLen      int
-	wbInFlight bool
-	wbStalled  bool
+	wb cpu.WriteBuffer
 
 	waiting bool
 	halted  bool
@@ -82,17 +79,9 @@ type ReplayCore struct {
 	WBForwards   stats.Counter
 	FinishCycle  sim.Cycle
 
-	// Stall attribution (internal/obs), nil when disabled; the same
-	// interval-episode scheme as cpu.Core (recorded compute gaps are not
+	// Stall attribution, as cpu.Core's (recorded compute gaps are not
 	// stalls and are never attributed).
-	stalls     *obs.CoreStalls
-	stallWhy   obs.StallReason
-	stallStart sim.Cycle
-}
-
-type wbEntry struct {
-	addr uint64
-	val  uint64
+	stalls cpu.Stalls
 }
 
 // NewReplayCore builds a replay frontend for one stream against port,
@@ -102,7 +91,7 @@ func NewReplayCore(id int, ops Ops, port coherence.CorePort, wbEntries int) *Rep
 	if wbEntries <= 0 {
 		panic("trace: replay write buffer must have at least one entry")
 	}
-	c := &ReplayCore{ID: id, port: port, cur: ops.Cursor(), n: ops.Len(), wb: make([]wbEntry, wbEntries)}
+	c := &ReplayCore{ID: id, port: port, cur: ops.Cursor(), n: ops.Len(), wb: cpu.NewWriteBuffer(wbEntries)}
 	c.Loads.SetName(fmt.Sprintf("replay%d.loads", id))
 	c.Stores.SetName(fmt.Sprintf("replay%d.stores", id))
 	c.RMWs.SetName(fmt.Sprintf("replay%d.rmws", id))
@@ -125,9 +114,7 @@ func NewReplayCore(id int, ops Ops, port coherence.CorePort, wbEntries int) *Rep
 		c.waker.Wake()
 	}
 	c.storeCb = func() {
-		c.wbHead = c.wbSlot(1)
-		c.wbLen--
-		c.wbInFlight = false
+		c.wb.Pop()
 		c.waker.Wake()
 	}
 	c.fenceCb = func() {
@@ -148,32 +135,12 @@ func NewReplayCore(id int, ops Ops, port coherence.CorePort, wbEntries int) *Rep
 // BindWaker implements sim.WakeSink (see the waker field).
 func (c *ReplayCore) BindWaker(w sim.Waker) { c.waker = w }
 
-// SetStalls attaches the stall-attribution histograms (see the stalls
-// field).
-func (c *ReplayCore) SetStalls(s *obs.CoreStalls) {
-	c.stalls = s
-	c.stallWhy = obs.StallNone
-}
-
-func (c *ReplayCore) stallOpen(now sim.Cycle, why obs.StallReason) {
-	if c.stalls == nil || c.stallWhy != obs.StallNone {
-		return
-	}
-	c.stallWhy = why
-	c.stallStart = now
-}
-
-func (c *ReplayCore) stallClose(now sim.Cycle) {
-	if c.stalls == nil || c.stallWhy == obs.StallNone {
-		return
-	}
-	c.stalls.Observe(c.stallWhy, int64(now-c.stallStart))
-	c.stallWhy = obs.StallNone
-}
+// SetStalls attaches the stall-attribution histograms.
+func (c *ReplayCore) SetStalls(s *obs.CoreStalls) { c.stalls.Attach(s) }
 
 // Done reports whether the stream is exhausted and all writes drained.
 func (c *ReplayCore) Done() bool {
-	return c.halted && c.wbLen == 0 && !c.wbInFlight && !c.waiting
+	return c.halted && c.wb.Empty() && !c.waiting
 }
 
 // Counts implements system.Frontend.
@@ -191,7 +158,7 @@ func (c *ReplayCore) ObsCounters() []*stats.Counter {
 // Tick advances the replay core one cycle. Structure mirrors
 // cpu.Core.Tick: drain the write buffer first, then dispatch.
 func (c *ReplayCore) Tick(now sim.Cycle) {
-	c.drainWriteBuffer(now)
+	c.wb.Drain(now, c.port, c.storeCb)
 
 	if c.halted {
 		if c.Done() && c.FinishCycle == 0 {
@@ -211,8 +178,8 @@ func (c *ReplayCore) Tick(now sim.Cycle) {
 	if now < c.readyAt {
 		return
 	}
-	if c.stalls != nil {
-		c.stallClose(now)
+	if c.stalls.On() {
+		c.stalls.Close(now)
 	}
 	c.attempt(now)
 }
@@ -267,54 +234,38 @@ func (c *ReplayCore) retire() {
 	c.op, c.more = c.cur.Next()
 }
 
-// wbSlot maps the i-th oldest write-buffer entry (0 <= i <= wbLen) to
-// its ring index. wbHead+i stays below 2*len(wb), so one compare wraps
-// it: the depth is a run-time value and a modulo here is a division on
-// every store, drain and forwarded-load probe.
-func (c *ReplayCore) wbSlot(i int) int {
-	s := c.wbHead + i
-	if s >= len(c.wb) {
-		s -= len(c.wb)
-	}
-	return s
-}
-
 func (c *ReplayCore) doLoad(now sim.Cycle, op *Op) {
 	// Store→load forwarding against the replayed write buffer: the
 	// buffer holds the same entries the recorded core's did, so the
 	// forwarding decision reproduces.
-	for i := c.wbLen - 1; i >= 0; i-- {
-		e := &c.wb[c.wbSlot(i)]
-		if e.addr == op.Addr {
-			c.Loads.Inc()
-			c.WBForwards.Inc()
-			c.finishSync(now)
-			return
-		}
+	if _, ok := c.wb.Forward(op.Addr); ok {
+		c.Loads.Inc()
+		c.WBForwards.Inc()
+		c.finishSync(now)
+		return
 	}
 	if !c.port.Load(now, op.Addr, c.loadCb) {
-		c.stallOpen(now, obs.StallPortBusy)
+		c.stalls.Open(now, obs.StallPortBusy)
 		return // port busy; retry next tick
 	}
-	c.stallOpen(now, obs.StallMissOutstanding)
+	c.stalls.Open(now, obs.StallMissOutstanding)
 	c.Loads.Inc()
 	c.finishAsync()
 }
 
 func (c *ReplayCore) doStore(now sim.Cycle, op *Op) {
-	if c.wbLen >= len(c.wb) {
-		c.stallOpen(now, obs.StallWBFull)
+	if c.wb.Full() {
+		c.stalls.Open(now, obs.StallWBFull)
 		return // write buffer full; retry
 	}
-	c.wb[c.wbSlot(c.wbLen)] = wbEntry{addr: op.Addr, val: op.Val}
-	c.wbLen++
+	c.wb.Push(op.Addr, op.Val)
 	c.Stores.Inc()
 	c.finishSync(now)
 }
 
 func (c *ReplayCore) doAtomic(now sim.Cycle, op *Op) {
-	if c.wbLen > 0 || c.wbInFlight {
-		c.stallOpen(now, obs.StallFenceDrain)
+	if !c.wb.Empty() {
+		c.stalls.Open(now, obs.StallFenceDrain)
 		return // locked ops drain the write buffer first
 	}
 	var f func(old uint64) (uint64, bool)
@@ -329,50 +280,32 @@ func (c *ReplayCore) doAtomic(now sim.Cycle, op *Op) {
 		f = c.fCas
 	}
 	if !c.port.RMW(now, op.Addr, f, c.rmwCb) {
-		c.stallOpen(now, obs.StallPortBusy)
+		c.stalls.Open(now, obs.StallPortBusy)
 		return
 	}
-	c.stallOpen(now, obs.StallMissOutstanding)
+	c.stalls.Open(now, obs.StallMissOutstanding)
 	c.RMWs.Inc()
 	c.finishAsync()
 }
 
 func (c *ReplayCore) doFence(now sim.Cycle) {
-	if c.wbLen > 0 || c.wbInFlight {
-		c.stallOpen(now, obs.StallFenceDrain)
+	if !c.wb.Empty() {
+		c.stalls.Open(now, obs.StallFenceDrain)
 		return
 	}
 	if !c.port.Fence(now, c.fenceCb) {
-		c.stallOpen(now, obs.StallPortBusy)
+		c.stalls.Open(now, obs.StallPortBusy)
 		return
 	}
-	c.stallOpen(now, obs.StallFenceDrain)
+	c.stalls.Open(now, obs.StallFenceDrain)
 	c.Fences.Inc()
 	c.finishAsync()
-}
-
-func (c *ReplayCore) drainWriteBuffer(now sim.Cycle) {
-	if c.wbInFlight || c.wbLen == 0 {
-		return
-	}
-	head := c.wb[c.wbHead]
-	if c.port.Store(now, head.addr, head.val, c.storeCb) {
-		c.wbInFlight = true
-		c.wbStalled = false
-	} else {
-		// Same invariant as cpu.Core.drainWriteBuffer: every L1 decline
-		// reason is one of this core's own in-flight transactions, whose
-		// completion callback wakes the core on the cycle the L1 frees —
-		// required for the retry to be dispatched under wake-set
-		// scheduling while the core reports WakeNever.
-		c.wbStalled = true
-	}
 }
 
 // NextWake implements sim.WakeHinter; the cases mirror cpu.Core's, with
 // readyAt standing in for the instruction stall.
 func (c *ReplayCore) NextWake(now sim.Cycle) sim.Cycle {
-	if c.wbLen > 0 && !c.wbInFlight && !c.wbStalled {
+	if c.wb.Ready() {
 		return now + 1 // a freshly buffered store to issue
 	}
 	if c.halted || c.waiting {
@@ -393,5 +326,5 @@ func (c *ReplayCore) ComponentLabel() string { return fmt.Sprintf("replay core %
 // Debug renders the replay state (deadlock diagnostics).
 func (c *ReplayCore) Debug() string {
 	return fmt.Sprintf("replay core %d: op %d/%d halted=%v waiting=%v wb=%d inflight=%v readyAt=%d",
-		c.ID, c.idx, c.n, c.halted, c.waiting, c.wbLen, c.wbInFlight, c.readyAt)
+		c.ID, c.idx, c.n, c.halted, c.waiting, c.wb.Len(), c.wb.InFlight(), c.readyAt)
 }

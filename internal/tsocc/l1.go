@@ -1,15 +1,13 @@
 package tsocc
 
 import (
-	"fmt"
-
 	"repro/internal/coherence"
 	"repro/internal/config"
 	"repro/internal/memsys"
 	"repro/internal/sim"
 )
 
-// L1 line states (invalid way = Invalid).
+// L1 line states (memsys.Way.State; 0 = Invalid).
 const (
 	stateS = iota + 1 // Shared: stale-tolerated, bounded hits, self-invalidated
 	stateR            // SharedRO: eagerly invalidated on (rare) writes
@@ -20,25 +18,23 @@ const (
 type l1Line struct {
 	acnt   uint32 // accesses since last L2 fill (b.acnt)
 	ts     uint32 // last-written timestamp (b.ts)
-	state  uint8
-	tsOwn  bool // ts was assigned by this core's own writes
-	listed bool // way sits in the L1's shared-way sweep index
+	tsOwn  bool   // ts was assigned by this core's own writes
+	listed bool   // way sits in the L1's shared-way sweep index
 }
 
 // L1 is one core's TSO-CC private cache controller: the shared
 // skeleton (coherence.L1Base) plus line metadata, the timestamp source
 // and last-seen tables, and self-invalidation.
 type L1 struct {
-	coherence.L1Base
-	cfg   config.TSOCC
-	cache *memsys.Cache[l1Line]
+	coherence.L1Base[l1Line]
+	cfg config.TSOCC
 
 	// sharedWays indexes the ways that entered Shared since the last
 	// self-invalidation sweep (every transition into stateS appends the
 	// way once, guarded by Meta.listed). Sweeps walk this list instead
 	// of the whole array — self-invalidation on a potential acquire is
 	// the protocol's most frequent array operation, and at large cache
-	// geometries a full ForEachValid walk dominated 64-core profiles.
+	// geometries a full walk of the array dominated 64-core profiles.
 	// Invalidate/Install zero Meta (clearing listed), so a recycled way
 	// can re-appear in the list; the sweep's listed check makes the
 	// duplicate a no-op. Way pointers are stable: cache chunks allocate
@@ -60,27 +56,21 @@ type L1 struct {
 }
 
 // NewL1 builds core `core`'s TSO-CC L1.
-func NewL1(core, cores int, sys config.System, cfg config.TSOCC, net coherence.Network) *L1 {
+func NewL1(core int, sys config.System, cfg config.TSOCC, net coherence.Network) *L1 {
 	l := &L1{
 		cfg:     cfg,
-		cache:   memsys.NewCache[l1Line](sys.L1Size, sys.L1Ways),
 		tsSrc:   tsFirst,
-		tsL1:    newLastSeen(cfg.TSTableEntries, cores),
-		epochL1: make([]uint8, cores),
-		tsL2:    newLastSeen(cfg.TSTableEntries, cores),
-		epochL2: make([]uint8, cores),
+		tsL1:    newLastSeen(cfg.TSTableEntries, sys.Cores),
+		epochL1: make([]uint8, sys.Cores),
+		tsL2:    newLastSeen(cfg.TSTableEntries, sys.Cores),
+		epochL2: make([]uint8, sys.Cores),
 	}
-	l.Init("tsocc", core, cores, sys.L1HitLat, net, l.handle)
+	l.Init("tsocc", core, sys, net, []uint8{stateE, stateM}, l.handle, l.evict)
 	return l
 }
 
-// SnoopBlock implements coherence.Controller.
-func (l *L1) SnoopBlock(addr uint64) ([]byte, bool) {
-	if w := l.cache.Peek(addr); w != nil && (w.Meta.state == stateE || w.Meta.state == stateM) {
-		return l.cache.Block(w), true
-	}
-	return nil, false
-}
+// owned reports whether w is Exclusive or Modified here.
+func owned(w *memsys.Way[l1Line]) bool { return w.State == stateE || w.State == stateM }
 
 // ---- Timestamp source ----
 
@@ -142,39 +132,30 @@ func (l *L1) sendableTS(w *l1Line) (uint32, bool) {
 
 // Load implements coherence.CorePort.
 func (l *L1) Load(now sim.Cycle, addr uint64, cb func(uint64)) bool {
-	if l.LoadBlocked(coherence.BlockAddr(addr)) {
+	if l.LoadBlocked(addr) {
 		return false
 	}
-	if w := l.cache.Lookup(addr); w != nil {
-		if l.EvictFault != nil && l.EvictFault() {
-			// Evict fault: run the normal eviction path (silent for
-			// S/R, PutE/PutM for E/M) and take the miss below.
-			l.evictLine(now, w)
-		} else {
-			switch w.Meta.state {
-			case stateE, stateM:
-				l.Stats.ReadHitPrivate.Inc()
-				l.CompleteVal(now, cb, memsys.GetWord(l.cache.Block(w), addr))
-				return true
-			case stateR:
-				l.Stats.ReadHitSRO.Inc()
-				l.CompleteVal(now, cb, memsys.GetWord(l.cache.Block(w), addr))
-				return true
-			case stateS:
-				if w.Meta.acnt < l.cfg.MaxAccesses() {
-					// Bounded Shared hit: stale data is permitted until
-					// the access budget forces a re-request (write
-					// propagation, §3.1).
-					w.Meta.acnt++
-					l.Stats.ReadHitShared.Inc()
-					l.CompleteVal(now, cb, memsys.GetWord(l.cache.Block(w), addr))
-					return true
-				}
+	// An evict fault runs the normal eviction path (silent for S/R,
+	// PutE/PutM for E/M) and takes the miss below.
+	if w := l.Cache.Lookup(addr); w != nil && !l.SelfEvicts(now, w) {
+		switch w.State {
+		case stateE, stateM:
+			l.Stats.ReadHitPrivate.Inc()
+		case stateR:
+			l.Stats.ReadHitSRO.Inc()
+		default: // stateS
+			if w.Meta.acnt >= l.cfg.MaxAccesses() {
 				l.Stats.ReadMissShared.Inc()
 				l.IssueRead(now, addr, cb)
 				return true
 			}
+			// Bounded Shared hit: stale data is permitted until the
+			// access budget forces a re-request (write propagation, §3.1).
+			w.Meta.acnt++
+			l.Stats.ReadHitShared.Inc()
 		}
+		l.CompleteVal(now, cb, memsys.GetWord(l.Cache.Block(w), addr))
+		return true
 	}
 	l.Stats.ReadMissInvalid.Inc()
 	l.IssueRead(now, addr, cb)
@@ -183,66 +164,54 @@ func (l *L1) Load(now sim.Cycle, addr uint64, cb func(uint64)) bool {
 
 // Store implements coherence.CorePort.
 func (l *L1) Store(now sim.Cycle, addr uint64, val uint64, cb func()) bool {
-	blk := coherence.BlockAddr(addr)
-	if l.StoreBlocked(blk) {
+	if l.StoreBlocked(addr) {
 		return false
 	}
-	if w := l.cache.Lookup(addr); w != nil && (w.Meta.state == stateE || w.Meta.state == stateM) {
-		if l.EvictFault != nil && l.EvictFault() {
-			l.evictLine(now, w) // fall through to the write miss below
-		} else {
-			l.Trans(blk, int(w.Meta.state), stateM)
-			w.Meta.state = stateM
-			memsys.PutWord(l.cache.Block(w), addr, val)
-			w.Meta.ts = l.assignTS(now)
-			w.Meta.tsOwn = true
-			l.Stats.WriteHitPrivate.Inc()
-			l.CompleteNext(now, cb)
-			return true
-		}
+	if w := l.Cache.Lookup(addr); w != nil && owned(w) && !l.SelfEvicts(now, w) {
+		l.Set(w, stateM)
+		memsys.PutWord(l.Cache.Block(w), addr, val)
+		w.Meta.ts = l.assignTS(now)
+		w.Meta.tsOwn = true
+		l.Stats.WriteHitPrivate.Inc()
+		l.CompleteNext(now, cb)
+		return true
 	}
-	l.countWriteMiss(blk)
+	l.countWriteMiss(addr)
 	l.IssueWrite(now, coherence.WriteTx{WordAddr: addr, Val: val, StoreCb: cb})
 	return true
 }
 
 // RMW implements coherence.CorePort.
 func (l *L1) RMW(now sim.Cycle, addr uint64, f func(uint64) (uint64, bool), cb func(uint64)) bool {
-	blk := coherence.BlockAddr(addr)
-	if l.StoreBlocked(blk) {
+	if l.StoreBlocked(addr) {
 		return false
 	}
-	if w := l.cache.Lookup(addr); w != nil && (w.Meta.state == stateE || w.Meta.state == stateM) {
-		if l.EvictFault != nil && l.EvictFault() {
-			l.evictLine(now, w) // fall through to the write miss below
-		} else {
-			old := memsys.GetWord(l.cache.Block(w), addr)
-			if nv, doWrite := f(old); doWrite {
-				memsys.PutWord(l.cache.Block(w), addr, nv)
-				l.Trans(blk, int(w.Meta.state), stateM)
-				w.Meta.state = stateM
-				w.Meta.ts = l.assignTS(now)
-				w.Meta.tsOwn = true
-			}
-			l.Stats.WriteHitPrivate.Inc()
-			l.Stats.RMWLat.Observe(int64(l.HitLat))
-			l.CompleteVal(now, cb, old)
-			return true
+	if w := l.Cache.Lookup(addr); w != nil && owned(w) && !l.SelfEvicts(now, w) {
+		old := memsys.GetWord(l.Cache.Block(w), addr)
+		if nv, doWrite := f(old); doWrite {
+			memsys.PutWord(l.Cache.Block(w), addr, nv)
+			l.Set(w, stateM)
+			w.Meta.ts = l.assignTS(now)
+			w.Meta.tsOwn = true
 		}
+		l.Stats.WriteHitPrivate.Inc()
+		l.Stats.RMWLat.Observe(int64(l.HitLat))
+		l.CompleteVal(now, cb, old)
+		return true
 	}
-	l.countWriteMiss(blk)
+	l.countWriteMiss(addr)
 	l.IssueWrite(now, coherence.WriteTx{WordAddr: addr, IsRMW: true, F: f, RMWCb: cb})
 	return true
 }
 
-func (l *L1) countWriteMiss(blk uint64) {
-	w := l.cache.Peek(blk)
+func (l *L1) countWriteMiss(addr uint64) {
+	w := l.Cache.Peek(addr)
 	switch {
 	case w == nil:
 		l.Stats.WriteMissInvalid.Inc()
-	case w.Meta.state == stateS:
+	case w.State == stateS:
 		l.Stats.WriteMissShared.Inc()
-	case w.Meta.state == stateR:
+	case w.State == stateR:
 		l.Stats.WriteMissSRO.Inc()
 	default:
 		l.Stats.WriteMissInvalid.Inc()
@@ -276,9 +245,8 @@ func (l *L1) selfInvalidate(cause coherence.SelfInvCause) {
 	}
 	var dropped int64
 	for _, w := range l.sharedWays {
-		if w.Meta.listed && w.Valid && w.Meta.state == stateS {
-			l.Trans(w.Tag, stateS, 0)
-			l.cache.Invalidate(w)
+		if w.Meta.listed && w.Valid && w.State == stateS {
+			l.Drop(w)
 			dropped++
 		}
 		w.Meta.listed = false
@@ -394,9 +362,6 @@ func (l *L1) handle(now sim.Cycle, m *coherence.Msg) {
 	case coherence.MsgInv:
 		l.handleInv(now, m)
 
-	case coherence.MsgPutAck:
-		l.ReleaseEvict(m.Addr)
-
 	case coherence.MsgTSResetL1:
 		src := int(m.Src)
 		l.tsL1.drop(src)
@@ -408,20 +373,19 @@ func (l *L1) handle(now sim.Cycle, m *coherence.Msg) {
 		l.epochL2[tile] = m.Epoch
 
 	default:
-		panic(fmt.Sprintf("tsocc: L1 %d cycle %d: unexpected message %s", l.ID, now, m))
+		l.Panicf(now, "unexpected message %s", m)
 	}
 }
 
 func (l *L1) completeWrite(now sim.Cycle, m *coherence.Msg) {
 	tx := l.Wr
-	w, from := l.install(now, tx.Addr, m.Data)
-	l.Trans(tx.Addr, from, stateM)
-	w.Meta.state = stateM
-	old := memsys.GetWord(l.cache.Block(w), tx.WordAddr)
+	w := l.Install(now, tx.Addr, m.Data)
+	l.Set(w, stateM)
+	old := memsys.GetWord(l.Cache.Block(w), tx.WordAddr)
 	nv, wrote := tx.Apply(old)
 	ackTS := tsInvalid
 	if wrote {
-		memsys.PutWord(l.cache.Block(w), tx.WordAddr, nv)
+		memsys.PutWord(l.Cache.Block(w), tx.WordAddr, nv)
 		ackTS = l.assignTS(now)
 		w.Meta.ts = ackTS
 		w.Meta.tsOwn = true
@@ -440,81 +404,56 @@ func (l *L1) completeRead(now sim.Cycle, m *coherence.Msg, state uint8) {
 		install = false
 	}
 	if install {
-		w, from := l.install(now, m.Addr, m.Data)
-		l.Trans(m.Addr, from, int(state))
-		w.Meta.state = state
+		w := l.Install(now, m.Addr, m.Data)
+		l.Set(w, state)
 		w.Meta.acnt = 0
 		w.Meta.ts = m.TS
 		w.Meta.tsOwn = false
 		if state == stateS {
 			l.noteShared(w)
 		}
-	} else if w := l.cache.Peek(m.Addr); w != nil && w.Meta.state == stateS {
+	} else if w := l.Cache.Peek(m.Addr); w != nil && w.State == stateS {
 		// Not re-installing (always-miss mode) but a stale Shared copy
 		// exists from before: refresh it rather than leaving it stale.
-		copy(l.cache.Block(w), m.Data)
+		copy(l.Cache.Block(w), m.Data)
 		w.Meta.acnt = 0
 	}
 	l.FinishRead(now, memsys.GetWord(m.Data, tx.WordAddr))
 }
 
-// install places data for addr, returning the way and the state the
-// line held before this fill (0 for a fresh install) so callers can
-// report the transition once they assign the new state.
-func (l *L1) install(now sim.Cycle, addr uint64, data []byte) (*memsys.Way[l1Line], int) {
-	if w := l.cache.Peek(addr); w != nil {
-		copy(l.cache.Block(w), data)
-		w.Meta.acnt = 0
-		return w, int(w.Meta.state)
-	}
-	w := l.cache.Victim(addr)
-	if w == nil {
-		panic(fmt.Sprintf("tsocc: L1 %d cycle %d: no victim for %#x", l.ID, now, addr))
-	}
-	if w.Valid {
-		l.evictLine(now, w)
-	}
-	l.cache.Install(w, addr)
-	copy(l.cache.Block(w), data)
-	return w, 0
-}
-
-func (l *L1) evictLine(now sim.Cycle, w *memsys.Way[l1Line]) {
+// evict is the L1Base evict body: Shared and SharedRO evictions are
+// silent (§3.2, §3.4); an owned line is buffered with its timestamp
+// until the PutAck, serving forwards and recalls that cross the Put.
+func (l *L1) evict(now sim.Cycle, w *memsys.Way[l1Line]) {
 	addr := w.Tag
-	l.Trans(addr, int(w.Meta.state), 0)
-	switch w.Meta.state {
-	case stateS, stateR:
-		// Shared and SharedRO evictions are silent (§3.2, §3.4).
+	switch w.State {
 	case stateE:
-		e := l.BufferEvict(addr, l.cache.Block(w), false)
+		e := l.BufferEvict(addr, l.Cache.Block(w), false)
 		e.TS, e.TSOwn = w.Meta.ts, w.Meta.tsOwn
 		l.Send(now, coherence.Msg{Type: coherence.MsgPutE, Dst: l.Home(addr), Addr: addr}, nil)
 	case stateM:
 		ts, valid := l.sendableTS(&w.Meta)
-		e := l.BufferEvict(addr, l.cache.Block(w), true)
+		e := l.BufferEvict(addr, l.Cache.Block(w), true)
 		e.TS, e.TSOwn = w.Meta.ts, w.Meta.tsOwn
 		l.Send(now, coherence.Msg{Type: coherence.MsgPutM, Dst: l.Home(addr), Addr: addr,
-			Dirty: true, TS: ts, TSValid: valid, Epoch: l.epoch}, l.cache.Block(w))
+			Dirty: true, TS: ts, TSValid: valid, Epoch: l.epoch}, l.Cache.Block(w))
 	}
-	l.cache.Invalidate(w)
 }
 
 func (l *L1) handleFwdGetS(now sim.Cycle, m *coherence.Msg) {
-	if w := l.cache.Peek(m.Addr); w != nil && (w.Meta.state == stateE || w.Meta.state == stateM) {
-		dirty := w.Meta.state == stateM
+	if w := l.Cache.Peek(m.Addr); w != nil && owned(w) {
+		dirty := w.State == stateM
 		ts, valid := l.sendableTS(&w.Meta)
 		l.Send(now, coherence.Msg{Type: coherence.MsgDataOwner, Dst: m.Requestor, Addr: m.Addr,
-			Owner: l.ID, TS: ts, TSValid: valid, Epoch: l.epoch, Dirty: dirty}, l.cache.Block(w))
+			Owner: l.ID, TS: ts, TSValid: valid, Epoch: l.epoch, Dirty: dirty}, l.Cache.Block(w))
 		l.Send(now, coherence.Msg{Type: coherence.MsgWBData, Dst: l.Home(m.Addr), Addr: m.Addr,
-			Dirty: dirty, TS: ts, TSValid: valid, Epoch: l.epoch}, l.cache.Block(w))
+			Dirty: dirty, TS: ts, TSValid: valid, Epoch: l.epoch}, l.Cache.Block(w))
 		// Downgrade to Shared, keeping the copy with a fresh budget.
-		l.Trans(m.Addr, int(w.Meta.state), stateS)
-		w.Meta.state = stateS
+		l.Set(w, stateS)
 		w.Meta.acnt = 0
 		l.noteShared(w)
 		if l.cfg.MaxAccesses() == 0 {
-			l.Trans(m.Addr, stateS, 0)
-			l.cache.Invalidate(w)
+			l.Drop(w)
 		}
 		return
 	}
@@ -526,17 +465,16 @@ func (l *L1) handleFwdGetS(now sim.Cycle, m *coherence.Msg) {
 			Dirty: e.Dirty, TS: ts, TSValid: valid, Epoch: l.epoch, NoCopy: true}, e.Data)
 		return
 	}
-	panic(fmt.Sprintf("tsocc: L1 %d cycle %d: FwdGetS for absent line %s", l.ID, now, m))
+	l.Panicf(now, "FwdGetS for absent line %s", m)
 }
 
 func (l *L1) handleFwdGetX(now sim.Cycle, m *coherence.Msg) {
-	if w := l.cache.Peek(m.Addr); w != nil && (w.Meta.state == stateE || w.Meta.state == stateM) {
+	if w := l.Cache.Peek(m.Addr); w != nil && owned(w) {
 		ts, valid := l.sendableTS(&w.Meta)
 		l.Send(now, coherence.Msg{Type: coherence.MsgDataOwner, Dst: m.Requestor, Addr: m.Addr,
 			Owner: l.ID, TS: ts, TSValid: valid, Epoch: l.epoch,
-			Dirty: w.Meta.state == stateM}, l.cache.Block(w))
-		l.Trans(m.Addr, int(w.Meta.state), 0)
-		l.cache.Invalidate(w)
+			Dirty: w.State == stateM}, l.Cache.Block(w))
+		l.Drop(w)
 		return
 	}
 	if e := l.ForwardEvicted(m.Addr); e != nil {
@@ -545,26 +483,24 @@ func (l *L1) handleFwdGetX(now sim.Cycle, m *coherence.Msg) {
 			Owner: l.ID, TS: ts, TSValid: valid, Epoch: l.epoch, Dirty: e.Dirty}, e.Data)
 		return
 	}
-	panic(fmt.Sprintf("tsocc: L1 %d cycle %d: FwdGetX for absent line %s", l.ID, now, m))
+	l.Panicf(now, "FwdGetX for absent line %s", m)
 }
 
 func (l *L1) handleInv(now sim.Cycle, m *coherence.Msg) {
 	l.Stats.InvalidationsReceived.Inc()
 	l.SquashRead(m.Addr)
-	if w := l.cache.Peek(m.Addr); w != nil {
-		if w.Meta.state == stateE || w.Meta.state == stateM {
+	if w := l.Cache.Peek(m.Addr); w != nil {
+		if owned(w) {
 			// Directory recall (L2 eviction of an Exclusive line).
 			ts, valid := l.sendableTS(&w.Meta)
 			l.Send(now, coherence.Msg{Type: coherence.MsgWBData, Dst: m.Src, Addr: m.Addr,
-				Dirty: w.Meta.state == stateM,
-				TS:    ts, TSValid: valid, Epoch: l.epoch}, l.cache.Block(w))
-			l.Trans(m.Addr, int(w.Meta.state), 0)
-			l.cache.Invalidate(w)
+				Dirty: w.State == stateM,
+				TS:    ts, TSValid: valid, Epoch: l.epoch}, l.Cache.Block(w))
+			l.Drop(w)
 			return
 		}
 		// SharedRO broadcast invalidation (or a stale Shared copy).
-		l.Trans(m.Addr, int(w.Meta.state), 0)
-		l.cache.Invalidate(w)
+		l.Drop(w)
 		l.Send(now, coherence.Msg{Type: coherence.MsgInvAck, Dst: m.Src, Addr: m.Addr}, nil)
 		return
 	}
@@ -576,6 +512,3 @@ func (l *L1) handleInv(now sim.Cycle, m *coherence.Msg) {
 	}
 	l.Send(now, coherence.Msg{Type: coherence.MsgInvAck, Dst: m.Src, Addr: m.Addr}, nil)
 }
-
-// PrewarmStorage implements coherence.Controller.
-func (l *L1) PrewarmStorage() { l.cache.Prewarm() }

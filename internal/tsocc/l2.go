@@ -1,8 +1,6 @@
 package tsocc
 
 import (
-	"fmt"
-
 	"repro/internal/coherence"
 	"repro/internal/config"
 	"repro/internal/memsys"
@@ -10,7 +8,7 @@ import (
 	"repro/internal/stats"
 )
 
-// L2 directory states (invalid way = not present).
+// L2 directory states (memsys.Way.State; invalid way = not present).
 const (
 	dirV = iota + 1 // Uncached: valid at L2, no tracked L1 copy
 	dirX            // Exclusive: owned by one L1 (owner pointer)
@@ -22,37 +20,19 @@ type l2Line struct {
 	sharerBits  uint64            // coarse vector (R); reuses the owner field's storage
 	ts          uint32            // writer ts (V/S) or tile SRO ts (R)
 	owner       coherence.OwnerID // owner (X) / last writer (V, S)
-	state       uint8
-	dirty       bool // data newer than memory
-	wasModified bool // written since the L2 obtained this copy
+	dirty       bool              // data newer than memory
+	wasModified bool              // written since the L2 obtained this copy
 }
 
-// Transaction kinds (coherence.Tx.Kind).
-const (
-	txMemFetch = iota + 1
-	txAwaitAck // DataE sent; waiting for requester Ack
-	txFwdGetS  // waiting for owner WBData
-	txFwdGetX  // waiting for requester Ack after owner handoff
-	txSROInv   // SharedRO write: counting broadcast InvAcks
-	txEvict    // evicting: waiting for recall WBData / InvAcks
-)
-
-var txKindNames = []string{
-	txMemFetch: "mem-fetch",
-	txAwaitAck: "await-ack",
-	txFwdGetS:  "fwd-gets",
-	txFwdGetX:  "fwd-getx",
-	txSROInv:   "sro-inv",
-	txEvict:    "evict",
-}
+func (m l2Line) Owner() coherence.OwnerID { return m.owner }
+func (m l2Line) Dirty() bool              { return m.dirty }
 
 // L2 is one TSO-CC NUCA tile: the shared skeleton (coherence.DirBase)
 // plus the sharing-vector-free directory states, the last-seen writer
 // timestamps and the SharedRO timestamp source.
 type L2 struct {
-	coherence.DirBase
-	cfg   config.TSOCC
-	cache *memsys.Cache[l2Line]
+	coherence.DirBase[l2Line]
+	cfg config.TSOCC
 
 	membersBuf []int // scratch for coarse sharer expansion
 
@@ -62,7 +42,8 @@ type L2 struct {
 
 	// SharedRO timestamp source (§3.4) and its reset epoch (§3.5), plus
 	// the two increment flags (dirty-eviction/modified-uncached, and
-	// entered-Shared).
+	// entered-Shared). Every memory writeback is a dirty eviction, so
+	// the tile's memory port (flagMem) raises flag1.
 	sroSrc   uint32
 	sroEpoch uint8
 	flag1    bool
@@ -75,18 +56,17 @@ type L2 struct {
 	TimestampResets stats.Counter
 }
 
-var _ coherence.Directory = (*L2)(nil)
-
-// NewL2 builds TSO-CC tile `tile`.
-func NewL2(tile, cores int, sys config.System, cfg config.TSOCC, net coherence.Network, mem coherence.Memory) *L2 {
+// NewL2 builds TSO-CC tile `tile`. A line filled from memory is
+// Uncached with no last writer.
+func NewL2(tile int, sys config.System, cfg config.TSOCC, net coherence.Network, mem coherence.Memory) *L2 {
 	t := &L2{
 		cfg:     cfg,
-		cache:   memsys.NewCache[l2Line](sys.L2TileSize, sys.L2Ways),
-		tsL1:    newLastSeen(0, cores),
-		epochL1: make([]uint8, cores),
+		tsL1:    newLastSeen(0, sys.Cores),
+		epochL1: make([]uint8, sys.Cores),
 		sroSrc:  tsFirst,
 	}
-	t.Init("tsocc", tile, cores, sys.L2AccessLat, net, mem, txKindNames, t.handle, t.filled)
+	t.Init("tsocc", tile, sys, net, flagMem{mem, &t.flag1}, "sro-inv", dirX, dirV, l2Line{owner: -1},
+		t.handle, t.recall)
 	t.AddCounter(&t.SROTransitions, ".sro_transitions")
 	t.AddCounter(&t.SROInvBcasts, ".sro_inv_bcasts")
 	t.AddCounter(&t.DecayEvents, ".decay_events")
@@ -109,40 +89,67 @@ func (t *L2) TileStats() (sro, decay, bcasts, resets int64) {
 		t.SROInvBcasts.Value(), t.TimestampResets.Value()
 }
 
-// SnoopBlock implements coherence.Controller.
-func (t *L2) SnoopBlock(addr uint64) ([]byte, bool) {
-	if w := t.cache.Peek(addr); w != nil && w.Meta.state != dirX {
-		return t.cache.Block(w), true
-	}
-	return nil, false
+// flagMem is a tile's memory port: a writeback is a dirty line leaving
+// the L2, condition 1 of the SharedRO timestamp increment (§3.4).
+type flagMem struct {
+	coherence.Memory
+	flag1 *bool
 }
 
-// SnoopOwner implements coherence.Directory.
-func (t *L2) SnoopOwner(addr uint64) (coherence.NodeID, bool) {
-	if w := t.cache.Peek(addr); w != nil && w.Meta.state == dirX {
-		return w.Meta.owner.Node(), true
-	}
-	return 0, false
+func (m flagMem) WriteBlock(addr uint64, src []byte) {
+	m.Memory.WriteBlock(addr, src)
+	*m.flag1 = true
 }
 
 func (t *L2) handle(now sim.Cycle, m *coherence.Msg) {
 	switch m.Type {
-	case coherence.MsgGetS, coherence.MsgGetX:
-		t.handleRequest(now, m)
+	case coherence.MsgGetS:
+		if w := t.OnRequest(now, m); w != nil {
+			t.serveGetS(now, m, w)
+		}
+	case coherence.MsgGetX:
+		if w := t.OnRequest(now, m); w != nil {
+			t.serveGetX(now, m, w)
+		}
 	case coherence.MsgPutE, coherence.MsgPutM:
-		t.handlePut(now, m)
+		if w := t.OnPut(now, m); w != nil {
+			if m.Type == coherence.MsgPutM {
+				t.written(w, m.Src, m)
+			}
+			// Keep owner as last-writer for timestamp responses.
+			t.Set(w, dirV)
+		}
 	case coherence.MsgAck:
-		t.handleAck(now, m)
+		tx, w := t.OnAck(now, m)
+		t.Set(w, dirX)
+		w.Meta.owner = coherence.OwnerID(tx.Req.Requestor)
+		w.Meta.sharerBits = 0
+		if m.TSValid {
+			// The ack finalizes a write: record its timestamp (§3.5's
+			// "updated when the L2 updates a line's timestamp").
+			w.Meta.wasModified = true
+			w.Meta.ts = m.TS
+			t.noteWriterTS(tx.Req.Requestor, m)
+		}
+		t.Retire(now, w, tx)
 	case coherence.MsgInvAck:
-		t.handleInvAck(now, m)
+		if tx, w := t.OnInvAck(now, m); tx != nil {
+			// All SharedRO copies invalidated; grant exclusivity.
+			ts, ep, valid := t.sroTS(&w.Meta)
+			tx.Kind = coherence.TxAwaitAck
+			w.Meta.sharerBits = 0
+			t.respond(now, tx.Req.Requestor, coherence.MsgDataE, m.Addr, t.Cache.Block(w), -1, ts, ep, valid)
+		}
 	case coherence.MsgWBData:
-		t.handleWBData(now, m)
+		if tx, w := t.OnWBData(now, m); tx != nil {
+			t.downgraded(now, m, w, tx)
+		}
 	case coherence.MsgTSResetL1:
 		src := int(m.Src)
 		t.tsL1.drop(src)
 		t.epochL1[src] = m.Epoch
 	default:
-		panic(fmt.Sprintf("tsocc: L2 %d cycle %d: unexpected message %s", t.ID, now, m))
+		t.Panicf(now, "unexpected message %s", m)
 	}
 }
 
@@ -228,103 +235,29 @@ func (t *L2) noteWriterTS(writer coherence.NodeID, m *coherence.Msg) {
 
 // ---- Request handling ----
 
-func (t *L2) handleRequest(now sim.Cycle, m *coherence.Msg) {
-	if t.Txs.BusyLine(m.Addr) {
-		t.Txs.EnqueueWaiting(m)
-		return
-	}
-	w := t.cache.Peek(m.Addr)
-	if w == nil {
-		t.startFetch(now, m)
-		return
-	}
-	if m.Type == coherence.MsgGetS {
-		t.serveGetS(now, m, w)
-	} else {
-		t.serveGetX(now, m, w)
-	}
-}
-
-func (t *L2) startFetch(now sim.Cycle, m *coherence.Msg) {
-	v := t.cache.Victim(m.Addr)
-	if v == nil {
-		t.Txs.EnqueueRetry(m)
-		return
-	}
-	if v.Valid {
-		if t.cache.AnyBusy(m.Addr) {
-			t.Txs.EnqueueRetry(m)
-			return
-		}
-		if !t.evictLine(now, v) {
-			t.Txs.EnqueueRetry(m)
-			return
-		}
-	}
-	t.cache.Install(v, m.Addr)
-	v.Busy = true
-	t.StartFetch(now, txMemFetch, m)
-}
-
-// filled is StartFetch's completion (see coherence.DirBase.Init).
-func (t *L2) filled(addr uint64) []byte {
-	way := t.cache.Peek(addr)
-	if way == nil {
-		return nil
-	}
-	t.Trans(addr, 0, dirV)
-	way.Meta = l2Line{state: dirV, owner: -1}
-	way.Busy = false
-	return t.cache.Block(way)
-}
-
-// evictLine evicts v; true = completed synchronously.
-func (t *L2) evictLine(now sim.Cycle, v *memsys.Way[l2Line]) bool {
-	addr := v.Tag
-	switch v.Meta.state {
-	case dirV, dirS:
-		// Shared lines are untracked: evict silently; sharers will
-		// self-invalidate their stale copies eventually (§3.2). Their
-		// timestamps are lost, which later forces mandatory
-		// self-invalidation at readers (invalid-ts responses).
-		if v.Meta.dirty {
-			t.Mem.WriteBlock(addr, t.cache.Block(v))
-			t.flag1 = true // condition 1: dirty line left the L2
-		}
-		t.Trans(addr, int(v.Meta.state), 0)
-		t.cache.Invalidate(v)
-		return true
+// recall is the DirBase recall body. Shared lines are untracked: they
+// go silently and sharers self-invalidate their stale copies eventually
+// (§3.2); the lost timestamps later force mandatory self-invalidation
+// at readers (invalid-ts responses). SharedRO lines are eagerly
+// coherent: the coarse groups are recalled before the line goes (keeps
+// R copies inclusive — see DESIGN.md interpretation notes).
+func (t *L2) recall(now sim.Cycle, v *memsys.Way[l2Line]) int {
+	switch v.State {
 	case dirR:
-		// SharedRO lines are eagerly coherent; recall the coarse
-		// groups before dropping (keeps R copies inclusive — see
-		// DESIGN.md interpretation notes).
 		members := t.coarseMembersBuf(v.Meta.sharerBits)
-		if len(members) == 0 {
-			if v.Meta.dirty {
-				t.Mem.WriteBlock(addr, t.cache.Block(v))
-				t.flag1 = true
-			}
-			t.Trans(addr, dirR, 0)
-			t.cache.Invalidate(v)
-			return true
-		}
 		for _, c := range members {
-			t.SendAfterAccess(now, coherence.Msg{Type: coherence.MsgInv, Dst: coherence.L1ID(c), Addr: addr}, nil)
+			t.SendAfterAccess(now, coherence.Msg{Type: coherence.MsgInv, Dst: coherence.L1ID(c), Addr: v.Tag}, nil)
 		}
-		v.Busy = true
-		t.Txs.New(addr, txEvict, nil, len(members))
-		return false
+		return len(members)
 	case dirX:
-		t.SendAfterAccess(now, coherence.Msg{Type: coherence.MsgInv, Dst: v.Meta.owner.Node(), Addr: addr}, nil)
-		v.Busy = true
-		t.Txs.New(addr, txEvict, nil, 1)
-		return false
+		t.SendAfterAccess(now, coherence.Msg{Type: coherence.MsgInv, Dst: v.Meta.owner.Node(), Addr: v.Tag}, nil)
+		return 1
 	}
-	panic(fmt.Sprintf("tsocc: L2 %d cycle %d: evictLine on invalid state %d for %#x", t.ID, now, v.Meta.state, v.Tag))
+	return 0
 }
 
 func (t *L2) serveGetS(now sim.Cycle, m *coherence.Msg, w *memsys.Way[l2Line]) {
-	switch w.Meta.state {
+	switch w.State {
 	case dirV:
 		// Uncached: grant Exclusive (§3.2).
 		if w.Meta.wasModified {
@@ -332,14 +265,14 @@ func (t *L2) serveGetS(now sim.Cycle, m *coherence.Msg, w *memsys.Way[l2Line]) {
 		}
 		ts, ep, valid := t.respTS(&w.Meta)
 		w.Busy = true
-		t.Txs.New(m.Addr, txAwaitAck, m, 0)
-		t.respond(now, m.Requestor, coherence.MsgDataE, m.Addr, t.cache.Block(w), w.Meta.owner.Node(), ts, ep, valid)
+		t.Txs.New(m.Addr, coherence.TxAwaitAck, m, 0)
+		t.respond(now, m.Requestor, coherence.MsgDataE, m.Addr, t.Cache.Block(w), w.Meta.owner.Node(), ts, ep, valid)
 	case dirX:
 		if w.Meta.owner.Node() == m.Requestor {
-			panic(fmt.Sprintf("tsocc: L2 %d cycle %d: GetS from current owner %s", t.ID, now, m))
+			t.Panicf(now, "GetS from current owner %s", m)
 		}
 		w.Busy = true
-		t.Txs.New(m.Addr, txFwdGetS, m, 0)
+		t.Txs.New(m.Addr, coherence.TxFwdGetS, m, 0)
 		t.SendAfterAccess(now, coherence.Msg{Type: coherence.MsgFwdGetS, Dst: w.Meta.owner.Node(), Addr: m.Addr, Requestor: m.Requestor}, nil)
 	case dirS:
 		if t.shouldDecay(&w.Meta) {
@@ -349,11 +282,11 @@ func (t *L2) serveGetS(now sim.Cycle, m *coherence.Msg, w *memsys.Way[l2Line]) {
 			return
 		}
 		ts, ep, valid := t.respTS(&w.Meta)
-		t.respond(now, m.Requestor, coherence.MsgDataS, m.Addr, t.cache.Block(w), w.Meta.owner.Node(), ts, ep, valid)
+		t.respond(now, m.Requestor, coherence.MsgDataS, m.Addr, t.Cache.Block(w), w.Meta.owner.Node(), ts, ep, valid)
 	case dirR:
 		ts, ep, valid := t.sroTS(&w.Meta)
 		w.Meta.sharerBits |= coarseBit(m.Requestor, t.Cores)
-		t.respond(now, m.Requestor, coherence.MsgDataSRO, m.Addr, t.cache.Block(w), -1, ts, ep, valid)
+		t.respond(now, m.Requestor, coherence.MsgDataSRO, m.Addr, t.Cache.Block(w), -1, ts, ep, valid)
 	}
 }
 
@@ -385,26 +318,25 @@ func (t *L2) shouldDecay(w *l2Line) bool {
 // toSharedRO transitions a line to SharedRO, assigning a tile timestamp.
 func (t *L2) toSharedRO(now sim.Cycle, w *memsys.Way[l2Line]) {
 	t.SROTransitions.Inc()
-	t.Trans(w.Tag, int(w.Meta.state), dirR)
-	w.Meta.state = dirR
+	t.Set(w, dirR)
 	w.Meta.sharerBits = 0
 	w.Meta.ts = t.assignSROTS(now)
 	w.Meta.owner = -1
 }
 
 func (t *L2) serveGetX(now sim.Cycle, m *coherence.Msg, w *memsys.Way[l2Line]) {
-	switch w.Meta.state {
+	switch w.State {
 	case dirV:
 		ts, ep, valid := t.respTS(&w.Meta)
 		w.Busy = true
-		t.Txs.New(m.Addr, txAwaitAck, m, 0)
-		t.respond(now, m.Requestor, coherence.MsgDataE, m.Addr, t.cache.Block(w), w.Meta.owner.Node(), ts, ep, valid)
+		t.Txs.New(m.Addr, coherence.TxAwaitAck, m, 0)
+		t.respond(now, m.Requestor, coherence.MsgDataE, m.Addr, t.Cache.Block(w), w.Meta.owner.Node(), ts, ep, valid)
 	case dirX:
 		if w.Meta.owner.Node() == m.Requestor {
-			panic(fmt.Sprintf("tsocc: L2 %d cycle %d: GetX from current owner %s", t.ID, now, m))
+			t.Panicf(now, "GetX from current owner %s", m)
 		}
 		w.Busy = true
-		t.Txs.New(m.Addr, txFwdGetX, m, 0)
+		t.Txs.New(m.Addr, coherence.TxFwdGetX, m, 0)
 		t.SendAfterAccess(now, coherence.Msg{Type: coherence.MsgFwdGetX, Dst: w.Meta.owner.Node(), Addr: m.Addr, Requestor: m.Requestor}, nil)
 	case dirS:
 		// The lazy write path: respond immediately with the full line;
@@ -412,8 +344,8 @@ func (t *L2) serveGetX(now sim.Cycle, m *coherence.Msg, w *memsys.Way[l2Line]) {
 		// (§3.2). No invalidation fan-out.
 		ts, ep, valid := t.respTS(&w.Meta)
 		w.Busy = true
-		t.Txs.New(m.Addr, txAwaitAck, m, 0)
-		t.respond(now, m.Requestor, coherence.MsgDataE, m.Addr, t.cache.Block(w), w.Meta.owner.Node(), ts, ep, valid)
+		t.Txs.New(m.Addr, coherence.TxAwaitAck, m, 0)
+		t.respond(now, m.Requestor, coherence.MsgDataE, m.Addr, t.Cache.Block(w), w.Meta.owner.Node(), ts, ep, valid)
 	case dirR:
 		// Writes to SharedRO lines broadcast invalidations to the
 		// coarse sharer groups (§3.4).
@@ -424,15 +356,15 @@ func (t *L2) serveGetX(now sim.Cycle, m *coherence.Msg, w *memsys.Way[l2Line]) {
 		if len(members) == 0 {
 			ts, ep, valid := t.sroTS(&w.Meta)
 			w.Busy = true
-			t.Txs.New(m.Addr, txAwaitAck, m, 0)
-			t.respond(now, m.Requestor, coherence.MsgDataE, m.Addr, t.cache.Block(w), -1, ts, ep, valid)
+			t.Txs.New(m.Addr, coherence.TxAwaitAck, m, 0)
+			t.respond(now, m.Requestor, coherence.MsgDataE, m.Addr, t.Cache.Block(w), -1, ts, ep, valid)
 			return
 		}
 		for _, c := range members {
 			t.SendAfterAccess(now, coherence.Msg{Type: coherence.MsgInv, Dst: coherence.L1ID(c), Addr: m.Addr}, nil)
 		}
 		w.Busy = true
-		t.Txs.New(m.Addr, txSROInv, m, len(members))
+		t.Txs.New(m.Addr, coherence.TxInvs, m, len(members))
 	}
 }
 
@@ -444,139 +376,39 @@ func (t *L2) respond(now sim.Cycle, dst coherence.NodeID, typ coherence.MsgType,
 
 // ---- Completion handling ----
 
-func (t *L2) handleAck(now sim.Cycle, m *coherence.Msg) {
-	tx := t.TxFor(now, m)
-	if tx.Kind != txAwaitAck && tx.Kind != txFwdGetX {
-		panic(fmt.Sprintf("tsocc: L2 %d cycle %d: stray Ack %s", t.ID, now, m))
-	}
-	w := t.cache.Peek(m.Addr)
-	t.Trans(m.Addr, int(w.Meta.state), dirX)
-	w.Meta.state = dirX
-	w.Meta.owner = coherence.OwnerID(tx.Req.Requestor)
-	w.Meta.sharerBits = 0
+// written records the dirty data a line took from its writer's PutM or
+// WBData, with the write's timestamp.
+func (t *L2) written(w *memsys.Way[l2Line], writer coherence.NodeID, m *coherence.Msg) {
+	w.Meta.dirty = true
+	w.Meta.wasModified = true
 	if m.TSValid {
-		// The ack finalizes a write: record its timestamp (§3.5's
-		// "updated when the L2 updates a line's timestamp").
-		w.Meta.wasModified = true
 		w.Meta.ts = m.TS
-		t.noteWriterTS(tx.Req.Requestor, m)
+	} else {
+		w.Meta.ts = tsInvalid
 	}
-	w.Busy = false
-	t.Txs.Del(m.Addr, tx, true)
-	t.Txs.DrainWaiting(now, m.Addr)
+	t.noteWriterTS(writer, m)
 }
 
-func (t *L2) handleInvAck(now sim.Cycle, m *coherence.Msg) {
-	tx := t.TxFor(now, m)
-	tx.AcksLeft--
-	if tx.AcksLeft > 0 {
-		return
-	}
-	w := t.cache.Peek(m.Addr)
-	switch tx.Kind {
-	case txSROInv:
-		// All SharedRO copies invalidated; grant exclusivity.
-		ts, ep, valid := t.sroTS(&w.Meta)
-		tx.Kind = txAwaitAck
-		w.Meta.sharerBits = 0
-		t.respond(now, tx.Req.Requestor, coherence.MsgDataE, m.Addr, t.cache.Block(w), -1, ts, ep, valid)
-	case txEvict:
-		t.finishEvict(now, w)
-	default:
-		panic(fmt.Sprintf("tsocc: L2 %d cycle %d: InvAck in tx kind %d", t.ID, now, tx.Kind))
-	}
-}
-
-func (t *L2) handleWBData(now sim.Cycle, m *coherence.Msg) {
-	tx := t.TxFor(now, m)
-	w := t.cache.Peek(m.Addr)
-	switch tx.Kind {
-	case txFwdGetS:
-		prevOwner := w.Meta.owner.Node()
-		copy(t.cache.Block(w), m.Data)
+// downgraded completes a forwarded read once the previous owner's
+// WBData is in the line.
+func (t *L2) downgraded(now sim.Cycle, m *coherence.Msg, w *memsys.Way[l2Line], tx *coherence.Tx) {
+	prevOwner := w.Meta.owner.Node()
+	if m.Dirty || !t.cfg.SharedRO {
+		// Modified by the previous owner (or no SharedRO state): enters
+		// Shared (§3.4), last writer = previous owner.
 		if m.Dirty {
-			w.Meta.dirty = true
-			w.Meta.wasModified = true
-			if m.TSValid {
-				w.Meta.ts = m.TS
-			} else {
-				w.Meta.ts = tsInvalid
-			}
-			t.noteWriterTS(prevOwner, m)
-			// Modified by the previous owner: enters Shared (§3.4),
-			// last writer = previous owner.
-			t.Trans(m.Addr, int(w.Meta.state), dirS)
-			w.Meta.state = dirS
-			w.Meta.owner = coherence.OwnerID(prevOwner)
-			t.flag2 = true // condition 2: line entered Shared
-		} else if t.cfg.SharedRO {
-			// Unmodified by the previous owner: SharedRO.
-			t.toSharedRO(now, w)
-			w.Meta.sharerBits = coarseBit(tx.Req.Requestor, t.Cores)
-			if !m.NoCopy {
-				w.Meta.sharerBits |= coarseBit(prevOwner, t.Cores)
-			}
-		} else {
-			t.Trans(m.Addr, int(w.Meta.state), dirS)
-			w.Meta.state = dirS
-			w.Meta.owner = coherence.OwnerID(prevOwner)
-			t.flag2 = true
+			t.written(w, prevOwner, m)
 		}
-		w.Busy = false
-		t.Txs.Del(m.Addr, tx, true)
-		t.Txs.DrainWaiting(now, m.Addr)
-	case txEvict:
-		if m.Dirty {
-			copy(t.cache.Block(w), m.Data)
-			w.Meta.dirty = true
+		t.Set(w, dirS)
+		w.Meta.owner = coherence.OwnerID(prevOwner)
+		t.flag2 = true // condition 2: line entered Shared
+	} else {
+		// Unmodified by the previous owner: SharedRO.
+		t.toSharedRO(now, w)
+		w.Meta.sharerBits = coarseBit(tx.Req.Requestor, t.Cores)
+		if !m.NoCopy {
+			w.Meta.sharerBits |= coarseBit(prevOwner, t.Cores)
 		}
-		t.finishEvict(now, w)
-	default:
-		panic(fmt.Sprintf("tsocc: L2 %d cycle %d: WBData in tx kind %d", t.ID, now, tx.Kind))
 	}
+	t.Retire(now, w, tx)
 }
-
-func (t *L2) finishEvict(now sim.Cycle, w *memsys.Way[l2Line]) {
-	addr := w.Tag
-	if w.Meta.dirty {
-		t.Mem.WriteBlock(addr, t.cache.Block(w))
-		t.flag1 = true
-	}
-	tx, _ := t.Txs.Get(addr)
-	t.Txs.Del(addr, tx, false)
-	t.Trans(addr, int(w.Meta.state), 0)
-	t.cache.Invalidate(w)
-	t.Txs.DrainWaiting(now, addr)
-}
-
-func (t *L2) handlePut(now sim.Cycle, m *coherence.Msg) {
-	if t.Txs.BusyLine(m.Addr) {
-		t.Txs.EnqueueWaiting(m)
-		return
-	}
-	w := t.cache.Peek(m.Addr)
-	if w == nil || w.Meta.state != dirX || w.Meta.owner.Node() != m.Src {
-		// Stale writeback (ownership moved while the Put was in
-		// flight): acknowledge and drop.
-		t.SendPutAck(now, m.Src, m.Addr)
-		return
-	}
-	if m.Type == coherence.MsgPutM {
-		copy(t.cache.Block(w), m.Data)
-		w.Meta.dirty = true
-		w.Meta.wasModified = true
-		if m.TSValid {
-			w.Meta.ts = m.TS
-		} else {
-			w.Meta.ts = tsInvalid
-		}
-		t.noteWriterTS(m.Src, m)
-	}
-	t.Trans(m.Addr, int(w.Meta.state), dirV)
-	w.Meta.state = dirV
-	// Keep owner as last-writer for timestamp responses.
-	t.SendPutAck(now, m.Src, m.Addr)
-}
-
-// PrewarmStorage implements coherence.Controller.
-func (t *L2) PrewarmStorage() { t.cache.Prewarm() }

@@ -68,8 +68,8 @@ func (p Protocol) Build(cfg config.System, net coherence.Network, mem coherence.
 	l1s := make([]coherence.L1Like, cfg.Cores)
 	l2s := make([]coherence.Controller, cfg.Cores)
 	for i := 0; i < cfg.Cores; i++ {
-		l1s[i] = NewL1(i, cfg.Cores, cfg, p.Cfg, net)
-		l2s[i] = NewL2(i, cfg.Cores, cfg, p.Cfg, net, mem)
+		l1s[i] = NewL1(i, cfg, p.Cfg, net)
+		l2s[i] = NewL2(i, cfg, p.Cfg, net, mem)
 	}
 	return l1s, l2s
 }

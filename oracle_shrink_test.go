@@ -1,7 +1,8 @@
 // End-to-end gate for the protocol-legality oracle and the violation
 // shrinker: a deliberately seeded legality bug — a test-only protocol
-// wrapper that reports a Modified → Exclusive hop after enough forced
-// evictions — must be (a) caught by the oracle the cycle it happens,
+// wrapper that, after enough forced evictions, turns the next real hop
+// out of Modified into a Modified → Exclusive hop — must be (a) caught
+// by the oracle the cycle it happens,
 // (b) reduced by the shrinker to a minimal (scale, fault-window) tuple,
 // and (c) reproduced by replaying that tuple, tripping the same
 // violation kind.
@@ -33,10 +34,12 @@ const buggyTrigger = 12
 
 // buggyMESI wraps the MESI protocol: same name (so the registered
 // legality table applies), same controllers, but every L1 is wrapped so
-// its evict-fault hook counts fires and, on the buggyTrigger-th one,
-// reports a bogus M → E hop to the legality sink. The bug is
-// fault-dependent on purpose: narrowing the injector's decision window
-// masks it, which is exactly what the shrinker bisects.
+// its evict-fault hook counts fires and, from the buggyTrigger-th one
+// on, its next real hop out of Modified reaches the legality sink as a
+// bogus M → E hop. The bug rides on the transitions the controller
+// reports, so the gate also fails if state writes stop being reported.
+// It is fault-dependent on purpose: narrowing the injector's decision
+// window masks it, which is exactly what the shrinker bisects.
 type buggyMESI struct{ inner system.Protocol }
 
 func (p buggyMESI) Name() string { return p.inner.Name() }
@@ -52,24 +55,29 @@ func (p buggyMESI) Build(cfg config.System, net coherence.Network, mem coherence
 // buggyL1 presents its own probe surface to the system layer and
 // installs interposers on the real L1's: transitions pass through to
 // whatever sink the oracle set, evict-fault fires pass through too, and
-// the buggyTrigger-th one also reports the illegal M → E transition.
+// the buggyTrigger-th one arms the corruption of the next hop out of
+// Modified into the illegal M → E transition.
 type buggyL1 struct {
 	coherence.L1Like
 	probe coherence.Probe
 	fires int
+	armed bool
 }
 
 func newBuggyL1(inner coherence.L1Like) *buggyL1 {
 	b := &buggyL1{L1Like: inner}
 	real := inner.Hooks()
-	real.Transition = b.probe.Trans
+	real.Transition = func(addr uint64, from, to int) {
+		if b.armed && from == mesiL1M {
+			b.armed, to = false, mesiL1E
+		}
+		b.probe.Trans(addr, from, to)
+	}
 	real.EvictFault = func() bool {
 		fired := b.probe.EvictFault != nil && b.probe.EvictFault()
 		if fired {
 			b.fires++
-			if b.fires == buggyTrigger {
-				b.probe.Trans(0xbad0, mesiL1M, mesiL1E)
-			}
+			b.armed = b.armed || b.fires == buggyTrigger
 		}
 		return fired
 	}

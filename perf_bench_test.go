@@ -591,7 +591,7 @@ func BenchmarkL1HitPath(b *testing.B) { runOp(b, l1HitPathOp(b)) }
 func filledCache(tb testing.TB) *memsys.Cache[struct{}] {
 	cfg := config.Table2()
 	c := memsys.NewCache[struct{}](cfg.L1Size, cfg.L1Ways)
-	for addr := uint64(0); addr < uint64(cfg.L1Size); addr += coherence.BlockSize {
+	for addr := uint64(0); addr < uint64(cfg.L1Size); addr += config.BlockSize {
 		w := c.Victim(addr)
 		if w == nil || w.Valid {
 			tb.Fatalf("fill: no free way for %#x", addr)
@@ -625,7 +625,7 @@ func cacheReinstallOp(tb testing.TB) func() {
 	span := uint64(config.Table2().L1Size)
 	var i uint64
 	return func() {
-		addr := span + i*coherence.BlockSize
+		addr := span + i*config.BlockSize
 		i++
 		w := c.Victim(addr)
 		c.Install(w, addr)
