@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all vet build test inline-check race race-parallel bench-smoke bench repo-bench repo-bench-compare fuzz-smoke trace-gate fault-smoke oracle-sweep parallel-smoke obs-smoke scale-smoke ci
+.PHONY: all vet build test inline-check race bench-smoke bench repo-bench repo-bench-compare fuzz-smoke trace-gate fault-smoke oracle-sweep obs-smoke scale-smoke ci
 
 all: ci
 
@@ -28,15 +28,6 @@ inline-check:
 # assertions compiled in (mirrors the CI race job).
 race:
 	$(GO) test -race -tags txdebug ./internal/...
-
-# Race-detect the sharded parallel engine on 4 scheduler threads
-# (mirrors the CI race job's parallel leg): the bounded litmus
-# conformance subset at 4 shards plus the sharded-engine property test.
-# The full conformance suite under -race costs ~100x wall time, so the
-# race leg deliberately runs these small, protocol-complete targets.
-race-parallel:
-	GOMAXPROCS=4 $(GO) test -race -run 'TestParallelLitmusEveryProtocol' .
-	GOMAXPROCS=4 $(GO) test -race ./internal/sim/
 
 # Quick benchmark smoke: exercises the perf-critical paths without the
 # full figure grids. The trace synthesis and decode benchmarks work on
@@ -99,18 +90,6 @@ oracle-sweep:
 	    -faults "$$prof" -fault-seed 11 -checks > /dev/null; \
 	done; done; echo "oracle sweep: all legality tables and lifecycle audits clean"
 
-# Parallel-engine smoke: the litmus suite through the tsocc-litmus CLI
-# at 1, 2 and 4 shards × two protocols (mirrors the CI parallel job).
-# Shards=1 is the single-threaded engine, so the sweep covers both
-# engine flavors end to end; any TSO-forbidden outcome fails. Stats
-# bit-identity across shard counts is pinned by TestParallel* in the
-# test suite.
-parallel-smoke:
-	@set -e; for shards in 1 2 4; do for proto in MESI TSO-CC-4-12-3; do \
-	  echo "parallel smoke: shards=$$shards / $$proto"; \
-	  $(GO) run ./cmd/tsocc-litmus -iters 25 -proto $$proto -shards $$shards > /dev/null; \
-	done; done; echo "parallel smoke: all shard counts TSO-clean"
-
 # Record → replay → diff-stats conformance over a small grid (mirrors
 # the CI trace gate).
 trace-gate:
@@ -147,22 +126,16 @@ obs-smoke:
 
 # Scaling smoke (mirrors the CI scale job): the 64-core conformance
 # fingerprint — canneal and ssca2 end to end on an 8x8 mesh, crossed
-# over engine mode × batched core × shard count × checks × obs × faults
-# × trace replay (TestScale64*) — plus the per-link contention
-# properties (flit-hop conservation, HopDistance/XY agreement) at 64,
-# 128 and 256 tiles, and a race-detector leg over the contention path:
-# the mesh property tests plus one sharded real-workload conformance
-# cell, where the coordinator goroutine replays cross-tile sends into
-# the shared link-reservation table while shard goroutines tick. The
-# race cell stays at 4 cores — 64-core runs under -race cost tens of
-# minutes and race coverage depends on the code paths, not the
-# geometry. Bounded by design; host cost at 64 cores is measured by the
+# over engine mode × batched core × checks × obs × faults × trace
+# replay (TestScale64*) — plus the per-link contention properties
+# (flit-hop conservation, HopDistance/XY agreement) at 64, 128 and 256
+# tiles, and a race-detector leg over the contention path's property
+# tests. Bounded by design; host cost at 64 cores is measured by the
 # repository benchmark's `miss64` workload, and larger machines run
 # end to end with e.g. `tsocc-sim -cores 256`.
 scale-smoke:
 	$(GO) test -run 'TestScale64' .
 	$(GO) test -run 'TestFlitHopConservation|TestHopDistanceMatchesXYRoute|TestLinkEpochRebase' ./internal/mesh/
-	GOMAXPROCS=4 $(GO) test -race -run 'TestFlitHopConservation|TestLinkEpochRebase' ./internal/mesh/
-	GOMAXPROCS=4 $(GO) test -race -run 'TestParallelEngineBitIdentical/TSO-CC-4-12-3/canneal$$' .
+	$(GO) test -race -run 'TestFlitHopConservation|TestLinkEpochRebase' ./internal/mesh/
 
-ci: vet build test inline-check race race-parallel bench-smoke trace-gate fault-smoke oracle-sweep parallel-smoke obs-smoke scale-smoke
+ci: vet build test inline-check race bench-smoke trace-gate fault-smoke oracle-sweep obs-smoke scale-smoke

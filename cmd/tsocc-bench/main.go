@@ -47,13 +47,10 @@ func run(args []string) (err error) {
 	listProtos := fs.Bool("list-protocols", false, "list registered protocols and exit")
 	listWorkloads := fs.Bool("list-workloads", false, "list workloads (registry + synthetic extras) and exit")
 	quiet := fs.Bool("q", false, "suppress per-run progress")
-	shards := fs.Int("shards", 0, "engine shards (0 = auto from GOMAXPROCS, 1 = single-threaded)")
-	faultSpec := fs.String("faults", "", "fault-injection profile(s): jitter, pressure, burst, evict, reset-storm, victim; parameterized name:key=val and composed with + or , (empty = off)")
-	faultSeed := fs.Uint64("fault-seed", 1, "fault-injection seed")
-	checks := fs.Bool("checks", false, "enable runtime invariant oracles (SWMR, value, TSO order)")
 	cpuprofile := fs.String("cpuprofile", "", "write a CPU profile of the run to this file")
 	memprofile := fs.String("memprofile", "", "write a heap profile to this file on (successful) exit")
-	pprofLabels := fs.Bool("pprof-labels", false, "label goroutines and component ticks for -cpuprofile attribution (adds host-time cost)")
+	pprofLabels := fs.Bool("pprof-labels", false, "label component ticks for -cpuprofile attribution (adds host-time cost)")
+	rf := harness.BindRunFlags(fs, harness.FaultFlags)
 	fs.Parse(args)
 
 	// An unknown figure selects no table; refuse it before the grid runs.
@@ -99,12 +96,6 @@ func run(args []string) (err error) {
 		}
 	}
 
-	// 0 = auto: follow GOMAXPROCS (1 on a single-CPU runner, which is
-	// exactly the single-threaded engine).
-	if *shards == 0 {
-		*shards = runtime.GOMAXPROCS(0)
-	}
-
 	// Storage figures need no simulation.
 	if *figure == 2 {
 		fmt.Println(storagemodel.Figure2([]int{8, 16, 32, 48, 64, 80, 96, 112, 128}))
@@ -116,10 +107,7 @@ func run(args []string) (err error) {
 		benches = strings.Split(*benchList, ",")
 	}
 	cfg := config.Scaled(*cores)
-	cfg.FaultProfile = *faultSpec
-	cfg.FaultSeed = *faultSeed
-	cfg.Checks = *checks
-	cfg.Shards = *shards
+	rf.Apply(&cfg)
 	if *pprofLabels {
 		cfg.Obs = &obs.Obs{ProfileLabels: true}
 	}

@@ -7,34 +7,45 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
 	"strings"
 
 	"repro/internal/coherence"
 	"repro/internal/config"
 	"repro/internal/harness"
 	"repro/internal/litmus"
-	"repro/internal/obs"
 )
 
 func main() {
-	iters := flag.Int("iters", 40, "iterations per test per protocol")
-	cores := flag.Int("cores", 4, "core count (tests use up to 4 threads)")
-	seed := flag.Uint64("seed", 0xC0FFEE, "perturbation seed")
-	faultSpec := flag.String("faults", "", "fault-injection profile(s): jitter, pressure, burst, evict, reset-storm, victim; parameterized name:key=val and composed with + or , (empty = off)")
-	faultSeed := flag.Uint64("fault-seed", 1, "fault-injection seed")
-	checks := flag.Bool("checks", false, "enable runtime invariant oracles (SWMR, value, TSO order)")
-	shards := flag.Int("shards", 0, "engine shards (0 = auto from GOMAXPROCS, 1 = single-threaded)")
-	protoList := flag.String("proto", "", "comma-separated protocol subset (registry names; default all)")
-	verbose := flag.Bool("v", false, "print outcome histograms")
-	listW := flag.Bool("list-workloads", false, "list workloads (registry + synthetic extras) and exit")
-	listP := flag.Bool("list-protocols", false, "list registered protocols and exit")
-	metricsOut := flag.String("metrics", "", "write the metrics-registry dump (accumulated across all tests) to this file (.json = JSON, else text)")
-	timelineOut := flag.String("timeline", "", "write a Chrome trace-event timeline (Perfetto / chrome://tracing) to this file")
-	flag.Parse()
+	if err := run(os.Args[1:]); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		if errors.As(err, new(usageError)) {
+			os.Exit(2)
+		}
+		os.Exit(1)
+	}
+}
+
+// usageError is a command-line mistake (exit status 2); any other error
+// from run is a failed suite (exit status 1).
+type usageError struct{ error }
+
+// run parses args, runs the litmus suite on the selected protocols and
+// prints one line per test.
+func run(args []string) error {
+	fs := flag.NewFlagSet("tsocc-litmus", flag.ExitOnError)
+	iters := fs.Int("iters", 40, "iterations per test per protocol")
+	cores := fs.Int("cores", 4, "core count (tests use up to 4 threads)")
+	seed := fs.Uint64("seed", 0xC0FFEE, "perturbation seed")
+	protoList := fs.String("proto", "", "comma-separated protocol subset (registry names; default all)")
+	verbose := fs.Bool("v", false, "print outcome histograms")
+	listW := fs.Bool("list-workloads", false, "list workloads (registry + synthetic extras) and exit")
+	listP := fs.Bool("list-protocols", false, "list registered protocols and exit")
+	rf := harness.BindRunFlags(fs, harness.FaultFlags|harness.ObsFlags)
+	fs.Parse(args)
 
 	if *listW || *listP {
 		if *listW {
@@ -43,13 +54,12 @@ func main() {
 		if *listP {
 			harness.ListProtocols(os.Stdout)
 		}
-		return
+		return nil
 	}
 
 	if *iters < 1 {
 		// Zero iterations would print the all-clear having run nothing.
-		fmt.Fprintf(os.Stderr, "-iters must be at least 1 (got %d)\n", *iters)
-		os.Exit(2)
+		return usageError{fmt.Errorf("-iters must be at least 1 (got %d)", *iters)}
 	}
 	protos := coherence.Protocols()
 	if *protoList != "" {
@@ -57,25 +67,17 @@ func main() {
 		for _, name := range strings.Split(*protoList, ",") {
 			p, err := coherence.ProtocolByName(strings.TrimSpace(name))
 			if err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
+				return err
 			}
 			protos = append(protos, p)
 		}
 	}
 
 	cfg := config.Small(*cores)
-	cfg.FaultProfile = *faultSpec
-	cfg.FaultSeed = *faultSeed
-	cfg.Checks = *checks
-	cfg.Shards = *shards
-	if cfg.Shards == 0 {
-		cfg.Shards = runtime.GOMAXPROCS(0)
-	}
 	// One registry/timeline accumulates over every test × iteration
 	// (litmus iterations are sequential, so sharing is race-free);
 	// same-named series across runs merge at dump time.
-	cfg.Obs = obs.FromPaths(*metricsOut, *timelineOut)
+	rf.Apply(&cfg)
 	failed := false
 	for _, proto := range protos {
 		fmt.Printf("== %s ==\n", proto.Name())
@@ -105,12 +107,13 @@ func main() {
 			}
 		}
 	}
-	if werr := cfg.Obs.WriteFiles(*metricsOut, *timelineOut, 0); werr != nil {
+	if werr := rf.WriteObs(cfg.Obs, 0); werr != nil {
 		fmt.Fprintln(os.Stderr, werr)
 		failed = true
 	}
 	if failed {
-		os.Exit(1)
+		return errors.New("litmus suite failed")
 	}
 	fmt.Println("\nall protocols satisfy TSO on the litmus suite")
+	return nil
 }

@@ -26,7 +26,6 @@ import (
 	"repro/internal/coherence"
 	"repro/internal/config"
 	"repro/internal/harness"
-	"repro/internal/obs"
 	"repro/internal/system"
 	"repro/internal/trace"
 	"repro/internal/workloads"
@@ -94,10 +93,9 @@ func cmdRecord(args []string) error {
 	seed := fs.Uint64("seed", 1, "workload seed")
 	out := fs.String("o", "", "output trace file (required)")
 	stats := fs.String("stats", "", "also write the run summary to this file")
-	metricsOut := fs.String("metrics", "", "write the metrics-registry dump to this file (.json = JSON, else text)")
-	timelineOut := fs.String("timeline", "", "write a Chrome trace-event timeline (Perfetto / chrome://tracing) to this file")
 	listW := fs.Bool("list-workloads", false, "list workloads and exit")
 	listP := fs.Bool("list-protocols", false, "list protocols and exit")
+	rf := harness.BindRunFlags(fs, harness.ObsFlags)
 	fs.Parse(args)
 	if handleLists(*listW, *listP) {
 		return nil
@@ -114,13 +112,13 @@ func cmdRecord(args []string) error {
 		return fmt.Errorf("unknown benchmark %q (see -list-workloads)", *bench)
 	}
 	cfg := config.Scaled(*cores)
-	cfg.Obs = obs.FromPaths(*metricsOut, *timelineOut)
+	rf.Apply(&cfg)
 	w, err := harness.Gen(cfg, e, *scale, *seed)
 	if err != nil {
 		return err
 	}
 	res, tr, err := system.RunRecorded(cfg, p, w, *seed)
-	if werr := cfg.Obs.WriteFiles(*metricsOut, *timelineOut, resultCycles(res)); werr != nil && err == nil {
+	if werr := rf.WriteObs(cfg.Obs, resultCycles(res)); werr != nil && err == nil {
 		err = werr
 	}
 	if err != nil {
@@ -154,12 +152,8 @@ func cmdReplay(args []string) error {
 	proto := fs.String("proto", "", "protocol to replay on (default: the recording protocol)")
 	cores := fs.Int("cores", 0, "core count override (default: recorded geometry)")
 	perCycle := fs.Bool("percycle", false, "use the per-cycle conformance engine")
-	faultSpec := fs.String("faults", "", "fault-injection profile(s): jitter, pressure, burst, evict, reset-storm, victim; parameterized name:key=val and composed with + or , (empty = off)")
-	faultSeed := fs.Uint64("fault-seed", 1, "fault-injection seed")
-	checks := fs.Bool("checks", false, "enable runtime invariant oracles during replay")
 	stats := fs.String("stats", "", "also write the run summary to this file")
-	metricsOut := fs.String("metrics", "", "write the metrics-registry dump to this file (.json = JSON, else text)")
-	timelineOut := fs.String("timeline", "", "write a Chrome trace-event timeline (Perfetto / chrome://tracing) to this file")
+	rf := harness.BindRunFlags(fs, harness.FaultFlags|harness.ObsFlags)
 	fs.Parse(args)
 	if *in == "" {
 		return fmt.Errorf("replay: -i is required")
@@ -182,16 +176,13 @@ func cmdReplay(args []string) error {
 	}
 	cfg := tr.Meta.Sys
 	cfg.PerCycleEngine = *perCycle
-	cfg.FaultProfile = *faultSpec
-	cfg.FaultSeed = *faultSeed
-	cfg.Checks = *checks
+	rf.Apply(&cfg)
 	if *cores > 0 {
 		cfg.Cores = *cores
 		cfg.MeshRows = 0
 	}
-	cfg.Obs = obs.FromPaths(*metricsOut, *timelineOut)
 	res, err := system.Replay(cfg, p, tr)
-	if werr := cfg.Obs.WriteFiles(*metricsOut, *timelineOut, resultCycles(res)); werr != nil && err == nil {
+	if werr := rf.WriteObs(cfg.Obs, resultCycles(res)); werr != nil && err == nil {
 		err = werr
 	}
 	if err != nil {

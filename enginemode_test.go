@@ -191,9 +191,9 @@ func TestEngineModesSpinlockIdentical(t *testing.T) {
 
 // TestEngineModesFarHitCompletions: with an L1 hit latency past the
 // wake-set engine's 64-slot due wheel, every hit completion is filed in
-// the far set and pulled into the ring as the clock reaches it. Per-cycle,
-// wake-set and 2-shard runs must agree bit for bit on ssca2 and on a
-// chain of load hits, and the chain must take the full latency per hit.
+// the far set and pulled into the ring as the clock reaches it. Per-cycle
+// and wake-set runs must agree bit for bit on ssca2 and on a chain of
+// load hits, and the chain must take the full latency per hit.
 func TestEngineModesFarHitCompletions(t *testing.T) {
 	const hitLat, hits = 70, 20
 	hitChain := func() *program.Workload {
@@ -211,8 +211,7 @@ func TestEngineModesFarHitCompletions(t *testing.T) {
 	modes := []struct {
 		name     string
 		perCycle bool
-		shards   int
-	}{{"per-cycle", true, 1}, {"event", false, 1}, {"shards=2", false, 2}}
+	}{{"per-cycle", true}, {"event", false}}
 	for _, proto := range []system.Protocol{mesi.New(), tsocc.New(config.C12x3())} {
 		for _, gen := range []func() *program.Workload{ssca2, hitChain} {
 			name := gen().Name
@@ -222,7 +221,6 @@ func TestEngineModesFarHitCompletions(t *testing.T) {
 					cfg := config.Small(4)
 					cfg.L1HitLat = hitLat
 					cfg.PerCycleEngine = mode.perCycle
-					cfg.Shards = mode.shards
 					r, err := system.Run(cfg, proto, gen())
 					if err != nil {
 						t.Fatalf("%s: %v", mode.name, err)

@@ -68,22 +68,6 @@ func TestFaultModesBitIdentical(t *testing.T) {
 					}
 				}
 
-				// The shards axis must hold under injection too: the
-				// sharded engine partitions the injector's mesh-delay
-				// domains, and the partition must be invisible.
-				for _, shards := range []int{2, 4} {
-					cfg := mkCfg()
-					cfg.Shards = shards
-					r, err := system.Run(cfg, proto, e.Gen(p))
-					if err != nil {
-						t.Fatalf("shards=%d: %v", shards, err)
-					}
-					if fp := fingerprint(r); fp != fps[0] {
-						t.Fatalf("fault-injected sharded run diverged (shards=%d):\n serial:  %s\n sharded: %s",
-							shards, fps[0], fp)
-					}
-				}
-
 				// Record under faults, replay under the same faults: the
 				// trace axis must hold with injection active too.
 				res, tr, err := system.RunRecorded(mkCfg(), proto, e.Gen(p), p.Seed)
@@ -166,11 +150,7 @@ func TestFaultDifferentSeedsDiverge(t *testing.T) {
 // TestFaultSweepOracles is the randomized robustness gate: ≥20 seeds ×
 // every profile × every registered protocol, with the runtime invariant
 // oracles armed. Any SWMR, data-value, ordering, or functional-check
-// violation — or a deadlock — fails the sweep. Each seed also runs on
-// the sharded engine (oracles force the serial engine, so the sharded
-// leg runs unchecked) and must fingerprint-match the checked run —
-// bit-identity is what carries the oracle verdicts over to the
-// parallel engine.
+// violation — or a deadlock — fails the sweep.
 func TestFaultSweepOracles(t *testing.T) {
 	seeds := 20
 	if testing.Short() {
@@ -192,18 +172,6 @@ func TestFaultSweepOracles(t *testing.T) {
 					}
 					if r.CheckErr != nil {
 						t.Fatalf("seed %d: functional check: %v", seed, r.CheckErr)
-					}
-					scfg := config.Small(4)
-					scfg.FaultProfile = prof
-					scfg.FaultSeed = uint64(seed)
-					scfg.Shards = 4
-					sr, err := system.Run(scfg, proto, e.Gen(p))
-					if err != nil {
-						t.Fatalf("seed %d sharded: %v", seed, err)
-					}
-					if fingerprint(sr) != fingerprint(r) {
-						t.Fatalf("seed %d: sharded run diverged from oracle-checked run:\n checked: %s\n sharded: %s",
-							seed, fingerprint(r), fingerprint(sr))
 					}
 				}
 			})

@@ -22,7 +22,6 @@ func (n *fakeNet) Send(now sim.Cycle, m *Msg) {
 	n.at = append(n.at, now)
 }
 func (n *fakeNet) MsgPool() *MsgPool       { return &n.pool }
-func (n *fakeNet) MsgPoolFor(int) *MsgPool { return &n.pool }
 func (n *fakeNet) last() (*Msg, sim.Cycle) { return n.sent[len(n.sent)-1], n.at[len(n.at)-1] }
 func (n *fakeNet) drop()                   { n.sent, n.at = n.sent[:0], n.at[:0] }
 func (n *fakeNet) msg(t MsgType, addr uint64) *Msg {

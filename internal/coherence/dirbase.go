@@ -95,7 +95,7 @@ func (d *DirBase[M]) Init(proto string, tile int, sys config.System, net Network
 	d.AccessLat = sys.L2AccessLat
 	d.Mem = mem
 	d.net = net
-	d.pool = net.MsgPoolFor(tile)
+	d.pool = net.MsgPool()
 	d.sendFn = d.sendMsg
 	d.invKind = invKind
 	d.ctlLabel = ctlLabel(fmt.Sprintf("%s L2 tile %d", proto, tile))

@@ -118,7 +118,7 @@ func (l *L1Base[M]) Init(proto string, core int, sys config.System, net Network,
 	l.Cores = sys.Cores
 	l.HitLat = sys.L1HitLat
 	l.net = net
-	l.pool = net.MsgPoolFor(core)
+	l.pool = net.MsgPool()
 	l.handle = handle
 	l.evictBuf = make(map[uint64]*EvictEntry)
 	l.ctlLabel = ctlLabel(fmt.Sprintf("%s L1 %d", proto, core))

@@ -9,17 +9,13 @@ import (
 )
 
 // Network is the interconnect surface a protocol builds against: message
-// injection plus the message free lists. Implemented by mesh.Network;
-// controllers hold this interface so protocol packages depend only on
-// the coherence layer, not on the mesh model. Controllers must draw
-// messages from MsgPoolFor(tile) for their own tile — under a sharded
-// engine each shard's tiles share a private pool, keeping the
-// allocation fast path unsynchronized; in single-threaded mode every
-// tile maps to the one shared pool (MsgPool).
+// injection plus the message free list every controller draws from.
+// Implemented by mesh.Network; controllers hold this interface so
+// protocol packages depend only on the coherence layer, not on the mesh
+// model.
 type Network interface {
 	Send(now sim.Cycle, m *Msg)
 	MsgPool() *MsgPool
-	MsgPoolFor(tile int) *MsgPool
 }
 
 // Memory is the backing-store surface protocols fill from and write back

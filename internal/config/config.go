@@ -87,22 +87,16 @@ type System struct {
 	// the metrics registry, the Chrome-trace timeline sink, and pprof
 	// labels, per its fields. Observation never perturbs the
 	// simulation — obs-on runs are bit-identical to obs-off runs
-	// across every engine mode and shard count — and a nil Obs leaves
+	// in every engine mode — and a nil Obs leaves
 	// the hot paths untouched (0 allocs/op). The field is excluded
 	// from trace metadata: sinks are per-run, not part of geometry.
 	Obs *obs.Obs `json:"-"`
 
-	// Shards selects the parallel wake-set engine: the system's tiles
-	// (core + L1 + directory slice) are partitioned contiguously across
-	// this many goroutines, each running the wake-set scheduler locally
-	// and synchronizing at conservative-lookahead epoch barriers (the
-	// minimum cross-tile mesh latency). Cross-shard messages are merged
-	// at the barrier in a deterministic order, so sharded runs are
-	// bit-identical to single-threaded ones. 0 or 1 selects today's
-	// single-threaded engine; values above Cores clamp to Cores. The
-	// per-cycle conformance engine and the invariant oracles are
-	// single-threaded referees: PerCycleEngine or Checks force the
-	// effective shard count back to 1.
+	// Shards once selected a sharded parallel engine. Every run now uses
+	// the one single-threaded engine; the field remains only because the
+	// repository benchmark (bench/workloads.go) still assigns it.
+	//
+	// Deprecated: ignored.
 	Shards int
 }
 
@@ -263,9 +257,6 @@ func (s System) Validate() error {
 		if f.lat < 0 || f.lat > MaxLatency {
 			return fmt.Errorf("config: %s %d must be in [0, %d] cycles", f.name, f.lat, MaxLatency)
 		}
-	}
-	if s.Shards < 0 {
-		return fmt.Errorf("config: shards must be non-negative")
 	}
 	if s.FaultUntil != 0 && s.FaultFrom >= s.FaultUntil {
 		return fmt.Errorf("config: fault window [FaultFrom=%d, FaultUntil=%d) is empty: a run labelled fault-injected would inject nothing",

@@ -5,8 +5,8 @@
 // shaking loose ordering bugs that nominal timing never exercises —
 // while preserving the repo's bit-identity contract: for a fixed
 // (profile, seed) every fault decision is a pure function of values
-// that are themselves bit-identical across engine mode, core batching,
-// sharding, and trace replay (per-site decision counters, delivery
+// that are themselves bit-identical across engine mode, core batching
+// and trace replay (per-site decision counters, delivery
 // cycles, message send order). Fault-injected runs therefore
 // fingerprint-compare exactly like nominal runs; they form the fifth
 // conformance axis.
@@ -238,11 +238,8 @@ func Names() []string {
 	return names
 }
 
-// Injector makes all fault decisions for one run. Its decision state is
-// either single-goroutine (the serial engine) or partitioned so each
-// shard only touches its own closures and pair-local state; identical
-// (profile, seed) runs see identical decision streams at every shard
-// count.
+// Injector makes all fault decisions for one run; identical (profile,
+// seed) runs see identical decision streams.
 type Injector struct {
 	seed  uint64
 	profs []Profile
@@ -261,11 +258,9 @@ type Injector struct {
 	// narrows it to bisect which decisions a failure needs.
 	winLo, winHi uint64
 
-	// When tracking is enabled (serial runs only — the closures run on
-	// shard goroutines otherwise), maxCtr records the highest counter
-	// any site reached, giving the shrinker its initial window bound.
-	trackMax bool
-	maxCtr   uint64
+	// maxCtr records the highest counter any site reached, giving the
+	// shrinker its initial window bound.
+	maxCtr uint64
 
 	// Per-(src,dst) state for mesh delays: a decision counter (the
 	// per-site sequence number jitter rolls against) and the latest
@@ -321,14 +316,8 @@ func (in *Injector) SetWindow(lo, hi uint64) {
 	in.winHi = hi
 }
 
-// TrackDecisions enables max-counter tracking. Only legal for serial
-// (shards=1) runs: the decision closures run on shard goroutines
-// otherwise and the shared high-water mark would race.
-func (in *Injector) TrackDecisions() { in.trackMax = true }
-
-// MaxCounter reports the highest decision counter any site reached
-// (valid after a tracked run); the shrinker uses MaxCounter()+1 as its
-// initial window upper bound.
+// MaxCounter reports the highest decision counter any site reached; the
+// shrinker uses MaxCounter()+1 as its initial window upper bound.
 func (in *Injector) MaxCounter() uint64 { return in.maxCtr }
 
 // MeshActive reports whether the injector perturbs mesh delivery times.
@@ -383,14 +372,12 @@ func (in *Injector) draw(site, a, b uint64) uint64 {
 }
 
 // gate applies the decision-counter window to counter value ctr and
-// (when tracking) records the high-water mark. Every injection decision
-// routes its counter through here, which is what makes the shrinker's
-// window bisection sound: outside [winLo, winHi) a run behaves exactly
-// as if the decisions there had rolled "no fault".
+// records the high-water mark. Every injection decision routes its
+// counter through here, which is what makes the shrinker's window
+// bisection sound: outside [winLo, winHi) a run behaves exactly as if
+// the decisions there had rolled "no fault".
 func (in *Injector) gate(ctr uint64) bool {
-	if in.trackMax && ctr > in.maxCtr {
-		in.maxCtr = ctr
-	}
+	in.maxCtr = max(in.maxCtr, ctr)
 	return ctr >= in.winLo && ctr < in.winHi
 }
 
@@ -427,30 +414,6 @@ func (in *Injector) MeshDelay(now, at sim.Cycle, src, dst coherence.NodeID) sim.
 	}
 	in.lastOut[key] = out
 	return out
-}
-
-// MeshDelayer returns an independent mesh-delay decision domain: the
-// same (profiles, seed, window) as the parent but fresh per-pair state.
-// All mesh fault decisions are functions of per-(src,dst)-pair state
-// only (the jitter counter, the FIFO clamp; burst is a pure function of
-// the window), so partitioning the ordered pairs across domains — as
-// the sharded mesh does, co-located pairs to their tile's shard and
-// cross-router pairs to the barrier merge — yields exactly the decision
-// stream a single serial domain would, as long as each pair always hits
-// the same domain. Children never track the high-water mark (they run
-// on shard goroutines); shrink runs are serial.
-func (in *Injector) MeshDelayer() func(now, at sim.Cycle, src, dst coherence.NodeID) sim.Cycle {
-	d := &Injector{
-		seed:    in.seed,
-		profs:   in.profs,
-		jitter:  in.jitter,
-		burst:   in.burst,
-		winLo:   in.winLo,
-		winHi:   in.winHi,
-		pairSeq: make(map[uint64]uint64),
-		lastOut: make(map[uint64]sim.Cycle),
-	}
-	return d.MeshDelay
 }
 
 // TxStall returns a TxTable stall hook for one tile: each call decides

@@ -326,7 +326,6 @@ func TestWindowGate(t *testing.T) {
 		return in
 	}
 	full := mk()
-	full.TrackDecisions()
 	h := full.EvictHook(0)
 	for i := 0; i < 100; i++ {
 		if !h() {
@@ -339,7 +338,6 @@ func TestWindowGate(t *testing.T) {
 
 	win := mk()
 	win.SetWindow(10, 20)
-	win.TrackDecisions()
 	h = win.EvictHook(0)
 	fired := 0
 	for i := 0; i < 100; i++ {

@@ -285,13 +285,6 @@ func (c *Cache[L]) AnyBusy(addr uint64) bool {
 
 // Memory is the off-chip backing store: an infinite sparse block store
 // with a deterministic per-address latency in [Base, Base+Spread).
-//
-// By default all blocks live in one store, which is safe only when a
-// single goroutine accesses memory. Interleave splits the store into
-// banks keyed by block address; when every bank is accessed by exactly
-// one goroutine (the sharded engine maps each block's home tile to one
-// shard), accesses stay race-free without locks. Latency is a pure
-// function of the address either way.
 type Memory struct {
 	blocks map[uint64][]byte
 	Base   sim.Cycle
@@ -299,17 +292,6 @@ type Memory struct {
 
 	Reads  stats.Counter
 	Writes stats.Counter
-
-	banks  []memBank
-	bankOf func(blockAddr uint64) int
-}
-
-// memBank is one independently-owned slice of the block store, with its
-// own access counters so hot-path accounting never crosses goroutines.
-type memBank struct {
-	blocks map[uint64][]byte
-	reads  stats.Counter
-	writes stats.Counter
 }
 
 // NewMemory builds a memory with the paper's latency band by default
@@ -325,54 +307,12 @@ func NewMemory() *Memory {
 	return m
 }
 
-// Interleave splits the block store into banks routed by bankOf (a pure
-// function of the block address). Existing blocks migrate to their
-// banks, so it may be called after initial state is written.
-func (m *Memory) Interleave(banks int, bankOf func(blockAddr uint64) int) {
-	if banks <= 0 {
-		panic("memsys: Interleave needs at least one bank")
-	}
-	m.banks = make([]memBank, banks)
-	for i := range m.banks {
-		m.banks[i].blocks = make(map[uint64][]byte)
-		m.banks[i].reads.SetName(fmt.Sprintf("mem.bank%d.reads", i))
-		m.banks[i].writes.SetName(fmt.Sprintf("mem.bank%d.writes", i))
-	}
-	m.bankOf = bankOf
-	for blk, b := range m.blocks {
-		m.banks[bankOf(blk)].blocks[blk] = b
-	}
-	m.blocks = make(map[uint64][]byte)
-}
+// Stats reports total block reads and writes.
+func (m *Memory) Stats() (reads, writes int64) { return m.Reads.Value(), m.Writes.Value() }
 
-// store returns the block map and counters owning blk.
-func (m *Memory) store(blk uint64) (map[uint64][]byte, *stats.Counter, *stats.Counter) {
-	if m.bankOf == nil {
-		return m.blocks, &m.Reads, &m.Writes
-	}
-	bk := &m.banks[m.bankOf(blk)]
-	return bk.blocks, &bk.reads, &bk.writes
-}
-
-// Stats reports total block reads and writes across all banks.
-func (m *Memory) Stats() (reads, writes int64) {
-	reads, writes = m.Reads.Value(), m.Writes.Value()
-	for i := range m.banks {
-		reads += m.banks[i].reads.Value()
-		writes += m.banks[i].writes.Value()
-	}
-	return
-}
-
-// Counters returns every access counter (top-level plus per-bank) for
-// metrics-registry registration.
-func (m *Memory) Counters() []*stats.Counter {
-	cs := []*stats.Counter{&m.Reads, &m.Writes}
-	for i := range m.banks {
-		cs = append(cs, &m.banks[i].reads, &m.banks[i].writes)
-	}
-	return cs
-}
+// Counters returns the access counters for metrics-registry
+// registration.
+func (m *Memory) Counters() []*stats.Counter { return []*stats.Counter{&m.Reads, &m.Writes} }
 
 // Latency reports the deterministic access latency for addr.
 func (m *Memory) Latency(addr uint64) sim.Cycle {
@@ -387,9 +327,8 @@ func (m *Memory) Latency(addr uint64) sim.Cycle {
 // untouched memory).
 func (m *Memory) ReadBlock(addr uint64, dst []byte) {
 	addr = config.BlockAddr(addr)
-	blocks, reads, _ := m.store(addr)
-	reads.Inc()
-	if b, ok := blocks[addr]; ok {
+	m.Reads.Inc()
+	if b, ok := m.blocks[addr]; ok {
 		copy(dst, b)
 		return
 	}
@@ -400,22 +339,13 @@ func (m *Memory) ReadBlock(addr uint64, dst []byte) {
 
 // WriteBlock stores a copy of src as the block at addr.
 func (m *Memory) WriteBlock(addr uint64, src []byte) {
-	addr = config.BlockAddr(addr)
-	blocks, _, writes := m.store(addr)
-	writes.Inc()
-	b, ok := blocks[addr]
-	if !ok {
-		b = make([]byte, config.BlockSize)
-		blocks[addr] = b
-	}
-	copy(b, src)
+	m.Writes.Inc()
+	copy(m.block(addr), src)
 }
 
 // ReadWord returns the 8-byte little-endian word at addr (8-aligned).
 func (m *Memory) ReadWord(addr uint64) uint64 {
-	blk := config.BlockAddr(addr)
-	blocks, _, _ := m.store(blk)
-	b, ok := blocks[blk]
+	b, ok := m.blocks[config.BlockAddr(addr)]
 	if !ok {
 		return 0
 	}
@@ -425,14 +355,19 @@ func (m *Memory) ReadWord(addr uint64) uint64 {
 // WriteWord stores an 8-byte little-endian word at addr (8-aligned),
 // bypassing latency modelling; used for initial state setup.
 func (m *Memory) WriteWord(addr uint64, v uint64) {
+	PutWord(m.block(addr), addr, v)
+}
+
+// block returns the stored block containing addr, allocating a zeroed
+// one on first touch.
+func (m *Memory) block(addr uint64) []byte {
 	blk := config.BlockAddr(addr)
-	blocks, _, _ := m.store(blk)
-	b, ok := blocks[blk]
+	b, ok := m.blocks[blk]
 	if !ok {
 		b = make([]byte, config.BlockSize)
-		blocks[blk] = b
+		m.blocks[blk] = b
 	}
-	PutWord(b, addr, v)
+	return b
 }
 
 // GetWord reads the 8-byte word containing addr from block data.

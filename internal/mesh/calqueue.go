@@ -8,34 +8,9 @@ import (
 	"repro/internal/sim"
 )
 
-// dkey is a delivery's position in the serial engine's send order: the
-// send cycle, the canonical (serial registration order) index of the
-// component that was being dispatched when Send was called, and a
-// per-queue-domain sequence number. In single-threaded mode only seq is
-// used (cyc and pos stay zero, so comparisons degenerate to the global
-// send sequence). In sharded mode the triple totally orders sends
-// exactly as the serial engine's global sequence would — within one
-// cycle components dispatch in canonical order, and within one
-// component's dispatch its sends are numbered by the shard-local seq —
-// independent of goroutine interleaving. That equivalence holds because
-// no component ever sends from inside Deliver (deliveries only enqueue
-// to inboxes and wake), so every send is attributable to exactly one
-// (cycle, dispatched component) slot.
-type dkey struct {
-	cyc sim.Cycle
-	pos int32
-	seq uint64
-}
-
-func (a dkey) less(b dkey) bool {
-	if a.cyc != b.cyc {
-		return a.cyc < b.cyc
-	}
-	if a.pos != b.pos {
-		return a.pos < b.pos
-	}
-	return a.seq < b.seq
-}
+// dkey is a delivery's ordering key: the network's send sequence
+// number. Deliveries due in the same cycle are handed out in key order.
+type dkey struct{ seq uint64 }
 
 type delivery struct {
 	at  sim.Cycle
@@ -134,11 +109,9 @@ func (q *calQueue) pop(now sim.Cycle, scratch []delivery) []delivery {
 		}
 	}
 	// Entries may have been appended out of send order (a direct send
-	// can land after an earlier-sent overflow migrant, and in sharded
-	// mode barrier-merged deliveries interleave with shard-local ones);
-	// restore serial send order by key.
+	// can land after an earlier-sent overflow migrant); restore it.
 	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j].key.less(out[j-1].key); j-- {
+		for j := i; j > 0 && out[j].key.seq < out[j-1].key.seq; j-- {
 			out[j], out[j-1] = out[j-1], out[j]
 		}
 	}

@@ -85,24 +85,12 @@ type Network struct {
 	FlitHops     stats.Counter    // flit-hops (size x hops traversed)
 	FlitsByClass [2]stats.Counter // 0 = control, 1 = data
 
-	// Sharded-delivery state (nil/empty in single-threaded mode). Each
-	// shard owns a private delivery domain — calendar queue, send
-	// sequence, message pool, traffic counters, outbox — touched only by
-	// its own goroutine inside an epoch; linkBusy, FlitHops and the
-	// cross-shard replay stay coordinator-owned (see shard.go).
-	plan         *ShardPlan
-	shards       []*netShard
-	mergeDelay   func(now, at sim.Cycle, src, dst coherence.NodeID) sim.Cycle
-	mergeIdx     []int
-	mergeTouched []bool
-
 	// Observability (internal/obs); all zero/nil when disabled.
 	// metricsOn arms link-occupancy and queue-depth accounting: occ[d][r]
-	// totals flit-cycles reserved on router r's direction-d link (touched
-	// only where linkBusy is — serial Send or the barrier merge), and
-	// qMax is the serial calendar queue's high-water mark. tl receives
+	// totals flit-cycles reserved on router r's direction-d link, and
+	// qMax is the calendar queue's high-water mark. tl receives
 	// send→deliver flow arrows and fault-delay instants; flowSeq numbers
-	// serial-mode flows (shard domains number their own).
+	// the flows.
 	metricsOn bool
 	occ       [4][]int64
 	qMax      int
@@ -217,9 +205,9 @@ func (n *Network) SetDelayHook(h func(now, at sim.Cycle, src, dst coherence.Node
 
 var dirNames = [4]string{"east", "west", "north", "south"}
 
-// InstallMetrics registers the mesh's traffic counters (every delivery
-// domain) with the registry and arms link-occupancy and calendar-queue
-// depth accounting. Call after SetShards, before any Send.
+// InstallMetrics registers the mesh's traffic counters with the
+// registry and arms link-occupancy and calendar-queue depth accounting.
+// Call before any Send.
 func (n *Network) InstallMetrics(reg *obs.Registry) {
 	n.metricsOn = true
 	for d := 0; d < 4; d++ {
@@ -227,10 +215,6 @@ func (n *Network) InstallMetrics(reg *obs.Registry) {
 	}
 	reg.RegisterCounter(&n.MsgsSent, &n.FlitsSent, &n.FlitHops,
 		&n.FlitsByClass[0], &n.FlitsByClass[1])
-	for _, sh := range n.shards {
-		reg.RegisterCounter(&sh.msgsSent, &sh.flitsSent,
-			&sh.flitsByClass[0], &sh.flitsByClass[1])
-	}
 	for d := 0; d < 4; d++ {
 		d := d
 		reg.Gauge("mesh.link_occ_flit_cycles."+dirNames[d], func() int64 {
@@ -252,15 +236,7 @@ func (n *Network) InstallMetrics(reg *obs.Registry) {
 		}
 		return m
 	})
-	reg.Gauge("mesh.calqueue_depth_max", func() int64 {
-		m := n.qMax
-		for _, sh := range n.shards {
-			if sh.qMax > m {
-				m = sh.qMax
-			}
-		}
-		return int64(m)
-	})
+	reg.Gauge("mesh.calqueue_depth_max", func() int64 { return int64(n.qMax) })
 }
 
 // SetTimeline installs a timeline sink for message send→deliver flow
@@ -274,13 +250,12 @@ func (n *Network) SetTimeline(tl *obs.Timeline) {
 	}
 }
 
-// applyDelay runs a fault delay hook and, when a timeline is armed and
+// applyDelay runs the fault delay hook and, when a timeline is armed and
 // the hook actually moved the delivery, drops a fault instant on the
 // source router's track. Behavior is identical to calling the hook
 // directly.
-func (n *Network) applyDelay(hook func(now, at sim.Cycle, src, dst coherence.NodeID) sim.Cycle,
-	now, at sim.Cycle, m *coherence.Msg, srcRouter int) sim.Cycle {
-	at2 := hook(now, at, m.Src, m.Dst)
+func (n *Network) applyDelay(now, at sim.Cycle, m *coherence.Msg, srcRouter int) sim.Cycle {
+	at2 := n.delayHook(now, at, m.Src, m.Dst)
 	if n.tl != nil && at2 != at {
 		n.tl.Instant(obs.PidMesh, srcRouter, "fault.delay", int64(now))
 	}
@@ -297,10 +272,6 @@ func (n *Network) Send(now sim.Cycle, m *coherence.Msg) {
 	dst := n.node(m.Dst)
 	if dst.ep == nil {
 		panic(fmt.Sprintf("mesh: cycle %d: unknown dst %d in %s", now, m.Dst, m))
-	}
-	if n.plan != nil {
-		n.sendSharded(now, m, src, dst)
-		return
 	}
 	flits := m.Type.Flits()
 	n.MsgsSent.Inc()
@@ -322,7 +293,7 @@ func (n *Network) Send(now sim.Cycle, m *coherence.Msg) {
 		// link traffic.
 		at := now + n.cfg.LocalDelay
 		if n.delayHook != nil {
-			at = n.applyDelay(n.delayHook, now, at, m, src.router)
+			at = n.applyDelay(now, at, m, src.router)
 		}
 		n.schedule(now, at, m, dst.ep, fid)
 		return
@@ -330,7 +301,7 @@ func (n *Network) Send(now sim.Cycle, m *coherence.Msg) {
 
 	at := n.walkLinks(now, m.Type.Flits(), src.router, dst.router)
 	if n.delayHook != nil {
-		at = n.applyDelay(n.delayHook, now, at, m, src.router)
+		at = n.applyDelay(now, at, m, src.router)
 	}
 	n.schedule(now, at, m, dst.ep, fid)
 }
@@ -343,10 +314,7 @@ func (n *Network) coords(r int) (x, y int) {
 
 // walkLinks routes flits from router src to router dst at cycle now,
 // reserving link bandwidth along the XY path (all column hops, then all
-// row hops), and returns the delivery cycle. Link state is global; in
-// sharded mode only the barrier merge (coordinator goroutine) calls
-// this, replaying cross-tile sends in serial key order so reservations
-// are computed exactly as a serial run would.
+// row hops), and returns the delivery cycle.
 func (n *Network) walkLinks(now sim.Cycle, flits, src, dst int) sim.Cycle {
 	if now-n.linkBase >= linkEpoch {
 		n.rebaseLinks(now)
@@ -455,55 +423,26 @@ func (n *Network) Tick(now sim.Cycle) {
 	}
 }
 
-// MsgPool implements coherence.Network: the shared message free list
-// (single-threaded mode; sharded controllers must use MsgPoolFor).
+// MsgPool implements coherence.Network: the message free list every
+// controller draws from.
 func (n *Network) MsgPool() *coherence.MsgPool { return &n.Pool }
 
-// MsgPoolFor implements coherence.Network: the message free list a
-// controller on the given tile must draw from. Single-threaded mode has
-// one shared pool; sharded mode gives each shard a private pool so the
-// allocation fast path stays unsynchronized. Messages may migrate
-// between pools (allocated by the sender's shard, recycled into the
-// consumer's), so per-pool News counts drift across modes but the sums
-// Gets and Gets-Puts (the leak check) stay exact.
-func (n *Network) MsgPoolFor(tile int) *coherence.MsgPool {
-	if n.plan != nil {
-		return &n.shards[n.plan.ShardOfRouter[tile]].pool
-	}
-	return &n.Pool
-}
+// MsgPoolFor returns MsgPool for any tile.
+//
+// Deprecated: nothing in the simulator calls it. It remains only because
+// the repository benchmark's traced wiring (bench/traced.go) forwards
+// it; remove both together.
+func (n *Network) MsgPoolFor(int) *coherence.MsgPool { return &n.Pool }
 
-// PoolTotals reports pooled-message accounting summed over every
-// delivery domain: total Gets and currently live (Gets - Puts).
-func (n *Network) PoolTotals() (gets, live int64) {
-	gets, live = n.Pool.Gets, n.Pool.Live()
-	for _, sh := range n.shards {
-		gets += sh.pool.Gets
-		live += sh.pool.Live()
-	}
-	return gets, live
-}
+// PoolTotals reports pooled-message accounting: total Gets and
+// currently live (Gets - Puts).
+func (n *Network) PoolTotals() (gets, live int64) { return n.Pool.Gets, n.Pool.Live() }
 
-// Totals reports traffic counters summed over every delivery domain.
+// Totals reports the traffic counters.
 func (n *Network) Totals() (msgs, flits, hops, ctrl, data int64) {
-	msgs, flits = n.MsgsSent.Value(), n.FlitsSent.Value()
-	hops = n.FlitHops.Value()
-	ctrl, data = n.FlitsByClass[0].Value(), n.FlitsByClass[1].Value()
-	for _, sh := range n.shards {
-		msgs += sh.msgsSent.Value()
-		flits += sh.flitsSent.Value()
-		ctrl += sh.flitsByClass[0].Value()
-		data += sh.flitsByClass[1].Value()
-	}
-	return
+	return n.MsgsSent.Value(), n.FlitsSent.Value(), n.FlitHops.Value(),
+		n.FlitsByClass[0].Value(), n.FlitsByClass[1].Value()
 }
-
-// Lookahead reports the conservative cross-tile synchronization horizon:
-// the minimum number of cycles between a cross-router send and its
-// earliest possible delivery (one hop's head-flit latency plus the
-// final-cycle handoff; the fault delay hook only ever adds latency).
-// This is the sharded engine's epoch length.
-func (n *Network) Lookahead() sim.Cycle { return n.cfg.LinkLatency + 1 }
 
 // NextWake implements sim.WakeHinter: the earliest pending delivery.
 func (n *Network) NextWake(now sim.Cycle) sim.Cycle {
@@ -513,16 +452,9 @@ func (n *Network) NextWake(now sim.Cycle) sim.Cycle {
 	return sim.WakeNever
 }
 
-// Pending reports the number of undelivered messages across every
-// delivery domain, including cross-shard sends still awaiting their
-// barrier merge (used by completion checks and deadlock diagnostics).
-func (n *Network) Pending() int {
-	p := n.q.pending
-	for _, sh := range n.shards {
-		p += sh.q.pending + len(sh.outbox)
-	}
-	return p
-}
+// Pending reports the number of undelivered messages (used by
+// completion checks and deadlock diagnostics).
+func (n *Network) Pending() int { return n.q.pending }
 
 // ComponentLabel implements sim.Labeled (forensic reports).
 func (n *Network) ComponentLabel() string {

@@ -12,7 +12,7 @@
 //     state and writes only obs-owned storage; it never feeds a value
 //     back into scheduling, protocol, or timing decisions. The on-vs-off
 //     fingerprint gate (TestObsOnOffBitIdentical) enforces this across
-//     engine mode × batched core × shard count.
+//     engine mode × batched core.
 //
 // Cycle timestamps cross this package's API as plain int64 so obs can
 // sit below internal/sim in the import graph (sim itself installs obs
@@ -34,9 +34,8 @@ type Obs struct {
 	Metrics *Registry
 	// Timeline, when non-nil, receives Chrome trace-event spans.
 	Timeline *Timeline
-	// ProfileLabels wraps shard goroutines and per-component tick
-	// dispatch in runtime/pprof labels so -cpuprofile output
-	// attributes host time to shard/component.
+	// ProfileLabels wraps per-component tick dispatch in runtime/pprof
+	// labels so -cpuprofile output attributes host time to components.
 	ProfileLabels bool
 }
 

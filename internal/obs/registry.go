@@ -19,7 +19,7 @@ const histBuckets = 65
 // Hist is a fixed-bucket power-of-two histogram. No floats touch the
 // observe path and a nil receiver ignores observations, so hot-path
 // call sites cost one branch when disabled. A Hist must be observed
-// from a single goroutine (the owning component's shard); the registry
+// from a single goroutine (the one running its machine); the registry
 // merges same-named instances only at dump time, after the run.
 type Hist struct {
 	name    string
@@ -68,7 +68,7 @@ func (h *Hist) Sum() int64 {
 
 // Registry collects the run's metric series. Registration happens
 // single-threaded at machine-build time; observation happens on the
-// owning component's goroutine; reads (dumps) happen after the run.
+// goroutine running the machine; reads (dumps) happen after the run.
 // The mutex covers registration only — post-run reads race with
 // nothing.
 type Registry struct {
@@ -88,8 +88,8 @@ func NewRegistry() *Registry { return &Registry{} }
 
 // RegisterCounter adds already-owned stats.Counters to the dump set.
 // The counter's own name (stats.Counter.SetName) is the series name;
-// same-named counters (per-shard mesh counters, per-bank memory
-// counters) are summed at dump time. Nil counters are ignored.
+// same-named counters (one per machine when a registry accumulates over
+// several runs) are summed at dump time. Nil counters are ignored.
 func (r *Registry) RegisterCounter(cs ...*stats.Counter) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -102,7 +102,7 @@ func (r *Registry) RegisterCounter(cs ...*stats.Counter) {
 
 // Gauge registers a named value read at dump time (after the run), for
 // state that is cheaper to inspect once than to track continuously
-// (queue high-water marks, barrier wait clocks).
+// (queue high-water marks, link occupancy).
 func (r *Registry) Gauge(name string, fn func() int64) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -110,8 +110,8 @@ func (r *Registry) Gauge(name string, fn func() int64) {
 }
 
 // NewHist registers and returns a histogram. Each call returns a fresh
-// instance — components on different shards each own one — and
-// same-named instances merge at dump time.
+// instance — every L1 owns one per latency series — and same-named
+// instances merge at dump time.
 func (r *Registry) NewHist(name string) *Hist {
 	h := &Hist{name: name}
 	r.mu.Lock()
@@ -201,7 +201,8 @@ func (r *Registry) CounterNames() []string {
 }
 
 // Gauges evaluates the registered gauges, sorted by name; same-named
-// gauges (per-shard queue high-water marks) keep the maximum.
+// gauges (one per machine when a registry accumulates over several
+// runs) keep the maximum.
 func (r *Registry) Gauges() []MetricValue {
 	r.mu.Lock()
 	defer r.mu.Unlock()

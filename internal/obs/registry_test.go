@@ -17,8 +17,8 @@ func namedCounter(name string, v int64) *stats.Counter {
 	return &c
 }
 
-// TestRegistryCounterMerge: same-named counters (per-shard, per-bank
-// instances) sum at dump time; CounterNames stays per-registration so
+// TestRegistryCounterMerge: same-named counters (one per machine when a
+// registry accumulates over several runs) sum at dump time; CounterNames stays per-registration so
 // the unnamed-counter test can see every instance.
 func TestRegistryCounterMerge(t *testing.T) {
 	r := obs.NewRegistry()
@@ -41,8 +41,8 @@ func TestRegistryCounterMerge(t *testing.T) {
 	}
 }
 
-// TestRegistryGaugeMax: same-named gauges keep the maximum (per-shard
-// high-water marks dump as the global high-water mark).
+// TestRegistryGaugeMax: same-named gauges keep the maximum (per-run
+// high-water marks dump as the overall high-water mark).
 func TestRegistryGaugeMax(t *testing.T) {
 	r := obs.NewRegistry()
 	r.Gauge("q.depth_max", func() int64 { return 5 })
@@ -54,8 +54,8 @@ func TestRegistryGaugeMax(t *testing.T) {
 	}
 }
 
-// TestHistMergeQuantiles: same-named histograms (one per owning shard)
-// merge at dump time; quantile upper bounds follow the power-of-two
+// TestHistMergeQuantiles: same-named histograms (one per owning
+// component) merge at dump time; quantile upper bounds follow the power-of-two
 // bucket boundaries and clamp to the observed max.
 func TestHistMergeQuantiles(t *testing.T) {
 	r := obs.NewRegistry()

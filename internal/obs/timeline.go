@@ -4,17 +4,14 @@ import (
 	"encoding/json"
 	"io"
 	"sort"
-	"sync"
 )
 
-// Well-known timeline process IDs. Shard k's component tick spans live
-// on pid k (serial runs use shard 0); the coordinator, mesh, and
-// directory-transaction tracks get dedicated processes so Perfetto
-// groups them.
+// Well-known timeline process IDs. Component tick spans live on pid 0
+// (sim.Engine.SetTimeline); the mesh and directory-transaction tracks
+// get dedicated processes so Perfetto groups them.
 const (
-	PidEngine = 900 // shard epoch + barrier spans
-	PidMesh   = 901 // message send→deliver arrows, one thread per router
-	PidTx     = 902 // directory-transaction async spans, one thread per tile
+	PidMesh = 901 // message send→deliver arrows, one thread per router
+	PidTx   = 902 // directory-transaction async spans, one thread per tile
 )
 
 // Event is one Chrome trace-event (the JSON Array Format understood by
@@ -56,14 +53,11 @@ type asyncOpen struct {
 }
 
 // Timeline accumulates trace events in memory and serializes them once
-// after the run. Emission is mutex-serialized because sharded engine
-// goroutines emit concurrently; event order in the file is therefore
-// not deterministic, but viewers sort by timestamp and the
-// no-perturbation contract covers only simulation state. Consecutive
+// after the run. It is fed from the goroutine running the simulation,
+// so event order in the file is deterministic. Consecutive
 // per-component ticks at adjacent cycles coalesce into one span, which
 // bounds memory on long runs (components tick in bursts).
 type Timeline struct {
-	mu     sync.Mutex
 	events []Event
 	ticks  map[uint64]*tickRun // pid<<32|tid -> open coalesced tick span
 	open   map[asyncKey]*asyncOpen
@@ -81,34 +75,28 @@ func tickKey(pid, tid int) uint64 { return uint64(uint32(pid))<<32 | uint64(uint
 
 // ProcessName attaches viewer metadata naming a process track.
 func (t *Timeline) ProcessName(pid int, name string) {
-	t.mu.Lock()
 	t.events = append(t.events, Event{
 		Name: "process_name", Ph: "M", Pid: pid,
 		Args: map[string]any{"name": name},
 	})
-	t.mu.Unlock()
 }
 
 // ThreadName attaches viewer metadata naming a thread track.
 func (t *Timeline) ThreadName(pid, tid int, name string) {
-	t.mu.Lock()
 	t.events = append(t.events, Event{
 		Name: "thread_name", Ph: "M", Pid: pid, Tid: tid,
 		Args: map[string]any{"name": name},
 	})
-	t.mu.Unlock()
 }
 
 // Tick records one component dispatch at cycle now. Adjacent-cycle
 // ticks of the same (pid, tid) extend the open span instead of
 // emitting a new event.
 func (t *Timeline) Tick(pid, tid int, now int64) {
-	t.mu.Lock()
 	k := tickKey(pid, tid)
 	if run, ok := t.ticks[k]; ok {
 		if now == run.end {
 			run.end = now + 1
-			t.mu.Unlock()
 			return
 		}
 		t.events = append(t.events, Event{
@@ -118,28 +106,13 @@ func (t *Timeline) Tick(pid, tid int, now int64) {
 	} else {
 		t.ticks[k] = &tickRun{start: now, end: now + 1}
 	}
-	t.mu.Unlock()
-}
-
-// Span records a closed duration span.
-func (t *Timeline) Span(pid, tid int, name string, start, end int64) {
-	if end <= start {
-		return
-	}
-	t.mu.Lock()
-	t.events = append(t.events, Event{
-		Name: name, Ph: "X", Ts: start, Dur: end - start, Pid: pid, Tid: tid,
-	})
-	t.mu.Unlock()
 }
 
 // Instant records a point-in-time marker (thread scope).
 func (t *Timeline) Instant(pid, tid int, name string, ts int64) {
-	t.mu.Lock()
 	t.events = append(t.events, Event{
 		Name: name, Ph: "i", S: "t", Ts: ts, Pid: pid, Tid: tid,
 	})
-	t.mu.Unlock()
 }
 
 // AsyncBegin opens an async span identified by (cat, id). Async spans
@@ -147,7 +120,6 @@ func (t *Timeline) Instant(pid, tid int, name string, ts int64) {
 // strict nesting duration events require. Unbalanced begins are closed
 // by Flush so early engine termination still emits well-formed JSON.
 func (t *Timeline) AsyncBegin(cat string, id uint64, pid, tid int, name string, ts int64) {
-	t.mu.Lock()
 	t.events = append(t.events, Event{
 		Name: name, Cat: cat, Ph: "b", Ts: ts, Pid: pid, Tid: tid, ID: hexID(id),
 	})
@@ -161,12 +133,10 @@ func (t *Timeline) AsyncBegin(cat string, id uint64, pid, tid int, name string, 
 	if ts > o.lastTs {
 		o.lastTs = ts
 	}
-	t.mu.Unlock()
 }
 
 // AsyncEnd closes the async span identified by (cat, id).
 func (t *Timeline) AsyncEnd(cat string, id uint64, pid, tid int, name string, ts int64) {
-	t.mu.Lock()
 	t.events = append(t.events, Event{
 		Name: name, Cat: cat, Ph: "e", Ts: ts, Pid: pid, Tid: tid, ID: hexID(id),
 	})
@@ -177,30 +147,25 @@ func (t *Timeline) AsyncEnd(cat string, id uint64, pid, tid int, name string, ts
 			delete(t.open, k)
 		}
 	}
-	t.mu.Unlock()
 }
 
 // FlowStart emits a 1-cycle anchor slice plus a flow-start event bound
 // to it — viewers draw arrows only between slices, so every arrow
 // endpoint gets its own anchor.
 func (t *Timeline) FlowStart(id uint64, pid, tid int, name string, ts int64) {
-	t.mu.Lock()
 	t.events = append(t.events,
 		Event{Name: name, Ph: "X", Ts: ts, Dur: 1, Pid: pid, Tid: tid},
 		Event{Name: name, Cat: "msg", Ph: "s", Ts: ts, Pid: pid, Tid: tid, ID: hexID(id)},
 	)
-	t.mu.Unlock()
 }
 
 // FlowEnd emits the arrival anchor slice plus the flow-finish event
 // (bp:"e" binds to the enclosing slice).
 func (t *Timeline) FlowEnd(id uint64, pid, tid int, name string, ts int64) {
-	t.mu.Lock()
 	t.events = append(t.events,
 		Event{Name: name, Ph: "X", Ts: ts, Dur: 1, Pid: pid, Tid: tid},
 		Event{Name: name, Cat: "msg", Ph: "f", BP: "e", Ts: ts, Pid: pid, Tid: tid, ID: hexID(id)},
 	)
-	t.mu.Unlock()
 }
 
 // Flush closes every open tick span and unbalanced async span at
@@ -208,8 +173,6 @@ func (t *Timeline) FlowEnd(id uint64, pid, tid int, name string, ts int64) {
 // terminated early (deadlock, cycle limit). Safe to call repeatedly;
 // emission may continue afterwards (later flushes close the rest).
 func (t *Timeline) Flush(finalCycle int64) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	keys := make([]uint64, 0, len(t.ticks))
 	for k := range t.ticks {
 		keys = append(keys, k)
@@ -251,15 +214,11 @@ func (t *Timeline) Flush(finalCycle int64) {
 
 // Events returns the accumulated events (test hook; call after Flush).
 func (t *Timeline) Events() []Event {
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	return append([]Event(nil), t.events...)
 }
 
 // WriteJSON serializes the document. Call Flush first.
 func (t *Timeline) WriteJSON(w io.Writer) error {
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	enc := json.NewEncoder(w)
 	return enc.Encode(Doc{TraceEvents: t.events})
 }

@@ -74,7 +74,7 @@ func checkWellFormed(t *testing.T, raw []byte) obs.Doc {
 
 // TestTimelineGolden pins the serialized document for a fixed emission
 // sequence exercising every event kind: metadata, coalesced ticks,
-// spans, instants, async begin/end, flow arrows, and a Flush that must
+// instants, async begin/end, flow arrows, and a Flush that must
 // close one deliberately-unbalanced async span. Regenerate with
 // `go test ./internal/obs -run TestTimelineGolden -update`.
 func TestTimelineGolden(t *testing.T) {
@@ -84,8 +84,6 @@ func TestTimelineGolden(t *testing.T) {
 	tl.Tick(0, 2, 10)
 	tl.Tick(0, 2, 11) // coalesces with the previous tick
 	tl.Tick(0, 2, 20) // gap: flushes the [10,12) run, opens [20,21)
-	tl.Span(obs.PidEngine, 1, "barrier", 5, 9)
-	tl.Span(obs.PidEngine, 1, "empty", 7, 7) // zero-length: dropped
 	tl.Instant(0, 3, "fault.drop", 15)
 	tl.AsyncBegin("tx.t0", 0x80, obs.PidTx, 0, "mem-fetch", 12)
 	tl.AsyncEnd("tx.t0", 0x80, obs.PidTx, 0, "mem-fetch", 19)
@@ -134,9 +132,7 @@ func TestTimelineFuzzLite(t *testing.T) {
 			switch rng.Intn(10) {
 			case 0, 1:
 				tl.Tick(rng.Intn(3), rng.Intn(8), ts)
-			case 2:
-				tl.Span(0, rng.Intn(4), "span", ts, ts+rng.Int63n(5))
-			case 3:
+			case 2, 3:
 				tl.Instant(0, 0, "instant", ts)
 			case 4, 5, 6:
 				tl.AsyncBegin(cats[rng.Intn(len(cats))], uint64(rng.Intn(40)),

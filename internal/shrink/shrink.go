@@ -172,8 +172,9 @@ func (s *search) remember(scale int, from, until uint64, out Outcome) {
 	s.best = &Repro{Scale: scale, From: from, Until: until, Kind: out.Kind, Detail: out.Detail}
 }
 
-// CommandLine renders the canonical replay invocation for a reproducer.
+// CommandLine renders the canonical tsocc-sim invocation that replays a
+// reproducer.
 func (r *Repro) CommandLine(bench, proto string, cores int, seed uint64, faults string, faultSeed uint64) string {
-	return fmt.Sprintf("tsocc-sim -bench %s -proto %s -cores %d -scale %d -seed %d -faults '%s' -fault-seed %d -fault-from %d -fault-until %d -checks -shards 1",
+	return fmt.Sprintf("tsocc-sim -bench %s -proto %s -cores %d -scale %d -seed %d -faults '%s' -fault-seed %d -fault-from %d -fault-until %d -checks",
 		bench, proto, cores, r.Scale, seed, faults, faultSeed, r.From, r.Until)
 }

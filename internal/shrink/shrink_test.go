@@ -118,10 +118,13 @@ func TestCommandLine(t *testing.T) {
 	for _, want := range []string{
 		"-bench ssca2", "-proto MESI", "-scale 2",
 		"-faults 'evict:rate=400'", "-fault-seed 11",
-		"-fault-from 5", "-fault-until 9", "-checks", "-shards 1",
+		"-fault-from 5", "-fault-until 9", "-checks",
 	} {
 		if !strings.Contains(got, want) {
 			t.Fatalf("command line %q missing %q", got, want)
 		}
+	}
+	if strings.Contains(got, "-shards") {
+		t.Fatalf("command line %q passes -shards, which tsocc-sim does not define", got)
 	}
 }

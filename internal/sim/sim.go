@@ -199,10 +199,9 @@ type Engine struct {
 	//   - occ has bit s set iff slot s holds any bit, so the earliest
 	//     occupied slot after now is one rotate + TrailingZeros64.
 	//   - far holds the components due at or beyond now+wheelSlots at the
-	//     time they were filed (long timers, barrier-merge wakes into a
-	//     shard whose clock lags); farMin is the exact minimum of their
-	//     due cycles (WakeNever when far is empty). advance moves far
-	//     entries into the ring as the window reaches them.
+	//     time they were filed (long timers); farMin is the exact minimum
+	//     of their due cycles (WakeNever when far is empty). advance moves
+	//     far entries into the ring as the window reaches them.
 	//   - completions ride the same ring: evs[s] lists, in filing order,
 	//     the completion events due at the cycle slot s stands for, and
 	//     farEvs those filed at or beyond now+wheelSlots. occ and farMin
@@ -230,17 +229,6 @@ type Engine struct {
 	// turn is still ahead".
 	pos int
 
-	// Shard-local quiescence tracking (RunWindow). doneAt is the cycle
-	// of the last dispatch after which every Doner reported done while
-	// the engine stayed done since; it reconstructs the exact completion
-	// cycle of a serial run when this engine is one shard of a
-	// ShardedEngine (spurious no-op dispatches after quiescence do not
-	// move it). wasDone is the episode flag: cleared whenever the engine
-	// is observed non-done after a dispatch, or when the merge phase
-	// injects new work (MarkActive).
-	doneAt  Cycle
-	wasDone bool
-
 	// IdleSkipped counts cycles the wake-set mode never simulated
 	// (throughput diagnostics; not part of any Result).
 	IdleSkipped int64
@@ -249,14 +237,10 @@ type Engine struct {
 	// they observe dispatch without influencing it, and the wake-set
 	// loop pays one predictable branch per hook when disabled.
 	// dispatchHist records how many components each wake-set dispatch
-	// ticked; tl receives per-component tick spans (tlTid maps a
-	// registration index to its timeline thread id — canonical serial
-	// index on sharded engines — nil meaning identity); labelCtx holds
+	// ticked; tl receives per-component tick spans; labelCtx holds
 	// prebuilt pprof label contexts applied around each component tick.
 	dispatchHist *obs.Hist
 	tl           *obs.Timeline
-	tlPid        int
-	tlTid        []int
 	labelCtx     []context.Context
 	baseCtx      context.Context
 }
@@ -383,25 +367,18 @@ func (e *Engine) componentLabel(i int) string {
 // series). Call after registration, before Run.
 func (e *Engine) SetDispatchHist(h *obs.Hist) { e.dispatchHist = h }
 
-// SetTimeline installs a timeline sink for per-component tick spans on
-// process pid. tids maps registration index to timeline thread id (nil
-// = identity; the ShardedEngine passes canonical serial indices).
-// Thread-name metadata for every registered component is emitted
+// SetTimeline installs a timeline sink for per-component tick spans: one
+// "components" process (pid 0), thread = registration index. Process and
+// thread-name metadata for every registered component is emitted
 // immediately, so call after registration. Tick spans are produced by
 // wake-set dispatch only — the per-cycle conformance mode ticks every
 // component every cycle, which is exactly the information-free case.
-func (e *Engine) SetTimeline(tl *obs.Timeline, pid int, tids []int) {
-	e.tl, e.tlPid, e.tlTid = tl, pid, tids
+func (e *Engine) SetTimeline(tl *obs.Timeline) {
+	e.tl = tl
+	tl.ProcessName(0, "components")
 	for i := range e.tickers {
-		tl.ThreadName(pid, e.timelineTid(i), e.componentLabel(i))
+		tl.ThreadName(0, i, e.componentLabel(i))
 	}
-}
-
-func (e *Engine) timelineTid(i int) int {
-	if e.tlTid != nil {
-		return e.tlTid[i]
-	}
-	return i
 }
 
 // EnableProfileLabels precomputes a pprof label context per component
@@ -410,12 +387,11 @@ func (e *Engine) timelineTid(i int) int {
 // labels only describe the host profile — they never touch simulated
 // state — but label switching has host-time cost, so it is opt-in
 // (config.Obs.ProfileLabels).
-func (e *Engine) EnableProfileLabels(shard string) {
+func (e *Engine) EnableProfileLabels() {
 	e.baseCtx = context.Background()
 	e.labelCtx = make([]context.Context, len(e.tickers))
 	for i := range e.tickers {
-		e.labelCtx[i] = pprof.WithLabels(e.baseCtx,
-			pprof.Labels("shard", shard, "component", e.componentLabel(i)))
+		e.labelCtx[i] = pprof.WithLabels(e.baseCtx, pprof.Labels("component", e.componentLabel(i)))
 	}
 }
 
@@ -784,7 +760,7 @@ func (e *Engine) dispatch() {
 		e.tickers[i].Tick(now)
 		ticked++
 		if e.tl != nil {
-			e.tl.Tick(e.tlPid, e.timelineTid(i), int64(now))
+			e.tl.Tick(0, i, int64(now))
 		}
 		// A hint at or before now means "tick me next cycle".
 		e.setDue(i, e.hinters[i].NextWake(now))
@@ -859,56 +835,20 @@ func (e *Engine) RunFor(n Cycle) {
 }
 
 // RunWindow advances the wake-set scheduler through every due cycle
-// strictly before end, then returns. It is the shard-local epoch body of
-// the ShardedEngine: the caller (a shard goroutine) owns this engine
-// exclusively while the window runs, and the conservative lookahead
-// guarantees no cross-shard stimulation can land inside the window.
-// Unlike Run it enforces no completion or cycle-limit policy — the
-// coordinator does, across all shards at the barrier.
+// strictly before end, then returns. Unlike Run it enforces no
+// completion or cycle-limit policy: it is how tests and benchmarks step
+// the engine by hand.
 func (e *Engine) RunWindow(end Cycle) {
-	for {
-		next := e.nextDue()
-		if next >= end {
-			return
-		}
+	for next := e.nextDue(); next < end; next = e.nextDue() {
 		e.advance(next)
 		e.dispatch()
-		if e.allDone() {
-			if !e.wasDone {
-				e.wasDone = true
-				e.doneAt = e.now
-			}
-		} else {
-			e.wasDone = false
-		}
 	}
 }
 
 // NextDue reports the earliest cycle any component is due at
 // (WakeNever when the engine is fully quiescent). Only meaningful in
-// wake-set mode; the ShardedEngine coordinator uses it to pick the next
-// epoch window across shards.
+// wake-set mode.
 func (e *Engine) NextDue() Cycle { return e.nextDue() }
-
-// Quiesced reports whether every registered Doner is done.
-func (e *Engine) Quiesced() bool { return e.allDone() }
-
-// DoneAt reports the cycle of the engine's last effective dispatch
-// before it (most recently) quiesced — see RunWindow. Zero if the
-// engine never dispatched.
-func (e *Engine) DoneAt() Cycle { return e.doneAt }
-
-// MarkActive clears the quiescence episode flag. The ShardedEngine's
-// merge phase calls it on every shard it schedules a cross-shard
-// delivery into, so the shard's next quiescence records a fresh DoneAt
-// instead of reusing the pre-delivery one.
-func (e *Engine) MarkActive() { e.wasDone = false }
-
-// DispatchIndex reports the registration index of the component
-// currently being ticked (meaningful only during a dispatch). The
-// sharded mesh uses it to stamp outbound messages with the sender's
-// position in the serial engine's intra-cycle order.
-func (e *Engine) DispatchIndex() int { return e.pos }
 
 func (e *Engine) allDone() bool {
 	for _, d := range e.doners {

@@ -27,8 +27,8 @@ var edgeGaps = []Cycle{1, wheelSlots - 1, wheelSlots, wheelSlots + 1, 3 * wheelS
 // own RNG, stimulate a random peer at a random future cycle — near or
 // at one of the edgeGaps — including the current cycle, in both the
 // forward (peer not yet ticked) and backward (peer's turn already
-// passed) directions. Some same-shard stimulations travel as completion
-// events instead: filed now, they stimulate the peer for the cycle they
+// passed) directions. Some stimulations travel as completion events
+// instead: filed now, they stimulate the peer for the cycle they
 // fire at. A toy with nothing pending hints WakeNever.
 type stimToy struct {
 	id    int
@@ -53,15 +53,6 @@ type stimToy struct {
 	// refQ, set in reference mode, receives the toy's completions in
 	// place of the engine.
 	refQ *[]refCompletion
-
-	// Sharded-property-test fields (zero in the single-engine tests):
-	// toys on different shards may only stimulate each other at least
-	// `look` cycles ahead, and when `route` is set those stimulations go
-	// through it (the sharded run's cross-shard outbox) instead of
-	// landing directly.
-	shard int
-	look  Cycle
-	route func(target *stimToy, at Cycle)
 }
 
 func (t *stimToy) BindWaker(w Waker) { t.waker = w }
@@ -107,15 +98,7 @@ func (t *stimToy) Tick(now Cycle) {
 		if t.rng.Intn(4) == 0 {
 			delta = edgeGaps[t.rng.Intn(len(edgeGaps))]
 		}
-		if target.shard != t.shard {
-			if delta < t.look {
-				delta = t.look // cross-shard: conservative lookahead floor
-			}
-			if t.route != nil {
-				t.route(target, now+delta)
-				return
-			}
-		} else if t.rng.Intn(3) == 0 {
+		if t.rng.Intn(3) == 0 {
 			t.complete(now+max(delta, 1), target)
 			return
 		}

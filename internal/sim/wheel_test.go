@@ -13,7 +13,6 @@ import (
 // the far minimum agree with the masks and the completions. The slot being dispatched is the
 // dispatch mask: it may hold only components whose turn is still ahead,
 // and a folded component's bit there comes on top of its dueAt entry.
-// It reports with Errorf so toys may call it from shard goroutines.
 func checkWheel(t *testing.T, e *Engine) {
 	t.Helper()
 	cur := -1
@@ -187,59 +186,16 @@ func TestFarEntryLoweredIntoWindow(t *testing.T) {
 	}
 }
 
-// TestMergeWakeIntoLaggingShard: a barrier-merge WakeAt into a shard
-// whose clock lags the sender's by more than the ring lands in the far
-// set and is dispatched at exactly its cycle.
-func TestMergeWakeIntoLaggingShard(t *testing.T) {
-	const look = Cycle(2)
-	sendAt := Cycle(5 * wheelSlots)
-	var logA, logB []workRec
-	a := &stimToy{id: 0, shard: 0, log: &logA, selfDue: []Cycle{1, sendAt}}
-	b := &stimToy{id: 1, shard: 1, log: &logB, selfDue: []Cycle{1}}
-	se := NewShardedEngine(2, look, 100_000)
-	se.Register(0, 0, a)
-	se.Register(1, 1, b)
-	se.RegisterDoner(0, &toyDoner{toys: []*stimToy{a}})
-	se.RegisterDoner(1, &toyDoner{toys: []*stimToy{b}})
-	merged := false
-	se.SetMerge(func(windowEnd Cycle) {
-		if merged || len(logA) < 2 {
-			return
-		}
-		merged = true
-		sh := se.Shard(1)
-		if lag := sendAt - sh.Now(); lag <= wheelSlots {
-			t.Errorf("shard 1 lags by %d, want more than %d", lag, wheelSlots)
-		}
-		b.AddStim(sendAt + look)
-		se.MarkShardActive(1)
-		if sh.far[0]&1 == 0 || sh.farMin != sendAt+look {
-			t.Errorf("merge wake not in the far set (far=%b farMin=%d)", sh.far[0], sh.farMin)
-		}
-		checkWheel(t, sh)
-	})
-	cycles, err := se.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	compareWork(t, logB, []workRec{{1, 1}, {1, sendAt + look}})
-	if cycles != sendAt+look {
-		t.Fatalf("cycles = %d, want %d", cycles, sendAt+look)
-	}
-}
-
-// FuzzWakeWheel drives the scan-all reference properties from fuzzed
+// FuzzWakeWheel drives the scan-all reference property from fuzzed
 // scenario seeds: the generator covers masks wider than one word, wake
 // distances on both sides of the ring's edge, far entries lowered into
 // the window, same-cycle folds of components holding future entries,
-// completion events near and far, and cross-shard wakes into lagging
-// shard clocks.
+// and completion events near and far.
 func FuzzWakeWheel(f *testing.F) {
 	for _, seed := range []uint64{1, 7, 42, 1 << 40} {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, seed uint64) {
 		checkWakeSet(t, seed)
-		checkSharded(t, seed)
 	})
 }

@@ -30,7 +30,7 @@ const (
 // refuses, NewMachine refuses too.
 func FuzzValidateBuilds(f *testing.F) {
 	add := func(s config.System, useMESI bool) {
-		f.Add(s.Cores, s.L1Size, s.L1Ways, s.L2TileSize, s.L2Ways, s.WriteBuffer, s.MeshRows, s.Shards,
+		f.Add(s.Cores, s.L1Size, s.L1Ways, s.L2TileSize, s.L2Ways, s.WriteBuffer, s.MeshRows,
 			int64(s.L1HitLat), int64(s.L2AccessLat), int64(s.MemBase), int64(s.MemSpread), useMESI)
 	}
 	for _, s := range []config.System{
@@ -51,21 +51,21 @@ func FuzzValidateBuilds(f *testing.F) {
 		mut(&s)
 		add(s, false)
 	}
-	// Found by this target: 13 cores sit on a ragged 2×7 grid, whose
-	// spare router the shard plan used not to cover (mesh.SetShards panic).
+	// A ragged grid with explicit rows: 13 cores on 3×5 leave two spare
+	// routers that carry links but no endpoint.
 	ragged := config.Small(13)
-	ragged.Shards = 3
+	ragged.MeshRows = 3
 	add(ragged, false)
 
 	halt := program.NewBuilder("halt")
 	halt.Halt()
 	w := &program.Workload{Name: "halt", Programs: []*program.Program{halt.MustBuild()}}
 
-	f.Fuzz(func(t *testing.T, cores, l1Size, l1Ways, l2Size, l2Ways, wb, meshRows, shards int,
+	f.Fuzz(func(t *testing.T, cores, l1Size, l1Ways, l2Size, l2Ways, wb, meshRows int,
 		l1Lat, l2Lat, memBase, memSpread int64, useMESI bool) {
 		cfg := config.System{
 			Cores: cores, L1Size: l1Size, L1Ways: l1Ways, L2TileSize: l2Size, L2Ways: l2Ways,
-			WriteBuffer: wb, MeshRows: meshRows, Shards: shards,
+			WriteBuffer: wb, MeshRows: meshRows,
 			L1HitLat: sim.Cycle(l1Lat), L2AccessLat: sim.Cycle(l2Lat),
 			MemBase: sim.Cycle(memBase), MemSpread: sim.Cycle(memSpread),
 			BatchedCore: true,

@@ -23,36 +23,15 @@ func (m *Machine) installObs() {
 	}
 	reg, tl := o.Metrics, o.Timeline
 
-	// Engine: wake-set occupancy, tick spans, epoch/barrier spans,
-	// pprof labels. Each shard engine gets its own histogram instance
-	// (single-goroutine ownership); same-named series merge at dump.
-	if m.SE != nil {
-		if reg != nil {
-			m.SE.EnableBarrierClock()
-			for s := 0; s < m.SE.Shards(); s++ {
-				s := s
-				m.SE.Shard(s).SetDispatchHist(reg.NewHist("engine.dispatch_ticks"))
-				reg.Gauge("engine.shard"+strconv.Itoa(s)+".barrier_wait_ns",
-					func() int64 { return m.SE.BarrierWaitNs(s) })
-			}
-		}
-		if tl != nil {
-			m.SE.SetTimeline(tl)
-		}
-		if o.ProfileLabels {
-			m.SE.EnableProfileLabels()
-		}
-	} else {
-		if reg != nil {
-			m.Engine.SetDispatchHist(reg.NewHist("engine.dispatch_ticks"))
-		}
-		if tl != nil {
-			tl.ProcessName(0, "components")
-			m.Engine.SetTimeline(tl, 0, nil)
-		}
-		if o.ProfileLabels {
-			m.Engine.EnableProfileLabels("0")
-		}
+	// Engine: wake-set occupancy, tick spans, pprof labels.
+	if reg != nil {
+		m.Engine.SetDispatchHist(reg.NewHist("engine.dispatch_ticks"))
+	}
+	if tl != nil {
+		m.Engine.SetTimeline(tl)
+	}
+	if o.ProfileLabels {
+		m.Engine.EnableProfileLabels()
 	}
 
 	// Mesh: traffic counters, link occupancy and calendar-queue depth

@@ -141,14 +141,8 @@ func (q *quiesceDoner) Done() bool {
 
 // Machine is a fully wired system ready to run one workload.
 type Machine struct {
-	Cfg config.System
-	// Engine is the single-threaded wake-set engine; nil when the
-	// machine runs sharded (SE set instead). Exactly one of the two is
-	// non-nil.
+	Cfg    config.System
 	Engine *sim.Engine
-	// SE is the sharded parallel engine (cfg.Shards >= 2 after
-	// resolution); nil in single-threaded mode.
-	SE     *sim.ShardedEngine
 	Net    *mesh.Network
 	Mem    *memsys.Memory
 	Cores  []*cpu.Core // program-mode cores (empty for replay machines)
@@ -157,10 +151,8 @@ type Machine struct {
 	L2s    []coherence.Controller
 	proto  Protocol
 
-	// shardOfTile maps each tile to its owning shard (nil when serial);
 	// frontCore maps each Fronts slot to its core/tile number.
-	shardOfTile []int
-	frontCore   []int
+	frontCore []int
 
 	// inj is the fault injector (nil unless cfg.FaultProfile is set);
 	// checks the invariant-oracle tracker (nil unless cfg.Checks).
@@ -195,85 +187,21 @@ func (m *Machine) Prewarm() {
 	}
 }
 
-// Shards reports the effective shard count the machine runs with (1 in
-// single-threaded mode).
-func (m *Machine) Shards() int {
-	if m.SE == nil {
-		return 1
-	}
-	return m.SE.Shards()
-}
-
-// resolveShards maps cfg.Shards to the effective shard count: 0 and 1
-// select the single-threaded engine, larger values clamp to the core
-// count, and PerCycleEngine or Checks force 1 (the per-cycle baseline
-// is inherently serial; the oracle tracker observes cross-core order
-// through shared state).
-func resolveShards(cfg config.System) int {
-	k := cfg.Shards
-	if k > cfg.Cores {
-		k = cfg.Cores
-	}
-	if k <= 1 || cfg.PerCycleEngine || cfg.Checks {
-		return 1
-	}
-	return k
-}
-
-// newBase wires everything below the frontends: engine (serial or
-// sharded), mesh, memory (with the initial image loaded) and the
-// protocol's L1/L2 controllers.
+// newBase wires everything below the frontends: engine, mesh, memory
+// (with the initial image loaded) and the protocol's L1/L2 controllers.
 func newBase(cfg config.System, proto Protocol, initMem map[uint64]uint64) (*Machine, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	shards := resolveShards(cfg)
+	engine := sim.NewEngine(cfg.MaxCycles)
+	engine.SetPerCycle(cfg.PerCycleEngine)
 	net := mesh.New(mesh.Config{Routers: cfg.Cores, Rows: cfg.MeshRows})
-	m := &Machine{Cfg: cfg, Net: net, proto: proto}
-	if shards > 1 {
-		// Each shard owns a contiguous run of whole tiles (core + L1 +
-		// directory slice), so every intra-cycle stimulation stays
-		// shard-local; only mesh messages cross shards. The epoch length
-		// is the mesh's conservative lookahead.
-		se := sim.NewShardedEngine(shards, net.Lookahead(), cfg.MaxCycles)
-		m.SE = se
-		// A ragged grid (a prime core count goes on two rows) has more
-		// routers than tiles; the plan covers the grid, and the spare
-		// routers — links only, no endpoint — go with the last tile.
-		m.shardOfTile = make([]int, net.Rows()*net.Cols())
-		for t := range m.shardOfTile {
-			m.shardOfTile[t] = min(t, cfg.Cores-1) * shards / cfg.Cores
-		}
-		net.SetShards(mesh.ShardPlan{
-			NumShards:     shards,
-			ShardOfRouter: m.shardOfTile,
-			DispatchPos:   se.DispatchPos,
-		})
-		se.SetMerge(func(windowEnd sim.Cycle) {
-			for s, touched := range net.MergeEpoch(windowEnd) {
-				if touched {
-					se.MarkShardActive(s)
-				}
-			}
-		})
-	} else {
-		engine := sim.NewEngine(cfg.MaxCycles)
-		engine.SetPerCycle(cfg.PerCycleEngine)
-		m.Engine = engine
-	}
+	m := &Machine{Cfg: cfg, Engine: engine, Net: net, proto: proto}
 	mem := memsys.NewMemory()
 	mem.Base = cfg.MemBase
 	mem.Spread = cfg.MemSpread
 	for addr, val := range initMem {
 		mem.WriteWord(addr, val)
-	}
-	if shards > 1 {
-		// Bank the backing store by home tile so each bank is only ever
-		// accessed by its owning shard's goroutine.
-		shardOf, cores := m.shardOfTile, cfg.Cores
-		mem.Interleave(shards, func(blk uint64) int {
-			return shardOf[coherence.HomeTile(blk, cores)]
-		})
 	}
 	m.Mem = mem
 	l1s, l2s := proto.Build(cfg, net, mem)
@@ -289,17 +217,7 @@ func newBase(cfg config.System, proto Protocol, initMem map[uint64]uint64) (*Mac
 		}
 		m.inj = inj
 		if inj.MeshActive() {
-			if shards > 1 {
-				// One independent decision domain per delivery domain;
-				// every (src,dst) pair always lands in the same domain, so
-				// the per-pair decision streams match a serial run's.
-				for s := 0; s < shards; s++ {
-					net.SetShardDelayHook(s, inj.MeshDelayer())
-				}
-				net.SetMergeDelayHook(inj.MeshDelayer())
-			} else {
-				net.SetDelayHook(inj.MeshDelay)
-			}
+			net.SetDelayHook(inj.MeshDelay)
 		}
 		if inj.TxActive() {
 			for tile := range l2s {
@@ -326,19 +244,13 @@ func newBase(cfg config.System, proto Protocol, initMem map[uint64]uint64) (*Mac
 			}
 		}
 		inj.SetWindow(cfg.FaultFrom, cfg.FaultUntil)
-		if shards == 1 {
-			// Decision tracking feeds the shrinker's initial window; the
-			// counter is only maintained on serial runs (hooks fire on
-			// shard goroutines otherwise).
-			inj.TrackDecisions()
-		}
 	}
 	if cfg.Checks {
 		ctrls := make([]coherence.Controller, len(l1s))
 		for i, l := range l1s {
 			ctrls[i] = l
 		}
-		m.checks = check.New(ctrls, m.Engine.Now)
+		m.checks = check.New(ctrls, engine.Now)
 		if leg := coherence.LegalityByName(proto.Name()); leg != nil {
 			for i := range l1s {
 				l1s[i].Hooks().Transition = m.checks.LegalitySink(i, "L1", &leg.L1)
@@ -390,11 +302,6 @@ func (m *Machine) CorePort(core int) coherence.CorePort { return m.portFor(core)
 // controller callbacks into frontends), so a woken component's turn is
 // always still ahead.
 func (m *Machine) finish() {
-	if m.SE != nil {
-		m.finishSharded()
-		m.installObs()
-		return
-	}
 	m.Engine.Register(m.Net)
 	for _, t := range m.L2s {
 		m.Engine.Register(t)
@@ -407,87 +314,6 @@ func (m *Machine) finish() {
 	}
 	m.Engine.RegisterDoner(&quiesceDoner{cores: m.Fronts, l1s: m.L1s, l2s: m.L2s, net: m.Net})
 	m.installObs()
-}
-
-// finishSharded distributes the components across the sharded engine's
-// shards, tagging each with its canonical index — the position it would
-// have held in the serial registration order above (network 0, L2 tile
-// t at 1+t, L1 t at 1+N+t, frontend i at 1+2N+i). Each shard receives
-// its own mesh delivery domain (canonical 0: netShards never send, so
-// the duplicate canonical position never reaches a merge key) followed
-// by the controllers and frontends of its tiles, in ascending canonical
-// order — making shard-local dispatch order agree with the serial
-// engine's intra-cycle order.
-func (m *Machine) finishSharded() {
-	n := m.Cfg.Cores
-	k := m.SE.Shards()
-	for s := 0; s < k; s++ {
-		m.SE.Register(s, 0, m.Net.ShardTicker(s))
-	}
-	for t, l2 := range m.L2s {
-		m.SE.Register(m.shardOfTile[t], 1+t, l2)
-	}
-	for t, l1 := range m.L1s {
-		m.SE.Register(m.shardOfTile[t], 1+n+t, l1)
-	}
-	for i, c := range m.Fronts {
-		m.SE.Register(m.shardOfTile[m.frontCore[i]], 1+2*n+i, c)
-	}
-	for s := 0; s < k; s++ {
-		d := &shardDoner{net: m.Net, shard: s}
-		for t := 0; t < n; t++ {
-			if m.shardOfTile[t] != s {
-				continue
-			}
-			d.l1s = append(d.l1s, m.L1s[t])
-			d.l2s = append(d.l2s, m.L2s[t])
-		}
-		for i, c := range m.Fronts {
-			if m.shardOfTile[m.frontCore[i]] == s {
-				d.fronts = append(d.fronts, c)
-			}
-		}
-		m.SE.RegisterDoner(s, d)
-	}
-}
-
-// shardDoner is quiesceDoner scoped to one shard: its frontends,
-// controllers, and the shard's slice of undelivered mesh traffic
-// (queued deliveries plus unmerged outbox entries, so a shard that just
-// sent cross-shard work never reports done before the merge lands it).
-type shardDoner struct {
-	fronts []Frontend
-	l1s    []coherence.L1Like
-	l2s    []coherence.Controller
-	net    *mesh.Network
-	shard  int
-}
-
-func (q *shardDoner) Done() bool {
-	for _, c := range q.fronts {
-		if !c.Done() {
-			return false
-		}
-	}
-	if q.net.ShardPending(q.shard) > 0 {
-		return false
-	}
-	for _, l := range q.l1s {
-		if l.Busy() {
-			return false
-		}
-	}
-	for _, l := range q.l2s {
-		if l.Busy() {
-			return false
-		}
-	}
-	return true
-}
-
-// ComponentLabel implements sim.Labeled (forensic reports).
-func (q *shardDoner) ComponentLabel() string {
-	return fmt.Sprintf("shard %d quiesce check", q.shard)
 }
 
 // NewMachine builds a machine for cfg running proto with the workload's
@@ -565,29 +391,6 @@ func NewReplayMachine(cfg config.System, proto Protocol, tr *trace.Trace) (*Mach
 	return m, nil
 }
 
-// engineNow, engineSnapshot and engineRun dispatch to whichever engine
-// flavor the machine was built with.
-func (m *Machine) engineNow() sim.Cycle {
-	if m.SE != nil {
-		return m.SE.Now()
-	}
-	return m.Engine.Now()
-}
-
-func (m *Machine) engineSnapshot() []sim.PendingComponent {
-	if m.SE != nil {
-		return m.SE.Snapshot()
-	}
-	return m.Engine.Snapshot()
-}
-
-func (m *Machine) engineRun() (sim.Cycle, error) {
-	if m.SE != nil {
-		return m.SE.Run()
-	}
-	return m.Engine.Run()
-}
-
 // forensics assembles the structured dump for a failed run: the engine
 // component snapshot plus mesh/pool state and any oracle findings.
 func (m *Machine) forensics(reason string, panicValue any, stack []byte) *check.Report {
@@ -599,8 +402,8 @@ func (m *Machine) forensics(reason string, panicValue any, stack []byte) *check.
 	}
 	return &check.Report{
 		Reason:      reason,
-		Cycle:       m.engineNow(),
-		Components:  m.engineSnapshot(),
+		Cycle:       m.Engine.Now(),
+		Components:  m.Engine.Snapshot(),
 		MeshPending: m.Net.Pending(),
 		PoolGets:    gets,
 		PoolLive:    live,
@@ -639,7 +442,7 @@ func (m *Machine) runEngine() (cycles sim.Cycle, err error) {
 			err = fmt.Errorf("component panic: %v\n%s", r, rep)
 		}
 	}()
-	cycles, err = m.engineRun()
+	cycles, err = m.Engine.Run()
 	if err != nil {
 		reason := "cycle limit"
 		var dl *sim.DeadlockError

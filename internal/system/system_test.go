@@ -361,25 +361,3 @@ func TestCrossProtocolFunctionalEquivalence(t *testing.T) {
 		}
 	}
 }
-
-// TestShardedRaggedMesh: a prime core count sits on a two-row grid with
-// a spare router. The shard plan has to cover it (it used to panic in
-// mesh.SetShards), and the sharded run must match the serial one.
-func TestShardedRaggedMesh(t *testing.T) {
-	for _, proto := range []system.Protocol{mesi.New(), tsocc.New(config.C12x3())} {
-		cfg := config.Small(13)
-		want, err := system.Run(cfg, proto, counterWorkload(13, 10))
-		if err != nil {
-			t.Fatalf("%s serial: %v", proto.Name(), err)
-		}
-		cfg.Shards = 3
-		got, err := system.Run(cfg, proto, counterWorkload(13, 10))
-		if err != nil {
-			t.Fatalf("%s sharded: %v", proto.Name(), err)
-		}
-		if got.CheckErr != nil || got.Cycles != want.Cycles || got.FlitHops != want.FlitHops {
-			t.Fatalf("%s: sharded run (cycles %d, flit-hops %d, check %v) diverged from serial (%d, %d)",
-				proto.Name(), got.Cycles, got.FlitHops, got.CheckErr, want.Cycles, want.FlitHops)
-		}
-	}
-}

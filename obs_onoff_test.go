@@ -1,7 +1,6 @@
 package repro_test
 
 import (
-	"fmt"
 	"testing"
 
 	"repro/internal/config"
@@ -16,8 +15,8 @@ import (
 // TestObsOnOffBitIdentical is the no-perturbation gate for the
 // observability layer: arming the full metrics registry and timeline
 // sink must leave every simulation-visible quantity bit-identical to
-// an unobserved run, across engine mode × batched core × shard count,
-// on both protocol families. Observation reads simulation state and
+// an unobserved run, across engine mode × batched core, on both
+// protocol families. Observation reads simulation state and
 // writes only obs-owned storage; any divergence here means a hook leaked
 // a value back into scheduling, protocol, or timing.
 func TestObsOnOffBitIdentical(t *testing.T) {
@@ -34,43 +33,38 @@ func TestObsOnOffBitIdentical(t *testing.T) {
 				t.Fatalf("unknown benchmark %q", bench)
 			}
 			for _, mode := range engineModes {
-				for _, shards := range []int{1, 4} {
-					name := fmt.Sprintf("%s/%s/%s/shards%d", proto.Name(), bench, mode.name, shards)
-					t.Run(name, func(t *testing.T) {
-						var fps [2]string
-						for i, observed := range []bool{false, true} {
-							cfg := config.Small(4)
-							cfg.PerCycleEngine = mode.perCycle
-							cfg.BatchedCore = mode.batched
-							cfg.Shards = shards
-							if observed {
-								cfg.Obs = &obs.Obs{
-									Metrics:  obs.NewRegistry(),
-									Timeline: obs.NewTimeline(),
-								}
+				t.Run(proto.Name()+"/"+bench+"/"+mode.name, func(t *testing.T) {
+					var fps [2]string
+					for i, observed := range []bool{false, true} {
+						cfg := config.Small(4)
+						cfg.PerCycleEngine = mode.perCycle
+						cfg.BatchedCore = mode.batched
+						if observed {
+							cfg.Obs = &obs.Obs{
+								Metrics:  obs.NewRegistry(),
+								Timeline: obs.NewTimeline(),
 							}
-							r, err := system.Run(cfg, proto, e.Gen(p))
-							if err != nil {
-								t.Fatalf("obs=%v: %v", observed, err)
-							}
-							if r.CheckErr != nil {
-								t.Fatalf("obs=%v: functional check: %v", observed, r.CheckErr)
-							}
-							fps[i] = fingerprint(r)
 						}
-						if fps[1] != fps[0] {
-							t.Fatalf("observation perturbed the run:\n off: %s\n on:  %s", fps[0], fps[1])
+						r, err := system.Run(cfg, proto, e.Gen(p))
+						if err != nil {
+							t.Fatalf("obs=%v: %v", observed, err)
 						}
-					})
-				}
+						if r.CheckErr != nil {
+							t.Fatalf("obs=%v: functional check: %v", observed, r.CheckErr)
+						}
+						fps[i] = fingerprint(r)
+					}
+					if fps[1] != fps[0] {
+						t.Fatalf("observation perturbed the run:\n off: %s\n on:  %s", fps[0], fps[1])
+					}
+				})
 			}
 		}
 	}
 }
 
 // TestNoUnnamedCounters builds observed machines of every flavor
-// (both protocol families, serial and sharded, program and replay
-// frontends) and asserts that every counter registered with the
+// (both protocol families, program and replay frontends) and asserts that every counter registered with the
 // metrics registry carries a name — an unnamed series would silently
 // merge into the "" key of every dump.
 func TestNoUnnamedCounters(t *testing.T) {
@@ -94,18 +88,15 @@ func TestNoUnnamedCounters(t *testing.T) {
 	}
 
 	for _, proto := range []system.Protocol{mesi.New(), tsocc.New(config.C12x3())} {
-		for _, shards := range []int{1, 4} {
-			t.Run(fmt.Sprintf("%s/shards%d", proto.Name(), shards), func(t *testing.T) {
-				cfg := config.Small(4)
-				cfg.Shards = shards
-				reg := obs.NewRegistry()
-				cfg.Obs = &obs.Obs{Metrics: reg}
-				if _, err := system.NewMachine(cfg, proto, w.Gen(p)); err != nil {
-					t.Fatal(err)
-				}
-				checkReg(t, reg)
-			})
-		}
+		t.Run(proto.Name(), func(t *testing.T) {
+			cfg := config.Small(4)
+			reg := obs.NewRegistry()
+			cfg.Obs = &obs.Obs{Metrics: reg}
+			if _, err := system.NewMachine(cfg, proto, w.Gen(p)); err != nil {
+				t.Fatal(err)
+			}
+			checkReg(t, reg)
+		})
 	}
 
 	t.Run("replay", func(t *testing.T) {

@@ -11,11 +11,11 @@ import (
 )
 
 // TestScale64Conformance extends every conformance axis to a 64-core
-// machine: engine mode, batched core, shard count, runtime checks, and
-// observability must all reproduce the per-cycle unbatched reference
-// bit for bit on a 8x8 mesh, where the per-link contention model, the
-// wide sharing vector, and the sharded tile partitioning all operate
-// far outside the 4-core geometry the per-axis suites use. One
+// machine: engine mode, batched core, runtime checks, and observability
+// must all reproduce the per-cycle unbatched reference bit for bit on a
+// 8x8 mesh, where the per-link contention model and the wide sharing
+// vector operate far outside the 4-core geometry the per-axis suites
+// use. One
 // workload per real benchmark keeps the sweep bounded; the axes
 // themselves are each exhaustively crossed at 4 cores elsewhere.
 func TestScale64Conformance(t *testing.T) {
@@ -25,7 +25,6 @@ func TestScale64Conformance(t *testing.T) {
 		name     string
 		perCycle bool
 		batched  bool
-		shards   int
 		checks   bool
 		observed bool
 	}{
@@ -33,8 +32,6 @@ func TestScale64Conformance(t *testing.T) {
 		{name: "per-cycle/batched", perCycle: true, batched: true},
 		{name: "event/unbatched"},
 		{name: "event/batched", batched: true},
-		{name: "event/batched/shards4", batched: true, shards: 4},
-		{name: "event/batched/shards7", batched: true, shards: 7}, // not a divisor of 64
 		{name: "event/batched/checks", batched: true, checks: true},
 		{name: "event/batched/obs", batched: true, observed: true},
 	}
@@ -49,7 +46,6 @@ func TestScale64Conformance(t *testing.T) {
 				cfg := config.Small(64)
 				cfg.PerCycleEngine = v.perCycle
 				cfg.BatchedCore = v.batched
-				cfg.Shards = v.shards
 				cfg.Checks = v.checks
 				if v.observed {
 					cfg.Obs = &obs.Obs{Metrics: obs.NewRegistry(), Timeline: obs.NewTimeline()}
@@ -76,10 +72,10 @@ func TestScale64Conformance(t *testing.T) {
 }
 
 // TestScale64FaultModesBitIdentical crosses the fault-injection axis
-// with 64-core sharding: an injected run on the sharded engine must
-// reproduce the serial injected run exactly. The injector's decision
-// streams are per-(src,dst)-pair and per-tile, so neither the wider
-// mesh nor the tile-to-shard assignment may perturb them.
+// with the 64-core machine: an injected run on the per-cycle engine
+// must reproduce the wake-set injected run exactly. The injector's
+// decision streams are per-(src,dst)-pair and per-tile, so the wider
+// mesh must not perturb them.
 func TestScale64FaultModesBitIdentical(t *testing.T) {
 	proto := tsocc.New(config.C12x3())
 	e := workloads.ByName("ssca2")
@@ -92,44 +88,32 @@ func TestScale64FaultModesBitIdentical(t *testing.T) {
 		t.Fatalf("serial: %v", err)
 	}
 	want := fingerprint(ref)
-	for _, shards := range []int{4, 7} {
-		cfg.Shards = shards
-		r, err := system.Run(cfg, tsocc.New(config.C12x3()), e.Gen(p))
-		if err != nil {
-			t.Fatalf("shards=%d: %v", shards, err)
-		}
-		if got := fingerprint(r); got != want {
-			t.Fatalf("shards=%d diverged under faults at 64 cores:\n serial: %s\n sharded: %s",
-				shards, want, got)
-		}
+	cfg.PerCycleEngine = true
+	r, err := system.Run(cfg, tsocc.New(config.C12x3()), e.Gen(p))
+	if err != nil {
+		t.Fatalf("per-cycle: %v", err)
+	}
+	if got := fingerprint(r); got != want {
+		t.Fatalf("per-cycle run diverged under faults at 64 cores:\n wake-set:  %s\n per-cycle: %s",
+			want, got)
 	}
 }
 
 // TestScale64TraceReplayBitIdentical closes the trace axis at 64
-// cores: a trace recorded on the sharded engine replays — serial and
-// sharded — to the recording run's fingerprint, and a composed trace
-// (the scaling workloads' mechanism) replays identically on both
-// engines.
+// cores: a recorded trace replays to the recording run's fingerprint.
 func TestScale64TraceReplayBitIdentical(t *testing.T) {
 	e := workloads.ByName("canneal")
 	w := e.Gen(workloads.Params{Threads: 64, Scale: 1, Seed: 3})
-	cfg := config.Small(64)
-	cfg.Shards = 4
-	res, tr, err := system.RunRecorded(cfg, tsocc.New(config.C12x3()), w, 3)
+	res, tr, err := system.RunRecorded(config.Small(64), tsocc.New(config.C12x3()), w, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := fingerprint(res)
-	for _, shards := range []int{1, 4} {
-		rcfg := config.Small(64)
-		rcfg.Shards = shards
-		got, err := system.Replay(rcfg, tsocc.New(config.C12x3()), tr)
-		if err != nil {
-			t.Fatalf("replay shards=%d: %v", shards, err)
-		}
-		if fp := fingerprint(got); fp != want {
-			t.Fatalf("replay shards=%d diverged at 64 cores:\n recorded: %s\n replayed: %s",
-				shards, want, fp)
-		}
+	got, err := system.Replay(config.Small(64), tsocc.New(config.C12x3()), tr)
+	if err != nil {
+		t.Fatalf("replay: %v", err)
+	}
+	if fp := fingerprint(got); fp != want {
+		t.Fatalf("replay diverged at 64 cores:\n recorded: %s\n replayed: %s", want, fp)
 	}
 }
