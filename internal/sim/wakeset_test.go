@@ -27,8 +27,8 @@ var edgeGaps = []Cycle{1, wheelSlots - 1, wheelSlots, wheelSlots + 1, 3 * wheelS
 // own RNG, stimulate a random peer at a random future cycle — near or
 // at one of the edgeGaps — including the current cycle, in both the
 // forward (peer not yet ticked) and backward (peer's turn already
-// passed) directions. Some stimulations travel as completion events
-// instead: filed now, they stimulate the peer for the cycle they
+// passed) directions. Some same-group stimulations travel as completion
+// events instead: filed now, they stimulate the peer for the cycle they
 // fire at. A toy with nothing pending hints WakeNever.
 type stimToy struct {
 	id    int
@@ -53,6 +53,14 @@ type stimToy struct {
 	// refQ, set in reference mode, receives the toy's completions in
 	// place of the engine.
 	refQ *[]refCompletion
+
+	// Windowed-property-test fields (zero in the other tests): toys in
+	// different groups (shards) may only stimulate each other at least
+	// `look` cycles ahead, and when `route` is set those stimulations go
+	// through it (the windowed run's outbox) instead of landing directly.
+	shard int
+	look  Cycle
+	route func(target *stimToy, at Cycle)
 }
 
 func (t *stimToy) BindWaker(w Waker) { t.waker = w }
@@ -98,7 +106,15 @@ func (t *stimToy) Tick(now Cycle) {
 		if t.rng.Intn(4) == 0 {
 			delta = edgeGaps[t.rng.Intn(len(edgeGaps))]
 		}
-		if t.rng.Intn(3) == 0 {
+		if target.shard != t.shard {
+			if delta < t.look {
+				delta = t.look // cross-group: the lookahead floor
+			}
+			if t.route != nil {
+				t.route(target, now+delta)
+				return
+			}
+		} else if t.rng.Intn(3) == 0 {
 			t.complete(now+max(delta, 1), target)
 			return
 		}

@@ -186,16 +186,50 @@ func TestFarEntryLoweredIntoWindow(t *testing.T) {
 	}
 }
 
-// FuzzWakeWheel drives the scan-all reference property from fuzzed
+// TestMergeWakeIntoLaggingShard: a wake filed between windows, into an
+// engine whose clock lags it by more than the ring, lands in the far
+// set behind another far entry and is dispatched at exactly its cycle.
+func TestMergeWakeIntoLaggingShard(t *testing.T) {
+	const look = Cycle(2)
+	sendAt := Cycle(5 * wheelSlots)
+	var logA, logB []workRec
+	a := &stimToy{id: 0, log: &logA, selfDue: []Cycle{1, sendAt}}
+	b := &stimToy{id: 1, shard: 1, log: &logB, selfDue: []Cycle{1}}
+	e := NewEngine(100_000)
+	e.Register(a)
+	e.Register(b)
+	e.RunWindow(1 + look)
+	if lag := sendAt - e.Now(); lag <= wheelSlots {
+		t.Fatalf("engine clock %d lags the wake by %d, want more than %d", e.Now(), lag, wheelSlots)
+	}
+	b.AddStim(sendAt + look)
+	if e.far[0]&(1<<1) == 0 || e.dueAt[1] != sendAt+look || e.farMin != sendAt {
+		t.Errorf("merge wake not in the far set (far=%b dueAt=%d farMin=%d)", e.far[0], e.dueAt[1], e.farMin)
+	}
+	checkWheel(t, e)
+	for next := e.NextDue(); next != WakeNever; next = e.NextDue() {
+		e.RunWindow(next + look)
+		checkWheel(t, e)
+	}
+	compareWork(t, logA, []workRec{{0, 1}, {0, sendAt}})
+	compareWork(t, logB, []workRec{{1, 1}, {1, sendAt + look}})
+	if e.Now() != sendAt+look {
+		t.Fatalf("final cycle %d, want %d", e.Now(), sendAt+look)
+	}
+}
+
+// FuzzWakeWheel drives the scan-all reference properties from fuzzed
 // scenario seeds: the generator covers masks wider than one word, wake
 // distances on both sides of the ring's edge, far entries lowered into
 // the window, same-cycle folds of components holding future entries,
-// and completion events near and far.
+// completion events near and far, and wakes filed between windows into
+// a lagging engine clock.
 func FuzzWakeWheel(f *testing.F) {
 	for _, seed := range []uint64{1, 7, 42, 1 << 40} {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, seed uint64) {
 		checkWakeSet(t, seed)
+		checkSharded(t, seed)
 	})
 }

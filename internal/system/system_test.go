@@ -361,3 +361,33 @@ func TestCrossProtocolFunctionalEquivalence(t *testing.T) {
 		}
 	}
 }
+
+// TestShardedRaggedMesh: a prime core count sits on a two-row grid with
+// a spare router that carries links but no endpoint. The run must pass
+// its functional check, and setting the deprecated Shards field (the
+// benchmark still assigns it) must leave it bit-identical in both
+// engine modes.
+func TestShardedRaggedMesh(t *testing.T) {
+	for _, proto := range []system.Protocol{mesi.New(), tsocc.New(config.C12x3())} {
+		cfg := config.Small(13)
+		want, err := system.Run(cfg, proto, counterWorkload(13, 10))
+		if err != nil {
+			t.Fatalf("%s: %v", proto.Name(), err)
+		}
+		if want.CheckErr != nil {
+			t.Fatalf("%s: functional check: %v", proto.Name(), want.CheckErr)
+		}
+		cfg.Shards = 3
+		for _, perCycle := range []bool{false, true} {
+			cfg.PerCycleEngine = perCycle
+			got, err := system.Run(cfg, proto, counterWorkload(13, 10))
+			if err != nil {
+				t.Fatalf("%s Shards=3 per-cycle=%v: %v", proto.Name(), perCycle, err)
+			}
+			if got.CheckErr != nil || got.Cycles != want.Cycles || got.FlitHops != want.FlitHops {
+				t.Fatalf("%s: Shards=3 per-cycle=%v run (cycles %d, flit-hops %d, check %v) diverged from the plain run (%d, %d)",
+					proto.Name(), perCycle, got.Cycles, got.FlitHops, got.CheckErr, want.Cycles, want.FlitHops)
+			}
+		}
+	}
+}

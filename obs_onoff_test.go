@@ -1,6 +1,7 @@
 package repro_test
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/config"
@@ -18,7 +19,11 @@ import (
 // an unobserved run, across engine mode × batched core, on both
 // protocol families. Observation reads simulation state and
 // writes only obs-owned storage; any divergence here means a hook leaked
-// a value back into scheduling, protocol, or timing.
+// a value back into scheduling, protocol, or timing. Each cell runs
+// twice: shards1 leaves config.System.Shards at its default, shards4
+// sets the deprecated field (the benchmark still assigns it), which
+// every machine ignores, so the shards4 runs must also reproduce the
+// shards1 runs.
 func TestObsOnOffBitIdentical(t *testing.T) {
 	protos := []system.Protocol{
 		mesi.New(),
@@ -33,40 +38,52 @@ func TestObsOnOffBitIdentical(t *testing.T) {
 				t.Fatalf("unknown benchmark %q", bench)
 			}
 			for _, mode := range engineModes {
-				t.Run(proto.Name()+"/"+bench+"/"+mode.name, func(t *testing.T) {
-					var fps [2]string
-					for i, observed := range []bool{false, true} {
-						cfg := config.Small(4)
-						cfg.PerCycleEngine = mode.perCycle
-						cfg.BatchedCore = mode.batched
-						if observed {
-							cfg.Obs = &obs.Obs{
-								Metrics:  obs.NewRegistry(),
-								Timeline: obs.NewTimeline(),
+				var serial string // the shards1 cell's fingerprint
+				for _, shards := range []int{1, 4} {
+					name := fmt.Sprintf("%s/%s/%s/shards%d", proto.Name(), bench, mode.name, shards)
+					t.Run(name, func(t *testing.T) {
+						var fps [2]string
+						for i, observed := range []bool{false, true} {
+							cfg := config.Small(4)
+							cfg.PerCycleEngine = mode.perCycle
+							cfg.BatchedCore = mode.batched
+							cfg.Shards = shards
+							if observed {
+								cfg.Obs = &obs.Obs{
+									Metrics:  obs.NewRegistry(),
+									Timeline: obs.NewTimeline(),
+								}
 							}
+							r, err := system.Run(cfg, proto, e.Gen(p))
+							if err != nil {
+								t.Fatalf("obs=%v: %v", observed, err)
+							}
+							if r.CheckErr != nil {
+								t.Fatalf("obs=%v: functional check: %v", observed, r.CheckErr)
+							}
+							fps[i] = fingerprint(r)
 						}
-						r, err := system.Run(cfg, proto, e.Gen(p))
-						if err != nil {
-							t.Fatalf("obs=%v: %v", observed, err)
+						if fps[1] != fps[0] {
+							t.Fatalf("observation perturbed the run:\n off: %s\n on:  %s", fps[0], fps[1])
 						}
-						if r.CheckErr != nil {
-							t.Fatalf("obs=%v: functional check: %v", observed, r.CheckErr)
+						if shards == 1 {
+							serial = fps[0]
+						} else if fps[0] != serial {
+							t.Fatalf("Shards=%d changed the run:\n shards1: %s\n shards%d: %s",
+								shards, serial, shards, fps[0])
 						}
-						fps[i] = fingerprint(r)
-					}
-					if fps[1] != fps[0] {
-						t.Fatalf("observation perturbed the run:\n off: %s\n on:  %s", fps[0], fps[1])
-					}
-				})
+					})
+				}
 			}
 		}
 	}
 }
 
 // TestNoUnnamedCounters builds observed machines of every flavor
-// (both protocol families, program and replay frontends) and asserts that every counter registered with the
-// metrics registry carries a name — an unnamed series would silently
-// merge into the "" key of every dump.
+// (both protocol families, with and without the deprecated Shards
+// field set, program and replay frontends) and asserts that every
+// counter registered with the metrics registry carries a name — an
+// unnamed series would silently merge into the "" key of every dump.
 func TestNoUnnamedCounters(t *testing.T) {
 	p := workloads.Params{Threads: 4, Scale: 1, Seed: 1}
 	w := workloads.ByName("canneal")
@@ -88,15 +105,18 @@ func TestNoUnnamedCounters(t *testing.T) {
 	}
 
 	for _, proto := range []system.Protocol{mesi.New(), tsocc.New(config.C12x3())} {
-		t.Run(proto.Name(), func(t *testing.T) {
-			cfg := config.Small(4)
-			reg := obs.NewRegistry()
-			cfg.Obs = &obs.Obs{Metrics: reg}
-			if _, err := system.NewMachine(cfg, proto, w.Gen(p)); err != nil {
-				t.Fatal(err)
-			}
-			checkReg(t, reg)
-		})
+		for _, shards := range []int{1, 4} {
+			t.Run(fmt.Sprintf("%s/shards%d", proto.Name(), shards), func(t *testing.T) {
+				cfg := config.Small(4)
+				cfg.Shards = shards
+				reg := obs.NewRegistry()
+				cfg.Obs = &obs.Obs{Metrics: reg}
+				if _, err := system.NewMachine(cfg, proto, w.Gen(p)); err != nil {
+					t.Fatal(err)
+				}
+				checkReg(t, reg)
+			})
+		}
 	}
 
 	t.Run("replay", func(t *testing.T) {

@@ -1,7 +1,9 @@
 package repro_test
 
 import (
+	"fmt"
 	"reflect"
+	"sync"
 	"testing"
 
 	"repro/internal/coherence"
@@ -13,20 +15,55 @@ import (
 	"repro/internal/workloads"
 )
 
-// shardCounts are the parallel-engine configurations conformance runs
-// against the single-threaded reference. 3 is deliberately not a
-// divisor of the 4-core geometry, so uneven tile-to-shard assignment is
-// always exercised.
-var shardCounts = []int{2, 3, 4}
+// copies is how many machines each parallel test runs at once, one
+// goroutine each, against a sequential reference run. harness.RunGrid
+// runs independent machines this way on GOMAXPROCS workers, sharing one
+// protocol value and one config value, so two machines must share no
+// mutable state: a package-level cache, pool or RNG that leaks between
+// them shows up here as a diverged result (and under -race as a race).
+const copies = 3
 
-// TestParallelEngineBitIdentical is the sixth conformance axis: the
-// sharded parallel engine must reproduce the single-threaded wake-set
-// engine's results bit for bit — identical cycle counts and identical
-// statistics — for every shard count, protocol, and workload, and
-// crossed with the batched core model. Scheduling inside a shard is the
-// same wake-set algorithm; cross-shard traffic merges at epoch barriers
-// in serial send order, so goroutine interleaving must never show
-// through.
+// concurrently runs f(0) … f(copies-1) on their own goroutines and
+// returns the lowest-indexed error.
+func concurrently(f func(i int) error) error {
+	errs := make([]error, copies)
+	var wg sync.WaitGroup
+	for i := range errs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			errs[i] = f(i)
+		}()
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// sameConcurrently runs `copies` machines at once and requires each to
+// reproduce the sequential run's fingerprint want.
+func sameConcurrently(want string, run func() (*system.Result, error)) error {
+	return concurrently(func(i int) error {
+		r, err := run()
+		if err != nil {
+			return fmt.Errorf("copy %d: %v", i, err)
+		}
+		if got := fingerprint(r); got != want {
+			return fmt.Errorf("copy %d diverged:\n sequential: %s\n concurrent: %s", i, want, got)
+		}
+		return nil
+	})
+}
+
+// TestParallelEngineBitIdentical: machines run concurrently on separate
+// goroutines — one shared protocol value and config, a freshly
+// generated workload each, as RunGrid runs them — must reproduce the
+// sequential run bit for bit, for every protocol family and workload,
+// crossed with the batched core model.
 func TestParallelEngineBitIdentical(t *testing.T) {
 	protos := []system.Protocol{
 		mesi.New(),
@@ -52,25 +89,16 @@ func TestParallelEngineBitIdentical(t *testing.T) {
 					cfg.BatchedCore = batched
 					ref, err := system.Run(cfg, proto, e.Gen(p))
 					if err != nil {
-						t.Fatalf("serial: %v", err)
+						t.Fatalf("sequential: %v", err)
 					}
 					if ref.CheckErr != nil {
-						t.Fatalf("serial: functional check: %v", ref.CheckErr)
+						t.Fatalf("sequential: functional check: %v", ref.CheckErr)
 					}
-					want := fingerprint(ref)
-					for _, shards := range shardCounts {
-						cfg.Shards = shards
-						r, err := system.Run(cfg, proto, e.Gen(p))
-						if err != nil {
-							t.Fatalf("shards=%d: %v", shards, err)
-						}
-						if r.CheckErr != nil {
-							t.Fatalf("shards=%d: functional check: %v", shards, r.CheckErr)
-						}
-						if got := fingerprint(r); got != want {
-							t.Fatalf("shards=%d diverged:\n serial: %s\n sharded: %s",
-								shards, want, got)
-						}
+					err = sameConcurrently(fingerprint(ref), func() (*system.Result, error) {
+						return system.Run(cfg, proto, e.Gen(p))
+					})
+					if err != nil {
+						t.Fatal(err)
 					}
 				})
 			}
@@ -78,41 +106,31 @@ func TestParallelEngineBitIdentical(t *testing.T) {
 	}
 }
 
-// TestParallelTraceReplayBitIdentical closes the loop with the trace
-// subsystem: a trace recorded on the sharded engine replays — on both
-// the serial and the sharded engine — to the recording run's result.
+// TestParallelTraceReplayBitIdentical: one recorded trace, replayed by
+// several machines at once, reproduces the recording run on every one
+// of them — replay reads the trace and never writes it.
 func TestParallelTraceReplayBitIdentical(t *testing.T) {
 	proto := tsocc.New(config.C12x3())
 	e := workloads.ByName("ssca2")
 	w := e.Gen(workloads.Params{Threads: 4, Scale: 1, Seed: 3})
 	cfg := config.Small(4)
-	cfg.Shards = 4
 	res, tr, err := system.RunRecorded(cfg, proto, w, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := fingerprint(res)
-	for _, shards := range []int{1, 4} {
-		rcfg := config.Small(4)
-		rcfg.Shards = shards
-		got, err := system.Replay(rcfg, tsocc.New(config.C12x3()), tr)
-		if err != nil {
-			t.Fatalf("replay shards=%d: %v", shards, err)
-		}
-		// The replay result fingerprint differs from the recording run
-		// only in nothing: same protocol, geometry, and streams.
-		if fp := fingerprint(got); fp != want {
-			t.Fatalf("replay shards=%d diverged:\n recorded: %s\n replayed: %s",
-				shards, want, fp)
-		}
+	replayProto := tsocc.New(config.C12x3())
+	err = sameConcurrently(fingerprint(res), func() (*system.Result, error) {
+		return system.Replay(config.Small(4), replayProto, tr)
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 }
 
-// TestParallelFaultModesBitIdentical crosses the shards axis with fault
-// injection: for every profile, the sharded engine must reproduce the
-// serial fault-injected run exactly (the injector's decision streams
-// are per-(src,dst)-pair and per-tile, so sharding must not perturb
-// them).
+// TestParallelFaultModesBitIdentical crosses concurrent execution with
+// fault injection: for every profile, machines run at once must each
+// reproduce the sequential fault-injected run exactly (every injector
+// decision stream belongs to its machine).
 func TestParallelFaultModesBitIdentical(t *testing.T) {
 	proto := tsocc.New(config.C12x3())
 	e := workloads.ByName("ssca2")
@@ -124,30 +142,43 @@ func TestParallelFaultModesBitIdentical(t *testing.T) {
 			cfg.FaultSeed = 7
 			ref, err := system.Run(cfg, proto, e.Gen(p))
 			if err != nil {
-				t.Fatalf("serial: %v", err)
+				t.Fatalf("sequential: %v", err)
 			}
-			want := fingerprint(ref)
-			for _, shards := range shardCounts {
-				cfg.Shards = shards
-				r, err := system.Run(cfg, proto, e.Gen(p))
-				if err != nil {
-					t.Fatalf("shards=%d: %v", shards, err)
-				}
-				if got := fingerprint(r); got != want {
-					t.Fatalf("shards=%d diverged under %s:\n serial: %s\n sharded: %s",
-						shards, profile, want, got)
-				}
+			err = sameConcurrently(fingerprint(ref), func() (*system.Result, error) {
+				return system.Run(cfg, proto, e.Gen(p))
+			})
+			if err != nil {
+				t.Fatalf("%s: %v", profile, err)
 			}
 		})
 	}
 }
 
-// TestParallelLitmusEveryProtocol drives the sharded engine through a
-// litmus subset for EVERY registered protocol at 4 shards, asserting
-// memory-model conformance (no forbidden outcomes) and agreement with
-// the serial outcome histogram. It is deliberately small: this is the
-// test the CI race job runs under `-race` with GOMAXPROCS=4, where each
-// run costs ~100x wall time.
+// sameLitmusConcurrently runs test under proto `copies` times at once
+// and requires every run to be TSO-conformant with the sequential
+// outcome histogram want.
+func sameLitmusConcurrently(test *litmus.Test, proto system.Protocol, iters int, want map[string]int) error {
+	return concurrently(func(i int) error {
+		res, err := litmus.Run(test, proto, config.Small(4), iters, 42)
+		if err != nil {
+			return fmt.Errorf("copy %d: %v", i, err)
+		}
+		if !res.Ok() {
+			return fmt.Errorf("copy %d: forbidden outcomes: %v", i, res.Violations)
+		}
+		if !reflect.DeepEqual(res.Outcomes, want) {
+			return fmt.Errorf("copy %d: litmus outcome histograms diverged:\n sequential: %v\n concurrent: %v",
+				i, want, res.Outcomes)
+		}
+		return nil
+	})
+}
+
+// TestParallelLitmusEveryProtocol drives a litmus subset for EVERY
+// registered protocol with several runs at once, asserting memory-model
+// conformance (no forbidden outcomes) and agreement with the sequential
+// outcome histogram. It is deliberately small, so it stays cheap under
+// -race.
 func TestParallelLitmusEveryProtocol(t *testing.T) {
 	suite := litmus.Suite()
 	if len(suite) > 3 {
@@ -156,36 +187,25 @@ func TestParallelLitmusEveryProtocol(t *testing.T) {
 	for _, proto := range coherence.Protocols() {
 		for _, test := range suite {
 			t.Run(proto.Name()+"/"+test.Name, func(t *testing.T) {
-				cfg := config.Small(4)
-				ref, err := litmus.Run(test, proto, cfg, 10, 42)
+				ref, err := litmus.Run(test, proto, config.Small(4), 10, 42)
 				if err != nil {
 					t.Fatal(err)
 				}
 				if !ref.Ok() {
-					t.Fatalf("serial: forbidden outcomes: %v", ref.Violations)
+					t.Fatalf("sequential: forbidden outcomes: %v", ref.Violations)
 				}
-				scfg := config.Small(4)
-				scfg.Shards = 4
-				res, err := litmus.Run(test, proto, scfg, 10, 42)
-				if err != nil {
+				if err := sameLitmusConcurrently(test, proto, 10, ref.Outcomes); err != nil {
 					t.Fatal(err)
-				}
-				if !res.Ok() {
-					t.Fatalf("sharded: forbidden outcomes: %v", res.Violations)
-				}
-				if !reflect.DeepEqual(ref.Outcomes, res.Outcomes) {
-					t.Fatalf("litmus outcome histograms diverged:\n serial: %v\n sharded: %v",
-						ref.Outcomes, res.Outcomes)
 				}
 			})
 		}
 	}
 }
 
-// TestParallelLitmusIdentical runs the litmus suite on the sharded
-// engine for every protocol and requires the exact serial outcome
-// histograms — memory-model observability must not change under
-// parallel execution.
+// TestParallelLitmusIdentical runs the whole litmus suite with several
+// runs at once for both protocol families and requires the exact
+// sequential outcome histograms — memory-model observability must not
+// change when machines share a host.
 func TestParallelLitmusIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("litmus sweep is slow")
@@ -194,25 +214,15 @@ func TestParallelLitmusIdentical(t *testing.T) {
 	for _, proto := range protos {
 		for _, test := range litmus.Suite() {
 			t.Run(proto.Name()+"/"+test.Name, func(t *testing.T) {
-				cfg := config.Small(4)
-				ref, err := litmus.Run(test, proto, cfg, 20, 42)
+				ref, err := litmus.Run(test, proto, config.Small(4), 20, 42)
 				if err != nil {
 					t.Fatal(err)
 				}
 				if !ref.Ok() {
-					t.Fatalf("serial: forbidden outcomes: %v", ref.Violations)
+					t.Fatalf("sequential: forbidden outcomes: %v", ref.Violations)
 				}
-				cfg.Shards = 4
-				res, err := litmus.Run(test, proto, cfg, 20, 42)
-				if err != nil {
+				if err := sameLitmusConcurrently(test, proto, 20, ref.Outcomes); err != nil {
 					t.Fatal(err)
-				}
-				if !res.Ok() {
-					t.Fatalf("sharded: forbidden outcomes: %v", res.Violations)
-				}
-				if !reflect.DeepEqual(ref.Outcomes, res.Outcomes) {
-					t.Fatalf("litmus outcome histograms diverged:\n serial: %v\n sharded: %v",
-						ref.Outcomes, res.Outcomes)
 				}
 			})
 		}
