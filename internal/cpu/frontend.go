@@ -1,15 +1,287 @@
 package cpu
 
 import (
+	"fmt"
+	"strconv"
+
 	"repro/internal/coherence"
+	"repro/internal/config"
 	"repro/internal/obs"
 	"repro/internal/sim"
+	"repro/internal/stats"
 )
 
-// This file holds the TSO front end Core and trace.ReplayCore share: the
-// write buffer and stall attribution. Sharing them is what keeps a
-// replay's forwarding, drain and stall decisions those of the recorded
-// core.
+// This file holds the TSO front end Core and trace.ReplayCore share:
+// Front, with its write buffer and stall attribution. Both embed one
+// Front and issue every memory op through it, so a replay's forwarding,
+// drain, retry and stall decisions are the recorded core's by
+// construction.
+
+// Outcome is what one issue attempt did.
+type Outcome uint8
+
+const (
+	// Rejected: nothing issued (port busy, write buffer full, or a
+	// locked op waiting for the buffer to drain); retry next tick.
+	Rejected Outcome = iota
+	// Sync: the op completed on this cycle (a store entered the write
+	// buffer, a load was forwarded from it).
+	Sync
+	// Async: the op issued and the front end waits for its callback (a
+	// load, an RMW, a fence).
+	Async
+)
+
+// Front is the memory side of a TSO front end: the port into its L1,
+// the write buffer, the completion callbacks, the retirement counters
+// and stall attribution, and the Tick / NextWake prologues. The
+// embedding front end decides what to issue and when; Front decides
+// whether it issues.
+type Front struct {
+	ID   int
+	name string // counter and stall-histogram prefix: "core3", "replay3"
+	port coherence.CorePort
+	wb   WriteBuffer
+
+	waiting bool // blocked on an outstanding load/RMW/fence callback
+	halted  bool
+
+	// waker marks the front end due when one of its completion callbacks
+	// fires — inside the L1's tick for a miss, or as an engine completion
+	// event at the start of the cycle for a hit; either way earlier in the
+	// same cycle than the front end's turn. That is the only way a blocked
+	// front end is re-enabled, and under wake-set scheduling the engine
+	// ticks only components that were marked due.
+	waker sim.Waker
+
+	// Completion callbacks handed to the L1. At most one load/RMW, one
+	// store and one fence are outstanding, so one preallocated closure per
+	// kind (with the variable bits in fields) keeps the issue path
+	// allocation-free. valCb serves loads and RMWs: it writes the value
+	// to dst, the in-flight op's destination.
+	valCb   func(val uint64)
+	storeCb func()
+	fenceCb func()
+	dst     *int64
+
+	// Preallocated RMW modify functions; the operands of the in-flight
+	// atomic live in rmwA/rmwB.
+	fAdd, fXchg, fCas func(old uint64) (uint64, bool)
+	rmwA, rmwB        uint64
+
+	Loads        stats.Counter
+	Stores       stats.Counter
+	RMWs         stats.Counter
+	Fences       stats.Counter
+	Instructions stats.Counter
+	WBForwards   stats.Counter
+	WBFullStalls stats.Counter
+	// FinishCycle is the first ticked cycle at which the front end
+	// observed itself fully done (diagnostic only; under idle-skip
+	// scheduling a quiescent front end may never tick again, leaving it
+	// zero).
+	FinishCycle sim.Cycle
+
+	// Stall attribution. Recorded compute gaps are not stalls; a batched
+	// core attributes its run interiors itself (Core.executeRun).
+	stalls Stalls
+}
+
+// counterSuffixes names ObsCounters' entries, in order.
+var counterSuffixes = [...]string{"loads", "stores", "rmws", "fences",
+	"instructions", "wb_forwards", "wb_full_stalls"}
+
+// Init sets f up as front end prefix+id ("core3", "replay3") on port,
+// with a write buffer of wbEntries slots. The callbacks capture f, so
+// Init runs on the Front inside its heap-allocated front end, never on
+// a copy.
+func (f *Front) Init(prefix string, id int, port coherence.CorePort, wbEntries int) {
+	if wbEntries <= 0 {
+		panic("cpu: write buffer must have at least one entry")
+	}
+	f.ID, f.name, f.port, f.wb = id, prefix+strconv.Itoa(id), port, NewWriteBuffer(wbEntries)
+	for i, c := range f.ObsCounters() {
+		c.SetName(f.name + "." + counterSuffixes[i])
+	}
+	f.valCb = func(val uint64) {
+		*f.dst = int64(val)
+		f.waiting = false
+		f.waker.Wake()
+	}
+	f.storeCb = func() {
+		f.wb.Pop()
+		f.waker.Wake()
+	}
+	f.fenceCb = func() {
+		f.waiting = false
+		f.waker.Wake()
+	}
+	f.fAdd = func(old uint64) (uint64, bool) { return old + f.rmwA, true }
+	f.fXchg = func(old uint64) (uint64, bool) { return f.rmwA, true }
+	f.fCas = func(old uint64) (uint64, bool) {
+		if old == f.rmwA {
+			return f.rmwB, true
+		}
+		return 0, false
+	}
+}
+
+// Name reports the front end's counter and stall-histogram prefix.
+func (f *Front) Name() string { return f.name }
+
+// BindWaker implements sim.WakeSink (see the waker field).
+func (f *Front) BindWaker(w sim.Waker) { f.waker = w }
+
+// SetStalls attaches the stall-attribution histograms. Nil (the
+// default) keeps every stall path branch-only.
+func (f *Front) SetStalls(s *obs.CoreStalls) { f.stalls.Attach(s) }
+
+// Done reports whether the front end has halted and fully drained its
+// writes.
+func (f *Front) Done() bool {
+	return f.halted && f.wb.Empty() && !f.waiting
+}
+
+// Counts implements system.Frontend: the counters aggregated into a
+// run's Result.
+func (f *Front) Counts() (loads, stores, rmws, fences, instrs int64) {
+	return f.Loads.Value(), f.Stores.Value(), f.RMWs.Value(),
+		f.Fences.Value(), f.Instructions.Value()
+}
+
+// ObsCounters implements system.Frontend.
+func (f *Front) ObsCounters() []*stats.Counter {
+	return []*stats.Counter{&f.Loads, &f.Stores, &f.RMWs, &f.Fences,
+		&f.Instructions, &f.WBForwards, &f.WBFullStalls}
+}
+
+// Halt stops dispatch; the front end is done once its writes drain.
+func (f *Front) Halt() { f.halted = true }
+
+// Begin is the Tick prologue: issue the write buffer's head store,
+// note FinishCycle, and report whether the front end may dispatch this
+// cycle (it is neither halted nor waiting on a callback).
+func (f *Front) Begin(now sim.Cycle) bool {
+	f.wb.Drain(now, f.port, f.storeCb)
+	if f.halted {
+		if f.Done() && f.FinishCycle == 0 {
+			f.FinishCycle = now
+		}
+		return false
+	}
+	return !f.waiting
+}
+
+// Dispatch ends the open stall episode: the front end makes an attempt
+// this cycle. Close does not inline, hence the guard.
+func (f *Front) Dispatch(now sim.Cycle) {
+	if f.stalls.On() {
+		f.stalls.Close(now)
+	}
+}
+
+// NextWakeFrom is the NextWake body, given the cycle the embedding front
+// end's next op is ready: a freshly buffered store wakes it next cycle,
+// and while halted or waiting only a callback wakes it.
+func (f *Front) NextWakeFrom(now, ready sim.Cycle) sim.Cycle {
+	if f.wb.Ready() {
+		return now + 1
+	}
+	if f.halted || f.waiting {
+		return sim.WakeNever
+	}
+	if now+1 < ready {
+		return ready
+	}
+	return now + 1
+}
+
+// IssueLoad loads addr into *dst: Sync when the write buffer forwards
+// it (TSO: a core reads its own pending writes, the youngest first),
+// Async when the port accepts it, Rejected while the port is busy.
+func (f *Front) IssueLoad(now sim.Cycle, addr uint64, dst *int64) Outcome {
+	if val, ok := f.wb.Forward(addr); ok {
+		*dst = int64(val)
+		f.Loads.Inc()
+		f.WBForwards.Inc()
+		return Sync
+	}
+	f.dst = dst
+	if !f.port.Load(now, addr, f.valCb) {
+		f.stalls.Open(now, obs.StallPortBusy)
+		return Rejected
+	}
+	f.Loads.Inc()
+	return f.await(now, obs.StallMissOutstanding)
+}
+
+// IssueStore commits a store into the write buffer (Sync), or is
+// Rejected while the buffer is full.
+func (f *Front) IssueStore(now sim.Cycle, addr, val uint64) Outcome {
+	if f.wb.Full() {
+		f.WBFullStalls.Inc()
+		f.stalls.Open(now, obs.StallWBFull)
+		return Rejected
+	}
+	f.wb.Push(addr, val)
+	f.Stores.Inc()
+	return Sync
+}
+
+// IssueAtomic issues a locked read-modify-write of addr whose old value
+// lands in *dst: kind TraceRMWAdd adds a, TraceRMWXchg swaps in a,
+// TraceCAS swaps in b if the old value is a. x86 locked operations drain
+// the write buffer first, so it is Rejected until the buffer is empty,
+// then while the port is busy.
+func (f *Front) IssueAtomic(now sim.Cycle, kind config.TraceOp, addr, a, b uint64, dst *int64) Outcome {
+	if !f.wb.Empty() {
+		f.stalls.Open(now, obs.StallFenceDrain)
+		return Rejected
+	}
+	fn := f.fCas
+	switch kind {
+	case config.TraceRMWAdd:
+		fn = f.fAdd
+	case config.TraceRMWXchg:
+		fn = f.fXchg
+	}
+	f.rmwA, f.rmwB, f.dst = a, b, dst
+	if !f.port.RMW(now, addr, fn, f.valCb) {
+		f.stalls.Open(now, obs.StallPortBusy)
+		return Rejected
+	}
+	f.RMWs.Inc()
+	return f.await(now, obs.StallMissOutstanding)
+}
+
+// IssueFence issues a full barrier: Rejected until the write buffer has
+// drained, then while the port is busy.
+func (f *Front) IssueFence(now sim.Cycle) Outcome {
+	if !f.wb.Empty() {
+		f.stalls.Open(now, obs.StallFenceDrain)
+		return Rejected
+	}
+	if !f.port.Fence(now, f.fenceCb) {
+		f.stalls.Open(now, obs.StallPortBusy)
+		return Rejected
+	}
+	f.Fences.Inc()
+	return f.await(now, obs.StallFenceDrain)
+}
+
+// await blocks the front end on the op just issued, attributing the
+// wait to why.
+func (f *Front) await(now sim.Cycle, why obs.StallReason) Outcome {
+	f.stalls.Open(now, why)
+	f.waiting = true
+	return Async
+}
+
+// State renders the shared part of a front end's Debug line.
+func (f *Front) State() string {
+	return fmt.Sprintf("halted=%v waiting=%v wb=%d inflight=%v",
+		f.halted, f.waiting, f.wb.Len(), f.wb.InFlight())
+}
 
 // WriteBuffer is a TSO core's FIFO store buffer in front of its L1:
 // committed stores enter at the tail and drain from the head one at a
@@ -83,11 +355,15 @@ func (b *WriteBuffer) Forward(addr uint64) (uint64, bool) {
 }
 
 // Drain issues the head store to port unless one is in flight; cb is
-// the core's Store callback, which must call Pop.
+// the core's Store callback, which must call Pop. It runs on every
+// front-end tick, so the nothing-to-issue check inlines into Begin.
 func (b *WriteBuffer) Drain(now sim.Cycle, port coherence.CorePort, cb func()) {
-	if b.inFlight || b.n == 0 {
-		return
+	if !b.inFlight && b.n > 0 {
+		b.issue(now, port, cb)
 	}
+}
+
+func (b *WriteBuffer) issue(now sim.Cycle, port coherence.CorePort, cb func()) {
 	head := b.ring[b.head]
 	if port.Store(now, head.addr, head.val, cb) {
 		b.inFlight = true

@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/obs"
 	"repro/internal/sim"
-	"repro/internal/trace"
 )
 
 // installObs wires the observability layer (cfg.Obs) into every built
@@ -95,13 +94,9 @@ func (m *Machine) installObs() {
 	// Frontends: retirement counters and stall-attribution histograms
 	// (why each stalled cycle happened, bucketed by duration).
 	if reg != nil {
-		for i, f := range m.Fronts {
-			prefix := "core" + strconv.Itoa(m.frontCore[i])
-			if _, replay := f.(*trace.ReplayCore); replay {
-				prefix = "replay" + strconv.Itoa(m.frontCore[i])
-			}
+		for _, f := range m.Fronts {
 			reg.RegisterCounter(f.ObsCounters()...)
-			f.SetStalls(reg.NewCoreStalls(prefix))
+			f.SetStalls(reg.NewCoreStalls(f.Name()))
 		}
 	}
 }

@@ -50,6 +50,9 @@ type Frontend interface {
 	// SetStalls attaches the stall-attribution histograms (nil, the
 	// default, keeps every stall path branch-only).
 	SetStalls(s *obs.CoreStalls)
+	// Name is the prefix of the frontend's counters and stall
+	// histograms: "core3" for a program core, "replay3" for a replay.
+	Name() string
 }
 
 // Result captures one run's outcome.
@@ -93,33 +96,23 @@ type Result struct {
 	CheckErr error // workload functional check outcome
 }
 
-// quiesceDoner declares the system done when all cores have halted and
-// the memory system has gone idle. The check runs every engine
-// iteration, so it probes the component that was busy last time first:
-// while the system is running, that single probe usually answers.
+// quiesceDoner declares the system done once the memory system has gone
+// idle. The frontends are Doners themselves (Engine.Register enrolls
+// them, before this one), so by the time it is polled every frontend has
+// already reported done. The check runs every engine iteration after
+// that, so it probes the controller that was busy last time first.
 type quiesceDoner struct {
-	cores []Frontend
-	l1s   []coherence.L1Like
-	l2s   []coherence.Controller
-	net   *mesh.Network
+	l1s []coherence.L1Like
+	l2s []coherence.Controller
+	net *mesh.Network
 
-	lastBusyCore int
-	lastBusyL1   int
-	lastBusyL2   int
+	lastBusyL1 int
+	lastBusyL2 int
 }
 
 func (q *quiesceDoner) Done() bool {
-	if !q.cores[q.lastBusyCore].Done() {
-		return false
-	}
 	if q.l1s[q.lastBusyL1].Busy() || q.l2s[q.lastBusyL2].Busy() {
 		return false
-	}
-	for i, c := range q.cores {
-		if !c.Done() {
-			q.lastBusyCore = i
-			return false
-		}
 	}
 	if q.net.Pending() > 0 {
 		return false
@@ -150,9 +143,6 @@ type Machine struct {
 	L1s    []coherence.L1Like
 	L2s    []coherence.Controller
 	proto  Protocol
-
-	// frontCore maps each Fronts slot to its core/tile number.
-	frontCore []int
 
 	// inj is the fault injector (nil unless cfg.FaultProfile is set);
 	// checks the invariant-oracle tracker (nil unless cfg.Checks).
@@ -312,7 +302,7 @@ func (m *Machine) finish() {
 	for _, c := range m.Fronts {
 		m.Engine.Register(c)
 	}
-	m.Engine.RegisterDoner(&quiesceDoner{cores: m.Fronts, l1s: m.L1s, l2s: m.L2s, net: m.Net})
+	m.Engine.RegisterDoner(&quiesceDoner{l1s: m.L1s, l2s: m.L2s, net: m.Net})
 	m.installObs()
 }
 
@@ -349,7 +339,6 @@ func NewMachine(cfg config.System, proto Protocol, w *program.Workload) (*Machin
 		}
 		m.Cores = append(m.Cores, core)
 		m.Fronts = append(m.Fronts, core)
-		m.frontCore = append(m.frontCore, i)
 	}
 	m.finish()
 	return m, nil
@@ -385,7 +374,6 @@ func NewReplayMachine(cfg config.System, proto Protocol, tr *trace.Trace) (*Mach
 	for _, s := range tr.Streams {
 		m.Fronts = append(m.Fronts,
 			trace.NewReplayCore(s.Core, s.Ops, m.portFor(s.Core), cfg.WriteBuffer))
-		m.frontCore = append(m.frontCore, s.Core)
 	}
 	m.finish()
 	return m, nil

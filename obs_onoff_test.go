@@ -2,6 +2,8 @@ package repro_test
 
 import (
 	"fmt"
+	"strconv"
+	"strings"
 	"testing"
 
 	"repro/internal/config"
@@ -119,9 +121,14 @@ func TestNoUnnamedCounters(t *testing.T) {
 		}
 	}
 
+	// The replay leg also pins counter parity: program cores and replay
+	// cores are one front end, so each replay<N> registers exactly the
+	// counter suffixes core<N> did in the run it was recorded from.
 	t.Run("replay", func(t *testing.T) {
 		proto := tsocc.New(config.C12x3())
 		cfg := config.Small(4)
+		recReg := obs.NewRegistry()
+		cfg.Obs = &obs.Obs{Metrics: recReg}
 		_, tr, err := system.RunRecorded(cfg, proto, w.Gen(p), 1)
 		if err != nil {
 			t.Fatal(err)
@@ -132,7 +139,26 @@ func TestNoUnnamedCounters(t *testing.T) {
 			t.Fatal(err)
 		}
 		checkReg(t, reg)
+		rec, rep := frontSuffixes(recReg, "core"), frontSuffixes(reg, "replay")
+		if len(rec) == 0 || fmt.Sprint(rec) != fmt.Sprint(rep) {
+			t.Fatalf("front-end counters differ:\n recorded: %v\n replay:   %v", rec, rep)
+		}
 	})
+}
+
+// frontSuffixes groups the registry's "<prefix><N>.<suffix>" counter
+// names by front end N, suffixes in registration order.
+func frontSuffixes(reg *obs.Registry, prefix string) map[int][]string {
+	out := map[int][]string{}
+	for _, name := range reg.CounterNames() {
+		rest, ok := strings.CutPrefix(name, prefix)
+		id, suffix, dotted := strings.Cut(rest, ".")
+		n, err := strconv.Atoi(id)
+		if ok && dotted && err == nil {
+			out[n] = append(out[n], suffix)
+		}
+	}
+	return out
 }
 
 // newReplayMachine keeps the test body readable.

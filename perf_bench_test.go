@@ -415,8 +415,9 @@ func BenchmarkMeshDelivery(b *testing.B) {
 // TestHotPathZeroAlloc is the alloc-regression gate: the paths the
 // ROADMAP guarantees allocation-free (L1 hits through the CorePort, mesh
 // scheduling + delivery through the calendar queue, wake-set dispatch,
-// a cache hit read through its slab block and a line replacing another
-// in a way that already owns one) run the benchmark bodies under
+// a cache hit read through its slab block, a line replacing another
+// in a way that already owns one, and both TSO front ends issuing hits)
+// run the benchmark bodies under
 // testing.AllocsPerRun and must average 0 allocations per op. This
 // fails in plain `go test`, so a regression cannot hide behind a
 // benchmark nobody reads.
@@ -441,6 +442,8 @@ func TestHotPathZeroAlloc(t *testing.T) {
 		{"EngineDispatchWide", engineDispatchWideOp},
 		{"CacheHitBlock", cacheHitBlockOp},
 		{"CacheReinstall", cacheReinstallOp},
+		{"CoreHitLoop", coreHitLoopOp},
+		{"ReplayLoadStream", replayLoadStreamOp},
 	} {
 		t.Run(body.name, func(t *testing.T) {
 			if allocs := testing.AllocsPerRun(1000, body.op(t)); allocs != 0 {
@@ -494,6 +497,65 @@ func l1HitPathFaultsChecksOffOp(tb testing.TB) func() {
 	cfg.FaultProfile = ""
 	cfg.Checks = false
 	return l1HitOp(tb, cfg, func(m *system.Machine) coherence.CorePort { return m.CorePort(0) })
+}
+
+// windowOp warms e past its cold misses, then advances it by one
+// 50-cycle window per call; a window in which nothing ran means the
+// front end stalled and the body measures nothing.
+func windowOp(tb testing.TB, e *sim.Engine) func() {
+	e.RunWindow(1000)
+	return func() {
+		start := e.Now()
+		if e.RunWindow(start + 50); e.Now() == start {
+			tb.Fatalf("no progress at cycle %d", start)
+		}
+	}
+}
+
+// coreHitLoopOp is a one-core machine whose program loads and stores one
+// line forever (every access after the first an L1 hit), stepped a
+// window at a time: cpu.Core's whole issue path — dispatch, batched
+// runs, write buffer, store forwarding, completion callbacks.
+func coreHitLoopOp(tb testing.TB) func() {
+	b := program.NewBuilder("hitloop")
+	b.Li(1, 0x1000).Li(2, 0).Li(3, 1<<40)
+	b.Label("loop")
+	b.Ld(4, 1, 0)
+	b.St(1, 8, 4)
+	b.Addi(2, 2, 1)
+	b.Blt(2, 3, "loop")
+	b.Halt()
+	w := &program.Workload{Name: "hitloop", Programs: []*program.Program{b.MustBuild()}}
+	m, err := system.NewMachine(config.Scaled(1), tsocc.New(config.C12x3()), w)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return windowOp(tb, m.Engine)
+}
+
+// replayLoadStreamOp is coreHitLoopOp for trace.ReplayCore: a
+// one-core replay of a long load-only stream to one line.
+func replayLoadStreamOp(tb testing.TB) func() {
+	cfg := config.Scaled(1)
+	var ob trace.OpsBuilder
+	for i := 0; i < 1<<20; i++ {
+		if err := ob.Append(trace.Op{Kind: config.TraceLoad, Addr: 0x1000, Gap: 1, Instrs: 2}); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	if err := ob.Append(trace.Op{Kind: config.TraceHalt, Instrs: 1}); err != nil {
+		tb.Fatal(err)
+	}
+	ops, err := ob.Finish()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	tr := &trace.Trace{Meta: trace.Meta{Sys: cfg}, Streams: []trace.Stream{{Core: 0, Ops: ops}}}
+	m, err := system.NewReplayMachine(cfg, tsocc.New(config.C12x3()), tr)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return windowOp(tb, m.Engine)
 }
 
 // BenchmarkL1HitPathFaultsChecksOff is BenchmarkL1HitPath driven through
