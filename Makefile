@@ -1,14 +1,28 @@
 GO ?= go
 
-.PHONY: all vet build test inline-check race bench-smoke bench repo-bench repo-bench-compare fuzz-smoke trace-gate fault-smoke oracle-sweep obs-smoke scale-smoke ci
+.PHONY: all vet fmt-check loc build test inline-check race bench-smoke bench repo-bench repo-bench-compare fuzz-smoke trace-gate fault-smoke oracle-sweep obs-smoke scale-smoke ci
 
 all: ci
 
 # vet also fails on unformatted files: size criteria are measured as
-# wc -l of gofmt-clean source, so formatting must not drift.
-vet:
+# wc -l of gofmt-clean source (make loc), so formatting must not drift.
+vet: fmt-check
 	$(GO) vet ./...
+
+fmt-check:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt -l reports:"; echo "$$out"; exit 1; fi
+
+# Go line counts, the figures size criteria are stated in: wc -l of the
+# gofmt-clean .go files, non-test and _test.go apart, per package
+# directory and for the whole repo.
+loc: fmt-check
+	@find . -name '*.go' -not -path './.git/*' | sort | xargs wc -l | awk ' \
+	  $$2 == "total" { next } \
+	  { d = $$2; sub(/^\.\//, "", d); sub(/\/[^\/]*$$/, "", d); if (d ~ /\.go$$/) d = "."; \
+	    t = ($$2 ~ /_test\.go$$/); n[d, t] += $$1; dirs[d] = 1; all[t] += $$1 } \
+	  END { printf "%-28s %9s %9s\n", "package", "non-test", "test"; \
+	    for (d in dirs) printf "%-28s %9d %9d\n", d, n[d, 0], n[d, 1] | "sort"; close("sort"); \
+	    printf "%-28s %9d %9d\n", "total", all[0], all[1] }'
 
 build:
 	$(GO) build ./...

@@ -6,6 +6,7 @@
 //
 //	tsocc-bench                  # everything
 //	tsocc-bench -figure 3        # one figure
+//	tsocc-bench -figure 2        # Table 1 at -cores and Figure 2; no simulation
 //	tsocc-bench -bench intruder  # restrict benchmarks
 //	tsocc-bench -cores 16 -scale 2
 package main
@@ -13,6 +14,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"runtime/pprof"
@@ -29,14 +31,14 @@ import (
 )
 
 func main() {
-	if err := run(os.Args[1:]); err != nil {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
 }
 
-// run parses args and prints the selected figures.
-func run(args []string) (err error) {
+// run parses args and prints the selected figures to out.
+func run(args []string, out io.Writer) (err error) {
 	fs := flag.NewFlagSet("tsocc-bench", flag.ExitOnError)
 	cores := fs.Int("cores", 32, "core count")
 	scale := fs.Int("scale", 1, "workload size multiplier")
@@ -56,6 +58,10 @@ func run(args []string) (err error) {
 	// An unknown figure selects no table; refuse it before the grid runs.
 	if *figure != 0 && (*figure < 2 || *figure > 9) {
 		return fmt.Errorf("-figure %d: want 2-9, or 0 for all", *figure)
+	}
+	cfg := config.Scaled(*cores)
+	if err := cfg.Validate(); err != nil {
+		return fmt.Errorf("-cores %d: %w", *cores, err)
 	}
 
 	if *cpuprofile != "" {
@@ -78,10 +84,10 @@ func run(args []string) (err error) {
 
 	if *listProtos || *listWorkloads {
 		if *listWorkloads {
-			harness.ListWorkloads(os.Stdout)
+			harness.ListWorkloads(out)
 		}
 		if *listProtos {
-			harness.ListProtocols(os.Stdout)
+			harness.ListProtocols(out)
 		}
 		return nil
 	}
@@ -98,7 +104,7 @@ func run(args []string) (err error) {
 
 	// Storage figures need no simulation.
 	if *figure == 2 {
-		fmt.Println(storagemodel.Figure2([]int{8, 16, 32, 48, 64, 80, 96, 112, 128}))
+		printStorage(out, *cores)
 		return nil
 	}
 
@@ -106,7 +112,6 @@ func run(args []string) (err error) {
 	if *benchList != "" {
 		benches = strings.Split(*benchList, ",")
 	}
-	cfg := config.Scaled(*cores)
 	rf.Apply(&cfg)
 	if *pprofLabels {
 		cfg.Obs = &obs.Obs{ProfileLabels: true}
@@ -126,32 +131,39 @@ func run(args []string) (err error) {
 
 	show := func(n int) bool { return *figure == 0 || *figure == n }
 	if show(3) {
-		fmt.Println(grid.Figure3())
+		fmt.Fprintln(out, grid.Figure3())
 	}
 	if show(4) {
-		fmt.Println(grid.Figure4())
+		fmt.Fprintln(out, grid.Figure4())
 	}
 	if show(5) {
-		fmt.Println(grid.Figure5())
+		fmt.Fprintln(out, grid.Figure5())
 	}
 	if show(6) {
-		fmt.Println(grid.Figure6())
+		fmt.Fprintln(out, grid.Figure6())
 	}
 	if show(7) {
-		fmt.Println(grid.Figure7())
+		fmt.Fprintln(out, grid.Figure7())
 	}
 	if show(8) {
-		fmt.Println(grid.Figure8())
+		fmt.Fprintln(out, grid.Figure8())
 	}
 	if show(9) {
-		fmt.Println(grid.Figure9())
+		fmt.Fprintln(out, grid.Figure9())
 	}
 	if *figure == 0 {
-		fmt.Println(storagemodel.Table1(*cores))
-		fmt.Println(storagemodel.Figure2([]int{8, 16, 32, 48, 64, 80, 96, 112, 128}))
-		fmt.Println(grid.SummaryHighlights())
+		printStorage(out, *cores)
+		fmt.Fprintln(out, grid.SummaryHighlights())
 	}
 	return nil
+}
+
+// printStorage prints the storage analysis, which needs no simulation:
+// Table 1's bit accounting at cores, then Figure 2's overhead sweep
+// over core counts.
+func printStorage(out io.Writer, cores int) {
+	fmt.Fprintln(out, storagemodel.Table1(cores))
+	fmt.Fprintln(out, storagemodel.Figure2([]int{8, 16, 32, 48, 64, 80, 96, 112, 128}))
 }
 
 // writeHeapProfile writes a heap profile after a forced collection.

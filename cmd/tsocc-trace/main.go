@@ -158,6 +158,9 @@ func cmdReplay(args []string) error {
 	if *in == "" {
 		return fmt.Errorf("replay: -i is required")
 	}
+	if *cores < 0 {
+		return fmt.Errorf("replay: -cores %d must be non-negative (0 = recorded geometry)", *cores)
+	}
 	tr, err := trace.ReadFile(*in)
 	if err != nil {
 		return err

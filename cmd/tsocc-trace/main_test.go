@@ -39,6 +39,24 @@ func TestSynthRefusesNegatives(t *testing.T) {
 	}
 }
 
+// TestReplayRefusesNegativeCores: a negative -cores used to be ignored,
+// replaying on the recorded geometry; 0 still selects it.
+func TestReplayRefusesNegativeCores(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "z.trc")
+	if _, err := writeTrace(path, trace.Zipf(trace.SynthParams{Cores: 2, OpsPerCore: 16, Seed: 1})); err != nil {
+		t.Fatal(err)
+	}
+	for _, cores := range []string{"-3", "-1"} {
+		err := cmdReplay([]string{"-i", path, "-proto", "MESI", "-cores", cores})
+		if err == nil || !strings.Contains(err.Error(), "-cores") {
+			t.Errorf("replay -cores %s: error %v; want one naming -cores", cores, err)
+		}
+	}
+	if err := cmdReplay([]string{"-i", path, "-proto", "MESI", "-cores", "0"}); err != nil {
+		t.Fatalf("replay -cores 0 (= recorded geometry): %v", err)
+	}
+}
+
 // TestReplayRefusesHostileGeometry: replay builds the machine from the
 // file's header, so a header carrying a geometry that used to panic in
 // memsys.NewCache, build a bigger cache than declared, or run the host

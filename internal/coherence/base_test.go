@@ -55,8 +55,8 @@ func (m testLine) Dirty() bool    { return m.dirty }
 // directory's exclusive state and the L1's owned states.
 const (
 	stShared = 1 // L1: not owned; tile: the fill state
-	stOwned  = 2 // L1: owned
-	stExcl   = 3 // L1: owned; tile: an L1 owns the line
+	stOwned  = 2 // L1: owned, clean
+	stExcl   = 3 // L1: owned, dirty; tile: an L1 owns the line
 )
 
 // hop is one reported transition.
@@ -73,11 +73,14 @@ func recordHops(p *Probe) *[]hop {
 }
 
 // testL1 is the least a protocol supplies on top of L1Base: an evict
-// body that records the lines handed to it.
+// body, a stamp and a downgrade that record what they are handed; the
+// stamp puts the metadata's owner on the wire as TS.
 type testL1 struct {
 	L1Base[testLine]
-	handled []MsgType
-	evicted []hop // tag and state at eviction (to: unused)
+	handled    []MsgType
+	evicted    []hop // tag and state at eviction (to: unused)
+	stamped    []testLine
+	downgraded []uint64
 }
 
 var _ L1Like = (*testL1)(nil)
@@ -96,10 +99,18 @@ func newTestL1() (*testL1, *fakeNet, *sim.Engine) {
 	net := &fakeNet{}
 	l := &testL1{}
 	sys := config.System{Cores: 4, L1HitLat: 3, L1Size: 2 * config.BlockSize, L1Ways: 2}
-	l.Init("test", 1, sys, net, []uint8{stOwned, stExcl},
+	l.Init("test", 1, sys, net, stOwned, stExcl,
 		func(now sim.Cycle, m *Msg) { l.handled = append(l.handled, m.Type) },
 		func(now sim.Cycle, w *memsys.Way[testLine]) {
 			l.evicted = append(l.evicted, hop{w.Tag, int(w.State), 0})
+		},
+		func(m *Msg, meta *testLine) {
+			l.stamped = append(l.stamped, *meta)
+			m.TS = uint32(meta.owner)
+		},
+		func(w *memsys.Way[testLine]) {
+			l.downgraded = append(l.downgraded, w.Tag)
+			l.Set(w, stShared)
 		})
 	e := sim.NewEngine(1 << 20)
 	e.Register(l)
@@ -126,7 +137,7 @@ func TestL1BaseWakeContract(t *testing.T) {
 
 	// A delivery wakes the L1 (outside a dispatch: the next cycle);
 	// queued work asks for the next cycle.
-	l.Deliver(e.Now(), net.msg(MsgInv, 0x40))
+	l.Deliver(e.Now(), net.msg(MsgDataS, 0x40))
 	if e.NextDue() != e.Now()+1 {
 		t.Fatalf("Deliver did not wake: engine next due %d, now %d", e.NextDue(), e.Now())
 	}
@@ -134,7 +145,7 @@ func TestL1BaseWakeContract(t *testing.T) {
 		t.Fatalf("queued message: NextWake(2)=%d, want 3", l.NextWake(2))
 	}
 	e.RunWindow(7)
-	if len(l.handled) != 1 || l.handled[0] != MsgInv {
+	if len(l.handled) != 1 || l.handled[0] != MsgDataS {
 		t.Fatalf("handled %v", l.handled)
 	}
 	if net.pool.Live() != 0 {
@@ -177,8 +188,8 @@ func TestL1BaseSlotsAndBusy(t *testing.T) {
 	if _, install := l.PendingRead(11, data); !install {
 		t.Fatal("unsquashed owner data must be installable")
 	}
-	l.SquashRead(0x80) // other block: no effect
-	l.SquashRead(0x140)
+	l.inv(11, net.msg(MsgInv, 0x80)) // other block: no effect
+	l.inv(11, net.msg(MsgInv, 0x140))
 	if _, install := l.PendingRead(11, data); install {
 		t.Fatal("squashed owner-forwarded data must not be installed")
 	}
@@ -217,31 +228,134 @@ func TestL1BaseSlotsAndBusy(t *testing.T) {
 	l.PendingRead(50, data)
 }
 
+// TestL1BaseEvictBuffer: an owned victim is parked with its data and
+// metadata until its PutAck and announced with a PutM carrying the data
+// (a clean one with a PutE); a forward that crossed the Put is served
+// from the entry, handing stamp the buffered metadata; the PutAck
+// recycles the entry, and its reuse carries nothing of the line it held
+// before.
 func TestL1BaseEvictBuffer(t *testing.T) {
-	l, _, _ := newTestL1()
-	a := l.BufferEvict(0x40, []byte{1, 2, 3}, true)
-	a.TS, a.TSOwn = 9, true
-	if !l.Busy() {
-		t.Fatal("buffered eviction must keep the L1 busy until its PutAck")
+	l, net, _ := newTestL1()
+	w := l.Install(1, 0x40, block(1))
+	l.Set(w, stExcl)
+	w.Meta = testLine{owner: 9, dirty: true}
+	l.evict(2, w)
+	a := l.evictBuf[0x40]
+	if m, _ := net.last(); m.Type != MsgPutM || !m.Dirty || m.Dst != L2ID(1, 4) || m.TS != 9 || m.Data[0] != 1 {
+		t.Fatalf("owned dirty victim: %s dirty=%v", m, m.Dirty)
 	}
-	if l.ForwardEvicted(0x80) != nil {
-		t.Fatal("lookup of an absent block")
+	if a == nil || a.Meta != (testLine{owner: 9, dirty: true}) || !a.Dirty || !l.Busy() {
+		t.Fatal("buffered eviction must hold the line until its PutAck and keep the L1 busy")
 	}
-	if e := l.ForwardEvicted(0x40); e != a || !e.Transferred {
-		t.Fatalf("ForwardEvicted: %+v", e)
+
+	net.drop()
+	l.stamped = nil
+	fwd := net.msg(MsgFwdGetS, 0x40)
+	fwd.Src, fwd.Requestor = L2ID(1, 4), L1ID(2)
+	l.Deliver(3, fwd)
+	l.Tick(3)
+	if len(net.sent) != 2 || net.sent[0].Type != MsgDataOwner || net.sent[0].Dst != L1ID(2) ||
+		net.sent[1].Type != MsgWBData || !net.sent[1].NoCopy || !net.sent[1].Dirty || net.sent[1].Data[0] != 1 {
+		t.Fatalf("forward across the Put: sent %v", net.sent)
 	}
+	if len(l.stamped) != 2 || l.stamped[0] != (testLine{owner: 9, dirty: true}) || l.stamped[1] != l.stamped[0] ||
+		!a.Transferred || len(l.downgraded) != 0 {
+		t.Fatalf("stamp saw %v, transferred=%v, downgraded %v", l.stamped, a.Transferred, l.downgraded)
+	}
+
 	l.releaseEvict(0x80) // stale PutAck: ignored
 	l.releaseEvict(0x40)
 	if l.Busy() || len(l.evictFree) != 1 {
 		t.Fatalf("after PutAck: busy=%v free=%d", l.Busy(), len(l.evictFree))
 	}
-	b := l.BufferEvict(0xc0, []byte{7}, false)
-	if b != a || len(l.evictFree) != 0 {
+	net.drop()
+	b := l.Install(4, 0x80, block(7))
+	l.Set(b, stOwned)
+	l.evict(4, b)
+	if m, _ := net.last(); m.Type != MsgPutE || m.Dirty || len(m.Data) != 0 {
+		t.Fatalf("owned clean victim: %s", m)
+	}
+	if e := l.evictBuf[0x80]; e != a || len(l.evictFree) != 0 {
 		t.Fatal("entry not reused from the free list")
 	}
-	if len(b.Data) != 1 || b.Data[0] != 7 || b.Dirty || b.TS != 0 || b.TSOwn || b.Transferred {
-		t.Fatalf("reused entry carries stale state: %+v", b)
+	if a.Data[0] != 7 || a.Dirty || a.Meta != (testLine{}) || a.Transferred {
+		t.Fatalf("reused entry carries stale state: %+v", a)
 	}
+}
+
+// TestL1BaseOwnerSide: an owned line answers a forwarded GetS with data
+// to the requester and the home tile, then downgrades; a forwarded GetX
+// with data to the requester, dropping the line; a recall with a
+// writeback. Each message is stamped from the line's metadata. An Inv
+// for a copy the L1 does not own drops it and is acknowledged, as is
+// one for an absent line; a forward for a line the L1 does not own is
+// a protocol bug.
+func TestL1BaseOwnerSide(t *testing.T) {
+	l, net, _ := newTestL1()
+	hops := recordHops(&l.Probe)
+	deliver := func(typ MsgType, addr uint64) {
+		m := net.msg(typ, addr)
+		m.Src, m.Requestor = L2ID(3, 4), L1ID(2)
+		l.Deliver(5, m)
+		l.Tick(5)
+	}
+	w := l.Install(1, 0x40, block(3))
+	l.Set(w, stExcl)
+	w.Meta.owner = 6
+
+	deliver(MsgFwdGetS, 0x40)
+	if len(net.sent) != 2 || net.sent[0].Type != MsgDataOwner || net.sent[0].Dst != L1ID(2) || net.sent[0].Owner != l.ID ||
+		net.sent[1].Type != MsgWBData || net.sent[1].Dst != L2ID(1, 4) || !net.sent[1].Dirty || net.sent[1].NoCopy ||
+		net.sent[1].TS != 6 || net.sent[1].Data[0] != 3 {
+		t.Fatalf("FwdGetS: sent %v", net.sent)
+	}
+	if len(l.downgraded) != 1 || w.State != stShared || len(l.stamped) != 2 {
+		t.Fatalf("FwdGetS: downgraded %v, state %d, stamped %v", l.downgraded, w.State, l.stamped)
+	}
+
+	net.drop()
+	l.Set(w, stOwned)
+	deliver(MsgFwdGetX, 0x40)
+	if len(net.sent) != 1 || net.sent[0].Type != MsgDataOwner || net.sent[0].Dirty || net.sent[0].TS != 6 || w.Valid {
+		t.Fatalf("FwdGetX: sent %v, valid=%v", net.sent, w.Valid)
+	}
+
+	net.drop()
+	w = l.Install(6, 0x40, block(4))
+	l.Set(w, stOwned)
+	deliver(MsgInv, 0x40)
+	if len(net.sent) != 1 || net.sent[0].Type != MsgWBData || net.sent[0].Dst != L2ID(3, 4) || net.sent[0].Dirty || w.Valid {
+		t.Fatalf("recall: sent %v, valid=%v", net.sent, w.Valid)
+	}
+
+	net.drop()
+	w = l.Install(7, 0x40, block(5))
+	l.Set(w, stShared)
+	deliver(MsgInv, 0x40)
+	deliver(MsgInv, 0x80)
+	if len(net.sent) != 2 || net.sent[0].Type != MsgInvAck || net.sent[1].Type != MsgInvAck ||
+		net.sent[0].Dst != L2ID(3, 4) || w.Valid || l.Stats.InvalidationsReceived.Value() != 3 {
+		t.Fatalf("Inv of a shared and an absent line: sent %v, valid=%v", net.sent, w.Valid)
+	}
+	want := []hop{{0x40, 0, stExcl}, {0x40, stExcl, stShared}, {0x40, stShared, stOwned}, {0x40, stOwned, 0},
+		{0x40, 0, stOwned}, {0x40, stOwned, 0}, {0x40, 0, stShared}, {0x40, stShared, 0}}
+	if len(*hops) != len(want) {
+		t.Fatalf("hops %v, want %v", *hops, want)
+	}
+	for i := range want {
+		if (*hops)[i] != want[i] {
+			t.Fatalf("hops %v, want %v", *hops, want)
+		}
+	}
+
+	defer func() {
+		if r, _ := recover().(string); !strings.Contains(r, "test L1 1 cycle 5: FwdGetX for absent line") {
+			t.Fatalf("recovered %q", r)
+		}
+	}()
+	w = l.Install(8, 0x40, block(6))
+	l.Set(w, stShared)
+	deliver(MsgFwdGetX, 0x40)
 }
 
 // block returns a data block filled with v.
@@ -256,7 +370,8 @@ func block(v byte) []byte {
 // TestL1BaseInstall: a present line is refilled in place, keeping its
 // state and way; a miss in a full set evicts the LRU way through the
 // protocol's evict body — which still sees the line's state — drops it
-// with its hop reported, and reuses the way for the new line.
+// with its hop reported, and reuses the way for the new line. (An owned
+// victim the base evicts itself: TestL1BaseEvictBuffer.)
 func TestL1BaseInstall(t *testing.T) {
 	l, _, _ := newTestL1()
 	hops := recordHops(&l.Probe)
@@ -266,7 +381,7 @@ func TestL1BaseInstall(t *testing.T) {
 	}
 	l.Set(a, stOwned)
 	b := l.Install(5, 0x80, block(2))
-	l.Set(b, stExcl)
+	l.Set(b, stShared)
 
 	if w := l.Install(6, 0x40, block(7)); w != a || a.State != stOwned || l.Cache.Block(a)[0] != 7 {
 		t.Fatalf("refill in place: way %p (want %p) state %d data %d", w, a, a.State, l.Cache.Block(a)[0])
@@ -281,10 +396,10 @@ func TestL1BaseInstall(t *testing.T) {
 	if c != b || c.Tag != 0xc0 || c.State != 0 || l.Cache.Block(c)[0] != 9 {
 		t.Fatalf("victim install: way %p (want %p) tag %#x state %d", c, b, c.Tag, c.State)
 	}
-	if len(l.evicted) != 1 || l.evicted[0] != (hop{0x80, stExcl, 0}) {
+	if len(l.evicted) != 1 || l.evicted[0] != (hop{0x80, stShared, 0}) {
 		t.Fatalf("evict body saw %v, want the LRU line 0x80 in its state", l.evicted)
 	}
-	if len(*hops) != 1 || (*hops)[0] != (hop{0x80, stExcl, 0}) {
+	if len(*hops) != 1 || (*hops)[0] != (hop{0x80, stShared, 0}) {
 		t.Fatalf("hops %v, want the victim's drop", *hops)
 	}
 	if l.Cache.Peek(0x80) != nil || l.Cache.Peek(0x40) != a {
@@ -298,7 +413,7 @@ func TestL1BaseInstall(t *testing.T) {
 func TestL1BaseSelfEvicts(t *testing.T) {
 	l, _, _ := newTestL1()
 	w := l.Install(1, 0x40, block(1))
-	l.Set(w, stExcl)
+	l.Set(w, stShared)
 	if l.SelfEvicts(1, w) {
 		t.Fatal("self-eviction without an evict fault")
 	}
@@ -309,7 +424,7 @@ func TestL1BaseSelfEvicts(t *testing.T) {
 		t.Fatalf("pinned way: evicted or consulted (%d)", asked)
 	}
 	w.Busy = false
-	if !l.SelfEvicts(3, w) || asked != 1 || w.Valid || len(l.evicted) != 1 || l.evicted[0] != (hop{0x40, stExcl, 0}) {
+	if !l.SelfEvicts(3, w) || asked != 1 || w.Valid || len(l.evicted) != 1 || l.evicted[0] != (hop{0x40, stShared, 0}) {
 		t.Fatalf("fault: asked=%d valid=%v evicted=%v", asked, w.Valid, l.evicted)
 	}
 }
@@ -380,6 +495,8 @@ func (d *testDir) handle(now sim.Cycle, m *Msg) {
 		w = d.OnPut(now, m)
 	case MsgInvAck:
 		_, w = d.OnInvAck(now, m)
+	case MsgWBData:
+		_, w = d.OnWBData(now, m)
 	}
 	if w != nil {
 		d.served = append(d.served, w.Tag)
@@ -531,7 +648,7 @@ func TestDirBaseStartFetch(t *testing.T) {
 // and the retried request fetches into the freed way.
 func TestDirBaseRequestRetries(t *testing.T) {
 	d, net, mem, _ := newTestDir()
-	a := d.stage(0x40, stExcl, L1ID(3)) // the LRU way
+	a := d.stage(0x40, stShared, 0) // the LRU way
 	b := d.stage(0x80, stShared, 0)
 	a.Busy, b.Busy = true, true
 	hops := recordHops(&d.Probe)
@@ -576,7 +693,7 @@ func TestDirBaseRequestRetries(t *testing.T) {
 			t.Fatalf("InvAck %d: eviction pending=%v, want %v", i+1, !want, want)
 		}
 	}
-	if mem.writes != 1 || d.Cache.Peek(0x40) != nil || len(*hops) != 1 || (*hops)[0] != (hop{0x40, stExcl, 0}) {
+	if mem.writes != 1 || d.Cache.Peek(0x40) != nil || len(*hops) != 1 || (*hops)[0] != (hop{0x40, stShared, 0}) {
 		t.Fatalf("eviction finished: writes=%d present=%v hops=%v", mem.writes, d.Cache.Peek(0x40) != nil, *hops)
 	}
 	now++
@@ -604,6 +721,68 @@ func TestDirBaseRequestRetries(t *testing.T) {
 		t.Fatalf("synchronous eviction: retries=%d victim present=%v fetching=%v writes=%d",
 			d2.Txs.Retries.Value(), d2.Cache.Peek(0x40) != nil, d2.Txs.BusyLine(0xc0), mem2.writes)
 	}
+}
+
+// TestDirBaseOwnerSide: a request for a line an L1 owns is forwarded
+// to the owner, as a FwdGetS or FwdGetX transaction, without reaching
+// the protocol; an owned victim is recalled from its owner by the base,
+// not the recall body, and the owner's dirty WBData finishes the
+// eviction with a writeback. A request from the owner itself is a
+// protocol bug.
+func TestDirBaseOwnerSide(t *testing.T) {
+	d, net, mem, _ := newTestDir()
+	a := d.stage(0x40, stExcl, L1ID(3)) // the LRU way
+	d.stage(0x80, stExcl, L1ID(2))
+	request := func(now sim.Cycle, typ MsgType, addr uint64, from NodeID) {
+		m := net.msg(typ, addr)
+		m.Src, m.Requestor = from, from
+		d.Deliver(now, m)
+		d.Tick(now)
+		d.Tick(now + d.AccessLat)
+	}
+	for i, c := range []struct {
+		req, fwd MsgType
+		kind     int
+		addr     uint64
+		owner    NodeID
+	}{
+		{MsgGetS, MsgFwdGetS, TxFwdGetS, 0x40, L1ID(3)},
+		{MsgGetX, MsgFwdGetX, TxFwdGetX, 0x80, L1ID(2)},
+	} {
+		request(sim.Cycle(10*i+10), c.req, c.addr, L1ID(1))
+		m, _ := net.last()
+		tx, ok := d.Txs.Get(c.addr)
+		if m.Type != c.fwd || m.Dst != c.owner || m.Requestor != L1ID(1) || m.Addr != c.addr ||
+			!ok || tx.Kind != c.kind || !d.Cache.Peek(c.addr).Busy || len(d.served) != 0 {
+			t.Fatalf("%s to an owned line: sent %s, tx %v, served %v", c.req, m, tx, d.served)
+		}
+		d.Txs.Del(c.addr, tx, true)
+		d.Cache.Peek(c.addr).Busy = false
+	}
+
+	net.drop()
+	a.Meta.dirty = false
+	request(30, MsgGetS, 0xc0, L1ID(1))
+	if m, _ := net.last(); len(net.sent) != 1 || m.Type != MsgInv || m.Dst != L1ID(3) || m.Addr != 0x40 || len(d.recalled) != 0 {
+		t.Fatalf("owned victim: sent %v, recall body saw %v", net.sent, d.recalled)
+	}
+	if tx, ok := d.Txs.Get(0x40); !ok || tx.Kind != TxEvict || tx.AcksLeft != 1 {
+		t.Fatal("no eviction transaction waiting for the owner's writeback")
+	}
+	wb := net.msg(MsgWBData, 0x40)
+	wb.Src, wb.Dirty, wb.Data = L1ID(3), true, block(8)
+	d.Deliver(40, wb)
+	d.Tick(40)
+	if mem.writes != 1 || d.Cache.Peek(0x40) != nil || d.Txs.BusyLine(0x40) {
+		t.Fatalf("recall answered: writes=%d present=%v", mem.writes, d.Cache.Peek(0x40) != nil)
+	}
+
+	defer func() {
+		if r, _ := recover().(string); !strings.Contains(r, "test L2 tile 2 cycle 50: GetX from current owner") {
+			t.Fatalf("recovered %q", r)
+		}
+	}()
+	request(50, MsgGetX, 0x80, L1ID(2))
 }
 
 // TestDirBasePutFrontEnd: every Put the front end does not park is
@@ -724,15 +903,26 @@ func TestDirBaseNamesAndCounters(t *testing.T) {
 
 // TestBasesSteadyStateZeroAlloc: once the inbox, the pool and the timer
 // heap have grown to their working size, the Deliver → Tick path of
-// both bases allocates nothing.
+// both bases allocates nothing, the owner's stamped reply to a forward
+// included.
 func TestBasesSteadyStateZeroAlloc(t *testing.T) {
 	l, lnet, _ := newTestL1()
 	l.handle = func(sim.Cycle, *Msg) {}
+	l.stamp = func(m *Msg, meta *testLine) { m.TS = uint32(meta.owner) }
+	blk := block(1)
 	now := sim.Cycle(0)
 	l1 := func() {
 		now++
-		l.Deliver(now, lnet.msg(MsgInv, 0x40))
+		l.Set(l.Install(now, 0x40, blk), stExcl)
+		fwd := lnet.msg(MsgFwdGetX, 0x40)
+		fwd.Requestor = L1ID(2)
+		l.Deliver(now, fwd)
+		l.Deliver(now, lnet.msg(MsgDataS, 0x40))
 		l.Tick(now)
+		for _, m := range lnet.sent { // the mesh would deliver and recycle
+			lnet.pool.Put(m)
+		}
+		lnet.drop()
 	}
 	d, dnet, _, _ := newTestDir()
 	d.Txs.handle = func(sim.Cycle, *Msg) {}

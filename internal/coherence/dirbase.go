@@ -45,11 +45,12 @@ type dirLine interface {
 // with the engine's wake contract over them, the delayed send path that
 // keeps per-destination FIFO order, PutAck scheduling, the cache array
 // with its state setter, and the message front ends every directory
-// shares — request admission with the memory fetch and victim eviction,
-// the owner's Put, Ack, the InvAck countdown and WBData — plus
-// SnoopBlock, SnoopOwner, PrewarmStorage and the probe surface. A
-// protocol's tile embeds it, binds its handler and recall body at Init
-// and serves what the front ends hand it.
+// shares — request admission with the memory fetch, victim eviction
+// and the forward of a request for an L1-owned line to its owner, the
+// owner's Put, Ack, the InvAck countdown and WBData — plus SnoopBlock,
+// SnoopOwner, PrewarmStorage and the probe surface. A protocol's tile
+// embeds it, binds its handler and recall body at Init and serves what
+// the front ends hand it.
 type DirBase[M dirLine] struct {
 	ID        NodeID
 	Tile      int
@@ -84,9 +85,10 @@ type DirBase[M dirLine] struct {
 // L1 owns the line (the tile's copy may be stale); a line filled from
 // memory enters state fill with metadata fillMeta. handle is the
 // handler the table dispatches every owned message through. recall
-// starts evicting a valid line: it invalidates the L1 copies and
-// returns how many acknowledgements the eviction waits for (0: none,
-// the line goes now).
+// starts evicting a valid line in any state but excl (the base recalls
+// an owned line itself): it invalidates the L1 copies and returns how
+// many acknowledgements the eviction waits for (0: none, the line goes
+// now).
 func (d *DirBase[M]) Init(proto string, tile int, sys config.System, net Network, mem Memory, invKind string,
 	excl, fill uint8, fillMeta M, handle func(now sim.Cycle, m *Msg), recall func(now sim.Cycle, w *memsys.Way[M]) int) {
 	d.ID = L2ID(tile, sys.Cores)
@@ -150,19 +152,24 @@ func (d *DirBase[M]) SendPutAck(now sim.Cycle, dst NodeID, addr uint64) {
 }
 
 // OnRequest is the front end for a GetS / GetX. A request for a line
-// with a transaction in flight parks behind it. One that misses claims
-// a victim and fetches the line from memory, then is re-dispatched when
-// the fill lands; it retries next cycle instead while every way of the
-// set is busy, while a transaction (perhaps an eviction) is active in
-// the set — rather than evicting way after way — or when claiming the
-// victim has just started an asynchronous eviction. OnRequest returns
-// the line only when the protocol serves the request now.
+// with a transaction in flight parks behind it; one for a line an L1
+// owns is forwarded to the owner. One that misses claims a victim and
+// fetches the line from memory, then is re-dispatched when the fill
+// lands; it retries next cycle instead while every way of the set is
+// busy, while a transaction (perhaps an eviction) is active in the set
+// — rather than evicting way after way — or when claiming the victim
+// has just started an asynchronous eviction. OnRequest returns the line
+// only when the protocol serves the request now.
 func (d *DirBase[M]) OnRequest(now sim.Cycle, m *Msg) *memsys.Way[M] {
 	if d.Txs.BusyLine(m.Addr) {
 		d.Txs.EnqueueWaiting(m)
 		return nil
 	}
 	if w := d.Cache.Peek(m.Addr); w != nil {
+		if w.State == d.excl {
+			d.forward(now, m, w)
+			return nil
+		}
 		return w
 	}
 	v := d.Cache.Victim(m.Addr)
@@ -176,12 +183,37 @@ func (d *DirBase[M]) OnRequest(now sim.Cycle, m *Msg) *memsys.Way[M] {
 	return nil
 }
 
-// evict starts evicting the valid, idle way v through the protocol's
-// recall body. It reports whether v is free now: with no L1 copy to
-// recall the line is written back if dirty and dropped; otherwise an
-// eviction transaction waits for the acknowledgements (finishEvict).
+// forward hands a request for the line w, which an L1 owns, to that
+// owner: a GetS as a FwdGetS (the owner's WBData completes it,
+// OnWBData), a GetX as a FwdGetX (the requester's Ack completes it,
+// OnAck).
+func (d *DirBase[M]) forward(now sim.Cycle, m *Msg, w *memsys.Way[M]) {
+	owner := w.Meta.Owner().Node()
+	if owner == m.Requestor {
+		d.Panicf(now, "%s from current owner %s", m.Type, m)
+	}
+	kind, fwd := TxFwdGetS, MsgFwdGetS
+	if m.Type == MsgGetX {
+		kind, fwd = TxFwdGetX, MsgFwdGetX
+	}
+	w.Busy = true
+	d.Txs.New(m.Addr, kind, m, 0)
+	d.SendAfterAccess(now, Msg{Type: fwd, Dst: owner, Addr: m.Addr, Requestor: m.Requestor}, nil)
+}
+
+// evict starts evicting the valid, idle way v: an owned line is
+// recalled from its owner, any other through the protocol's recall
+// body. It reports whether v is free now: with no L1 copy to recall the
+// line is written back if dirty and dropped; otherwise an eviction
+// transaction waits for the acknowledgements (finishEvict).
 func (d *DirBase[M]) evict(now sim.Cycle, v *memsys.Way[M]) bool {
-	if n := d.recall(now, v); n > 0 {
+	n := 1
+	if v.State == d.excl {
+		d.SendAfterAccess(now, Msg{Type: MsgInv, Dst: v.Meta.Owner().Node(), Addr: v.Tag}, nil)
+	} else {
+		n = d.recall(now, v)
+	}
+	if n > 0 {
 		v.Busy = true
 		d.Txs.New(v.Tag, TxEvict, nil, n)
 		return false

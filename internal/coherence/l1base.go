@@ -42,41 +42,47 @@ func (tx *WriteTx) Apply(old uint64) (uint64, bool) {
 	return tx.Val, true
 }
 
-// EvictEntry is one eviction-buffer slot: an owned line's data between
-// its Put and the PutAck, from which forwards and recalls that cross the
-// Put are served. TS/TSOwn are protocol scratch (TSO-CC line timestamp).
-type EvictEntry struct {
+// EvictEntry is one eviction-buffer slot: an owned line's data and
+// metadata between its Put and the PutAck, from which forwards and
+// recalls that cross the Put are served.
+type EvictEntry[M any] struct {
 	Data        []byte
+	Meta        M
 	Dirty       bool
-	TS          uint32
-	TSOwn       bool
 	Transferred bool // ownership passed to another core while in flight
 }
 
 // L1Base is the protocol-independent skeleton of a private-cache
 // controller, generic over the protocol's line metadata M (the line's
 // state lives in memsys.Way): the plumbing in l1Ctl plus the cache
-// array — install with victim eviction through the protocol's evict
-// body, the evict-fault check on hits, state writes reported to the
-// probe (lines.Set), SnoopBlock and PrewarmStorage. A protocol's L1
-// embeds it and supplies, at Init, the states in which it owns a line,
-// its message handler and its evict body, and writes the
+// array — install with victim eviction, the evict-fault check on hits,
+// state writes reported to the probe (lines.Set), SnoopBlock and
+// PrewarmStorage — and the exclusive owner's side of the protocol: an
+// owned line's eviction (the eviction buffer, PutE / PutM) and the
+// forwarded GetS / GetX and recall Inv it answers, from the line or
+// from the buffer when the request crossed its Put. A protocol's L1
+// embeds it and supplies, at Init, its two owned states, its message
+// handler and three hooks (see Init), and writes the
 // Load/Store/RMW/Fence bodies.
 type L1Base[M any] struct {
 	l1Ctl
 	lines[M]
+	excl, mod uint8 // the owned states: clean (E) and dirty (M)
 	evictBody func(now sim.Cycle, w *memsys.Way[M])
-	owned     uint32 // bit s set: a line in state s is this L1's alone (SnoopBlock)
+	stamp     func(m *Msg, meta *M)
+	downgrade func(w *memsys.Way[M])
+
+	evictBuf  map[uint64]*EvictEntry[M]
+	evictFree []*EvictEntry[M]
 }
 
 // l1Ctl is the part of L1Base that does not depend on the line
 // metadata: identity, the mesh send path, the engine's wake contract
 // (the inbox), hit completion through engine completion events, the
 // read/write transaction slots with their gating and completion, the
-// eviction buffer, the statistics block and the probe surface. The hit
-// path's helpers live here rather than on the generic type so that the
-// compiler reports them inlinable when it builds this package (make
-// inline-check).
+// statistics block and the probe surface. The hit path's helpers live
+// here rather than on the generic type so that the compiler reports
+// them inlinable when it builds this package (make inline-check).
 type l1Ctl struct {
 	ID     NodeID
 	Cores  int
@@ -99,35 +105,39 @@ type l1Ctl struct {
 	handle func(now sim.Cycle, m *Msg)
 	inbox  []*Msg
 	waker  sim.Waker
-
-	evictBuf  map[uint64]*EvictEntry
-	evictFree []*EvictEntry
 }
 
 // Init wires the base for core `core` of sys, with an L1 array of sys's
-// geometry. proto prefixes the component label ("mesi L1 3"). owned
-// lists the states in which this L1 holds the only up-to-date copy of a
-// line. Tick calls handle for every delivered message but PutAck (which
-// releases the eviction buffer entry) and recycles the message
-// afterwards, so handlers never retain one. evict is the
-// protocol's eviction body: it hands a valid line back to the directory
-// (Put messages, the eviction buffer) before the base drops it.
-func (l *L1Base[M]) Init(proto string, core int, sys config.System, net Network, owned []uint8,
-	handle func(now sim.Cycle, m *Msg), evict func(now sim.Cycle, w *memsys.Way[M])) {
+// geometry. proto prefixes the component label ("mesi L1 3"). excl and
+// mod are the states in which this L1 owns a line, clean and dirty.
+// Tick serves PutAcks, forwarded GetS / GetX and Invs itself and calls
+// handle for every other delivered message, recycling each message
+// afterwards, so handlers never retain one. The hooks:
+//   - evict hands a valid line in a state other than excl / mod back to
+//     the directory before the base drops it (nil: such lines go
+//     silently);
+//   - stamp adds the protocol's fields, from the line's metadata, to the
+//     data an owner sends: DataOwner, WBData, PutM (nil: none);
+//   - downgrade leaves an owned line in the protocol's shared state once
+//     a forwarded GetS has been answered.
+func (l *L1Base[M]) Init(proto string, core int, sys config.System, net Network, excl, mod uint8,
+	handle func(now sim.Cycle, m *Msg), evict func(now sim.Cycle, w *memsys.Way[M]),
+	stamp func(m *Msg, meta *M), downgrade func(w *memsys.Way[M])) {
 	l.ID = L1ID(core)
 	l.Cores = sys.Cores
 	l.HitLat = sys.L1HitLat
 	l.net = net
 	l.pool = net.MsgPool()
 	l.handle = handle
-	l.evictBuf = make(map[uint64]*EvictEntry)
+	l.evictBuf = make(map[uint64]*EvictEntry[M])
 	l.ctlLabel = ctlLabel(fmt.Sprintf("%s L1 %d", proto, core))
 	l.lines = lines[M]{Cache: memsys.NewCache[M](sys.L1Size, sys.L1Ways), probe: &l.Probe}
-	l.evictBody = evict
-	for _, s := range owned {
-		l.owned |= 1 << s
-	}
+	l.excl, l.mod = excl, mod
+	l.evictBody, l.stamp, l.downgrade = evict, stamp, downgrade
 }
+
+// owns reports whether w's line is this L1's alone (E or M).
+func (l *L1Base[M]) owns(w *memsys.Way[M]) bool { return w.State == l.excl || w.State == l.mod }
 
 // SelfEvicts reports whether the evict fault profile (Probe.EvictFault)
 // turns a core access that hit w into a forced self-eviction; a way
@@ -145,10 +155,23 @@ func (l *L1Base[M]) forceEvict(now sim.Cycle, w *memsys.Way[M]) bool {
 	return true
 }
 
-// evict hands the valid way w back to the directory through the
-// protocol's evict body, then drops it.
+// evict hands the valid way w back to the directory, then drops it. An
+// owned line is parked in the eviction buffer until its PutAck and
+// announced with a PutE, or a PutM carrying its data; a line in any
+// other state goes through the protocol's evict body.
 func (l *L1Base[M]) evict(now sim.Cycle, w *memsys.Way[M]) {
-	l.evictBody(now, w)
+	switch {
+	case l.owns(w):
+		dirty := w.State == l.mod
+		l.bufferEvict(w, dirty)
+		if dirty {
+			l.sendStamped(now, Msg{Type: MsgPutM, Dst: l.Home(w.Tag), Addr: w.Tag, Dirty: true}, l.Cache.Block(w), &w.Meta)
+		} else {
+			l.Send(now, Msg{Type: MsgPutE, Dst: l.Home(w.Tag), Addr: w.Tag}, nil)
+		}
+	case l.evictBody != nil:
+		l.evictBody(now, w)
+	}
 	l.Drop(w)
 }
 
@@ -175,10 +198,151 @@ func (l *L1Base[M]) Install(now sim.Cycle, addr uint64, data []byte) *memsys.Way
 // SnoopBlock implements Controller: an L1 is authoritative for a line
 // only in the states it owns it in.
 func (l *L1Base[M]) SnoopBlock(addr uint64) ([]byte, bool) {
-	if w := l.Cache.Peek(addr); w != nil && l.owned&(1<<w.State) != 0 {
+	if w := l.Cache.Peek(addr); w != nil && l.owns(w) {
 		return l.Cache.Block(w), true
 	}
 	return nil, false
+}
+
+// Tick processes delivered messages.
+func (l *L1Base[M]) Tick(now sim.Cycle) {
+	if len(l.inbox) == 0 {
+		return
+	}
+	msgs := l.inbox
+	l.inbox = l.inbox[:0]
+	for _, m := range msgs {
+		switch m.Type {
+		case MsgPutAck:
+			l.releaseEvict(m.Addr)
+		case MsgFwdGetS, MsgFwdGetX:
+			w := l.Cache.Peek(m.Addr)
+			if w != nil && !l.owns(w) {
+				w = nil
+			}
+			if !l.serveOwner(now, m, w) {
+				l.Panicf(now, "%s for absent line %s", m.Type, m)
+			}
+		case MsgInv:
+			l.inv(now, m)
+		default:
+			l.handle(now, m)
+		}
+		l.pool.Put(m) // L1 handlers never retain a delivered message
+	}
+}
+
+// inv handles an invalidation: a read of the line in flight is
+// squashed (see PendingRead); a recall of an owned line (the directory
+// evicting it) is answered with a writeback, from the line or from the
+// eviction buffer; any other copy is dropped and the Inv acknowledged,
+// as is one for a line this L1 no longer holds.
+func (l *L1Base[M]) inv(now sim.Cycle, m *Msg) {
+	l.Stats.InvalidationsReceived.Inc()
+	if l.Rd != nil && l.Rd.Addr == m.Addr {
+		l.Rd.Squashed = true
+	}
+	w := l.Cache.Peek(m.Addr)
+	if w != nil && !l.owns(w) {
+		l.Drop(w)
+	} else if l.serveOwner(now, m, w) {
+		return
+	}
+	l.Send(now, Msg{Type: MsgInvAck, Dst: m.Src, Addr: m.Addr}, nil)
+}
+
+// serveOwner answers a forwarded GetS / GetX or a recall Inv as the
+// line's exclusive owner: from the owned way w or, with w nil, from the
+// eviction buffer entry of the Put the request crossed. The requester
+// of a forward gets the data; a GetS's data also goes back to the home
+// tile, and the owner keeps a Shared copy (downgrade) unless it
+// answers from the buffer; a GetX takes the line. A recall is answered
+// with a writeback to the recalling tile. It reports false if there is
+// no copy to serve.
+func (l *L1Base[M]) serveOwner(now sim.Cycle, m *Msg, w *memsys.Way[M]) bool {
+	var data []byte
+	var meta *M
+	var dirty bool
+	if w != nil {
+		data, meta, dirty = l.Cache.Block(w), &w.Meta, w.State == l.mod
+	} else if e := l.evictBuf[m.Addr]; e != nil {
+		e.Transferred = true
+		data, meta, dirty = e.Data, &e.Meta, e.Dirty
+	} else {
+		return false
+	}
+	if m.Type == MsgInv {
+		l.sendStamped(now, Msg{Type: MsgWBData, Dst: m.Src, Addr: m.Addr, Dirty: dirty}, data, meta)
+	} else {
+		l.sendStamped(now, Msg{Type: MsgDataOwner, Dst: m.Requestor, Addr: m.Addr, Owner: l.ID, Dirty: dirty}, data, meta)
+	}
+	if m.Type == MsgFwdGetS {
+		l.sendStamped(now, Msg{Type: MsgWBData, Dst: l.Home(m.Addr), Addr: m.Addr, Dirty: dirty, NoCopy: w == nil}, data, meta)
+	}
+	if w != nil && m.Type == MsgFwdGetS {
+		l.downgrade(w)
+	} else if w != nil {
+		l.Drop(w)
+	}
+	return true
+}
+
+// sendStamped sends an owner's data message, stamped with the
+// protocol's fields from the line's metadata. The stamp writes the
+// pooled copy: handing it the template's address would move every
+// template to the heap.
+func (l *L1Base[M]) sendStamped(now sim.Cycle, tmpl Msg, data []byte, meta *M) {
+	m := l.pool.NewFrom(tmpl, data)
+	if l.stamp != nil {
+		l.stamp(m, meta)
+	}
+	m.Src = l.ID
+	l.net.Send(now, m)
+}
+
+// bufferEvict parks a copy of the evicted owned line w until its
+// PutAck, reusing entries from the free list.
+func (l *L1Base[M]) bufferEvict(w *memsys.Way[M], dirty bool) {
+	var e *EvictEntry[M]
+	if n := len(l.evictFree); n > 0 {
+		e = l.evictFree[n-1]
+		l.evictFree = l.evictFree[:n-1]
+	} else {
+		e = &EvictEntry[M]{}
+	}
+	*e = EvictEntry[M]{Data: append(e.Data[:0], l.Cache.Block(w)...), Meta: w.Meta, Dirty: dirty}
+	l.evictBuf[w.Tag] = e
+}
+
+// releaseEvict handles a PutAck: the buffered entry, if any, returns to
+// the free list.
+func (l *L1Base[M]) releaseEvict(addr uint64) {
+	if e, ok := l.evictBuf[addr]; ok {
+		delete(l.evictBuf, addr)
+		l.evictFree = append(l.evictFree, e)
+	}
+}
+
+// Busy reports whether any transaction is outstanding (completion check).
+// A pending hit completion keeps its core, not the L1, from being done.
+func (l *L1Base[M]) Busy() bool {
+	return l.Rd != nil || l.Wr != nil || len(l.evictBuf) > 0 || len(l.inbox) > 0
+}
+
+// Debug renders in-flight transaction state (deadlock diagnostics).
+func (l *L1Base[M]) Debug() string {
+	s := fmt.Sprintf("L1 %d:", l.ID)
+	if l.Rd != nil {
+		s += fmt.Sprintf(" rd=%#x(squash=%v)", l.Rd.Addr, l.Rd.Squashed)
+	}
+	if l.Wr != nil {
+		s += fmt.Sprintf(" wr=%#x(upg=%v rmw=%v issued=%d)", l.Wr.Addr, l.Wr.Upgrade, l.Wr.IsRMW, l.Wr.Issued)
+	}
+	for a, e := range l.evictBuf {
+		s += fmt.Sprintf(" evict=%#x(dirty=%v xfer=%v)", a, e.Dirty, e.Transferred)
+	}
+	s += fmt.Sprintf(" inbox=%d", len(l.inbox))
+	return s
 }
 
 // Home returns the directory tile addr is interleaved onto.
@@ -218,23 +382,6 @@ func (l *l1Ctl) Deliver(now sim.Cycle, m *Msg) {
 	l.waker.Wake()
 }
 
-// Tick processes delivered messages.
-func (l *l1Ctl) Tick(now sim.Cycle) {
-	if len(l.inbox) == 0 {
-		return
-	}
-	msgs := l.inbox
-	l.inbox = l.inbox[:0]
-	for _, m := range msgs {
-		if m.Type == MsgPutAck {
-			l.releaseEvict(m.Addr)
-		} else {
-			l.handle(now, m)
-		}
-		l.pool.Put(m) // L1 handlers never retain a delivered message
-	}
-}
-
 // NextWake implements sim.WakeHinter: next cycle if messages are
 // queued. Outstanding transactions need no wake of their own — they
 // advance only when a message arrives — and a pending hit completion is
@@ -244,12 +391,6 @@ func (l *l1Ctl) NextWake(now sim.Cycle) sim.Cycle {
 		return now + 1
 	}
 	return sim.WakeNever
-}
-
-// Busy reports whether any transaction is outstanding (completion check).
-// A pending hit completion keeps its core, not the L1, from being done.
-func (l *l1Ctl) Busy() bool {
-	return l.Rd != nil || l.Wr != nil || len(l.evictBuf) > 0 || len(l.inbox) > 0
 }
 
 // L1Stats implements L1Like.
@@ -303,14 +444,6 @@ func (l *l1Ctl) PendingRead(now sim.Cycle, m *Msg) (tx *ReadTx, install bool) {
 	return l.Rd, !l.Rd.Squashed || m.Type != MsgDataOwner
 }
 
-// SquashRead marks an in-flight read of addr as overtaken by an
-// invalidation (see PendingRead).
-func (l *l1Ctl) SquashRead(addr uint64) {
-	if l.Rd != nil && l.Rd.Addr == addr {
-		l.Rd.Squashed = true
-	}
-}
-
 // FinishRead retires the read miss: reports its latency, frees the slot,
 // then completes the core's load (whose callback may issue the next).
 func (l *l1Ctl) FinishRead(now sim.Cycle, val uint64) {
@@ -339,55 +472,4 @@ func (l *l1Ctl) FinishWrite(now sim.Cycle, old uint64) {
 	} else {
 		tx.StoreCb()
 	}
-}
-
-// BufferEvict parks a copy of an evicted owned line until its PutAck,
-// reusing entries from the free list; protocol scratch starts zero.
-func (l *l1Ctl) BufferEvict(addr uint64, data []byte, dirty bool) *EvictEntry {
-	var e *EvictEntry
-	if n := len(l.evictFree); n > 0 {
-		e = l.evictFree[n-1]
-		l.evictFree = l.evictFree[:n-1]
-	} else {
-		e = &EvictEntry{}
-	}
-	*e = EvictEntry{Data: append(e.Data[:0], data...), Dirty: dirty}
-	l.evictBuf[addr] = e
-	return e
-}
-
-// ForwardEvicted returns the buffered entry for addr, or nil. Only a
-// forward or recall that crossed the Put looks an evicted line up, and
-// serving it hands ownership on, so the entry is marked transferred.
-func (l *l1Ctl) ForwardEvicted(addr uint64) *EvictEntry {
-	e := l.evictBuf[addr]
-	if e != nil {
-		e.Transferred = true
-	}
-	return e
-}
-
-// releaseEvict handles a PutAck: the buffered entry, if any, returns to
-// the free list.
-func (l *l1Ctl) releaseEvict(addr uint64) {
-	if e, ok := l.evictBuf[addr]; ok {
-		delete(l.evictBuf, addr)
-		l.evictFree = append(l.evictFree, e)
-	}
-}
-
-// Debug renders in-flight transaction state (deadlock diagnostics).
-func (l *l1Ctl) Debug() string {
-	s := fmt.Sprintf("L1 %d:", l.ID)
-	if l.Rd != nil {
-		s += fmt.Sprintf(" rd=%#x(squash=%v)", l.Rd.Addr, l.Rd.Squashed)
-	}
-	if l.Wr != nil {
-		s += fmt.Sprintf(" wr=%#x(upg=%v rmw=%v issued=%d)", l.Wr.Addr, l.Wr.Upgrade, l.Wr.IsRMW, l.Wr.Issued)
-	}
-	for a, e := range l.evictBuf {
-		s += fmt.Sprintf(" evict=%#x(dirty=%v xfer=%v)", a, e.Dirty, e.Transferred)
-	}
-	s += fmt.Sprintf(" inbox=%d", len(l.inbox))
-	return s
 }

@@ -31,7 +31,7 @@ type L1 struct {
 // NewL1 builds the L1 controller for the given core.
 func NewL1(core int, sys config.System, net coherence.Network) *L1 {
 	l := &L1{}
-	l.Init("mesi", core, sys, net, []uint8{stateE, stateM}, l.handle, l.evict)
+	l.Init("mesi", core, sys, net, stateE, stateM, l.handle, l.evict, nil, l.downgrade)
 	return l
 }
 
@@ -149,15 +149,6 @@ func (l *L1) handle(now sim.Cycle, m *coherence.Msg) {
 		l.completeWrite(now, nil)
 		l.Send(now, coherence.Msg{Type: coherence.MsgAck, Dst: l.Home(m.Addr), Addr: m.Addr}, nil)
 
-	case coherence.MsgFwdGetS:
-		l.handleFwdGetS(now, m)
-
-	case coherence.MsgFwdGetX:
-		l.handleFwdGetX(now, m)
-
-	case coherence.MsgInv:
-		l.handleInv(now, m)
-
 	default:
 		l.Panicf(now, "unexpected message %s", m)
 	}
@@ -189,77 +180,12 @@ func (l *L1) completeRead(now sim.Cycle, m *coherence.Msg, state uint8) {
 	l.FinishRead(now, memsys.GetWord(m.Data, tx.WordAddr))
 }
 
-// evict is the L1Base evict body: a Shared copy leaves with a PutS; an
-// owned one is buffered until its PutAck, serving forwards and recalls
-// that cross the Put.
+// evict is the L1Base evict body for a Shared copy: it leaves with a
+// PutS.
 func (l *L1) evict(now sim.Cycle, w *memsys.Way[l1Line]) {
-	addr := w.Tag
-	switch w.State {
-	case stateS:
-		l.Send(now, coherence.Msg{Type: coherence.MsgPutS, Dst: l.Home(addr), Addr: addr}, nil)
-	case stateE:
-		l.BufferEvict(addr, l.Cache.Block(w), false)
-		l.Send(now, coherence.Msg{Type: coherence.MsgPutE, Dst: l.Home(addr), Addr: addr}, nil)
-	case stateM:
-		l.BufferEvict(addr, l.Cache.Block(w), true)
-		l.Send(now, coherence.Msg{Type: coherence.MsgPutM, Dst: l.Home(addr), Addr: addr,
-			Dirty: true}, l.Cache.Block(w))
-	}
+	l.Send(now, coherence.Msg{Type: coherence.MsgPutS, Dst: l.Home(w.Tag), Addr: w.Tag}, nil)
 }
 
-func (l *L1) handleFwdGetS(now sim.Cycle, m *coherence.Msg) {
-	if w := l.Cache.Peek(m.Addr); w != nil && w.State != stateS {
-		dirty := w.State == stateM
-		l.Set(w, stateS)
-		l.Send(now, coherence.Msg{Type: coherence.MsgDataOwner, Dst: m.Requestor, Addr: m.Addr}, l.Cache.Block(w))
-		l.Send(now, coherence.Msg{Type: coherence.MsgWBData, Dst: l.Home(m.Addr), Addr: m.Addr,
-			Dirty: dirty}, l.Cache.Block(w))
-		return
-	}
-	if e := l.ForwardEvicted(m.Addr); e != nil {
-		l.Send(now, coherence.Msg{Type: coherence.MsgDataOwner, Dst: m.Requestor, Addr: m.Addr}, e.Data)
-		l.Send(now, coherence.Msg{Type: coherence.MsgWBData, Dst: l.Home(m.Addr), Addr: m.Addr,
-			Dirty: e.Dirty, NoCopy: true}, e.Data)
-		return
-	}
-	l.Panicf(now, "FwdGetS for absent line %s", m)
-}
-
-func (l *L1) handleFwdGetX(now sim.Cycle, m *coherence.Msg) {
-	if w := l.Cache.Peek(m.Addr); w != nil && w.State != stateS {
-		l.Send(now, coherence.Msg{Type: coherence.MsgDataOwner, Dst: m.Requestor, Addr: m.Addr,
-			Dirty: w.State == stateM}, l.Cache.Block(w))
-		l.Drop(w)
-		return
-	}
-	if e := l.ForwardEvicted(m.Addr); e != nil {
-		l.Send(now, coherence.Msg{Type: coherence.MsgDataOwner, Dst: m.Requestor, Addr: m.Addr,
-			Dirty: e.Dirty}, e.Data)
-		return
-	}
-	l.Panicf(now, "FwdGetX for absent line %s", m)
-}
-
-func (l *L1) handleInv(now sim.Cycle, m *coherence.Msg) {
-	l.Stats.InvalidationsReceived.Inc()
-	l.SquashRead(m.Addr)
-	if w := l.Cache.Peek(m.Addr); w != nil {
-		if w.State != stateS {
-			// Directory recall of an exclusive line (L2 eviction).
-			l.Send(now, coherence.Msg{Type: coherence.MsgWBData, Dst: m.Src, Addr: m.Addr,
-				Dirty: w.State == stateM}, l.Cache.Block(w))
-			l.Drop(w)
-			return
-		}
-		l.Drop(w)
-		l.Send(now, coherence.Msg{Type: coherence.MsgInvAck, Dst: m.Src, Addr: m.Addr}, nil)
-		return
-	}
-	if e := l.ForwardEvicted(m.Addr); e != nil {
-		l.Send(now, coherence.Msg{Type: coherence.MsgWBData, Dst: m.Src, Addr: m.Addr,
-			Dirty: e.Dirty}, e.Data)
-		return
-	}
-	// Invalidation for a line we no longer hold (crossed a PutS).
-	l.Send(now, coherence.Msg{Type: coherence.MsgInvAck, Dst: m.Src, Addr: m.Addr}, nil)
-}
+// downgrade is the L1Base hook for an owned line that answered a
+// forwarded GetS: it stays Shared.
+func (l *L1) downgrade(w *memsys.Way[l1Line]) { l.Set(w, stateS) }

@@ -82,23 +82,19 @@ func (t *L2) handle(now sim.Cycle, m *coherence.Msg) {
 	}
 }
 
-// recall is the DirBase recall body: invalidate every L1 copy.
+// recall is the DirBase recall body: invalidate every sharer's copy.
 func (t *L2) recall(now sim.Cycle, v *memsys.Way[l2Line]) int {
-	switch v.State {
-	case dirS:
-		n := 0
-		for c := 0; c < t.Cores; c++ {
-			if v.Meta.sharers.Has(c) {
-				t.SendAfterAccess(now, coherence.Msg{Type: coherence.MsgInv, Dst: coherence.L1ID(c), Addr: v.Tag}, nil)
-				n++
-			}
-		}
-		return n
-	case dirX:
-		t.SendAfterAccess(now, coherence.Msg{Type: coherence.MsgInv, Dst: v.Meta.owner.Node(), Addr: v.Tag}, nil)
-		return 1
+	if v.State != dirS {
+		return 0
 	}
-	return 0
+	n := 0
+	for c := 0; c < t.Cores; c++ {
+		if v.Meta.sharers.Has(c) {
+			t.SendAfterAccess(now, coherence.Msg{Type: coherence.MsgInv, Dst: coherence.L1ID(c), Addr: v.Tag}, nil)
+			n++
+		}
+	}
+	return n
 }
 
 func (t *L2) serveGetS(now sim.Cycle, m *coherence.Msg, w *memsys.Way[l2Line]) {
@@ -111,13 +107,6 @@ func (t *L2) serveGetS(now sim.Cycle, m *coherence.Msg, w *memsys.Way[l2Line]) {
 	case dirS:
 		w.Meta.sharers.Add(int(m.Requestor))
 		t.SendAfterAccess(now, coherence.Msg{Type: coherence.MsgDataS, Dst: m.Requestor, Addr: m.Addr}, t.Cache.Block(w))
-	case dirX:
-		if w.Meta.owner.Node() == m.Requestor {
-			t.Panicf(now, "GetS from current owner %s", m)
-		}
-		w.Busy = true
-		t.Txs.New(m.Addr, coherence.TxFwdGetS, m, 0)
-		t.SendAfterAccess(now, coherence.Msg{Type: coherence.MsgFwdGetS, Dst: w.Meta.owner.Node(), Addr: m.Addr, Requestor: m.Requestor}, nil)
 	}
 }
 
@@ -143,13 +132,6 @@ func (t *L2) serveGetX(now sim.Cycle, m *coherence.Msg, w *memsys.Way[l2Line]) {
 		} else {
 			t.Txs.New(m.Addr, coherence.TxInvs, m, others).IsUpgrade = isUpgrade
 		}
-	case dirX:
-		if w.Meta.owner.Node() == m.Requestor {
-			t.Panicf(now, "GetX from current owner %s", m)
-		}
-		w.Busy = true
-		t.Txs.New(m.Addr, coherence.TxFwdGetX, m, 0)
-		t.SendAfterAccess(now, coherence.Msg{Type: coherence.MsgFwdGetX, Dst: w.Meta.owner.Node(), Addr: m.Addr, Requestor: m.Requestor}, nil)
 	}
 }
 

@@ -65,7 +65,7 @@ func NewL1(core int, sys config.System, cfg config.TSOCC, net coherence.Network)
 		tsL2:    newLastSeen(cfg.TSTableEntries, sys.Cores),
 		epochL2: make([]uint8, sys.Cores),
 	}
-	l.Init("tsocc", core, sys, net, []uint8{stateE, stateM}, l.handle, l.evict)
+	l.Init("tsocc", core, sys, net, stateE, stateM, l.handle, nil, l.stamp, l.downgrade)
 	return l
 }
 
@@ -353,15 +353,6 @@ func (l *L1) handle(now sim.Cycle, m *coherence.Msg) {
 		l.maybeSelfInvalidate(m, true)
 		l.completeRead(now, m, stateR)
 
-	case coherence.MsgFwdGetS:
-		l.handleFwdGetS(now, m)
-
-	case coherence.MsgFwdGetX:
-		l.handleFwdGetX(now, m)
-
-	case coherence.MsgInv:
-		l.handleInv(now, m)
-
 	case coherence.MsgTSResetL1:
 		src := int(m.Src)
 		l.tsL1.drop(src)
@@ -421,94 +412,23 @@ func (l *L1) completeRead(now sim.Cycle, m *coherence.Msg, state uint8) {
 	l.FinishRead(now, memsys.GetWord(m.Data, tx.WordAddr))
 }
 
-// evict is the L1Base evict body: Shared and SharedRO evictions are
-// silent (§3.2, §3.4); an owned line is buffered with its timestamp
-// until the PutAck, serving forwards and recalls that cross the Put.
-func (l *L1) evict(now sim.Cycle, w *memsys.Way[l1Line]) {
-	addr := w.Tag
-	switch w.State {
-	case stateE:
-		e := l.BufferEvict(addr, l.Cache.Block(w), false)
-		e.TS, e.TSOwn = w.Meta.ts, w.Meta.tsOwn
-		l.Send(now, coherence.Msg{Type: coherence.MsgPutE, Dst: l.Home(addr), Addr: addr}, nil)
-	case stateM:
-		ts, valid := l.sendableTS(&w.Meta)
-		e := l.BufferEvict(addr, l.Cache.Block(w), true)
-		e.TS, e.TSOwn = w.Meta.ts, w.Meta.tsOwn
-		l.Send(now, coherence.Msg{Type: coherence.MsgPutM, Dst: l.Home(addr), Addr: addr,
-			Dirty: true, TS: ts, TSValid: valid, Epoch: l.epoch}, l.Cache.Block(w))
-	}
+// stamp is the L1Base hook that puts the line's timestamp on the data
+// an owner sends: DataOwner, WBData and PutM (§3.2, §3.5). Shared and
+// SharedRO evictions are silent (§3.2, §3.4), so the L1 has no evict
+// body.
+func (l *L1) stamp(m *coherence.Msg, w *l1Line) {
+	m.TS, m.TSValid = l.sendableTS(w)
+	m.Epoch = l.epoch
 }
 
-func (l *L1) handleFwdGetS(now sim.Cycle, m *coherence.Msg) {
-	if w := l.Cache.Peek(m.Addr); w != nil && owned(w) {
-		dirty := w.State == stateM
-		ts, valid := l.sendableTS(&w.Meta)
-		l.Send(now, coherence.Msg{Type: coherence.MsgDataOwner, Dst: m.Requestor, Addr: m.Addr,
-			Owner: l.ID, TS: ts, TSValid: valid, Epoch: l.epoch, Dirty: dirty}, l.Cache.Block(w))
-		l.Send(now, coherence.Msg{Type: coherence.MsgWBData, Dst: l.Home(m.Addr), Addr: m.Addr,
-			Dirty: dirty, TS: ts, TSValid: valid, Epoch: l.epoch}, l.Cache.Block(w))
-		// Downgrade to Shared, keeping the copy with a fresh budget.
-		l.Set(w, stateS)
-		w.Meta.acnt = 0
-		l.noteShared(w)
-		if l.cfg.MaxAccesses() == 0 {
-			l.Drop(w)
-		}
-		return
-	}
-	if e := l.ForwardEvicted(m.Addr); e != nil {
-		ts, valid := l.sendableTS(&l1Line{ts: e.TS, tsOwn: e.TSOwn})
-		l.Send(now, coherence.Msg{Type: coherence.MsgDataOwner, Dst: m.Requestor, Addr: m.Addr,
-			Owner: l.ID, TS: ts, TSValid: valid, Epoch: l.epoch, Dirty: e.Dirty}, e.Data)
-		l.Send(now, coherence.Msg{Type: coherence.MsgWBData, Dst: l.Home(m.Addr), Addr: m.Addr,
-			Dirty: e.Dirty, TS: ts, TSValid: valid, Epoch: l.epoch, NoCopy: true}, e.Data)
-		return
-	}
-	l.Panicf(now, "FwdGetS for absent line %s", m)
-}
-
-func (l *L1) handleFwdGetX(now sim.Cycle, m *coherence.Msg) {
-	if w := l.Cache.Peek(m.Addr); w != nil && owned(w) {
-		ts, valid := l.sendableTS(&w.Meta)
-		l.Send(now, coherence.Msg{Type: coherence.MsgDataOwner, Dst: m.Requestor, Addr: m.Addr,
-			Owner: l.ID, TS: ts, TSValid: valid, Epoch: l.epoch,
-			Dirty: w.State == stateM}, l.Cache.Block(w))
+// downgrade is the L1Base hook for an owned line that answered a
+// forwarded GetS: it stays Shared with a fresh access budget (none
+// under CC-shared-to-L2, which caches no Shared data).
+func (l *L1) downgrade(w *memsys.Way[l1Line]) {
+	l.Set(w, stateS)
+	w.Meta.acnt = 0
+	l.noteShared(w)
+	if l.cfg.MaxAccesses() == 0 {
 		l.Drop(w)
-		return
 	}
-	if e := l.ForwardEvicted(m.Addr); e != nil {
-		ts, valid := l.sendableTS(&l1Line{ts: e.TS, tsOwn: e.TSOwn})
-		l.Send(now, coherence.Msg{Type: coherence.MsgDataOwner, Dst: m.Requestor, Addr: m.Addr,
-			Owner: l.ID, TS: ts, TSValid: valid, Epoch: l.epoch, Dirty: e.Dirty}, e.Data)
-		return
-	}
-	l.Panicf(now, "FwdGetX for absent line %s", m)
-}
-
-func (l *L1) handleInv(now sim.Cycle, m *coherence.Msg) {
-	l.Stats.InvalidationsReceived.Inc()
-	l.SquashRead(m.Addr)
-	if w := l.Cache.Peek(m.Addr); w != nil {
-		if owned(w) {
-			// Directory recall (L2 eviction of an Exclusive line).
-			ts, valid := l.sendableTS(&w.Meta)
-			l.Send(now, coherence.Msg{Type: coherence.MsgWBData, Dst: m.Src, Addr: m.Addr,
-				Dirty: w.State == stateM,
-				TS:    ts, TSValid: valid, Epoch: l.epoch}, l.Cache.Block(w))
-			l.Drop(w)
-			return
-		}
-		// SharedRO broadcast invalidation (or a stale Shared copy).
-		l.Drop(w)
-		l.Send(now, coherence.Msg{Type: coherence.MsgInvAck, Dst: m.Src, Addr: m.Addr}, nil)
-		return
-	}
-	if e := l.ForwardEvicted(m.Addr); e != nil {
-		ts, valid := l.sendableTS(&l1Line{ts: e.TS, tsOwn: e.TSOwn})
-		l.Send(now, coherence.Msg{Type: coherence.MsgWBData, Dst: m.Src, Addr: m.Addr,
-			Dirty: e.Dirty, TS: ts, TSValid: valid, Epoch: l.epoch}, e.Data)
-		return
-	}
-	l.Send(now, coherence.Msg{Type: coherence.MsgInvAck, Dst: m.Src, Addr: m.Addr}, nil)
 }

@@ -242,18 +242,14 @@ func (t *L2) noteWriterTS(writer coherence.NodeID, m *coherence.Msg) {
 // coherent: the coarse groups are recalled before the line goes (keeps
 // R copies inclusive — see DESIGN.md interpretation notes).
 func (t *L2) recall(now sim.Cycle, v *memsys.Way[l2Line]) int {
-	switch v.State {
-	case dirR:
-		members := t.coarseMembersBuf(v.Meta.sharerBits)
-		for _, c := range members {
-			t.SendAfterAccess(now, coherence.Msg{Type: coherence.MsgInv, Dst: coherence.L1ID(c), Addr: v.Tag}, nil)
-		}
-		return len(members)
-	case dirX:
-		t.SendAfterAccess(now, coherence.Msg{Type: coherence.MsgInv, Dst: v.Meta.owner.Node(), Addr: v.Tag}, nil)
-		return 1
+	if v.State != dirR {
+		return 0
 	}
-	return 0
+	members := t.coarseMembersBuf(v.Meta.sharerBits)
+	for _, c := range members {
+		t.SendAfterAccess(now, coherence.Msg{Type: coherence.MsgInv, Dst: coherence.L1ID(c), Addr: v.Tag}, nil)
+	}
+	return len(members)
 }
 
 func (t *L2) serveGetS(now sim.Cycle, m *coherence.Msg, w *memsys.Way[l2Line]) {
@@ -267,13 +263,6 @@ func (t *L2) serveGetS(now sim.Cycle, m *coherence.Msg, w *memsys.Way[l2Line]) {
 		w.Busy = true
 		t.Txs.New(m.Addr, coherence.TxAwaitAck, m, 0)
 		t.respond(now, m.Requestor, coherence.MsgDataE, m.Addr, t.Cache.Block(w), w.Meta.owner.Node(), ts, ep, valid)
-	case dirX:
-		if w.Meta.owner.Node() == m.Requestor {
-			t.Panicf(now, "GetS from current owner %s", m)
-		}
-		w.Busy = true
-		t.Txs.New(m.Addr, coherence.TxFwdGetS, m, 0)
-		t.SendAfterAccess(now, coherence.Msg{Type: coherence.MsgFwdGetS, Dst: w.Meta.owner.Node(), Addr: m.Addr, Requestor: m.Requestor}, nil)
 	case dirS:
 		if t.shouldDecay(&w.Meta) {
 			t.DecayEvents.Inc()
@@ -331,13 +320,6 @@ func (t *L2) serveGetX(now sim.Cycle, m *coherence.Msg, w *memsys.Way[l2Line]) {
 		w.Busy = true
 		t.Txs.New(m.Addr, coherence.TxAwaitAck, m, 0)
 		t.respond(now, m.Requestor, coherence.MsgDataE, m.Addr, t.Cache.Block(w), w.Meta.owner.Node(), ts, ep, valid)
-	case dirX:
-		if w.Meta.owner.Node() == m.Requestor {
-			t.Panicf(now, "GetX from current owner %s", m)
-		}
-		w.Busy = true
-		t.Txs.New(m.Addr, coherence.TxFwdGetX, m, 0)
-		t.SendAfterAccess(now, coherence.Msg{Type: coherence.MsgFwdGetX, Dst: w.Meta.owner.Node(), Addr: m.Addr, Requestor: m.Requestor}, nil)
 	case dirS:
 		// The lazy write path: respond immediately with the full line;
 		// unaware sharers keep stale copies until they self-invalidate

@@ -274,3 +274,22 @@ func TestInvForAbsentLineAcks(t *testing.T) {
 	r.expect(sent{typ: coherence.MsgInvAck, dst: tile0})
 	r.expectHops()
 }
+
+// TestOwnerServesFromCleanEviction: an E line leaves with a data-less,
+// unstamped PutE; a forwarded GetS that crossed it is served from the
+// buffer with a clean writeback, and without a timestamp: the owner
+// never wrote the line.
+func TestOwnerServesFromCleanEviction(t *testing.T) {
+	tile0, req := coherence.L2ID(0, 4), coherence.L1ID(other)
+	r := newOwnerRig(t, config.C12x0())
+	r.own(stateE)
+	r.l.Load(r.now, ownB, func(uint64) {})
+	r.reset()
+	r.deliver(coherence.MsgDataS, ownB, r.l.Home(ownB), 0, make([]byte, config.BlockSize))
+	r.expect(sent{typ: coherence.MsgPutE, dst: tile0})
+	r.reset()
+	r.deliver(coherence.MsgFwdGetS, ownA, tile0, req, nil)
+	r.expect(sent{typ: coherence.MsgDataOwner, dst: req, data: r.line},
+		sent{typ: coherence.MsgWBData, dst: tile0, noCopy: true, data: r.line})
+	r.expectHops()
+}
