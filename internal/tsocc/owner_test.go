@@ -46,6 +46,7 @@ type ownerRig struct {
 	t    *testing.T
 	l    *L1
 	net  *recNet
+	e    *sim.Engine // fires hit completions (see settle)
 	now  sim.Cycle
 	hops [][3]int // addr, from, to
 	line []byte   // ownA's data as the owner holds it
@@ -58,9 +59,9 @@ func newOwnerRig(t *testing.T, cfg config.TSOCC) *ownerRig {
 	sys.L1Size, sys.L1Ways = config.BlockSize, 1
 	r := &ownerRig{t: t, net: &recNet{}, now: 10}
 	r.l = NewL1(owner, sys, cfg, r.net)
-	e := sim.NewEngine(1 << 20)
-	e.Register(r.l)
-	e.RunWindow(3)
+	r.e = sim.NewEngine(1 << 20)
+	r.e.Register(r.l)
+	r.e.RunWindow(3)
 	r.l.Transition = func(addr uint64, from, to int) { r.hops = append(r.hops, [3]int{int(addr), from, to}) }
 	return r
 }
