@@ -72,9 +72,10 @@ func recordHops(p *Probe) *[]hop {
 	return &hops
 }
 
-// testL1 is the least a protocol supplies on top of L1Base: an evict
-// body, a stamp and a downgrade that record what they are handed; the
-// stamp puts the metadata's owner on the wire as TS.
+// testL1 is the least a protocol supplies on top of L1Base: Shared,
+// Excl and Mod states (no SharedRO), and a handler, an evict body, a
+// stamp and a downgrade that record what they are handed; the stamp
+// puts the metadata's owner on the wire as TS.
 type testL1 struct {
 	L1Base[testLine]
 	handled    []MsgType
@@ -85,10 +86,8 @@ type testL1 struct {
 
 var _ L1Like = (*testL1)(nil)
 
-func (*testL1) Load(sim.Cycle, uint64, func(uint64)) bool                             { return false }
-func (*testL1) Store(sim.Cycle, uint64, uint64, func()) bool                          { return false }
-func (*testL1) RMW(sim.Cycle, uint64, func(uint64) (uint64, bool), func(uint64)) bool { return false }
-func (*testL1) Fence(sim.Cycle, func()) bool                                          { return false }
+func (*testL1) Load(sim.Cycle, uint64, func(uint64)) bool { return false }
+func (*testL1) Fence(sim.Cycle, func()) bool              { return false }
 
 // newTestL1 builds core 1 of 4 — its array one set of two ways — on a
 // fake network and registers it with an engine, which binds the waker
@@ -99,19 +98,21 @@ func newTestL1() (*testL1, *fakeNet, *sim.Engine) {
 	net := &fakeNet{}
 	l := &testL1{}
 	sys := config.System{Cores: 4, L1HitLat: 3, L1Size: 2 * config.BlockSize, L1Ways: 2}
-	l.Init("test", 1, sys, net, stOwned, stExcl,
-		func(now sim.Cycle, m *Msg) { l.handled = append(l.handled, m.Type) },
-		func(now sim.Cycle, w *memsys.Way[testLine]) {
+	l.Init("test", 1, sys, net, L1Spec[testLine]{
+		Shared: stShared, Excl: stOwned, Mod: stExcl,
+		Handle: func(now sim.Cycle, m *Msg) { l.handled = append(l.handled, m.Type) },
+		Evict: func(now sim.Cycle, w *memsys.Way[testLine]) {
 			l.evicted = append(l.evicted, hop{w.Tag, int(w.State), 0})
 		},
-		func(m *Msg, meta *testLine) {
+		Stamp: func(m *Msg, meta *testLine) {
 			l.stamped = append(l.stamped, *meta)
 			m.TS = uint32(meta.owner)
 		},
-		func(w *memsys.Way[testLine]) {
+		Downgrade: func(w *memsys.Way[testLine]) {
 			l.downgraded = append(l.downgraded, w.Tag)
 			l.Set(w, stShared)
-		})
+		},
+	})
 	e := sim.NewEngine(1 << 20)
 	e.Register(l)
 	e.RunWindow(3)
@@ -137,7 +138,7 @@ func TestL1BaseWakeContract(t *testing.T) {
 
 	// A delivery wakes the L1 (outside a dispatch: the next cycle);
 	// queued work asks for the next cycle.
-	l.Deliver(e.Now(), net.msg(MsgDataS, 0x40))
+	l.Deliver(e.Now(), net.msg(MsgTSResetL1, 0))
 	if e.NextDue() != e.Now()+1 {
 		t.Fatalf("Deliver did not wake: engine next due %d, now %d", e.NextDue(), e.Now())
 	}
@@ -145,7 +146,7 @@ func TestL1BaseWakeContract(t *testing.T) {
 		t.Fatalf("queued message: NextWake(2)=%d, want 3", l.NextWake(2))
 	}
 	e.RunWindow(7)
-	if len(l.handled) != 1 || l.handled[0] != MsgDataS {
+	if len(l.handled) != 1 || l.handled[0] != MsgTSResetL1 {
 		t.Fatalf("handled %v", l.handled)
 	}
 	if net.pool.Live() != 0 {
@@ -164,6 +165,12 @@ func TestL1BaseWakeContract(t *testing.T) {
 	}
 }
 
+// TestL1BaseSlotsAndBusy: a read miss and a write miss each hold their
+// slot, gating what the core may issue next, until the response that
+// completes them; completion reports the miss latency, frees the slot
+// and hands the core its value. Owner-forwarded data an Inv overtook is
+// not installed; the L2's own data is. A data response no read awaits
+// is a protocol bug.
 func TestL1BaseSlotsAndBusy(t *testing.T) {
 	l, net, _ := newTestL1()
 	var lat []sim.Cycle
@@ -172,6 +179,12 @@ func TestL1BaseSlotsAndBusy(t *testing.T) {
 			c = -c
 		}
 		lat = append(lat, c)
+	}
+	respond := func(now sim.Cycle, typ MsgType, addr uint64, v byte) {
+		m := net.msg(typ, addr)
+		m.Src, m.Data = L2ID(1, 4), block(v)
+		l.Deliver(now, m)
+		l.Tick(now)
 	}
 
 	var got uint64
@@ -184,26 +197,21 @@ func TestL1BaseSlotsAndBusy(t *testing.T) {
 	if !l.Busy() || !l.LoadBlocked(0x80) || l.StoreBlocked(0x80) || !l.StoreBlocked(0x148) {
 		t.Fatal("read slot gating wrong")
 	}
-	data := net.msg(MsgDataOwner, 0x140)
-	if _, install := l.PendingRead(11, data); !install {
-		t.Fatal("unsquashed owner data must be installable")
-	}
 	l.inv(11, net.msg(MsgInv, 0x80)) // other block: no effect
 	l.inv(11, net.msg(MsgInv, 0x140))
-	if _, install := l.PendingRead(11, data); install {
-		t.Fatal("squashed owner-forwarded data must not be installed")
+	respond(25, MsgDataOwner, 0x140, 2)
+	if got != 0x0202020202020202 || l.Rd != nil || l.Busy() || l.Cache.Peek(0x140) != nil {
+		t.Fatalf("squashed owner data: got=%#x rd=%v busy=%v installed=%v", got, l.Rd, l.Busy(), l.Cache.Peek(0x140) != nil)
 	}
-	data.Type = MsgDataS
-	if _, install := l.PendingRead(11, data); !install {
-		t.Fatal("L2 data is FIFO-fresh even when squashed")
-	}
-	l.FinishRead(25, 99)
-	if got != 99 || l.Rd != nil || l.Busy() {
-		t.Fatalf("FinishRead: got=%d rd=%v busy=%v", got, l.Rd, l.Busy())
+	l.IssueRead(26, 0x148, func(v uint64) { got = v })
+	l.inv(27, net.msg(MsgInv, 0x140))
+	respond(28, MsgDataS, 0x140, 3)
+	if w := l.Cache.Peek(0x140); got != 0x0303030303030303 || w == nil || w.State != stShared {
+		t.Fatal("L2 data is FIFO-fresh even when squashed: it must be installed")
 	}
 
 	var old uint64
-	l.IssueWrite(30, WriteTx{WordAddr: 0x208, IsRMW: true, RMWCb: func(v uint64) { old = v }})
+	l.RMW(30, 0x208, func(v uint64) (uint64, bool) { return v + 1, true }, func(v uint64) { old = v })
 	if m, _ := net.last(); m.Type != MsgGetX || m.Addr != 0x200 || m.Dst != L2ID(0, 4) {
 		t.Fatalf("GetX %s", m)
 	}
@@ -211,21 +219,61 @@ func TestL1BaseSlotsAndBusy(t *testing.T) {
 		!l.StoreBlocked(0x80) || l.LoadBlocked(0x80) || !l.LoadBlocked(0x210) {
 		t.Fatal("write slot gating wrong")
 	}
-	l.FinishWrite(42, 7)
-	if old != 7 || l.Wr != nil || l.Busy() || l.Stats.RMWLat.Count() != 1 || l.Stats.RMWLat.Sum() != 12 {
-		t.Fatalf("FinishWrite: old=%d wr=%v busy=%v rmwlat=%d/%d", old, l.Wr, l.Busy(),
+	respond(42, MsgDataE, 0x200, 7)
+	if m, _ := net.last(); m.Type != MsgAck || m.Addr != 0x200 || m.Dst != L2ID(0, 4) {
+		t.Fatalf("grant not acknowledged: %s", m)
+	}
+	if old != 0x0707070707070707 || l.Wr != nil || l.Busy() || l.Stats.RMWLat.Count() != 1 || l.Stats.RMWLat.Sum() != 12 {
+		t.Fatalf("write completion: old=%#x wr=%v busy=%v rmwlat=%d/%d", old, l.Wr, l.Busy(),
 			l.Stats.RMWLat.Sum(), l.Stats.RMWLat.Count())
 	}
-	if len(lat) != 2 || lat[0] != -15 || lat[1] != 12 {
-		t.Fatalf("MissLatency reports %v, want [-15 12]", lat)
+	if len(lat) != 3 || lat[0] != -15 || lat[1] != -2 || lat[2] != 12 {
+		t.Fatalf("MissLatency reports %v, want [-15 -2 12]", lat)
 	}
 
 	defer func() {
-		if r := recover(); r == nil || !strings.Contains(r.(string), "test L1 1 cycle 50") {
+		if r := recover(); r == nil || !strings.Contains(r.(string), "test L1 1 cycle 50: data response without read tx") {
 			t.Fatalf("stray data response: recovered %v", r)
 		}
 	}()
-	l.PendingRead(50, data)
+	respond(50, MsgDataS, 0x140, 1)
+}
+
+// TestL1BaseFillStates: a read fill installs in the state its type maps
+// to and is shown to Filled; a Shared fill with Shared 0 completes the
+// load without installing; with SharedRO 0 a DataSRO is the protocol's
+// message, not a fill.
+func TestL1BaseFillStates(t *testing.T) {
+	l, net, _ := newTestL1()
+	var filled []uint64
+	l.p.Filled = func(w *memsys.Way[testLine], m *Msg) { filled = append(filled, w.Tag) }
+	respond := func(now sim.Cycle, typ MsgType, addr uint64) {
+		m := net.msg(typ, addr)
+		m.Data = block(1)
+		l.Deliver(now, m)
+		l.Tick(now)
+	}
+	for i, c := range []struct {
+		typ   MsgType
+		state uint8
+	}{{MsgDataE, stOwned}, {MsgDataS, stShared}, {MsgDataOwner, stShared}} {
+		addr := uint64(0x40 * i)
+		l.IssueRead(sim.Cycle(10*i), addr, func(uint64) {})
+		respond(sim.Cycle(10*i+1), c.typ, addr)
+		if w := l.Cache.Peek(addr); w == nil || w.State != c.state || len(filled) != i+1 || filled[i] != addr {
+			t.Fatalf("%s: installed %v, filled %v", c.typ, w != nil, filled)
+		}
+	}
+	l.p.Shared = 0
+	l.IssueRead(40, 0x100, func(uint64) {})
+	respond(41, MsgDataS, 0x100)
+	if l.Cache.Peek(0x100) != nil || len(filled) != 3 || l.Rd != nil {
+		t.Fatal("Shared 0: the fill must complete the load uncached")
+	}
+	respond(42, MsgDataSRO, 0x100)
+	if len(l.handled) != 1 || l.handled[0] != MsgDataSRO {
+		t.Fatalf("SharedRO 0: DataSRO handled by the protocol %v", l.handled)
+	}
 }
 
 // TestL1BaseEvictBuffer: an owned victim is parked with its data and
@@ -903,22 +951,38 @@ func TestDirBaseNamesAndCounters(t *testing.T) {
 
 // TestBasesSteadyStateZeroAlloc: once the inbox, the pool and the timer
 // heap have grown to their working size, the Deliver → Tick path of
-// both bases allocates nothing, the owner's stamped reply to a forward
+// both bases allocates nothing: the owner's stamped reply to a forward,
+// a write miss through its grant and stamped Ack, and a store hit
 // included.
 func TestBasesSteadyStateZeroAlloc(t *testing.T) {
-	l, lnet, _ := newTestL1()
-	l.handle = func(sim.Cycle, *Msg) {}
-	l.stamp = func(m *Msg, meta *testLine) { m.TS = uint32(meta.owner) }
+	l, lnet, e := newTestL1()
+	l.p.Handle = func(sim.Cycle, *Msg) {}
+	l.p.Stamp = func(m *Msg, meta *testLine) { m.TS = uint32(meta.owner) }
+	l.p.Wrote = func(_ sim.Cycle, w *memsys.Way[testLine], ack *Msg) {
+		if ack != nil {
+			ack.TS = uint32(w.Meta.owner)
+		}
+	}
 	blk := block(1)
-	now := sim.Cycle(0)
+	now := sim.Cycle(10)
+	storeCb := func() {}
+	deliver := func(typ MsgType, addr uint64, data []byte) {
+		m := lnet.msg(typ, addr)
+		m.Requestor = L1ID(2)
+		m.SetData(data)
+		l.Deliver(now, m)
+		l.Tick(now)
+	}
 	l1 := func() {
 		now++
 		l.Set(l.Install(now, 0x40, blk), stExcl)
-		fwd := lnet.msg(MsgFwdGetX, 0x40)
-		fwd.Requestor = L1ID(2)
-		l.Deliver(now, fwd)
-		l.Deliver(now, lnet.msg(MsgDataS, 0x40))
-		l.Tick(now)
+		deliver(MsgFwdGetX, 0x40, nil)
+		l.Store(now, 0xc8, 5, storeCb) // write miss
+		deliver(MsgDataE, 0xc0, blk)
+		now++
+		l.Store(now, 0xc8, 6, storeCb) // store hit
+		deliver(MsgFwdGetX, 0xc0, nil)
+		e.RunWindow(now + 2)
 		for _, m := range lnet.sent { // the mesh would deliver and recycle
 			lnet.pool.Put(m)
 		}

@@ -20,8 +20,7 @@ import (
 // components and re-polls NextWake only after a tick.
 type Controller interface {
 	Deliver(now sim.Cycle, m *Msg)
-	Tick(now sim.Cycle)
-	NextWake(now sim.Cycle) sim.Cycle
+	sim.Ticker // Tick and NextWake
 	BindWaker(w sim.Waker)
 	Busy() bool
 	// SnoopBlock returns the controller's copy of the block at addr if it
@@ -101,7 +100,7 @@ type Probe struct {
 	Transition func(addr uint64, from, to int)
 	// MissLatency (L1, obs layer) receives each completed miss: whether
 	// it was a read and how many cycles the request was outstanding.
-	// Called by L1Base.FinishRead / FinishWrite.
+	// Reported by L1Base as each miss completes.
 	MissLatency func(read bool, cycles sim.Cycle)
 }
 

@@ -17,10 +17,7 @@ type ReadTx struct {
 	Squashed bool // an Inv for Addr arrived while the miss was in flight
 }
 
-// WriteTx is an L1's outstanding write or RMW miss. IssueWrite's caller
-// fills WordAddr and the operation fields; the base stamps Addr and
-// Issued. Upgrade is protocol scratch (MESI: the line was Shared locally
-// when requested).
+// WriteTx is an L1's outstanding write or RMW miss.
 type WriteTx struct {
 	Addr     uint64 // block address
 	WordAddr uint64
@@ -30,16 +27,6 @@ type WriteTx struct {
 	StoreCb  func()
 	RMWCb    func(uint64)
 	Issued   sim.Cycle
-	Upgrade  bool
-}
-
-// Apply returns the value the write leaves in a word that held old, and
-// whether it writes at all (an RMW's F may decline, as a failed CAS does).
-func (tx *WriteTx) Apply(old uint64) (uint64, bool) {
-	if tx.IsRMW {
-		return tx.F(old)
-	}
-	return tx.Val, true
 }
 
 // EvictEntry is one eviction-buffer slot: an owned line's data and
@@ -52,25 +39,60 @@ type EvictEntry[M any] struct {
 	Transferred bool // ownership passed to another core while in flight
 }
 
+// L1Spec is what a protocol's L1 hands L1Base.Init: its line states and
+// the hooks where it departs from the shared skeleton. A nil hook does
+// nothing, except Downgrade, which every protocol supplies.
+type L1Spec[M any] struct {
+	// Shared, SharedRO and Excl are the states a read fill installs its
+	// line in: DataS and DataOwner, DataSRO, DataE. Shared 0 means Shared
+	// data is not cached, only read; SharedRO 0 means the protocol has no
+	// such state, and a DataSRO goes to Handle. Excl and Mod are the
+	// states this L1 owns a line in, clean and dirty; every write leaves
+	// its line in Mod.
+	Shared, SharedRO, Excl, Mod uint8
+
+	// Handle receives every delivered message the base does not serve
+	// (nil: any such message is a protocol bug).
+	Handle func(now sim.Cycle, m *Msg)
+	// Evict hands a valid line in a state other than Excl / Mod back to
+	// the directory before the base drops it (nil: it goes silently).
+	Evict func(now sim.Cycle, w *memsys.Way[M])
+	// Stamp adds the protocol's fields, from the line's metadata, to the
+	// data an owner sends: DataOwner, WBData, PutM.
+	Stamp func(m *Msg, meta *M)
+	// Downgrade leaves an owned line in the protocol's shared state once
+	// a forwarded GetS has been answered.
+	Downgrade func(w *memsys.Way[M])
+	// OnData sees every data response before its miss completes.
+	OnData func(m *Msg)
+	// Filled sets the metadata of the line a read fill m installed; w is
+	// already in its fill state.
+	Filled func(w *memsys.Way[M], m *Msg)
+	// Wrote follows every write that changed w's data, w already in Mod:
+	// a hit's with ack nil, a miss's with its grant's Ack, still unsent.
+	Wrote func(now sim.Cycle, w *memsys.Way[M], ack *Msg)
+	// WriteMiss sees every write miss before its GetX leaves, with the
+	// line's way if the L1 holds a copy (nil otherwise).
+	WriteMiss func(w *memsys.Way[M])
+}
+
 // L1Base is the protocol-independent skeleton of a private-cache
 // controller, generic over the protocol's line metadata M (the line's
 // state lives in memsys.Way): the plumbing in l1Ctl plus the cache
 // array — install with victim eviction, the evict-fault check on hits,
 // state writes reported to the probe (lines.Set), SnoopBlock and
-// PrewarmStorage — and the exclusive owner's side of the protocol: an
-// owned line's eviction (the eviction buffer, PutE / PutM) and the
-// forwarded GetS / GetX and recall Inv it answers, from the line or
+// PrewarmStorage — the requester's side of the protocol — every read
+// fill, every write miss's completion and its Ack, and the Store and
+// RMW ports with their hits on owned lines — and the exclusive owner's
+// side: an owned line's eviction (the eviction buffer, PutE / PutM) and
+// the forwarded GetS / GetX and recall Inv it answers, from the line or
 // from the buffer when the request crossed its Put. A protocol's L1
-// embeds it and supplies, at Init, its two owned states, its message
-// handler and three hooks (see Init), and writes the
-// Load/Store/RMW/Fence bodies.
+// embeds it, supplies its states and hooks at Init (L1Spec), and writes
+// the Load and Fence bodies.
 type L1Base[M any] struct {
 	l1Ctl
 	lines[M]
-	excl, mod uint8 // the owned states: clean (E) and dirty (M)
-	evictBody func(now sim.Cycle, w *memsys.Way[M])
-	stamp     func(m *Msg, meta *M)
-	downgrade func(w *memsys.Way[M])
+	p L1Spec[M]
 
 	evictBuf  map[uint64]*EvictEntry[M]
 	evictFree []*EvictEntry[M]
@@ -100,44 +122,32 @@ type l1Ctl struct {
 	rdBuf ReadTx
 	wrBuf WriteTx
 
-	net    Network
-	pool   *MsgPool
-	handle func(now sim.Cycle, m *Msg)
-	inbox  []*Msg
-	waker  sim.Waker
+	net   Network
+	pool  *MsgPool
+	inbox []*Msg
+	waker sim.Waker
 }
 
 // Init wires the base for core `core` of sys, with an L1 array of sys's
-// geometry. proto prefixes the component label ("mesi L1 3"). excl and
-// mod are the states in which this L1 owns a line, clean and dirty.
-// Tick serves PutAcks, forwarded GetS / GetX and Invs itself and calls
-// handle for every other delivered message, recycling each message
-// afterwards, so handlers never retain one. The hooks:
-//   - evict hands a valid line in a state other than excl / mod back to
-//     the directory before the base drops it (nil: such lines go
-//     silently);
-//   - stamp adds the protocol's fields, from the line's metadata, to the
-//     data an owner sends: DataOwner, WBData, PutM (nil: none);
-//   - downgrade leaves an owned line in the protocol's shared state once
-//     a forwarded GetS has been answered.
-func (l *L1Base[M]) Init(proto string, core int, sys config.System, net Network, excl, mod uint8,
-	handle func(now sim.Cycle, m *Msg), evict func(now sim.Cycle, w *memsys.Way[M]),
-	stamp func(m *Msg, meta *M), downgrade func(w *memsys.Way[M])) {
-	l.ID = L1ID(core)
-	l.Cores = sys.Cores
-	l.HitLat = sys.L1HitLat
-	l.net = net
-	l.pool = net.MsgPool()
-	l.handle = handle
+// geometry, and the protocol's states and hooks. proto prefixes the
+// component label ("mesi L1 3"). Tick serves the responses to this L1's
+// misses, PutAcks, forwarded GetS / GetX and Invs itself and hands every
+// other delivered message to spec.Handle, recycling each message
+// afterwards, so handlers never retain one.
+func (l *L1Base[M]) Init(proto string, core int, sys config.System, net Network, spec L1Spec[M]) {
+	l.ID, l.Cores, l.HitLat = L1ID(core), sys.Cores, sys.L1HitLat
+	l.net, l.pool = net, net.MsgPool()
 	l.evictBuf = make(map[uint64]*EvictEntry[M])
 	l.ctlLabel = ctlLabel(fmt.Sprintf("%s L1 %d", proto, core))
 	l.lines = lines[M]{Cache: memsys.NewCache[M](sys.L1Size, sys.L1Ways), probe: &l.Probe}
-	l.excl, l.mod = excl, mod
-	l.evictBody, l.stamp, l.downgrade = evict, stamp, downgrade
+	l.p = spec
+	if l.p.Handle == nil {
+		l.p.Handle = l.unexpected
+	}
 }
 
 // owns reports whether w's line is this L1's alone (E or M).
-func (l *L1Base[M]) owns(w *memsys.Way[M]) bool { return w.State == l.excl || w.State == l.mod }
+func (l *L1Base[M]) owns(w *memsys.Way[M]) bool { return w.State == l.p.Excl || w.State == l.p.Mod }
 
 // SelfEvicts reports whether the evict fault profile (Probe.EvictFault)
 // turns a core access that hit w into a forced self-eviction; a way
@@ -162,15 +172,15 @@ func (l *L1Base[M]) forceEvict(now sim.Cycle, w *memsys.Way[M]) bool {
 func (l *L1Base[M]) evict(now sim.Cycle, w *memsys.Way[M]) {
 	switch {
 	case l.owns(w):
-		dirty := w.State == l.mod
+		dirty := w.State == l.p.Mod
 		l.bufferEvict(w, dirty)
 		if dirty {
 			l.sendStamped(now, Msg{Type: MsgPutM, Dst: l.Home(w.Tag), Addr: w.Tag, Dirty: true}, l.Cache.Block(w), &w.Meta)
 		} else {
 			l.Send(now, Msg{Type: MsgPutE, Dst: l.Home(w.Tag), Addr: w.Tag}, nil)
 		}
-	case l.evictBody != nil:
-		l.evictBody(now, w)
+	case l.p.Evict != nil:
+		l.p.Evict(now, w)
 	}
 	l.Drop(w)
 }
@@ -225,15 +235,171 @@ func (l *L1Base[M]) Tick(now sim.Cycle) {
 			}
 		case MsgInv:
 			l.inv(now, m)
+		case MsgDataE, MsgDataS, MsgDataOwner, MsgDataSRO, MsgUpgAck:
+			l.respond(now, m)
 		default:
-			l.handle(now, m)
+			l.p.Handle(now, m)
 		}
 		l.pool.Put(m) // L1 handlers never retain a delivered message
 	}
 }
 
+// Store implements CorePort: a store that hits an owned line completes
+// here, leaving the line dirty; any other is a write miss.
+func (l *L1Base[M]) Store(now sim.Cycle, addr uint64, val uint64, cb func()) bool {
+	if l.StoreBlocked(addr) {
+		return false
+	}
+	if w := l.writeHit(now, addr); w != nil {
+		l.write(now, w, addr, val, nil)
+		l.Stats.WriteHitPrivate.Inc()
+		l.CompleteNext(now, cb)
+		return true
+	}
+	l.issueWrite(now, WriteTx{WordAddr: addr, Val: val, StoreCb: cb})
+	return true
+}
+
+// RMW implements CorePort: an RMW that hits an owned line completes
+// here, leaving the line dirty if f writes; any other is a write miss.
+func (l *L1Base[M]) RMW(now sim.Cycle, addr uint64, f func(uint64) (uint64, bool), cb func(uint64)) bool {
+	if l.StoreBlocked(addr) {
+		return false
+	}
+	if w := l.writeHit(now, addr); w != nil {
+		old := memsys.GetWord(l.Cache.Block(w), addr)
+		if nv, ok := f(old); ok {
+			l.write(now, w, addr, nv, nil)
+		}
+		l.Stats.WriteHitPrivate.Inc()
+		l.Stats.RMWLat.Observe(int64(l.HitLat))
+		l.CompleteVal(now, cb, old)
+		return true
+	}
+	l.issueWrite(now, WriteTx{WordAddr: addr, IsRMW: true, F: f, RMWCb: cb})
+	return true
+}
+
+// writeHit returns addr's way if a write completes on it: the line is
+// owned here and the evict fault does not take it.
+func (l *L1Base[M]) writeHit(now sim.Cycle, addr uint64) *memsys.Way[M] {
+	if w := l.Cache.Lookup(addr); w != nil && l.owns(w) && !l.SelfEvicts(now, w) {
+		return w
+	}
+	return nil
+}
+
+// write puts v in the word at addr of the owned line w, which goes
+// dirty, and shows the protocol (Wrote), with the miss's Ack if any.
+func (l *L1Base[M]) write(now sim.Cycle, w *memsys.Way[M], addr, v uint64, ack *Msg) {
+	memsys.PutWord(l.Cache.Block(w), addr, v)
+	l.Set(w, l.p.Mod)
+	if l.p.Wrote != nil {
+		l.p.Wrote(now, w, ack)
+	}
+}
+
+// issueWrite shows the protocol the write miss (WriteMiss), occupies the
+// write slot with tx — whose WordAddr and operation fields the caller
+// fills — and sends the GetX to its home tile.
+func (l *L1Base[M]) issueWrite(now sim.Cycle, tx WriteTx) {
+	tx.Addr, tx.Issued = config.BlockAddr(tx.WordAddr), now
+	if l.p.WriteMiss != nil {
+		l.p.WriteMiss(l.Cache.Peek(tx.Addr))
+	}
+	l.wrBuf = tx
+	l.Wr = &l.wrBuf
+	l.Send(now, Msg{Type: MsgGetX, Dst: l.Home(tx.Addr), Addr: tx.Addr, Requestor: l.ID}, nil)
+}
+
+// respond completes the miss a response answers: a grant — DataE,
+// DataOwner or UpgAck — for the block in the write slot completes the
+// write, any other response the read. Data responses are counted and
+// shown to the protocol (OnData) first. A protocol without a SharedRO
+// state handles a DataSRO itself.
+func (l *L1Base[M]) respond(now sim.Cycle, m *Msg) {
+	if m.Type == MsgDataSRO && l.p.SharedRO == 0 {
+		l.p.Handle(now, m)
+		return
+	}
+	if m.Type != MsgUpgAck {
+		l.Stats.DataResponses.Inc()
+		if l.p.OnData != nil {
+			l.p.OnData(m)
+		}
+	}
+	if m.Type != MsgDataS && m.Type != MsgDataSRO && l.WritePending(m.Addr) {
+		l.completeWrite(now, m)
+	} else {
+		l.completeRead(now, m)
+	}
+}
+
+// completeRead installs the read miss's fill in the state its type maps
+// to (see L1Spec), acknowledges an exclusive grant, then completes the
+// core's load. It installs nothing in state 0, nor owner-forwarded data
+// an Inv overtook (the L2's own data is FIFO-ordered after any Inv it
+// issued, so it is always fresh).
+func (l *L1Base[M]) completeRead(now sim.Cycle, m *Msg) {
+	state := l.p.Shared
+	switch m.Type {
+	case MsgUpgAck:
+		l.Panicf(now, "unexpected UpgAck %s", m)
+	case MsgDataE:
+		state = l.p.Excl
+	case MsgDataSRO:
+		state = l.p.SharedRO
+	}
+	tx := l.Rd
+	if tx == nil || tx.Addr != m.Addr {
+		l.Panicf(now, "data response without read tx %s", m)
+	}
+	if state != 0 && !(tx.Squashed && m.Type == MsgDataOwner) {
+		w := l.Install(now, m.Addr, m.Data)
+		l.Set(w, state)
+		if l.p.Filled != nil {
+			l.p.Filled(w, m)
+		}
+	}
+	if m.Type == MsgDataE {
+		l.Send(now, Msg{Type: MsgAck, Dst: l.Home(m.Addr), Addr: m.Addr}, nil)
+	}
+	l.finishRead(now, memsys.GetWord(m.Data, tx.WordAddr))
+}
+
+// completeWrite applies the write miss once the line is exclusive: to
+// the fresh data, (re)installed, or — for an UpgAck, which carries none —
+// to the Shared copy the miss pinned. The line goes dirty and unpinned;
+// the grant's Ack, which releases the directory, leaves before the
+// core's store or RMW completes.
+func (l *L1Base[M]) completeWrite(now sim.Cycle, m *Msg) {
+	tx := l.Wr
+	w := l.Cache.Peek(tx.Addr)
+	if m.Type != MsgUpgAck {
+		w = l.Install(now, tx.Addr, m.Data)
+	} else if w == nil || w.State != l.p.Shared {
+		l.Panicf(now, "UpgAck without Shared line %s", m)
+	}
+	w.Busy = false
+	l.Set(w, l.p.Mod)
+	old := memsys.GetWord(l.Cache.Block(w), tx.WordAddr)
+	nv, ok := tx.Val, true
+	if tx.IsRMW {
+		nv, ok = tx.F(old) // may decline, as a failed CAS does
+	}
+	// Wrote stamps the pooled copy: handing it a template's address
+	// would move every template to the heap.
+	ack := l.pool.NewFrom(Msg{Type: MsgAck, Dst: l.Home(tx.Addr), Addr: tx.Addr}, nil)
+	if ok {
+		l.write(now, w, tx.WordAddr, nv, ack)
+	}
+	ack.Src = l.ID
+	l.net.Send(now, ack)
+	l.finishWrite(now, old)
+}
+
 // inv handles an invalidation: a read of the line in flight is
-// squashed (see PendingRead); a recall of an owned line (the directory
+// squashed (see completeRead); a recall of an owned line (the directory
 // evicting it) is answered with a writeback, from the line or from the
 // eviction buffer; any other copy is dropped and the Inv acknowledged,
 // as is one for a line this L1 no longer holds.
@@ -264,7 +430,7 @@ func (l *L1Base[M]) serveOwner(now sim.Cycle, m *Msg, w *memsys.Way[M]) bool {
 	var meta *M
 	var dirty bool
 	if w != nil {
-		data, meta, dirty = l.Cache.Block(w), &w.Meta, w.State == l.mod
+		data, meta, dirty = l.Cache.Block(w), &w.Meta, w.State == l.p.Mod
 	} else if e := l.evictBuf[m.Addr]; e != nil {
 		e.Transferred = true
 		data, meta, dirty = e.Data, &e.Meta, e.Dirty
@@ -280,7 +446,7 @@ func (l *L1Base[M]) serveOwner(now sim.Cycle, m *Msg, w *memsys.Way[M]) bool {
 		l.sendStamped(now, Msg{Type: MsgWBData, Dst: l.Home(m.Addr), Addr: m.Addr, Dirty: dirty, NoCopy: w == nil}, data, meta)
 	}
 	if w != nil && m.Type == MsgFwdGetS {
-		l.downgrade(w)
+		l.p.Downgrade(w)
 	} else if w != nil {
 		l.Drop(w)
 	}
@@ -293,8 +459,8 @@ func (l *L1Base[M]) serveOwner(now sim.Cycle, m *Msg, w *memsys.Way[M]) bool {
 // template to the heap.
 func (l *L1Base[M]) sendStamped(now sim.Cycle, tmpl Msg, data []byte, meta *M) {
 	m := l.pool.NewFrom(tmpl, data)
-	if l.stamp != nil {
-		l.stamp(m, meta)
+	if l.p.Stamp != nil {
+		l.p.Stamp(m, meta)
 	}
 	m.Src = l.ID
 	l.net.Send(now, m)
@@ -336,7 +502,7 @@ func (l *L1Base[M]) Debug() string {
 		s += fmt.Sprintf(" rd=%#x(squash=%v)", l.Rd.Addr, l.Rd.Squashed)
 	}
 	if l.Wr != nil {
-		s += fmt.Sprintf(" wr=%#x(upg=%v rmw=%v issued=%d)", l.Wr.Addr, l.Wr.Upgrade, l.Wr.IsRMW, l.Wr.Issued)
+		s += fmt.Sprintf(" wr=%#x(rmw=%v issued=%d)", l.Wr.Addr, l.Wr.IsRMW, l.Wr.Issued)
 	}
 	for a, e := range l.evictBuf {
 		s += fmt.Sprintf(" evict=%#x(dirty=%v xfer=%v)", a, e.Dirty, e.Transferred)
@@ -423,30 +589,12 @@ func (l *l1Ctl) IssueRead(now sim.Cycle, addr uint64, cb func(uint64)) {
 	l.Send(now, Msg{Type: MsgGetS, Dst: l.Home(blk), Addr: blk, Requestor: l.ID}, nil)
 }
 
-// IssueWrite occupies the write slot with tx (see WriteTx for the
-// fields the caller fills) and sends the GetX to its home tile.
-func (l *l1Ctl) IssueWrite(now sim.Cycle, tx WriteTx) {
-	tx.Addr, tx.Issued = config.BlockAddr(tx.WordAddr), now
-	l.wrBuf = tx
-	l.Wr = &l.wrBuf
-	l.Send(now, Msg{Type: MsgGetX, Dst: l.Home(tx.Addr), Addr: tx.Addr, Requestor: l.ID}, nil)
-}
+// unexpected is the message handler of a protocol that has none.
+func (l *l1Ctl) unexpected(now sim.Cycle, m *Msg) { l.Panicf(now, "unexpected message %s", m) }
 
-// PendingRead returns the read miss the data response m answers (one
-// that matches none is a protocol bug) and whether m's data may be
-// cached. Responses sent by the L2 itself are FIFO-ordered after any Inv
-// the L2 issued, so they are always fresh; only owner-forwarded data can
-// be overtaken by a later invalidation (the squash case).
-func (l *l1Ctl) PendingRead(now sim.Cycle, m *Msg) (tx *ReadTx, install bool) {
-	if l.Rd == nil || l.Rd.Addr != m.Addr {
-		l.Panicf(now, "data response without read tx %s", m)
-	}
-	return l.Rd, !l.Rd.Squashed || m.Type != MsgDataOwner
-}
-
-// FinishRead retires the read miss: reports its latency, frees the slot,
+// finishRead retires the read miss: reports its latency, frees the slot,
 // then completes the core's load (whose callback may issue the next).
-func (l *l1Ctl) FinishRead(now sim.Cycle, val uint64) {
+func (l *l1Ctl) finishRead(now sim.Cycle, val uint64) {
 	tx := l.Rd
 	if l.MissLatency != nil {
 		l.MissLatency(true, now-tx.Issued)
@@ -455,10 +603,10 @@ func (l *l1Ctl) FinishRead(now sim.Cycle, val uint64) {
 	tx.Cb(val)
 }
 
-// FinishWrite retires the write miss after the protocol applied it to
-// the line: records RMW latency (Figure 8), reports the miss latency,
-// frees the slot and completes the core's store, or its RMW with old.
-func (l *l1Ctl) FinishWrite(now sim.Cycle, old uint64) {
+// finishWrite retires the write miss once it is applied to the line:
+// records RMW latency (Figure 8), reports the miss latency, frees the
+// slot and completes the core's store, or its RMW with old.
+func (l *l1Ctl) finishWrite(now sim.Cycle, old uint64) {
 	tx := l.Wr
 	if tx.IsRMW {
 		l.Stats.RMWLat.Observe(int64(now - tx.Issued))

@@ -23,8 +23,9 @@ type l1Line struct {
 }
 
 // L1 is one core's TSO-CC private cache controller: the shared
-// skeleton (coherence.L1Base) plus line metadata, the timestamp source
-// and last-seen tables, and self-invalidation.
+// skeleton (coherence.L1Base, which serves both the requester's and the
+// owner's side) plus line metadata, the timestamp source and last-seen
+// tables, and self-invalidation.
 type L1 struct {
 	coherence.L1Base[l1Line]
 	cfg config.TSOCC
@@ -65,12 +66,18 @@ func NewL1(core int, sys config.System, cfg config.TSOCC, net coherence.Network)
 		tsL2:    newLastSeen(cfg.TSTableEntries, sys.Cores),
 		epochL2: make([]uint8, sys.Cores),
 	}
-	l.Init("tsocc", core, sys, net, stateE, stateM, l.handle, nil, l.stamp, l.downgrade)
+	// Shared and SharedRO evictions are silent (§3.2, §3.4): no Evict.
+	shared := uint8(stateS)
+	if cfg.MaxAccesses() == 0 {
+		shared = 0 // CC-shared-to-L2: Shared data is never cached locally
+	}
+	l.Init("tsocc", core, sys, net, coherence.L1Spec[l1Line]{
+		Shared: shared, SharedRO: stateR, Excl: stateE, Mod: stateM,
+		Handle: l.handle, Stamp: l.stamp, Downgrade: l.downgrade,
+		OnData: l.maybeSelfInvalidate, Filled: l.filled, Wrote: l.wrote, WriteMiss: l.countWriteMiss,
+	})
 	return l
 }
-
-// owned reports whether w is Exclusive or Modified here.
-func owned(w *memsys.Way[l1Line]) bool { return w.State == stateE || w.State == stateM }
 
 // ---- Timestamp source ----
 
@@ -162,56 +169,13 @@ func (l *L1) Load(now sim.Cycle, addr uint64, cb func(uint64)) bool {
 	return true
 }
 
-// Store implements coherence.CorePort.
-func (l *L1) Store(now sim.Cycle, addr uint64, val uint64, cb func()) bool {
-	if l.StoreBlocked(addr) {
-		return false
-	}
-	if w := l.Cache.Lookup(addr); w != nil && owned(w) && !l.SelfEvicts(now, w) {
-		l.Set(w, stateM)
-		memsys.PutWord(l.Cache.Block(w), addr, val)
-		w.Meta.ts = l.assignTS(now)
-		w.Meta.tsOwn = true
-		l.Stats.WriteHitPrivate.Inc()
-		l.CompleteNext(now, cb)
-		return true
-	}
-	l.countWriteMiss(addr)
-	l.IssueWrite(now, coherence.WriteTx{WordAddr: addr, Val: val, StoreCb: cb})
-	return true
-}
-
-// RMW implements coherence.CorePort.
-func (l *L1) RMW(now sim.Cycle, addr uint64, f func(uint64) (uint64, bool), cb func(uint64)) bool {
-	if l.StoreBlocked(addr) {
-		return false
-	}
-	if w := l.Cache.Lookup(addr); w != nil && owned(w) && !l.SelfEvicts(now, w) {
-		old := memsys.GetWord(l.Cache.Block(w), addr)
-		if nv, doWrite := f(old); doWrite {
-			memsys.PutWord(l.Cache.Block(w), addr, nv)
-			l.Set(w, stateM)
-			w.Meta.ts = l.assignTS(now)
-			w.Meta.tsOwn = true
-		}
-		l.Stats.WriteHitPrivate.Inc()
-		l.Stats.RMWLat.Observe(int64(l.HitLat))
-		l.CompleteVal(now, cb, old)
-		return true
-	}
-	l.countWriteMiss(addr)
-	l.IssueWrite(now, coherence.WriteTx{WordAddr: addr, IsRMW: true, F: f, RMWCb: cb})
-	return true
-}
-
-func (l *L1) countWriteMiss(addr uint64) {
-	w := l.Cache.Peek(addr)
+// countWriteMiss is the L1Base hook that counts a write miss by the
+// copy it finds.
+func (l *L1) countWriteMiss(w *memsys.Way[l1Line]) {
 	switch {
-	case w == nil:
-		l.Stats.WriteMissInvalid.Inc()
-	case w.State == stateS:
+	case w != nil && w.State == stateS:
 		l.Stats.WriteMissShared.Inc()
-	case w.State == stateR:
+	case w != nil && w.State == stateR:
 		l.Stats.WriteMissSRO.Inc()
 	default:
 		l.Stats.WriteMissInvalid.Inc()
@@ -255,12 +219,11 @@ func (l *L1) selfInvalidate(cause coherence.SelfInvCause) {
 	l.Stats.SelfInvLines.Add(dropped)
 }
 
-// maybeSelfInvalidate applies the potential-acquire detection rules
-// (§3.1 basic; §3.3 transitive reduction; §3.4 SharedRO; §3.5 epochs)
-// to an incoming data response.
-func (l *L1) maybeSelfInvalidate(m *coherence.Msg, sro bool) {
-	l.Stats.DataResponses.Inc()
-	if !sro {
+// maybeSelfInvalidate is the L1Base hook that applies the
+// potential-acquire detection rules (§3.1 basic; §3.3 transitive
+// reduction; §3.4 SharedRO; §3.5 epochs) to an incoming data response.
+func (l *L1) maybeSelfInvalidate(m *coherence.Msg) {
+	if m.Type != coherence.MsgDataSRO {
 		if m.Owner == l.ID {
 			return // last writer is this core: no invalidation needed
 		}
@@ -326,33 +289,10 @@ func (l *L1) maybeSelfInvalidate(m *coherence.Msg, sro bool) {
 
 // ---- Message handling ----
 
+// handle serves the timestamp resets; L1Base serves every other
+// message.
 func (l *L1) handle(now sim.Cycle, m *coherence.Msg) {
 	switch m.Type {
-	case coherence.MsgDataE:
-		l.maybeSelfInvalidate(m, false)
-		if l.WritePending(m.Addr) {
-			l.completeWrite(now, m)
-			return
-		}
-		l.completeRead(now, m, stateE)
-		l.Send(now, coherence.Msg{Type: coherence.MsgAck, Dst: l.Home(m.Addr), Addr: m.Addr}, nil)
-
-	case coherence.MsgDataS:
-		l.maybeSelfInvalidate(m, false)
-		l.completeRead(now, m, stateS)
-
-	case coherence.MsgDataOwner:
-		l.maybeSelfInvalidate(m, false)
-		if l.WritePending(m.Addr) {
-			l.completeWrite(now, m)
-			return
-		}
-		l.completeRead(now, m, stateS)
-
-	case coherence.MsgDataSRO:
-		l.maybeSelfInvalidate(m, true)
-		l.completeRead(now, m, stateR)
-
 	case coherence.MsgTSResetL1:
 		src := int(m.Src)
 		l.tsL1.drop(src)
@@ -368,54 +308,28 @@ func (l *L1) handle(now sim.Cycle, m *coherence.Msg) {
 	}
 }
 
-func (l *L1) completeWrite(now sim.Cycle, m *coherence.Msg) {
-	tx := l.Wr
-	w := l.Install(now, tx.Addr, m.Data)
-	l.Set(w, stateM)
-	old := memsys.GetWord(l.Cache.Block(w), tx.WordAddr)
-	nv, wrote := tx.Apply(old)
-	ackTS := tsInvalid
-	if wrote {
-		memsys.PutWord(l.Cache.Block(w), tx.WordAddr, nv)
-		ackTS = l.assignTS(now)
-		w.Meta.ts = ackTS
-		w.Meta.tsOwn = true
+// filled is the L1Base hook for a read fill: the line takes the
+// response's timestamp, not as its own, with a fresh access budget, and
+// a Shared line enters the sweep index.
+func (l *L1) filled(w *memsys.Way[l1Line], m *coherence.Msg) {
+	w.Meta.acnt, w.Meta.ts, w.Meta.tsOwn = 0, m.TS, false
+	if w.State == stateS {
+		l.noteShared(w)
 	}
-	// Finalize with the L2 (it stays busy until this ack, serializing
-	// writers and carrying the new write's timestamp, §3.2).
-	l.Send(now, coherence.Msg{Type: coherence.MsgAck, Dst: l.Home(tx.Addr), Addr: tx.Addr,
-		TS: ackTS, TSValid: wrote && l.cfg.Timestamps(), Epoch: l.epoch}, nil)
-	l.FinishWrite(now, old)
 }
 
-func (l *L1) completeRead(now sim.Cycle, m *coherence.Msg, state uint8) {
-	tx, install := l.PendingRead(now, m)
-	if state == stateS && l.cfg.MaxAccesses() == 0 {
-		// CC-shared-to-L2: Shared data is never cached locally.
-		install = false
+// wrote is the L1Base hook for a write: the line takes the write's
+// timestamp as its own, and a miss's Ack carries it to the L2, which
+// stays busy until the Ack, serializing writers (§3.2).
+func (l *L1) wrote(now sim.Cycle, w *memsys.Way[l1Line], ack *coherence.Msg) {
+	w.Meta.ts, w.Meta.tsOwn = l.assignTS(now), true
+	if ack != nil {
+		ack.TS, ack.TSValid, ack.Epoch = w.Meta.ts, l.cfg.Timestamps(), l.epoch
 	}
-	if install {
-		w := l.Install(now, m.Addr, m.Data)
-		l.Set(w, state)
-		w.Meta.acnt = 0
-		w.Meta.ts = m.TS
-		w.Meta.tsOwn = false
-		if state == stateS {
-			l.noteShared(w)
-		}
-	} else if w := l.Cache.Peek(m.Addr); w != nil && w.State == stateS {
-		// Not re-installing (always-miss mode) but a stale Shared copy
-		// exists from before: refresh it rather than leaving it stale.
-		copy(l.Cache.Block(w), m.Data)
-		w.Meta.acnt = 0
-	}
-	l.FinishRead(now, memsys.GetWord(m.Data, tx.WordAddr))
 }
 
 // stamp is the L1Base hook that puts the line's timestamp on the data
-// an owner sends: DataOwner, WBData and PutM (§3.2, §3.5). Shared and
-// SharedRO evictions are silent (§3.2, §3.4), so the L1 has no evict
-// body.
+// an owner sends: DataOwner, WBData and PutM (§3.2, §3.5).
 func (l *L1) stamp(m *coherence.Msg, w *l1Line) {
 	m.TS, m.TSValid = l.sendableTS(w)
 	m.Epoch = l.epoch
