@@ -49,10 +49,11 @@ func TestMsgTypeStrings(t *testing.T) {
 
 func TestTimersFireInOrder(t *testing.T) {
 	var tm Timers
-	var fired []int
-	tm.At(5, func(sim.Cycle) { fired = append(fired, 1) })
-	tm.At(3, func(sim.Cycle) { fired = append(fired, 0) })
-	tm.At(5, func(sim.Cycle) { fired = append(fired, 2) })
+	var fired []uint64
+	record := func(_ sim.Cycle, m *Msg) { fired = append(fired, m.Addr) }
+	tm.AtMsg(5, record, &Msg{Addr: 1})
+	tm.AtMsg(3, record, &Msg{Addr: 0})
+	tm.AtMsg(5, record, &Msg{Addr: 2})
 	if tm.Pending() != 3 {
 		t.Fatalf("pending = %d, want 3", tm.Pending())
 	}
@@ -69,14 +70,15 @@ func TestTimersFireInOrder(t *testing.T) {
 
 func TestTimersSameCycleScheduling(t *testing.T) {
 	var tm Timers
-	ran := false
-	tm.At(2, func(now sim.Cycle) {
-		tm.At(now+1, func(sim.Cycle) { ran = true })
-	})
+	var ran *Msg
+	m := &Msg{Addr: 0x40}
+	tm.AtMsg(2, func(now sim.Cycle, m *Msg) {
+		tm.AtMsg(now+1, func(_ sim.Cycle, m *Msg) { ran = m }, m)
+	}, m)
 	tm.Tick(2)
 	tm.Tick(3)
-	if !ran {
-		t.Fatal("timer scheduled from a timer did not run")
+	if ran != m {
+		t.Fatal("timer scheduled from a timer did not run on its message")
 	}
 }
 

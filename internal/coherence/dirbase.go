@@ -69,13 +69,14 @@ type DirBase[M dirLine] struct {
 	net      Network
 	pool     *MsgPool
 	sendFn   func(now sim.Cycle, m *Msg) // bound once; see SendAfterAccess
+	fillFn   func(now sim.Cycle, m *Msg) // bound once; see fetch
 	invKind  string
 	counters []*stats.Counter // protocol-specific, see AddCounter
 	prefix   string           // metrics-series prefix, e.g. "tsocc.l2.3"
 
-	recall     func(now sim.Cycle, w *memsys.Way[M]) int
-	excl, fill uint8
-	fillMeta   M
+	recall          func(now sim.Cycle, w *memsys.Way[M]) int
+	excl, fillState uint8
+	fillMeta        M
 }
 
 // Init wires the base for tile `tile` of sys, with an L2 array of sys's
@@ -98,13 +99,13 @@ func (d *DirBase[M]) Init(proto string, tile int, sys config.System, net Network
 	d.Mem = mem
 	d.net = net
 	d.pool = net.MsgPool()
-	d.sendFn = d.sendMsg
+	d.sendFn, d.fillFn = d.sendMsg, d.fill
 	d.invKind = invKind
 	d.ctlLabel = ctlLabel(fmt.Sprintf("%s L2 tile %d", proto, tile))
 	d.prefix = fmt.Sprintf("%s.l2.%d", proto, tile)
 	d.lines = lines[M]{Cache: memsys.NewCache[M](sys.L2TileSize, sys.L2Ways), probe: &d.Probe}
 	d.recall = recall
-	d.excl, d.fill, d.fillMeta = excl, fill, fillMeta
+	d.excl, d.fillState, d.fillMeta = excl, fill, fillMeta
 	d.Txs.Init(d.pool, handle)
 	d.Txs.SetLabel(d.prefix)
 }
@@ -243,26 +244,28 @@ func (d *DirBase[M]) writeBack(w *memsys.Way[M], dirty bool) {
 }
 
 // fetch registers the memory-fetch transaction for req's line, just
-// claimed Busy, and fills it after the tile access plus memory latency:
-// the line enters the fill state, and req is re-dispatched through the
-// table — the line is present now, so the protocol serves it.
+// claimed Busy, and schedules its fill after the tile access plus memory
+// latency, on the retained request.
 func (d *DirBase[M]) fetch(now sim.Cycle, req *Msg) {
-	addr := req.Addr
-	d.Txs.New(addr, TxMemFetch, req, 0)
-	d.Timers.At(now+d.AccessLat+d.Mem.Latency(addr), func(nw sim.Cycle) {
-		w := d.Cache.Peek(addr)
-		if w == nil {
-			d.Panicf(nw, "fetched line vanished %#x", addr)
-		}
-		w.Meta = d.fillMeta
-		d.Set(w, d.fill)
-		w.Busy = false
-		d.Mem.ReadBlock(addr, d.Cache.Block(w))
-		tx, _ := d.Txs.Get(addr)
-		retained := tx.Req
-		d.Txs.Del(addr, tx, false)
-		d.Txs.Consume(nw, retained)
-	})
+	d.Txs.New(req.Addr, TxMemFetch, req, 0)
+	d.Timers.AtMsg(now+d.AccessLat+d.Mem.Latency(req.Addr), d.fillFn, req)
+}
+
+// fill lands the memory fetch for req's line: the line enters the fill
+// state, and req is re-dispatched through the table — the line is
+// present now, so the protocol serves it.
+func (d *DirBase[M]) fill(now sim.Cycle, req *Msg) {
+	w := d.Cache.Peek(req.Addr)
+	if w == nil {
+		d.Panicf(now, "fetched line vanished %#x", req.Addr)
+	}
+	w.Meta = d.fillMeta
+	d.Set(w, d.fillState)
+	w.Busy = false
+	d.Mem.ReadBlock(req.Addr, d.Cache.Block(w))
+	tx, _ := d.Txs.Get(req.Addr)
+	d.Txs.Del(req.Addr, tx, false)
+	d.Txs.Consume(now, req)
 }
 
 // OnPut is the front end for an owner's PutE / PutM. It parks behind a

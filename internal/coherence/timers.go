@@ -2,17 +2,17 @@ package coherence
 
 import "repro/internal/sim"
 
-// timerEvent is one deferred action: msgCb(now, msg) when msgCb is set
-// (the closure-free send path), fn(now) otherwise.
+// timerEvent is one deferred action: cb(now, msg).
 type timerEvent struct {
-	msg   *Msg
-	fn    func(now sim.Cycle)
-	msgCb func(now sim.Cycle, m *Msg)
+	msg *Msg
+	cb  func(now sim.Cycle, m *Msg)
 }
 
-// Timers schedules a directory tile's deferred actions (array access
-// latencies, memory fills, delayed sends). Actions scheduled for the
-// same cycle run in scheduling order, keeping controllers deterministic.
+// Timers schedules a directory tile's deferred actions (memory fills,
+// delayed sends), each a callback on a message: the callbacks are
+// values the controller binds once, so scheduling allocates nothing.
+// Actions scheduled for the same cycle run in scheduling order, keeping
+// controllers deterministic.
 // The store is the shared EventHeap ordered by (cycle, scheduling
 // sequence), so the earliest deadline is exposed in O(1) for the
 // engine's wake hints and firing is allocation-free in steady state.
@@ -31,16 +31,12 @@ type Timers struct {
 // schedule marks the owner due at the action's cycle.
 func (t *Timers) SetWaker(w sim.Waker) { t.waker = w }
 
-// At schedules f to run at cycle c (or the next tick if c is in the past).
-func (t *Timers) At(c sim.Cycle, f func(now sim.Cycle)) {
-	t.heap.PushAuto(c, timerEvent{fn: f})
-	t.waker.WakeAt(c)
-}
-
-// AtMsg schedules cb(now, m) at cycle c without allocating (cb should be
-// a callback value stored once by the controller, e.g. its send method).
+// AtMsg schedules cb(now, m) at cycle c (or the next tick if c is in
+// the past). cb should be a callback value stored once by the
+// controller, e.g. its send method, so that scheduling does not
+// allocate.
 func (t *Timers) AtMsg(c sim.Cycle, cb func(now sim.Cycle, m *Msg), m *Msg) {
-	t.heap.PushAuto(c, timerEvent{msgCb: cb, msg: m})
+	t.heap.PushAuto(c, timerEvent{cb: cb, msg: m})
 	t.waker.WakeAt(c)
 }
 
@@ -56,11 +52,7 @@ func (t *Timers) Tick(now sim.Cycle) {
 		// schedule new timers, which reuses the heap storage.
 		ev := it.Item
 		t.heap.DropMin()
-		if ev.msgCb != nil {
-			ev.msgCb(now, ev.msg)
-		} else {
-			ev.fn(now)
-		}
+		ev.cb(now, ev.msg)
 	}
 }
 
