@@ -302,9 +302,6 @@ func New(spec string, seed uint64) (*Injector, error) {
 	return in, nil
 }
 
-// Profiles returns the parsed components driving this injector.
-func (in *Injector) Profiles() []Profile { return in.profs }
-
 // SetWindow restricts injection to decision-counter values in
 // [lo, hi); hi == 0 means unbounded. Must be called before the run
 // starts.

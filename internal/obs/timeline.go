@@ -212,11 +212,6 @@ func (t *Timeline) Flush(finalCycle int64) {
 	}
 }
 
-// Events returns the accumulated events (test hook; call after Flush).
-func (t *Timeline) Events() []Event {
-	return append([]Event(nil), t.events...)
-}
-
 // WriteJSON serializes the document. Call Flush first.
 func (t *Timeline) WriteJSON(w io.Writer) error {
 	enc := json.NewEncoder(w)

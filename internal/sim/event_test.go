@@ -90,31 +90,6 @@ func TestEventDrivenMatchesPerCycle(t *testing.T) {
 	}
 }
 
-// TestEventDrivenFallback: one ticker without a wake hint reverts the
-// engine to per-cycle conformance ticking.
-func TestEventDrivenFallback(t *testing.T) {
-	e := NewEngine(1000)
-	e.Register(newTimedTicker(500))
-	if !e.EventDriven() {
-		t.Fatal("hinting ticker should allow event-driven mode")
-	}
-	plain := &countTicker{limit: 10}
-	e.Register(plain)
-	if e.EventDriven() {
-		t.Fatal("non-hinting ticker must force per-cycle fallback")
-	}
-	cycles, err := e.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cycles != 500 {
-		t.Fatalf("cycles = %d, want 500", cycles)
-	}
-	if plain.ticks != 500 {
-		t.Fatalf("plain ticker ticked %d times, want every cycle (500)", plain.ticks)
-	}
-}
-
 // TestEventDrivenCycleLimit: a deadlocked (never-waking) system errors
 // out in both modes, and the error stays ErrCycleLimit-compatible.
 // Per-cycle mode cannot detect the stall early and grinds to the cycle

@@ -40,9 +40,6 @@
 // contract for component authors (hint after every tick, WakeAt for
 // outside stimulation, the same-cycle fold rules on Waker.WakeAt) is
 // the one the scan-based scheduler had.
-//
-// If any ticker does not implement WakeHinter, the engine transparently
-// falls back to per-cycle ticking.
 package sim
 
 import (
@@ -65,12 +62,14 @@ type Cycle int64
 // (a message delivery, a callback) re-enables it via a wake.
 const WakeNever Cycle = 1<<63 - 1
 
-// Ticker is a component advanced once per simulated cycle.
+// Ticker is a component the engine advances: Tick at every cycle it is
+// due, and after each tick NextWake for when it is next due on its own.
 // Components must not assume any particular ordering relative to other
 // tickers beyond the engine's fixed registration order.
 type Ticker interface {
 	// Tick advances the component to the given cycle.
 	Tick(now Cycle)
+	WakeHinter
 }
 
 // WakeHinter is the self-scheduling half of the wake-set contract.
@@ -178,8 +177,6 @@ type Doner interface {
 type Engine struct {
 	now      Cycle
 	tickers  []Ticker
-	hinters  []WakeHinter // parallel to tickers; nil = no hint
-	allHint  bool
 	perCycle bool
 	doners   []Doner
 	donerFor []int // parallel to doners: ticker index, -1 for RegisterDoner
@@ -311,33 +308,26 @@ func NewEngine(maxCycle Cycle) *Engine {
 	if maxCycle <= 0 {
 		maxCycle = 500_000_000
 	}
-	return &Engine{maxCycle: maxCycle, allHint: true, farMin: WakeNever}
+	return &Engine{maxCycle: maxCycle, farMin: WakeNever}
 }
 
 // Now reports the current cycle.
 func (e *Engine) Now() Cycle { return e.now }
 
-// SetPerCycle forces per-cycle ticking even when every component offers
-// wake hints (the conformance baseline for A/B determinism testing).
+// SetPerCycle forces per-cycle ticking instead of wake-set scheduling
+// (the conformance baseline for A/B determinism testing).
 func (e *Engine) SetPerCycle(on bool) { e.perCycle = on }
 
 // EventDriven reports whether the engine will use wake-set scheduling.
-func (e *Engine) EventDriven() bool { return !e.perCycle && e.allHint }
+func (e *Engine) EventDriven() bool { return !e.perCycle }
 
 // Register adds a ticker. If the ticker also implements Doner it
 // participates in the completion check. Registration order defines
-// execution order within a cycle. Tickers that also implement
-// WakeHinter enable wake-set time advancement; a single ticker without
-// a hint reverts the whole engine to per-cycle ticking (conformance
-// fallback). Tickers implementing WakeSink receive their Waker here.
+// execution order within a cycle. Tickers implementing WakeSink receive
+// their Waker here.
 func (e *Engine) Register(t Ticker) {
 	id := len(e.tickers)
 	e.tickers = append(e.tickers, t)
-	h, ok := t.(WakeHinter)
-	if !ok {
-		e.allHint = false
-	}
-	e.hinters = append(e.hinters, h)
 	e.pos = len(e.tickers)
 	e.dueAt = append(e.dueAt, WakeNever)
 	if id>>6 >= e.words {
@@ -418,12 +408,8 @@ func (e *Engine) Snapshot() []PendingComponent {
 	for i, t := range e.tickers {
 		pc := PendingComponent{Index: i, Due: e.dueAt[i], Done: true}
 		if !e.EventDriven() {
-			// dueAt is not maintained in per-cycle mode; fall back to the
-			// component's own hint when it has one.
-			pc.Due = WakeNever
-			if e.hinters[i] != nil {
-				pc.Due = e.hinters[i].NextWake(e.now)
-			}
+			// dueAt is not maintained in per-cycle mode: ask the component.
+			pc.Due = t.NextWake(e.now)
 		}
 		if lb, ok := t.(Labeled); ok {
 			pc.Label = lb.ComponentLabel()
@@ -763,7 +749,7 @@ func (e *Engine) dispatch() {
 			e.tl.Tick(0, i, int64(now))
 		}
 		// A hint at or before now means "tick me next cycle".
-		e.setDue(i, e.hinters[i].NextWake(now))
+		e.setDue(i, e.tickers[i].NextWake(now))
 	}
 	// Every bit of the slot was consumed above; nothing files into it
 	// again before the ring wraps (now+wheelSlots goes to far).

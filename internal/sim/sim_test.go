@@ -11,8 +11,9 @@ type countTicker struct {
 	limit int
 }
 
-func (c *countTicker) Tick(now Cycle) { c.ticks++ }
-func (c *countTicker) Done() bool     { return c.ticks >= c.limit }
+func (c *countTicker) Tick(now Cycle)           { c.ticks++ }
+func (c *countTicker) NextWake(now Cycle) Cycle { return now + 1 }
+func (c *countTicker) Done() bool               { return c.ticks >= c.limit }
 
 func TestEngineRunsUntilDone(t *testing.T) {
 	e := NewEngine(1000)
@@ -68,6 +69,8 @@ func (o *orderTicker) Tick(now Cycle) {
 		*o.trace = append(*o.trace, o.id)
 	}
 }
+
+func (o *orderTicker) NextWake(Cycle) Cycle { return WakeNever }
 
 func TestEngineTickOrderIsRegistrationOrder(t *testing.T) {
 	e := NewEngine(10)

@@ -37,7 +37,6 @@ type Protocol = coherence.Protocol
 // recorded stream while every layer below stays untouched.
 type Frontend interface {
 	sim.Ticker
-	sim.WakeHinter
 	sim.WakeSink
 	// Done reports whether the frontend has retired its full stream and
 	// drained its write buffer.
@@ -285,8 +284,8 @@ func (m *Machine) CorePort(core int) coherence.CorePort { return m.portFor(core)
 // finish registers every component in the deterministic intra-cycle
 // order: network delivery, then L2 tiles, then L1s (timers + message
 // handling), then frontends. Controllers are registered directly:
-// coherence.Controller is a superset of sim.Ticker + sim.WakeHinter +
-// sim.WakeSink (Register binds each component's Waker). This order is
+// coherence.Controller is a superset of sim.Ticker and sim.WakeSink
+// (Register binds each component's Waker). This order is
 // also what makes same-cycle wake-set dispatch exact: within a cycle,
 // stimulation only flows forward (mesh deliveries into controllers,
 // controller callbacks into frontends), so a woken component's turn is
@@ -463,9 +462,6 @@ func (m *Machine) runEngine() (cycles sim.Cycle, err error) {
 // the violation shrinker — that build a Machine themselves and then
 // need to inspect its oracle tracker or fault injector afterwards.
 func (m *Machine) Execute() (sim.Cycle, error) { return m.runEngine() }
-
-// Collect assembles the Result for a finished run (Execute callers).
-func (m *Machine) Collect(cycles sim.Cycle) *Result { return m.collect(cycles) }
 
 // Injector exposes the fault injector (nil when cfg.FaultProfile is
 // empty), so harnesses can read its decision-counter high-water mark.
