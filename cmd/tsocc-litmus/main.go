@@ -10,6 +10,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
@@ -20,7 +21,7 @@ import (
 )
 
 func main() {
-	if err := run(os.Args[1:]); err != nil {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		if errors.As(err, new(usageError)) {
 			os.Exit(2)
@@ -34,8 +35,8 @@ func main() {
 type usageError struct{ error }
 
 // run parses args, runs the litmus suite on the selected protocols and
-// prints one line per test.
-func run(args []string) error {
+// prints one line per test to out.
+func run(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("tsocc-litmus", flag.ExitOnError)
 	iters := fs.Int("iters", 40, "iterations per test per protocol")
 	cores := fs.Int("cores", 4, "core count (tests use up to 4 threads)")
@@ -49,10 +50,10 @@ func run(args []string) error {
 
 	if *listW || *listP {
 		if *listW {
-			harness.ListWorkloads(os.Stdout)
+			harness.ListWorkloads(out)
 		}
 		if *listP {
-			harness.ListProtocols(os.Stdout)
+			harness.ListProtocols(out)
 		}
 		return nil
 	}
@@ -67,21 +68,30 @@ func run(args []string) error {
 		for _, name := range strings.Split(*protoList, ",") {
 			p, err := coherence.ProtocolByName(strings.TrimSpace(name))
 			if err != nil {
-				return err
+				return usageError{err}
 			}
 			protos = append(protos, p)
 		}
 	}
 
 	cfg := config.Small(*cores)
+	if err := cfg.Validate(); err != nil {
+		return usageError{fmt.Errorf("-cores %d: %w", *cores, err)}
+	}
+	suite := litmus.Suite()
+	for _, t := range suite {
+		if len(t.Threads) > *cores {
+			return usageError{fmt.Errorf("-cores %d: litmus test %s needs %d cores", *cores, t.Name, len(t.Threads))}
+		}
+	}
 	// One registry/timeline accumulates over every test × iteration
 	// (litmus iterations are sequential, so sharing is race-free);
 	// same-named series across runs merge at dump time.
 	rf.Apply(&cfg)
 	failed := false
 	for _, proto := range protos {
-		fmt.Printf("== %s ==\n", proto.Name())
-		for _, t := range litmus.Suite() {
+		fmt.Fprintf(out, "== %s ==\n", proto.Name())
+		for _, t := range suite {
 			res, err := litmus.Run(t, proto, cfg, *iters, *seed)
 			if err != nil {
 				fmt.Fprintf(os.Stderr, "  %-12s ERROR: %v\n", t.Name, err)
@@ -101,9 +111,9 @@ func run(args []string) error {
 					extra = " (relaxed outcome not observed)"
 				}
 			}
-			fmt.Printf("  %-12s %d outcomes, %s%s\n", t.Name, len(res.Outcomes), status, extra)
+			fmt.Fprintf(out, "  %-12s %d outcomes, %s%s\n", t.Name, len(res.Outcomes), status, extra)
 			if *verbose {
-				fmt.Println(res)
+				fmt.Fprintln(out, res)
 			}
 		}
 	}
@@ -114,6 +124,6 @@ func run(args []string) error {
 	if failed {
 		return errors.New("litmus suite failed")
 	}
-	fmt.Println("\nall protocols satisfy TSO on the litmus suite")
+	fmt.Fprintln(out, "\nall protocols satisfy TSO on the litmus suite")
 	return nil
 }
