@@ -1,6 +1,7 @@
 package main
 
 import (
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -26,12 +27,21 @@ func TestRecordRejectsBadCores(t *testing.T) {
 // default without a word; 0 still selects the default.
 func TestSynthRefusesNegatives(t *testing.T) {
 	out := filepath.Join(t.TempDir(), "z.trc")
-	for _, args := range [][]string{
-		{"-cores", "-1"}, {"-ops", "-5"}, {"-blocks", "-2"}, {"-maxgap", "-1"},
+	for _, c := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-cores", "-1"}, "non-negative"}, {[]string{"-ops", "-5"}, "non-negative"},
+		{[]string{"-blocks", "-2"}, "non-negative"}, {[]string{"-maxgap", "-1"}, "non-negative"},
+		// No replay runs a machine this wide, so the trace is never written.
+		{[]string{"-cores", "300", "-ops", "1"}, "cores"},
 	} {
-		err := cmdSynth(append(args, "-o", out))
-		if err == nil || !strings.Contains(err.Error(), "non-negative") {
-			t.Errorf("synth %v: error %v; want a refusal", args, err)
+		err := cmdSynth(append(c.args, "-o", out))
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("synth %v: error %v; want a refusal", c.args, err)
+		}
+		if _, serr := os.Stat(out); serr == nil {
+			t.Fatalf("synth %v: wrote %s", c.args, out)
 		}
 	}
 	if err := cmdSynth([]string{"-cores", "0", "-ops", "0", "-o", out}); err != nil {

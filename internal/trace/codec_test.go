@@ -390,6 +390,9 @@ func TestValidateRejects(t *testing.T) {
 		{"header cores not positive", func(t *refTrace) {
 			t.Meta.Sys.Cores = 0
 		}, "Validate", "cores"},
+		{"header cores above the maximum", func(t *refTrace) {
+			t.Meta.Sys.Cores = config.MaxCores + 1
+		}, "Validate", "cores"},
 		{"init word unaligned", func(t *refTrace) {
 			t.InitMem[0].Addr = 0x1004
 		}, "Validate", "initmem"},

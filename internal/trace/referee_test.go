@@ -42,6 +42,9 @@ func (t *refTrace) validate() error {
 	if t.Meta.Sys.Cores <= 0 {
 		return fmt.Errorf("trace: header cores must be positive, got %d", t.Meta.Sys.Cores)
 	}
+	if t.Meta.Sys.Cores > config.MaxCores {
+		return fmt.Errorf("trace: header cores %d exceed the supported maximum", t.Meta.Sys.Cores)
+	}
 	for i, w := range t.InitMem {
 		if w.Addr%8 != 0 {
 			return fmt.Errorf("trace: init word %d at %#x not 8-aligned", i, w.Addr)

@@ -98,6 +98,9 @@ func (t *Trace) Validate() error {
 	if t.Meta.Sys.Cores <= 0 {
 		return formatErr("cores", "header cores must be positive, got %d", t.Meta.Sys.Cores)
 	}
+	if t.Meta.Sys.Cores > config.MaxCores {
+		return formatErr("cores", "header cores %d exceed the supported maximum of %d", t.Meta.Sys.Cores, config.MaxCores)
+	}
 	for i, w := range t.InitMem {
 		if w.Addr%8 != 0 {
 			return formatErr("initmem", "init word %d at %#x not 8-aligned", i, w.Addr)
