@@ -7,10 +7,10 @@ import (
 	"testing"
 )
 
-// TestBadCoresRejected: a core count config.Validate refuses, or one
-// too small for the suite's widest test, used to run anyway and fail
-// test by test (every test at -cores 0, the wider ones at -cores 2).
-// It must be a usage error naming -cores, before anything runs.
+// TestBadCoresRejected: the suite cannot run on a core count
+// config.Validate refuses, nor on one too small for its widest test, so
+// such a count is a usage error naming -cores, before anything runs —
+// not a failure of every test, or of every test wider than the machine.
 func TestBadCoresRejected(t *testing.T) {
 	for _, cores := range []string{"0", "-1", "2", "3", "300"} {
 		var out bytes.Buffer

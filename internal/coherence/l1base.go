@@ -40,8 +40,8 @@ type EvictEntry[M any] struct {
 }
 
 // L1Spec is what a protocol's L1 hands L1Base.Init: its line states and
-// the hooks where it departs from the shared skeleton. A nil hook does
-// nothing, except Downgrade, which every protocol supplies.
+// the hooks where it departs from the shared skeleton. Every hook but
+// Downgrade may be nil; a nil hook does nothing, except as Handle says.
 type L1Spec[M any] struct {
 	// Shared, SharedRO and Excl are the states a read fill installs its
 	// line in: DataS and DataOwner, DataSRO, DataE. Shared 0 means Shared
@@ -78,17 +78,17 @@ type L1Spec[M any] struct {
 
 // L1Base is the protocol-independent skeleton of a private-cache
 // controller, generic over the protocol's line metadata M (the line's
-// state lives in memsys.Way): the plumbing in l1Ctl plus the cache
-// array — install with victim eviction, the evict-fault check on hits,
-// state writes reported to the probe (lines.Set), SnoopBlock and
-// PrewarmStorage — the requester's side of the protocol — every read
-// fill, every write miss's completion and its Ack, and the Store and
-// RMW ports with their hits on owned lines — and the exclusive owner's
-// side: an owned line's eviction (the eviction buffer, PutE / PutM) and
-// the forwarded GetS / GetX and recall Inv it answers, from the line or
-// from the buffer when the request crossed its Put. A protocol's L1
-// embeds it, supplies its states and hooks at Init (L1Spec), and writes
-// the Load and Fence bodies.
+// state lives in memsys.Way). It holds the plumbing in l1Ctl and the
+// cache array: install with victim eviction, the evict-fault check on
+// hits, state writes reported to the probe (lines.Set), SnoopBlock and
+// PrewarmStorage. It serves the requester's side of the protocol: every
+// read fill, every write miss's completion and its Ack, and the Store
+// and RMW ports with their hits on owned lines. It serves the exclusive
+// owner's side: an owned line's eviction (the eviction buffer, PutE /
+// PutM) and the forwarded GetS / GetX and recall Inv it answers, from
+// the line or from the buffer when the request crossed its Put. A
+// protocol's L1 embeds it, supplies its states and hooks at Init
+// (L1Spec), and writes the Load and Fence bodies.
 type L1Base[M any] struct {
 	l1Ctl
 	lines[M]
