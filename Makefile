@@ -127,8 +127,9 @@ trace-gate:
 # Chrome trace-event timeline; both timelines must be well-formed
 # (matched async begin/end — the validator is the same check Perfetto
 # applies on load) and both metrics dumps must carry counter and
-# histogram series. Then the bounded no-perturbation gate: obs-on vs
-# obs-off fingerprints bit-identical, plus the timeline unit tests
+# histogram series. Then the bounded no-perturbation gate, the obs row
+# of the conformance table (obs-on fingerprints equal the obs-off
+# reference in every engine × core mode), plus the timeline unit tests
 # (golden file, fuzz-lite, early-termination flush).
 obs-smoke:
 	@set -e; tmp=$$(mktemp -d); trap 'rm -rf $$tmp' EXIT; \
@@ -147,10 +148,10 @@ obs-smoke:
 # Scaling smoke (mirrors the CI scale job): the 64-core conformance
 # fingerprint — canneal and ssca2 end to end on an 8x8 mesh, crossed
 # over engine mode × batched core × checks × obs × faults × trace
-# replay (TestScale64*) — plus the per-link contention properties
-# (flit-hop conservation, HopDistance/XY agreement) at 64, 128 and 256
-# tiles, and a race-detector leg over the contention path's property
-# tests. Bounded by design; host cost at 64 cores is measured by the
+# replay (the TestScale64* rows of the conformance table) — plus the
+# per-link contention properties (flit-hop conservation, HopDistance/XY
+# agreement) at 64, 128 and 256 tiles, and a race-detector leg over the
+# contention path's property tests. Bounded by design; host cost at 64 cores is measured by the
 # repository benchmark's `miss64` workload, and larger machines run
 # end to end with e.g. `tsocc-sim -cores 256`.
 scale-smoke:

@@ -31,10 +31,7 @@ import (
 )
 
 func main() {
-	if err := run(os.Args[1:], os.Stdout); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
+	harness.Exit(run(os.Args[1:], os.Stdout))
 }
 
 // run parses args and prints the selected figures to out.
@@ -55,13 +52,17 @@ func run(args []string, out io.Writer) (err error) {
 	rf := harness.BindRunFlags(fs, harness.FaultFlags)
 	fs.Parse(args)
 
-	// An unknown figure selects no table; refuse it before the grid runs.
+	// Refuse every command-line mistake before anything runs or prints:
+	// an unknown figure would select no table.
 	if *figure != 0 && (*figure < 2 || *figure > 9) {
-		return fmt.Errorf("-figure %d: want 2-9, or 0 for all", *figure)
+		return harness.Usagef("-figure %d: want 2-9, or 0 for all", *figure)
 	}
 	cfg := config.Scaled(*cores)
-	if err := cfg.Validate(); err != nil {
-		return fmt.Errorf("-cores %d: %w", *cores, err)
+	if err := harness.ValidateSize(cfg, *scale); err != nil {
+		return err
+	}
+	if err := rf.Apply(&cfg); err != nil {
+		return err
 	}
 
 	if *cpuprofile != "" {
@@ -96,9 +97,19 @@ func run(args []string, out io.Writer) (err error) {
 		for _, name := range strings.Split(*protoList, ",") {
 			p, err := coherence.ProtocolByName(strings.TrimSpace(name))
 			if err != nil {
-				return err
+				return harness.UsageError{Err: err}
 			}
 			protos = append(protos, p)
+		}
+	}
+
+	var benches []string
+	if *benchList != "" {
+		benches = strings.Split(*benchList, ",")
+	}
+	for _, b := range benches {
+		if workloads.ByName(b) == nil {
+			return harness.Usagef("-bench: unknown benchmark %q (see -list-workloads)", b)
 		}
 	}
 
@@ -108,11 +119,6 @@ func run(args []string, out io.Writer) (err error) {
 		return nil
 	}
 
-	var benches []string
-	if *benchList != "" {
-		benches = strings.Split(*benchList, ",")
-	}
-	rf.Apply(&cfg)
 	if *pprofLabels {
 		cfg.Obs = &obs.Obs{ProfileLabels: true}
 	}

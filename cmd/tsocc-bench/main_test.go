@@ -2,9 +2,12 @@ package main
 
 import (
 	"bytes"
+	"errors"
 	"io"
 	"strings"
 	"testing"
+
+	"repro/internal/harness"
 )
 
 // TestBadFigureRejected: a figure outside {0, 2…9} selects no table, so
@@ -56,5 +59,26 @@ func TestStorageSection(t *testing.T) {
 	}
 	if !strings.Contains(all.String(), want.String()) {
 		t.Fatalf("-figure 0 output lacks the storage section:\n%s", all.String())
+	}
+}
+
+// TestMistakesAreUsageErrors: every command-line mistake is a
+// harness.UsageError (exit status 2) naming what is wrong, returned
+// before anything is printed or run.
+func TestMistakesAreUsageErrors(t *testing.T) {
+	for _, c := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-figure", "1"}, "-figure"}, {[]string{"-cores", "0"}, "-cores"},
+		{[]string{"-cores", "300"}, "-cores"}, {[]string{"-scale", "0"}, "-scale"},
+		{[]string{"-faults", "nope"}, "-faults"}, {[]string{"-proto", "nope"}, "nope"},
+		{[]string{"-bench", "nope"}, "nope"}, {[]string{"-figure", "2", "-faults", "nope"}, "-faults"},
+	} {
+		var out bytes.Buffer
+		err := run(append([]string{"-q", "-cores", "4", "-bench", "x264", "-proto", "MESI"}, c.args...), &out)
+		if !errors.As(err, new(harness.UsageError)) || !strings.Contains(err.Error(), c.want) || out.Len() != 0 {
+			t.Errorf("%v: error %v, %d bytes printed; want a usage error naming %s", c.args, err, out.Len(), c.want)
+		}
 	}
 }

@@ -21,18 +21,8 @@ import (
 )
 
 func main() {
-	if err := run(os.Args[1:], os.Stdout); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		if errors.As(err, new(usageError)) {
-			os.Exit(2)
-		}
-		os.Exit(1)
-	}
+	harness.Exit(run(os.Args[1:], os.Stdout))
 }
-
-// usageError is a command-line mistake (exit status 2); any other error
-// from run is a failed suite (exit status 1).
-type usageError struct{ error }
 
 // run parses args, runs the litmus suite on the selected protocols and
 // prints one line per test to out.
@@ -60,7 +50,7 @@ func run(args []string, out io.Writer) error {
 
 	if *iters < 1 {
 		// Zero iterations would print the all-clear having run nothing.
-		return usageError{fmt.Errorf("-iters must be at least 1 (got %d)", *iters)}
+		return harness.Usagef("-iters must be at least 1 (got %d)", *iters)
 	}
 	protos := coherence.Protocols()
 	if *protoList != "" {
@@ -68,7 +58,7 @@ func run(args []string, out io.Writer) error {
 		for _, name := range strings.Split(*protoList, ",") {
 			p, err := coherence.ProtocolByName(strings.TrimSpace(name))
 			if err != nil {
-				return usageError{err}
+				return harness.UsageError{Err: err}
 			}
 			protos = append(protos, p)
 		}
@@ -76,18 +66,20 @@ func run(args []string, out io.Writer) error {
 
 	cfg := config.Small(*cores)
 	if err := cfg.Validate(); err != nil {
-		return usageError{fmt.Errorf("-cores %d: %w", *cores, err)}
+		return harness.Usagef("-cores %d: %w", *cores, err)
 	}
 	suite := litmus.Suite()
 	for _, t := range suite {
 		if len(t.Threads) > *cores {
-			return usageError{fmt.Errorf("-cores %d: litmus test %s needs %d cores", *cores, t.Name, len(t.Threads))}
+			return harness.Usagef("-cores %d: litmus test %s needs %d cores", *cores, t.Name, len(t.Threads))
 		}
 	}
 	// One registry/timeline accumulates over every test × iteration
 	// (litmus iterations are sequential, so sharing is race-free);
 	// same-named series across runs merge at dump time.
-	rf.Apply(&cfg)
+	if err := rf.Apply(&cfg); err != nil {
+		return err
+	}
 	failed := false
 	for _, proto := range protos {
 		fmt.Fprintf(out, "== %s ==\n", proto.Name())

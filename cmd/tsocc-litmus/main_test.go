@@ -5,6 +5,8 @@ import (
 	"errors"
 	"strings"
 	"testing"
+
+	"repro/internal/harness"
 )
 
 // TestBadCoresRejected: the suite cannot run on a core count
@@ -15,7 +17,7 @@ func TestBadCoresRejected(t *testing.T) {
 	for _, cores := range []string{"0", "-1", "2", "3", "300"} {
 		var out bytes.Buffer
 		err := run([]string{"-iters", "1", "-proto", "MESI", "-cores", cores}, &out)
-		if !errors.As(err, new(usageError)) || !strings.Contains(err.Error(), "-cores") || out.Len() != 0 {
+		if !errors.As(err, new(harness.UsageError)) || !strings.Contains(err.Error(), "-cores") || out.Len() != 0 {
 			t.Errorf("-cores %s: error %v, %d bytes printed; want a usage error naming -cores", cores, err, out.Len())
 		}
 	}
@@ -26,7 +28,7 @@ func TestBadCoresRejected(t *testing.T) {
 func TestUnknownProtocolRejected(t *testing.T) {
 	var out bytes.Buffer
 	err := run([]string{"-iters", "1", "-proto", "MESI,nope"}, &out)
-	if !errors.As(err, new(usageError)) || !strings.Contains(err.Error(), "nope") || out.Len() != 0 {
+	if !errors.As(err, new(harness.UsageError)) || !strings.Contains(err.Error(), "nope") || out.Len() != 0 {
 		t.Errorf("error %v, %d bytes printed; want a usage error naming the protocol", err, out.Len())
 	}
 }
@@ -40,5 +42,18 @@ func TestSuiteRuns(t *testing.T) {
 	}
 	if !strings.HasSuffix(out.String(), "all protocols satisfy TSO on the litmus suite\n") {
 		t.Fatalf("output does not end with the all-clear:\n%s", out.String())
+	}
+}
+
+// TestBadFaultsRejected: an unknown or malformed -faults spec is a
+// usage error naming -faults before any test runs, not an ERROR line
+// per test.
+func TestBadFaultsRejected(t *testing.T) {
+	for _, spec := range []string{"nope", "jitter:rate", "rate=3"} {
+		var out bytes.Buffer
+		err := run([]string{"-iters", "1", "-proto", "MESI", "-cores", "4", "-faults", spec}, &out)
+		if !errors.As(err, new(harness.UsageError)) || !strings.Contains(err.Error(), "-faults") || out.Len() != 0 {
+			t.Errorf("-faults %s: error %v, %d bytes printed; want a usage error naming -faults", spec, err, out.Len())
+		}
 	}
 }

@@ -8,7 +8,6 @@
 package main
 
 import (
-	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -23,18 +22,8 @@ import (
 )
 
 func main() {
-	if err := run(os.Args[1:]); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		if errors.As(err, new(usageError)) {
-			os.Exit(2)
-		}
-		os.Exit(1)
-	}
+	harness.Exit(run(os.Args[1:]))
 }
-
-// usageError is a command-line mistake (exit status 2); any other error
-// from run is a failed run (exit status 1).
-type usageError struct{ error }
 
 // run parses args, runs the selected benchmark (or shrinks a failing
 // fault-injected run) and prints the outcome.
@@ -69,28 +58,30 @@ func run(args []string) error {
 
 	chosen, err := coherence.ProtocolByName(*proto)
 	if err != nil {
-		return usageError{fmt.Errorf("unknown protocol %q (see -list)", *proto)}
+		return harness.Usagef("unknown protocol %q (see -list)", *proto)
 	}
 	e := workloads.ByName(*bench)
 	if e == nil {
-		return usageError{fmt.Errorf("unknown benchmark %q (see -list)", *bench)}
+		return harness.Usagef("unknown benchmark %q (see -list)", *bench)
 	}
 
 	cfg := config.Scaled(*cores)
-	rf.Apply(&cfg)
+	if err := rf.Apply(&cfg); err != nil {
+		return err
+	}
 	cfg.FaultFrom = *faultFrom
 	cfg.FaultUntil = *faultUntil
 
 	if *doShrink {
 		if cfg.FaultProfile == "" {
-			return usageError{errors.New("-shrink needs a fault profile (-faults)")}
+			return harness.Usagef("-shrink needs a fault profile (-faults)")
 		}
 		return runShrink(cfg, chosen, e, *bench, *scale, *seed)
 	}
 
 	w, err := harness.Gen(cfg, e, *scale, *seed)
 	if err != nil {
-		return usageError{err}
+		return err
 	}
 	res, err := system.Run(cfg, chosen, w)
 	// Dump the armed sinks even on failure: a deadlocked or
@@ -133,7 +124,7 @@ func runShrink(cfg config.System, proto system.Protocol, e *workloads.Entry, ben
 		c.FaultFrom, c.FaultUntil = from, until
 		w, err := harness.Gen(c, e, scale, seed)
 		if err != nil {
-			probeErr = usageError{err}
+			probeErr = err
 			return shrink.Outcome{}
 		}
 		m, err := system.NewMachine(c, proto, w)

@@ -1,9 +1,11 @@
 package main
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
+	"repro/internal/harness"
 	"repro/internal/shrink"
 )
 
@@ -24,5 +26,25 @@ func TestShrinkReproRuns(t *testing.T) {
 	}
 	if err := run(args[1:]); err != nil {
 		t.Fatalf("repro line %q: %v", line, err)
+	}
+}
+
+// TestMistakesAreUsageErrors: every command-line mistake is a
+// harness.UsageError (exit status 2) naming what is wrong, returned
+// before any run starts — a bad -faults spec included.
+func TestMistakesAreUsageErrors(t *testing.T) {
+	for _, c := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-faults", "nope"}, "-faults"}, {[]string{"-faults", "jitter:rate"}, "-faults"},
+		{[]string{"-proto", "nope"}, "nope"}, {[]string{"-bench", "nope"}, "nope"},
+		{[]string{"-cores", "0"}, "-cores"}, {[]string{"-scale", "0"}, "-scale"},
+		{[]string{"-shrink"}, "-shrink"},
+	} {
+		err := run(append([]string{"-cores", "4", "-bench", "ssca2"}, c.args...))
+		if !errors.As(err, new(harness.UsageError)) || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%v: error %v; want a usage error naming %s", c.args, err, c.want)
+		}
 	}
 }

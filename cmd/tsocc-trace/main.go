@@ -37,44 +37,38 @@ import (
 )
 
 func main() {
-	if len(os.Args) < 2 {
-		usage()
-		os.Exit(2)
-	}
-	var err error
-	switch os.Args[1] {
-	case "record":
-		err = cmdRecord(os.Args[2:])
-	case "replay":
-		err = cmdReplay(os.Args[2:])
-	case "synth":
-		err = cmdSynth(os.Args[2:])
-	case "info":
-		err = cmdInfo(os.Args[2:])
-	case "-h", "-help", "--help", "help":
-		usage()
-		return
-	default:
-		fmt.Fprintf(os.Stderr, "unknown subcommand %q\n", os.Args[1])
-		usage()
-		os.Exit(2)
-	}
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
+	harness.Exit(run(os.Args[1:]))
 }
 
-func usage() {
-	fmt.Fprintln(os.Stderr, `usage: tsocc-trace <record|replay|synth|info> [flags]
+// run dispatches to the subcommand args name.
+func run(args []string) error {
+	if len(args) == 0 {
+		return harness.Usagef("%s", usage)
+	}
+	switch args[0] {
+	case "record":
+		return cmdRecord(args[1:])
+	case "replay":
+		return cmdReplay(args[1:])
+	case "synth":
+		return cmdSynth(args[1:])
+	case "info":
+		return cmdInfo(args[1:])
+	case "-h", "-help", "--help", "help":
+		fmt.Fprintln(os.Stderr, usage)
+		return nil
+	}
+	return harness.Usagef("unknown subcommand %q\n%s", args[0], usage)
+}
+
+const usage = `usage: tsocc-trace <record|replay|synth|info> [flags]
 
   record  run a benchmark with capture on and write the trace file
   replay  re-execute a trace file through a coherence protocol
   synth   generate a synthetic access-pattern trace (zipf|migratory|scan)
   info    print a trace file's header and stream statistics
 
-run "tsocc-trace <subcommand> -h" for flags`)
-}
+run "tsocc-trace <subcommand> -h" for flags`
 
 // writeStats writes a run summary to path (the record/replay diff gate).
 func writeStats(path string, res *system.Result) error {
@@ -101,18 +95,20 @@ func cmdRecord(args []string) error {
 		return nil
 	}
 	if *out == "" {
-		return fmt.Errorf("record: -o is required")
+		return harness.Usagef("record: -o is required")
 	}
 	p, err := coherence.ProtocolByName(*proto)
 	if err != nil {
-		return err
+		return harness.UsageError{Err: err}
 	}
 	e := workloads.ByName(*bench)
 	if e == nil {
-		return fmt.Errorf("unknown benchmark %q (see -list-workloads)", *bench)
+		return harness.Usagef("unknown benchmark %q (see -list-workloads)", *bench)
 	}
 	cfg := config.Scaled(*cores)
-	rf.Apply(&cfg)
+	if err := rf.Apply(&cfg); err != nil {
+		return err
+	}
 	w, err := harness.Gen(cfg, e, *scale, *seed)
 	if err != nil {
 		return err
@@ -156,10 +152,14 @@ func cmdReplay(args []string) error {
 	rf := harness.BindRunFlags(fs, harness.FaultFlags|harness.ObsFlags)
 	fs.Parse(args)
 	if *in == "" {
-		return fmt.Errorf("replay: -i is required")
+		return harness.Usagef("replay: -i is required")
 	}
 	if *cores < 0 {
-		return fmt.Errorf("replay: -cores %d must be non-negative (0 = recorded geometry)", *cores)
+		return harness.Usagef("replay: -cores %d must be non-negative (0 = recorded geometry)", *cores)
+	}
+	// Apply refuses a bad -faults; do so before reading the trace.
+	if err := rf.Apply(&config.System{}); err != nil {
+		return err
 	}
 	tr, err := trace.ReadFile(*in)
 	if err != nil {
@@ -175,11 +175,13 @@ func cmdReplay(args []string) error {
 			return fmt.Errorf("trace was recorded under unregistered protocol %q; select one with -proto: %w",
 				tr.Meta.Protocol, err)
 		}
-		return err
+		return harness.UsageError{Err: err}
 	}
 	cfg := tr.Meta.Sys
 	cfg.PerCycleEngine = *perCycle
-	rf.Apply(&cfg)
+	if err := rf.Apply(&cfg); err != nil {
+		return err
+	}
 	if *cores > 0 {
 		cfg.Cores = *cores
 		cfg.MeshRows = 0
@@ -215,13 +217,16 @@ func cmdSynth(args []string) error {
 	out := fs.String("o", "", "output trace file (required)")
 	fs.Parse(args)
 	if *out == "" {
-		return fmt.Errorf("synth: -o is required")
+		return harness.Usagef("synth: -o is required")
 	}
 	// SynthParams reads 0 as "use the default"; a negative value would
 	// silently get the default too, so refuse it here.
 	if *cores < 0 || *ops < 0 || *blocks < 0 || *maxGap < 0 {
-		return fmt.Errorf("synth: -cores, -ops, -blocks and -maxgap must be non-negative (0 = default); got %d, %d, %d, %d",
+		return harness.Usagef("synth: -cores, -ops, -blocks and -maxgap must be non-negative (0 = default); got %d, %d, %d, %d",
 			*cores, *ops, *blocks, *maxGap)
+	}
+	if *cores > config.MaxCores {
+		return harness.Usagef("synth: -cores %d exceeds %d, the widest machine a replay runs", *cores, config.MaxCores)
 	}
 	p := trace.SynthParams{Cores: *cores, OpsPerCore: *ops, Seed: *seed,
 		Blocks: *blocks, MaxGap: *maxGap}
@@ -234,7 +239,7 @@ func cmdSynth(args []string) error {
 	case "scan":
 		tr = trace.Scan(p)
 	default:
-		return fmt.Errorf("unknown synth kind %q (zipf | migratory | scan)", *kind)
+		return harness.Usagef("unknown synth kind %q (zipf | migratory | scan)", *kind)
 	}
 	n, err := writeTrace(*out, tr)
 	if err != nil {
@@ -250,7 +255,7 @@ func cmdInfo(args []string) error {
 	in := fs.String("i", "", "input trace file (required)")
 	fs.Parse(args)
 	if *in == "" {
-		return fmt.Errorf("info: -i is required")
+		return harness.Usagef("info: -i is required")
 	}
 	data, err := os.ReadFile(*in)
 	if err != nil {

@@ -1,12 +1,14 @@
 package main
 
 import (
+	"errors"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
 	"repro/internal/config"
+	"repro/internal/harness"
 	"repro/internal/trace"
 )
 
@@ -89,6 +91,41 @@ func TestReplayRefusesHostileGeometry(t *testing.T) {
 		err := cmdReplay([]string{"-i", path, "-proto", "MESI"})
 		if err == nil || !strings.Contains(err.Error(), tc.field) || strings.Contains(err.Error(), "\n") {
 			t.Errorf("replay with hostile %s: error %v; want one line naming the field", tc.field, err)
+		}
+	}
+}
+
+// TestMistakesAreUsageErrors: every command-line mistake of every
+// subcommand is a harness.UsageError (exit status 2) naming what is
+// wrong; replay refuses a bad -faults before it reads the trace.
+func TestMistakesAreUsageErrors(t *testing.T) {
+	dir := t.TempDir()
+	trc := filepath.Join(dir, "z.trc")
+	if _, err := writeTrace(trc, trace.Zipf(trace.SynthParams{Cores: 2, OpsPerCore: 16, Seed: 1})); err != nil {
+		t.Fatal(err)
+	}
+	out := filepath.Join(dir, "out.trc")
+	for _, c := range []struct {
+		args []string
+		want string
+	}{
+		{nil, "usage"}, {[]string{"nope"}, "nope"},
+		{[]string{"record", "-o", out, "-proto", "nope"}, "nope"},
+		{[]string{"record", "-o", out, "-bench", "nope"}, "nope"},
+		{[]string{"record", "-bench", "x264"}, "-o"},
+		{[]string{"record", "-o", out, "-cores", "0"}, "-cores"},
+		{[]string{"record", "-o", out, "-cores", "2", "-scale", "0"}, "-scale"},
+		{[]string{"replay"}, "-i"}, {[]string{"replay", "-i", trc, "-cores", "-1"}, "-cores"},
+		{[]string{"replay", "-i", trc, "-proto", "nope"}, "nope"},
+		{[]string{"replay", "-i", filepath.Join(dir, "missing.trc"), "-faults", "nope"}, "-faults"},
+		{[]string{"synth", "-o", out, "-kind", "nope"}, "nope"}, {[]string{"synth"}, "-o"},
+		{[]string{"synth", "-o", out, "-ops", "-1"}, "non-negative"},
+		{[]string{"synth", "-o", out, "-cores", "300"}, "-cores"},
+		{[]string{"info"}, "-i"},
+	} {
+		err := run(c.args)
+		if !errors.As(err, new(harness.UsageError)) || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%v: error %v; want a usage error naming %s", c.args, err, c.want)
 		}
 	}
 }

@@ -146,15 +146,6 @@ func Large(cores int) System {
 	return s
 }
 
-// Large64 is the 64-core (8x8 mesh) scaling preset.
-func Large64() System { return Large(64) }
-
-// Large128 is the 128-core scaling preset.
-func Large128() System { return Large(128) }
-
-// Large256 is the 256-core (16x16 mesh) scaling preset.
-func Large256() System { return Large(256) }
-
 // Small returns a reduced configuration for unit tests: few cores, tiny
 // caches (to exercise evictions), fast memory.
 func Small(cores int) System {

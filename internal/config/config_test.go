@@ -204,9 +204,9 @@ func TestLargePresets(t *testing.T) {
 		sys   System
 		cores int
 	}{
-		{Large64(), 64},
-		{Large128(), 128},
-		{Large256(), 256},
+		{Large(64), 64},
+		{Large(128), 128},
+		{Large(256), 256},
 	} {
 		if tc.sys.Cores != tc.cores {
 			t.Fatalf("preset has %d cores, want %d", tc.sys.Cores, tc.cores)

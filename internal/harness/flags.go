@@ -1,11 +1,41 @@
 package harness
 
 import (
+	"errors"
 	"flag"
+	"fmt"
+	"os"
 
 	"repro/internal/config"
+	"repro/internal/faults"
 	"repro/internal/obs"
 )
+
+// UsageError is a command-line mistake. The commands exit with status 2
+// on one and with status 1 on any other error (see Exit).
+type UsageError struct{ Err error }
+
+func (e UsageError) Error() string { return e.Err.Error() }
+func (e UsageError) Unwrap() error { return e.Err }
+
+// Usagef returns a UsageError formatted as by fmt.Errorf.
+func Usagef(format string, args ...any) error {
+	return UsageError{fmt.Errorf(format, args...)}
+}
+
+// Exit ends a command whose run returned err: it returns on nil, and
+// otherwise prints err and exits with status 2 for a UsageError, 1 for
+// anything else.
+func Exit(err error) {
+	if err == nil {
+		return
+	}
+	fmt.Fprintln(os.Stderr, err)
+	if errors.As(err, new(UsageError)) {
+		os.Exit(2)
+	}
+	os.Exit(1)
+}
 
 // Flag groups for BindRunFlags.
 const (
@@ -43,14 +73,22 @@ func BindRunFlags(fs *flag.FlagSet, groups int) *RunFlags {
 }
 
 // Apply copies the bound flags onto cfg: the fault profile and seed, the
-// oracle switch, and observability sinks armed from the dump paths.
-func (f *RunFlags) Apply(cfg *config.System) {
+// oracle switch, and observability sinks armed from the dump paths. A
+// -faults spec faults.Parse refuses is a UsageError naming -faults, so
+// it stops a command before anything runs.
+func (f *RunFlags) Apply(cfg *config.System) error {
 	if f.faults != nil {
+		if spec := *f.faults; spec != "" { // empty: no faults
+			if _, err := faults.Parse(spec); err != nil {
+				return Usagef("-faults %q: %w", spec, err)
+			}
+		}
 		cfg.FaultProfile, cfg.FaultSeed, cfg.Checks = *f.faults, *f.faultSeed, *f.checks
 	}
 	if f.metrics != nil {
 		cfg.Obs = obs.FromPaths(*f.metrics, *f.timeline)
 	}
+	return nil
 }
 
 // WriteObs dumps o's sinks to the -metrics / -timeline paths, flushing

@@ -60,21 +60,22 @@ func ListProtocols(w io.Writer) {
 // bad -cores is reported by config.System.Validate, naming the field,
 // before any generator runs.
 func Gen(sys config.System, e *workloads.Entry, scale int, seed uint64) (*program.Workload, error) {
-	if err := validate(sys, scale); err != nil {
+	if err := ValidateSize(sys, scale); err != nil {
 		return nil, err
 	}
 	return e.Gen(workloads.Params{Threads: sys.Cores, Scale: scale, Seed: seed}), nil
 }
 
-// validate checks what Gen and RunGrid hand to generators. Generators
+// ValidateSize checks what Gen and RunGrid hand to generators, and
+// refuses a bad one as a UsageError naming -cores or -scale. Generators
 // run a scale below 1 as scale 1, so it is refused here rather than
 // reported under a size that did not run.
-func validate(sys config.System, scale int) error {
+func ValidateSize(sys config.System, scale int) error {
 	if err := sys.Validate(); err != nil {
-		return err
+		return Usagef("-cores %d: %w", sys.Cores, err)
 	}
 	if scale < 1 {
-		return fmt.Errorf("harness: scale %d must be at least 1", scale)
+		return Usagef("-scale %d: must be at least 1", scale)
 	}
 	return nil
 }
@@ -109,7 +110,7 @@ func RunGrid(sys config.System, p workloads.Params, protos []system.Protocol,
 	benches []string, w io.Writer) (*Grid, error) {
 
 	// Every worker hands p to a generator; validate first (see Gen).
-	if err := validate(sys, p.Scale); err != nil {
+	if err := ValidateSize(sys, p.Scale); err != nil {
 		return nil, err
 	}
 	if len(protos) == 0 {

@@ -1,6 +1,7 @@
 package harness_test
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
@@ -119,8 +120,8 @@ func TestUnknownBenchmarkFails(t *testing.T) {
 
 // TestBadCoresRejectedBeforeGeneration: workload generators size their
 // slices from the thread count and panic on a non-positive one, so a
-// bad core count must be turned into config.Validate's error — naming
-// the field — before any generator runs, both for a single workload
+// bad core count must be turned into a usage error wrapping
+// config.Validate's, naming the field, before any generator runs, both for a single workload
 // (Gen) and for a grid (RunGrid). Generators run a scale below 1 as
 // scale 1, so a bad scale must be refused the same way rather than
 // labelled with a size that did not run.
@@ -134,8 +135,8 @@ func TestBadCoresRejectedBeforeGeneration(t *testing.T) {
 		{4, 0, "scale"}, {4, -2, "scale"},
 	} {
 		cfg := config.Scaled(tc.cores)
-		if w, err := harness.Gen(cfg, e, tc.scale, 1); err == nil || w != nil || !strings.Contains(err.Error(), tc.field) {
-			t.Errorf("Gen at %d cores, scale %d: workload %v, error %v; want an error naming %s",
+		if w, err := harness.Gen(cfg, e, tc.scale, 1); !errors.As(err, new(harness.UsageError)) || w != nil || !strings.Contains(err.Error(), tc.field) {
+			t.Errorf("Gen at %d cores, scale %d: workload %v, error %v; want a usage error naming %s",
 				tc.cores, tc.scale, w, err, tc.field)
 		}
 		p := workloads.Params{Threads: tc.cores, Scale: tc.scale, Seed: 1}

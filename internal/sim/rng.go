@@ -50,19 +50,6 @@ func (r *RNG) Float64() float64 {
 // Bool returns a pseudo-random boolean.
 func (r *RNG) Bool() bool { return r.Uint64()&1 == 1 }
 
-// Perm returns a pseudo-random permutation of [0, n).
-func (r *RNG) Perm(n int) []int {
-	p := make([]int, n)
-	for i := range p {
-		p[i] = i
-	}
-	for i := n - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		p[i], p[j] = p[j], p[i]
-	}
-	return p
-}
-
 // Fork derives an independent generator; used to give each simulated
 // thread its own stream without correlating with siblings.
 func (r *RNG) Fork() *RNG {

@@ -812,14 +812,6 @@ func (e *Engine) Run() (Cycle, error) {
 	}
 }
 
-// RunFor advances exactly n cycles regardless of completion state,
-// ticking every component every cycle.
-func (e *Engine) RunFor(n Cycle) {
-	for i := Cycle(0); i < n; i++ {
-		e.Step()
-	}
-}
-
 // RunWindow advances the wake-set scheduler through every due cycle
 // strictly before end, then returns. Unlike Run it enforces no
 // completion or cycle-limit policy: it is how tests and benchmarks step

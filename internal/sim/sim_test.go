@@ -78,21 +78,11 @@ func TestEngineTickOrderIsRegistrationOrder(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		e.Register(&orderTicker{id: i, trace: &trace})
 	}
-	e.RunFor(1)
+	e.Step()
 	for i, id := range trace {
 		if id != i {
 			t.Fatalf("tick order %v, want ascending", trace)
 		}
-	}
-}
-
-func TestEngineRunFor(t *testing.T) {
-	e := NewEngine(0)
-	ct := &countTicker{limit: 1 << 30}
-	e.Register(ct)
-	e.RunFor(17)
-	if e.Now() != 17 || ct.ticks != 17 {
-		t.Fatalf("now=%d ticks=%d, want 17", e.Now(), ct.ticks)
 	}
 }
 
@@ -142,24 +132,6 @@ func TestRNGIntnPanicsOnNonPositive(t *testing.T) {
 		}
 	}()
 	NewRNG(1).Intn(0)
-}
-
-func TestRNGPermIsPermutation(t *testing.T) {
-	check := func(seed uint64, n uint8) bool {
-		size := int(n%32) + 1
-		p := NewRNG(seed).Perm(size)
-		seen := make([]bool, size)
-		for _, v := range p {
-			if v < 0 || v >= size || seen[v] {
-				return false
-			}
-			seen[v] = true
-		}
-		return len(p) == size
-	}
-	if err := quick.Check(check, nil); err != nil {
-		t.Fatal(err)
-	}
 }
 
 func TestRNGFloat64Range(t *testing.T) {

@@ -96,18 +96,6 @@ func Geomean(xs []float64) float64 {
 	return math.Exp(sum / float64(n))
 }
 
-// Amean returns the arithmetic mean of xs, or 0 for empty input.
-func Amean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	sum := 0.0
-	for _, x := range xs {
-		sum += x
-	}
-	return sum / float64(len(xs))
-}
-
 // Table renders aligned rows of labelled numeric columns, in the style of
 // the paper's figures rendered as text.
 type Table struct {

@@ -115,15 +115,6 @@ func TestGeomeanScaleInvariance(t *testing.T) {
 	}
 }
 
-func TestAmean(t *testing.T) {
-	if Amean(nil) != 0 {
-		t.Fatal("amean of empty should be 0")
-	}
-	if got := Amean([]float64{1, 2, 3}); got != 2 {
-		t.Fatalf("amean = %v, want 2", got)
-	}
-}
-
 func TestTableRendering(t *testing.T) {
 	tb := NewTable("Demo", "colA", "colB")
 	tb.AddRow("first", "1", "2")

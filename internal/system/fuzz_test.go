@@ -35,7 +35,7 @@ func FuzzValidateBuilds(f *testing.F) {
 	}
 	for _, s := range []config.System{
 		config.Table2(), config.Scaled(8), config.Small(1), config.Small(4), config.Small(13),
-		config.Large64(), config.Large128(), config.Large256(),
+		config.Large(64), config.Large(128), config.Large(256),
 	} {
 		add(s, false)
 		add(s, true)

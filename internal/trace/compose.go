@@ -10,9 +10,9 @@ import (
 // core count, each instance's streams re-homed onto the next contiguous
 // core group and its address space shifted by a per-instance stride so
 // instances never share data. The result is a validated, replayable
-// trace with the target geometry — the mechanism behind the Large64/128/
-// 256 scaling workloads, which re-use small recorded runs instead of
-// re-recording hundreds of cores.
+// trace with the target geometry — the mechanism behind the 64-, 128-
+// and 256-core scaling workloads, which re-use small recorded runs
+// instead of re-recording hundreds of cores.
 //
 // Placement is deterministic: instances cycle through parts in argument
 // order (part 0, part 1, ..., part 0, ...), each occupying its recorded
