@@ -82,10 +82,9 @@ var modes = []cell{
 	{name: "event/batched", batched: true},
 }
 
-// referee is the per-cycle, one-instruction-per-tick machine, stepped
-// differs from the default machine on the engine axis alone, and deflt
-// is the default machine every reference runs on.
-var referee, stepped, deflt = modes[0], modes[1], modes[3]
+// stepped differs from the default machine on the engine axis alone,
+// and deflt is the default machine every reference runs on.
+var stepped, deflt = modes[1], modes[3]
 
 // recorder records on the default machine, and replayCell replays on it.
 var recorder, replayCell = deflt.with("record/%s", recorded), deflt.with("replay/%s", replayed)
@@ -127,8 +126,8 @@ func armChecks(c *cell)  { c.checks = true }
 func armObs(c *cell)     { c.obs = true }
 func concurrent(c *cell) { c.copies = copies }
 
-// checked arms the oracles on the referee and on the default machine.
-var checked = derive([]cell{referee, deflt}, "%s/checks", armChecks)
+// checked arms the oracles on the two engines, both batched.
+var checked = derive([]cell{stepped, deflt}, "%s/checks", armChecks)
 
 // observed arms obs on every mode, with and without Shards set.
 func observed() []cell {
@@ -222,10 +221,7 @@ const farHitLat, farHits = 70, 20
 func TestEngineModesFarHitCompletions(t *testing.T) {
 	conform(t)
 	for _, p := range table[t.Name()].protos {
-		switch r, _, err := deflt.run(key{geom: "far-hit", proto: p, load: "hit-chain"}, protocol(t, p), nil); {
-		case err != nil:
-			t.Fatal(err)
-		case r.Cycles < farHits*farHitLat:
+		if r := reference(t, key{geom: "far-hit", proto: p, load: "hit-chain"}).res; r.Cycles < farHits*farHitLat {
 			t.Errorf("%s: %d load hits took %d cycles, want at least %d", p, farHits, r.Cycles, farHits*farHitLat)
 		}
 	}
@@ -313,7 +309,7 @@ func (c cell) check(t *testing.T, k key) {
 	}
 	want, of := rec.fp, "recording"
 	if !c.replay {
-		want, of = reference(t, k), "reference"
+		want, of = reference(t, k).fp, "reference"
 	}
 	if c == deflt {
 		return
@@ -324,17 +320,17 @@ func (c cell) check(t *testing.T, k key) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			got, data, err := rec.fp, rec.data, error(nil)
+			got, err := rec.outcome, error(nil)
 			if c != recorder {
-				got, data, err = c.fingerprint(k, proto, rec.tr)
+				got, err = c.outcome(k, proto, rec.tr)
 			}
 			switch {
 			case err != nil:
 				errs[i] = err
-			case got != want:
-				errs[i] = fmt.Errorf("diverged from the %s:\n %s: %s\n %s: %s", of, of, want, c.name, got)
-			case c.record && !bytes.Equal(data, rec.data):
-				errs[i] = fmt.Errorf("captured %d trace bytes, the recording %d", len(data), len(rec.data))
+			case got.fp != want:
+				errs[i] = fmt.Errorf("diverged from the %s:\n %s: %s\n %s: %s", of, of, want, c.name, got.fp)
+			case c.record && !bytes.Equal(got.data, rec.data):
+				errs[i] = fmt.Errorf("captured %d trace bytes, the recording %d", len(got.data), len(rec.data))
 			}
 		}()
 	}
@@ -412,50 +408,57 @@ func (c cell) run(k key, proto system.Protocol, tr *trace.Trace) (r *system.Resu
 	return r, data, err
 }
 
-// fingerprint runs k under c once and returns what the run must
-// reproduce: the Result's fingerprint, or for a litmus key the outcome
-// histogram, which must also hold no TSO-forbidden outcome.
-func (c cell) fingerprint(k key, proto system.Protocol, tr *trace.Trace) (string, []byte, error) {
+// outcome is what a run must reproduce: the Result's fingerprint (for
+// a litmus key, the outcome histogram), the Result, and a recording's
+// encoded trace.
+type outcome struct {
+	fp   string
+	res  *system.Result // nil for a litmus key
+	data []byte
+}
+
+// outcome runs k under c once; a litmus key's histogram must also hold
+// no TSO-forbidden outcome.
+func (c cell) outcome(k key, proto system.Protocol, tr *trace.Trace) (outcome, error) {
 	if k.iters > 0 {
 		res, err := litmus.Run(litmusTest(k.load), proto, k.config(c), k.iters, 42)
 		if err == nil && !res.Ok() {
 			err = fmt.Errorf("forbidden outcomes: %v", res.Violations)
 		}
 		if err != nil {
-			return "", nil, err
+			return outcome{}, err
 		}
-		return fmt.Sprint(res.Outcomes), nil, nil
+		return outcome{fp: fmt.Sprint(res.Outcomes)}, nil
 	}
 	r, data, err := c.run(k, proto, tr)
 	if err != nil {
-		return "", nil, err
+		return outcome{}, err
 	}
-	return fingerprint(r), data, nil
+	return outcome{fingerprint(r), r, data}, nil
 }
 
 // The references by key. Tests here run one at a time: no lock.
 var (
-	references = map[key]string{}
+	references = map[key]outcome{}
 	recordings = map[key]recording{}
 )
 
 type recording struct {
-	fp   string
-	data []byte
-	tr   *trace.Trace // decoded from data; replays only read it
+	outcome
+	tr *trace.Trace // decoded from data; replays only read it
 }
 
 // reference is k's run on the default machine.
-func reference(t *testing.T, k key) string {
-	fp, ok := references[k]
+func reference(t *testing.T, k key) outcome {
+	ref, ok := references[k]
 	if !ok {
 		var err error
-		if fp, _, err = deflt.fingerprint(k, protocol(t, k.proto), nil); err != nil {
+		if ref, err = deflt.outcome(k, protocol(t, k.proto), nil); err != nil {
 			t.Fatalf("reference %+v: %v", k, err)
 		}
-		references[k] = fp
+		references[k] = ref
 	}
-	return fp
+	return ref
 }
 
 // recordingOf is k's recording run on the default machine.
@@ -463,7 +466,7 @@ func recordingOf(t *testing.T, k key) recording {
 	rec, ok := recordings[k]
 	if !ok {
 		var err error
-		if rec.fp, rec.data, err = recorder.fingerprint(k, protocol(t, k.proto), nil); err != nil {
+		if rec.outcome, err = recorder.outcome(k, protocol(t, k.proto), nil); err != nil {
 			t.Fatalf("recording %+v: %v", k, err)
 		}
 		if rec.tr, err = trace.Decode(rec.data); err != nil {
@@ -504,16 +507,16 @@ func TestFaultDifferentSeedsDiverge(t *testing.T) {
 			profiles = faultSpecs
 		}
 		k := key{geom: "small4", proto: name, load: "ssca2"}
-		base := reference(t, k)
+		base := reference(t, k).fp
 		for _, prof := range profiles {
 			inert := prof == "reset-storm" && !timestamps
 			diverged := 0
 			for k.faults, k.seed = prof, 1; k.seed <= 5 && (inert || diverged == 0); k.seed++ {
-				fp, _, err := deflt.fingerprint(k, proto, nil)
+				got, err := deflt.outcome(k, proto, nil)
 				if err != nil {
 					t.Fatalf("%s/%s seed %d: %v", name, prof, k.seed, err)
 				}
-				if fp != base {
+				if got.fp != base {
 					diverged++
 				}
 			}
@@ -566,7 +569,7 @@ func TestLitmusUnderFaults(t *testing.T) {
 		k.seed, k.iters = 3, 15
 		for _, test := range litmus.Suite() {
 			k.load = test.Name
-			if _, _, err := checked[1].fingerprint(k, proto, nil); err != nil {
+			if _, err := checked[1].outcome(k, proto, nil); err != nil {
 				t.Fatalf("%s under %s faults: %v", test.Name, k.faults, err)
 			}
 		}
@@ -574,8 +577,8 @@ func TestLitmusUnderFaults(t *testing.T) {
 }
 
 // FuzzFaultProfile: no profile Parse accepts (it clamps out-of-range
-// values) may break determinism — the checked referee against the
-// checked default machine — or trip the oracles on MESI.
+// values) may break determinism — the checked per-cycle engine against
+// the checked wake-set engine, both batched — or trip the oracles on MESI.
 func FuzzFaultProfile(f *testing.F) {
 	f.Add("jitter", uint64(1))
 	f.Add("jitter:rate=1000,delay=64", uint64(2))
@@ -594,10 +597,11 @@ func FuzzFaultProfile(f *testing.F) {
 		k := key{geom: "small2", proto: mesiName, load: "ssca2", faults: spec, seed: seed}
 		var fps [2]string
 		for i, c := range checked {
-			var err error
-			if fps[i], _, err = c.fingerprint(k, proto, nil); err != nil {
+			got, err := c.outcome(k, proto, nil)
+			if err != nil {
 				t.Fatalf("%s: %v", c.name, err)
 			}
+			fps[i] = got.fp
 		}
 		if fps[0] != fps[1] {
 			t.Fatalf("spec %q seed %d diverged across engines:\n %s\n %s", spec, seed, fps[0], fps[1])
@@ -612,19 +616,16 @@ func FuzzFaultProfile(f *testing.F) {
 func TestTraceReplayCrossProtocol(t *testing.T) {
 	names := coherence.ProtocolNames()
 	k := key{geom: "small4", proto: names[0], load: "ssca2@3"}
-	tr := recordingOf(t, k).tr
+	rec := recordingOf(t, k)
 	ops := func(r *system.Result) string {
 		return fmt.Sprintf("ld=%d st=%d rmw=%d fence=%d instr=%d", r.Loads, r.Stores, r.RMWs, r.Fences, r.Instructions)
 	}
-	var want string
 	for _, name := range names {
-		r, _, err := replayCell.run(k, protocol(t, name), tr)
+		r, _, err := replayCell.run(k, protocol(t, name), rec.tr)
 		if err != nil {
 			t.Fatalf("replay on %s: %v", name, err)
 		}
-		if want == "" {
-			want = ops(r)
-		} else if got := ops(r); got != want {
+		if got, want := ops(r), ops(rec.res); got != want {
 			t.Fatalf("replay on %s dropped ops: got %s, want %s", name, got, want)
 		}
 	}
