@@ -76,11 +76,13 @@ repo-bench-compare:
 # Short fuzz iterations (the CI fuzz smoke): the trace codec round-trip
 # property (the corpus grows under internal/trace/testdata), the
 # wake-set scheduler's scan-all reference properties over fuzzed
-# scenario seeds, and "whatever config.Validate accepts builds and
-# prewarms inside its footprint bound".
+# scenario seeds, "whatever config.Validate accepts builds and
+# prewarms inside its footprint bound", and the batched core against
+# the one-instruction-per-tick referee on fuzzed programs.
 fuzz-smoke:
 	$(GO) test -run xxx -fuzz FuzzTraceRoundTrip -fuzztime 10s ./internal/trace
 	$(GO) test -run xxx -fuzz FuzzWakeWheel -fuzztime 10s ./internal/sim
+	$(GO) test -run xxx -fuzz FuzzBatchedCore -fuzztime 10s ./internal/cpu
 	$(GO) test -run xxx -fuzz FuzzValidateBuilds -fuzztime 10s ./internal/system
 
 # Fault-injection smoke: the litmus suite with invariant oracles armed

@@ -36,8 +36,8 @@ type System struct {
 	// bit-identical results; per-cycle exists as the A/B baseline.
 	PerCycleEngine bool
 
-	// BatchedCore lets each core retire straight-line runs of
-	// register/branch instructions as a single batch per tick, stalling
+	// BatchedCore lets each core retire runs of register/branch
+	// instructions, across taken branches, as a single step, stalling
 	// over the cycles the run would have occupied so the idle-skip
 	// engine can leap them. Memory ops, atomics, fences, pauses and
 	// write-buffer drains remain cycle-exact boundaries, so results are

@@ -30,10 +30,11 @@ type Core struct {
 
 	stallUntil sim.Cycle
 
-	// batched enables straight-line run execution: a whole block of
-	// register/branch instructions retires in one Tick and the core
-	// stalls over the cycles the block would have occupied, so the
-	// idle-skip engine leaps them instead of re-entering the core.
+	// batched enables run execution: every register and branch
+	// instruction up to the next memory, fence, pause or halt op (at most
+	// runCap of them) retires in one step and the core stalls over the
+	// cycles they would have occupied, so the idle-skip engine leaps them
+	// instead of re-entering the core.
 	batched bool
 
 	// Memory-trace capture (config.System.TraceOut). While enabled, the
@@ -51,16 +52,20 @@ type Core struct {
 // wbEntries slots.
 func New(id int, prog *program.Program, port coherence.CorePort, wbEntries int) *Core {
 	c := &Core{prog: prog}
-	c.Init("core", id, port, wbEntries)
+	c.Init("core", id, port, wbEntries, c.resume)
 	return c
 }
 
-// SetBatched toggles batched straight-line execution
-// (config.System.BatchedCore). Both settings produce bit-identical
-// simulations: batches contain only register/branch instructions, whose
-// intermediate state nothing outside the core can observe, and the
-// batch accounts for exactly the cycles per-cycle execution would have
-// spent.
+// runCap bounds one batched run, so a register-only loop retires in
+// runCap-cycle steps the engine's cycle limit still sees, not in one
+// step that never ends.
+const runCap = 4096
+
+// SetBatched toggles batched run execution (config.System.BatchedCore).
+// Both settings produce bit-identical simulations: runs contain only
+// register/branch instructions, whose intermediate state nothing
+// outside the core can observe, and a run accounts for exactly the
+// cycles per-cycle execution would have spent.
 func (c *Core) SetBatched(on bool) { c.batched = on }
 
 // SetTrace attaches a capture sink (config.System.TraceOut). Must be
@@ -80,8 +85,8 @@ func (c *Core) Reg(r uint8) int64 { return c.regs[r] }
 func (c *Core) SetReg(r uint8, v int64) { c.regs[r] = v }
 
 // Tick advances the core one cycle. Register and branch instructions
-// retire through executeRun — a whole straight-line run when batched,
-// one instruction otherwise — and everything else through execute.
+// retire through executeRun — a whole run when batched, one instruction
+// otherwise — and everything else through execute.
 func (c *Core) Tick(now sim.Cycle) {
 	if !c.Begin(now) || now < c.stallUntil {
 		return
@@ -91,30 +96,44 @@ func (c *Core) Tick(now sim.Cycle) {
 		c.Halt()
 		return
 	}
-	if in := &c.prog.Instrs[c.pc]; !in.Op.Batchable() && !in.Op.IsBranch() {
-		c.execute(now, in)
-		return
-	}
-	n := 1
+	limit := 1
 	if c.batched {
-		n = max(c.prog.RunLen(c.pc), 1) // a lone branch starts no run
+		limit = runCap
 	}
-	c.executeRun(now, n)
+	if c.executeRun(now, limit) == 0 {
+		c.execute(now, &c.prog.Instrs[c.pc])
+	}
 }
 
-// executeRun is the core's one ALU: it retires a straight-line run of n
-// register/branch instructions in a single Tick, then stalls until
-// now+n — exactly the cycle at which per-cycle execution would reach the
-// next instruction (n = 1 is per-cycle execution itself). Runs contain
-// no memory, fence, atomic, pause or halt ops (enforced by the program
-// run-length analysis), so no other component can observe the
-// difference; NextWake's stallUntil path reports the end of the run to
-// the engine, which leaps the intervening idle cycles.
-func (c *Core) executeRun(now sim.Cycle, n int) {
+// resume is the front end's completion hook. A batched core retires the
+// run that follows the completed load, RMW or fence on the callback
+// cycle, the cycle its next Tick would have retired it on, and reports
+// the cycle that run stalls it until, so the core is next ticked there.
+// The unbatched referee retires nothing here and is ticked on the
+// callback cycle.
+func (c *Core) resume(now sim.Cycle) sim.Cycle {
+	if c.batched {
+		c.Dispatch(now)
+		c.executeRun(now, runCap)
+	}
+	return c.stallUntil
+}
+
+// executeRun is the core's one ALU: it retires up to limit register and
+// branch instructions, following taken branches, and stops before the
+// first memory, fence, atomic, pause or halt op or at the program's end.
+// It then stalls the core until now+n for the n it retired — exactly the
+// cycle at which per-cycle execution would reach the next instruction
+// (limit 1 is per-cycle execution itself). Nothing outside the core can
+// observe the run's intermediate state; NextWake's stallUntil path
+// reports the end of the run to the engine, which leaps the intervening
+// idle cycles.
+func (c *Core) executeRun(now sim.Cycle, limit int) (n int) {
 	pc := c.pc
 	ins := c.prog.Instrs
 	regs := &c.regs
-	for k := 0; k < n; k++ {
+run:
+	for ; n < limit && pc < len(ins); n++ {
 		in := &ins[pc]
 		pc++
 		switch in.Op {
@@ -163,8 +182,12 @@ func (c *Core) executeRun(now sim.Cycle, n int) {
 		case program.OpJmp:
 			pc = in.Target
 		default:
-			panic(fmt.Sprintf("cpu: core %d: op %v inside a register run", c.ID, in.Op))
+			pc-- // not a register op: the run ends before it
+			break run
 		}
+	}
+	if n == 0 {
+		return 0
 	}
 	c.pc = pc
 	c.stallUntil = now + sim.Cycle(n)
@@ -180,15 +203,17 @@ func (c *Core) executeRun(now sim.Cycle, n int) {
 		c.traceGap += int64(n)
 		c.traceIns += int64(n)
 	}
+	return n
 }
 
 // NextWake implements sim.WakeHinter. The core must be ticked while it
 // has self-driven work: an instruction to execute, a stall expiring, or
 // a write-buffer head to (re)issue. While blocked on an L1 callback it
-// is externally driven — the callback itself wakes the core through its
-// Waker on the cycle it fires (inside the L1's tick for a miss, at the
-// start of the cycle as an engine completion event for a hit: either way
-// the core's turn is still ahead).
+// is externally driven: the callback (inside the L1's tick for a miss,
+// at the start of the cycle as an engine completion event for a hit)
+// runs resume and wakes the core through its Waker at the end of the
+// run resume retired — or on the callback cycle, while the core's turn
+// is still ahead, if there is no run or a buffered store must issue.
 func (c *Core) NextWake(now sim.Cycle) sim.Cycle { return c.NextWakeFrom(now, c.stallUntil) }
 
 // execute runs one memory, fence, pause or halt instruction. Each

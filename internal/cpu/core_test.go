@@ -413,7 +413,8 @@ func TestInstructionCountExact(t *testing.T) {
 // unbatched and a batched core against identical fake ports and
 // requires the same registers, memory, visibility order, instruction
 // count and completion cycle — the core-level version of the engine
-// A/B gates.
+// A/B gates. Driven by hand, with no engine clock, the batched core
+// retires the run after each load in its next Tick, not in the callback.
 func TestBatchedExecutionParity(t *testing.T) {
 	build := func() *program.Program {
 		b := program.NewBuilder("mix")
@@ -424,7 +425,8 @@ func TestBatchedExecutionParity(t *testing.T) {
 		b.Xor(6, 5, 2)
 		b.Shl(7, 6, 2)
 		b.Mod(8, 7, 13)
-		b.St(1, 0, 5) // memory op: batch boundary
+		b.St(1, 0, 5)   // memory op: batch boundary
+		b.Ld(11, 1, 64) // its completion resumes into the run below
 		b.Addi(3, 3, 1)
 		b.Blt(3, 4, "loop")
 		b.Fence()

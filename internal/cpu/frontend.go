@@ -51,8 +51,19 @@ type Front struct {
 	// event at the start of the cycle for a hit; either way earlier in the
 	// same cycle than the front end's turn. That is the only way a blocked
 	// front end is re-enabled, and under wake-set scheduling the engine
-	// ticks only components that were marked due.
+	// ticks only components that were marked due. A load, RMW or fence
+	// callback reads the cycle from it and wakes the front end at the
+	// cycle resume names (see complete); a store callback wakes it only
+	// when another buffered store waits to issue.
 	waker sim.Waker
+
+	// resume is the embedding front end's completion hook, run on the
+	// cycle a load, RMW or fence callback fires: it retires what the
+	// completion unblocks and returns the cycle the front end's next
+	// dispatch is due. deferred holds the call for the next Begin when
+	// the waker is unbound (a hand-driven front end has no engine clock).
+	resume   func(now sim.Cycle) sim.Cycle
+	deferred bool
 
 	// Completion callbacks handed to the L1. At most one load/RMW, one
 	// store and one fence are outstanding, so one preallocated closure per
@@ -76,11 +87,6 @@ type Front struct {
 	Instructions stats.Counter
 	WBForwards   stats.Counter
 	WBFullStalls stats.Counter
-	// FinishCycle is the first ticked cycle at which the front end
-	// observed itself fully done (diagnostic only; under idle-skip
-	// scheduling a quiescent front end may never tick again, leaving it
-	// zero).
-	FinishCycle sim.Cycle
 
 	// Stall attribution. Recorded compute gaps are not stalls; a batched
 	// core attributes its run interiors itself (Core.executeRun).
@@ -92,30 +98,29 @@ var counterSuffixes = [...]string{"loads", "stores", "rmws", "fences",
 	"instructions", "wb_forwards", "wb_full_stalls"}
 
 // Init sets f up as front end prefix+id ("core3", "replay3") on port,
-// with a write buffer of wbEntries slots. The callbacks capture f, so
-// Init runs on the Front inside its heap-allocated front end, never on
-// a copy.
-func (f *Front) Init(prefix string, id int, port coherence.CorePort, wbEntries int) {
+// with a write buffer of wbEntries slots and resume as its completion
+// hook (see the resume field). The callbacks capture f, so Init runs on
+// the Front inside its heap-allocated front end, never on a copy.
+func (f *Front) Init(prefix string, id int, port coherence.CorePort, wbEntries int, resume func(now sim.Cycle) sim.Cycle) {
 	if wbEntries <= 0 {
 		panic("cpu: write buffer must have at least one entry")
 	}
 	f.ID, f.name, f.port, f.wb = id, prefix+strconv.Itoa(id), port, NewWriteBuffer(wbEntries)
+	f.resume = resume
 	for i, c := range f.ObsCounters() {
 		c.SetName(f.name + "." + counterSuffixes[i])
 	}
 	f.valCb = func(val uint64) {
 		*f.dst = int64(val)
-		f.waiting = false
-		f.waker.Wake()
+		f.complete()
 	}
 	f.storeCb = func() {
 		f.wb.Pop()
-		f.waker.Wake()
+		if f.wb.HeadToIssue() {
+			f.waker.Wake()
+		}
 	}
-	f.fenceCb = func() {
-		f.waiting = false
-		f.waker.Wake()
-	}
+	f.fenceCb = f.complete
 	f.fAdd = func(old uint64) (uint64, bool) { return old + f.rmwA, true }
 	f.fXchg = func(old uint64) (uint64, bool) { return f.rmwA, true }
 	f.fCas = func(old uint64) (uint64, bool) {
@@ -158,18 +163,39 @@ func (f *Front) ObsCounters() []*stats.Counter {
 // Halt stops dispatch; the front end is done once its writes drain.
 func (f *Front) Halt() { f.halted = true }
 
-// Begin is the Tick prologue: issue the write buffer's head store,
-// note FinishCycle, and report whether the front end may dispatch this
-// cycle (it is neither halted nor waiting on a callback).
+// Begin is the Tick prologue: issue the write buffer's head store, run
+// a deferred completion hook, and report whether the front end may
+// dispatch this cycle (it is neither halted nor waiting on a callback).
 func (f *Front) Begin(now sim.Cycle) bool {
 	f.wb.Drain(now, f.port, f.storeCb)
 	if f.halted {
-		if f.Done() && f.FinishCycle == 0 {
-			f.FinishCycle = now
-		}
 		return false
 	}
+	if f.deferred {
+		f.deferred = false
+		f.resume(now)
+	}
 	return !f.waiting
+}
+
+// complete ends the wait on a load, RMW or fence on the cycle its
+// callback fires. The resume hook retires what the completion unblocks
+// and names the cycle the next dispatch is due; the front end wakes
+// then, or on the callback cycle itself when the write buffer has a head
+// for that cycle's Begin to issue. Unbound (hand-driven), the hook runs
+// in the next Begin instead, on that tick's cycle.
+func (f *Front) complete() {
+	f.waiting = false
+	now, ok := f.waker.Now()
+	if !ok {
+		f.deferred = true
+		return
+	}
+	next := f.resume(now)
+	if f.wb.HeadToIssue() {
+		next = now
+	}
+	f.waker.WakeAt(next)
 }
 
 // Dispatch ends the open stall episode: the front end makes an attempt
@@ -319,6 +345,10 @@ func (b *WriteBuffer) Full() bool { return b.n >= len(b.ring) }
 // InFlight reports whether the head store is issued and unacknowledged.
 func (b *WriteBuffer) InFlight() bool { return b.inFlight }
 
+// HeadToIssue reports whether a buffered head store is not in flight:
+// the next Begin issues (or retries) it.
+func (b *WriteBuffer) HeadToIssue() bool { return b.n > 0 && !b.inFlight }
+
 // Ready reports whether the head store waits to be issued: neither in
 // flight nor just declined. A declined head is retried on the cycle the
 // core's own completion wakes it (see Drain), so it needs no wake of
@@ -358,7 +388,7 @@ func (b *WriteBuffer) Forward(addr uint64) (uint64, bool) {
 // the core's Store callback, which must call Pop. It runs on every
 // front-end tick, so the nothing-to-issue check inlines into Begin.
 func (b *WriteBuffer) Drain(now sim.Cycle, port coherence.CorePort, cb func()) {
-	if !b.inFlight && b.n > 0 {
+	if b.HeadToIssue() {
 		b.issue(now, port, cb)
 	}
 }
@@ -379,7 +409,8 @@ func (b *WriteBuffer) issue(now sim.Cycle, port coherence.CorePort, cb func()) {
 	// load-bearing under wake-set scheduling: a stalled head with the
 	// core otherwise quiescent reports WakeNever, so an L1 decline
 	// reason with no pending same-core callback would be a lost-wakeup
-	// deadlock. Do not add one.
+	// deadlock. Do not add one. (Every callback wakes the core on its
+	// own cycle while HeadToIssue holds, which a declined head does.)
 	b.stalled = true
 }
 

@@ -241,7 +241,7 @@ func TestIssueDrainBeforeLockedOps(t *testing.T) {
 func TestFrontOutcomes(t *testing.T) {
 	p := &scriptPort{}
 	f := new(Front)
-	f.Init("core", 0, p, 1)
+	f.Init("core", 0, p, 1, func(now sim.Cycle) sim.Cycle { return now })
 	f.SetStalls(obs.NewRegistry().NewCoreStalls("core0"))
 	var dst int64
 	now := sim.Cycle(1)

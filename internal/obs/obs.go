@@ -120,8 +120,8 @@ const (
 	// StallMissOutstanding: a load or RMW is waiting on the memory
 	// system (the classic miss-latency stall).
 	StallMissOutstanding
-	// StallBatchInterior: cycles skipped inside a batched straight-line
-	// run (BatchedCore) — retired compute, not a true stall, but
+	// StallBatchInterior: cycles skipped inside a batched run
+	// (BatchedCore) — retired compute, not a true stall, but
 	// attributed so the per-core cycle budget sums up.
 	StallBatchInterior
 	// NumStallReasons sizes per-reason arrays.

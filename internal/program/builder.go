@@ -167,7 +167,6 @@ func (b *Builder) Build() (*Program, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	p.ComputeRunLens()
 	return p, nil
 }
 

@@ -78,31 +78,6 @@ func (op OpCode) IsAtomic() bool {
 	return false
 }
 
-// Batchable reports whether the opcode may execute inside a batched
-// straight-line run: pure register ops with no memory access, no time
-// side effect (pause/stall) and no completion side effect (halt). These
-// are exactly the instructions a core can retire back-to-back without
-// any other component being able to observe intermediate state.
-func (op OpCode) Batchable() bool {
-	switch op {
-	case OpLI, OpMov, OpAdd, OpAddi, OpSub, OpMul, OpAnd, OpOr, OpXor, OpMod, OpShl:
-		return true
-	}
-	return false
-}
-
-// IsBranch reports whether the opcode is a control-flow op resolved
-// entirely inside the core (conditional branches and unconditional
-// jumps). A branch may terminate a batched run — it only moves the pc —
-// but never starts or continues one.
-func (op OpCode) IsBranch() bool {
-	switch op {
-	case OpBeq, OpBne, OpBlt, OpBge, OpJmp:
-		return true
-	}
-	return false
-}
-
 // Instr is one decoded instruction.
 type Instr struct {
 	Op      OpCode
@@ -133,53 +108,10 @@ func (in Instr) String() string {
 type Program struct {
 	Name   string
 	Instrs []Instr
-
-	// runLens[pc] is the batched-execution run length starting at pc
-	// (see RunLen). Builder.Build precomputes it; RunLen fills it lazily
-	// for hand-assembled programs (single-goroutine construction only —
-	// share a Program across concurrent machines only after Build or an
-	// explicit ComputeRunLens).
-	runLens []int32
 }
 
 // Len reports the instruction count.
 func (p *Program) Len() int { return len(p.Instrs) }
-
-// RunLen reports how many instructions a batched core may retire as one
-// straight-line run starting at pc: a maximal block of Batchable
-// register ops plus at most one trailing branch/jump. A run never
-// crosses a load, store, atomic, fence, pause or halt — those stay
-// cycle-exact boundaries — and never extends past the end of the
-// program. 0 means pc does not start a run (execute singly).
-func (p *Program) RunLen(pc int) int {
-	if p.runLens == nil {
-		p.ComputeRunLens()
-	}
-	return int(p.runLens[pc])
-}
-
-// ComputeRunLens precomputes the per-instruction run lengths consumed by
-// RunLen. It is idempotent and cheap (one backward pass).
-func (p *Program) ComputeRunLens() {
-	n := len(p.Instrs)
-	rl := make([]int32, n)
-	for i := n - 1; i >= 0; i-- {
-		if !p.Instrs[i].Op.Batchable() {
-			continue // memory, fence, pause, halt, branch: not a run start
-		}
-		run := int32(1)
-		if i+1 < n {
-			switch next := p.Instrs[i+1].Op; {
-			case next.Batchable():
-				run += rl[i+1]
-			case next.IsBranch():
-				run++ // the branch resolves locally: fold it into the run
-			}
-		}
-		rl[i] = run
-	}
-	p.runLens = rl
-}
 
 // Validate checks structural well-formedness (register indices, branch
 // targets, halting).

@@ -33,6 +33,16 @@
 // (an L1 hit's callback into its front end), so running it before the
 // filer's own turn instead of inside it changes no simulated state.
 //
+// A callback into a later component — a completion event, or one an L1
+// fires from its own tick — may also finish work of its receiver on the
+// cycle it fires. A TSO front end's load, RMW or fence callback does:
+// it reads the cycle through Waker.Now, retires the register-only
+// instructions the completion unblocks (state nothing outside the
+// receiver can observe), and wakes the receiver with Waker.WakeAt at the
+// cycle those instructions stall it until, not on the callback cycle.
+// The receiver is then ticked once per memory operation, not once more
+// per run of register code.
+//
 // Due cycles are indexed by a due wheel (see Engine): a ring of
 // per-cycle component bitmasks kept exact on every change, so an active
 // cycle costs host time in proportion to the components due in it, not
@@ -120,6 +130,17 @@ func (w Waker) Wake() {
 	if w.e != nil {
 		w.e.WakeAt(w.id, w.e.now)
 	}
+}
+
+// Now reports the engine's current cycle: inside a completion event or
+// a component's tick, the cycle being dispatched. ok is false for the
+// zero Waker, which has no engine clock to read (a hand-driven
+// component must take the cycle from its next Tick instead).
+func (w Waker) Now() (now Cycle, ok bool) {
+	if w.e == nil {
+		return 0, false
+	}
+	return w.e.now, true
 }
 
 // CompleteAt files cb(v) to fire at the start of cycle c (the next cycle

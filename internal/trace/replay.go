@@ -29,7 +29,9 @@ import (
 //
 // Between ready times the core reports NextWake = readyAt, so the
 // idle-skip engine leaps the recorded compute gaps just as it leaps a
-// batched core's straight-line runs.
+// batched core's runs; an asynchronous completion sets readyAt from the
+// callback (resume) and wakes the core there, as a batched cpu.Core
+// retires its next run in the callback.
 type ReplayCore struct {
 	cpu.Front
 
@@ -42,11 +44,8 @@ type ReplayCore struct {
 	idx  int
 	n    int
 
-	// readyAt is the earliest cycle op may issue. gapArmed defers the
-	// anchor for async completions: the callback cycle is not known
-	// until the core ticks on it, at which point readyAt = now + Gap.
-	readyAt  sim.Cycle
-	gapArmed bool
+	// readyAt is the earliest cycle op may issue.
+	readyAt sim.Cycle
 
 	discard int64 // where loaded values go: replay has no registers
 }
@@ -56,7 +55,7 @@ type ReplayCore struct {
 // WriteBuffer for bit-identical replay).
 func NewReplayCore(id int, ops Ops, port coherence.CorePort, wbEntries int) *ReplayCore {
 	c := &ReplayCore{cur: ops.Cursor(), n: ops.Len()}
-	c.Init("replay", id, port, wbEntries)
+	c.Init("replay", id, port, wbEntries, c.resume)
 	if c.op, c.more = c.cur.Next(); c.more {
 		// The stream's anchor is cycle 0; the first op's Gap is its
 		// absolute first-attempt cycle.
@@ -70,16 +69,7 @@ func NewReplayCore(id int, ops Ops, port coherence.CorePort, wbEntries int) *Rep
 // Tick advances the replay core one cycle: the front end's prologue,
 // then the gap clock, then one attempt at the current op.
 func (c *ReplayCore) Tick(now sim.Cycle) {
-	if !c.Begin(now) {
-		return
-	}
-	if c.gapArmed {
-		// The async callback fired earlier this cycle (in the L1's tick or
-		// as a completion event); anchor the next op's ready time on it.
-		c.readyAt = now + sim.Cycle(c.op.Gap)
-		c.gapArmed = false
-	}
-	if now < c.readyAt {
+	if !c.Begin(now) || now < c.readyAt {
 		return
 	}
 	c.Dispatch(now)
@@ -108,22 +98,24 @@ func (c *ReplayCore) Tick(now sim.Cycle) {
 		return
 	}
 	if out == cpu.Sync {
-		// The gap already covers the completing op's own cycle.
+		// The gap already covers the completing op's own cycle. After an
+		// Async issue, resume anchors it on the callback cycle.
 		c.readyAt = now + sim.Cycle(c.op.Gap)
-	} else {
-		c.gapArmed = true // anchored on the callback cycle, above
 	}
+}
+
+// resume is the front end's completion hook: after an asynchronous
+// completion the next op is ready Gap cycles after the callback cycle.
+func (c *ReplayCore) resume(now sim.Cycle) sim.Cycle {
+	if c.more {
+		c.readyAt = now + sim.Cycle(c.op.Gap)
+	}
+	return c.readyAt
 }
 
 // NextWake implements sim.WakeHinter: cpu.Core's, with readyAt standing
 // in for the instruction stall.
-func (c *ReplayCore) NextWake(now sim.Cycle) sim.Cycle {
-	ready := c.readyAt
-	if c.gapArmed {
-		ready = 0 // the anchor resolves on the next tick
-	}
-	return c.NextWakeFrom(now, ready)
-}
+func (c *ReplayCore) NextWake(now sim.Cycle) sim.Cycle { return c.NextWakeFrom(now, c.readyAt) }
 
 // ComponentLabel implements sim.Labeled (forensic reports).
 func (c *ReplayCore) ComponentLabel() string { return fmt.Sprintf("replay core %d", c.ID) }

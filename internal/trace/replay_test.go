@@ -41,8 +41,10 @@ func (p *scriptPort) RMW(sim.Cycle, uint64, func(uint64) (uint64, bool), func(ui
 func (p *scriptPort) Fence(sim.Cycle, func()) bool { panic("unused") }
 
 // replayScript replays ops (a halt is appended) on a wbEntries-deep
-// write buffer, ticking every cycle through last and calling fire(now)
-// before each tick; it returns the accepted port calls.
+// write buffer through cycle last, on a wake-set engine: a ticker
+// registered ahead of the core calls fire(now) every cycle, as an L1
+// fires completions, so each callback resumes the core from the
+// engine's clock. It returns the accepted port calls.
 func replayScript(t *testing.T, wbEntries int, last sim.Cycle, fire func(*scriptPort, sim.Cycle), ops ...Op) []string {
 	t.Helper()
 	stream, err := packOps(append(ops, Op{Kind: config.TraceHalt, Instrs: 1}))
@@ -50,13 +52,21 @@ func replayScript(t *testing.T, wbEntries int, last sim.Cycle, fire func(*script
 		t.Fatal(err)
 	}
 	p := &scriptPort{}
-	c := NewReplayCore(0, stream, p, wbEntries)
-	for now := sim.Cycle(1); now <= last; now++ {
-		fire(p, now)
-		c.Tick(now)
-	}
+	e := sim.NewEngine(0)
+	e.Register(scriptTicker{p, fire})
+	e.Register(NewReplayCore(0, stream, p, wbEntries))
+	e.RunWindow(last + 1)
 	return p.accepted
 }
+
+// scriptTicker calls fire every cycle.
+type scriptTicker struct {
+	p    *scriptPort
+	fire func(*scriptPort, sim.Cycle)
+}
+
+func (s scriptTicker) Tick(now sim.Cycle)               { s.fire(s.p, now) }
+func (s scriptTicker) NextWake(now sim.Cycle) sim.Cycle { return now + 1 }
 
 func wantCalls(t *testing.T, got []string, want ...string) {
 	t.Helper()

@@ -19,8 +19,8 @@ const (
 // paper does not evaluate it): its only job is to fill the pipeline
 // with back-to-back register instructions — the dense phase the
 // batched core model exists for. Each thread runs scale(200) rounds of
-// a 120-instruction unrolled integer mix chain (one maximal
-// straight-line run per round, closed by the loop branch), then
+// a 120-instruction unrolled integer mix chain (register code only, so
+// a batched core retires the round loop in capped runs), then
 // publishes its final checksum to its per-thread result slot, which
 // the functional check verifies against a host-side replay of the same
 // chain.
