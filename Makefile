@@ -76,8 +76,9 @@ repo-bench-compare:
 # Short fuzz iterations (the CI fuzz smoke): the trace codec round-trip
 # property (the corpus grows under internal/trace/testdata), the
 # wake-set scheduler's scan-all reference properties over fuzzed
-# scenario seeds, "whatever config.Validate accepts builds and
-# prewarms inside its footprint bound", and the batched core against
+# scenario seeds, "whatever config.Validate accepts builds inside its
+# footprint bound (4 bytes per declared cache set plus a fixed slack)",
+# and the batched core against
 # the one-instruction-per-tick referee on fuzzed programs.
 fuzz-smoke:
 	$(GO) test -run xxx -fuzz FuzzTraceRoundTrip -fuzztime 10s ./internal/trace
@@ -153,12 +154,15 @@ obs-smoke:
 # replay (the TestScale64* rows of the conformance table) — plus the
 # per-link contention properties (flit-hop conservation, HopDistance/XY
 # agreement) at 64, 128 and 256 tiles, and a race-detector leg over the
-# contention path's property tests. Bounded by design; host cost at 64 cores is measured by the
-# repository benchmark's `miss64` workload, and larger machines run
-# end to end with e.g. `tsocc-sim -cores 256`.
+# contention path's property tests, and the largest machine end to
+# end: canneal on TSO-CC and ssca2 on MESI at 256 cores with the
+# oracles armed (about 2 s together). Bounded by design; host cost at
+# 64 cores is measured by the repository benchmark's `miss64` workload.
 scale-smoke:
 	$(GO) test -run 'TestScale64' .
 	$(GO) test -run 'TestFlitHopConservation|TestHopDistanceMatchesXYRoute|TestLinkEpochRebase' ./internal/mesh/
 	$(GO) test -race -run 'TestFlitHopConservation|TestLinkEpochRebase' ./internal/mesh/
+	$(GO) run ./cmd/tsocc-sim -cores 256 -bench canneal -checks > /dev/null
+	$(GO) run ./cmd/tsocc-sim -cores 256 -bench ssca2 -proto MESI -checks > /dev/null
 
 ci: vet build test inline-check race bench-smoke trace-gate fault-smoke oracle-sweep obs-smoke scale-smoke

@@ -3,6 +3,8 @@ package main
 import (
 	"bytes"
 	"errors"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -54,6 +56,27 @@ func TestBadFaultsRejected(t *testing.T) {
 		err := run([]string{"-iters", "1", "-proto", "MESI", "-cores", "4", "-faults", spec}, &out)
 		if !errors.As(err, new(harness.UsageError)) || !strings.Contains(err.Error(), "-faults") || out.Len() != 0 {
 			t.Errorf("-faults %s: error %v, %d bytes printed; want a usage error naming -faults", spec, err, out.Len())
+		}
+	}
+}
+
+// TestUnwritableObsPathsRejected: a -metrics or -timeline path whose
+// parent is not an existing directory is a usage error naming the flag
+// before any test runs, not a failure after the whole suite.
+func TestUnwritableObsPathsRejected(t *testing.T) {
+	dir := t.TempDir()
+	file := filepath.Join(dir, "f")
+	if err := os.WriteFile(file, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range [][2]string{
+		{"-metrics", filepath.Join(dir, "no", "x.json")}, {"-metrics", filepath.Join(file, "x.json")},
+		{"-timeline", filepath.Join(dir, "no", "x.json")}, {"-timeline", filepath.Join(file, "x.json")},
+	} {
+		var out bytes.Buffer
+		err := run([]string{"-iters", "1", "-proto", "MESI", c[0], c[1]}, &out)
+		if !errors.As(err, new(harness.UsageError)) || !strings.Contains(err.Error(), c[0]) || out.Len() != 0 {
+			t.Errorf("%s %s: error %v, %d bytes printed; want a usage error naming %s", c[0], c[1], err, out.Len(), c[0])
 		}
 	}
 }

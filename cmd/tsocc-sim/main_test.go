@@ -2,6 +2,8 @@ package main
 
 import (
 	"errors"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -33,6 +35,7 @@ func TestShrinkReproRuns(t *testing.T) {
 // harness.UsageError (exit status 2) naming what is wrong, returned
 // before any run starts — a bad -faults spec included.
 func TestMistakesAreUsageErrors(t *testing.T) {
+	missing, file := unwritableParents(t)
 	for _, c := range []struct {
 		args []string
 		want string
@@ -41,10 +44,38 @@ func TestMistakesAreUsageErrors(t *testing.T) {
 		{[]string{"-proto", "nope"}, "nope"}, {[]string{"-bench", "nope"}, "nope"},
 		{[]string{"-cores", "0"}, "-cores"}, {[]string{"-scale", "0"}, "-scale"},
 		{[]string{"-shrink"}, "-shrink"},
+		{[]string{"-metrics", missing}, "-metrics"}, {[]string{"-metrics", file}, "-metrics"},
+		{[]string{"-timeline", missing}, "-timeline"}, {[]string{"-timeline", file}, "-timeline"},
 	} {
 		err := run(append([]string{"-cores", "4", "-bench", "ssca2"}, c.args...))
 		if !errors.As(err, new(harness.UsageError)) || !strings.Contains(err.Error(), c.want) {
 			t.Errorf("%v: error %v; want a usage error naming %s", c.args, err, c.want)
 		}
 	}
+	// Refusing -timeline leaves a good -metrics file as it was.
+	keep := filepath.Join(t.TempDir(), "m.json")
+	if err := os.WriteFile(keep, []byte("keep"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := run([]string{"-cores", "4", "-metrics", keep, "-timeline", missing}); err == nil {
+		t.Error("an unwritable -timeline was accepted")
+	}
+	if b, err := os.ReadFile(keep); err != nil || string(b) != "keep" {
+		t.Errorf("refused run touched -metrics: %q, %v", b, err)
+	}
+	if _, err := os.Stat(filepath.Dir(missing)); !os.IsNotExist(err) {
+		t.Errorf("refused run created %s", filepath.Dir(missing))
+	}
+}
+
+// unwritableParents returns two dump paths whose parent is not an
+// existing directory: one under a missing directory, one under a
+// regular file.
+func unwritableParents(t *testing.T) (missing, underFile string) {
+	dir := t.TempDir()
+	f := filepath.Join(dir, "f")
+	if err := os.WriteFile(f, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return filepath.Join(dir, "no", "x.json"), filepath.Join(f, "x.json")
 }

@@ -105,6 +105,7 @@ func TestMistakesAreUsageErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := filepath.Join(dir, "out.trc")
+	missing := filepath.Join(dir, "no", "x.json")
 	for _, c := range []struct {
 		args []string
 		want string
@@ -118,6 +119,10 @@ func TestMistakesAreUsageErrors(t *testing.T) {
 		{[]string{"replay"}, "-i"}, {[]string{"replay", "-i", trc, "-cores", "-1"}, "-cores"},
 		{[]string{"replay", "-i", trc, "-proto", "nope"}, "nope"},
 		{[]string{"replay", "-i", filepath.Join(dir, "missing.trc"), "-faults", "nope"}, "-faults"},
+		{[]string{"record", "-o", out, "-metrics", missing}, "-metrics"},
+		{[]string{"record", "-o", out, "-timeline", filepath.Join(trc, "x.json")}, "-timeline"},
+		{[]string{"replay", "-i", trc, "-metrics", filepath.Join(trc, "x.json")}, "-metrics"},
+		{[]string{"replay", "-i", filepath.Join(dir, "missing.trc"), "-timeline", missing}, "-timeline"},
 		{[]string{"synth", "-o", out, "-kind", "nope"}, "nope"}, {[]string{"synth"}, "-o"},
 		{[]string{"synth", "-o", out, "-ops", "-1"}, "non-negative"},
 		{[]string{"synth", "-o", out, "-cores", "300"}, "-cores"},

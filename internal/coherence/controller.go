@@ -31,13 +31,6 @@ type Controller interface {
 	// Hooks returns the controller's probe surface; the system layer
 	// sets fields on it at build time (see Probe).
 	Hooks() *Probe
-	// PrewarmStorage materializes the tag records of the controller's
-	// lazily allocated cache array (memsys.Cache.Prewarm). Timing
-	// harnesses prewarm every controller before starting the clock so
-	// tag-chunk allocation lands in setup, not the measured run; data
-	// blocks still arrive with the lines the run fills. Everything else
-	// keeps the lazy footprint.
-	PrewarmStorage()
 }
 
 // L1Like is the full interface of a private-cache controller: a
@@ -142,9 +135,6 @@ func (a *lines[M]) Drop(w *memsys.Way[M]) {
 	a.Set(w, 0)
 	a.Cache.Invalidate(w)
 }
-
-// PrewarmStorage implements Controller.
-func (a *lines[M]) PrewarmStorage() { a.Cache.Prewarm() }
 
 // ctlLabel names a controller in forensic reports and panics ("mesi L1
 // 3", "tsocc L2 tile 0").

@@ -48,7 +48,7 @@ type dirLine interface {
 // shares — request admission with the memory fetch, victim eviction
 // and the forward of a request for an L1-owned line to its owner, the
 // owner's Put, Ack, the InvAck countdown and WBData — plus SnoopBlock,
-// SnoopOwner, PrewarmStorage and the probe surface. A protocol's tile
+// SnoopOwner and the probe surface. A protocol's tile
 // embeds it, binds its handler and recall body at Init and serves what
 // the front ends hand it.
 type DirBase[M dirLine] struct {

@@ -80,8 +80,8 @@ type L1Spec[M any] struct {
 // controller, generic over the protocol's line metadata M (the line's
 // state lives in memsys.Way). It holds the plumbing in l1Ctl and the
 // cache array: install with victim eviction, the evict-fault check on
-// hits, state writes reported to the probe (lines.Set), SnoopBlock and
-// PrewarmStorage. It serves the requester's side of the protocol: every
+// hits, state writes reported to the probe (lines.Set) and SnoopBlock.
+// It serves the requester's side of the protocol: every
 // read fill, every write miss's completion and its Ack, and the Store
 // and RMW ports with their hits on owned lines. It serves the exclusive
 // owner's side: an owned line's eviction (the eviction buffer, PutE /

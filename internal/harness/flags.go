@@ -5,6 +5,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"path/filepath"
 
 	"repro/internal/config"
 	"repro/internal/faults"
@@ -74,8 +75,10 @@ func BindRunFlags(fs *flag.FlagSet, groups int) *RunFlags {
 
 // Apply copies the bound flags onto cfg: the fault profile and seed, the
 // oracle switch, and observability sinks armed from the dump paths. A
-// -faults spec faults.Parse refuses is a UsageError naming -faults, so
-// it stops a command before anything runs.
+// -faults spec faults.Parse refuses, and a -metrics or -timeline path
+// whose parent is not an existing directory, are UsageErrors naming the
+// flag, so they stop a command before anything runs. The path check
+// creates and truncates nothing.
 func (f *RunFlags) Apply(cfg *config.System) error {
 	if f.faults != nil {
 		if spec := *f.faults; spec != "" { // empty: no faults
@@ -86,6 +89,15 @@ func (f *RunFlags) Apply(cfg *config.System) error {
 		cfg.FaultProfile, cfg.FaultSeed, cfg.Checks = *f.faults, *f.faultSeed, *f.checks
 	}
 	if f.metrics != nil {
+		for _, p := range []struct{ flag, path string }{{"-metrics", *f.metrics}, {"-timeline", *f.timeline}} {
+			if p.path == "" {
+				continue
+			}
+			dir := filepath.Dir(p.path)
+			if fi, err := os.Stat(dir); err != nil || !fi.IsDir() {
+				return Usagef("%s %q: %s is not an existing directory", p.flag, p.path, dir)
+			}
+		}
 		cfg.Obs = obs.FromPaths(*f.metrics, *f.timeline)
 	}
 	return nil

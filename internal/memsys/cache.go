@@ -39,42 +39,38 @@ type Way[L any] struct {
 }
 
 // Cache is a set-associative array indexed by block address, stored as
-// two pointer-free structures. Tag records (Way) are array-backed in
-// chunks of contiguous sets, so walking a set touches adjacent memory;
-// chunks materialize on first install or all at once in Prewarm: a
-// 256-tile machine declares hundreds of MB of nominal capacity, and
-// lookups into an unmaterialized chunk are misses by construction, so
-// laziness is invisible to replacement order and simulation results.
-// Data blocks come from a slab that grows by slabBlocks at a time: a
-// way is handed a block on its first Install and keeps it for life, so
-// data storage follows the blocks a run touches, not the capacity the
-// geometry declares.
+// two pointer-free structures. Tag records (Way) live in per-set slots:
+// dir maps each set to its slot, and a set is handed the next slot on
+// its first Victim. A 256-tile machine declares hundreds of MB of
+// nominal capacity and a tile reaches only the sets its home-select
+// bits leave it, so storage follows the sets a run touches; a lookup
+// into a set with no slot is a miss by construction, which keeps
+// laziness invisible to replacement order and simulation results.
+// Slots and data blocks both come from slabs of fixed-size blocks that
+// never move, so *Way pointers and Block slices stay valid as the
+// slabs grow: a way is handed a data block on its first Install and
+// keeps it for life.
 type Cache[L any] struct {
-	chunks     []cacheChunk[L]
-	slab       []*slabChunk // fixed-size, never moved: Block slices stay valid as it grows
-	slabUsed   uint32       // blocks handed out
-	setMask    uint64
-	perSet     int
-	numSets    int
-	chunkShift uint // set index >> chunkShift = chunk index
-	chunkSets  int  // sets per chunk (power of two)
-	useClock   int64
+	dir       []uint32     // set index → slot + 1; 0 until the set's first Victim
+	slots     [][]Way[L]   // fixed-size blocks of 1<<slotShift sets each, never moved
+	slotsUsed uint32       // slots handed out
+	slotShift uint         // slot >> slotShift = slots block
+	slab      []*slabChunk // fixed-size, never moved: Block slices stay valid as it grows
+	slabUsed  uint32       // blocks handed out
+	setMask   uint64
+	perSet    int
+	useClock  int64
 }
 
-// cacheChunk is one lazily-allocated group of contiguous sets; ways is
-// nil until the first Victim call targets the chunk.
-type cacheChunk[L any] struct {
-	ways []Way[L] // set-major within the chunk
-}
+// slotBlockSets is the slot slab's growth step in sets (fewer when the
+// cache has fewer sets). Slots are handed out densely, so only the last
+// block is ever part empty: 16 sets of a 16-way L2 tile is 256 tag
+// records, enough to amortize the allocation, and exactly what a 64-core
+// tile, which reaches one set in 64, installs into.
+const slotBlockSets = 16
 
-// chunkTargetSets bounds how many sets materialize per chunk: 64 sets
-// of a 16-way L2 tile is 1024 tag records — big enough to amortize the
-// allocation, small enough that a sparse conformance run touching one
-// hot page doesn't pay for the whole tile.
-const chunkTargetSets = 64
-
-// slabBlocks is the slab's growth step: 16 KiB of data per allocation,
-// half a Table 2 L1, 1/64 of an L2 tile.
+// slabBlocks is the data slab's growth step: 16 KiB of data per
+// allocation, half a Table 2 L1, 1/64 of an L2 tile.
 const (
 	slabShift  = 8
 	slabBlocks = 1 << slabShift
@@ -103,10 +99,11 @@ func PointerFree(t reflect.Type) bool {
 }
 
 // NewCache builds a cache of sizeBytes capacity with the given
-// associativity, 64-byte blocks. Only the chunk directory is allocated
-// here; tag chunks and data blocks materialize on first install. The
-// geometry panics are programmer-error asserts: configurations from
-// outside the program are refused by config.System.Validate first.
+// associativity, 64-byte blocks. Only the set directory is allocated
+// here, 4 bytes a set; tag slots and data blocks arrive with the first
+// install into a set and a way. The geometry panics are
+// programmer-error asserts: configurations from outside the program are
+// refused by config.System.Validate first.
 func NewCache[L any](sizeBytes, ways int) *Cache[L] {
 	if sizeBytes <= 0 || ways <= 0 {
 		panic("memsys: invalid cache geometry")
@@ -119,64 +116,50 @@ func NewCache[L any](sizeBytes, ways int) *Cache[L] {
 	if numSets&(numSets-1) != 0 {
 		panic(fmt.Sprintf("memsys: set count %d not a power of two", numSets))
 	}
-	chunkSets := chunkTargetSets
-	if chunkSets > numSets {
-		chunkSets = numSets
-	}
 	shift := uint(0)
-	for 1<<shift < chunkSets {
+	for 1<<shift < min(slotBlockSets, numSets) {
 		shift++
 	}
 	return &Cache[L]{
-		chunks:     make([]cacheChunk[L], numSets/chunkSets),
-		setMask:    uint64(numSets - 1),
-		perSet:     ways,
-		numSets:    numSets,
-		chunkShift: shift,
-		chunkSets:  chunkSets,
-	}
-}
-
-// Prewarm materializes every tag chunk up front. Timing harnesses call
-// it (via the machine) before starting the clock, so the measured run
-// never allocates tag storage; sparse workloads and conformance tests
-// skip it and keep the lazy footprint. Data blocks are not pre-faulted:
-// they stay proportional to the blocks the run fills, at the cost of
-// one slabChunk allocation per slabBlocks first fills of a cache.
-func (c *Cache[L]) Prewarm() {
-	for i := range c.chunks {
-		if c.chunks[i].ways == nil {
-			c.chunks[i].ways = make([]Way[L], c.chunkSets*c.perSet)
-		}
+		dir:       make([]uint32, numSets),
+		setMask:   uint64(numSets - 1),
+		perSet:    ways,
+		slotShift: shift,
 	}
 }
 
 // Sets reports the number of sets.
-func (c *Cache[L]) Sets() int { return c.numSets }
+func (c *Cache[L]) Sets() int { return len(c.dir) }
 
-// setFor returns the ways of addr's set, or nil when the owning chunk
-// has never been installed into (every lookup outcome on a nil set —
-// miss, no victim conflict, nothing busy — matches an all-invalid set).
+// setFor returns the ways of addr's set, or nil when the set has never
+// been installed into (every lookup outcome on a nil set — miss, no
+// victim conflict, nothing busy — matches an all-invalid set).
 func (c *Cache[L]) setFor(addr uint64) []Way[L] {
-	s := int((addr >> config.BlockShift) & c.setMask)
-	ch := &c.chunks[s>>c.chunkShift]
-	if ch.ways == nil {
+	h := c.dir[(addr>>config.BlockShift)&c.setMask]
+	if h == 0 {
 		return nil
 	}
-	base := (s & (c.chunkSets - 1)) * c.perSet
-	return ch.ways[base : base+c.perSet]
+	return c.slot(h - 1)
 }
 
-// setForAlloc is setFor on the install path: it materializes the
-// owning chunk when absent.
+// setForAlloc is setFor on the install path: it hands addr's set the
+// next slot when it has none.
 func (c *Cache[L]) setForAlloc(addr uint64) []Way[L] {
-	s := int((addr >> config.BlockShift) & c.setMask)
-	ch := &c.chunks[s>>c.chunkShift]
-	if ch.ways == nil {
-		ch.ways = make([]Way[L], c.chunkSets*c.perSet)
+	h := &c.dir[(addr>>config.BlockShift)&c.setMask]
+	if *h == 0 {
+		if c.slotsUsed>>c.slotShift == uint32(len(c.slots)) {
+			c.slots = append(c.slots, make([]Way[L], c.perSet<<c.slotShift))
+		}
+		c.slotsUsed++
+		*h = c.slotsUsed
 	}
-	base := (s & (c.chunkSets - 1)) * c.perSet
-	return ch.ways[base : base+c.perSet]
+	return c.slot(*h - 1)
+}
+
+// slot returns the ways of slot i.
+func (c *Cache[L]) slot(i uint32) []Way[L] {
+	base := int(i&(1<<c.slotShift-1)) * c.perSet
+	return c.slots[i>>c.slotShift][base : base+c.perSet]
 }
 
 // Lookup returns the way holding addr and refreshes its LRU state, or

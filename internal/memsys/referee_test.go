@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"slices"
 	"sort"
 	"testing"
@@ -15,7 +16,7 @@ import (
 // from set index to that set's lines, each line carrying its own copy
 // of the data, with the replacement policy written the obvious way
 // (first invalid way, else the least recently used way that is not
-// busy). It knows nothing of chunks, handles or slabs.
+// busy). It knows nothing of slots, handles or slabs.
 type refCache struct {
 	sets  map[int][]refLine
 	nSets int
@@ -108,8 +109,21 @@ func wayIndex(c *Cache[meta], addr uint64, w *Way[meta]) int {
 
 // sameState compares every set of c with the referee: valid set, tags,
 // busy bits, data of every valid line, LRU order; and checks that no
-// two ways hold the same slab block.
+// two sets hold the same slot and no two ways the same slab block.
 func sameState(c *Cache[meta], r *refCache) error {
+	slots := map[uint32]int{}
+	for s, h := range c.dir {
+		if h == 0 {
+			continue
+		}
+		if prev, dup := slots[h]; dup {
+			return fmt.Errorf("sets %d and %d share slot %d", prev, s, h-1)
+		}
+		slots[h] = s
+	}
+	if int(c.slotsUsed) != len(slots) {
+		return fmt.Errorf("%d slots handed out, %d sets hold one", c.slotsUsed, len(slots))
+	}
 	owners := map[uint32]int{}
 	for s := 0; s < r.nSets; s++ {
 		addr := uint64(s) << config.BlockShift
@@ -117,7 +131,7 @@ func sameState(c *Cache[meta], r *refCache) error {
 		if set == nil {
 			for i := range ref {
 				if ref[i].valid || ref[i].busy {
-					return fmt.Errorf("set %d: referee holds a line in a set the cache never materialized", s)
+					return fmt.Errorf("set %d: referee holds a line in a set the cache never gave a slot", s)
 				}
 			}
 			continue
@@ -161,7 +175,7 @@ func TestCacheMatchesReferee(t *testing.T) {
 		{4 * 64, 4, 4000},    // one set
 		{8 * 64, 2, 4000},    // four sets
 		{4 << 10, 4, 6000},   // config.Small's L2 tile
-		{16 << 10, 2, 3000},  // 128 sets: two tag chunks, one full slab chunk
+		{16 << 10, 2, 3000},  // 128 sets: eight slot blocks, one full slab chunk
 		{48 << 10, 3, 3000},  // 768 blocks: the slab grows to three chunks
 		{32 << 10, 16, 3000}, // Table 2 associativity
 	} {
@@ -284,5 +298,67 @@ func TestBlockSurvivesSlabGrowth(t *testing.T) {
 	early[6] = 0xA5
 	if c.Block(w0)[6] != 0xA5 {
 		t.Fatal("a write through the early slice did not reach the line")
+	}
+}
+
+// TestSlotsFollowInstalledSets: a cache that is never installed into
+// allocates only its set directory, however many lookups it serves, and
+// installing into k distinct sets of a 1 MiB, 16-way cache hands out
+// exactly k slots, however many ways of each set are filled.
+func TestSlotsFollowInstalledSets(t *testing.T) {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	c := NewCache[meta](1<<20, 16)
+	runtime.ReadMemStats(&after)
+	if got, dir := after.TotalAlloc-before.TotalAlloc, uint64(4*c.Sets()); got > dir+256 {
+		t.Errorf("NewCache allocated %d bytes; its %d-set directory is %d", got, c.Sets(), dir)
+	}
+	if allocs := testing.AllocsPerRun(10, func() {
+		for s := 0; s < c.Sets(); s++ {
+			addr := uint64(s) << config.BlockShift
+			c.Lookup(addr)
+			c.Peek(addr)
+			c.AnyBusy(addr)
+		}
+	}); allocs != 0 || c.slotsUsed != 0 || len(c.slots) != 0 {
+		t.Fatalf("lookups into an empty cache: %v allocs, %d slots, %d slot blocks", allocs, c.slotsUsed, len(c.slots))
+	}
+	const k = 100
+	for i := 0; i < k; i++ {
+		set := uint64(i*7) % uint64(c.Sets())
+		for w := uint64(0); w < 3; w++ { // three ways of each set
+			addr := (w*uint64(c.Sets()) + set) << config.BlockShift
+			c.Install(c.Victim(addr), addr)
+		}
+	}
+	if c.slotsUsed != k || len(c.slots) != (k+slotBlockSets-1)/slotBlockSets {
+		t.Fatalf("%d sets installed into: %d slots in %d blocks", k, c.slotsUsed, len(c.slots))
+	}
+}
+
+// TestWaySurvivesSlotGrowth: a *Way taken while the slot slab had one
+// block still is the cache's way for its line after ten times as many
+// sets have been installed into.
+func TestWaySurvivesSlotGrowth(t *testing.T) {
+	c := NewCache[meta](1<<20, 16)
+	w0 := c.Victim(0)
+	c.Install(w0, 0)
+	w0.Meta.tag = 7
+	if len(c.slots) != 1 {
+		t.Fatalf("%d slot blocks after one install", len(c.slots))
+	}
+	for s := 1; s <= 10*slotBlockSets; s++ {
+		addr := uint64(s) << config.BlockShift
+		c.Install(c.Victim(addr), addr)
+	}
+	if len(c.slots) < 10 {
+		t.Fatalf("%d slot blocks after %d sets", len(c.slots), 10*slotBlockSets+1)
+	}
+	if c.Lookup(0) != w0 || w0.Tag != 0 || !w0.Valid || w0.Meta.tag != 7 {
+		t.Fatal("the early way no longer holds its line")
+	}
+	w0.Meta.tag = 9
+	if c.Peek(0).Meta.tag != 9 {
+		t.Fatal("a write through the early way did not reach the line")
 	}
 }

@@ -9,10 +9,10 @@ import (
 )
 
 // TestWayFootprint pins the host bytes per cache way at the shipped
-// values. Prewarm allocates one record per way of the machine (1 Mi L2
-// ways at 64 cores), so a widened field is tens of MiB of host heap;
-// system.FuzzValidateBuilds' bound assumes no record exceeds 64 bytes.
-// A pointer in the record would put every way array back into GC scans.
+// values. Every set a run installs into holds one record per way (16
+// per L2 set at Table 2's associativity), so a widened field grows the
+// host heap in proportion to the sets the run touches. A pointer in the
+// record would put every slot block back into GC scans.
 func TestWayFootprint(t *testing.T) {
 	if got := unsafe.Sizeof(memsys.Way[l1Line]{}); got != 24 {
 		t.Errorf("L1 way record is %d bytes, shipped at 24", got)

@@ -13,20 +13,19 @@ import (
 )
 
 // The footprint bound FuzzValidateBuilds holds every accepted
-// configuration to: one tag record per declared way of every array,
-// plus a fixed slack for everything that does not scale with cache
-// capacity (controllers, timestamp tables, mesh, engine: under 2 MiB
-// at MaxCores). maxWayBytes is the largest memsys.Way any protocol
-// ships (MESI's L2; pinned by TestWayFootprint in mesi and tsocc).
+// configuration to: the 4-byte set directory of every array (tag slots
+// and data blocks arrive with the first install into a set and a way,
+// so a built machine holds none), plus a fixed slack for everything
+// that does not scale with cache capacity (controllers, timestamp
+// tables, mesh, engine: under 2 MiB at MaxCores).
 const (
-	maxWayBytes    = 64
-	buildSlack     = 4 << 20
-	prewarmCeiling = 48 << 20 // larger machines are built but not prewarmed: the host is shared
+	dirEntryBytes = 4
+	buildSlack    = 4 << 20
 )
 
 // FuzzValidateBuilds: whatever config.System.Validate accepts — a trace
-// header hands it fields from outside the program — builds and prewarms
-// without a panic, allocating no more than the bound above; whatever it
+// header hands it fields from outside the program — builds without a
+// panic, allocating no more than the bound above; whatever it
 // refuses, NewMachine refuses too.
 func FuzzValidateBuilds(f *testing.F) {
 	add := func(s config.System, useMESI bool) {
@@ -78,7 +77,7 @@ func FuzzValidateBuilds(f *testing.F) {
 
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		m, err := system.NewMachine(cfg, proto, w)
+		_, err := system.NewMachine(cfg, proto, w)
 		if verr != nil {
 			if err == nil {
 				t.Fatalf("Validate refused %+v (%v) but NewMachine built it", cfg, verr)
@@ -88,14 +87,11 @@ func FuzzValidateBuilds(f *testing.F) {
 		if err != nil {
 			t.Fatalf("Validate accepted %+v but NewMachine failed: %v", cfg, err)
 		}
-		ways := uint64(cfg.Cores) * uint64(cfg.L1Size/config.BlockSize+cfg.L2TileSize/config.BlockSize)
-		bound := ways*maxWayBytes + buildSlack
-		if bound <= prewarmCeiling {
-			m.Prewarm()
-		}
+		sets := uint64(cfg.Cores) * uint64(cfg.L1Size/(cfg.L1Ways*config.BlockSize)+cfg.L2TileSize/(cfg.L2Ways*config.BlockSize))
+		bound := sets*dirEntryBytes + buildSlack
 		runtime.ReadMemStats(&after)
 		if got := after.TotalAlloc - before.TotalAlloc; got > bound {
-			t.Fatalf("%+v allocated %d bytes, bound %d (%d ways)", cfg, got, bound, ways)
+			t.Fatalf("%+v allocated %d bytes, bound %d (%d sets)", cfg, got, bound, sets)
 		}
 	})
 }

@@ -162,19 +162,11 @@ func (m *Machine) dir(tile int) coherence.Directory {
 	return m.L2s[tile].(coherence.Directory)
 }
 
-// Prewarm materializes every controller's lazily-allocated tag storage
-// (Controller.PrewarmStorage). Timing harnesses call it before starting
-// the clock so tag-chunk allocation is setup cost, not measured run
-// cost; data blocks are not pre-faulted and follow the run's footprint.
-// Conformance and litmus runs skip it and keep the sparse footprint.
-func (m *Machine) Prewarm() {
-	for _, l1 := range m.L1s {
-		l1.PrewarmStorage()
-	}
-	for _, l2 := range m.L2s {
-		l2.PrewarmStorage()
-	}
-}
+// Prewarm does nothing: cache storage follows the sets and lines a run
+// installs into (memsys.Cache), so there is nothing to pre-fault.
+//
+// Deprecated: it stays only because the benchmark harness calls it.
+func (m *Machine) Prewarm() {}
 
 // newBase wires everything below the frontends: engine, mesh, memory
 // (with the initial image loaded) and the protocol's L1/L2 controllers.

@@ -38,9 +38,10 @@ type L1 struct {
 	// geometries a full walk of the array dominated 64-core profiles.
 	// Invalidate/Install zero Meta (clearing listed), so a recycled way
 	// can re-appear in the list; the sweep's listed check makes the
-	// duplicate a no-op. Way pointers are stable: cache chunks allocate
-	// once and never move. Invariant: a stateS line is always listed —
-	// an empty list proves the cache holds no Shared line.
+	// duplicate a no-op. Way pointers are stable: a set's slot is
+	// handed out once, in a slot block that never moves. Invariant: a
+	// stateS line is always listed — an empty list proves the cache
+	// holds no Shared line.
 	sharedWays []*memsys.Way[l1Line]
 
 	// Timestamp source (§3.3): a core-local counter incremented every
