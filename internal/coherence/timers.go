@@ -2,8 +2,11 @@ package coherence
 
 import "repro/internal/sim"
 
-// timerEvent is one deferred action: cb(now, msg).
+// timerEvent is one deferred action: cb(now, msg) at cycle at. seq is
+// its scheduling order, which breaks same-cycle ties.
 type timerEvent struct {
+	at  sim.Cycle
+	seq uint64
 	msg *Msg
 	cb  func(now sim.Cycle, m *Msg)
 }
@@ -13,17 +16,19 @@ type timerEvent struct {
 // values the controller binds once, so scheduling allocates nothing.
 // Actions scheduled for the same cycle run in scheduling order, keeping
 // controllers deterministic.
-// The store is the shared EventHeap ordered by (cycle, scheduling
-// sequence), so the earliest deadline is exposed in O(1) for the
-// engine's wake hints and firing is allocation-free in steady state.
+// The store is a binary min-heap ordered by (cycle, scheduling order),
+// so the earliest deadline is exposed in O(1) for the engine's wake
+// hints and firing is allocation-free in steady state (the backing slice
+// is reused after pops).
 //
 // Every scheduled action also wakes the owning controller at its due
 // cycle through the bound sim.Waker, since under wake-set scheduling the
-// engine re-polls the owner's NextWake only after it ticks. L1 hits do
-// not come through here: their only effect is the core's callback, which
-// they file as an engine completion event (L1Base.CompleteVal).
+// engine re-polls the owner's NextWake only after it ticks. L1 hits and
+// mesh deliveries do not come through here: they are engine completion
+// events (sim.Waker.CompleteAt / DoneAt).
 type Timers struct {
-	heap  EventHeap[timerEvent]
+	h     []timerEvent
+	seq   uint64
 	waker sim.Waker
 }
 
@@ -36,28 +41,69 @@ func (t *Timers) SetWaker(w sim.Waker) { t.waker = w }
 // controller, e.g. its send method, so that scheduling does not
 // allocate.
 func (t *Timers) AtMsg(c sim.Cycle, cb func(now sim.Cycle, m *Msg), m *Msg) {
-	t.heap.PushAuto(c, timerEvent{cb: cb, msg: m})
+	t.h = append(t.h, timerEvent{at: c, seq: t.seq, cb: cb, msg: m})
+	t.seq++
+	for i := len(t.h) - 1; i > 0; {
+		p := (i - 1) / 2
+		if !t.less(i, p) {
+			break
+		}
+		t.h[i], t.h[p] = t.h[p], t.h[i]
+		i = p
+	}
 	t.waker.WakeAt(c)
+}
+
+func (t *Timers) less(i, j int) bool {
+	a, b := &t.h[i], &t.h[j]
+	if a.at != b.at {
+		return a.at < b.at
+	}
+	return a.seq < b.seq
 }
 
 // Tick runs every action due at or before now, in (cycle, scheduling)
 // order.
 func (t *Timers) Tick(now sim.Cycle) {
-	for {
-		it := t.heap.MinItem()
-		if it == nil || it.Cycle > now {
-			return
-		}
-		// Copy the payload out before dropping the slot: the callback may
+	for len(t.h) > 0 && t.h[0].at <= now {
+		// Copy the action out before dropping its slot: the callback may
 		// schedule new timers, which reuses the heap storage.
-		ev := it.Item
-		t.heap.DropMin()
+		ev := t.h[0]
+		t.dropMin()
 		ev.cb(now, ev.msg)
 	}
 }
 
+// dropMin removes the earliest action. The vacated slot is zeroed so
+// the backing array drops its message and callback references.
+func (t *Timers) dropMin() {
+	n := len(t.h) - 1
+	t.h[0] = t.h[n]
+	t.h[n] = timerEvent{}
+	t.h = t.h[:n]
+	for i := 0; ; {
+		l, r, s := 2*i+1, 2*i+2, i
+		if l < n && t.less(l, s) {
+			s = l
+		}
+		if r < n && t.less(r, s) {
+			s = r
+		}
+		if s == i {
+			return
+		}
+		t.h[i], t.h[s] = t.h[s], t.h[i]
+		i = s
+	}
+}
+
 // NextDue reports the earliest scheduled cycle (engine wake hint).
-func (t *Timers) NextDue() (sim.Cycle, bool) { return t.heap.Min() }
+func (t *Timers) NextDue() (sim.Cycle, bool) {
+	if len(t.h) == 0 {
+		return 0, false
+	}
+	return t.h[0].at, true
+}
 
 // Pending reports the number of scheduled actions (deadlock diagnostics).
-func (t *Timers) Pending() int { return t.heap.Len() }
+func (t *Timers) Pending() int { return len(t.h) }

@@ -5,12 +5,10 @@ import (
 	"unsafe"
 )
 
-// TestDeliveryFootprint pins the host bytes per pending delivery. Every
-// message in flight is one delivery in the calendar queue, copied on
-// schedule, on overflow migration and on pop, so a widened field is
-// paid on every send.
+// TestDeliveryFootprint pins the host bytes of the pooled record every
+// message in flight holds.
 func TestDeliveryFootprint(t *testing.T) {
-	if got := unsafe.Sizeof(delivery{}); got != 48 {
-		t.Errorf("delivery is %d bytes, shipped at 48", got)
+	if got := unsafe.Sizeof(delivery{}); got > 48 {
+		t.Errorf("delivery is %d bytes, want at most 48", got)
 	}
 }

@@ -7,7 +7,9 @@
 // route is walked immediately and a delivery time is computed from the
 // per-link busy state, reserving link bandwidth along the way. This
 // captures serialization and contention without per-flit ticking, and is
-// fully deterministic.
+// fully deterministic. The message then waits for that cycle as an
+// engine completion event (sim.Waker.DoneAt), so the network keeps no
+// queue of its own and is never ticked for a delivery.
 package mesh
 
 import (
@@ -33,13 +35,14 @@ type Config struct {
 	LocalDelay  sim.Cycle // delivery delay between co-located endpoints
 }
 
-// Network is the mesh interconnect. It implements sim.Ticker; it must be
-// ticked before the attached controllers each cycle so that messages due
-// at cycle t are visible to controllers at cycle t. Pending deliveries
-// live in a calendar queue (bucketed ring + overflow heap) that exposes
-// the earliest deadline; every Send marks the network due at the
-// delivery cycle through its sim.Waker, so the wake-set engine ticks it
-// exactly at pending deadlines and never rescans it in between.
+// Network is the mesh interconnect. It is registered with the engine
+// ahead of the controllers it connects only to receive its sim.Waker:
+// every Send files the delivery as a completion event through it, and
+// the engine fires a cycle's completions in filing order before any
+// component ticks, so a message due at cycle t is in its receiver's
+// inbox when the receiver ticks at t, and messages due in the same cycle
+// arrive in send order. The network has no work of its own: Tick does
+// nothing and NextWake is WakeNever.
 type Network struct {
 	cfg  Config
 	rows int
@@ -62,10 +65,9 @@ type Network struct {
 	linkBusy [4][]sim.Cycle
 	linkBase sim.Cycle
 
-	q       calQueue
-	seq     uint64
-	scratch []delivery
-	waker   sim.Waker
+	waker    sim.Waker
+	free     []*delivery // delivery records not in flight
+	inFlight int         // messages sent and not yet delivered
 
 	// delayHook, when set, may defer a delivery (fault injection: extra
 	// latency within protocol-legal bounds). It sees the computed
@@ -86,16 +88,28 @@ type Network struct {
 	FlitsByClass [2]stats.Counter // 0 = control, 1 = data
 
 	// Observability (internal/obs); all zero/nil when disabled.
-	// metricsOn arms link-occupancy and queue-depth accounting: occ[d][r]
+	// metricsOn arms link-occupancy and in-flight accounting: occ[d][r]
 	// totals flit-cycles reserved on router r's direction-d link, and
-	// qMax is the calendar queue's high-water mark. tl receives
-	// send→deliver flow arrows and fault-delay instants; flowSeq numbers
-	// the flows.
-	metricsOn bool
-	occ       [4][]int64
-	qMax      int
-	tl        *obs.Timeline
-	flowSeq   uint64
+	// inFlightMax is the high-water mark of undelivered messages. tl
+	// receives send→deliver flow arrows and fault-delay instants; flowSeq
+	// numbers the flows.
+	metricsOn   bool
+	occ         [4][]int64
+	inFlightMax int
+	tl          *obs.Timeline
+	flowSeq     uint64
+}
+
+// delivery is one message in flight, filed with the engine as a
+// completion event at its arrival cycle. Records are recycled through
+// the network's free list, and fire is the record's deliver method,
+// bound once when the record is made, so a send allocates nothing.
+type delivery struct {
+	n    *Network
+	msg  *coherence.Msg
+	dst  Endpoint
+	fid  uint64 // timeline flow id (0 when no timeline is armed)
+	fire func()
 }
 
 type attachment struct {
@@ -206,7 +220,7 @@ func (n *Network) SetDelayHook(h func(now, at sim.Cycle, src, dst coherence.Node
 var dirNames = [4]string{"east", "west", "north", "south"}
 
 // InstallMetrics registers the mesh's traffic counters with the
-// registry and arms link-occupancy and calendar-queue depth accounting.
+// registry and arms link-occupancy and in-flight accounting.
 // Call before any Send.
 func (n *Network) InstallMetrics(reg *obs.Registry) {
 	n.metricsOn = true
@@ -236,7 +250,7 @@ func (n *Network) InstallMetrics(reg *obs.Registry) {
 		}
 		return m
 	})
-	reg.Gauge("mesh.calqueue_depth_max", func() int64 { return int64(n.qMax) })
+	reg.Gauge("mesh.in_flight_max", func() int64 { return int64(n.inFlightMax) })
 }
 
 // SetTimeline installs a timeline sink for message send→deliver flow
@@ -295,7 +309,7 @@ func (n *Network) Send(now sim.Cycle, m *coherence.Msg) {
 		if n.delayHook != nil {
 			at = n.applyDelay(now, at, m, src.router)
 		}
-		n.schedule(now, at, m, dst.ep, fid)
+		n.schedule(at, m, dst.ep, fid)
 		return
 	}
 
@@ -303,7 +317,7 @@ func (n *Network) Send(now sim.Cycle, m *coherence.Msg) {
 	if n.delayHook != nil {
 		at = n.applyDelay(now, at, m, src.router)
 	}
-	n.schedule(now, at, m, dst.ep, fid)
+	n.schedule(at, m, dst.ep, fid)
 }
 
 // coords reports router r's mesh column and row.
@@ -380,48 +394,46 @@ func (n *Network) rebaseLinks(now sim.Cycle) {
 	n.linkBase = now
 }
 
-// BindWaker implements sim.WakeSink: the engine hands the network its
-// wake handle at registration. Every scheduled delivery self-wakes at
-// its deadline, replacing the per-cycle NextWake rescans of the old
-// scan-all engine.
+// BindWaker implements sim.WakeSink: the engine hands the network the
+// handle it files deliveries through at registration.
 func (n *Network) BindWaker(w sim.Waker) { n.waker = w }
 
-func (n *Network) schedule(now, at sim.Cycle, m *coherence.Msg, ep Endpoint, fid uint64) {
-	// The ring's base advances only on pop; on a long-idle network it may
-	// be arbitrarily stale (the wake-set engine never ticks an empty
-	// network), which would push near-future deliveries into the overflow
-	// heap. Re-anchor the empty queue at the send cycle.
-	if n.q.pending == 0 && now > n.q.base {
-		n.q.base = now
+// schedule files m's delivery to ep at cycle at with the engine.
+func (n *Network) schedule(at sim.Cycle, m *coherence.Msg, ep Endpoint, fid uint64) {
+	var d *delivery
+	if k := len(n.free) - 1; k >= 0 {
+		d, n.free = n.free[k], n.free[:k]
+	} else {
+		d = &delivery{n: n}
+		d.fire = d.deliver
 	}
-	n.q.schedule(delivery{at: at, key: dkey{seq: n.seq}, msg: m, dst: ep, fid: fid})
-	n.seq++
-	if n.metricsOn && n.q.pending > n.qMax {
-		n.qMax = n.q.pending
+	d.msg, d.dst, d.fid = m, ep, fid
+	n.inFlight++
+	if n.metricsOn && n.inFlight > n.inFlightMax {
+		n.inFlightMax = n.inFlight
 	}
-	n.waker.WakeAt(at)
+	n.waker.DoneAt(at, d.fire)
 }
 
-// Tick delivers all messages due at cycle now, in send order. The
-// engine must not skip past a pending deadline (Tick panics if it
-// detects one was missed).
-func (n *Network) Tick(now sim.Cycle) {
-	if n.q.pending == 0 {
-		n.q.base = now
-		return
+// deliver hands the record's message to its endpoint on the cycle the
+// engine fires it, and returns the record to the free list.
+func (d *delivery) deliver() {
+	n, m, dst := d.n, d.msg, d.dst
+	now, _ := n.waker.Now()
+	if d.fid != 0 {
+		// Flow arrival must be emitted before Deliver: the endpoint may
+		// consume and recycle the message.
+		n.tl.FlowEnd(d.fid, obs.PidMesh, n.nodes[m.Dst].router, m.Type.String(), int64(now))
 	}
-	due := n.q.pop(now, n.scratch)
-	n.scratch = due[:0]
-	for i := range due {
-		if due[i].fid != 0 {
-			// Flow arrival must be emitted before Deliver: the endpoint
-			// may consume and recycle the message.
-			m := due[i].msg
-			n.tl.FlowEnd(due[i].fid, obs.PidMesh, n.nodes[m.Dst].router, m.Type.String(), int64(now))
-		}
-		due[i].dst.Deliver(now, due[i].msg)
-	}
+	d.msg, d.dst = nil, nil
+	n.free = append(n.free, d)
+	n.inFlight--
+	dst.Deliver(now, m)
 }
+
+// Tick implements sim.Ticker. Deliveries fire as completion events, so
+// the network has nothing to do on its own.
+func (n *Network) Tick(sim.Cycle) {}
 
 // MsgPool implements coherence.Network: the message free list every
 // controller draws from.
@@ -444,31 +456,22 @@ func (n *Network) Totals() (msgs, flits, hops, ctrl, data int64) {
 		n.FlitsByClass[0].Value(), n.FlitsByClass[1].Value()
 }
 
-// NextWake implements sim.WakeHinter: the earliest pending delivery.
-func (n *Network) NextWake(now sim.Cycle) sim.Cycle {
-	if at, ok := n.q.earliestDeadline(); ok {
-		return at
-	}
-	return sim.WakeNever
-}
+// NextWake implements sim.WakeHinter: the network never needs a tick.
+func (n *Network) NextWake(sim.Cycle) sim.Cycle { return sim.WakeNever }
 
 // Pending reports the number of undelivered messages (used by
 // completion checks and deadlock diagnostics).
-func (n *Network) Pending() int { return n.q.pending }
+func (n *Network) Pending() int { return n.inFlight }
 
 // ComponentLabel implements sim.Labeled (forensic reports).
 func (n *Network) ComponentLabel() string {
 	return fmt.Sprintf("mesh %dx%d", n.rows, n.cols)
 }
 
-// Debug implements sim.Debugger: queued-delivery state for forensic
-// reports.
+// Debug implements sim.Debugger: in-flight state for forensic reports
+// (the engine's snapshot lists each delivery's due cycle after it).
 func (n *Network) Debug() string {
-	s := fmt.Sprintf("mesh: %d pending deliveries", n.q.pending)
-	if at, ok := n.q.earliestDeadline(); ok {
-		s += fmt.Sprintf(", earliest due cycle %d", at)
-	}
-	return s
+	return fmt.Sprintf("mesh: %d pending deliveries", n.inFlight)
 }
 
 // HopDistance reports the XY hop count between two node IDs.

@@ -33,7 +33,7 @@ func sumOcc(n *Network) int64 {
 func TestFlitHopConservation(t *testing.T) {
 	for _, routers := range []int{2, 5, 12, 16, 37, 64, 128, 200, 256} {
 		for seed := int64(1); seed <= 3; seed++ {
-			n, sinks := build(routers)
+			n, sinks, e := build(routers)
 			reg := obs.NewRegistry()
 			n.InstallMetrics(reg)
 			rng := rand.New(rand.NewSource(seed*1000 + int64(routers)))
@@ -53,7 +53,7 @@ func TestFlitHopConservation(t *testing.T) {
 				n.Send(now, m)
 				now += sim.Cycle(rng.Intn(3))
 			}
-			drainByWake(t, n)
+			drainByWake(t, e, n)
 			delivered := 0
 			for _, s := range sinks {
 				delivered += len(s.got)
@@ -75,7 +75,7 @@ func TestFlitHopConservation(t *testing.T) {
 // exactly the number of links its XY route traversed.
 func TestHopDistanceMatchesXYRoute(t *testing.T) {
 	for _, routers := range []int{64, 128, 200, 256} {
-		n, _ := build(routers)
+		n, _, e := build(routers)
 		reg := obs.NewRegistry()
 		n.InstallMetrics(reg)
 		rng := rand.New(rand.NewSource(int64(routers)))
@@ -85,7 +85,7 @@ func TestHopDistanceMatchesXYRoute(t *testing.T) {
 			b := coherence.NodeID(rng.Intn(routers))
 			before := n.FlitHops.Value()
 			n.Send(now, &coherence.Msg{Type: coherence.MsgAck, Src: a, Dst: b})
-			drainByWake(t, n)
+			drainByWake(t, e, n)
 			walked := n.FlitHops.Value() - before
 			if want := int64(n.HopDistance(a, b)); walked != want {
 				t.Fatalf("routers=%d: route %d->%d walked %d links, HopDistance says %d",

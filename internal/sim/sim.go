@@ -29,9 +29,11 @@
 // run it. Every mode fires a cycle's completions at the start of that
 // cycle, in filing order, before any component ticks; under wake-set
 // scheduling a wake they issue folds into the same cycle. They carry
-// work whose only effect is on components registered after the filer
-// (an L1 hit's callback into its front end), so running it before the
-// filer's own turn instead of inside it changes no simulated state.
+// work whose only effect is on components registered after the filer:
+// an L1 hit's callback into its front end, and a mesh delivery into the
+// inbox of a controller registered after the network. Running it before
+// the filer's own turn instead of inside it, and the two kinds
+// interleaved in filing order, changes no simulated state.
 //
 // A callback into a later component — a completion event, or one an L1
 // fires from its own tick — may also finish work of its receiver on the

@@ -33,8 +33,8 @@ func (m *Machine) installObs() {
 		m.Engine.EnableProfileLabels()
 	}
 
-	// Mesh: traffic counters, link occupancy and calendar-queue depth
-	// gauges, send→deliver flow arrows, fault-delay instants.
+	// Mesh: traffic counters, link-occupancy and in-flight high-water
+	// mark gauges, send→deliver flow arrows, fault-delay instants.
 	if reg != nil {
 		m.Net.InstallMetrics(reg)
 		reg.RegisterCounter(m.Mem.Counters()...)

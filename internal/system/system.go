@@ -274,14 +274,16 @@ func (m *Machine) portFor(core int) coherence.CorePort {
 func (m *Machine) CorePort(core int) coherence.CorePort { return m.portFor(core) }
 
 // finish registers every component in the deterministic intra-cycle
-// order: network delivery, then L2 tiles, then L1s (timers + message
+// order: the network, then L2 tiles, then L1s (timers + message
 // handling), then frontends. Controllers are registered directly:
 // coherence.Controller is a superset of sim.Ticker and sim.WakeSink
-// (Register binds each component's Waker). This order is
-// also what makes same-cycle wake-set dispatch exact: within a cycle,
-// stimulation only flows forward (mesh deliveries into controllers,
-// controller callbacks into frontends), so a woken component's turn is
-// always still ahead.
+// (Register binds each component's Waker); the network is registered
+// only for its Waker, through which it files every delivery as a
+// completion event, and is never due after the first cycle. This order
+// is also what makes same-cycle wake-set dispatch exact: within a
+// cycle, stimulation only flows forward (mesh deliveries, which fire
+// before any component ticks, into controllers; controller callbacks
+// into frontends), so a woken component's turn is always still ahead.
 func (m *Machine) finish() {
 	m.Engine.Register(m.Net)
 	for _, t := range m.L2s {

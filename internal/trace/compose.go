@@ -35,8 +35,10 @@ import (
 // placed stream — the composed trace's own size — and the first
 // instance, at offset 0, shares its part's bytes outright.
 func Compose(cores int, parts ...*Trace) (*Trace, error) {
-	if cores <= 0 {
-		return nil, fmt.Errorf("trace: compose target cores must be positive, got %d", cores)
+	// Refuse the target before tiling: the tiling loop allocates in
+	// proportion to it.
+	if err := checkCores(cores); err != nil {
+		return nil, fmt.Errorf("trace: compose target invalid: %w", err)
 	}
 	if len(parts) == 0 {
 		return nil, fmt.Errorf("trace: compose needs at least one part")

@@ -2,6 +2,7 @@ package trace_test
 
 import (
 	"bytes"
+	"errors"
 	"runtime"
 	"testing"
 
@@ -108,6 +109,27 @@ func TestComposeReplay(t *testing.T) {
 	if rep.Loads != 3*wantLoads || rep.Stores != 3*wantStores {
 		t.Fatalf("composed replay issued ld=%d st=%d, want ld=%d st=%d",
 			rep.Loads, rep.Stores, 3*wantLoads, 3*wantStores)
+	}
+}
+
+// TestComposeRefusesOversizedTarget: a target past config.MaxCores is
+// refused with the header's cores error before anything is tiled, so
+// even an absurd target costs no allocation to speak of.
+func TestComposeRefusesOversizedTarget(t *testing.T) {
+	part := trace.Zipf(trace.SynthParams{Cores: 8, OpsPerCore: 4096, Seed: 1})
+	for _, cores := range []int{config.MaxCores + 1, 1 << 30} {
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		out, err := trace.Compose(cores, part)
+		runtime.ReadMemStats(&after)
+		var fe *trace.FormatError
+		if out != nil || !errors.As(err, &fe) || fe.Field != "cores" {
+			t.Fatalf("Compose(%d): trace %v, error %v; want a cores FormatError", cores, out != nil, err)
+		}
+		if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {
+			t.Errorf("Compose(%d) allocated %d bytes before refusing; want under 1 MiB", cores, got)
+		}
 	}
 }
 

@@ -88,6 +88,17 @@ func normalizeSys(sys config.System) config.System {
 	return sys
 }
 
+// checkCores refuses a header core count outside [1, config.MaxCores].
+func checkCores(cores int) error {
+	if cores <= 0 {
+		return formatErr("cores", "header cores must be positive, got %d", cores)
+	}
+	if cores > config.MaxCores {
+		return formatErr("cores", "header cores %d exceed the supported maximum of %d", cores, config.MaxCores)
+	}
+	return nil
+}
+
 // Validate checks the structure that spans streams: header cores, init
 // memory order and alignment, stream order and core range, no empty
 // stream. What is inside a stream — op fields, halt placement — was
@@ -95,11 +106,8 @@ func normalizeSys(sys config.System) config.System {
 // so this is O(streams + init words). Both the encoder and the decoder
 // run it, so a malformed trace can neither be written nor replayed.
 func (t *Trace) Validate() error {
-	if t.Meta.Sys.Cores <= 0 {
-		return formatErr("cores", "header cores must be positive, got %d", t.Meta.Sys.Cores)
-	}
-	if t.Meta.Sys.Cores > config.MaxCores {
-		return formatErr("cores", "header cores %d exceed the supported maximum of %d", t.Meta.Sys.Cores, config.MaxCores)
+	if err := checkCores(t.Meta.Sys.Cores); err != nil {
+		return err
 	}
 	for i, w := range t.InitMem {
 		if w.Addr%8 != 0 {

@@ -365,16 +365,15 @@ func (s *poolSink) Deliver(now sim.Cycle, m *coherence.Msg) {
 }
 
 // meshDeliveryOp sends one pooled data message between two of 16
-// poolSinks attached at node IDs base.. on net and ticks the mesh until
-// it is delivered.
-func meshDeliveryOp(net *mesh.Network, base coherence.NodeID) (func(), []*poolSink) {
+// poolSinks attached at node IDs base.. on net and runs e, the engine
+// net is registered on, until it is delivered.
+func meshDeliveryOp(e *sim.Engine, net *mesh.Network, base coherence.NodeID) (func(), []*poolSink) {
 	sinks := make([]*poolSink, 16)
 	for i := range sinks {
 		sinks[i] = &poolSink{net: net}
 		net.Attach(base+coherence.NodeID(i), i, sinks[i])
 	}
 	payload := make([]byte, 64)
-	now := sim.Cycle(0)
 	i := 0
 	return func() {
 		m := net.Pool.Get()
@@ -386,12 +385,20 @@ func meshDeliveryOp(net *mesh.Network, base coherence.NodeID) (func(), []*poolSi
 			m.Dst = base + coherence.NodeID((i%16+1)%16)
 		}
 		i++
-		net.Send(now, m)
+		net.Send(e.Now(), m)
 		for net.Pending() > 0 {
-			now++
-			net.Tick(now)
+			e.RunWindow(e.NextDue() + 1)
 		}
 	}, sinks
+}
+
+// meshDeliveryBareOp is meshDeliveryOp on a 16-router mesh registered
+// alone on its engine.
+func meshDeliveryBareOp() (func(), []*poolSink) {
+	net := mesh.New(mesh.Config{Routers: 16})
+	e := sim.NewEngine(0)
+	e.Register(net)
+	return meshDeliveryOp(e, net, 0)
 }
 
 // runOp times b.N calls of one benchmark body.
@@ -404,17 +411,17 @@ func runOp(b *testing.B, op func()) {
 }
 
 // BenchmarkMeshDelivery measures scheduling + delivery through the
-// calendar-queue ring buffer: one data message per op, fully pooled.
+// engine's completion ring: one data message per op, fully pooled.
 // Expect 0 allocs/op in steady state.
 func BenchmarkMeshDelivery(b *testing.B) {
-	op, sinks := meshDeliveryOp(mesh.New(mesh.Config{Routers: 16}), 0)
+	op, sinks := meshDeliveryBareOp()
 	runOp(b, op)
 	b.ReportMetric(float64(sinks[0].received), "sink0-msgs")
 }
 
 // TestHotPathZeroAlloc is the alloc-regression gate: the paths the
 // ROADMAP guarantees allocation-free (L1 hits through the CorePort, mesh
-// scheduling + delivery through the calendar queue, wake-set dispatch,
+// scheduling + delivery through the engine, wake-set dispatch,
 // a cache hit read through its slab block, a line replacing another
 // in a way that already owns one, and both TSO front ends issuing hits)
 // run the benchmark bodies under
@@ -432,7 +439,7 @@ func TestHotPathZeroAlloc(t *testing.T) {
 		{"L1HitPath", l1HitPathOp},
 		{"L1HitPathFaultsChecksOff", l1HitPathFaultsChecksOffOp},
 		{"MeshDelivery", func(testing.TB) func() {
-			op, _ := meshDeliveryOp(mesh.New(mesh.Config{Routers: 16}), 0)
+			op, _ := meshDeliveryBareOp()
 			return op
 		}},
 		{"MeshDeliveryFaultsOff", func(tb testing.TB) func() {
@@ -578,13 +585,13 @@ func meshDeliveryFaultsOffOp(tb testing.TB) (func(), []*poolSink) {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	return meshDeliveryOp(m.Net, 0x7000)
+	return meshDeliveryOp(m.Engine, m.Net, 0x7000)
 }
 
 // BenchmarkMeshDeliveryFaultsOff drives the pooled send/deliver cycle
 // through the mesh of a machine built with fault injection disabled:
-// system wiring must install no delay hook and the calendar-queue path
-// must stay allocation-free.
+// system wiring must install no delay hook and the delivery path must
+// stay allocation-free.
 func BenchmarkMeshDeliveryFaultsOff(b *testing.B) {
 	op, sinks := meshDeliveryFaultsOffOp(b)
 	runOp(b, op)
