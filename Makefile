@@ -51,10 +51,13 @@ race:
 
 # Quick benchmark smoke: exercises the perf-critical paths without the
 # full figure grids. The trace synthesis and decode benchmarks work on
-# megabytes per op, hence their own, short leg.
+# megabytes per op, hence their own, short leg, run at one CPU and at
+# two: synthesis writes its streams on up to GOMAXPROCS goroutines, so
+# the one-CPU figure shows a change that makes single-stream synthesis
+# slower even where the concurrency hides it.
 bench-smoke:
 	$(GO) test -run xxx -bench 'BenchmarkEngineStep|BenchmarkEngineIdleSkip|BenchmarkLowIdleWorkload|BenchmarkEngineDispatchWide|BenchmarkDenseCompute|BenchmarkMeshDelivery|BenchmarkL1HitPath|BenchmarkTraceCodec' -benchtime 2000x .
-	$(GO) test -run xxx -bench 'BenchmarkTraceSynth|BenchmarkTraceDecode' -benchtime 5x .
+	$(GO) test -run xxx -bench 'BenchmarkTraceSynth|BenchmarkTraceDecode' -benchtime 5x -cpu 1,2 .
 
 bench:
 	$(GO) test -run xxx -bench . -benchtime 1x .

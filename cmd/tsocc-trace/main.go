@@ -225,11 +225,14 @@ func cmdSynth(args []string) error {
 		return harness.Usagef("synth: -cores, -ops, -blocks and -maxgap must be non-negative (0 = default); got %d, %d, %d, %d",
 			*cores, *ops, *blocks, *maxGap)
 	}
-	if *cores > config.MaxCores {
-		return harness.Usagef("synth: -cores %d exceeds %d, the widest machine a replay runs", *cores, config.MaxCores)
-	}
 	p := trace.SynthParams{Cores: *cores, OpsPerCore: *ops, Seed: *seed,
 		Blocks: *blocks, MaxGap: *maxGap}
+	// Refused before anything is allocated: each field's flag is named
+	// after it.
+	if err := p.Validate(); err != nil {
+		fe := err.(*trace.FormatError)
+		return harness.Usagef("synth: -%s: %s", fe.Field, fe.Msg)
+	}
 	var tr *trace.Trace
 	switch *kind {
 	case "zipf":

@@ -126,11 +126,20 @@ func TestMistakesAreUsageErrors(t *testing.T) {
 		{[]string{"synth", "-o", out, "-kind", "nope"}, "nope"}, {[]string{"synth"}, "-o"},
 		{[]string{"synth", "-o", out, "-ops", "-1"}, "non-negative"},
 		{[]string{"synth", "-o", out, "-cores", "300"}, "-cores"},
+		// Each of these once panicked or ran the host out of memory.
+		{[]string{"synth", "-o", out, "-maxgap", "9223372036854775807"}, "-maxgap"},
+		{[]string{"synth", "-o", out, "-blocks", "4000000000"}, "-blocks"},
+		{[]string{"synth", "-o", out, "-blocks", "262145"}, "-blocks"},
+		{[]string{"synth", "-o", out, "-ops", "9223372036854775807"}, "-ops"},
+		{[]string{"synth", "-o", out, "-cores", "64", "-ops", "262145"}, "-ops"},
 		{[]string{"info"}, "-i"},
 	} {
 		err := run(c.args)
 		if !errors.As(err, new(harness.UsageError)) || !strings.Contains(err.Error(), c.want) {
 			t.Errorf("%v: error %v; want a usage error naming %s", c.args, err, c.want)
+		}
+		if _, serr := os.Stat(out); serr == nil {
+			t.Fatalf("%v: wrote %s", c.args, out)
 		}
 	}
 }

@@ -12,7 +12,7 @@ import (
 // (encoding/binary) unless marked zigzag (signed varint). Layout:
 //
 //	magic     8 bytes "TSOCCTRC"
-//	version   uvarint (1 or 2)
+//	version   uvarint (2; any other is refused)
 //	protocol  string (uvarint length + bytes)
 //	workload  string
 //	seed      uvarint
@@ -34,8 +34,8 @@ import (
 //	              val     uvarint (store/rmw/cas only)
 //	              val2    uvarint (cas only)
 //
-// Version 2 adds run-length encoding of repeated operations: an op
-// record may be followed by a repeat marker
+// An op record may be followed by a repeat marker (run-length encoding
+// of repeated operations, what version 2 added to version 1)
 //
 //	rle       1 byte 0xFF, then
 //	count     uvarint (>= 1)
@@ -44,15 +44,15 @@ import (
 // address, values, gap and instruction delta. Spin-heavy streams (lock
 // probes re-polling one address on a fixed cadence) collapse from one
 // record per probe to one record per probe *burst*. The marker byte
-// cannot collide with a kind byte (kinds are < config.NumTraceOps), so
-// version-1 payloads — which never contain markers — decode unchanged
-// through the same loop; the encoder always writes version 2.
+// cannot collide with a kind byte (kinds are < config.NumTraceOps).
+// Version 1, the same records without markers, is no longer read: the
+// encoder has written only version 2 since markers were added.
 //
 // The encoding is canonical: runs are maximal and varints minimal, so
 // Encode is a pure function of the trace and encode → decode →
-// re-encode is byte-identical (FuzzTraceRoundTrip enforces it, over
-// both versions), which is what lets the conformance gates diff trace
-// files across engine modes and core models directly.
+// re-encode is byte-identical (FuzzTraceRoundTrip enforces it), which
+// is what lets the conformance gates diff trace files across engine
+// modes and core models directly.
 //
 // The in-memory form of a stream is this wire form (see Ops): the op
 // records above are exactly the bytes a Stream holds. So
@@ -60,12 +60,13 @@ import (
 //   - Encode writes the header and copies each stream's records behind
 //     it; it never looks inside them.
 //   - Decode parses the header, then checks each stream's records in one
-//     scan (scanOps) — framing, the per-op rule (checkOp), halt
-//     placement, the op budget — and keeps the sub-slice of data it
+//     scan (scanOps) — framing, the per-op rule (checkOp's, on each
+//     record's fields as read), halt placement, the op budget — and
+//     keeps the sub-slice of data it
 //     just checked. Nothing is expanded, so a repeat marker declaring
 //     millions of ops costs no memory. Decode therefore retains data:
 //     the caller must not modify it afterwards. Records that are valid
-//     but not canonical (version-1 runs, split runs, padded varints) are
+//     but not canonical (split runs, padded varints) are
 //     rebuilt through an OpsBuilder instead of kept.
 //   - Who validates what: per-op fields and halt placement are checked
 //     once, where the op enters (OpsBuilder.Append / Finish for values,
@@ -74,10 +75,9 @@ import (
 //     init-memory order and alignment, stream order and core range,
 //     no empty stream — in O(streams + init words).
 const (
-	formatVersion   = 2
-	formatVersionV1 = 1 // still decoded; see encodeV1 in codec_test.go
-	magicLen        = 8
-	rleMarker       = 0xFF
+	formatVersion = 2
+	magicLen      = 8
+	rleMarker     = 0xFF
 
 	// maxDecodeOps floors the decoder's total-op budget (see
 	// decodeOpBudget) — far above any trace the simulator produces
@@ -199,7 +199,7 @@ func Decode(data []byte) (*Trace, error) {
 	if err != nil {
 		return nil, err
 	}
-	if version != formatVersion && version != formatVersionV1 {
+	if version != formatVersion {
 		return nil, formatErr("version", "unsupported format version %d (have %d)", version, formatVersion)
 	}
 	t := &Trace{}
@@ -280,7 +280,7 @@ func Decode(data []byte) (*Trace, error) {
 				core, nops, opBudget)
 		}
 		opBudget -= int(nops)
-		ops, err := d.scanOps(int(core), int(nops), version == formatVersionV1)
+		ops, err := d.scanOps(int(core), int(nops))
 		if err != nil {
 			return nil, err
 		}
@@ -296,121 +296,120 @@ func Decode(data []byte) (*Trace, error) {
 }
 
 // scanOps checks the nops op records at d.pos and returns them as an
-// Ops without expanding anything: framing, checkOp on every record (a
-// repeat marker re-states an op already checked), one halt and only at
-// the end. Canonical records — what Encode writes — are kept as the
-// sub-slice just scanned; valid records in any other spelling (a
-// version-1 payload with adjacent identical ops, a run split across
+// Ops without expanding anything: framing, the per-op rule (checkOp's,
+// applied here to the fields as they are read), one halt and only at
+// the end; a repeat marker re-states an op already checked. Canonical
+// records — what Encode writes — are kept as the sub-slice just
+// scanned; valid records in any other spelling (a run split across
 // records or markers, a padded varint) are rebuilt through an
 // OpsBuilder, so an Ops holds canonical bytes however it was made.
-func (d *decoder) scanOps(core, nops int, v1 bool) (Ops, error) {
+// A record's fields are read into locals, no Op is built; a bad kind is
+// refused before any field is read, a bad varint before any value is
+// checked, as when records were decoded into Ops.
+func (d *decoder) scanOps(core, nops int) (Ops, error) {
 	if nops == 0 {
 		return Ops{}, formatErr("ops", "core %d stream is empty", core)
 	}
-	start := d.pos
+	pos, start := d.pos, d.pos
 	d.padded = false
 	var (
-		last        Op
 		prev, span  uint64 // running address; one past the highest seen
 		canonical   = true
 		afterMarker bool
+		// The last record's fields. A record equal in all of them, with
+		// a zero address delta, is a run the encoder would have folded.
+		lastKind                               = config.NumTraceOps // none yet
+		lastGap, lastInstrs, lastVal, lastVal2 uint64
 	)
 	for j := 0; j < nops; {
-		if d.pos >= len(d.buf) {
+		if pos >= len(d.buf) {
 			return Ops{}, formatErr("ops", "truncated at core %d op %d", core, j)
 		}
-		if !v1 && d.buf[d.pos] == rleMarker {
-			d.pos++
+		kind := config.TraceOp(d.buf[pos])
+		pos++
+		if kind == rleMarker {
 			if j == 0 {
 				return Ops{}, formatErr("rle", "core %d: repeat marker before any op", core)
 			}
-			count, err := d.uvarint("rle")
-			if err != nil {
-				return Ops{}, err
+			count, next := d.varint(pos)
+			if next < 0 {
+				return Ops{}, varintErr("rle", pos)
 			}
 			if count < 1 || count > uint64(nops-j) {
 				return Ops{}, formatErr("rle", "core %d op %d: repeat count %d exceeds declared ops", core, j, count)
 			}
 			canonical = canonical && !afterMarker
 			afterMarker = true
+			pos = next
 			j += int(count)
 			continue
 		}
-		op, err := d.record(&prev)
-		if err == nil {
-			err = checkOp(op, j)
+		if kind >= config.NumTraceOps {
+			return Ops{}, inCore(core, formatErr("kind", "op %d has bad kind %d", j, kind))
 		}
-		if err != nil {
-			return Ops{}, inCore(core, err)
+		gap, next := d.varint(pos)
+		if next < 0 {
+			return Ops{}, inCore(core, varintErr("gap", pos))
 		}
-		if op.Kind.HasAddr() && op.Addr >= span {
-			span = op.Addr + 8
+		pos = next
+		instrs, next := d.varint(pos)
+		if next < 0 {
+			return Ops{}, inCore(core, varintErr("instrs", pos))
 		}
-		if op.Kind == config.TraceHalt && j != nops-1 {
+		pos = next
+		var delta, val, val2 uint64
+		if kind.HasAddr() {
+			if delta, next = d.varint(pos); next < 0 {
+				return Ops{}, inCore(core, varintErr("addr", pos))
+			}
+			pos = next
+			prev += uint64(unzigzag(delta))
+		}
+		if kind.HasVal() {
+			if val, next = d.varint(pos); next < 0 {
+				return Ops{}, inCore(core, varintErr("val", pos))
+			}
+			pos = next
+		}
+		if kind == config.TraceCAS {
+			if val2, next = d.varint(pos); next < 0 {
+				return Ops{}, inCore(core, varintErr("val2", pos))
+			}
+			pos = next
+		}
+		if gap > maxDelta || instrs > maxDelta || kind.HasAddr() && prev%8 != 0 { // checkOp's rule; checkOp words it
+			return Ops{}, inCore(core, checkOp(Op{Kind: kind, Addr: prev, Gap: int64(gap), Instrs: int64(instrs)}, j))
+		}
+		if kind.HasAddr() && prev >= span {
+			span = prev + 8
+		}
+		if kind == config.TraceHalt && j != nops-1 {
 			return Ops{}, formatErr("halt", "core %d has halt at op %d before end of stream", core, j)
 		}
-		if j > 0 && sameWire(last, op) {
-			canonical = false // a run the encoder would have folded
+		if kind == lastKind && gap == lastGap && instrs == lastInstrs && delta == 0 && val == lastVal && val2 == lastVal2 {
+			canonical = false
 		}
-		last, afterMarker = op, false
+		lastKind, lastGap, lastInstrs, lastVal, lastVal2 = kind, gap, instrs, val, val2
+		afterMarker = false
 		j++
 	}
-	if last.Kind != config.TraceHalt {
+	d.pos = pos
+	if lastKind != config.TraceHalt {
 		return Ops{}, formatErr("halt", "core %d stream does not end in halt", core)
 	}
+	rec := d.buf[start:pos:pos]
 	if canonical && !d.padded {
-		return Ops{rec: d.buf[start:d.pos:d.pos], n: nops, span: span}, nil
+		return Ops{rec: rec, n: nops, span: span}, nil
 	}
 	var b OpsBuilder
-	b.Grow(d.pos - start)
-	c := Cursor{rec: d.buf[start:d.pos]}
+	b.Grow(len(rec))
+	c := Cursor{rec: rec}
 	for op, ok := c.Next(); ok; op, ok = c.Next() {
 		if err := b.Append(op); err != nil {
 			return Ops{}, inCore(core, err) // unreachable: every op was checked above
 		}
 	}
 	return b.Finish()
-}
-
-// record reads one op record at d.pos; *prev is the stream's running
-// address. A kind past the known ones is returned as is, with no fields
-// read, for checkOp to reject.
-func (d *decoder) record(prev *uint64) (Op, error) {
-	op := Op{Kind: config.TraceOp(d.buf[d.pos])}
-	d.pos++
-	if op.Kind >= config.NumTraceOps {
-		return op, nil
-	}
-	gap, err := d.uvarint("gap")
-	if err != nil {
-		return op, err
-	}
-	instrs, err := d.uvarint("instrs")
-	if err != nil {
-		return op, err
-	}
-	// A value past 2^62 converts to one checkOp rejects: above the bound
-	// or negative.
-	op.Gap, op.Instrs = int64(gap), int64(instrs)
-	if op.Kind.HasAddr() {
-		delta, err := d.uvarint("addr")
-		if err != nil {
-			return op, err
-		}
-		*prev += uint64(unzigzag(delta))
-		op.Addr = *prev
-	}
-	if op.Kind.HasVal() {
-		if op.Val, err = d.uvarint("val"); err != nil {
-			return op, err
-		}
-	}
-	if op.Kind == config.TraceCAS {
-		if op.Val2, err = d.uvarint("val2"); err != nil {
-			return op, err
-		}
-	}
-	return op, nil
 }
 
 type decoder struct {
@@ -422,25 +421,36 @@ type decoder struct {
 }
 
 func (d *decoder) uvarint(what string) (uint64, error) {
-	// Most fields of a real stream are one byte; the rest is out of line
-	// so that this much inlines into the scan.
-	if p := d.pos; p < len(d.buf) && d.buf[p] < 0x80 {
-		d.pos = p + 1
-		return uint64(d.buf[p]), nil
+	v, next := d.varint(d.pos)
+	if next < 0 {
+		return 0, varintErr(what, d.pos)
 	}
-	return d.uvarintLong(what)
+	d.pos = next
+	return v, nil
 }
 
-func (d *decoder) uvarintLong(what string) (uint64, error) {
-	v, n := binary.Uvarint(d.buf[d.pos:])
-	if n <= 0 {
-		return 0, formatErr(what, "bad or truncated varint (%s) at offset %d", what, d.pos)
+func varintErr(what string, pos int) error {
+	return formatErr(what, "bad or truncated varint (%s) at offset %d", what, pos)
+}
+
+// varint is the decoder's one varint reader, the checked twin of
+// uvarintAt: it returns the varint at d.buf[pos:] with the offset just
+// past it, or a negative offset if the bytes there are truncated or
+// encode more than 64 bits. A varint longer than its value needs is
+// valid but sets d.padded.
+func (d *decoder) varint(pos int) (uint64, int) {
+	b := d.buf
+	if pos < len(b) && b[pos] < 0x80 { // most fields of a real stream
+		return uint64(b[pos]), pos + 1
 	}
-	d.pos += n
-	if d.buf[d.pos-1] == 0 {
+	v, n := binary.Uvarint(b[pos:])
+	if n <= 0 {
+		return 0, -1
+	}
+	if b[pos+n-1] == 0 {
 		d.padded = true
 	}
-	return v, nil
+	return v, pos + n
 }
 
 func (d *decoder) str(what string) (string, error) {

@@ -40,13 +40,6 @@ func sampleRef() *refTrace {
 	}
 }
 
-// encodeV1 emits the legacy version-1 encoding (no run-length markers):
-// the generator for decoder coverage of traces written before the v2
-// compaction.
-func encodeV1(t *Trace) ([]byte, error) {
-	return refEncode(unpack(t), formatVersionV1)
-}
-
 // spinRef builds a lock-probe-shaped stream: long bursts of identical
 // same-address/same-gap loads and CAS probes — the shape v2's RLE
 // exists for.
@@ -67,57 +60,33 @@ func spinRef(probes int) *refTrace {
 	}
 }
 
-// TestCodecV1Decodes pins backward compatibility: a version-1 encoding
-// decodes to the same trace as the version-2 encoding of the same data,
-// and a repeat marker inside a version-1 payload is rejected as a bad
-// kind (v1 never contained one).
-func TestCodecV1Decodes(t *testing.T) {
-	for _, ref := range []*refTrace{sampleRef(), spinRef(50)} {
-		tr := ref.pack(t)
-		v1, err := encodeV1(tr)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := Decode(v1)
-		if err != nil {
-			t.Fatalf("decode of v1 encoding: %v", err)
-		}
-		if !reflect.DeepEqual(tr, got) {
-			t.Fatal("v1 decode mismatch")
-		}
-		v2, err := Encode(got)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got2, err := Decode(v2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(tr, got2) {
-			t.Fatal("v1 -> v2 re-encode round trip mismatch")
-		}
-	}
-	v2, err := Encode(spinRef(50).pack(t))
+// TestCodecRefusesV1: version 1, the format before run-length
+// markers, is no longer read; a file declaring it is refused at the
+// version field.
+func TestCodecRefusesV1(t *testing.T) {
+	data, err := Encode(sampleRef().pack(t))
 	if err != nil {
 		t.Fatal(err)
 	}
-	asV1 := append([]byte(nil), v2...)
-	asV1[magicLen] = formatVersionV1
+	data[magicLen] = 1
 	var fe *FormatError
-	if _, err := Decode(asV1); !errors.As(err, &fe) || fe.Field != "kind" {
-		t.Fatalf("repeat marker in a v1 payload: got %v, want a bad-kind FormatError", err)
+	if _, err := Decode(data); !errors.As(err, &fe) || fe.Field != "version" ||
+		fe.Msg != "unsupported format version 1 (have 2)" {
+		t.Fatalf("decode of a version-1 file: got %v, want the version FormatError", err)
 	}
 }
 
 // TestCodecRLECompression checks v2 actually compacts the spin shape:
 // the run-length encoding must shrink a probe-heavy stream by an order
-// of magnitude relative to v1, and the bytes-per-op headline must drop
-// below one.
+// of magnitude relative to one record per op, and the bytes-per-op
+// headline must drop below one.
 func TestCodecRLECompression(t *testing.T) {
-	tr := spinRef(200).pack(t)
-	v1, err := encodeV1(tr)
-	if err != nil {
-		t.Fatal(err)
+	ref := spinRef(200)
+	tr := ref.pack(t)
+	var flat encoder // one record per op, no repeat markers
+	prev := uint64(0)
+	for _, op := range ref.Streams[0].Ops {
+		flat.record(op, &prev)
 	}
 	v2, err := Encode(tr)
 	if err != nil {
@@ -126,15 +95,15 @@ func TestCodecRLECompression(t *testing.T) {
 	if got, err := Decode(v2); err != nil || !reflect.DeepEqual(tr, got) {
 		t.Fatalf("v2 round trip broken: %v", err)
 	}
-	if len(v2)*10 > len(v1) {
-		t.Fatalf("RLE shrank %d -> %d bytes; want >= 10x on the spin shape", len(v1), len(v2))
+	if packed := tr.Streams[0].Ops.Size(); packed*10 > len(flat.buf) {
+		t.Fatalf("RLE shrank the stream %d -> %d bytes; want >= 10x on the spin shape", len(flat.buf), packed)
 	}
 	perOp := float64(len(v2)) / float64(tr.Ops())
 	if perOp >= 1 {
 		t.Fatalf("v2 bytes/op = %.2f on the spin shape, want < 1", perOp)
 	}
-	t.Logf("spin stream: v1 %d bytes (%.2f B/op), v2 %d bytes (%.2f B/op)",
-		len(v1), float64(len(v1))/float64(tr.Ops()), len(v2), perOp)
+	t.Logf("spin stream: %d bytes as records (%.2f B/op), v2 file %d bytes (%.2f B/op)",
+		len(flat.buf), float64(len(flat.buf))/float64(tr.Ops()), len(v2), perOp)
 }
 
 // TestCodecRLEIgnoresUnencodedFields pins the run comparison to the
@@ -454,12 +423,8 @@ func TestValidateRejects(t *testing.T) {
 				tc.name, stage, fe.Field, err, tc.stage, tc.field)
 		}
 		// The same trace as bytes: Decode refuses it, naming the same field.
-		for _, version := range []uint64{formatVersionV1, formatVersion} {
-			_, err := Decode(rawEncode(ref, version))
-			if !errors.As(err, &fe) || fe.Field != tc.field {
-				t.Errorf("%s: Decode (v%d) returned %v, want a FormatError naming %q",
-					tc.name, version, err, tc.field)
-			}
+		if _, err := Decode(rawEncode(ref)); !errors.As(err, &fe) || fe.Field != tc.field {
+			t.Errorf("%s: Decode returned %v, want a FormatError naming %q", tc.name, err, tc.field)
 		}
 	}
 

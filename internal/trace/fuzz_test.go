@@ -14,8 +14,8 @@ import (
 // draws sizes, kinds, addresses and values, so every input maps to some
 // well-formed trace while small input mutations explore very different
 // shapes. One op in five repeats its predecessor, so runs — and, in the
-// version-1 spelling, the adjacent identical records the decoder must
-// fold — are common.
+// split spelling of splitRuns, the adjacent identical records the
+// decoder must fold — are common.
 func traceFromBytes(data []byte) *refTrace {
 	seed := uint64(len(data))
 	for i, b := range data {
@@ -75,7 +75,7 @@ func traceFromBytes(data []byte) *refTrace {
 // repeat written out as a full record: valid, the same ops, but not the
 // bytes Encode writes. Decode must fold it back.
 func splitRuns(ref *refTrace) []byte {
-	e := encoder{buf: rawEncode(&refTrace{Meta: ref.Meta, InitMem: ref.InitMem}, formatVersion)}
+	e := encoder{buf: rawEncode(&refTrace{Meta: ref.Meta, InitMem: ref.InitMem})}
 	e.buf = e.buf[:len(e.buf)-1] // drop the empty stream count
 	e.uvarint(uint64(len(ref.Streams)))
 	for _, s := range ref.Streams {
@@ -127,7 +127,7 @@ func checkAgainstReferee(t *testing.T, data []byte) *Trace {
 	if got := unpack(tr); !reflect.DeepEqual(got, ref) {
 		t.Fatalf("cursors do not yield the referee's ops:\n packed:  %+v\n referee: %+v", got, ref)
 	}
-	want, refErr := refEncode(ref, formatVersion)
+	want, refErr := refEncode(ref)
 	enc, err := Encode(tr)
 	if (err == nil) != (refErr == nil) {
 		t.Fatalf("Encode and the referee disagree:\n packed:  %v\n referee: %v", err, refErr)
@@ -154,9 +154,9 @@ func checkAgainstReferee(t *testing.T, data []byte) *Trace {
 //  1. Building it through OpsBuilder and encoding it writes the bytes
 //     the referee encoder writes; decode deep-equals the built trace
 //     and re-encode is byte-identical (version 2, the current format).
-//  2. Its legacy version-1 encoding (no RLE) and a version-2 spelling
-//     with every run split decode to the same deep-equal trace: Decode
-//     folds them through the builder, it does not keep their bytes.
+//  2. A spelling with every run split decodes to the same deep-equal
+//     trace: Decode folds it through the builder, it does not keep its
+//     bytes.
 //
 // And for the raw fuzz input itself — almost always garbage:
 //
@@ -168,9 +168,9 @@ func FuzzTraceRoundTrip(f *testing.F) {
 	if seed, err := Encode(sampleRef().pack(f)); err == nil {
 		f.Add(seed)
 	}
-	if seed, err := refEncode(sampleRef(), formatVersionV1); err == nil {
-		f.Add(seed)
-	}
+	// A long stream, so mutations land far from the end of the input
+	// too, where a reader may skip bounds checks.
+	f.Add(spell(longOps(), len(longOps()), nil))
 	f.Add([]byte{0, 1, 2, 3, 4, 5, 6, 7, 8, 9})
 	f.Add(splitRuns(spinRef(3)))
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -190,15 +190,9 @@ func FuzzTraceRoundTrip(f *testing.F) {
 			t.Fatal("cursors do not yield the ops that were appended")
 		}
 
-		// Other spellings of the same trace must decode to the same Trace —
-		// the same canonical bytes in memory, not an alias of the input.
-		v1, err := refEncode(ref, formatVersionV1)
-		if err != nil {
-			t.Fatalf("v1 encode: %v", err)
-		}
-		if dec := checkAgainstReferee(t, v1); !reflect.DeepEqual(tr, dec) {
-			t.Fatal("v1 decode does not deep-equal the original")
-		}
+		// Another spelling of the same trace must decode to the same
+		// Trace — the same canonical bytes in memory, not an alias of the
+		// input.
 		if dec := checkAgainstReferee(t, splitRuns(ref)); !reflect.DeepEqual(tr, dec) {
 			t.Fatal("decode of split runs does not deep-equal the original")
 		}

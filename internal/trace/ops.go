@@ -3,6 +3,7 @@ package trace
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 
 	"repro/internal/config"
 )
@@ -110,35 +111,14 @@ func uvarintAt(b []byte, pos int) (uint64, int) {
 func zigzag(v int64) uint64   { return uint64(v)<<1 ^ uint64(v>>63) }
 func unzigzag(v uint64) int64 { return int64(v>>1) ^ -int64(v&1) }
 
-// sameWire reports whether two ops have identical wire encodings: the
-// always-encoded fields plus whichever optional fields a's kind
-// serializes. Fields the format drops for this kind are ignored — a full
-// struct compare would see them (a stray Addr on a fence), split the
-// run, and break encode ∘ decode ∘ encode byte-identity.
-func sameWire(a, b Op) bool {
-	if a.Kind != b.Kind || a.Gap != b.Gap || a.Instrs != b.Instrs {
-		return false
-	}
-	if a.Kind.HasAddr() && a.Addr != b.Addr {
-		return false
-	}
-	if a.Kind.HasVal() && a.Val != b.Val {
-		return false
-	}
-	if a.Kind == config.TraceCAS && a.Val2 != b.Val2 {
-		return false
-	}
-	return true
-}
-
 // maxDelta bounds Gap and Instrs, in a file and in a builder alike, so
 // nothing can be built that would not read back.
 const maxDelta = 1 << 62
 
-// checkOp is the per-op validity rule, applied exactly once to every op
-// of every stream: by OpsBuilder.Append to ops that arrive as values,
-// by Decode's scan to ops that arrive as bytes. index is the op's
-// position in its stream, for the message.
+// checkOp is the per-op validity rule, worded: OpsBuilder.Append (ops
+// as values) and Decode's scan (ops as bytes) test its conditions on
+// each op's fields in place, once per op, and call it only to word a
+// refusal. index is the op's position in its stream, for the message.
 func checkOp(op Op, index int) error {
 	switch {
 	case op.Kind >= config.NumTraceOps:
@@ -177,6 +157,10 @@ func (b *OpsBuilder) Grow(n int) {
 // Len reports how many ops have been appended.
 func (b *OpsBuilder) Len() int { return b.n }
 
+// maxRecordLen bounds what one Append writes: a repeat marker with its
+// count, then a record of a kind byte and at most five varints.
+const maxRecordLen = 2 + 6*binary.MaxVarintLen64
+
 // Append adds one operation. It rejects, with a *FormatError naming the
 // field, a bad kind, a gap or instruction delta outside [0, 2^62], an
 // unaligned address, and any op after the halt; a rejected op leaves
@@ -185,38 +169,52 @@ func (b *OpsBuilder) Append(op Op) error {
 	if b.halted {
 		return formatErr("halt", "op %d follows the halt at op %d", b.n, b.n-1)
 	}
-	if err := checkOp(op, b.n); err != nil {
-		return err
+	kind := op.Kind
+	if kind >= config.NumTraceOps || uint64(op.Gap) > maxDelta || uint64(op.Instrs) > maxDelta ||
+		kind.HasAddr() && op.Addr%8 != 0 {
+		return checkOp(op, b.n) // words the refusal
 	}
-	if b.n > 0 && sameWire(b.last, op) {
+	// A run continues only on the fields op's kind puts on the wire: a
+	// stray Addr on a fence must not split one, or encode ∘ decode ∘
+	// encode would not be byte-identical.
+	last := &b.last
+	if b.n > 0 && kind == last.Kind && op.Gap == last.Gap && op.Instrs == last.Instrs &&
+		(!kind.HasAddr() || op.Addr == last.Addr) && (!kind.HasVal() || op.Val == last.Val) &&
+		(kind != config.TraceCAS || op.Val2 == last.Val2) {
 		b.run++
 		b.n++
 		return nil
+	}
+	// With the room reserved, the appends below stay in b.rec's array,
+	// so storing the result back rewrites only the length: no pointer
+	// store, no write barrier per op.
+	if cap(b.rec)-len(b.rec) < maxRecordLen {
+		b.rec = slices.Grow(b.rec, maxRecordLen)
 	}
 	rec := b.rec
 	if b.run > 0 {
 		rec = binary.AppendUvarint(append(rec, rleMarker), b.run)
 		b.run = 0
 	}
-	rec = append(rec, byte(op.Kind))
+	rec = append(rec, byte(kind))
 	rec = binary.AppendUvarint(rec, uint64(op.Gap))
 	rec = binary.AppendUvarint(rec, uint64(op.Instrs))
-	if op.Kind.HasAddr() {
+	if kind.HasAddr() {
 		rec = binary.AppendUvarint(rec, zigzag(int64(op.Addr-b.prev)))
 		b.prev = op.Addr
 		if op.Addr >= b.span {
 			b.span = op.Addr + 8
 		}
 	}
-	if op.Kind.HasVal() {
+	if kind.HasVal() {
 		rec = binary.AppendUvarint(rec, op.Val)
 	}
-	if op.Kind == config.TraceCAS {
+	if kind == config.TraceCAS {
 		rec = binary.AppendUvarint(rec, op.Val2)
 	}
-	b.rec, b.last = rec, op
+	b.rec, b.last = b.rec[:len(rec)], op
 	b.n++
-	b.halted = op.Kind == config.TraceHalt
+	b.halted = kind == config.TraceHalt
 	return nil
 }
 
@@ -268,10 +266,11 @@ func (o Ops) rehomed(off uint64) Ops {
 }
 
 // FormatError is the one error type for a malformed trace, whichever
-// path met it: OpsBuilder (ops arriving as values), Decode (a file) or
-// Trace.Validate (cross-stream structure). Field names what was wrong —
-// an op field ("kind", "gap", "instrs", "addr", "halt"), a count
-// ("ops", "streams", "initmem"), or a header field.
+// path met it: OpsBuilder (ops arriving as values), Decode (a file),
+// Trace.Validate (cross-stream structure) or SynthParams.Validate (a
+// trace that would be malformed if synthesized). Field names what was
+// wrong — an op field ("kind", "gap", "instrs", "addr", "halt"), a count
+// ("ops", "streams", "initmem"), a header field, or a SynthParams field.
 type FormatError struct {
 	Field string
 	Msg   string

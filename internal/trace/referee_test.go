@@ -84,9 +84,8 @@ func (t *refTrace) validate() error {
 	return nil
 }
 
-// refEncode is the pre-packing Encode. version 1 writes the legacy
-// format: the same bytes without run-length markers.
-func refEncode(t *refTrace, version uint64) ([]byte, error) {
+// refEncode is the pre-packing Encode.
+func refEncode(t *refTrace) ([]byte, error) {
 	if err := t.validate(); err != nil {
 		return nil, err
 	}
@@ -95,7 +94,7 @@ func refEncode(t *refTrace, version uint64) ([]byte, error) {
 			return nil, fmt.Errorf("trace: negative geometry field in header")
 		}
 	}
-	data := rawEncode(t, version)
+	data := rawEncode(t)
 	if total := t.ops(); total > decodeOpBudget(len(data)) {
 		return nil, fmt.Errorf("trace: %d total ops exceeds the decode budget", total)
 	}
@@ -104,10 +103,10 @@ func refEncode(t *refTrace, version uint64) ([]byte, error) {
 
 // rawEncode is refEncode's serializer without its checks, so tests can
 // put a malformed trace on the wire and see who refuses it.
-func rawEncode(t *refTrace, version uint64) []byte {
+func rawEncode(t *refTrace) []byte {
 	e := encoder{}
 	e.buf = append(e.buf, magic[:]...)
-	e.uvarint(version)
+	e.uvarint(formatVersion)
 	e.str(t.Meta.Protocol)
 	e.str(t.Meta.Workload)
 	e.uvarint(t.Meta.Seed)
@@ -134,7 +133,7 @@ func rawEncode(t *refTrace, version uint64) []byte {
 			op := s.Ops[i]
 			e.record(op, &prev)
 			run := 0
-			for version >= 2 && i+1+run < len(s.Ops) && sameWire(s.Ops[i+1+run], op) {
+			for i+1+run < len(s.Ops) && sameWire(s.Ops[i+1+run], op) {
 				run++
 			}
 			if run > 0 {
@@ -222,7 +221,7 @@ func refDecode(data []byte) (*refTrace, error) {
 	if err != nil {
 		return nil, err
 	}
-	if version != formatVersion && version != formatVersionV1 {
+	if version != formatVersion {
 		return nil, fmt.Errorf("trace: unsupported format version %d", version)
 	}
 	t := &refTrace{}
@@ -310,7 +309,7 @@ func refDecode(data []byte) (*refTrace, error) {
 			if d.pos >= len(d.buf) {
 				return nil, fmt.Errorf("trace: truncated at core %d op %d", core, j)
 			}
-			if version >= 2 && d.buf[d.pos] == rleMarker {
+			if d.buf[d.pos] == rleMarker {
 				d.pos++
 				if j == 0 {
 					return nil, fmt.Errorf("trace: core %d: repeat marker before any op", core)
@@ -375,6 +374,27 @@ func refDecode(data []byte) (*refTrace, error) {
 		return nil, err
 	}
 	return t, nil
+}
+
+// sameWire reports whether two ops have identical wire encodings: the
+// always-encoded fields plus whichever optional fields a's kind
+// serializes. Fields the format drops for this kind are ignored — a full
+// struct compare would see them (a stray Addr on a fence), split the
+// run, and break encode ∘ decode ∘ encode byte-identity.
+func sameWire(a, b Op) bool {
+	if a.Kind != b.Kind || a.Gap != b.Gap || a.Instrs != b.Instrs {
+		return false
+	}
+	if a.Kind.HasAddr() && a.Addr != b.Addr {
+		return false
+	}
+	if a.Kind.HasVal() && a.Val != b.Val {
+		return false
+	}
+	if a.Kind == config.TraceCAS && a.Val2 != b.Val2 {
+		return false
+	}
+	return true
 }
 
 // opsOf expands a packed stream into the slice the referee works on.

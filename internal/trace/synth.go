@@ -2,6 +2,9 @@ package trace
 
 import (
 	"fmt"
+	"runtime"
+	"sync"
+	"sync/atomic"
 
 	"repro/internal/config"
 	"repro/internal/sim"
@@ -30,6 +33,30 @@ type SynthParams struct {
 	Seed       uint64 // RNG seed; forked per core
 	Blocks     int    // working-set size in cache blocks (0 = per-pattern default)
 	MaxGap     int64  // compute gap upper bound in cycles (0 = default 12)
+}
+
+// Validate refuses what no generator can honour: more cores than a
+// machine has, more than 16 Mi ops in all (7x the repository
+// benchmark's replay_zipf8), a working set past the 16 MiB region each
+// pattern has (262,144 blocks), a gap bound past 2^62 (which the format
+// cannot carry). Zero and negative fields stand for the defaults. The
+// error is a *FormatError whose Field is "cores", "ops", "blocks" or
+// "maxgap". A generator handed what Validate refuses may panic or run
+// the host out of memory.
+func (p SynthParams) Validate() error {
+	const maxOps, maxBlocks = 1 << 24, (synthMigrBase - synthZipfBase) / 64
+	p = p.defaults(0)
+	switch {
+	case p.Cores > config.MaxCores:
+		return formatErr("cores", "%d cores exceed the supported maximum of %d", p.Cores, config.MaxCores)
+	case p.OpsPerCore > maxOps/p.Cores:
+		return formatErr("ops", "%d cores x %d ops exceed %d ops in all", p.Cores, p.OpsPerCore, maxOps)
+	case p.Blocks > maxBlocks:
+		return formatErr("blocks", "%d blocks exceed %d, the 16 MiB region a pattern has", p.Blocks, maxBlocks)
+	case p.MaxGap > maxDelta:
+		return formatErr("maxgap", "gap bound %d exceeds 2^62", p.MaxGap)
+	}
+	return nil
 }
 
 func (p SynthParams) defaults(blocks int) SynthParams {
@@ -69,13 +96,8 @@ func synthGap(rng *sim.RNG, p SynthParams) int64 {
 // panics.
 type synthStream struct {
 	core int
+	rng  sim.RNG // this core's fork, held here so no two streams share a cache line
 	b    OpsBuilder
-}
-
-func newSynthStream(core int, p SynthParams) *synthStream {
-	s := &synthStream{core: core}
-	s.b.Grow(10 * (p.OpsPerCore + 1)) // the generators write 5-9.3 B/op
-	return s
 }
 
 func (s *synthStream) add(op Op) {
@@ -88,26 +110,68 @@ func (s *synthStream) fail(err error) {
 	panic(fmt.Sprintf("trace: generator produced invalid trace: %v", inCore(s.core, err)))
 }
 
-// end appends the closing halt record with a final compute tail and
-// returns the finished stream.
-func (s *synthStream) end(rng *sim.RNG, p SynthParams) Stream {
-	g := synthGap(rng, p)
-	s.add(Op{Kind: config.TraceHalt, Gap: g, Instrs: g})
-	ops, err := s.b.Finish()
-	if err != nil {
-		s.fail(err)
+// synthesize is what the generators share. It forks one RNG per core,
+// in core order, then has body append each core's ops and closes the
+// stream with a halt. The streams are written on up to GOMAXPROCS
+// goroutines, each into its own Streams slot, so the bytes depend on
+// the forks alone, never on the schedule. A body's panic (a generator
+// assert) is re-raised on the caller's goroutine once every stream is
+// done: the lowest failing core's, whatever the schedule.
+func synthesize(name string, p SynthParams, salt uint64, body func(s *synthStream, rng *sim.RNG)) *Trace {
+	t := &Trace{Meta: synthMeta(name, p), Streams: make([]Stream, p.Cores)}
+	root := sim.NewRNG(p.Seed ^ salt)
+	rngs := make([]sim.RNG, p.Cores)
+	for core := range rngs {
+		rngs[core] = *root.Fork()
 	}
-	return Stream{Core: s.core, Ops: ops}
+	fails := make([]any, p.Cores)
+	stream := func(core int) {
+		defer func() { fails[core] = recover() }()
+		s := &synthStream{core: core, rng: rngs[core]}
+		rng := &s.rng
+		s.b.Grow(10 * (p.OpsPerCore + 1)) // the generators write 5-9.3 B/op
+		body(s, rng)
+		g := synthGap(rng, p)
+		s.add(Op{Kind: config.TraceHalt, Gap: g, Instrs: g})
+		ops, err := s.b.Finish()
+		if err != nil {
+			s.fail(err)
+		}
+		t.Streams[core] = Stream{Core: core, Ops: ops}
+	}
+	var next atomic.Int64 // the next core to claim
+	var wg sync.WaitGroup
+	for w := min(runtime.GOMAXPROCS(0), p.Cores); w > 0; w-- {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for core := int(next.Add(1) - 1); core < p.Cores; core = int(next.Add(1) - 1) {
+				stream(core)
+			}
+		}()
+	}
+	wg.Wait()
+	for _, f := range fails {
+		if f != nil {
+			panic(f)
+		}
+	}
+	return t
 }
 
 // zipfSampler draws block ranks with probability proportional to
 // 1/(rank+1). It answers exactly what sort.SearchFloat64s(cdf, u) does —
-// the smallest rank whose cumulative weight reaches u — but starts from
-// a guide table instead of bisecting: bucket k of the table covers
-// u in [k/G, (k+1)/G) and holds the answer for u = k/G, a lower bound
-// for the whole bucket, from which a short forward scan finishes. With
-// G >= the block count the scan averages under two steps against
-// bisection's twelve.
+// the smallest rank whose cumulative weight reaches u — but looks it up
+// in a guide table instead of bisecting: bucket k of the table covers
+// u in [k/G, (k+1)/G), and the answer for u = k/G is a lower bound for
+// the whole bucket. Where the next bucket's edge has the same answer,
+// every u in the bucket has it too, and the entry is that answer; on
+// the other buckets the entry is its complement (negative), and a short
+// forward scan from the lower bound finishes. With sixteen buckets per
+// block (at the default 4096 blocks) over nine draws in ten need no
+// scan; the table is capped at 64 Ki entries (256 KiB), but never has
+// fewer than the block count, which keeps the scans under two steps
+// against bisection's twelve.
 //
 // The bucket arithmetic is exact only because G is a power of two:
 // u*G and k/G are then pure exponent shifts, so int(u*G) == k implies
@@ -132,17 +196,20 @@ func newZipfSampler(blocks int) *zipfSampler {
 		cdf[i] /= sum
 	}
 	g := 1
-	for g < blocks {
+	for g < blocks || g < 16*blocks && g < 1<<16 {
 		g <<= 1
 	}
 	z := &zipfSampler{cdf: cdf, guide: make([]int32, g), scale: float64(g)}
 	rank := 0
-	for k := range z.guide {
-		edge := float64(k) / z.scale
-		for rank < blocks && cdf[rank] < edge {
-			rank++
+	for k := range z.guide { // each bucket's lower bound
+		for edge := float64(k) / z.scale; rank < blocks && cdf[rank] < edge; rank++ {
 		}
 		z.guide[k] = int32(rank)
+	}
+	for k := range z.guide { // complemented where the next edge differs
+		if k == g-1 || z.guide[k+1] != z.guide[k] {
+			z.guide[k] = ^z.guide[k]
+		}
 	}
 	return z
 }
@@ -151,8 +218,10 @@ func newZipfSampler(blocks int) *zipfSampler {
 // none, for u in [0, 1).
 func (z *zipfSampler) rank(u float64) int {
 	i := int(z.guide[int(u*z.scale)])
-	for i < len(z.cdf) && z.cdf[i] < u {
-		i++
+	if i >= 0 {
+		return i
+	}
+	for i = ^i; i < len(z.cdf) && z.cdf[i] < u; i++ {
 	}
 	return i
 }
@@ -165,11 +234,7 @@ func (z *zipfSampler) rank(u float64) int {
 func Zipf(p SynthParams) *Trace {
 	p = p.defaults(4096)
 	z := newZipfSampler(p.Blocks)
-	t := &Trace{Meta: synthMeta("synth-zipf", p)}
-	root := sim.NewRNG(p.Seed ^ 0x5A1F)
-	for core := 0; core < p.Cores; core++ {
-		rng := root.Fork()
-		s := newSynthStream(core, p)
+	return synthesize("synth-zipf", p, 0x5A1F, func(s *synthStream, rng *sim.RNG) {
 		for i := 0; i < p.OpsPerCore; i++ {
 			blk := z.rank(rng.Float64())
 			if blk >= p.Blocks {
@@ -184,9 +249,7 @@ func Zipf(p SynthParams) *Trace {
 			op.Instrs = op.Gap
 			s.add(op)
 		}
-		t.Streams = append(t.Streams, s.end(rng, p))
-	}
-	return t
+	})
 }
 
 // Migratory synthesizes the migratory-sharing pattern: a pool of
@@ -196,15 +259,11 @@ func Zipf(p SynthParams) *Trace {
 // exclusive-state fast path.
 func Migratory(p SynthParams) *Trace {
 	p = p.defaults(64)
-	t := &Trace{Meta: synthMeta("synth-migratory", p)}
-	root := sim.NewRNG(p.Seed ^ 0x316)
-	for core := 0; core < p.Cores; core++ {
-		rng := root.Fork()
-		s := newSynthStream(core, p)
+	return synthesize("synth-migratory", p, 0x316, func(s *synthStream, rng *sim.RNG) {
 		for i := 0; s.b.Len() < p.OpsPerCore; i++ {
 			// Visit objects in a rotating schedule so each is handed
 			// core-to-core; read the object header then write it back.
-			obj := (i + core) % p.Blocks
+			obj := (i + s.core) % p.Blocks
 			addr := uint64(synthMigrBase + obj*64)
 			g := synthGap(rng, p)
 			s.add(Op{Kind: config.TraceLoad, Addr: addr, Gap: g, Instrs: g})
@@ -214,9 +273,7 @@ func Migratory(p SynthParams) *Trace {
 					Val: rng.Uint64(), Gap: g, Instrs: g})
 			}
 		}
-		t.Streams = append(t.Streams, s.end(rng, p))
-	}
-	return t
+	})
 }
 
 // Scan synthesizes streaming sequential scans over one shared array:
@@ -226,24 +283,18 @@ func Migratory(p SynthParams) *Trace {
 // self-invalidation sweeps.
 func Scan(p SynthParams) *Trace {
 	p = p.defaults(8192)
-	t := &Trace{Meta: synthMeta("synth-scan", p)}
-	root := sim.NewRNG(p.Seed ^ 0x5CA7)
-	for core := 0; core < p.Cores; core++ {
-		rng := root.Fork()
-		start := (core * p.Blocks) / p.Cores
-		s := newSynthStream(core, p)
+	return synthesize("synth-scan", p, 0x5CA7, func(s *synthStream, rng *sim.RNG) {
+		start := (s.core * p.Blocks) / p.Cores
 		for i := 0; i < p.OpsPerCore; i++ {
 			blk := (start + i) % p.Blocks
 			addr := uint64(synthScanBase + blk*64)
 			op := Op{Kind: config.TraceLoad, Addr: addr, Gap: synthGap(rng, p)}
 			if i%16 == 15 {
 				op.Kind = config.TraceStore
-				op.Val = uint64(core)<<32 | uint64(i)
+				op.Val = uint64(s.core)<<32 | uint64(i)
 			}
 			op.Instrs = op.Gap
 			s.add(op)
 		}
-		t.Streams = append(t.Streams, s.end(rng, p))
-	}
-	return t
+	})
 }

@@ -2,6 +2,11 @@ package trace_test
 
 import (
 	"bytes"
+	"errors"
+	"fmt"
+	"math"
+	"runtime"
+	"strings"
 	"testing"
 
 	"repro/internal/config"
@@ -91,5 +96,97 @@ func TestSynthReplayAndConvert(t *testing.T) {
 					run.Loads, run.Stores, wantLoads, wantStores)
 			}
 		})
+	}
+}
+
+// TestSynthIndependentOfGOMAXPROCS: the generators write their streams
+// concurrently, so the bytes must not depend on how many run at once —
+// one at a time, the default, or more goroutines than cores — nor on
+// whether cores outnumber workers.
+func TestSynthIndependentOfGOMAXPROCS(t *testing.T) {
+	encode := func(gen func(trace.SynthParams) *trace.Trace, p trace.SynthParams, procs int) []byte {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+		data, err := trace.Encode(gen(p))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return data
+	}
+	for _, g := range synthGens {
+		for _, cores := range []int{1, 3, 8, 64} {
+			p := trace.SynthParams{Cores: cores, OpsPerCore: 300, Seed: 3}
+			want := encode(g.gen, p, 1)
+			for _, procs := range []int{runtime.GOMAXPROCS(0), 8} {
+				if got := encode(g.gen, p, procs); !bytes.Equal(got, want) {
+					t.Errorf("%s, %d cores: GOMAXPROCS %d wrote other bytes than GOMAXPROCS 1", g.name, cores, procs)
+				}
+			}
+		}
+	}
+}
+
+// TestSynthAssertPanicsInCaller: an op the builder refuses is a
+// generator bug and panics — on the caller's goroutine, where it can be
+// recovered, although the stream was written on another; and always
+// core 0's, although every core fails.
+func TestSynthAssertPanicsInCaller(t *testing.T) {
+	for _, g := range synthGens {
+		msg := func() (msg string) {
+			defer func() { msg = fmt.Sprint(recover()) }()
+			g.gen(trace.SynthParams{Cores: 8, OpsPerCore: 64, Seed: 1, MaxGap: math.MaxInt64})
+			return "no panic"
+		}()
+		if !strings.HasPrefix(msg, "trace: generator produced invalid trace: ") ||
+			!strings.Contains(msg, "core 0: op ") || !strings.Contains(msg, "outside [0, 2^62]") {
+			t.Errorf("%s with MaxGap 2^63-1: recovered %q, want core 0's gap assert", g.name, msg)
+		}
+	}
+}
+
+// TestSynthParamsValidate pins the bounds: the largest accepted value
+// of each field synthesizes a valid trace (the working set's last block
+// still below the next region), one more is refused naming the field.
+func TestSynthParamsValidate(t *testing.T) {
+	const maxBlocks = 1 << 18 // 16 MiB of 64-byte blocks
+	ok := []trace.SynthParams{
+		{Cores: 2, OpsPerCore: 64, Blocks: maxBlocks, MaxGap: 1 << 62},
+		{Cores: 256, OpsPerCore: 1 << 16},
+		{Cores: 1, OpsPerCore: 1 << 24},
+		{}, // every default
+		{Cores: -1, OpsPerCore: -1, Blocks: -1, MaxGap: -1},
+	}
+	for _, p := range ok {
+		if err := p.Validate(); err != nil {
+			t.Errorf("%+v: %v", p, err)
+		}
+	}
+	// Each pattern's region is the 16 MiB from its base.
+	bases := map[string]uint64{"zipf": 0x2000_0000, "migratory": 0x2100_0000, "scan": 0x2200_0000}
+	p := ok[0]
+	p.OpsPerCore = 4096
+	for _, g := range synthGens {
+		for _, s := range g.gen(p).Streams {
+			c := s.Ops.Cursor()
+			for op, ok := c.Next(); ok; op, ok = c.Next() {
+				if base := bases[g.name]; op.Kind.HasAddr() && (op.Addr < base || op.Addr >= base+1<<24) {
+					t.Fatalf("%s: address %#x outside [%#x, %#x)", g.name, op.Addr, base, base+1<<24)
+				}
+			}
+		}
+	}
+	for _, c := range []struct {
+		p     trace.SynthParams
+		field string
+	}{
+		{trace.SynthParams{Cores: 257}, "cores"},
+		{trace.SynthParams{Cores: 256, OpsPerCore: 1<<16 + 1}, "ops"},
+		{trace.SynthParams{OpsPerCore: math.MaxInt}, "ops"},
+		{trace.SynthParams{Blocks: maxBlocks + 1}, "blocks"},
+		{trace.SynthParams{MaxGap: 1<<62 + 1}, "maxgap"},
+	} {
+		var fe *trace.FormatError
+		if err := c.p.Validate(); !errors.As(err, &fe) || fe.Field != c.field {
+			t.Errorf("%+v: got %v, want a FormatError naming %s", c.p, err, c.field)
+		}
 	}
 }

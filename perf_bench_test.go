@@ -713,6 +713,8 @@ var synthBenchParams = trace.SynthParams{Cores: 8, OpsPerCore: 50000, Seed: 1}
 // BenchmarkTraceSynth measures trace synthesis straight into wire form,
 // one sub-benchmark per generator: MB/s of stream bytes produced, with
 // allocations — which should be the streams themselves and little else.
+// The streams are written on up to GOMAXPROCS goroutines, so -cpu 1
+// times one stream after another.
 func BenchmarkTraceSynth(b *testing.B) {
 	gens := []struct {
 		name string
