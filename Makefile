@@ -50,13 +50,18 @@ race:
 	$(GO) test -race -tags txdebug ./internal/...
 
 # Quick benchmark smoke: exercises the perf-critical paths without the
-# full figure grids. The trace synthesis and decode benchmarks work on
-# megabytes per op, hence their own, short leg, run at one CPU and at
-# two: synthesis writes its streams on up to GOMAXPROCS goroutines, so
-# the one-CPU figure shows a change that makes single-stream synthesis
-# slower even where the concurrency hides it.
+# full figure grids, in three legs sized to what one op costs. The
+# whole-machine benchmarks simulate a machine (or encode a trace) per
+# op, so 20 ops each suffice; the mesh-delivery, L1-hit and wide
+# dispatch benchmarks time one message, access or cycle per op and keep
+# 2000. The trace synthesis and decode benchmarks work on megabytes per
+# op, hence their own, short leg, run at one CPU and at two: synthesis
+# writes its streams on up to GOMAXPROCS goroutines, so the one-CPU
+# figure shows a change that makes single-stream synthesis slower even
+# where the concurrency hides it.
 bench-smoke:
-	$(GO) test -run xxx -bench 'BenchmarkEngineStep|BenchmarkEngineIdleSkip|BenchmarkLowIdleWorkload|BenchmarkEngineDispatchWide|BenchmarkDenseCompute|BenchmarkMeshDelivery|BenchmarkL1HitPath|BenchmarkTraceCodec' -benchtime 2000x .
+	$(GO) test -run xxx -bench 'BenchmarkEngineStep|BenchmarkEngineIdleSkip|BenchmarkLowIdleWorkload|BenchmarkDenseCompute|BenchmarkTraceCodec' -benchtime 20x .
+	$(GO) test -run xxx -bench 'BenchmarkMeshDelivery|BenchmarkL1HitPath|BenchmarkEngineDispatchWide' -benchtime 2000x .
 	$(GO) test -run xxx -bench 'BenchmarkTraceSynth|BenchmarkTraceDecode' -benchtime 5x -cpu 1,2 .
 
 bench:
@@ -67,7 +72,8 @@ bench:
 # minutes. Every performance claim is measured with this; pass
 # ARGS='-workload miss64 -out /tmp/a.json' to narrow it or keep the
 # report, and ARGS='-out BENCH_<date>.json' for a dated trajectory
-# point to commit.
+# point to commit. CI runs it with ARGS='-seconds 1': every workload,
+# both passes, the exit code the check.
 repo-bench:
 	$(GO) run ./bench $(ARGS)
 

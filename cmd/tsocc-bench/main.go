@@ -24,7 +24,6 @@ import (
 	"repro/internal/coherence"
 	"repro/internal/config"
 	"repro/internal/harness"
-	"repro/internal/obs"
 	"repro/internal/storagemodel"
 	"repro/internal/system"
 	"repro/internal/workloads"
@@ -48,7 +47,6 @@ func run(args []string, out io.Writer) (err error) {
 	quiet := fs.Bool("q", false, "suppress per-run progress")
 	cpuprofile := fs.String("cpuprofile", "", "write a CPU profile of the run to this file")
 	memprofile := fs.String("memprofile", "", "write a heap profile to this file on (successful) exit")
-	pprofLabels := fs.Bool("pprof-labels", false, "label component ticks for -cpuprofile attribution (adds host-time cost)")
 	rf := harness.BindRunFlags(fs, harness.FaultFlags)
 	fs.Parse(args)
 
@@ -119,9 +117,6 @@ func run(args []string, out io.Writer) (err error) {
 		return nil
 	}
 
-	if *pprofLabels {
-		cfg.Obs = &obs.Obs{ProfileLabels: true}
-	}
 	p := workloads.Params{Threads: *cores, Scale: *scale, Seed: *seed}
 
 	progress := os.Stderr

@@ -33,18 +33,12 @@ func run(args []string, out io.Writer) error {
 	seed := fs.Uint64("seed", 0xC0FFEE, "perturbation seed")
 	protoList := fs.String("proto", "", "comma-separated protocol subset (registry names; default all)")
 	verbose := fs.Bool("v", false, "print outcome histograms")
-	listW := fs.Bool("list-workloads", false, "list workloads (registry + synthetic extras) and exit")
 	listP := fs.Bool("list-protocols", false, "list registered protocols and exit")
 	rf := harness.BindRunFlags(fs, harness.FaultFlags|harness.ObsFlags)
 	fs.Parse(args)
 
-	if *listW || *listP {
-		if *listW {
-			harness.ListWorkloads(out)
-		}
-		if *listP {
-			harness.ListProtocols(out)
-		}
+	if *listP {
+		harness.ListProtocols(out)
 		return nil
 	}
 

@@ -147,7 +147,6 @@ func cmdReplay(args []string) error {
 	in := fs.String("i", "", "input trace file (required)")
 	proto := fs.String("proto", "", "protocol to replay on (default: the recording protocol)")
 	cores := fs.Int("cores", 0, "core count override (default: recorded geometry)")
-	perCycle := fs.Bool("percycle", false, "use the per-cycle conformance engine")
 	stats := fs.String("stats", "", "also write the run summary to this file")
 	rf := harness.BindRunFlags(fs, harness.FaultFlags|harness.ObsFlags)
 	fs.Parse(args)
@@ -178,7 +177,6 @@ func cmdReplay(args []string) error {
 		return harness.UsageError{Err: err}
 	}
 	cfg := tr.Meta.Sys
-	cfg.PerCycleEngine = *perCycle
 	if err := rf.Apply(&cfg); err != nil {
 		return err
 	}

@@ -12,7 +12,6 @@ import (
 
 	"repro/internal/coherence"
 	"repro/internal/config"
-	"repro/internal/obs"
 	"repro/internal/program"
 	"repro/internal/system"
 	"repro/internal/workloads"
@@ -31,9 +30,10 @@ func Protocols() []system.Protocol {
 	return coherence.Protocols()
 }
 
-// ListWorkloads writes the canonical workload listing shared by every
-// CLI's -list-workloads flag: the Table 3 registry followed by the
-// synthetic extras, each with its suite and one-line description.
+// ListWorkloads writes the canonical workload listing shared by the
+// -list-workloads flag of tsocc-sim, tsocc-bench and tsocc-trace: the
+// Table 3 registry followed by the synthetic extras, each with its
+// suite and one-line description.
 func ListWorkloads(w io.Writer) {
 	fmt.Fprintln(w, "workloads (Table 3 registry):")
 	for _, e := range workloads.Registry() {
@@ -122,14 +122,8 @@ func RunGrid(sys config.System, p workloads.Params, protos []system.Protocol,
 	// Grid legs run concurrently on one shared config value; a single
 	// registry/timeline attached to all of them would race (and mix
 	// unrelated runs' series), so metric/timeline sinks never apply to
-	// grids. pprof labels survive: each machine owns its label contexts.
-	if sys.Obs != nil {
-		if sys.Obs.ProfileLabels {
-			sys.Obs = &obs.Obs{ProfileLabels: true}
-		} else {
-			sys.Obs = nil
-		}
-	}
+	// grids.
+	sys.Obs = nil
 	g := &Grid{Benchmarks: benches, Results: make(map[string]map[string]*system.Result)}
 	for _, pr := range protos {
 		g.Protocols = append(g.Protocols, pr.Name())

@@ -1,7 +1,6 @@
 // Package obs is the simulator's observability layer: a metrics
 // registry (counters, gauges, power-of-two-bucket histograms), a
-// Chrome-trace-event timeline sink, per-core stall attribution, and
-// pprof label plumbing.
+// Chrome-trace-event timeline sink and per-core stall attribution.
 //
 // Two contracts govern every hook the rest of the tree installs:
 //
@@ -34,14 +33,11 @@ type Obs struct {
 	Metrics *Registry
 	// Timeline, when non-nil, receives Chrome trace-event spans.
 	Timeline *Timeline
-	// ProfileLabels wraps per-component tick dispatch in runtime/pprof
-	// labels so -cpuprofile output attributes host time to components.
-	ProfileLabels bool
 }
 
 // Enabled reports whether any observation subsystem is armed.
 func (o *Obs) Enabled() bool {
-	return o != nil && (o.Metrics != nil || o.Timeline != nil || o.ProfileLabels)
+	return o != nil && (o.Metrics != nil || o.Timeline != nil)
 }
 
 // FromPaths builds the Obs configuration implied by the shared CLI

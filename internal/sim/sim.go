@@ -55,11 +55,9 @@
 package sim
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"math/bits"
-	"runtime/pprof"
 	"sort"
 	"strings"
 
@@ -257,12 +255,9 @@ type Engine struct {
 	// they observe dispatch without influencing it, and the wake-set
 	// loop pays one predictable branch per hook when disabled.
 	// dispatchHist records how many components each wake-set dispatch
-	// ticked; tl receives per-component tick spans; labelCtx holds
-	// prebuilt pprof label contexts applied around each component tick.
+	// ticked; tl receives per-component tick spans.
 	dispatchHist *obs.Hist
 	tl           *obs.Timeline
-	labelCtx     []context.Context
-	baseCtx      context.Context
 }
 
 // ErrCycleLimit is returned by Run when the cycle limit is reached
@@ -367,7 +362,7 @@ func (e *Engine) Register(t Ticker) {
 }
 
 // componentLabel names a registered component for observability
-// (timeline thread names, pprof labels).
+// (timeline thread names).
 func (e *Engine) componentLabel(i int) string {
 	if lb, ok := e.tickers[i].(Labeled); ok {
 		return lb.ComponentLabel()
@@ -391,20 +386,6 @@ func (e *Engine) SetTimeline(tl *obs.Timeline) {
 	tl.ProcessName(0, "components")
 	for i := range e.tickers {
 		tl.ThreadName(0, i, e.componentLabel(i))
-	}
-}
-
-// EnableProfileLabels precomputes a pprof label context per component
-// and applies it around each tick, so -cpuprofile samples attribute
-// host time to simulated components. Call after registration. The
-// labels only describe the host profile — they never touch simulated
-// state — but label switching has host-time cost, so it is opt-in
-// (config.Obs.ProfileLabels).
-func (e *Engine) EnableProfileLabels() {
-	e.baseCtx = context.Background()
-	e.labelCtx = make([]context.Context, len(e.tickers))
-	for i := range e.tickers {
-		e.labelCtx[i] = pprof.WithLabels(e.baseCtx, pprof.Labels("component", e.componentLabel(i)))
 	}
 }
 
@@ -763,9 +744,6 @@ func (e *Engine) dispatch() {
 			e.unfile(i, d)
 		}
 		e.dueAt[i] = WakeNever
-		if e.labelCtx != nil {
-			pprof.SetGoroutineLabels(e.labelCtx[i])
-		}
 		e.tickers[i].Tick(now)
 		ticked++
 		if e.tl != nil {
@@ -778,9 +756,6 @@ func (e *Engine) dispatch() {
 	// again before the ring wraps (now+wheelSlots goes to far).
 	e.occ &^= 1 << uint(slot)
 	e.pos = len(e.tickers)
-	if e.labelCtx != nil {
-		pprof.SetGoroutineLabels(e.baseCtx)
-	}
 	if e.dispatchHist != nil {
 		e.dispatchHist.Observe(int64(ticked))
 	}

@@ -9,7 +9,7 @@ import (
 )
 
 // installObs wires the observability layer (cfg.Obs) into every built
-// component. It runs after registration (engine timeline/label hooks
+// component. It runs after registration (engine timeline hooks
 // enumerate registered tickers) and before Run. Everything installed
 // here is strictly read-only with respect to simulated state: sinks
 // observe cycle counts and event edges the simulation produces anyway,
@@ -22,15 +22,12 @@ func (m *Machine) installObs() {
 	}
 	reg, tl := o.Metrics, o.Timeline
 
-	// Engine: wake-set occupancy, tick spans, pprof labels.
+	// Engine: wake-set occupancy, tick spans.
 	if reg != nil {
 		m.Engine.SetDispatchHist(reg.NewHist("engine.dispatch_ticks"))
 	}
 	if tl != nil {
 		m.Engine.SetTimeline(tl)
-	}
-	if o.ProfileLabels {
-		m.Engine.EnableProfileLabels()
 	}
 
 	// Mesh: traffic counters, link-occupancy and in-flight high-water

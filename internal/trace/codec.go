@@ -313,7 +313,7 @@ func (d *decoder) scanOps(core, nops int) (Ops, error) {
 	pos, start := d.pos, d.pos
 	d.padded = false
 	var (
-		prev, span  uint64 // running address; one past the highest seen
+		prev        uint64 // running address
 		canonical   = true
 		afterMarker bool
 		// The last record's fields. A record equal in all of them, with
@@ -380,9 +380,6 @@ func (d *decoder) scanOps(core, nops int) (Ops, error) {
 		if gap > maxDelta || instrs > maxDelta || kind.HasAddr() && prev%8 != 0 { // checkOp's rule; checkOp words it
 			return Ops{}, inCore(core, checkOp(Op{Kind: kind, Addr: prev, Gap: int64(gap), Instrs: int64(instrs)}, j))
 		}
-		if kind.HasAddr() && prev >= span {
-			span = prev + 8
-		}
 		if kind == config.TraceHalt && j != nops-1 {
 			return Ops{}, formatErr("halt", "core %d has halt at op %d before end of stream", core, j)
 		}
@@ -399,7 +396,7 @@ func (d *decoder) scanOps(core, nops int) (Ops, error) {
 	}
 	rec := d.buf[start:pos:pos]
 	if canonical && !d.padded {
-		return Ops{rec: rec, n: nops, span: span}, nil
+		return Ops{rec: rec, n: nops}, nil
 	}
 	var b OpsBuilder
 	b.Grow(len(rec))

@@ -21,9 +21,8 @@ import (
 // and Decode (one validating scan). The zero value is the empty stream,
 // which Trace.Validate rejects.
 type Ops struct {
-	rec  []byte
-	n    int
-	span uint64 // one past the highest address touched; 0 if none
+	rec []byte
+	n   int
 }
 
 // Len reports the operation count (runs expanded, halt included).
@@ -141,7 +140,6 @@ type OpsBuilder struct {
 	rec    []byte
 	n      int
 	prev   uint64 // address the next delta is taken from
-	span   uint64
 	last   Op     // the record most recently written
 	run    uint64 // repeats of last not yet written as a marker
 	halted bool
@@ -202,9 +200,6 @@ func (b *OpsBuilder) Append(op Op) error {
 	if kind.HasAddr() {
 		rec = binary.AppendUvarint(rec, zigzag(int64(op.Addr-b.prev)))
 		b.prev = op.Addr
-		if op.Addr >= b.span {
-			b.span = op.Addr + 8
-		}
 	}
 	if kind.HasVal() {
 		rec = binary.AppendUvarint(rec, op.Val)
@@ -221,7 +216,10 @@ func (b *OpsBuilder) Append(op Op) error {
 // Finish returns the stream. It rejects an empty stream and one that
 // does not end in a halt (Append has already refused a halt anywhere
 // else). The result aliases the builder's buffer, which is safe because
-// a finished builder accepts no further op.
+// a finished builder accepts no further op, unless more than an eighth
+// of the buffer is unused room (a Grow estimate, or append doubling):
+// then the records move to an exact-size array, so a resident stream
+// does not pin the room it never filled.
 func (b *OpsBuilder) Finish() (Ops, error) {
 	if b.n == 0 {
 		return Ops{}, formatErr("ops", "stream is empty")
@@ -229,40 +227,11 @@ func (b *OpsBuilder) Finish() (Ops, error) {
 	if !b.halted {
 		return Ops{}, formatErr("halt", "stream does not end in halt (last of %d ops is %s)", b.n, b.last.Kind)
 	}
-	return Ops{rec: b.rec[:len(b.rec):len(b.rec)], n: b.n, span: b.span}, nil
-}
-
-// rehomed returns the stream with every address shifted by off.
-// Addresses are delta-coded from 0, so the shift lands entirely in the
-// first address-carrying record; every later record, and every repeat
-// marker, is copied as is. Runs stay maximal: whether a neighbour is
-// wire-identical to that record depends on the neighbour's own delta
-// being zero, which the shift does not touch.
-func (o Ops) rehomed(off uint64) Ops {
-	if off == 0 || o.span == 0 {
-		return o
+	rec := b.rec
+	if cap(rec)-len(rec) > len(rec)/8 {
+		rec = slices.Clone(rec)
 	}
-	rec, pos := o.rec, 0
-	for { // skip the leading address-free records (fences) and their runs
-		if rec[pos] == rleMarker {
-			_, pos = uvarintAt(rec, pos+1)
-			continue
-		}
-		kind := config.TraceOp(rec[pos])
-		_, pos = uvarintAt(rec, pos+1) // gap
-		_, pos = uvarintAt(rec, pos)   // instrs
-		if kind.HasAddr() {
-			break
-		}
-	}
-	first, end := uvarintAt(rec, pos)
-	var delta [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(delta[:], zigzag(unzigzag(first)+int64(off)))
-	out := make([]byte, 0, pos+n+len(rec)-end)
-	out = append(out, rec[:pos]...)
-	out = append(out, delta[:n]...)
-	out = append(out, rec[end:]...)
-	return Ops{rec: out, n: o.n, span: o.span + off}
+	return Ops{rec: rec[:len(rec):len(rec)], n: b.n}, nil
 }
 
 // FormatError is the one error type for a malformed trace, whichever

@@ -107,7 +107,7 @@ func (s *synthStream) add(op Op) {
 }
 
 func (s *synthStream) fail(err error) {
-	panic(fmt.Sprintf("trace: generator produced invalid trace: %v", inCore(s.core, err)))
+	panic(fmt.Sprintf("trace: generator produced an invalid stream: core %d: %s", s.core, err.(*FormatError).Msg))
 }
 
 // synthesize is what the generators share. It forks one RNG per core,

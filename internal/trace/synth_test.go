@@ -128,7 +128,8 @@ func TestSynthIndependentOfGOMAXPROCS(t *testing.T) {
 // TestSynthAssertPanicsInCaller: an op the builder refuses is a
 // generator bug and panics — on the caller's goroutine, where it can be
 // recovered, although the stream was written on another; and always
-// core 0's, although every core fails.
+// core 0's, although every core fails. The message carries the package
+// prefix once, not again from the builder's error.
 func TestSynthAssertPanicsInCaller(t *testing.T) {
 	for _, g := range synthGens {
 		msg := func() (msg string) {
@@ -136,11 +137,32 @@ func TestSynthAssertPanicsInCaller(t *testing.T) {
 			g.gen(trace.SynthParams{Cores: 8, OpsPerCore: 64, Seed: 1, MaxGap: math.MaxInt64})
 			return "no panic"
 		}()
-		if !strings.HasPrefix(msg, "trace: generator produced invalid trace: ") ||
-			!strings.Contains(msg, "core 0: op ") || !strings.Contains(msg, "outside [0, 2^62]") {
+		if !strings.HasPrefix(msg, "trace: generator produced an invalid stream: core 0: op ") ||
+			strings.Count(msg, "trace: ") != 1 || !strings.Contains(msg, "outside [0, 2^62]") {
 			t.Errorf("%s with MaxGap 2^63-1: recovered %q, want core 0's gap assert", g.name, msg)
 		}
 	}
+}
+
+// TestSynthRetainsOnlyItsBytes: a synthesized trace holds little more
+// heap than its streams' bytes — the builder's Grow reservation (10 B
+// an op against the 5-9.3 written) does not outlive Finish.
+func TestSynthRetainsOnlyItsBytes(t *testing.T) {
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	tr := trace.Zipf(trace.SynthParams{Cores: 8, OpsPerCore: 1 << 15, Seed: 1})
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	size := 0
+	for _, s := range tr.Streams {
+		size += s.Ops.Size()
+	}
+	held := int64(after.HeapAlloc) - int64(before.HeapAlloc)
+	if limit := int64(size) * 115 / 100; held > limit {
+		t.Errorf("zipf trace holds %d heap bytes for %d bytes of streams; want <= %d", held, size, limit)
+	}
+	runtime.KeepAlive(tr)
 }
 
 // TestSynthParamsValidate pins the bounds: the largest accepted value
