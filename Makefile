@@ -30,19 +30,24 @@ build:
 test:
 	$(GO) test ./...
 
-# The L1 hit path calls these L1Base helpers once per access, and both
+# The L1 hit path calls these L1Base helpers once per access, both
 # TSO front ends (cpu.Front) call these write-buffer and stall helpers
-# on every retirement; both rely on the compiler inlining them, so fail
-# if any stops being inlinable. Arguments: package, then Type.Method.
+# on every retirement, and the trace cursor reads every varint field and
+# address delta of a replayed stream through uvarintAt and unzigzag; all
+# rely on the compiler inlining them, so fail if any stops being
+# inlinable. Arguments: package, then Type.Method (pointer receiver) or
+# a plain function's name.
 inline-check:
 	@set -e; check() { \
 	  out=$$($(GO) build -gcflags=-m ./internal/$$1 2>&1) || { echo "$$out"; exit 1; }; shift; \
 	  for f in "$$@"; do \
-	    echo "$$out" | grep -q "can inline (\*$${f%.*})\.$${f#*.}$$" || { echo "inline-check: $$f is not inlinable"; exit 1; }; \
+	    case $$f in *.*) want="(\*$${f%.*})\.$${f#*.}";; *) want=$$f;; esac; \
+	    echo "$$out" | grep -q "can inline $$want$$" || { echo "inline-check: $$f is not inlinable"; exit 1; }; \
 	  done; }; \
 	check coherence l1Ctl.LoadBlocked l1Ctl.StoreBlocked l1Ctl.WritePending l1Ctl.CompleteVal l1Ctl.CompleteNext; \
 	check cpu WriteBuffer.Ready WriteBuffer.Empty WriteBuffer.Full WriteBuffer.Forward WriteBuffer.Push WriteBuffer.Drain Stalls.On Stalls.Open; \
-	echo "inline-check: L1 hit-path and front-end helpers inlinable"
+	check trace uvarintAt unzigzag; \
+	echo "inline-check: L1 hit-path, front-end and trace-cursor helpers inlinable"
 
 # Unit-test packages under the race detector with the TxTable lifecycle
 # assertions compiled in (mirrors the CI race job).

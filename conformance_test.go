@@ -578,33 +578,41 @@ func TestLitmusUnderFaults(t *testing.T) {
 
 // FuzzFaultProfile: no profile Parse accepts (it clamps out-of-range
 // values) may break determinism — the checked per-cycle engine against
-// the checked wake-set engine, both batched — or trip the oracles on MESI.
+// the checked wake-set engine, both batched — or trip the oracles, on
+// MESI or (tsocc set) on TSO-CC-4-12-3, whose timestamps give
+// reset-storm something to wrap. Every seed spec runs on both.
 func FuzzFaultProfile(f *testing.F) {
-	f.Add("jitter", uint64(1))
-	f.Add("jitter:rate=1000,delay=64", uint64(2))
-	f.Add("pressure:rate=900,cap=1", uint64(3))
-	f.Add("burst:rate=1000,delay=32,window=2", uint64(4))
-	f.Add("evict:rate=120", uint64(5))
-	f.Add("reset-storm:rate=200", uint64(6))
-	f.Add("victim:rate=500,delay=8", uint64(7))
-	f.Add("jitter:rate=300+evict:rate=100", uint64(8))
-	f.Add("burst,rate=400,victim,delay=3,reset-storm", uint64(9))
-	proto := protocol(f, mesiName)
-	f.Fuzz(func(t *testing.T, spec string, seed uint64) {
+	for i, spec := range []string{
+		"jitter",
+		"jitter:rate=1000,delay=64",
+		"pressure:rate=900,cap=1",
+		"burst:rate=1000,delay=32,window=2",
+		"evict:rate=120",
+		"reset-storm:rate=200",
+		"victim:rate=500,delay=8",
+		"jitter:rate=300+evict:rate=100",
+		"burst,rate=400,victim,delay=3,reset-storm",
+	} {
+		f.Add(spec, uint64(i+1), false)
+		f.Add(spec, uint64(i+1), true)
+	}
+	protos := map[bool]string{false: mesiName, true: flagship}
+	impls := map[bool]system.Protocol{false: protocol(f, mesiName), true: protocol(f, flagship)}
+	f.Fuzz(func(t *testing.T, spec string, seed uint64, tsocc bool) {
 		if _, err := faults.Parse(spec); err != nil {
 			t.Skip()
 		}
-		k := key{geom: "small2", proto: mesiName, load: "ssca2", faults: spec, seed: seed}
+		k := key{geom: "small2", proto: protos[tsocc], load: "ssca2", faults: spec, seed: seed}
 		var fps [2]string
 		for i, c := range checked {
-			got, err := c.outcome(k, proto, nil)
+			got, err := c.outcome(k, impls[tsocc], nil)
 			if err != nil {
 				t.Fatalf("%s: %v", c.name, err)
 			}
 			fps[i] = got.fp
 		}
 		if fps[0] != fps[1] {
-			t.Fatalf("spec %q seed %d diverged across engines:\n %s\n %s", spec, seed, fps[0], fps[1])
+			t.Fatalf("%s: spec %q seed %d diverged across engines:\n %s\n %s", protos[tsocc], spec, seed, fps[0], fps[1])
 		}
 	})
 }

@@ -8,11 +8,11 @@ import (
 	"repro/internal/sim"
 )
 
-// Binary trace format, version 2. All integers are unsigned varints
+// Binary trace format, version 3. All integers are unsigned varints
 // (encoding/binary) unless marked zigzag (signed varint). Layout:
 //
 //	magic     8 bytes "TSOCCTRC"
-//	version   uvarint (2; any other is refused)
+//	version   uvarint (3; any other is refused)
 //	protocol  string (uvarint length + bytes)
 //	workload  string
 //	seed      uvarint
@@ -26,33 +26,35 @@ import (
 //	streams   uvarint count, then per stream:
 //	            core   uvarint (strictly ascending across streams)
 //	            ops    uvarint count, then per op record:
-//	              kind    1 byte
-//	              gap     uvarint
-//	              instrs  uvarint
+//	              head    1 byte: kind in the low 3 bits (0-6), a
+//	                      gap/instrs code c in the high 5
+//	              gap     uvarint (c >= 30 only)
+//	              instrs  uvarint (c = 31 only)
 //	              addr    zigzag delta from the stream's previous
 //	                      address (ops with an address only)
 //	              val     uvarint (store/rmw/cas only)
 //	              val2    uvarint (cas only)
 //
+// The head code c carries the gap and the instruction delta: for c < 30
+// gap = c>>1 (0-14) and instrs = gap + (c&1), no fields follow; for c =
+// 30 instrs = gap. Recorded cores write instrs = gap or gap+1, so most
+// records spend one byte where version 2 spent three (kind, gap, instrs).
+//
 // An op record may be followed by a repeat marker (run-length encoding
-// of repeated operations, what version 2 added to version 1)
-//
-//	rle       1 byte 0xFF, then
-//	count     uvarint (>= 1)
-//
+// of repeated operations): the byte 0x07, then a uvarint count >= 1,
 // meaning "the previous op occurs count more times" — same kind,
 // address, values, gap and instruction delta. Spin-heavy streams (lock
 // probes re-polling one address on a fixed cadence) collapse from one
-// record per probe to one record per probe *burst*. The marker byte
-// cannot collide with a kind byte (kinds are < config.NumTraceOps).
-// Version 1, the same records without markers, is no longer read: the
-// encoder has written only version 2 since markers were added.
+// record per probe to one record per probe *burst*. No kind has low
+// bits 7 (kinds are < config.NumTraceOps = 7); any byte with low bits 7
+// but 0x07 is refused as "rle". Versions 1 and 2 are no longer read.
 //
-// The encoding is canonical: runs are maximal and varints minimal, so
-// Encode is a pure function of the trace and encode → decode →
-// re-encode is byte-identical (FuzzTraceRoundTrip enforces it), which
-// is what lets the conformance gates diff trace files across engine
-// modes and core models directly.
+// The encoding is canonical: runs are maximal, head codes shortest and
+// varints minimal, so Encode is a pure function of the trace and encode →
+// decode → re-encode is byte-identical (FuzzTraceRoundTrip enforces
+// it), which is what lets the conformance gates diff trace files across
+// engine modes and core models directly. No record is longer than its
+// version-2 spelling.
 //
 // The in-memory form of a stream is this wire form (see Ops): the op
 // records above are exactly the bytes a Stream holds. So
@@ -66,8 +68,8 @@ import (
 //     just checked. Nothing is expanded, so a repeat marker declaring
 //     millions of ops costs no memory. Decode therefore retains data:
 //     the caller must not modify it afterwards. Records that are valid
-//     but not canonical (split runs, padded varints) are
-//     rebuilt through an OpsBuilder instead of kept.
+//     but not canonical (split runs, longer head codes, padded varints)
+//     are rebuilt through an OpsBuilder instead of kept.
 //   - Who validates what: per-op fields and halt placement are checked
 //     once, where the op enters (OpsBuilder.Append / Finish for values,
 //     scanOps for bytes) and cannot be broken afterwards, so
@@ -75,9 +77,14 @@ import (
 //     init-memory order and alignment, stream order and core range,
 //     no empty stream — in O(streams + init words).
 const (
-	formatVersion = 2
+	formatVersion = 3
 	magicLen      = 8
-	rleMarker     = 0xFF
+
+	// The head byte (see above): kind bits, the marker, the long codes.
+	kindMask  = 7
+	rleMarker = kindMask
+	headGap   = 30
+	headBoth  = 31
 
 	// maxDecodeOps floors the decoder's total-op budget (see
 	// decodeOpBudget) — far above any trace the simulator produces
@@ -301,11 +308,11 @@ func Decode(data []byte) (*Trace, error) {
 // the end; a repeat marker re-states an op already checked. Canonical
 // records — what Encode writes — are kept as the sub-slice just
 // scanned; valid records in any other spelling (a run split across
-// records or markers, a padded varint) are rebuilt through an
-// OpsBuilder, so an Ops holds canonical bytes however it was made.
-// A record's fields are read into locals, no Op is built; a bad kind is
-// refused before any field is read, a bad varint before any value is
-// checked, as when records were decoded into Ops.
+// records or markers, a longer head code, a padded varint) are rebuilt
+// through an OpsBuilder, so an Ops holds canonical bytes however it was
+// made. A record's fields are read into locals, no Op is built; a bad
+// head byte is refused before any field is read, a bad varint before
+// any value is checked.
 func (d *decoder) scanOps(core, nops int) (Ops, error) {
 	if nops == 0 {
 		return Ops{}, formatErr("ops", "core %d stream is empty", core)
@@ -325,9 +332,12 @@ func (d *decoder) scanOps(core, nops int) (Ops, error) {
 		if pos >= len(d.buf) {
 			return Ops{}, formatErr("ops", "truncated at core %d op %d", core, j)
 		}
-		kind := config.TraceOp(d.buf[pos])
+		head := d.buf[pos]
 		pos++
-		if kind == rleMarker {
+		if head&kindMask == rleMarker {
+			if head != rleMarker {
+				return Ops{}, formatErr("rle", "core %d op %d: repeat marker %#x has stray high bits", core, j, head)
+			}
 			if j == 0 {
 				return Ops{}, formatErr("rle", "core %d: repeat marker before any op", core)
 			}
@@ -344,19 +354,21 @@ func (d *decoder) scanOps(core, nops int) (Ops, error) {
 			j += int(count)
 			continue
 		}
-		if kind >= config.NumTraceOps {
-			return Ops{}, inCore(core, formatErr("kind", "op %d has bad kind %d", j, kind))
+		kind, code := config.TraceOp(head&kindMask), head>>3
+		gap, instrs := uint64(code>>1), uint64(code>>1+code&1)
+		var next int
+		if code >= headGap {
+			if gap, next = d.varint(pos); next < 0 {
+				return Ops{}, inCore(core, varintErr("gap", pos))
+			}
+			pos, instrs = next, gap
 		}
-		gap, next := d.varint(pos)
-		if next < 0 {
-			return Ops{}, inCore(core, varintErr("gap", pos))
+		if code == headBoth {
+			if instrs, next = d.varint(pos); next < 0 {
+				return Ops{}, inCore(core, varintErr("instrs", pos))
+			}
+			pos = next
 		}
-		pos = next
-		instrs, next := d.varint(pos)
-		if next < 0 {
-			return Ops{}, inCore(core, varintErr("instrs", pos))
-		}
-		pos = next
 		var delta, val, val2 uint64
 		if kind.HasAddr() {
 			if delta, next = d.varint(pos); next < 0 {
@@ -383,7 +395,8 @@ func (d *decoder) scanOps(core, nops int) (Ops, error) {
 		if kind == config.TraceHalt && j != nops-1 {
 			return Ops{}, formatErr("halt", "core %d has halt at op %d before end of stream", core, j)
 		}
-		if kind == lastKind && gap == lastGap && instrs == lastInstrs && delta == 0 && val == lastVal && val2 == lastVal2 {
+		if code != headCode(gap, instrs) ||
+			kind == lastKind && gap == lastGap && instrs == lastInstrs && delta == 0 && val == lastVal && val2 == lastVal2 {
 			canonical = false
 		}
 		lastKind, lastGap, lastInstrs, lastVal, lastVal2 = kind, gap, instrs, val, val2

@@ -3,6 +3,7 @@ package trace
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"reflect"
 	"runtime"
 	"testing"
@@ -41,7 +42,7 @@ func sampleRef() *refTrace {
 }
 
 // spinRef builds a lock-probe-shaped stream: long bursts of identical
-// same-address/same-gap loads and CAS probes — the shape v2's RLE
+// same-address/same-gap loads and CAS probes — the shape the RLE
 // exists for.
 func spinRef(probes int) *refTrace {
 	var ops []Op
@@ -60,50 +61,57 @@ func spinRef(probes int) *refTrace {
 	}
 }
 
-// TestCodecRefusesV1: version 1, the format before run-length
-// markers, is no longer read; a file declaring it is refused at the
-// version field.
-func TestCodecRefusesV1(t *testing.T) {
-	data, err := Encode(sampleRef().pack(t))
-	if err != nil {
-		t.Fatal(err)
+// TestCodecRefusesOldVersions: versions 1 (before run-length markers)
+// and 2 (a kind byte and gap and instrs varints per record) are no
+// longer read; a file declaring either is refused at the version field.
+func TestCodecRefusesOldVersions(t *testing.T) {
+	for _, v := range []byte{1, 2} {
+		data, err := Encode(sampleRef().pack(t))
+		if err != nil {
+			t.Fatal(err)
+		}
+		data[magicLen] = v
+		var fe *FormatError
+		if _, err := Decode(data); !errors.As(err, &fe) || fe.Field != "version" ||
+			fe.Msg != fmt.Sprintf("unsupported format version %d (have 3)", v) {
+			t.Errorf("decode of a version-%d file: got %v, want the version FormatError", v, err)
+		}
 	}
-	data[magicLen] = 1
+	// A whole version-2 file too, not only its version byte.
 	var fe *FormatError
-	if _, err := Decode(data); !errors.As(err, &fe) || fe.Field != "version" ||
-		fe.Msg != "unsupported format version 1 (have 2)" {
-		t.Fatalf("decode of a version-1 file: got %v, want the version FormatError", err)
+	if _, err := Decode(EncodeV2(sampleRef().pack(t))); !errors.As(err, &fe) || fe.Field != "version" {
+		t.Errorf("decode of a version-2 file: got %v, want the version FormatError", err)
 	}
 }
 
-// TestCodecRLECompression checks v2 actually compacts the spin shape:
+// TestCodecRLECompression checks the repeat markers compact the spin shape:
 // the run-length encoding must shrink a probe-heavy stream by an order
 // of magnitude relative to one record per op, and the bytes-per-op
 // headline must drop below one.
 func TestCodecRLECompression(t *testing.T) {
 	ref := spinRef(200)
 	tr := ref.pack(t)
-	var flat encoder // one record per op, no repeat markers
+	var flat refWriter // one record per op, no repeat markers
 	prev := uint64(0)
 	for _, op := range ref.Streams[0].Ops {
 		flat.record(op, &prev)
 	}
-	v2, err := Encode(tr)
+	enc, err := Encode(tr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, err := Decode(v2); err != nil || !reflect.DeepEqual(tr, got) {
-		t.Fatalf("v2 round trip broken: %v", err)
+	if got, err := Decode(enc); err != nil || !reflect.DeepEqual(tr, got) {
+		t.Fatalf("round trip broken: %v", err)
 	}
 	if packed := tr.Streams[0].Ops.Size(); packed*10 > len(flat.buf) {
 		t.Fatalf("RLE shrank the stream %d -> %d bytes; want >= 10x on the spin shape", len(flat.buf), packed)
 	}
-	perOp := float64(len(v2)) / float64(tr.Ops())
+	perOp := float64(len(enc)) / float64(tr.Ops())
 	if perOp >= 1 {
-		t.Fatalf("v2 bytes/op = %.2f on the spin shape, want < 1", perOp)
+		t.Fatalf("file bytes/op = %.2f on the spin shape, want < 1", perOp)
 	}
-	t.Logf("spin stream: %d bytes as records (%.2f B/op), v2 file %d bytes (%.2f B/op)",
-		len(flat.buf), float64(len(flat.buf))/float64(tr.Ops()), len(v2), perOp)
+	t.Logf("spin stream: %d bytes as records (%.2f B/op), file %d bytes (%.2f B/op)",
+		len(flat.buf), float64(len(flat.buf))/float64(tr.Ops()), len(enc), perOp)
 }
 
 // TestCodecRLEIgnoresUnencodedFields pins the run comparison to the
@@ -123,7 +131,7 @@ func TestCodecRLEIgnoresUnencodedFields(t *testing.T) {
 			{Kind: config.TraceHalt, Gap: 1, Instrs: 1},
 		}}},
 	}).pack(t)
-	if got, want := tr.Streams[0].Ops.Size(), 3+2+5+2+3; got != want {
+	if got, want := tr.Streams[0].Ops.Size(), 3+2+5+2+1; got != want {
 		t.Fatalf("packed stream is %d bytes, want %d (two runs of two)", got, want)
 	}
 	want := []Op{
@@ -156,20 +164,13 @@ func TestCodecRLEIgnoresUnencodedFields(t *testing.T) {
 // bombHeader is the header of a one-core, one-stream file whose stream
 // declares nops ops; the caller appends the records.
 func bombHeader(nops uint64) []byte {
-	e := encoder{}
-	e.buf = append(e.buf, magic[:]...)
-	e.uvarint(formatVersion)
-	e.str("MESI")
-	e.str("evil")
-	e.uvarint(1)
-	for _, v := range geometryFields(normalizeSys(config.Small(1))) {
-		e.uvarint(uint64(v))
-	}
-	e.uvarint(0) // initmem count
-	e.uvarint(1) // stream count
-	e.uvarint(0) // core 0
-	e.uvarint(nops)
-	return e.buf
+	var w refWriter
+	w.header(formatVersion, &refTrace{Meta: Meta{Protocol: "MESI", Workload: "evil",
+		Seed: 1, Sys: normalizeSys(config.Small(1))}})
+	w.uvarint(1) // stream count
+	w.uvarint(0) // core 0
+	w.uvarint(nops)
+	return w.buf
 }
 
 // TestCodecDecodeOpBudget pins the budget: a crafted file declaring
@@ -212,12 +213,12 @@ func allocated(f func()) uint64 {
 // decode within 2 x len(data) plus a constant for the Trace itself.
 func TestCodecDecodeAllocation(t *testing.T) {
 	const slack = 4 << 10
-	load := []byte{byte(config.TraceLoad), 1, 1, 0x10} // gap 1, instrs 1, addr +8
-	halt := []byte{byte(config.TraceHalt), 1, 1}
+	load := []byte{2<<3 | byte(config.TraceLoad), 0x10} // gap 1, instrs 1, addr +8
+	halt := []byte{2<<3 | byte(config.TraceHalt)}
 	marker := func(n int) []byte {
-		var e encoder
-		e.marker(n)
-		return e.buf
+		var w refWriter
+		w.marker(n)
+		return w.buf
 	}
 	join := func(parts ...[]byte) []byte { return bytes.Join(parts, nil) }
 
@@ -327,9 +328,9 @@ func TestCodecCorruption(t *testing.T) {
 	corrupt("bad magic", func(b []byte) []byte { b[0] = 'X'; return b })
 	corrupt("bad version", func(b []byte) []byte { b[magicLen] = 0x7F; return b })
 	corrupt("trailing garbage", func(b []byte) []byte { return append(b, 0xAA) })
-	corrupt("bad op kind", func(b []byte) []byte {
-		// Overwrite the final stream's last byte (the halt's instrs
-		// field) with the repeat marker.
+	corrupt("bad head byte", func(b []byte) []byte {
+		// Overwrite the final stream's last byte (the halt's head) with
+		// a repeat marker carrying stray high bits.
 		return append(b[:len(b)-1], 0xFF)
 	})
 	// No byte flip anywhere in the file may cause a panic, and whatever
@@ -347,7 +348,9 @@ func TestCodecCorruption(t *testing.T) {
 // still trip), and pins where each is made now that a stream cannot be
 // malformed after construction: the stage that refuses the trace when it
 // is built from op values, and the field the typed error names — the
-// same field Decode names when it meets the same trace as bytes.
+// same field Decode names when it meets the same trace as bytes, but for
+// a bad kind: on the wire, kind 7 is a head byte with low bits 7, a
+// repeat marker with stray high bits, which Decode refuses as "rle".
 func TestValidateRejects(t *testing.T) {
 	halt := Op{Kind: config.TraceHalt, Gap: 1, Instrs: 1}
 	cases := []struct {
@@ -423,8 +426,12 @@ func TestValidateRejects(t *testing.T) {
 				tc.name, stage, fe.Field, err, tc.stage, tc.field)
 		}
 		// The same trace as bytes: Decode refuses it, naming the same field.
-		if _, err := Decode(rawEncode(ref)); !errors.As(err, &fe) || fe.Field != tc.field {
-			t.Errorf("%s: Decode returned %v, want a FormatError naming %q", tc.name, err, tc.field)
+		want := tc.field
+		if want == "kind" {
+			want = "rle"
+		}
+		if _, err := Decode(rawEncode(ref)); !errors.As(err, &fe) || fe.Field != want {
+			t.Errorf("%s: Decode returned %v, want a FormatError naming %q", tc.name, err, want)
 		}
 	}
 

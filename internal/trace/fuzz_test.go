@@ -15,7 +15,9 @@ import (
 // well-formed trace while small input mutations explore very different
 // shapes. One op in five repeats its predecessor, so runs — and, in the
 // split spelling of splitRuns, the adjacent identical records the
-// decoder must fold — are common.
+// decoder must fold — are common. Gaps cluster around the head codes'
+// edge (14 fits in the head, 15 does not) and instrs around the gap
+// (one less, equal, one more), so every head code is common too.
 func traceFromBytes(data []byte) *refTrace {
 	seed := uint64(len(data))
 	for i, b := range data {
@@ -52,6 +54,12 @@ func traceFromBytes(data []byte) *refTrace {
 				Gap:    rng.Int63n(1 << 20),
 				Instrs: rng.Int63n(1 << 20),
 			}
+			if rng.Intn(2) == 0 {
+				op.Gap = rng.Int63n(18)
+			}
+			if rng.Intn(4) != 0 {
+				op.Instrs = max(0, op.Gap+rng.Int63n(3)-1)
+			}
 			if op.Kind.HasAddr() {
 				op.Addr = uint64(rng.Int63n(1<<40)) &^ 7
 			}
@@ -70,40 +78,78 @@ func traceFromBytes(data []byte) *refTrace {
 	return t
 }
 
-// splitRuns re-spells a version-2 encoding of ref with every repeat
+// splitRuns re-spells a version-3 encoding of ref with every repeat
 // marker of count >= 2 split in two and, where the run allows it, one
-// repeat written out as a full record: valid, the same ops, but not the
-// bytes Encode writes. Decode must fold it back.
+// repeat written out as a full record, and with every other record's
+// head code longer than it needs (31, or 30 where instrs is the gap):
+// valid, the same ops, but not the bytes Encode writes. Decode must
+// fold it back.
 func splitRuns(ref *refTrace) []byte {
-	e := encoder{buf: rawEncode(&refTrace{Meta: ref.Meta, InitMem: ref.InitMem})}
-	e.buf = e.buf[:len(e.buf)-1] // drop the empty stream count
-	e.uvarint(uint64(len(ref.Streams)))
+	var w refWriter
+	w.header(3, ref)
+	w.uvarint(uint64(len(ref.Streams)))
+	records := 0
+	record := func(op Op, prev *uint64) {
+		code := refCode(uint64(op.Gap), uint64(op.Instrs))
+		switch records++; {
+		case records%2 == 0 && op.Gap == op.Instrs && code < 30:
+			code = 30
+		case records%2 == 0:
+			code = 31
+		}
+		w.recordAs(op, prev, code)
+	}
 	for _, s := range ref.Streams {
-		e.uvarint(uint64(s.Core))
-		e.uvarint(uint64(len(s.Ops)))
+		w.uvarint(uint64(s.Core))
+		w.uvarint(uint64(len(s.Ops)))
 		prev := uint64(0)
 		for i := 0; i < len(s.Ops); {
 			op := s.Ops[i]
-			e.record(op, &prev)
+			record(op, &prev)
 			run := 0
 			for i+1+run < len(s.Ops) && sameWire(s.Ops[i+1+run], op) {
 				run++
 			}
 			switch {
 			case run >= 3: // marker, full record, marker
-				e.marker(1)
-				e.record(op, &prev)
-				e.marker(run - 2)
+				w.marker(1)
+				record(op, &prev)
+				w.marker(run - 2)
 			case run == 2: // two markers
-				e.marker(1)
-				e.marker(1)
+				w.marker(1)
+				w.marker(1)
 			case run == 1: // full record with a zero address delta
-				e.record(op, &prev)
+				record(op, &prev)
 			}
 			i += 1 + run
 		}
 	}
-	return e.buf
+	return w.buf
+}
+
+// headCodesRef is a one-stream trace with a record at each edge of the
+// head codes: gap 0, gap 14 (the largest in the head) with instrs the
+// gap and one more, gap 15 (the smallest behind it) with instrs the gap
+// (code 30) and one more (31), instrs one less than the gap, a code-30
+// gap of several bytes, and a run of code-31 records.
+func headCodesRef() *refTrace {
+	ops := []Op{
+		{Kind: config.TraceLoad, Addr: 0x40, Gap: 0, Instrs: 0},
+		{Kind: config.TraceStore, Addr: 0x40, Val: 3, Gap: 0, Instrs: 1},
+		{Kind: config.TraceLoad, Addr: 0x80, Gap: 14, Instrs: 14},
+		{Kind: config.TraceFence, Gap: 14, Instrs: 15},
+		{Kind: config.TraceRMWAdd, Addr: 0x38, Val: 1, Gap: 15, Instrs: 15},
+		{Kind: config.TraceRMWXchg, Addr: 0x38, Val: 2, Gap: 15, Instrs: 16},
+		{Kind: config.TraceCAS, Addr: 0x38, Val: 2, Val2: 5, Gap: 9, Instrs: 8},
+		{Kind: config.TraceLoad, Addr: 0x1000, Gap: 1 << 40, Instrs: 1 << 40},
+		{Kind: config.TraceLoad, Addr: 0x1000, Gap: 20, Instrs: 3},
+		{Kind: config.TraceLoad, Addr: 0x1000, Gap: 20, Instrs: 3},
+		{Kind: config.TraceHalt, Gap: 1, Instrs: 1},
+	}
+	return &refTrace{
+		Meta:    Meta{Protocol: "TSO-CC-4-12-3", Workload: "heads", Seed: 3, Sys: normalizeSys(config.Small(1))},
+		Streams: []refStream{{Core: 0, Ops: ops}},
+	}
 }
 
 // checkAgainstReferee holds the packed codec to the materializing one
@@ -153,10 +199,11 @@ func checkAgainstReferee(t *testing.T, data []byte) *Trace {
 //
 //  1. Building it through OpsBuilder and encoding it writes the bytes
 //     the referee encoder writes; decode deep-equals the built trace
-//     and re-encode is byte-identical (version 2, the current format).
-//  2. A spelling with every run split decodes to the same deep-equal
-//     trace: Decode folds it through the builder, it does not keep its
-//     bytes.
+//     and re-encode is byte-identical (version 3, the current format).
+//     No stream is longer than its version-2 spelling.
+//  2. A spelling with every run split and longer head codes decodes to
+//     the same deep-equal trace: Decode folds it through the builder,
+//     it does not keep its bytes.
 //
 // And for the raw fuzz input itself — almost always garbage:
 //
@@ -173,6 +220,14 @@ func FuzzTraceRoundTrip(f *testing.F) {
 	f.Add(spell(longOps(), len(longOps()), nil))
 	f.Add([]byte{0, 1, 2, 3, 4, 5, 6, 7, 8, 9})
 	f.Add(splitRuns(spinRef(3)))
+	heads := rawEncode(headCodesRef())
+	f.Add(heads)
+	f.Add(splitRuns(headCodesRef()))
+	// The run's repeat marker (the file ends marker, count 1, halt head)
+	// with a stray high bit.
+	stray := bytes.Clone(heads)
+	stray[len(stray)-3] |= 0x08
+	f.Add(stray)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		ref := traceFromBytes(data)
 		if err := ref.validate(); err != nil {
@@ -188,6 +243,11 @@ func FuzzTraceRoundTrip(f *testing.F) {
 		}
 		if !reflect.DeepEqual(ref, unpack(tr)) {
 			t.Fatal("cursors do not yield the ops that were appended")
+		}
+		for _, s := range ref.Streams {
+			if n3, n2 := len(v3.records(s.Ops)), len(v2.records(s.Ops)); n3 > n2 {
+				t.Fatalf("core %d: %d bytes in version 3, %d in version 2", s.Core, n3, n2)
+			}
 		}
 
 		// Another spelling of the same trace must decode to the same

@@ -9,12 +9,12 @@ import (
 )
 
 // Ops is one stream's operation sequence, held in its wire form: the
-// canonical version-2 op records of codec.go (maximal repeat runs,
-// minimal varints, addresses delta-coded from 0) plus the expanded op
-// count. There is no decoded form — Encode copies these bytes behind the
-// header, Decode checks a file's bytes once and keeps them, and replay
-// reads them through a Cursor one op at a time — so a resident trace
-// costs its file size, not 48 bytes per op.
+// canonical version-3 op records of codec.go (maximal repeat runs,
+// shortest head codes, minimal varints, addresses delta-coded from 0)
+// plus the expanded op count. There is no decoded form — Encode copies
+// these bytes behind the header, Decode checks a file's bytes once and
+// keeps them, and replay reads them through a Cursor one op at a time —
+// so a resident trace costs its file size, not 48 bytes per op.
 //
 // An Ops is immutable and valid by construction. Only two paths make
 // one: OpsBuilder (every op checked on Append, stream shape on Finish)
@@ -68,12 +68,21 @@ func (c *Cursor) Next() (Op, bool) {
 // record decodes the op record at pos into c.op and steps past it.
 func (c *Cursor) record() {
 	rec, pos := c.rec, c.pos
-	op := Op{Kind: config.TraceOp(rec[pos])}
+	h := rec[pos]
+	pos++
+	op := Op{Kind: config.TraceOp(h & kindMask)}
 	var v uint64
-	v, pos = uvarintAt(rec, pos+1)
-	op.Gap = int64(v)
-	v, pos = uvarintAt(rec, pos)
-	op.Instrs = int64(v)
+	if code := h >> 3; code < headGap {
+		op.Gap = int64(code >> 1)
+		op.Instrs = op.Gap + int64(code&1)
+	} else {
+		v, pos = uvarintAt(rec, pos)
+		op.Gap, op.Instrs = int64(v), int64(v)
+		if code == headBoth {
+			v, pos = uvarintAt(rec, pos)
+			op.Instrs = int64(v)
+		}
+	}
 	if op.Kind.HasAddr() {
 		v, pos = uvarintAt(rec, pos)
 		c.prev += uint64(unzigzag(v))
@@ -105,6 +114,18 @@ func uvarintAt(b []byte, pos int) (uint64, int) {
 			return v, pos + 1
 		}
 	}
+}
+
+// headCode is the shortest head code for a gap and an instruction
+// count, both at most maxDelta.
+func headCode(gap, instrs uint64) byte {
+	switch {
+	case gap < headGap/2 && instrs-gap <= 1:
+		return byte(gap<<1 | (instrs - gap))
+	case instrs == gap:
+		return headGap
+	}
+	return headBoth
 }
 
 func zigzag(v int64) uint64   { return uint64(v)<<1 ^ uint64(v>>63) }
@@ -156,7 +177,7 @@ func (b *OpsBuilder) Grow(n int) {
 func (b *OpsBuilder) Len() int { return b.n }
 
 // maxRecordLen bounds what one Append writes: a repeat marker with its
-// count, then a record of a kind byte and at most five varints.
+// count, then a record of a head byte and at most five varints.
 const maxRecordLen = 2 + 6*binary.MaxVarintLen64
 
 // Append adds one operation. It rejects, with a *FormatError naming the
@@ -194,9 +215,15 @@ func (b *OpsBuilder) Append(op Op) error {
 		rec = binary.AppendUvarint(append(rec, rleMarker), b.run)
 		b.run = 0
 	}
-	rec = append(rec, byte(kind))
-	rec = binary.AppendUvarint(rec, uint64(op.Gap))
-	rec = binary.AppendUvarint(rec, uint64(op.Instrs))
+	gap, instrs := uint64(op.Gap), uint64(op.Instrs)
+	code := headCode(gap, instrs)
+	rec = append(rec, code<<3|byte(kind))
+	if code >= headGap {
+		rec = binary.AppendUvarint(rec, gap)
+	}
+	if code == headBoth {
+		rec = binary.AppendUvarint(rec, instrs)
+	}
 	if kind.HasAddr() {
 		rec = binary.AppendUvarint(rec, zigzag(int64(op.Addr-b.prev)))
 		b.prev = op.Addr

@@ -12,10 +12,14 @@ import (
 // The referee: the codec as it stood before streams were packed — every
 // op materialized as a 48-byte Op in a slice, decoded by expanding
 // repeat markers, validated by walking the slices, encoded by walking
-// them again. It is kept, in tests only, as the independent statement of
-// what the format means: the packed Decode must accept exactly what
-// refDecode accepts, a Cursor must yield exactly refDecode's ops, and
-// Encode must write exactly refEncode's bytes (FuzzTraceRoundTrip).
+// them again. Its writer and reader are written from the version-3
+// format comment in codec.go alone, calling none of codec.go's or
+// ops.go's helpers, so it is kept, in tests only, as the independent
+// statement of what the format means: the packed Decode must accept
+// exactly what refDecode accepts, a Cursor must yield exactly
+// refDecode's ops, and Encode must write exactly refEncode's bytes
+// (FuzzTraceRoundTrip). A version-2 writer sits beside it: the golden
+// hashes taken while version 2 was the format are hashes of its bytes.
 
 type refStream struct {
 	Core int
@@ -84,18 +88,22 @@ func (t *refTrace) validate() error {
 	return nil
 }
 
-// refEncode is the pre-packing Encode.
+// refBudget restates decodeOpBudget: 4096 ops a byte of file, and
+// never fewer than 4 Mi.
+func refBudget(n int) int { return max(4096*n, 4<<20) }
+
+// refEncode is the pre-packing Encode, writing version 3.
 func refEncode(t *refTrace) ([]byte, error) {
 	if err := t.validate(); err != nil {
 		return nil, err
 	}
-	for _, v := range geometryFields(t.Meta.Sys) {
+	for _, v := range refGeometry(t.Meta.Sys) {
 		if v < 0 {
 			return nil, fmt.Errorf("trace: negative geometry field in header")
 		}
 	}
 	data := rawEncode(t)
-	if total := t.ops(); total > decodeOpBudget(len(data)) {
+	if total := t.ops(); total > refBudget(len(data)) {
 		return nil, fmt.Errorf("trace: %d total ops exceeds the decode budget", total)
 	}
 	return data, nil
@@ -103,70 +111,168 @@ func refEncode(t *refTrace) ([]byte, error) {
 
 // rawEncode is refEncode's serializer without its checks, so tests can
 // put a malformed trace on the wire and see who refuses it.
-func rawEncode(t *refTrace) []byte {
-	e := encoder{}
-	e.buf = append(e.buf, magic[:]...)
-	e.uvarint(formatVersion)
-	e.str(t.Meta.Protocol)
-	e.str(t.Meta.Workload)
-	e.uvarint(t.Meta.Seed)
-	for _, v := range geometryFields(t.Meta.Sys) {
-		e.uvarint(uint64(v))
+func rawEncode(t *refTrace) []byte { return v3.file(t) }
+
+// refGeometry lists the header's geometry fields in encoding order.
+func refGeometry(sys config.System) [12]int64 {
+	return [12]int64{
+		int64(sys.Cores), int64(sys.L1Size), int64(sys.L1Ways),
+		int64(sys.L2TileSize), int64(sys.L2Ways),
+		int64(sys.L1HitLat), int64(sys.L2AccessLat),
+		int64(sys.MemBase), int64(sys.MemSpread),
+		int64(sys.WriteBuffer), int64(sys.MeshRows), int64(sys.MaxCycles),
 	}
-	e.uvarint(uint64(len(t.InitMem)))
-	prevAddr := uint64(0)
-	for i, w := range t.InitMem {
-		if i == 0 {
-			e.uvarint(w.Addr)
-		} else {
-			e.uvarint(w.Addr - prevAddr)
-		}
-		prevAddr = w.Addr
-		e.uvarint(w.Val)
-	}
-	e.uvarint(uint64(len(t.Streams)))
-	for _, s := range t.Streams {
-		e.uvarint(uint64(s.Core))
-		e.uvarint(uint64(len(s.Ops)))
-		prev := uint64(0)
-		for i := 0; i < len(s.Ops); {
-			op := s.Ops[i]
-			e.record(op, &prev)
-			run := 0
-			for i+1+run < len(s.Ops) && sameWire(s.Ops[i+1+run], op) {
-				run++
-			}
-			if run > 0 {
-				e.marker(run)
-			}
-			i += 1 + run
-		}
-	}
-	return e.buf
 }
 
-// record writes one op record; *prev is the stream's running address.
-func (e *encoder) record(op Op, prev *uint64) {
-	e.buf = append(e.buf, byte(op.Kind))
-	e.uvarint(uint64(op.Gap))
-	e.uvarint(uint64(op.Instrs))
+// refWriter is the referee's serializer.
+type refWriter struct {
+	buf []byte
+}
+
+func (w *refWriter) uvarint(v uint64) { w.buf = binary.AppendUvarint(w.buf, v) }
+
+func (w *refWriter) str(s string) {
+	w.uvarint(uint64(len(s)))
+	w.buf = append(w.buf, s...)
+}
+
+// header writes everything before the stream count.
+func (w *refWriter) header(version uint64, t *refTrace) {
+	w.buf = append(w.buf, "TSOCCTRC"...)
+	w.uvarint(version)
+	w.str(t.Meta.Protocol)
+	w.str(t.Meta.Workload)
+	w.uvarint(t.Meta.Seed)
+	for _, v := range refGeometry(t.Meta.Sys) {
+		w.uvarint(uint64(v))
+	}
+	w.uvarint(uint64(len(t.InitMem)))
+	prevAddr := uint64(0)
+	for _, word := range t.InitMem {
+		w.uvarint(word.Addr - prevAddr) // the first word's delta is from 0
+		prevAddr = word.Addr
+		w.uvarint(word.Val)
+	}
+}
+
+// addr writes the zigzag delta from *prev to a and moves *prev.
+func (w *refWriter) addr(a uint64, prev *uint64) {
+	d := int64(a - *prev)
+	w.uvarint(uint64(d<<1) ^ uint64(d>>63))
+	*prev = a
+}
+
+// vals writes the address and value fields op's kind carries.
+func (w *refWriter) vals(op Op, prev *uint64) {
 	if op.Kind.HasAddr() {
-		e.uvarint(zigzag(int64(op.Addr - *prev)))
-		*prev = op.Addr
+		w.addr(op.Addr, prev)
 	}
 	if op.Kind.HasVal() {
-		e.uvarint(op.Val)
+		w.uvarint(op.Val)
 	}
 	if op.Kind == config.TraceCAS {
-		e.uvarint(op.Val2)
+		w.uvarint(op.Val2)
 	}
 }
 
-// marker writes a repeat marker for n more occurrences.
-func (e *encoder) marker(n int) {
-	e.buf = append(e.buf, rleMarker)
-	e.uvarint(uint64(n))
+// refCode is the shortest head code for a gap and an instruction count:
+// both in the head when the gap is at most 14 and instrs is the gap or
+// one more, else 30 (the gap follows) when instrs is the gap, else 31
+// (both follow).
+func refCode(gap, instrs uint64) byte {
+	switch {
+	case gap <= 14 && (instrs == gap || instrs == gap+1):
+		return byte(2*gap + (instrs - gap))
+	case instrs == gap:
+		return 30
+	}
+	return 31
 }
+
+// record writes one version-3 op record with its shortest head code;
+// *prev is the stream's running address.
+func (w *refWriter) record(op Op, prev *uint64) {
+	w.recordAs(op, prev, refCode(uint64(op.Gap), uint64(op.Instrs)))
+}
+
+// recordAs writes one version-3 op record with head code code, which
+// must spell op's gap and instrs: the shortest, or a longer one.
+func (w *refWriter) recordAs(op Op, prev *uint64, code byte) {
+	w.buf = append(w.buf, code<<3|byte(op.Kind))
+	if code >= 30 {
+		w.uvarint(uint64(op.Gap))
+	}
+	if code == 31 {
+		w.uvarint(uint64(op.Instrs))
+	}
+	w.vals(op, prev)
+}
+
+// recordV2 writes one version-2 op record: a kind byte, then gap and
+// instrs uvarints.
+func (w *refWriter) recordV2(op Op, prev *uint64) {
+	w.buf = append(w.buf, byte(op.Kind))
+	w.uvarint(uint64(op.Gap))
+	w.uvarint(uint64(op.Instrs))
+	w.vals(op, prev)
+}
+
+// marker writes a version-3 repeat marker for n more occurrences.
+func (w *refWriter) marker(n int) {
+	w.buf = append(w.buf, 0x07)
+	w.uvarint(uint64(n))
+}
+
+// refFormat is one format version's op-record spelling.
+type refFormat struct {
+	version uint64
+	record  func(w *refWriter, op Op, prev *uint64)
+	marker  byte
+}
+
+var (
+	v3 = refFormat{3, (*refWriter).record, 0x07}
+	v2 = refFormat{2, (*refWriter).recordV2, 0xFF}
+)
+
+// records spells one stream canonically: one record per run of
+// wire-identical ops, followed by a repeat marker if the run is longer
+// than one.
+func (f refFormat) records(ops []Op) []byte {
+	var w refWriter
+	prev := uint64(0)
+	for i := 0; i < len(ops); {
+		op := ops[i]
+		f.record(&w, op, &prev)
+		run := 0
+		for i+1+run < len(ops) && sameWire(ops[i+1+run], op) {
+			run++
+		}
+		if run > 0 {
+			w.buf = append(w.buf, f.marker)
+			w.uvarint(uint64(run))
+		}
+		i += 1 + run
+	}
+	return w.buf
+}
+
+// file writes t in format f, unchecked.
+func (f refFormat) file(t *refTrace) []byte {
+	var w refWriter
+	w.header(f.version, t)
+	w.uvarint(uint64(len(t.Streams)))
+	for _, s := range t.Streams {
+		w.uvarint(uint64(s.Core))
+		w.uvarint(uint64(len(s.Ops)))
+		w.buf = append(w.buf, f.records(s.Ops)...)
+	}
+	return w.buf
+}
+
+// EncodeV2 writes t in version 2, for TestGoldenEncodings: its pinned
+// hashes were taken while version 2 was the format.
+func EncodeV2(t *Trace) []byte { return v2.file(unpack(t)) }
 
 // refReader is the pre-packing decoder's varint reader: plain
 // binary.Uvarint, no fast path, no canonical-form tracking.
@@ -208,20 +314,20 @@ func (d *refReader) count() (int, error) {
 	return int(n), nil
 }
 
-// refDecode is the pre-packing Decode: it expands every repeat marker
-// into Op values (which is why it must not be handed an RLE bomb) and
-// validates the result afterwards.
+// refDecode is the pre-packing Decode, reading version 3: it expands
+// every repeat marker into Op values (which is why it must not be
+// handed an RLE bomb) and validates the result afterwards.
 func refDecode(data []byte) (*refTrace, error) {
 	d := refReader{buf: data}
-	if len(data) < magicLen || string(data[:magicLen]) != string(magic[:]) {
+	if len(data) < 8 || string(data[:8]) != "TSOCCTRC" {
 		return nil, fmt.Errorf("trace: bad magic")
 	}
-	d.pos = magicLen
+	d.pos = 8
 	version, err := d.uvarint()
 	if err != nil {
 		return nil, err
 	}
-	if version != formatVersion {
+	if version != 3 {
 		return nil, fmt.Errorf("trace: unsupported format version %d", version)
 	}
 	t := &refTrace{}
@@ -281,7 +387,7 @@ func refDecode(data []byte) (*refTrace, error) {
 	if err != nil {
 		return nil, err
 	}
-	opBudget := decodeOpBudget(len(data))
+	opBudget := refBudget(len(data))
 	for i := 0; i < nstreams; i++ {
 		core, err := d.uvarint()
 		if err != nil {
@@ -309,8 +415,12 @@ func refDecode(data []byte) (*refTrace, error) {
 			if d.pos >= len(d.buf) {
 				return nil, fmt.Errorf("trace: truncated at core %d op %d", core, j)
 			}
-			if d.buf[d.pos] == rleMarker {
-				d.pos++
+			head := d.buf[d.pos]
+			d.pos++
+			if head&7 == 7 { // a repeat marker, which is 0x07 exactly
+				if head != 0x07 {
+					return nil, fmt.Errorf("trace: core %d op %d: bad repeat marker %#x", core, j, head)
+				}
 				if j == 0 {
 					return nil, fmt.Errorf("trace: core %d: repeat marker before any op", core)
 				}
@@ -328,18 +438,23 @@ func refDecode(data []byte) (*refTrace, error) {
 				j += int(count) - 1
 				continue
 			}
-			op := Op{Kind: config.TraceOp(d.buf[d.pos])}
-			d.pos++
-			if op.Kind >= config.NumTraceOps {
-				return nil, fmt.Errorf("trace: core %d op %d: bad kind %d", core, j, op.Kind)
-			}
-			gap, err := d.uvarint()
-			if err != nil {
-				return nil, err
-			}
-			instrs, err := d.uvarint()
-			if err != nil {
-				return nil, err
+			op := Op{Kind: config.TraceOp(head & 7)}
+			var gap, instrs uint64
+			switch code := uint64(head >> 3); {
+			case code < 30:
+				gap, instrs = code/2, code/2+code%2
+			case code == 30:
+				if gap, err = d.uvarint(); err != nil {
+					return nil, err
+				}
+				instrs = gap
+			default:
+				if gap, err = d.uvarint(); err != nil {
+					return nil, err
+				}
+				if instrs, err = d.uvarint(); err != nil {
+					return nil, err
+				}
 			}
 			if gap > 1<<62 || instrs > 1<<62 {
 				return nil, fmt.Errorf("trace: core %d op %d: gap/instrs out of range", core, j)
@@ -350,7 +465,7 @@ func refDecode(data []byte) (*refTrace, error) {
 				if err != nil {
 					return nil, err
 				}
-				prev += uint64(unzigzag(delta))
+				prev += delta>>1 ^ -(delta & 1)
 				op.Addr = prev
 			}
 			if op.Kind.HasVal() {

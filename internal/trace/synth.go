@@ -112,12 +112,15 @@ func (s *synthStream) fail(err error) {
 
 // synthesize is what the generators share. It forks one RNG per core,
 // in core order, then has body append each core's ops and closes the
-// stream with a halt. The streams are written on up to GOMAXPROCS
-// goroutines, each into its own Streams slot, so the bytes depend on
-// the forks alone, never on the schedule. A body's panic (a generator
-// assert) is re-raised on the caller's goroutine once every stream is
-// done: the lowest failing core's, whatever the schedule.
-func synthesize(name string, p SynthParams, salt uint64, body func(s *synthStream, rng *sim.RNG)) *Trace {
+// stream with a halt. Each builder first reserves perOp bytes an op, a
+// little over the most any core's stream writes at the default gap
+// bound and working set, so Finish need not trim a copy. The streams
+// are written on up to GOMAXPROCS goroutines, each into its own Streams
+// slot, so the bytes depend on the forks alone, never on the schedule.
+// A body's panic (a generator assert) is re-raised on the caller's
+// goroutine once every stream is done: the lowest failing core's,
+// whatever the schedule.
+func synthesize(name string, p SynthParams, salt uint64, perOp float64, body func(s *synthStream, rng *sim.RNG)) *Trace {
 	t := &Trace{Meta: synthMeta(name, p), Streams: make([]Stream, p.Cores)}
 	root := sim.NewRNG(p.Seed ^ salt)
 	rngs := make([]sim.RNG, p.Cores)
@@ -129,7 +132,7 @@ func synthesize(name string, p SynthParams, salt uint64, body func(s *synthStrea
 		defer func() { fails[core] = recover() }()
 		s := &synthStream{core: core, rng: rngs[core]}
 		rng := &s.rng
-		s.b.Grow(10 * (p.OpsPerCore + 1)) // the generators write 5-9.3 B/op
+		s.b.Grow(int(perOp*float64(p.OpsPerCore+1)) + maxRecordLen)
 		body(s, rng)
 		g := synthGap(rng, p)
 		s.add(Op{Kind: config.TraceHalt, Gap: g, Instrs: g})
@@ -234,7 +237,7 @@ func (z *zipfSampler) rank(u float64) int {
 func Zipf(p SynthParams) *Trace {
 	p = p.defaults(4096)
 	z := newZipfSampler(p.Blocks)
-	return synthesize("synth-zipf", p, 0x5A1F, func(s *synthStream, rng *sim.RNG) {
+	return synthesize("synth-zipf", p, 0x5A1F, 6.1, func(s *synthStream, rng *sim.RNG) {
 		for i := 0; i < p.OpsPerCore; i++ {
 			blk := z.rank(rng.Float64())
 			if blk >= p.Blocks {
@@ -259,7 +262,7 @@ func Zipf(p SynthParams) *Trace {
 // exclusive-state fast path.
 func Migratory(p SynthParams) *Trace {
 	p = p.defaults(64)
-	return synthesize("synth-migratory", p, 0x316, func(s *synthStream, rng *sim.RNG) {
+	return synthesize("synth-migratory", p, 0x316, 7.4, func(s *synthStream, rng *sim.RNG) {
 		for i := 0; s.b.Len() < p.OpsPerCore; i++ {
 			// Visit objects in a rotating schedule so each is handed
 			// core-to-core; read the object header then write it back.
@@ -283,7 +286,7 @@ func Migratory(p SynthParams) *Trace {
 // self-invalidation sweeps.
 func Scan(p SynthParams) *Trace {
 	p = p.defaults(8192)
-	return synthesize("synth-scan", p, 0x5CA7, func(s *synthStream, rng *sim.RNG) {
+	return synthesize("synth-scan", p, 0x5CA7, 3.4, func(s *synthStream, rng *sim.RNG) {
 		start := (s.core * p.Blocks) / p.Cores
 		for i := 0; i < p.OpsPerCore; i++ {
 			blk := (start + i) % p.Blocks

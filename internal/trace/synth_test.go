@@ -145,8 +145,8 @@ func TestSynthAssertPanicsInCaller(t *testing.T) {
 }
 
 // TestSynthRetainsOnlyItsBytes: a synthesized trace holds little more
-// heap than its streams' bytes — the builder's Grow reservation (10 B
-// an op against the 5-9.3 written) does not outlive Finish.
+// heap than its streams' bytes — what the builder's Grow reservation
+// holds beyond them does not outlive Finish.
 func TestSynthRetainsOnlyItsBytes(t *testing.T) {
 	var before, after runtime.MemStats
 	runtime.GC()
@@ -163,6 +163,26 @@ func TestSynthRetainsOnlyItsBytes(t *testing.T) {
 		t.Errorf("zipf trace holds %d heap bytes for %d bytes of streams; want <= %d", held, size, limit)
 	}
 	runtime.KeepAlive(tr)
+}
+
+// TestSynthAllocatesItsBytes: each generator reserves about what it
+// writes, so at the benchmark's shape (BenchmarkTraceSynth) synthesis
+// allocates little beyond the streams — no regrowth, no trim copy.
+func TestSynthAllocatesItsBytes(t *testing.T) {
+	for _, g := range synthGens {
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		tr := g.gen(trace.SynthParams{Cores: 8, OpsPerCore: 50000, Seed: 1})
+		runtime.ReadMemStats(&after)
+		size := 0
+		for _, s := range tr.Streams {
+			size += s.Ops.Size()
+		}
+		if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(size)*13/10; got > limit {
+			t.Errorf("%s: synthesis allocated %d bytes for %d bytes of streams; want <= %d", g.name, got, size, limit)
+		}
+	}
 }
 
 // TestSynthParamsValidate pins the bounds: the largest accepted value

@@ -739,7 +739,7 @@ func BenchmarkTraceSynth(b *testing.B) {
 
 // BenchmarkTraceDecode measures Decode on a synthesized Zipf encoding —
 // unlike the recorded ssca2 trace of BenchmarkTraceCodec, long enough
-// (3.2 MB) that the per-op validating scan is all there is to see. It
+// (2.4 MB) that the per-op validating scan is all there is to see. It
 // must report a handful of allocations however long the input: decoding
 // keeps the bytes it checked and expands nothing.
 func BenchmarkTraceDecode(b *testing.B) {
