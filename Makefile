@@ -93,15 +93,18 @@ repo-bench-compare:
 # scenario seeds, "whatever config.Validate accepts builds inside its
 # footprint bound (4 bytes per declared cache set plus a fixed slack)",
 # the batched core against
-# the one-instruction-per-tick referee on fuzzed programs, and the
+# the one-instruction-per-tick referee on fuzzed programs, the
 # directory timers running every action on its cycle in (cycle,
-# scheduling order) order over fuzzed schedule/tick scripts.
+# scheduling order) order over fuzzed schedule/tick scripts, and the
+# cache array against its map-backed referee on fuzzed geometries and
+# op sequences.
 fuzz-smoke:
 	$(GO) test -run xxx -fuzz FuzzTraceRoundTrip -fuzztime 10s ./internal/trace
 	$(GO) test -run xxx -fuzz FuzzWakeWheel -fuzztime 10s ./internal/sim
 	$(GO) test -run xxx -fuzz FuzzBatchedCore -fuzztime 10s ./internal/cpu
 	$(GO) test -run xxx -fuzz FuzzValidateBuilds -fuzztime 10s ./internal/system
 	$(GO) test -run xxx -fuzz FuzzTimers -fuzztime 10s ./internal/coherence
+	$(GO) test -run xxx -fuzz FuzzCache -fuzztime 10s ./internal/memsys
 
 # Fault-injection smoke: the litmus suite with invariant oracles armed
 # under two fault profiles × two protocols (mirrors the CI fault job);

@@ -7,6 +7,7 @@ package memsys
 import (
 	"encoding/binary"
 	"fmt"
+	"math/bits"
 	"reflect"
 
 	"repro/internal/config"
@@ -26,8 +27,9 @@ import (
 // data bytes out of the record more than halves the host cache lines a
 // scan pulls in, and only ways that were ever filled cost data storage.
 // The record holds no pointer and no array; as long as L is pointer-free
-// the way arrays are too, so the GC never scans cache storage — at 64+
-// cores the tag arrays are most of the live heap.
+// the grant blocks are too, so the GC never scans cache storage — at 64+
+// cores the tag records are most of the live heap. Records are
+// allocated only for the ways a set has been granted (Cache).
 type Way[L any] struct {
 	Tag     uint64
 	lastUse int64
@@ -39,35 +41,55 @@ type Way[L any] struct {
 }
 
 // Cache is a set-associative array indexed by block address, stored as
-// two pointer-free structures. Tag records (Way) live in per-set slots:
-// dir maps each set to its slot, and a set is handed the next slot on
-// its first Victim. A 256-tile machine declares hundreds of MB of
-// nominal capacity and a tile reaches only the sets its home-select
-// bits leave it, so storage follows the sets a run touches; a lookup
-// into a set with no slot is a miss by construction, which keeps
-// laziness invisible to replacement order and simulation results.
-// Slots and data blocks both come from slabs of fixed-size blocks that
-// never move, so *Way pointers and Block slices stay valid as the
-// slabs grow: a way is handed a data block on its first Install and
-// keeps it for life.
+// pointer-free structures. A set receives its tag records (Way) in
+// grants that double its capacity, in way-index order: grant 0 is ways
+// [0, 2) and grant k > 0 ways [2^k, 2^(k+1)), each capped at the
+// associativity, so a 16-way set holds 0, 2, 4, 8 or 16 records and a
+// 4-way set 0, 2 or 4. A way not yet granted is invalid and not busy,
+// and Victim takes the first invalid, non-busy way in index order, so it
+// grants the next step only when every granted way is valid or busy:
+// which way is picked, and so every simulation result, is what a fully
+// allocated set would give. A 256-tile machine declares hundreds of MB
+// of nominal capacity, a tile reaches only the sets its home-select bits
+// leave it, and the miss workloads fill about half of a 16-way set, so
+// storage follows the ways a run installs.
+//
+// dir holds, per set, its grant count and a handle numbered in the
+// order sets were first granted; grant k of set handle h sits at place h
+// of pool k. A pool grows by fixed-size blocks of a few sets' grants,
+// allocated when the first of those sets is granted one, so a grant
+// that few sets reach costs little, and blocks never move, so *Way
+// pointers stay valid. Data blocks come from a slab of the same kind,
+// so Block slices stay valid too: a way is handed a data block on its
+// first Install and keeps it for life.
 type Cache[L any] struct {
-	dir       []uint32     // set index → slot + 1; 0 until the set's first Victim
-	slots     [][]Way[L]   // fixed-size blocks of 1<<slotShift sets each, never moved
-	slotsUsed uint32       // slots handed out
-	slotShift uint         // slot >> slotShift = slots block
-	slab      []*slabChunk // fixed-size, never moved: Block slices stay valid as it grows
-	slabUsed  uint32       // blocks handed out
-	setMask   uint64
-	perSet    int
-	useClock  int64
+	dir      []uint32       // set index → grants<<handleBits | set handle; 0 until the set's first Victim
+	pools    []grantPool[L] // pools[k] holds grant k of every set; nil until the first Victim
+	sets     uint32         // set handles handed out
+	slab     []*slabChunk   // fixed-size, never moved: Block slices stay valid as it grows
+	slabUsed uint32         // blocks handed out
+	setMask  uint64
+	perSet   int
+	useClock int64
 }
 
-// slotBlockSets is the slot slab's growth step in sets (fewer when the
-// cache has fewer sets). Slots are handed out densely, so only the last
-// block is ever part empty: 16 sets of a 16-way L2 tile is 256 tag
-// records, enough to amortize the allocation, and exactly what a 64-core
-// tile, which reaches one set in 64, installs into.
-const slotBlockSets = 16
+// handleBits is the width of the set handle in a dir entry; the set's
+// grant count sits above it. Validate caps an array at 2^18 sets.
+const handleBits = 24
+
+// grantPool holds grant k of every set: block b holds it for set handles
+// [b<<shift, (b+1)<<shift) and is allocated when the first of them is
+// granted it.
+type grantPool[L any] struct {
+	ways        int    // records per grant
+	shift, mask uint32 // set handle >> shift = block, & mask = place in it
+	blocks      [][]Way[L]
+}
+
+// poolBlockWays is a pool block's size in tag records (fewer when the
+// cache has fewer sets, one grant when a grant is larger): a block of a
+// grant that few sets reach costs a few sets' worth.
+const poolBlockWays = 32
 
 // slabBlocks is the data slab's growth step: 16 KiB of data per
 // allocation, half a Table 2 L1, 1/64 of an L2 tile.
@@ -100,8 +122,8 @@ func PointerFree(t reflect.Type) bool {
 
 // NewCache builds a cache of sizeBytes capacity with the given
 // associativity, 64-byte blocks. Only the set directory is allocated
-// here, 4 bytes a set; tag slots and data blocks arrive with the first
-// install into a set and a way. The geometry panics are
+// here, 4 bytes a set; tag records and data blocks arrive with the first
+// installs into a set and a way. The geometry panics are
 // programmer-error asserts: configurations from outside the program are
 // refused by config.System.Validate first.
 func NewCache[L any](sizeBytes, ways int) *Cache[L] {
@@ -116,62 +138,41 @@ func NewCache[L any](sizeBytes, ways int) *Cache[L] {
 	if numSets&(numSets-1) != 0 {
 		panic(fmt.Sprintf("memsys: set count %d not a power of two", numSets))
 	}
-	shift := uint(0)
-	for 1<<shift < min(slotBlockSets, numSets) {
-		shift++
+	if numSets > 1<<handleBits {
+		panic(fmt.Sprintf("memsys: %d sets exceed the set directory's %d-bit handles", numSets, handleBits))
 	}
 	return &Cache[L]{
-		dir:       make([]uint32, numSets),
-		setMask:   uint64(numSets - 1),
-		perSet:    ways,
-		slotShift: shift,
+		dir:     make([]uint32, numSets),
+		setMask: uint64(numSets - 1),
+		perSet:  ways,
 	}
 }
 
-// Sets reports the number of sets.
-func (c *Cache[L]) Sets() int { return len(c.dir) }
-
-// setFor returns the ways of addr's set, or nil when the set has never
-// been installed into (every lookup outcome on a nil set — miss, no
-// victim conflict, nothing busy — matches an all-invalid set).
-func (c *Cache[L]) setFor(addr uint64) []Way[L] {
-	h := c.dir[(addr>>config.BlockShift)&c.setMask]
-	if h == 0 {
-		return nil
-	}
-	return c.slot(h - 1)
+// of returns set handle s's grant from pool p.
+func (p *grantPool[L]) of(s uint32) []Way[L] {
+	base := int(s&p.mask) * p.ways
+	return p.blocks[s>>p.shift][base : base+p.ways]
 }
 
-// setForAlloc is setFor on the install path: it hands addr's set the
-// next slot when it has none.
-func (c *Cache[L]) setForAlloc(addr uint64) []Way[L] {
-	h := &c.dir[(addr>>config.BlockShift)&c.setMask]
-	if *h == 0 {
-		if c.slotsUsed>>c.slotShift == uint32(len(c.slots)) {
-			c.slots = append(c.slots, make([]Way[L], c.perSet<<c.slotShift))
-		}
-		c.slotsUsed++
-		*h = c.slotsUsed
-	}
-	return c.slot(*h - 1)
-}
-
-// slot returns the ways of slot i.
-func (c *Cache[L]) slot(i uint32) []Way[L] {
-	base := int(i&(1<<c.slotShift-1)) * c.perSet
-	return c.slots[i>>c.slotShift][base : base+c.perSet]
+// granted splits set entry e into the set's handle and the pools it
+// holds grants from.
+func (c *Cache[L]) granted(e uint32) (uint32, []grantPool[L]) {
+	return e & (1<<handleBits - 1), c.pools[:e>>handleBits]
 }
 
 // Lookup returns the way holding addr and refreshes its LRU state, or
 // nil on miss.
 func (c *Cache[L]) Lookup(addr uint64) *Way[L] {
 	addr = config.BlockAddr(addr)
-	set := c.setFor(addr)
-	for i := range set {
-		if w := &set[i]; w.Valid && w.Tag == addr {
-			c.useClock++
-			w.lastUse = c.useClock
-			return w
+	s, pools := c.granted(c.dir[(addr>>config.BlockShift)&c.setMask])
+	for k := range pools {
+		g := pools[k].of(s)
+		for i := range g {
+			if w := &g[i]; w.Valid && w.Tag == addr {
+				c.useClock++
+				w.lastUse = c.useClock
+				return w
+			}
 		}
 	}
 	return nil
@@ -180,10 +181,13 @@ func (c *Cache[L]) Lookup(addr uint64) *Way[L] {
 // Peek returns the way holding addr without touching LRU state.
 func (c *Cache[L]) Peek(addr uint64) *Way[L] {
 	addr = config.BlockAddr(addr)
-	set := c.setFor(addr)
-	for i := range set {
-		if w := &set[i]; w.Valid && w.Tag == addr {
-			return w
+	s, pools := c.granted(c.dir[(addr>>config.BlockShift)&c.setMask])
+	for k := range pools {
+		g := pools[k].of(s)
+		for i := range g {
+			if w := &g[i]; w.Valid && w.Tag == addr {
+				return w
+			}
 		}
 	}
 	return nil
@@ -193,22 +197,68 @@ func (c *Cache[L]) Peek(addr uint64) *Way[L] {
 // exists, otherwise the least recently used non-busy way. It returns nil
 // if every way in the set is busy (the caller must retry later).
 // The returned way may still hold a valid line that needs eviction.
+// Ungranted ways count as invalid: when no granted way is invalid and
+// free, a set that is not full is granted its next step, and that
+// grant's first way is the victim.
 func (c *Cache[L]) Victim(addr uint64) *Way[L] {
+	e := &c.dir[(addr>>config.BlockShift)&c.setMask]
+	if *e == 0 {
+		*e = c.newSet()
+	}
+	s, pools := c.granted(*e)
 	var lru *Way[L]
-	set := c.setForAlloc(config.BlockAddr(addr))
-	for i := range set {
-		w := &set[i]
-		if w.Busy {
-			continue
-		}
-		if !w.Valid {
-			return w
-		}
-		if lru == nil || w.lastUse < lru.lastUse {
-			lru = w
+	for k := range pools {
+		g := pools[k].of(s)
+		for i := range g {
+			w := &g[i]
+			if w.Busy {
+				continue
+			}
+			if !w.Valid {
+				return w
+			}
+			if lru == nil || w.lastUse < lru.lastUse {
+				lru = w
+			}
 		}
 	}
+	if n := len(pools); n < len(c.pools) {
+		*e += 1 << handleBits
+		return &c.grant(s, n)[0]
+	}
 	return lru
+}
+
+// newSet hands out the next set handle, with no grants yet; the pools
+// are set up on the cache's first set.
+func (c *Cache[L]) newSet() uint32 {
+	if c.pools == nil {
+		c.pools = []grantPool[L]{{ways: min(2, c.perSet)}}
+		for held := 2; held < c.perSet; held *= 2 {
+			c.pools = append(c.pools, grantPool[L]{ways: min(held, c.perSet-held)})
+		}
+		for k := range c.pools {
+			p := &c.pools[k]
+			p.shift = uint32(bits.Len(uint(min(len(c.dir), max(1, poolBlockWays/p.ways)))) - 1)
+			p.mask = 1<<p.shift - 1
+		}
+	}
+	c.sets++
+	return c.sets - 1
+}
+
+// grant returns grant k of set handle s, allocating its pool block if
+// it has none.
+func (c *Cache[L]) grant(s uint32, k int) []Way[L] {
+	p := &c.pools[k]
+	b := int(s >> p.shift)
+	for len(p.blocks) <= b {
+		p.blocks = append(p.blocks, nil)
+	}
+	if p.blocks[b] == nil {
+		p.blocks[b] = make([]Way[L], p.ways<<p.shift)
+	}
+	return p.of(s)
 }
 
 // Block returns w's data block: a 64-byte window into the slab that
@@ -257,10 +307,13 @@ func (c *Cache[L]) Invalidate(w *Way[L]) {
 
 // AnyBusy reports whether any way in addr's set is transaction-busy.
 func (c *Cache[L]) AnyBusy(addr uint64) bool {
-	set := c.setFor(config.BlockAddr(addr))
-	for i := range set {
-		if set[i].Busy {
-			return true
+	s, pools := c.granted(c.dir[(addr>>config.BlockShift)&c.setMask])
+	for k := range pools {
+		g := pools[k].of(s)
+		for i := range g {
+			if g[i].Busy {
+				return true
+			}
 		}
 	}
 	return false

@@ -11,6 +11,9 @@ import (
 
 type meta struct{ tag int }
 
+// Sets reports the number of sets; only tests ask.
+func (c *Cache[L]) Sets() int { return len(c.dir) }
+
 func TestCacheGeometry(t *testing.T) {
 	c := NewCache[meta](32<<10, 4) // 32KB, 4-way, 64B lines
 	if c.Sets() != 128 || c.perSet != 4 {

@@ -16,7 +16,7 @@ import (
 // from set index to that set's lines, each line carrying its own copy
 // of the data, with the replacement policy written the obvious way
 // (first invalid way, else the least recently used way that is not
-// busy). It knows nothing of slots, handles or slabs.
+// busy). It knows nothing of grants, handles or slabs.
 type refCache struct {
 	sets  map[int][]refLine
 	nSets int
@@ -93,51 +93,93 @@ func lruOrder(n int, valid func(i int) bool, lastUse func(i int) int64) []int {
 	return order
 }
 
+// setWays lists the ways addr's set of c has been granted, in way-index
+// order: the concatenation of its grants (nil for a set with none).
+func setWays(c *Cache[meta], addr uint64) []*Way[meta] {
+	s, pools := c.granted(c.dir[(addr>>config.BlockShift)&c.setMask])
+	var ways []*Way[meta]
+	for k := range pools {
+		g := pools[k].of(s)
+		for i := range g {
+			ways = append(ways, &g[i])
+		}
+	}
+	return ways
+}
+
 // wayIndex locates w inside addr's set of c (-1 for nil).
 func wayIndex(c *Cache[meta], addr uint64, w *Way[meta]) int {
 	if w == nil {
 		return -1
 	}
-	set := c.setFor(config.BlockAddr(addr))
-	for i := range set {
-		if &set[i] == w {
-			return i
-		}
+	if i := slices.Index(setWays(c, addr), w); i >= 0 {
+		return i
 	}
 	panic("way returned for an address outside its set")
 }
 
-// sameState compares every set of c with the referee: valid set, tags,
-// busy bits, data of every valid line, LRU order; and checks that no
-// two sets hold the same slot and no two ways the same slab block.
-func sameState(c *Cache[meta], r *refCache) error {
-	slots := map[uint32]int{}
-	for s, h := range c.dir {
-		if h == 0 {
+// onSchedule reports whether a set of the given associativity can hold
+// n granted ways: n is reached from 0 by steps that each add
+// min(max(held, 2), ways - held).
+func onSchedule(n, ways int) bool {
+	held := 0
+	for held < n {
+		held += min(max(held, 2), ways-held)
+	}
+	return held == n
+}
+
+// distinctGrants checks that the set handles in c's directory are the
+// first c.sets numbers, each held once, and that no two sets hold the
+// same tag record.
+func distinctGrants(c *Cache[meta]) error {
+	handles := map[uint32]int{}
+	records := map[*Way[meta]]int{}
+	for s, e := range c.dir {
+		if e == 0 {
 			continue
 		}
-		if prev, dup := slots[h]; dup {
-			return fmt.Errorf("sets %d and %d share slot %d", prev, s, h-1)
+		h := e & (1<<handleBits - 1)
+		if prev, dup := handles[h]; dup || h >= c.sets {
+			return fmt.Errorf("set %d holds handle %d: held by set %d (%v), %d handed out", s, h, prev, dup, c.sets)
 		}
-		slots[h] = s
+		handles[h] = s
+		for _, w := range setWays(c, uint64(s)<<config.BlockShift) {
+			if prev, dup := records[w]; dup {
+				return fmt.Errorf("sets %d and %d share a tag record", prev, s)
+			}
+			records[w] = s
+		}
 	}
-	if int(c.slotsUsed) != len(slots) {
-		return fmt.Errorf("%d slots handed out, %d sets hold one", c.slotsUsed, len(slots))
+	if len(handles) != int(c.sets) {
+		return fmt.Errorf("%d set handles handed out, %d sets hold one", c.sets, len(handles))
+	}
+	return nil
+}
+
+// sameState compares every set of c with the referee: valid set, tags,
+// busy bits, data of every valid line, LRU order; checks that each set's
+// granted ways are an index-order prefix on the doubling schedule, that
+// the referee holds no line beyond it, and that no two sets hold the
+// same grant and no two ways the same slab block.
+func sameState(c *Cache[meta], r *refCache) error {
+	if err := distinctGrants(c); err != nil {
+		return err
 	}
 	owners := map[uint32]int{}
 	for s := 0; s < r.nSets; s++ {
 		addr := uint64(s) << config.BlockShift
-		set, ref := c.setFor(addr), r.set(addr)
-		if set == nil {
-			for i := range ref {
-				if ref[i].valid || ref[i].busy {
-					return fmt.Errorf("set %d: referee holds a line in a set the cache never gave a slot", s)
-				}
-			}
-			continue
+		set, ref := setWays(c, addr), r.set(addr)
+		if !onSchedule(len(set), r.ways) {
+			return fmt.Errorf("set %d: %d ways granted, off the doubling schedule for %d ways", s, len(set), r.ways)
 		}
-		for i := range set {
-			w, l := &set[i], &ref[i]
+		for i := len(set); i < len(ref); i++ {
+			if ref[i].valid || ref[i].busy {
+				return fmt.Errorf("set %d: referee holds a line in way %d, past the %d ways granted", s, i, len(set))
+			}
+		}
+		for i, w := range set {
+			l := &ref[i]
 			if w.Valid != l.valid || w.Busy != l.busy || (w.Valid && w.Tag != l.tag) {
 				return fmt.Errorf("set %d way %d: cache {valid %v busy %v tag %#x}, referee {valid %v busy %v tag %#x}",
 					s, i, w.Valid, w.Busy, w.Tag, l.valid, l.busy, l.tag)
@@ -188,8 +230,66 @@ func TestCacheMatchesReferee(t *testing.T) {
 	}
 }
 
+// opSource supplies runReferee's choices: a seeded generator, or a
+// fuzzer's bytes.
+type opSource interface {
+	Intn(n int) int
+	Read(p []byte) (int, error)
+}
+
+// byteSource reads choices from a fuzzer's bytes, one a draw below 256
+// and two above; past the end every draw is 0. Install's data fills do
+// not consume input: they count up, so every filled block differs.
+type byteSource struct {
+	data []byte
+	fill byte
+}
+
+func (b *byteSource) Intn(n int) int {
+	v := b.next()
+	if n > 256 {
+		v = v<<8 | b.next()
+	}
+	return v % n
+}
+
+func (b *byteSource) next() int {
+	if len(b.data) == 0 {
+		return 0
+	}
+	v := int(b.data[0])
+	b.data = b.data[1:]
+	return v
+}
+
+func (b *byteSource) Read(p []byte) (int, error) {
+	for i := range p {
+		b.fill++
+		p[i] = b.fill
+	}
+	return len(p), nil
+}
+
+// FuzzCache drives the referee comparison with a fuzzer-chosen geometry
+// — 1 to 16 ways, powers of two or not, 1 to 256 sets — and op
+// sequence: the bytes choose each operation and address.
+func FuzzCache(f *testing.F) {
+	f.Add(uint8(3), uint8(0), []byte{})
+	f.Add(uint8(15), uint8(2), bytes.Repeat([]byte{5, 0, 4, 0, 6, 0}, 60))
+	f.Add(uint8(4), uint8(8), []byte("\x07\x00\x01\x00\x09\x00\x03\x00\x00\x00\x08\x00"))
+	f.Fuzz(func(t *testing.T, ways, setBits uint8, ops []byte) {
+		w, sets := 1+int(ways)%16, 1<<(setBits%9)
+		runOps(t, sets*w*config.BlockSize, w, len(ops)/3, &byteSource{data: ops})
+	})
+}
+
 func runReferee(t *testing.T, size, ways, ops int, seed int64) {
-	rng := rand.New(rand.NewSource(seed))
+	runOps(t, size, ways, ops, rand.New(rand.NewSource(seed)))
+}
+
+// runOps drives ops operations chosen by rng through a Cache and the
+// referee, comparing their complete state after each.
+func runOps(t *testing.T, size, ways, ops int, rng opSource) {
 	c, r := NewCache[meta](size, ways), newRefCache(size, ways)
 	blocks := size / config.BlockSize
 	pick := func() uint64 { // 4x the capacity, any byte offset
@@ -301,11 +401,11 @@ func TestBlockSurvivesSlabGrowth(t *testing.T) {
 	}
 }
 
-// TestSlotsFollowInstalledSets: a cache that is never installed into
+// TestGrantsFollowInstalledWays: a cache that is never installed into
 // allocates only its set directory, however many lookups it serves, and
-// installing into k distinct sets of a 1 MiB, 16-way cache hands out
-// exactly k slots, however many ways of each set are filled.
-func TestSlotsFollowInstalledSets(t *testing.T) {
+// a set of a 1 MiB, 16-way cache holds tag records for 2, 4, 8 or 16
+// ways as 1, 3, 8 or 16 lines are installed into it.
+func TestGrantsFollowInstalledWays(t *testing.T) {
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	c := NewCache[meta](1<<20, 16)
@@ -320,39 +420,67 @@ func TestSlotsFollowInstalledSets(t *testing.T) {
 			c.Peek(addr)
 			c.AnyBusy(addr)
 		}
-	}); allocs != 0 || c.slotsUsed != 0 || len(c.slots) != 0 {
-		t.Fatalf("lookups into an empty cache: %v allocs, %d slots, %d slot blocks", allocs, c.slotsUsed, len(c.slots))
+	}); allocs != 0 || c.pools != nil || c.sets != 0 {
+		t.Fatalf("lookups into an empty cache: %v allocs, %d grant pools, %d set handles", allocs, len(c.pools), c.sets)
 	}
-	const k = 100
-	for i := 0; i < k; i++ {
-		set := uint64(i*7) % uint64(c.Sets())
-		for w := uint64(0); w < 3; w++ { // three ways of each set
-			addr := (w*uint64(c.Sets()) + set) << config.BlockShift
+	for i, tc := range []struct{ installs, records int }{{1, 2}, {3, 4}, {8, 8}, {16, 16}} {
+		set := uint64(i * 7)
+		for w := 0; w < tc.installs; w++ {
+			addr := (uint64(w)*uint64(c.Sets()) + set) << config.BlockShift
 			c.Install(c.Victim(addr), addr)
 		}
+		if got := len(setWays(c, set<<config.BlockShift)); got != tc.records {
+			t.Errorf("%d installs into a set: it holds %d tag records, want %d", tc.installs, got, tc.records)
+		}
 	}
-	if c.slotsUsed != k || len(c.slots) != (k+slotBlockSets-1)/slotBlockSets {
-		t.Fatalf("%d sets installed into: %d slots in %d blocks", k, c.slotsUsed, len(c.slots))
+	if err := distinctGrants(c); err != nil {
+		t.Fatal(err)
 	}
 }
 
-// TestWaySurvivesSlotGrowth: a *Way taken while the slot slab had one
-// block still is the cache's way for its line after ten times as many
-// sets have been installed into.
-func TestWaySurvivesSlotGrowth(t *testing.T) {
+// TestVictimGrantsPastBusyWays: when every granted way of a set that is
+// not full is busy, Victim grants the set its next step and returns that
+// grant's first way; only a full set of busy ways has no victim.
+func TestVictimGrantsPastBusyWays(t *testing.T) {
+	c := NewCache[meta](16*64, 16) // one set, sixteen ways
+	for i := 0; i < 16; i++ {
+		addr := uint64(i) << config.BlockShift
+		w := c.Victim(addr)
+		if w == nil {
+			t.Fatalf("install %d: no victim with %d of 16 ways busy", i, i)
+		}
+		if w.Valid || w.Busy || wayIndex(c, addr, w) != i {
+			t.Fatalf("install %d: victim is way %d (valid %v busy %v), want the fresh way %d",
+				i, wayIndex(c, addr, w), w.Valid, w.Busy, i)
+		}
+		c.Install(w, addr)
+		w.Busy = true
+	}
+	if c.Victim(16<<config.BlockShift) != nil {
+		t.Fatal("a full set of busy ways gave a victim")
+	}
+}
+
+// TestWaySurvivesGrantGrowth: a *Way from a set's first grant is still
+// the cache's way for its line after that set has been granted its later
+// steps and ten times as many sets as one pool block holds have been
+// granted theirs.
+func TestWaySurvivesGrantGrowth(t *testing.T) {
 	c := NewCache[meta](1<<20, 16)
 	w0 := c.Victim(0)
 	c.Install(w0, 0)
 	w0.Meta.tag = 7
-	if len(c.slots) != 1 {
-		t.Fatalf("%d slot blocks after one install", len(c.slots))
+	for w := 1; w < 16; w++ { // the rest of set 0: grants 1, 2 and 3
+		addr := uint64(w*c.Sets()) << config.BlockShift
+		c.Install(c.Victim(addr), addr)
 	}
-	for s := 1; s <= 10*slotBlockSets; s++ {
+	sets := 10 << c.pools[0].shift // ten blocks of first grants
+	for s := 1; s <= sets; s++ {
 		addr := uint64(s) << config.BlockShift
 		c.Install(c.Victim(addr), addr)
 	}
-	if len(c.slots) < 10 {
-		t.Fatalf("%d slot blocks after %d sets", len(c.slots), 10*slotBlockSets+1)
+	if len(c.pools[0].blocks) < 10 {
+		t.Fatalf("%d first-grant blocks after %d sets", len(c.pools[0].blocks), sets+1)
 	}
 	if c.Lookup(0) != w0 || w0.Tag != 0 || !w0.Valid || w0.Meta.tag != 7 {
 		t.Fatal("the early way no longer holds its line")
