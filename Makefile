@@ -49,10 +49,10 @@ inline-check:
 	check trace uvarintAt unzigzag; \
 	echo "inline-check: L1 hit-path, front-end and trace-cursor helpers inlinable"
 
-# Unit-test packages under the race detector with the TxTable lifecycle
-# assertions compiled in (mirrors the CI race job).
+# Unit-test packages under the race detector (mirrors the CI race job);
+# the TxTable lifecycle checks are in every build.
 race:
-	$(GO) test -race -tags txdebug ./internal/...
+	$(GO) test -race ./internal/...
 
 # Quick benchmark smoke: exercises the perf-critical paths without the
 # full figure grids, in three legs sized to what one op costs. The

@@ -4,7 +4,8 @@
 // Usage:
 //
 //	tsocc-sim -bench intruder -proto TSO-CC-4-12-3 -cores 32 -scale 1
-//	tsocc-sim -list
+//	tsocc-sim -list-workloads
+//	tsocc-sim -list-protocols
 package main
 
 import (
@@ -37,20 +38,16 @@ func run(args []string) error {
 	faultFrom := fs.Uint64("fault-from", 0, "fault decision-counter window start (shrinker replay)")
 	faultUntil := fs.Uint64("fault-until", 0, "fault decision-counter window end, exclusive (0 = unbounded)")
 	doShrink := fs.Bool("shrink", false, "reduce a failing fault-injected run to a minimal (scale, fault-window) reproducer")
-	list := fs.Bool("list", false, "list workloads and protocols")
 	listW := fs.Bool("list-workloads", false, "list workloads (registry + synthetic extras) and exit")
 	listP := fs.Bool("list-protocols", false, "list registered protocols and exit")
 	rf := harness.BindRunFlags(fs, harness.FaultFlags|harness.ObsFlags)
 	fs.Parse(args)
 
-	if *list || *listW || *listP {
-		if *list || *listW {
+	if *listW || *listP {
+		if *listW {
 			harness.ListWorkloads(os.Stdout)
 		}
-		if *list {
-			fmt.Println("protocols:")
-		}
-		if *list || *listP {
+		if *listP {
 			harness.ListProtocols(os.Stdout)
 		}
 		return nil
@@ -58,11 +55,11 @@ func run(args []string) error {
 
 	chosen, err := coherence.ProtocolByName(*proto)
 	if err != nil {
-		return harness.Usagef("unknown protocol %q (see -list)", *proto)
+		return harness.Usagef("unknown protocol %q (see -list-protocols)", *proto)
 	}
 	e := workloads.ByName(*bench)
 	if e == nil {
-		return harness.Usagef("unknown benchmark %q (see -list)", *bench)
+		return harness.Usagef("unknown benchmark %q (see -list-workloads)", *bench)
 	}
 
 	cfg := config.Scaled(*cores)

@@ -42,6 +42,7 @@ func TestMistakesAreUsageErrors(t *testing.T) {
 	}{
 		{[]string{"-faults", "nope"}, "-faults"}, {[]string{"-faults", "jitter:rate"}, "-faults"},
 		{[]string{"-proto", "nope"}, "nope"}, {[]string{"-bench", "nope"}, "nope"},
+		{[]string{"-proto", "nope"}, "-list-protocols"}, {[]string{"-bench", "nope"}, "-list-workloads"},
 		{[]string{"-cores", "0"}, "-cores"}, {[]string{"-scale", "0"}, "-scale"},
 		{[]string{"-shrink"}, "-shrink"},
 		{[]string{"-metrics", missing}, "-metrics"}, {[]string{"-metrics", file}, "-metrics"},

@@ -37,8 +37,9 @@ type Report struct {
 	Oracle error
 
 	// TxTables holds each directory tile's transaction-table dump
-	// (coherence.TxTable.Debug), so a stuck transaction is visible in the
-	// report without re-running under -tags txdebug.
+	// (coherence.TxTable.Debug): transactions in flight and messages
+	// parked behind busy lines, so a stuck transaction is visible in the
+	// report without a re-run.
 	TxTables []string
 }
 

@@ -1,6 +1,7 @@
 package coherence
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -522,13 +523,16 @@ func TestProbeTrans(t *testing.T) {
 // testDir is the least a protocol supplies on top of DirBase: a handler
 // that routes requests and Puts through the front ends and records the
 // lines they hand back, and a recall body that invalidates nRecall L1
-// copies.
+// copies. With grant set, a served GetX opens an exclusive grant, whose
+// Ack (like a forwarded GetX's) makes the requester the owner, and a
+// forwarded GetS's WBData leaves the line in the fill state.
 type testDir struct {
 	DirBase[testLine]
 	handled  []MsgType
 	served   []uint64 // lines the front ends returned for protocol work
 	recalled []uint64
 	nRecall  int
+	grant    bool
 }
 
 var _ Directory = (*testDir)(nil)
@@ -538,17 +542,35 @@ func (d *testDir) handle(now sim.Cycle, m *Msg) {
 	var w *memsys.Way[testLine]
 	switch m.Type {
 	case MsgGetS, MsgGetX:
-		w = d.OnRequest(now, m)
+		if w = d.OnRequest(now, m); w != nil && d.grant && m.Type == MsgGetX {
+			d.Begin(w, TxAwaitAck, m, 0)
+		}
 	case MsgPutE, MsgPutM:
 		w = d.OnPut(now, m)
 	case MsgInvAck:
 		_, w = d.OnInvAck(now, m)
 	case MsgWBData:
-		_, w = d.OnWBData(now, m)
+		var tx *Tx
+		if tx, w = d.OnWBData(now, m); tx != nil && d.grant {
+			d.Set(w, stShared)
+			d.Retire(now, w, tx)
+		}
+	case MsgAck:
+		var tx *Tx
+		tx, w = d.OnAck(now, m)
+		d.Set(w, stExcl)
+		w.Meta.owner = OwnerID(tx.Req.Requestor)
+		d.Retire(now, w, tx)
 	}
 	if w != nil {
 		d.served = append(d.served, w.Tag)
 	}
+}
+
+// busyLine reports whether a transaction is in flight for addr.
+func (d *testDir) busyLine(addr uint64) bool {
+	_, busy := d.Txs.Get(addr)
+	return busy
 }
 
 func (d *testDir) recall(now sim.Cycle, w *memsys.Way[testLine]) int {
@@ -657,9 +679,9 @@ func TestDirBaseStartFetch(t *testing.T) {
 	d.Deliver(10, net.msg(MsgGetS, 0x100))
 	d.Tick(10)
 	w := d.Cache.Peek(0x100)
-	if w == nil || !w.Busy || w.State != 0 || !d.Txs.BusyLine(0x100) || d.NextWake(10) != 10+5+20 || len(d.served) != 0 {
+	if w == nil || !w.Busy || w.State != 0 || !d.busyLine(0x100) || d.NextWake(10) != 10+5+20 || len(d.served) != 0 {
 		t.Fatalf("fetch: way %v busy=%v NextWake=%d served=%v, want a busy way and a fill at 35",
-			w != nil, d.Txs.BusyLine(0x100), d.NextWake(10), d.served)
+			w != nil, d.busyLine(0x100), d.NextWake(10), d.served)
 	}
 	d.Tick(35)
 	if mem.reads != 1 || d.Cache.Block(w)[0] != 0xab || d.Cache.Block(w)[config.BlockSize-1] != 0xab {
@@ -668,8 +690,8 @@ func TestDirBaseStartFetch(t *testing.T) {
 	if w.Busy || w.State != stShared || w.Meta.owner != -1 || len(*hops) != 1 || (*hops)[0] != (hop{0x100, 0, stShared}) {
 		t.Fatalf("after fill: busy=%v state=%d owner=%d hops=%v", w.Busy, w.State, w.Meta.owner, *hops)
 	}
-	if d.Txs.BusyLine(0x100) || d.TxLive() != 0 || len(d.handled) != 2 || len(d.served) != 1 || d.served[0] != 0x100 {
-		t.Fatalf("after fill: busy=%v live=%d handled=%v served=%v", d.Txs.BusyLine(0x100), d.TxLive(), d.handled, d.served)
+	if d.busyLine(0x100) || d.TxLive() != 0 || len(d.handled) != 2 || len(d.served) != 1 || d.served[0] != 0x100 {
+		t.Fatalf("after fill: busy=%v live=%d handled=%v served=%v", d.busyLine(0x100), d.TxLive(), d.handled, d.served)
 	}
 	if net.pool.Live() != 0 {
 		t.Fatalf("request not recycled after re-dispatch: live=%d", net.pool.Live())
@@ -737,7 +759,7 @@ func TestDirBaseRequestRetries(t *testing.T) {
 		now++
 		d.Deliver(now, net.msg(MsgInvAck, 0x40))
 		d.Tick(now)
-		if d.Txs.BusyLine(0x40) != want {
+		if d.busyLine(0x40) != want {
 			t.Fatalf("InvAck %d: eviction pending=%v, want %v", i+1, !want, want)
 		}
 	}
@@ -746,7 +768,7 @@ func TestDirBaseRequestRetries(t *testing.T) {
 	}
 	now++
 	d.Tick(now)
-	if w := d.Cache.Peek(0xc0); w != a || !w.Busy || !d.Txs.BusyLine(0xc0) {
+	if w := d.Cache.Peek(0xc0); w != a || !w.Busy || !d.busyLine(0xc0) {
 		t.Fatal("retried request did not fetch into the freed way")
 	}
 
@@ -765,9 +787,9 @@ func TestDirBaseRequestRetries(t *testing.T) {
 	d2.stage(0x80, stShared, 0)
 	d2.Deliver(1, net2.msg(MsgGetS, 0xc0))
 	d2.Tick(1)
-	if d2.Txs.Retries.Value() != 0 || d2.Cache.Peek(0x40) != nil || !d2.Txs.BusyLine(0xc0) || mem2.writes != 0 {
+	if d2.Txs.Retries.Value() != 0 || d2.Cache.Peek(0x40) != nil || !d2.busyLine(0xc0) || mem2.writes != 0 {
 		t.Fatalf("synchronous eviction: retries=%d victim present=%v fetching=%v writes=%d",
-			d2.Txs.Retries.Value(), d2.Cache.Peek(0x40) != nil, d2.Txs.BusyLine(0xc0), mem2.writes)
+			d2.Txs.Retries.Value(), d2.Cache.Peek(0x40) != nil, d2.busyLine(0xc0), mem2.writes)
 	}
 }
 
@@ -821,7 +843,7 @@ func TestDirBaseOwnerSide(t *testing.T) {
 	wb.Src, wb.Dirty, wb.Data = L1ID(3), true, block(8)
 	d.Deliver(40, wb)
 	d.Tick(40)
-	if mem.writes != 1 || d.Cache.Peek(0x40) != nil || d.Txs.BusyLine(0x40) {
+	if mem.writes != 1 || d.Cache.Peek(0x40) != nil || d.busyLine(0x40) {
 		t.Fatalf("recall answered: writes=%d present=%v", mem.writes, d.Cache.Peek(0x40) != nil)
 	}
 
@@ -872,7 +894,7 @@ func TestDirBasePutFrontEnd(t *testing.T) {
 	}
 
 	d.Set(w, stExcl)
-	tx := d.Txs.New(0x40, TxAwaitAck, nil, 0)
+	tx := d.Begin(w, TxAwaitAck, nil, 0)
 	put(30, MsgPutM, 0x40, L1ID(1)) // busy line: parked, not acked
 	if n := acks(30); n != 0 || d.Txs.Waits.Value() != 1 {
 		t.Fatalf("Put behind a busy line: %d acks, waits %d", n, d.Txs.Waits.Value())
@@ -883,6 +905,80 @@ func TestDirBasePutFrontEnd(t *testing.T) {
 	}
 	if net.pool.Live() != 0 {
 		t.Fatalf("messages leaked: %d", net.pool.Live())
+	}
+}
+
+// TestDirBaseBusyMatchesTxTable walks a tile through a fetch, its
+// fill, an exclusive grant and its Ack; a forward; an eviction with a
+// recall; and a request parked behind a fetch, kept across the fill's
+// re-dispatch and drained when the grant retires. After every tick each
+// valid way is busy exactly while the table holds a transaction in
+// flight for its line, and no absent line has one.
+func TestDirBaseBusyMatchesTxTable(t *testing.T) {
+	d, net, _, _ := newTestDir()
+	d.grant, d.nRecall = true, 1
+	now := sim.Cycle(10)
+	advance := func(what string, cycles int) {
+		for ; cycles > 0; cycles-- {
+			d.Tick(now)
+			for _, a := range []uint64{0x40, 0x80, 0xc0} {
+				w, busy := d.Cache.Peek(a), d.busyLine(a)
+				if w == nil && busy || w != nil && w.Busy != busy {
+					t.Fatalf("%s, cycle %d: line %#x present=%v way busy=%v, table busy=%v",
+						what, now, a, w != nil, w != nil && w.Busy, busy)
+				}
+			}
+			for _, m := range net.sent { // the mesh would deliver and recycle
+				net.pool.Put(m)
+			}
+			net.drop()
+			now++
+		}
+	}
+	deliver := func(typ MsgType, addr uint64, src NodeID) {
+		m := net.msg(typ, addr)
+		m.Src, m.Requestor = src, src
+		d.Deliver(now, m)
+		advance(fmt.Sprintf("%s %#x from %d", typ, addr, src), 1)
+	}
+	inFlight := func(what string, addr uint64, kind int) {
+		if tx, busy := d.Txs.Get(addr); !busy || tx.Kind != kind {
+			t.Fatalf("%s: line %#x busy=%v, want a transaction of kind %d", what, addr, busy, kind)
+		}
+	}
+
+	deliver(MsgGetX, 0x40, L1ID(1))
+	inFlight("fetch", 0x40, TxMemFetch)
+	advance("fill", 25)
+	inFlight("grant", 0x40, TxAwaitAck)
+	deliver(MsgAck, 0x40, L1ID(1))
+
+	deliver(MsgGetS, 0x40, L1ID(2))
+	inFlight("forward", 0x40, TxFwdGetS)
+	deliver(MsgWBData, 0x40, L1ID(1))
+
+	deliver(MsgGetS, 0x80, L1ID(2))
+	advance("fill", 25)
+	deliver(MsgGetX, 0xc0, L1ID(3)) // the set is full: 0x40 is recalled
+	inFlight("eviction", 0x40, TxEvict)
+	deliver(MsgInvAck, 0x40, L1ID(2))
+	advance("retry", 1)
+	inFlight("retried fetch", 0xc0, TxMemFetch)
+
+	deliver(MsgGetX, 0xc0, L1ID(2)) // parks behind the fetch
+	advance("fill", 25)
+	inFlight("grant after the fill", 0xc0, TxAwaitAck)
+	deliver(MsgAck, 0xc0, L1ID(3)) // retires the grant, drains the parked GetX
+	inFlight("forward of the drained request", 0xc0, TxFwdGetX)
+	deliver(MsgAck, 0xc0, L1ID(2))
+	advance("idle", 10)
+
+	if d.Txs.Waits.Value() != 1 || d.Txs.Retries.Value() == 0 || d.TxLive() != 0 || d.Busy() || net.pool.Live() != 0 {
+		t.Fatalf("end: waits=%d retries=%d live=%d busy=%v messages=%d",
+			d.Txs.Waits.Value(), d.Txs.Retries.Value(), d.TxLive(), d.Busy(), net.pool.Live())
+	}
+	if w := d.Cache.Peek(0xc0); w == nil || w.State != stExcl || w.Meta.owner != OwnerID(L1ID(2)) {
+		t.Fatal("the drained GetX did not end owning 0xc0")
 	}
 }
 

@@ -69,7 +69,7 @@ type DirBase[M dirLine] struct {
 	net      Network
 	pool     *MsgPool
 	sendFn   func(now sim.Cycle, m *Msg) // bound once; see SendAfterAccess
-	fillFn   func(now sim.Cycle, m *Msg) // bound once; see fetch
+	fillFn   func(now sim.Cycle, m *Msg) // bound once; see OnRequest
 	invKind  string
 	counters []*stats.Counter // protocol-specific, see AddCounter
 	prefix   string           // metrics-series prefix, e.g. "tsocc.l2.3"
@@ -162,11 +162,11 @@ func (d *DirBase[M]) SendPutAck(now sim.Cycle, dst NodeID, addr uint64) {
 // has just started an asynchronous eviction. OnRequest returns the line
 // only when the protocol serves the request now.
 func (d *DirBase[M]) OnRequest(now sim.Cycle, m *Msg) *memsys.Way[M] {
-	if d.Txs.BusyLine(m.Addr) {
-		d.Txs.EnqueueWaiting(m)
-		return nil
-	}
 	if w := d.Cache.Peek(m.Addr); w != nil {
+		if w.Busy {
+			d.Txs.EnqueueWaiting(m)
+			return nil
+		}
 		if w.State == d.excl {
 			d.forward(now, m, w)
 			return nil
@@ -179,9 +179,16 @@ func (d *DirBase[M]) OnRequest(now sim.Cycle, m *Msg) *memsys.Way[M] {
 		return nil
 	}
 	d.Cache.Install(v, m.Addr)
-	v.Busy = true
-	d.fetch(now, m)
+	d.Begin(v, TxMemFetch, m, 0)
+	d.Timers.AtMsg(now+d.AccessLat+d.Mem.Latency(m.Addr), d.fillFn, m)
 	return nil
+}
+
+// Begin opens a transaction of kind on the line w: the line turns busy,
+// and requests for it park behind the transaction until it retires.
+func (d *DirBase[M]) Begin(w *memsys.Way[M], kind int, req *Msg, acks int) *Tx {
+	w.Busy = true
+	return d.Txs.New(w.Tag, kind, req, acks)
 }
 
 // forward hands a request for the line w, which an L1 owns, to that
@@ -197,8 +204,7 @@ func (d *DirBase[M]) forward(now sim.Cycle, m *Msg, w *memsys.Way[M]) {
 	if m.Type == MsgGetX {
 		kind, fwd = TxFwdGetX, MsgFwdGetX
 	}
-	w.Busy = true
-	d.Txs.New(m.Addr, kind, m, 0)
+	d.Begin(w, kind, m, 0)
 	d.SendAfterAccess(now, Msg{Type: fwd, Dst: owner, Addr: m.Addr, Requestor: m.Requestor}, nil)
 }
 
@@ -215,8 +221,7 @@ func (d *DirBase[M]) evict(now sim.Cycle, v *memsys.Way[M]) bool {
 		n = d.recall(now, v)
 	}
 	if n > 0 {
-		v.Busy = true
-		d.Txs.New(v.Tag, TxEvict, nil, n)
+		d.Begin(v, TxEvict, nil, n)
 		return false
 	}
 	d.writeBack(v, false)
@@ -243,14 +248,6 @@ func (d *DirBase[M]) writeBack(w *memsys.Way[M], dirty bool) {
 	}
 }
 
-// fetch registers the memory-fetch transaction for req's line, just
-// claimed Busy, and schedules its fill after the tile access plus memory
-// latency, on the retained request.
-func (d *DirBase[M]) fetch(now sim.Cycle, req *Msg) {
-	d.Txs.New(req.Addr, TxMemFetch, req, 0)
-	d.Timers.AtMsg(now+d.AccessLat+d.Mem.Latency(req.Addr), d.fillFn, req)
-}
-
 // fill lands the memory fetch for req's line: the line enters the fill
 // state, and req is re-dispatched through the table — the line is
 // present now, so the protocol serves it.
@@ -274,12 +271,12 @@ func (d *DirBase[M]) fill(now sim.Cycle, req *Msg) {
 // left — is only acknowledged; for the owner's own Put the line takes
 // PutM's data and is returned for the protocol's state change.
 func (d *DirBase[M]) OnPut(now sim.Cycle, m *Msg) *memsys.Way[M] {
-	if d.Txs.BusyLine(m.Addr) {
+	w := d.Cache.Peek(m.Addr)
+	if w != nil && w.Busy {
 		d.Txs.EnqueueWaiting(m)
 		return nil
 	}
 	d.SendPutAck(now, m.Src, m.Addr)
-	w := d.Cache.Peek(m.Addr)
 	if w == nil || w.State != d.excl || w.Meta.Owner().Node() != m.Src {
 		return nil
 	}

@@ -367,6 +367,11 @@ func (l *L1Base[M]) completeRead(now sim.Cycle, m *Msg) {
 	l.finishRead(now, memsys.GetWord(m.Data, tx.WordAddr))
 }
 
+// Pin keeps the valid way w from eviction, forced self-eviction
+// included, until the write miss in flight completes, which unpins it
+// (completeWrite).
+func (l *L1Base[M]) Pin(w *memsys.Way[M]) { w.Busy = true }
+
 // completeWrite applies the write miss once the line is exclusive: to
 // the fresh data, (re)installed, or — for an UpgAck, which carries none —
 // to the Shared copy the miss pinned. The line goes dirty and unpinned;

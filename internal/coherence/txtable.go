@@ -8,21 +8,34 @@ import (
 	"repro/internal/stats"
 )
 
-// Tx is one outstanding directory transaction. Kind is one of the Tx*
+// Tx is the one record of a busy directory line. Kind is one of the Tx*
 // kinds (dirbase.go); Req is the request message the transaction
 // retains (the table recycles it at retirement unless told otherwise);
 // AcksLeft counts outstanding acknowledgements. IsUpgrade is protocol
 // scratch (MESI: the requester already holds the data).
+//
+// The table keeps the rest: whether a transaction is in flight, its
+// birth cycle, the audit's re-arm cycle, and the messages parked behind
+// the line. A record outlives its transaction only while messages are
+// parked on it, so the next transaction on the line (the request a
+// fill re-dispatches) takes the same record and its queue.
 type Tx struct {
 	Kind      int
 	Req       *Msg
 	AcksLeft  int
 	IsUpgrade bool
+
+	addr    uint64
+	busy    bool      // a transaction is in flight: New to Del
+	born    sim.Cycle // cycle New registered it
+	audited sim.Cycle // born, or the audit's last over-age report
+	waiting []*Msg    // parked behind the line, in arrival order
 }
 
 // TxTable owns the transaction lifecycle and message-ownership
-// discipline of a directory controller: transaction records, waiter
-// lists, retry queues and the consume/retained recycling over MsgPool.
+// discipline of a directory controller: one record per busy line
+// (holding the messages parked behind it), the retry queue and the
+// consume/retained recycling over MsgPool.
 //
 // Ownership rules:
 //
@@ -37,19 +50,23 @@ type Tx struct {
 //     Consume when re-dispatched (waiters, retries, fetch completions),
 //     restoring single ownership.
 //
-// Build-tagged assertions (-tags txdebug) verify the lifecycle: no
-// transaction is double-registered and retired transactions match the
-// registered record.
+// New and Del check the lifecycle in every build: a second transaction
+// on a busy line and the retirement of a record that is not in flight
+// are reported to the armed audit (ArmAudit), or panic.
 type TxTable struct {
 	pool   *MsgPool
 	handle func(now sim.Cycle, m *Msg)
 
-	tx      map[uint64]*Tx
-	free    []*Tx
-	waiting map[uint64][]*Msg
-	// waitFree holds emptied waiting queues for reuse: every busy-line
-	// episode would otherwise start a fresh slice.
-	waitFree [][]*Msg
+	// tx holds one record per busy line, and per line with parked
+	// messages; free holds retired records for reuse.
+	tx   map[uint64]*Tx
+	free []*Tx
+	// spare is an emptied waiting queue DrainWaiting swaps in for the
+	// one it drains, so a park -> drain episode starts no fresh slice.
+	spare []*Msg
+	// parked counts the messages parked behind all lines, so a
+	// DrainWaiting with none parked skips the map.
+	parked int
 
 	inbox []*Msg
 
@@ -94,12 +111,10 @@ type TxTable struct {
 	latSink  func(cycles sim.Cycle)
 	spanSink func(begin bool, now sim.Cycle, addr uint64, kind int)
 
-	// Continuous lifecycle audit (ArmAudit): birth cycles per
-	// registered address, the age bound past which a transaction is
-	// reported leaked, and the report sink. lastNow tracks the latest
-	// cycle the table saw so New (which has no now parameter) can stamp
-	// births; lastSweep rate-limits the age scan.
-	births    map[uint64]sim.Cycle
+	// Continuous lifecycle audit (ArmAudit): the age bound past which a
+	// transaction is reported leaked, and the report sink. lastNow
+	// tracks the latest cycle the table saw so New (which has no now
+	// parameter) can stamp births; lastSweep rate-limits the age scan.
 	auditAge  sim.Cycle
 	auditFn   func(string)
 	lastNow   sim.Cycle
@@ -125,31 +140,26 @@ func (t *TxTable) Counters() []*stats.Counter {
 // completed run means a leaked transaction record.
 func (t *TxTable) LiveTx() int64 { return t.News.Value() - t.Dels.Value() }
 
-// ArmAudit turns on the continuous transaction-lifecycle audit:
-// double registration and unregistered retirement report immediately at
-// runtime (not only under -tags txdebug), and any transaction
-// outstanding longer than maxAge cycles is reported as leaked (then
-// re-armed, so a still-stuck transaction re-reports once per maxAge).
-// report receives a one-line description; the table keeps running so
-// the engine's own deadlock detection still fires.
+// ArmAudit turns on the continuous transaction-lifecycle audit: double
+// registration and unregistered retirement are reported instead of
+// panicking, and any transaction outstanding longer than maxAge cycles
+// is reported as leaked (then re-armed, so a still-stuck transaction
+// re-reports once per maxAge). report receives a one-line description;
+// the table keeps running so the engine's own deadlock detection still
+// fires.
 func (t *TxTable) ArmAudit(maxAge sim.Cycle, report func(string)) {
 	t.auditAge = maxAge
 	t.auditFn = report
-	t.births = make(map[uint64]sim.Cycle)
 }
 
 // SetObsSinks installs the observability sinks: lat receives each
 // transaction's birth-to-death latency in cycles, span receives
 // begin/end edges (begin carries the registered kind, end the kind at
-// retirement). Arming lat allocates the birth map shared with
-// ArmAudit; both sinks are nil-guarded, so an un-observed table's hot
-// path is untouched.
+// retirement). Both are nil-guarded, so an un-observed table's hot path
+// is untouched.
 func (t *TxTable) SetObsSinks(lat func(cycles sim.Cycle), span func(begin bool, now sim.Cycle, addr uint64, kind int)) {
 	t.latSink = lat
 	t.spanSink = span
-	if lat != nil && t.births == nil {
-		t.births = make(map[uint64]sim.Cycle)
-	}
 }
 
 // SetStall installs a consumption-stall hook (see the stall field);
@@ -166,101 +176,98 @@ func (t *TxTable) Init(pool *MsgPool, handle func(now sim.Cycle, m *Msg)) {
 	t.pool = pool
 	t.handle = handle
 	t.tx = make(map[uint64]*Tx)
-	t.waiting = make(map[uint64][]*Msg)
 }
 
-// New builds a transaction record from the free list and registers it
-// for addr. A non-nil req is retained by the transaction.
+// New registers a transaction for addr, on the line's record if
+// messages are parked on it, else on one from the free list. A non-nil
+// req is retained by the transaction.
 func (t *TxTable) New(addr uint64, kind int, req *Msg, acks int) *Tx {
-	if txDebug {
-		if _, dup := t.tx[addr]; dup {
-			panic(fmt.Sprintf("coherence: TxTable: double transaction for %#x", addr))
-		}
-	}
 	t.News.Inc()
-	if t.auditFn != nil {
-		if _, dup := t.tx[addr]; dup {
-			t.auditFn(fmt.Sprintf("double transaction registered for %#x (new kind=%d)", addr, kind))
+	tx := t.tx[addr]
+	if tx == nil {
+		if n := len(t.free); n > 0 {
+			tx = t.free[n-1]
+			t.free = t.free[:n-1]
+		} else {
+			tx = &Tx{}
 		}
-	}
-	if t.births != nil {
-		t.births[addr] = t.lastNow
+		tx.addr = addr
+		t.tx[addr] = tx
+	} else if tx.busy {
+		t.fault(fmt.Sprintf("double transaction registered for %#x (new kind=%d)", addr, kind))
 	}
 	if t.spanSink != nil {
 		t.spanSink(true, t.lastNow, addr, kind)
 	}
-	var tx *Tx
-	if n := len(t.free); n > 0 {
-		tx = t.free[n-1]
-		t.free = t.free[:n-1]
-	} else {
-		tx = &Tx{}
-	}
 	tx.Kind, tx.Req, tx.AcksLeft = kind, req, acks
 	tx.IsUpgrade = false
-	t.tx[addr] = tx
+	tx.busy, tx.born, tx.audited = true, t.lastNow, t.lastNow
 	if req != nil {
 		t.retained = true
 	}
 	return tx
 }
 
-// Del retires a transaction, recycling the record and (when freeReq) the
-// request message it retained. With freeReq false the caller takes over
-// ownership of tx.Req before the call (e.g. to re-dispatch it).
+// Del retires a transaction, recycling (when freeReq) the request
+// message it retained, and the record too unless messages are parked on
+// it. With freeReq false the caller takes over ownership of tx.Req
+// before the call (e.g. to re-dispatch it).
 func (t *TxTable) Del(addr uint64, tx *Tx, freeReq bool) {
-	if txDebug {
-		if reg, ok := t.tx[addr]; !ok || reg != tx {
-			panic(fmt.Sprintf("coherence: TxTable: retiring unregistered transaction for %#x", addr))
-		}
+	if !tx.busy || tx.addr != addr {
+		t.fault(fmt.Sprintf("retiring unregistered transaction for %#x (kind=%d)", addr, tx.Kind))
+		return
 	}
 	t.Dels.Inc()
-	if t.auditFn != nil {
-		if reg, ok := t.tx[addr]; !ok || reg != tx {
-			t.auditFn(fmt.Sprintf("retiring unregistered transaction for %#x (kind=%d)", addr, tx.Kind))
-		}
-	}
-	if t.births != nil {
-		if b, ok := t.births[addr]; ok {
-			if t.latSink != nil {
-				t.latSink(t.lastNow - b)
-			}
-			delete(t.births, addr)
-		}
+	if t.latSink != nil {
+		t.latSink(t.lastNow - tx.born)
 	}
 	if t.spanSink != nil {
 		t.spanSink(false, t.lastNow, addr, tx.Kind)
 	}
-	delete(t.tx, addr)
 	if freeReq && tx.Req != nil {
 		t.pool.Put(tx.Req)
 	}
 	tx.Req = nil
+	tx.busy = false
+	if len(tx.waiting) == 0 {
+		t.release(tx)
+	}
+}
+
+// release drops the idle record tx from the map onto the free list.
+func (t *TxTable) release(tx *Tx) {
+	delete(t.tx, tx.addr)
 	t.free = append(t.free, tx)
 }
 
-// Get returns the transaction registered for addr, if any.
-func (t *TxTable) Get(addr uint64) (*Tx, bool) {
-	tx, ok := t.tx[addr]
-	return tx, ok
+// fault reports a lifecycle violation to the armed audit, or panics
+// when none is armed.
+func (t *TxTable) fault(msg string) {
+	if t.auditFn == nil {
+		panic("coherence: TxTable: " + msg)
+	}
+	t.auditFn(msg)
 }
 
-// BusyLine reports whether a transaction is outstanding for addr.
-func (t *TxTable) BusyLine(addr uint64) bool {
-	_, ok := t.tx[addr]
-	return ok
+// Get returns the transaction in flight for addr; busy reports whether
+// there is one.
+func (t *TxTable) Get(addr uint64) (tx *Tx, busy bool) {
+	if tx = t.tx[addr]; tx != nil && tx.busy {
+		return tx, true
+	}
+	return nil, false
 }
 
-// EnqueueWaiting parks m behind a busy line; DrainWaiting re-dispatches
+// EnqueueWaiting parks m behind its busy line; DrainWaiting re-dispatches
 // it when the transaction retires. Owns the retained flag.
 func (t *TxTable) EnqueueWaiting(m *Msg) {
-	t.Waits.Inc()
-	q, ok := t.waiting[m.Addr]
-	if n := len(t.waitFree); !ok && n > 0 {
-		q = t.waitFree[n-1]
-		t.waitFree = t.waitFree[:n-1]
+	tx, busy := t.Get(m.Addr)
+	if !busy {
+		panic(fmt.Sprintf("coherence: TxTable: parking behind idle line %#x", m.Addr))
 	}
-	t.waiting[m.Addr] = append(q, m)
+	t.Waits.Inc()
+	t.parked++
+	tx.waiting = append(tx.waiting, m)
 	t.retained = true
 }
 
@@ -333,79 +340,85 @@ func (t *TxTable) Drain(now sim.Cycle) {
 
 // DrainWaiting re-dispatches every message parked behind addr (after its
 // transaction retired), in arrival order. A message that parks again
-// while the queue drains starts a new queue; the drained one is recycled
-// afterwards.
+// while the queue drains starts a new queue; the drained one becomes the
+// spare afterwards.
 func (t *TxTable) DrainWaiting(now sim.Cycle, addr uint64) {
-	q, ok := t.waiting[addr]
-	if !ok {
+	if t.parked == 0 {
 		return
 	}
-	delete(t.waiting, addr)
+	tx := t.tx[addr]
+	if tx == nil || len(tx.waiting) == 0 {
+		return
+	}
+	q := tx.waiting
+	t.parked -= len(q)
+	tx.waiting, t.spare = t.spare, nil
+	if !tx.busy {
+		t.release(tx)
+	}
 	for _, m := range q {
 		t.Consume(now, m)
 	}
 	clear(q)
-	t.waitFree = append(t.waitFree, q[:0])
+	t.spare = q[:0]
 }
 
 // QueuedWork reports whether messages are queued for the next tick
 // (sim.WakeHinter input: queued work needs the very next cycle).
 func (t *TxTable) QueuedWork() bool { return len(t.inbox) > 0 || len(t.retryQ) > 0 }
 
-// Outstanding reports whether any transaction, queued retry or inbox
-// message is pending (completion/deadlock checks).
+// Outstanding reports whether any transaction, parked message, queued
+// retry or inbox message is pending (completion/deadlock checks).
 func (t *TxTable) Outstanding() bool {
 	return len(t.tx) > 0 || len(t.retryQ) > 0 || len(t.inbox) > 0
 }
 
-// sweepAges reports every audited transaction older than auditAge,
-// in address order so the report stream is deterministic, and re-arms
-// each reported birth so a still-stuck transaction re-reports once per
-// auditAge rather than every sweep.
-func (t *TxTable) sweepAges(now sim.Cycle) {
-	var stale []uint64
-	for a, b := range t.births {
-		if now-b > t.auditAge {
-			stale = append(stale, a)
-		}
+// sorted returns the table's records in address order, so reports and
+// dumps are deterministic.
+func (t *TxTable) sorted() []*Tx {
+	txs := make([]*Tx, 0, len(t.tx))
+	for _, tx := range t.tx {
+		txs = append(txs, tx)
 	}
-	sort.Slice(stale, func(i, j int) bool { return stale[i] < stale[j] })
-	for _, a := range stale {
-		kind := -1
-		if tx, ok := t.tx[a]; ok {
-			kind = tx.Kind
+	sort.Slice(txs, func(i, j int) bool { return txs[i].addr < txs[j].addr })
+	return txs
+}
+
+// sweepAges reports every transaction older than auditAge since its
+// birth or its last report, in address order so the report stream is
+// deterministic, and re-arms each reported one so a still-stuck
+// transaction re-reports once per auditAge rather than every sweep. The
+// report gives the age since birth.
+func (t *TxTable) sweepAges(now sim.Cycle) {
+	for _, tx := range t.sorted() {
+		if tx.busy && now-tx.audited > t.auditAge {
+			t.auditFn(fmt.Sprintf("transaction for %#x (kind=%d) outstanding %d cycles (born cycle %d)",
+				tx.addr, tx.Kind, now-tx.born, tx.born))
+			tx.audited = now
 		}
-		t.auditFn(fmt.Sprintf("transaction for %#x (kind=%d) outstanding %d cycles (born cycle %d)",
-			a, kind, now-t.births[a], t.births[a]))
-		t.births[a] = now
 	}
 }
 
 // Debug renders outstanding transaction state (deadlock diagnostics),
-// in address order; birth cycles are included when the lifecycle audit
-// is armed.
+// in address order: transactions in flight, then parked messages;
+// birth cycles are included when the lifecycle audit is armed.
 func (t *TxTable) Debug() string {
-	addrs := make([]uint64, 0, len(t.tx))
-	for a := range t.tx {
-		addrs = append(addrs, a)
-	}
-	sort.Slice(addrs, func(i, j int) bool { return addrs[i] < addrs[j] })
+	txs := t.sorted()
 	s := ""
-	for _, a := range addrs {
-		tx := t.tx[a]
-		s += fmt.Sprintf(" tx=%#x(kind=%d acks=%d", a, tx.Kind, tx.AcksLeft)
-		if b, ok := t.births[a]; ok {
-			s += fmt.Sprintf(" born=%d", b)
+	for _, tx := range txs {
+		if !tx.busy {
+			continue
+		}
+		s += fmt.Sprintf(" tx=%#x(kind=%d acks=%d", tx.addr, tx.Kind, tx.AcksLeft)
+		if t.auditFn != nil {
+			s += fmt.Sprintf(" born=%d", tx.born)
 		}
 		s += ")"
 	}
-	waits := make([]uint64, 0, len(t.waiting))
-	for a := range t.waiting {
-		waits = append(waits, a)
-	}
-	sort.Slice(waits, func(i, j int) bool { return waits[i] < waits[j] })
-	for _, a := range waits {
-		s += fmt.Sprintf(" wait=%#x(%d)", a, len(t.waiting[a]))
+	for _, tx := range txs {
+		if len(tx.waiting) > 0 {
+			s += fmt.Sprintf(" wait=%#x(%d)", tx.addr, len(tx.waiting))
+		}
 	}
 	s += fmt.Sprintf(" retry=%d inbox=%d live=%d", len(t.retryQ), len(t.inbox), t.LiveTx())
 	return s

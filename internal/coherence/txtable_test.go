@@ -32,8 +32,8 @@ func TestTxTableLifecycle(t *testing.T) {
 	req.Addr = 0x40
 
 	tx := h.txs.New(0x40, 1, req, 2)
-	if !h.txs.BusyLine(0x40) || h.txs.BusyLine(0x80) {
-		t.Fatal("BusyLine wrong")
+	if _, busy := h.txs.Get(0x80); busy {
+		t.Fatal("idle line reported busy")
 	}
 	got, ok := h.txs.Get(0x40)
 	if !ok || got != tx || got.Req != req || got.AcksLeft != 2 {
@@ -100,7 +100,7 @@ func TestTxTableWaitingAndRetry(t *testing.T) {
 
 	// Open a transaction, park two waiters behind it.
 	h.handler = func(now sim.Cycle, m *Msg) {
-		if h.txs.BusyLine(m.Addr) {
+		if _, busy := h.txs.Get(m.Addr); busy {
 			h.txs.EnqueueWaiting(m)
 		}
 	}
@@ -257,7 +257,85 @@ func TestTxTableWaitingQueueReused(t *testing.T) {
 	if n := testing.AllocsPerRun(200, episode); n != 0 {
 		t.Fatalf("park -> drain allocates %.1f/op, want 0", n)
 	}
-	if h.pool.Live() != 0 || len(h.txs.waiting) != 0 || len(h.txs.waitFree) != 1 {
-		t.Fatalf("after drains: live=%d waiting=%d free queues=%d", h.pool.Live(), len(h.txs.waiting), len(h.txs.waitFree))
+	if h.pool.Live() != 0 || len(h.txs.tx) != 0 || len(h.txs.free) != 1 {
+		t.Fatalf("after drains: live=%d records=%d free records=%d", h.pool.Live(), len(h.txs.tx), len(h.txs.free))
+	}
+}
+
+// TestTxTableLatencyFromBirth: the audit's re-arm of an over-age
+// transaction moves only its next report; the latency sink still
+// measures from birth, and the report gives the age since birth.
+func TestTxTableLatencyFromBirth(t *testing.T) {
+	h := newTxHarness()
+	var reports []string
+	var lats []sim.Cycle
+	h.txs.ArmAudit(100, func(msg string) { reports = append(reports, msg) })
+	h.txs.SetObsSinks(func(c sim.Cycle) { lats = append(lats, c) }, nil)
+
+	h.txs.Drain(1) // births stamp cycle 1
+	tx := h.txs.New(0x40, 1, nil, 0)
+	h.txs.Drain(150) // over age: reported and re-armed
+	h.txs.Drain(160)
+	h.txs.Del(0x40, tx, true)
+	if len(reports) != 1 || !strings.Contains(reports[0], "outstanding 149 cycles (born cycle 1)") {
+		t.Fatalf("reports = %q, want one of age 149", reports)
+	}
+	if len(lats) != 1 || lats[0] != 159 {
+		t.Fatalf("latency sink got %v, want [159]", lats)
+	}
+}
+
+// TestTxTableParkedMessagesOutstanding: a message parked behind a line
+// keeps the table outstanding after the line's transaction retires,
+// until it is drained.
+func TestTxTableParkedMessagesOutstanding(t *testing.T) {
+	h := newTxHarness()
+	tx := h.txs.New(0x40, 1, nil, 0)
+	m := h.pool.Get()
+	m.Addr = 0x40
+	h.txs.EnqueueWaiting(m)
+	h.txs.Del(0x40, tx, true)
+	if !h.txs.Outstanding() {
+		t.Fatal("parked message invisible after its transaction retired")
+	}
+	h.txs.DrainWaiting(2, 0x40)
+	if h.txs.Outstanding() || len(h.handled) != 1 || h.pool.Live() != 0 {
+		t.Fatalf("after drain: outstanding=%v handled=%d live=%d", h.txs.Outstanding(), len(h.handled), h.pool.Live())
+	}
+}
+
+// TestTxTableLifecycleFaults: a second transaction on a busy line and
+// the retirement of an already retired record panic with no audit
+// armed, and each report exactly once with the audit armed.
+func TestTxTableLifecycleFaults(t *testing.T) {
+	for _, c := range []struct {
+		name, want string
+		fault      func(txs *TxTable)
+	}{
+		{"double registration", "double transaction registered for 0x40", func(txs *TxTable) {
+			txs.New(0x40, 1, nil, 0)
+			txs.New(0x40, 2, nil, 0)
+		}},
+		{"retired record", "retiring unregistered transaction for 0x40", func(txs *TxTable) {
+			tx := txs.New(0x40, 1, nil, 0)
+			txs.Del(0x40, tx, true)
+			txs.Del(0x40, tx, true)
+		}},
+	} {
+		func() {
+			defer func() {
+				if r, _ := recover().(string); !strings.Contains(r, c.want) {
+					t.Errorf("%s without audit: recovered %q, want a panic naming %q", c.name, r, c.want)
+				}
+			}()
+			c.fault(&newTxHarness().txs)
+		}()
+		h := newTxHarness()
+		var reports []string
+		h.txs.ArmAudit(100, func(msg string) { reports = append(reports, msg) })
+		c.fault(&h.txs)
+		if len(reports) != 1 || !strings.Contains(reports[0], c.want) {
+			t.Errorf("%s with audit: reports %q, want one naming %q", c.name, reports, c.want)
+		}
 	}
 }

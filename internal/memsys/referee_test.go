@@ -217,7 +217,7 @@ func TestCacheMatchesReferee(t *testing.T) {
 		{4 * 64, 4, 4000},    // one set
 		{8 * 64, 2, 4000},    // four sets
 		{4 << 10, 4, 6000},   // config.Small's L2 tile
-		{16 << 10, 2, 3000},  // 128 sets: eight slot blocks, one full slab chunk
+		{16 << 10, 2, 3000},  // 128 sets: eight pool blocks, one full slab chunk
 		{48 << 10, 3, 3000},  // 768 blocks: the slab grows to three chunks
 		{32 << 10, 16, 3000}, // Table 2 associativity
 	} {

@@ -75,7 +75,7 @@ func (l *L1) Fence(now sim.Cycle, cb func()) bool {
 // nothing to upgrade). L1Base unpins it when the write completes.
 func (l *L1) pinForUpgrade(w *memsys.Way[l1Line]) {
 	if w != nil && w.State == stateS {
-		w.Busy = true
+		l.Pin(w)
 		l.Stats.WriteMissShared.Inc()
 		return
 	}

@@ -101,8 +101,7 @@ func (t *L2) serveGetS(now sim.Cycle, m *coherence.Msg, w *memsys.Way[l2Line]) {
 	switch w.State {
 	case dirV:
 		// Grant Exclusive (the E optimization: no other sharers).
-		w.Busy = true
-		t.Txs.New(m.Addr, coherence.TxAwaitAck, m, 0)
+		t.Begin(w, coherence.TxAwaitAck, m, 0)
 		t.SendAfterAccess(now, coherence.Msg{Type: coherence.MsgDataE, Dst: m.Requestor, Addr: m.Addr}, t.Cache.Block(w))
 	case dirS:
 		w.Meta.sharers.Add(int(m.Requestor))
@@ -113,8 +112,7 @@ func (t *L2) serveGetS(now sim.Cycle, m *coherence.Msg, w *memsys.Way[l2Line]) {
 func (t *L2) serveGetX(now sim.Cycle, m *coherence.Msg, w *memsys.Way[l2Line]) {
 	switch w.State {
 	case dirV:
-		w.Busy = true
-		t.Txs.New(m.Addr, coherence.TxAwaitAck, m, 0)
+		t.Begin(w, coherence.TxAwaitAck, m, 0)
 		t.SendAfterAccess(now, coherence.Msg{Type: coherence.MsgDataE, Dst: m.Requestor, Addr: m.Addr}, t.Cache.Block(w))
 	case dirS:
 		isUpgrade := w.Meta.sharers.Has(int(m.Requestor))
@@ -125,12 +123,11 @@ func (t *L2) serveGetX(now sim.Cycle, m *coherence.Msg, w *memsys.Way[l2Line]) {
 				others++
 			}
 		}
-		w.Busy = true
 		if others == 0 {
-			t.Txs.New(m.Addr, coherence.TxAwaitAck, m, 0).IsUpgrade = isUpgrade
+			t.Begin(w, coherence.TxAwaitAck, m, 0).IsUpgrade = isUpgrade
 			t.grantX(now, m, w, isUpgrade)
 		} else {
-			t.Txs.New(m.Addr, coherence.TxInvs, m, others).IsUpgrade = isUpgrade
+			t.Begin(w, coherence.TxInvs, m, others).IsUpgrade = isUpgrade
 		}
 	}
 }
@@ -165,7 +162,7 @@ func (t *L2) handlePutS(now sim.Cycle, m *coherence.Msg) {
 	if w == nil || w.State != dirS {
 		return
 	}
-	if t.Txs.BusyLine(m.Addr) {
+	if w.Busy {
 		// An invalidation round may be counting this sharer; let the
 		// crossing InvAck from the (now absent) sharer settle it.
 		t.Txs.EnqueueWaiting(m)

@@ -13,11 +13,12 @@ import (
 )
 
 // The footprint bound FuzzValidateBuilds holds every accepted
-// configuration to: the 4-byte set directory of every array (tag slots
-// and data blocks arrive with the first install into a set and a way,
-// so a built machine holds none), plus a fixed slack for everything
-// that does not scale with cache capacity (controllers, timestamp
-// tables, mesh, engine: under 2 MiB at MaxCores).
+// configuration to: the 4-byte set directory of every array (a set's
+// tag records arrive in grants from its first Victim on, and a way's
+// data block with its first install, so a built machine holds none),
+// plus a fixed slack for everything that does not scale with cache
+// capacity (controllers, timestamp tables, mesh, engine: under 2 MiB at
+// MaxCores).
 const (
 	dirEntryBytes = 4
 	buildSlack    = 4 << 20

@@ -9,10 +9,11 @@ import (
 )
 
 // TestWayFootprint pins the host bytes per cache way at the shipped
-// values. Every set a run installs into holds one record per way (16
-// per L2 set at Table 2's associativity), so a widened field grows the
-// host heap in proportion to the sets the run touches. A pointer in the
-// record would put every slot block back into GC scans.
+// values. A set a run installs into holds one tag record per way it has
+// been granted (2, 4, 8, then 16 per L2 set at Table 2's
+// associativity), so a widened field grows the host heap in proportion
+// to the ways the run installs. A pointer in the record would put every
+// grant pool block back into GC scans.
 func TestWayFootprint(t *testing.T) {
 	if got := unsafe.Sizeof(memsys.Way[l1Line]{}); got != 40 {
 		t.Errorf("L1 way record is %d bytes, shipped at 40", got)

@@ -260,8 +260,7 @@ func (t *L2) serveGetS(now sim.Cycle, m *coherence.Msg, w *memsys.Way[l2Line]) {
 			t.flag1 = true // condition 1: modified line re-enters circulation
 		}
 		ts, ep, valid := t.respTS(&w.Meta)
-		w.Busy = true
-		t.Txs.New(m.Addr, coherence.TxAwaitAck, m, 0)
+		t.Begin(w, coherence.TxAwaitAck, m, 0)
 		t.respond(now, m.Requestor, coherence.MsgDataE, m.Addr, t.Cache.Block(w), w.Meta.owner.Node(), ts, ep, valid)
 	case dirS:
 		if t.shouldDecay(&w.Meta) {
@@ -317,16 +316,14 @@ func (t *L2) serveGetX(now sim.Cycle, m *coherence.Msg, w *memsys.Way[l2Line]) {
 	switch w.State {
 	case dirV:
 		ts, ep, valid := t.respTS(&w.Meta)
-		w.Busy = true
-		t.Txs.New(m.Addr, coherence.TxAwaitAck, m, 0)
+		t.Begin(w, coherence.TxAwaitAck, m, 0)
 		t.respond(now, m.Requestor, coherence.MsgDataE, m.Addr, t.Cache.Block(w), w.Meta.owner.Node(), ts, ep, valid)
 	case dirS:
 		// The lazy write path: respond immediately with the full line;
 		// unaware sharers keep stale copies until they self-invalidate
 		// (§3.2). No invalidation fan-out.
 		ts, ep, valid := t.respTS(&w.Meta)
-		w.Busy = true
-		t.Txs.New(m.Addr, coherence.TxAwaitAck, m, 0)
+		t.Begin(w, coherence.TxAwaitAck, m, 0)
 		t.respond(now, m.Requestor, coherence.MsgDataE, m.Addr, t.Cache.Block(w), w.Meta.owner.Node(), ts, ep, valid)
 	case dirR:
 		// Writes to SharedRO lines broadcast invalidations to the
@@ -337,16 +334,14 @@ func (t *L2) serveGetX(now sim.Cycle, m *coherence.Msg, w *memsys.Way[l2Line]) {
 		t.SROInvBcasts.Inc()
 		if len(members) == 0 {
 			ts, ep, valid := t.sroTS(&w.Meta)
-			w.Busy = true
-			t.Txs.New(m.Addr, coherence.TxAwaitAck, m, 0)
+			t.Begin(w, coherence.TxAwaitAck, m, 0)
 			t.respond(now, m.Requestor, coherence.MsgDataE, m.Addr, t.Cache.Block(w), -1, ts, ep, valid)
 			return
 		}
 		for _, c := range members {
 			t.SendAfterAccess(now, coherence.Msg{Type: coherence.MsgInv, Dst: coherence.L1ID(c), Addr: m.Addr}, nil)
 		}
-		w.Busy = true
-		t.Txs.New(m.Addr, coherence.TxInvs, m, len(members))
+		t.Begin(w, coherence.TxInvs, m, len(members))
 	}
 }
 
