@@ -32,10 +32,11 @@ test:
 
 # The L1 hit path calls these L1Base helpers once per access, both
 # TSO front ends (cpu.Front) call these write-buffer and stall helpers
-# on every retirement, and the trace cursor reads every varint field and
-# address delta of a replayed stream through uvarintAt and unzigzag; all
-# rely on the compiler inlining them, so fail if any stops being
-# inlinable. Arguments: package, then Type.Method (pointer receiver) or
+# on every retirement, the trace cursor reads every varint field and
+# address delta of a replayed stream through uvarintAt and unzigzag, and
+# every remote TSO-CC data response consults its last-seen table through
+# lastSeen.get and lastSeen.sync; all rely on the compiler inlining
+# them, so fail if any stops being inlinable. Arguments: package, then Type.Method (pointer receiver) or
 # a plain function's name.
 inline-check:
 	@set -e; check() { \
@@ -47,7 +48,8 @@ inline-check:
 	check coherence l1Ctl.LoadBlocked l1Ctl.StoreBlocked l1Ctl.WritePending l1Ctl.CompleteVal l1Ctl.CompleteNext; \
 	check cpu WriteBuffer.Ready WriteBuffer.Empty WriteBuffer.Full WriteBuffer.Forward WriteBuffer.Push WriteBuffer.Drain Stalls.On Stalls.Open; \
 	check trace uvarintAt unzigzag; \
-	echo "inline-check: L1 hit-path, front-end and trace-cursor helpers inlinable"
+	check tsocc lastSeen.get lastSeen.sync; \
+	echo "inline-check: L1 hit-path, front-end, trace-cursor and last-seen helpers inlinable"
 
 # Unit-test packages under the race detector (mirrors the CI race job);
 # the TxTable lifecycle checks are in every build.

@@ -332,6 +332,30 @@ func TestL1BaseEvictBuffer(t *testing.T) {
 	}
 }
 
+// TestL1BaseDebugEvictOrder: with several owned victims awaiting their
+// PutAck, the deadlock report lists the evict entries in address order,
+// so two dumps of the same state are the same string.
+func TestL1BaseDebugEvictOrder(t *testing.T) {
+	l, _, _ := newTestL1()
+	for i, addr := range []uint64{0x100, 0x40, 0xc0, 0x80, 0x140} {
+		w := l.Install(sim.Cycle(i+1), addr, block(byte(i)))
+		l.Set(w, stExcl)
+	}
+	if len(l.evictBuf) != 3 {
+		t.Fatalf("%d evictions buffered, want 3", len(l.evictBuf))
+	}
+	want := l.Debug()
+	for i := 0; i < 20; i++ {
+		if got := l.Debug(); got != want {
+			t.Fatalf("Debug differs between calls:\n%s\n%s", want, got)
+		}
+	}
+	i40, i100, ic0 := strings.Index(want, "evict=0x40("), strings.Index(want, "evict=0x100("), strings.Index(want, "evict=0xc0(")
+	if i40 < 0 || ic0 < i40 || i100 < ic0 {
+		t.Fatalf("evict entries not in address order: %s", want)
+	}
+}
+
 // TestL1BaseOwnerSide: an owned line answers a forwarded GetS with data
 // to the requester and the home tile, then downgrades; a forwarded GetX
 // with data to the requester, dropping the line; a recall with a

@@ -2,6 +2,7 @@ package coherence
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/config"
 	"repro/internal/memsys"
@@ -509,7 +510,13 @@ func (l *L1Base[M]) Debug() string {
 	if l.Wr != nil {
 		s += fmt.Sprintf(" wr=%#x(rmw=%v issued=%d)", l.Wr.Addr, l.Wr.IsRMW, l.Wr.Issued)
 	}
-	for a, e := range l.evictBuf {
+	addrs := make([]uint64, 0, len(l.evictBuf))
+	for a := range l.evictBuf {
+		addrs = append(addrs, a)
+	}
+	slices.Sort(addrs) // address order, so the report is deterministic
+	for _, a := range addrs {
+		e := l.evictBuf[a]
 		s += fmt.Sprintf(" evict=%#x(dirty=%v xfer=%v)", a, e.Dirty, e.Transferred)
 	}
 	s += fmt.Sprintf(" inbox=%d", len(l.inbox))

@@ -140,7 +140,6 @@ type Msg struct {
 
 	Requestor NodeID // original requester, for forwarded messages
 	Owner     NodeID // last writer / owner conveyed in data responses
-	AckCount  int    // invalidation acks the receiver should expect
 	Dirty     bool   // data modified relative to L2/memory copy
 	NoCopy    bool   // WBData: the sender retains no copy (served from its eviction buffer)
 

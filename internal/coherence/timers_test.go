@@ -16,24 +16,27 @@ type firing struct {
 }
 
 // timerRig schedules actions that record their firing; each action's
-// message carries its scheduling order in Addr and its cycle in AckCount.
+// message carries its scheduling order in Addr, which indexes the cycle
+// it was scheduled for in cycles.
 type timerRig struct {
-	tm    Timers
-	seq   uint64
-	fired []firing
-	rec   func(now sim.Cycle, m *Msg)
+	tm     Timers
+	seq    uint64
+	cycles []sim.Cycle
+	fired  []firing
+	rec    func(now sim.Cycle, m *Msg)
 }
 
 func newTimerRig() *timerRig {
 	r := &timerRig{}
 	r.rec = func(now sim.Cycle, m *Msg) {
-		r.fired = append(r.fired, firing{at: sim.Cycle(m.AckCount), seq: m.Addr, ran: now})
+		r.fired = append(r.fired, firing{at: r.cycles[m.Addr], seq: m.Addr, ran: now})
 	}
 	return r
 }
 
 func (r *timerRig) at(c sim.Cycle) {
-	r.tm.AtMsg(c, r.rec, &Msg{Addr: r.seq, AckCount: int(c)})
+	r.cycles = append(r.cycles, c)
+	r.tm.AtMsg(c, r.rec, &Msg{Addr: r.seq})
 	r.seq++
 }
 

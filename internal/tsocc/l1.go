@@ -50,22 +50,18 @@ type L1 struct {
 	wgCount uint32
 	epoch   uint8
 
-	// Last-seen timestamp tables and epoch tables (Table 1).
-	tsL1    lastSeen // per writer L1
-	epochL1 []uint8
-	tsL2    lastSeen // per L2 tile (SharedRO timestamps)
-	epochL2 []uint8
+	// Last-seen timestamp tables with their epoch-ids (Table 1).
+	tsL1 lastSeen // per writer L1
+	tsL2 lastSeen // per L2 tile (SharedRO timestamps)
 }
 
 // NewL1 builds core `core`'s TSO-CC L1.
 func NewL1(core int, sys config.System, cfg config.TSOCC, net coherence.Network) *L1 {
 	l := &L1{
-		cfg:     cfg,
-		tsSrc:   tsFirst,
-		tsL1:    newLastSeen(cfg.TSTableEntries, sys.Cores),
-		epochL1: make([]uint8, sys.Cores),
-		tsL2:    newLastSeen(cfg.TSTableEntries, sys.Cores),
-		epochL2: make([]uint8, sys.Cores),
+		cfg:   cfg,
+		tsSrc: tsFirst,
+		tsL1:  newLastSeen(cfg.TSTableEntries, sys.Cores),
+		tsL2:  newLastSeen(cfg.TSTableEntries, sys.Cores),
 	}
 	// Shared and SharedRO evictions are silent (§3.2, §3.4): no Evict.
 	shared := uint8(stateS)
@@ -239,12 +235,9 @@ func (l *L1) maybeSelfInvalidate(m *coherence.Msg) {
 			l.selfInvalidate(coherence.CauseInvalidTS)
 			return
 		}
-		if m.Epoch != l.epochL1[writer] {
-			// Missed or raced a timestamp reset: same action as the
-			// reset message (§3.5 epoch-ids), then re-evaluate.
-			l.tsL1.drop(writer)
-			l.epochL1[writer] = m.Epoch
-		}
+		// Missed or raced a timestamp reset: same action as the reset
+		// message (§3.5 epoch-ids), then re-evaluate.
+		l.tsL1.sync(writer, m.Epoch)
 		if !m.TSValid || m.TS == tsInvalid || m.TS == tsSmallest {
 			l.selfInvalidate(coherence.CauseInvalidTS)
 			return
@@ -269,10 +262,7 @@ func (l *L1) maybeSelfInvalidate(m *coherence.Msg) {
 		return
 	}
 	tile := coherence.Router(m.Src, l.Cores)
-	if m.Epoch != l.epochL2[tile] {
-		l.tsL2.drop(tile)
-		l.epochL2[tile] = m.Epoch
-	}
+	l.tsL2.sync(tile, m.Epoch)
 	if !m.TSValid || m.TS <= tsSmallest {
 		l.selfInvalidate(coherence.CauseInvalidTS)
 		return
@@ -295,14 +285,10 @@ func (l *L1) maybeSelfInvalidate(m *coherence.Msg) {
 func (l *L1) handle(now sim.Cycle, m *coherence.Msg) {
 	switch m.Type {
 	case coherence.MsgTSResetL1:
-		src := int(m.Src)
-		l.tsL1.drop(src)
-		l.epochL1[src] = m.Epoch
+		l.tsL1.reset(int(m.Src), m.Epoch)
 
 	case coherence.MsgTSResetL2:
-		tile := coherence.Router(m.Src, l.Cores)
-		l.tsL2.drop(tile)
-		l.epochL2[tile] = m.Epoch
+		l.tsL2.reset(coherence.Router(m.Src, l.Cores), m.Epoch)
 
 	default:
 		l.Panicf(now, "unexpected message %s", m)

@@ -37,8 +37,7 @@ type L2 struct {
 	membersBuf []int // scratch for coarse sharer expansion
 
 	// Last-seen writer timestamps and epochs per L1 (Table 1, L2 side).
-	tsL1    lastSeen
-	epochL1 []uint8
+	tsL1 lastSeen
 
 	// SharedRO timestamp source (§3.4) and its reset epoch (§3.5), plus
 	// the two increment flags (dirty-eviction/modified-uncached, and
@@ -60,10 +59,9 @@ type L2 struct {
 // Uncached with no last writer.
 func NewL2(tile int, sys config.System, cfg config.TSOCC, net coherence.Network, mem coherence.Memory) *L2 {
 	t := &L2{
-		cfg:     cfg,
-		tsL1:    newLastSeen(0, sys.Cores),
-		epochL1: make([]uint8, sys.Cores),
-		sroSrc:  tsFirst,
+		cfg:    cfg,
+		tsL1:   newLastSeen(0, sys.Cores),
+		sroSrc: tsFirst,
 	}
 	t.Init("tsocc", tile, sys, net, flagMem{mem, &t.flag1}, "sro-inv", dirX, dirV, l2Line{owner: -1},
 		t.handle, t.recall)
@@ -145,9 +143,7 @@ func (t *L2) handle(now sim.Cycle, m *coherence.Msg) {
 			t.downgraded(now, m, w, tx)
 		}
 	case coherence.MsgTSResetL1:
-		src := int(m.Src)
-		t.tsL1.drop(src)
-		t.epochL1[src] = m.Epoch
+		t.tsL1.reset(int(m.Src), m.Epoch)
 	default:
 		t.Panicf(now, "unexpected message %s", m)
 	}
@@ -169,9 +165,9 @@ func (t *L2) respTS(w *l2Line) (uint32, uint8, bool) {
 	}
 	last, ok := t.tsL1.get(writer)
 	if ok && last >= w.ts {
-		return w.ts, t.epochL1[writer], true
+		return w.ts, t.tsL1.epoch[writer], true
 	}
-	return tsSmallest, t.epochL1[writer], true
+	return tsSmallest, t.tsL1.epoch[writer], true
 }
 
 // sroTS computes the response timestamp for a SharedRO line.
@@ -224,13 +220,9 @@ func (t *L2) noteWriterTS(writer coherence.NodeID, m *coherence.Msg) {
 	if !m.TSValid || m.TS <= tsSmallest {
 		return
 	}
-	w := int(writer)
-	if m.Epoch != t.epochL1[w] {
-		// A reset raced ahead of us; adopt the new epoch first.
-		t.tsL1.drop(w)
-		t.epochL1[w] = m.Epoch
-	}
-	t.tsL1.update(w, m.TS)
+	// A reset may have raced ahead of us; adopt its epoch first.
+	t.tsL1.sync(int(writer), m.Epoch)
+	t.tsL1.update(int(writer), m.TS)
 }
 
 // ---- Request handling ----
@@ -314,11 +306,7 @@ func (t *L2) toSharedRO(now sim.Cycle, w *memsys.Way[l2Line]) {
 
 func (t *L2) serveGetX(now sim.Cycle, m *coherence.Msg, w *memsys.Way[l2Line]) {
 	switch w.State {
-	case dirV:
-		ts, ep, valid := t.respTS(&w.Meta)
-		t.Begin(w, coherence.TxAwaitAck, m, 0)
-		t.respond(now, m.Requestor, coherence.MsgDataE, m.Addr, t.Cache.Block(w), w.Meta.owner.Node(), ts, ep, valid)
-	case dirS:
+	case dirV, dirS:
 		// The lazy write path: respond immediately with the full line;
 		// unaware sharers keep stale copies until they self-invalidate
 		// (§3.2). No invalidation fan-out.

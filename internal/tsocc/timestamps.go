@@ -23,133 +23,90 @@ const (
 	tsFirst    uint32 = 2
 )
 
-// lastSeen is a timestamp table: last-seen timestamp per source node
-// (ts_L1 / ts_L2 in the paper's Table 1). The paper notes the table may
-// hold fewer entries than there are cores, at the cost of an eviction
-// policy (§3.3); a capacity of 0 means unbounded. Losing an entry is
-// always safe — the reader treats the source as never-seen and
-// self-invalidates conservatively.
+// lastSeen is a last-seen timestamp table with its epoch-ids (ts_L1 /
+// ts_L2 and epoch_ids in the paper's Table 1), indexed by source id:
+// one slot per possible source, for every capacity, because get/update
+// sit on the data-response path (every remote response consults them).
+// tsInvalid (0) marks an absent entry; stored timestamps are always >
+// tsSmallest (callers filter invalid/smallest before updating).
 //
-// The unbounded table is slice-backed, indexed by source id: the common
-// configurations hold one entry per possible source, and the get/update
-// pair sits on the data-response path (every remote response consults
-// it), where the map's hashing dominated. tsInvalid (0) marks an absent
-// entry — stored timestamps are always > tsSmallest (callers filter
-// invalid/smallest before updating). Bounded tables are a fixed-size
-// array of (src, ts) pairs — capacities are a handful of entries
-// (that's the point of §3.3), so a linear scan beats hashing, and the
-// update scan finds the eviction victim in the same pass.
+// §3.3 lets the table hold fewer entries than there are sources: with
+// capacity > 0, a new source arriving at capacity evicts the held one
+// with the smallest timestamp, lowest source id on a tie: the entry
+// whose loss costs the fewest skipped self-invalidations. Losing an
+// entry is always safe: the reader treats the source as never-seen and
+// self-invalidates conservatively. Eviction keeps the source's epoch.
+//
+// reset serves a timestamp-reset broadcast: forget the timestamp, adopt
+// the new epoch (§3.5). sync does the same only when the epoch differs
+// from the recorded one: a data response or writeback that overtook the
+// broadcast.
 type lastSeen struct {
-	s   []uint32  // unbounded: timestamp per source, 0 = absent
-	e   []lsEntry // bounded (cap > 0): fixed-size, linearly scanned
-	cap int
+	ts    []uint32 // per source; tsInvalid = absent
+	epoch []uint8  // per source, kept across drops and evictions
+	cap   int      // most sources held at once; 0 = unbounded
+	n     int      // sources held
 }
 
-// lsEntry is one bounded-table slot; src -1 marks an empty slot.
-type lsEntry struct {
-	src int32
-	ts  uint32
-}
-
-// newLastSeen builds a table: capacity 0 is unbounded (one slot per
-// possible source id in [0, sources)), otherwise a fixed-size array
-// with the §3.3 smallest-timestamp eviction policy.
+// newLastSeen builds a table for source ids in [0, sources) holding at
+// most capacity of them (0 = unbounded).
 func newLastSeen(capacity, sources int) lastSeen {
-	if capacity <= 0 {
-		return lastSeen{s: make([]uint32, sources)}
-	}
-	e := make([]lsEntry, capacity)
-	for i := range e {
-		e[i].src = -1
-	}
-	return lastSeen{e: e, cap: capacity}
+	return lastSeen{ts: make([]uint32, sources), epoch: make([]uint8, sources), cap: capacity}
 }
 
-func (t lastSeen) get(src int) (uint32, bool) {
-	if t.cap <= 0 {
-		v := t.s[src]
-		return v, v != tsInvalid
-	}
-	for i := range t.e {
-		if t.e[i].src == int32(src) {
-			return t.e[i].ts, true
-		}
-	}
-	return 0, false
+func (t *lastSeen) get(src int) (uint32, bool) {
+	v := t.ts[src]
+	return v, v != tsInvalid
 }
 
-// update records ts for src (monotonic: stale timestamps are ignored).
-// On a bounded table a single pass both looks the source up and tracks
-// the insertion slot: the first empty slot if one exists, otherwise the
-// eviction victim — the entry with the smallest timestamp, ties broken
-// by the lowest source id, matching the order the map-backed version
-// produced. Smallest-timestamp entries are the ones whose loss costs
-// the fewest skipped self-invalidations.
-func (t lastSeen) update(src int, ts uint32) {
-	if t.cap <= 0 {
-		if ts > t.s[src] {
-			t.s[src] = ts
+// update records ts for src (monotonic: stale timestamps are ignored),
+// evicting first if src is new and the table is full.
+func (t *lastSeen) update(src int, ts uint32) {
+	cur := t.ts[src]
+	if cur == tsInvalid {
+		if t.cap > 0 && t.n >= t.cap {
+			t.evict()
 		}
-		return
+		t.n++
 	}
-	empty, victim := -1, -1
-	for i := range t.e {
-		e := &t.e[i]
-		if e.src == int32(src) {
-			if ts > e.ts {
-				e.ts = ts
-			}
-			return
-		}
-		if e.src < 0 {
-			if empty < 0 {
-				empty = i
-			}
-			continue
-		}
-		if victim < 0 || e.ts < t.e[victim].ts ||
-			(e.ts == t.e[victim].ts && e.src < t.e[victim].src) {
-			victim = i
-		}
-	}
-	slot := empty
-	if slot < 0 {
-		slot = victim
-	}
-	t.e[slot] = lsEntry{src: int32(src), ts: ts}
-}
-
-func (t lastSeen) drop(src int) {
-	if t.cap <= 0 {
-		t.s[src] = tsInvalid
-		return
-	}
-	for i := range t.e {
-		if t.e[i].src == int32(src) {
-			t.e[i] = lsEntry{src: -1}
-			return
-		}
+	if ts > cur {
+		t.ts[src] = ts
 	}
 }
 
-func (t lastSeen) len() int {
-	if t.cap <= 0 {
-		n := 0
-		for _, v := range t.s {
-			if v != tsInvalid {
-				n++
-			}
-		}
-		return n
-	}
-	n := 0
-	for i := range t.e {
-		if t.e[i].src >= 0 {
-			n++
+// evict drops the held source with the smallest timestamp, the lowest
+// source id on a tie.
+func (t *lastSeen) evict() {
+	victim := -1
+	for s, v := range t.ts {
+		if v != tsInvalid && (victim < 0 || v < t.ts[victim]) {
+			victim = s
 		}
 	}
-	return n
+	t.drop(victim)
 }
+
+func (t *lastSeen) drop(src int) {
+	if t.ts[src] != tsInvalid {
+		t.ts[src] = tsInvalid
+		t.n--
+	}
+}
+
+// reset drops src's timestamp and records its new epoch.
+func (t *lastSeen) reset(src int, epoch uint8) {
+	t.drop(src)
+	t.epoch[src] = epoch
+}
+
+// sync resets src if epoch is not the one recorded for it.
+func (t *lastSeen) sync(src int, epoch uint8) {
+	if t.epoch[src] != epoch {
+		t.reset(src, epoch)
+	}
+}
+
+func (t *lastSeen) len() int { return t.n }
 
 // coarseGroups returns the number of coarse-vector groups used when the
 // L2's owner field is reused as a sharing vector for SharedRO lines

@@ -5,16 +5,17 @@ import (
 	"testing"
 )
 
-// mapLastSeen is the map-backed bounded table this package used before
-// the fixed-size array landed — kept here as the reference model for
-// eviction-order parity testing and as the benchmark baseline.
+// mapLastSeen is a map-backed last-seen table with its epoch-ids: the
+// reference model for eviction-order and epoch parity testing and the
+// benchmark baseline. Capacity 0 is unbounded.
 type mapLastSeen struct {
-	m   map[int]uint32
-	cap int
+	m     map[int]uint32
+	epoch map[int]uint8
+	cap   int
 }
 
 func newMapLastSeen(capacity int) *mapLastSeen {
-	return &mapLastSeen{m: make(map[int]uint32), cap: capacity}
+	return &mapLastSeen{m: make(map[int]uint32), epoch: make(map[int]uint8), cap: capacity}
 }
 
 func (t *mapLastSeen) get(src int) (uint32, bool) {
@@ -29,7 +30,7 @@ func (t *mapLastSeen) update(src int, ts uint32) {
 		}
 		return
 	}
-	if len(t.m) >= t.cap {
+	if t.cap > 0 && len(t.m) >= t.cap {
 		victim, victimTS := -1, ^uint32(0)
 		for src, ts := range t.m {
 			if ts < victimTS || (ts == victimTS && (victim < 0 || src < victim)) {
@@ -45,16 +46,28 @@ func (t *mapLastSeen) update(src int, ts uint32) {
 
 func (t *mapLastSeen) drop(src int) { delete(t.m, src) }
 
+func (t *mapLastSeen) reset(src int, epoch uint8) {
+	delete(t.m, src)
+	t.epoch[src] = epoch
+}
+
+func (t *mapLastSeen) sync(src int, epoch uint8) {
+	if t.epoch[src] != epoch {
+		t.reset(src, epoch)
+	}
+}
+
 func (t *mapLastSeen) len() int { return len(t.m) }
 
-// TestBoundedLastSeenParityWithMap drives the array-backed bounded
-// table and the historical map-backed version through the same
-// deterministic pseudo-random update/drop sequence and requires
-// identical observable state after every operation — same hits, same
-// timestamps, same occupancy, and therefore the same eviction order.
+// TestBoundedLastSeenParityWithMap drives the table and the map-backed
+// referee through the same deterministic pseudo-random
+// update/drop/reset/sync sequence, unbounded and at several capacities,
+// and requires identical observable state after every operation — same
+// hits, same timestamps, same epochs, same occupancy, and therefore the
+// same eviction order.
 func TestBoundedLastSeenParityWithMap(t *testing.T) {
 	const sources = 8
-	for _, capacity := range []int{1, 2, 3, 5, 8, 12} {
+	for _, capacity := range []int{0, 1, 2, 3, 5, sources, 12} {
 		t.Run(fmt.Sprintf("cap=%d", capacity), func(t *testing.T) {
 			arr := newLastSeen(capacity, sources)
 			ref := newMapLastSeen(capacity)
@@ -67,10 +80,19 @@ func TestBoundedLastSeenParityWithMap(t *testing.T) {
 			}
 			for op := 0; op < 4000; op++ {
 				src := int(next() % sources)
+				// Epochs from a small range so sync often finds the
+				// recorded one and keeps the entry.
+				epoch := uint8(next() % 3)
 				switch next() % 8 {
 				case 0:
 					arr.drop(src)
 					ref.drop(src)
+				case 1:
+					arr.reset(src, epoch)
+					ref.reset(src, epoch)
+				case 2, 3:
+					arr.sync(src, epoch)
+					ref.sync(src, epoch)
 				default:
 					// Timestamps from a small range so eviction ties
 					// (equal smallest timestamps) actually occur.
@@ -88,6 +110,9 @@ func TestBoundedLastSeenParityWithMap(t *testing.T) {
 						t.Fatalf("op %d: get(%d) = (%d,%v), map reference (%d,%v)",
 							op, s, gv, gok, wv, wok)
 					}
+					if got, want := arr.epoch[s], ref.epoch[s]; got != want {
+						t.Fatalf("op %d: epoch(%d) = %d, map reference %d", op, s, got, want)
+					}
 				}
 			}
 		})
@@ -95,12 +120,12 @@ func TestBoundedLastSeenParityWithMap(t *testing.T) {
 }
 
 // BenchmarkLastSeenBounded measures the bounded-table hot pair (update
-// then get, the data-response path shape) for the fixed-size array
-// against the historical map implementation.
+// then get, the data-response path shape) for the table against the
+// map-backed referee.
 func BenchmarkLastSeenBounded(b *testing.B) {
 	const sources = 32
 	for _, capacity := range []int{4, 16} {
-		b.Run(fmt.Sprintf("array/cap=%d", capacity), func(b *testing.B) {
+		b.Run(fmt.Sprintf("table/cap=%d", capacity), func(b *testing.B) {
 			tbl := newLastSeen(capacity, sources)
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {

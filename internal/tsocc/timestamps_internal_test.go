@@ -69,6 +69,30 @@ func TestLastSeenUnbounded(t *testing.T) {
 	}
 }
 
+// TestLastSeenResetVsSync pins where the two epoch steps differ: sync
+// with the recorded epoch keeps the entry, reset with the same epoch
+// drops it; sync with another epoch drops it and records that epoch.
+func TestLastSeenResetVsSync(t *testing.T) {
+	for _, capacity := range []int{0, 2} {
+		tbl := newLastSeen(capacity, 4)
+		tbl.reset(1, 3)
+		tbl.update(1, 10)
+		tbl.sync(1, 3)
+		if v, ok := tbl.get(1); !ok || v != 10 {
+			t.Fatalf("cap %d: sync with the recorded epoch dropped the entry (%d,%v)", capacity, v, ok)
+		}
+		tbl.reset(1, 3)
+		if _, ok := tbl.get(1); ok || tbl.len() != 0 || tbl.epoch[1] != 3 {
+			t.Fatalf("cap %d: reset with the same epoch kept the entry", capacity)
+		}
+		tbl.update(1, 12)
+		tbl.sync(1, 4)
+		if _, ok := tbl.get(1); ok || tbl.len() != 0 || tbl.epoch[1] != 4 {
+			t.Fatalf("cap %d: sync with a new epoch kept the entry or the old epoch", capacity)
+		}
+	}
+}
+
 // TestCoarseVectorCoversAllCores: every core must be covered by the
 // group bit the coarse vector assigns it.
 func TestCoarseVectorCoversAllCores(t *testing.T) {
