@@ -59,16 +59,18 @@ race:
 # Quick benchmark smoke: exercises the perf-critical paths without the
 # full figure grids, in three legs sized to what one op costs. The
 # whole-machine benchmarks simulate a machine (or encode a trace) per
-# op, so 20 ops each suffice; the mesh-delivery, L1-hit and wide
-# dispatch benchmarks time one message, access or cycle per op and keep
-# 2000. The trace synthesis and decode benchmarks work on megabytes per
+# op, so 20 ops each suffice; the mesh-delivery, L1-hit, wide dispatch
+# and full-set scan benchmarks time one message, access, cycle or set
+# scan per op and keep 2000. The full-set scan (Peek + Victim on full
+# 16-way L2 sets) tracks the cost of scanning a set grant by grant,
+# which the bench workloads, at about 8 ways a set, do not show. The trace synthesis and decode benchmarks work on megabytes per
 # op, hence their own, short leg, run at one CPU and at two: synthesis
 # writes its streams on up to GOMAXPROCS goroutines, so the one-CPU
 # figure shows a change that makes single-stream synthesis slower even
 # where the concurrency hides it.
 bench-smoke:
 	$(GO) test -run xxx -bench 'BenchmarkEngineStep|BenchmarkEngineIdleSkip|BenchmarkLowIdleWorkload|BenchmarkDenseCompute|BenchmarkTraceCodec' -benchtime 20x .
-	$(GO) test -run xxx -bench 'BenchmarkMeshDelivery|BenchmarkL1HitPath|BenchmarkEngineDispatchWide' -benchtime 2000x .
+	$(GO) test -run xxx -bench 'BenchmarkMeshDelivery|BenchmarkL1HitPath|BenchmarkEngineDispatchWide|BenchmarkCacheFullSetScan' -benchtime 2000x .
 	$(GO) test -run xxx -bench 'BenchmarkTraceSynth|BenchmarkTraceDecode' -benchtime 5x -cpu 1,2 .
 
 bench:

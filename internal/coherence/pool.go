@@ -1,7 +1,5 @@
 package coherence
 
-import "fmt"
-
 // MsgPool is a free-list allocator for coherence messages, eliminating
 // steady-state allocation on the message path. Simulations are
 // single-goroutine, so the pool is deliberately unsynchronized.
@@ -71,19 +69,6 @@ func (p *MsgPool) Put(m *Msg) {
 
 // Live reports the number of messages currently checked out of the pool.
 func (p *MsgPool) Live() int64 { return p.Gets - p.Puts }
-
-// LeakCheck returns an error if any pooled message is still live. On a
-// quiesced system every message has been consumed and returned (the
-// TxTable ownership discipline), so integration tests call this after a
-// run to catch ownership bugs that would otherwise surface as silent
-// pool growth.
-func (p *MsgPool) LeakCheck() error {
-	if live := p.Live(); live != 0 {
-		return fmt.Errorf("coherence: MsgPool leak: %d message(s) not returned (gets=%d puts=%d)",
-			live, p.Gets, p.Puts)
-	}
-	return nil
-}
 
 // SetData fills m's payload with a copy of src, reusing m's buffer
 // capacity when possible.

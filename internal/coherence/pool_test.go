@@ -1,6 +1,7 @@
 package coherence
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/config"
@@ -73,4 +74,17 @@ func TestMsgPoolAdoptsForeignMessages(t *testing.T) {
 	if p.News != 0 {
 		t.Fatal("Get should have reused the adopted message")
 	}
+}
+
+// LeakCheck returns an error if any pooled message is still live. On a
+// quiesced system every message has been consumed and returned (the
+// TxTable ownership discipline), so tests call this after a run to
+// catch ownership bugs that would otherwise surface as silent pool
+// growth.
+func (p *MsgPool) LeakCheck() error {
+	if live := p.Live(); live != 0 {
+		return fmt.Errorf("coherence: MsgPool leak: %d message(s) not returned (gets=%d puts=%d)",
+			live, p.Gets, p.Puts)
+	}
+	return nil
 }

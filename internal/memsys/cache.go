@@ -60,8 +60,9 @@ type Way[L any] struct {
 // allocated when the first of those sets is granted one, so a grant
 // that few sets reach costs little, and blocks never move, so *Way
 // pointers stay valid. Data blocks come from a slab of the same kind,
-// so Block slices stay valid too: a way is handed a data block on its
-// first Install and keeps it for life.
+// growing by 1 KiB chunks (slabBlocks), so Block slices stay valid too:
+// a way is handed a data block on its first Install and keeps it for
+// life, and a cache holds less than one chunk of data it never wrote.
 type Cache[L any] struct {
 	dir      []uint32       // set index → grants<<handleBits | set handle; 0 until the set's first Victim
 	pools    []grantPool[L] // pools[k] holds grant k of every set; nil until the first Victim
@@ -91,10 +92,11 @@ type grantPool[L any] struct {
 // grant that few sets reach costs a few sets' worth.
 const poolBlockWays = 32
 
-// slabBlocks is the data slab's growth step: 16 KiB of data per
-// allocation, half a Table 2 L1, 1/64 of an L2 tile.
+// slabBlocks is the data slab's growth step: 1 KiB of data per
+// allocation, so a cache's data storage follows its first fills to
+// within 16 blocks. A full Table 2 L1 holds 32 chunks, an L2 tile 1024.
 const (
-	slabShift  = 8
+	slabShift  = 4
 	slabBlocks = 1 << slabShift
 )
 
@@ -273,8 +275,9 @@ func (c *Cache[L]) Block(w *Way[L]) []byte {
 // Install claims way for addr, resetting data, state and metadata to
 // zero values. The caller is responsible for having evicted any prior
 // line.
-// A way's first Install takes the next slab block; later ones clear the
-// block it already holds, so there is no free list to manage.
+// A way's first Install takes the next slab block, allocating a new
+// 1 KiB chunk when the last one is used up; later ones clear the block
+// it already holds, so there is no free list to manage.
 func (c *Cache[L]) Install(w *Way[L], addr uint64) {
 	w.Tag = config.BlockAddr(addr)
 	w.Valid = true

@@ -8,6 +8,7 @@ import (
 	"slices"
 	"sort"
 	"testing"
+	"unsafe"
 
 	"repro/internal/config"
 )
@@ -161,7 +162,8 @@ func distinctGrants(c *Cache[meta]) error {
 // busy bits, data of every valid line, LRU order; checks that each set's
 // granted ways are an index-order prefix on the doubling schedule, that
 // the referee holds no line beyond it, and that no two sets hold the
-// same grant and no two ways the same slab block.
+// same grant, no two ways the same slab block, and that the slab holds
+// just the chunks its handed-out blocks need.
 func sameState(c *Cache[meta], r *refCache) error {
 	if err := distinctGrants(c); err != nil {
 		return err
@@ -205,6 +207,9 @@ func sameState(c *Cache[meta], r *refCache) error {
 	if int(c.slabUsed) != len(owners) {
 		return fmt.Errorf("slab handed out %d blocks, %d ways hold one", c.slabUsed, len(owners))
 	}
+	if want := (int(c.slabUsed) + slabBlocks - 1) / slabBlocks; len(c.slab) != want {
+		return fmt.Errorf("slab holds %d chunks for %d blocks handed out, want %d", len(c.slab), c.slabUsed, want)
+	}
 	return nil
 }
 
@@ -217,8 +222,8 @@ func TestCacheMatchesReferee(t *testing.T) {
 		{4 * 64, 4, 4000},    // one set
 		{8 * 64, 2, 4000},    // four sets
 		{4 << 10, 4, 6000},   // config.Small's L2 tile
-		{16 << 10, 2, 3000},  // 128 sets: eight pool blocks, one full slab chunk
-		{48 << 10, 3, 3000},  // 768 blocks: the slab grows to three chunks
+		{16 << 10, 2, 3000},  // 128 sets: eight pool blocks, up to sixteen slab chunks
+		{48 << 10, 3, 3000},  // 768 blocks: the slab grows past sixteen chunks
 		{32 << 10, 16, 3000}, // Table 2 associativity
 	} {
 		for seed := int64(1); seed <= 3; seed++ {
@@ -362,9 +367,6 @@ func runOps(t *testing.T, size, ways, ops int, rng opSource) {
 			t.Fatalf("after op %d (%s %#x): %v", op, what, addr, err)
 		}
 	}
-	if max := (blocks + slabBlocks - 1) / slabBlocks; len(c.slab) > max {
-		t.Fatalf("slab grew to %d chunks for %d blocks of capacity", len(c.slab), blocks)
-	}
 }
 
 // TestBlockSurvivesSlabGrowth: a Block slice taken while the slab had
@@ -398,6 +400,37 @@ func TestBlockSurvivesSlabGrowth(t *testing.T) {
 	early[6] = 0xA5
 	if c.Block(w0)[6] != 0xA5 {
 		t.Fatal("a write through the early slice did not reach the line")
+	}
+}
+
+// TestDataFollowsInstalls: after n first fills into distinct ways of a
+// fresh 1 MiB, 16-way cache, its data slab holds at most n 64-byte
+// blocks rounded up to one 1 KiB step; invalidating those lines and
+// installing others into the same ways adds nothing.
+func TestDataFollowsInstalls(t *testing.T) {
+	const step = 1 << 10
+	for _, n := range []int{1, 16, 17, 300} {
+		c := NewCache[meta](1<<20, 16)
+		slabBytes := func() int { return len(c.slab) * int(unsafe.Sizeof(slabChunk{})) }
+		for i := 0; i < n; i++ { // one line in each of n sets
+			addr := uint64(i) << config.BlockShift
+			c.Install(c.Victim(addr), addr)
+		}
+		filled := slabBytes()
+		if bound := (n*config.BlockSize + step - 1) / step * step; filled > bound {
+			t.Errorf("%d first fills: slab holds %d bytes, bound %d", n, filled, bound)
+		}
+		for i := 0; i < n; i++ { // refill each way with another line of its set
+			addr := uint64(i) << config.BlockShift
+			c.Invalidate(c.Peek(addr))
+			addr += uint64(c.Sets()) << config.BlockShift
+			c.Install(c.Victim(addr), addr)
+			c.Install(c.Peek(addr), addr)
+		}
+		if got := slabBytes(); got != filled || int(c.slabUsed) != n {
+			t.Errorf("%d first fills, then Invalidate and two re-Installs of each way: slab holds %d bytes in %d blocks, was %d bytes",
+				n, got, c.slabUsed, filled)
+		}
 	}
 }
 

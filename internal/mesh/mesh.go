@@ -185,9 +185,6 @@ func nearSquareRows(n int) int {
 // Rows reports the mesh row count.
 func (n *Network) Rows() int { return n.rows }
 
-// Cols reports the mesh column count.
-func (n *Network) Cols() int { return n.cols }
-
 // Attach registers an endpoint at a router. Multiple endpoints may share
 // a router (the co-located L1 and L2 tile).
 func (n *Network) Attach(id coherence.NodeID, router int, ep Endpoint) {
@@ -472,23 +469,4 @@ func (n *Network) ComponentLabel() string {
 // (the engine's snapshot lists each delivery's due cycle after it).
 func (n *Network) Debug() string {
 	return fmt.Sprintf("mesh: %d pending deliveries", n.inFlight)
-}
-
-// HopDistance reports the XY hop count between two node IDs.
-func (n *Network) HopDistance(a, b coherence.NodeID) int {
-	sa := n.node(a)
-	sb := n.node(b)
-	if sa.ep == nil || sb.ep == nil {
-		return 0
-	}
-	ax, ay := n.coords(sa.router)
-	bx, by := n.coords(sb.router)
-	return abs(ax-bx) + abs(ay-by)
-}
-
-func abs(x int) int {
-	if x < 0 {
-		return -x
-	}
-	return x
 }

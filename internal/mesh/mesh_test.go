@@ -438,3 +438,25 @@ func TestDeliveriesKeepSendOrder(t *testing.T) {
 		})
 	}
 }
+
+// Cols reports the mesh column count.
+func (n *Network) Cols() int { return n.cols }
+
+// HopDistance reports the XY hop count between two node IDs.
+func (n *Network) HopDistance(a, b coherence.NodeID) int {
+	sa := n.node(a)
+	sb := n.node(b)
+	if sa.ep == nil || sb.ep == nil {
+		return 0
+	}
+	ax, ay := n.coords(sa.router)
+	bx, by := n.coords(sb.router)
+	return abs(ax-bx) + abs(ay-by)
+}
+
+func abs(x int) int {
+	if x < 0 {
+		return -x
+	}
+	return x
+}

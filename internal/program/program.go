@@ -69,15 +69,6 @@ func (op OpCode) IsMem() bool {
 	return false
 }
 
-// IsAtomic reports whether the opcode is an atomic read-modify-write.
-func (op OpCode) IsAtomic() bool {
-	switch op {
-	case OpRmwAdd, OpRmwXchg, OpCas:
-		return true
-	}
-	return false
-}
-
 // Instr is one decoded instruction.
 type Instr struct {
 	Op      OpCode

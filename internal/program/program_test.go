@@ -254,3 +254,12 @@ func TestRandomStraightLineProgramsValidate(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// IsAtomic reports whether the opcode is an atomic read-modify-write.
+func (op OpCode) IsAtomic() bool {
+	switch op {
+	case OpRmwAdd, OpRmwXchg, OpCas:
+		return true
+	}
+	return false
+}

@@ -5,7 +5,6 @@ package stats
 import (
 	"fmt"
 	"math"
-	"sort"
 	"strings"
 )
 
@@ -168,15 +167,4 @@ func (t *Table) String() string {
 		b.WriteByte('\n')
 	}
 	return b.String()
-}
-
-// SortedKeys returns the sorted keys of a string-keyed map; used to make
-// map iteration deterministic in reports.
-func SortedKeys[V any](m map[string]V) []string {
-	ks := make([]string, 0, len(m))
-	for k := range m {
-		ks = append(ks, k)
-	}
-	sort.Strings(ks)
-	return ks
 }

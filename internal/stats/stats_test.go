@@ -2,6 +2,7 @@ package stats
 
 import (
 	"math"
+	"sort"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -148,4 +149,14 @@ func TestSortedKeys(t *testing.T) {
 	if len(got) != 3 || got[0] != "a" || got[1] != "b" || got[2] != "c" {
 		t.Fatalf("SortedKeys = %v", got)
 	}
+}
+
+// SortedKeys returns the sorted keys of a string-keyed map.
+func SortedKeys[V any](m map[string]V) []string {
+	ks := make([]string, 0, len(m))
+	for k := range m {
+		ks = append(ks, k)
+	}
+	sort.Strings(ks)
+	return ks
 }

@@ -655,12 +655,12 @@ func BenchmarkDataResponsePath(b *testing.B) {
 // event churn, no message traffic.
 func BenchmarkL1HitPath(b *testing.B) { runOp(b, l1HitPathOp(b)) }
 
-// filledCache returns a Table 2 L1 array with every way installed once,
-// so each way already owns its slab block.
-func filledCache(tb testing.TB) *memsys.Cache[struct{}] {
-	cfg := config.Table2()
-	c := memsys.NewCache[struct{}](cfg.L1Size, cfg.L1Ways)
-	for addr := uint64(0); addr < uint64(cfg.L1Size); addr += config.BlockSize {
+// filledCache returns an array of size bytes and the given
+// associativity with every way installed once, so each way already owns
+// its slab block.
+func filledCache(tb testing.TB, size, ways int) *memsys.Cache[struct{}] {
+	c := memsys.NewCache[struct{}](size, ways)
+	for addr := uint64(0); addr < uint64(size); addr += config.BlockSize {
 		w := c.Victim(addr)
 		if w == nil || w.Valid {
 			tb.Fatalf("fill: no free way for %#x", addr)
@@ -673,8 +673,9 @@ func filledCache(tb testing.TB) *memsys.Cache[struct{}] {
 // cacheHitBlockOp is the array half of an L1 hit: tag match, then the
 // word read through the way's slab block.
 func cacheHitBlockOp(tb testing.TB) func() {
-	c := filledCache(tb)
-	span := uint64(config.Table2().L1Size)
+	cfg := config.Table2()
+	c := filledCache(tb, cfg.L1Size, cfg.L1Ways)
+	span := uint64(cfg.L1Size)
 	var i, sink uint64
 	return func() {
 		addr := i * 8 % span
@@ -690,8 +691,9 @@ func BenchmarkCacheHitBlock(b *testing.B) { runOp(b, cacheHitBlockOp(b)) }
 // on a way that already holds a block and must clear it in place, not
 // take a new one from the slab.
 func cacheReinstallOp(tb testing.TB) func() {
-	c := filledCache(tb)
-	span := uint64(config.Table2().L1Size)
+	cfg := config.Table2()
+	c := filledCache(tb, cfg.L1Size, cfg.L1Ways)
+	span := uint64(cfg.L1Size)
 	var i uint64
 	return func() {
 		addr := span + i*config.BlockSize
@@ -704,6 +706,27 @@ func cacheReinstallOp(tb testing.TB) func() {
 
 // BenchmarkCacheReinstall times cacheReinstallOp.
 func BenchmarkCacheReinstall(b *testing.B) { runOp(b, cacheReinstallOp(b)) }
+
+// cacheFullSetScanOp is a miss into a full set: Peek finds no line
+// among the sixteen ways of an L2-tile-sized array whose every set is
+// full, then Victim scans them for the LRU way. Nothing is installed,
+// so every op scans full sets.
+func cacheFullSetScanOp(tb testing.TB) func() {
+	cfg := config.Table2()
+	c := filledCache(tb, cfg.L2TileSize, cfg.L2Ways)
+	span := uint64(cfg.L2TileSize)
+	var i uint64
+	return func() {
+		addr := span + i*config.BlockSize%span
+		i++
+		if c.Peek(addr) != nil || c.Victim(addr) == nil {
+			tb.Fatalf("%#x: hit, or no victim in a full set", addr)
+		}
+	}
+}
+
+// BenchmarkCacheFullSetScan times cacheFullSetScanOp.
+func BenchmarkCacheFullSetScan(b *testing.B) { runOp(b, cacheFullSetScanOp(b)) }
 
 // synthBenchParams sizes the synthesis and decode benchmarks: the repo
 // benchmark's replay_zipf8 shape at a sixth of its length, so one op of
