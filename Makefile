@@ -33,7 +33,8 @@ test:
 # The L1 hit path calls these L1Base helpers once per access, both
 # TSO front ends (cpu.Front) call these write-buffer and stall helpers
 # on every retirement, the trace cursor reads every varint field and
-# address delta of a replayed stream through uvarintAt and unzigzag, and
+# address delta of a replayed stream through uvarintAt and unzigzag,
+# Decode's scan reads every address delta through varintWord, and
 # every remote TSO-CC data response consults its last-seen table through
 # lastSeen.get and lastSeen.sync; all rely on the compiler inlining
 # them, so fail if any stops being inlinable. Arguments: package, then Type.Method (pointer receiver) or
@@ -47,9 +48,9 @@ inline-check:
 	  done; }; \
 	check coherence l1Ctl.LoadBlocked l1Ctl.StoreBlocked l1Ctl.WritePending l1Ctl.CompleteVal l1Ctl.CompleteNext; \
 	check cpu WriteBuffer.Ready WriteBuffer.Empty WriteBuffer.Full WriteBuffer.Forward WriteBuffer.Push WriteBuffer.Drain Stalls.On Stalls.Open; \
-	check trace uvarintAt unzigzag; \
+	check trace uvarintAt unzigzag varintWord; \
 	check tsocc lastSeen.get lastSeen.sync; \
-	echo "inline-check: L1 hit-path, front-end, trace-cursor and last-seen helpers inlinable"
+	echo "inline-check: L1 hit-path, front-end, trace-cursor, trace-decode and last-seen helpers inlinable"
 
 # Unit-test packages under the race detector (mirrors the CI race job);
 # the TxTable lifecycle checks are in every build.
@@ -65,8 +66,9 @@ race:
 # 16-way L2 sets) tracks the cost of scanning a set grant by grant,
 # which the bench workloads, at about 8 ways a set, do not show. The trace synthesis and decode benchmarks work on megabytes per
 # op, hence their own, short leg, run at one CPU and at two: synthesis
-# writes its streams on up to GOMAXPROCS goroutines, so the one-CPU
-# figure shows a change that makes single-stream synthesis slower even
+# writes its streams, and Decode checks them, on up to GOMAXPROCS
+# goroutines, so the one-CPU figures show a change that makes
+# single-stream synthesis, or the single-stream decode scan, slower even
 # where the concurrency hides it.
 bench-smoke:
 	$(GO) test -run xxx -bench 'BenchmarkEngineStep|BenchmarkEngineIdleSkip|BenchmarkLowIdleWorkload|BenchmarkDenseCompute|BenchmarkTraceCodec' -benchtime 20x .

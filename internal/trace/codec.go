@@ -2,17 +2,18 @@ package trace
 
 import (
 	"encoding/binary"
+	"math/bits"
 	"os"
 
 	"repro/internal/config"
 	"repro/internal/sim"
 )
 
-// Binary trace format, version 3. All integers are unsigned varints
+// Binary trace format, version 4. All integers are unsigned varints
 // (encoding/binary) unless marked zigzag (signed varint). Layout:
 //
 //	magic     8 bytes "TSOCCTRC"
-//	version   uvarint (3; any other is refused)
+//	version   uvarint (4; any other is refused)
 //	protocol  string (uvarint length + bytes)
 //	workload  string
 //	seed      uvarint
@@ -25,7 +26,11 @@ import (
 //	            value  uvarint
 //	streams   uvarint count, then per stream:
 //	            core   uvarint (strictly ascending across streams)
-//	            ops    uvarint count, then per op record:
+//	            ops    uvarint count
+//	            bytes  uvarint length of the op records that follow
+//	                   (at most the remaining input; the records must
+//	                   fill it exactly)
+//	            then ops op records:
 //	              head    1 byte: kind in the low 3 bits (0-6), a
 //	                      gap/instrs code c in the high 5
 //	              gap     uvarint (c >= 30 only)
@@ -47,7 +52,13 @@ import (
 // probes re-polling one address on a fixed cadence) collapse from one
 // record per probe to one record per probe *burst*. No kind has low
 // bits 7 (kinds are < config.NumTraceOps = 7); any byte with low bits 7
-// but 0x07 is refused as "rle". Versions 1 and 2 are no longer read.
+// but 0x07 is refused as "rle".
+//
+// Version 4 spells records as version 3 did and adds only the bytes
+// field, at most three bytes a stream for any stream under 2 MiB: a
+// stream's end is then known from its header, without parsing its
+// records, so Decode can check streams concurrently. Versions 1 to 3
+// are no longer read.
 //
 // The encoding is canonical: runs are maximal, head codes shortest and
 // varints minimal, so Encode is a pure function of the trace and encode →
@@ -61,15 +72,22 @@ import (
 //
 //   - Encode writes the header and copies each stream's records behind
 //     it; it never looks inside them.
-//   - Decode parses the header, then checks each stream's records in one
-//     scan (scanOps) — framing, the per-op rule (checkOp's, on each
-//     record's fields as read), halt placement, the op budget — and
-//     keeps the sub-slice of data it
-//     just checked. Nothing is expanded, so a repeat marker declaring
-//     millions of ops costs no memory. Decode therefore retains data:
-//     the caller must not modify it afterwards. Records that are valid
-//     but not canonical (split runs, longer head codes, padded varints)
-//     are rebuilt through an OpsBuilder instead of kept.
+//   - Decode parses the header, then walks the stream headers in file
+//     order — core range, the shared op budget, bytes within the input —
+//     skipping each stream's records. It then checks each stream's
+//     records in one scan of its own sub-slice (scanOps), on up to
+//     GOMAXPROCS goroutines: framing, the per-op rule (checkOp's, on each
+//     record's fields as read), halt placement, records filling bytes
+//     exactly. The error returned is the one a reader taking header,
+//     records, header, ... in turn would meet first: the lowest failing
+//     stream before the first bad header, else that header's; every
+//     offset in it counts from the start of the file. Each scan keeps
+//     the sub-slice of data it just checked. Nothing is expanded, so a
+//     repeat marker declaring millions of ops costs no memory. Decode
+//     therefore retains data: the caller must not modify it afterwards.
+//     Records that are valid but not canonical (split runs, longer head
+//     codes, padded varints) are rebuilt through an OpsBuilder instead
+//     of kept.
 //   - Who validates what: per-op fields and halt placement are checked
 //     once, where the op enters (OpsBuilder.Append / Finish for values,
 //     scanOps for bytes) and cannot be broken afterwards, so
@@ -77,7 +95,7 @@ import (
 //     init-memory order and alignment, stream order and core range,
 //     no empty stream — in O(streams + init words).
 const (
-	formatVersion = 3
+	formatVersion = 4
 	magicLen      = 8
 
 	// The head byte (see above): kind bits, the marker, the long codes.
@@ -125,7 +143,7 @@ func Encode(t *Trace) ([]byte, error) {
 	}
 	// Upper bound on the encoded size, so the buffer is allocated once.
 	size := 256 + len(t.Meta.Protocol) + len(t.Meta.Workload) +
-		2*binary.MaxVarintLen64*(len(t.InitMem)+len(t.Streams))
+		2*binary.MaxVarintLen64*len(t.InitMem) + 3*binary.MaxVarintLen64*len(t.Streams)
 	for _, s := range t.Streams {
 		size += s.Ops.Size()
 	}
@@ -153,6 +171,7 @@ func Encode(t *Trace) ([]byte, error) {
 	for _, s := range t.Streams {
 		e.uvarint(uint64(s.Core))
 		e.uvarint(uint64(s.Ops.Len()))
+		e.uvarint(uint64(s.Ops.Size()))
 		e.buf = append(e.buf, s.Ops.rec...)
 	}
 	// Self-check against the decoder's budget (see decodeOpBudget): only
@@ -266,35 +285,25 @@ func Decode(data []byte) (*Trace, error) {
 	if err != nil {
 		return nil, err
 	}
-	opBudget := decodeOpBudget(len(data))
-	for i := 0; i < nstreams; i++ {
-		core, err := d.uvarint("core")
+	// Each stream is scanned in its own sub-slice of data, which ends
+	// where its bytes do; the scans run concurrently, and the lowest
+	// failing stream's error, else the header walk's, is returned.
+	spans, headErr := d.streamHeaders(nstreams)
+	t.Streams = make([]Stream, len(spans))
+	errs := make([]error, len(spans))
+	forEach(len(spans), func(i int) {
+		sp := spans[i]
+		sd := decoder{buf: data[:sp.end:sp.end], pos: sp.start}
+		ops, err := sd.scanOps(sp.core, sp.nops)
+		t.Streams[i], errs[i] = Stream{Core: sp.core, Ops: ops}, err
+	})
+	for _, err := range errs {
 		if err != nil {
 			return nil, err
 		}
-		if core > 1<<20 {
-			return nil, formatErr("core", "stream core id %d out of range", core)
-		}
-		// The op count cannot be bounded by the remaining input: run-length
-		// markers stand for arbitrarily many ops by design. The budget —
-		// shared across every stream in the file — is the bound instead.
-		nops, err := d.uvarint("ops")
-		if err != nil {
-			return nil, err
-		}
-		if nops > uint64(opBudget) {
-			return nil, formatErr("ops", "core %d: ops count %d exceeds remaining decoder budget %d",
-				core, nops, opBudget)
-		}
-		opBudget -= int(nops)
-		ops, err := d.scanOps(int(core), int(nops))
-		if err != nil {
-			return nil, err
-		}
-		t.Streams = append(t.Streams, Stream{Core: int(core), Ops: ops})
 	}
-	if d.pos != len(d.buf) {
-		return nil, formatErr("streams", "%d trailing bytes after streams", len(d.buf)-d.pos)
+	if headErr != nil {
+		return nil, headErr
 	}
 	if err := t.Validate(); err != nil {
 		return nil, err
@@ -302,8 +311,59 @@ func Decode(data []byte) (*Trace, error) {
 	return t, nil
 }
 
-// scanOps checks the nops op records at d.pos and returns them as an
-// Ops without expanding anything: framing, the per-op rule (checkOp's,
+// span is one stream as its header frames it: records in
+// data[start:end], declaring nops ops.
+type span struct {
+	core, nops, start, end int
+}
+
+// streamHeaders walks the n stream headers from d.pos, skipping each
+// stream's records, and returns the streams framed before the first
+// bad header with that header's error, or every stream and, if bytes
+// follow the last, the trailing-bytes error.
+func (d *decoder) streamHeaders(n int) ([]span, error) {
+	var spans []span
+	opBudget := decodeOpBudget(len(d.buf))
+	for i := 0; i < n; i++ {
+		core, err := d.uvarint("core")
+		if err != nil {
+			return spans, err
+		}
+		if core > 1<<20 {
+			return spans, formatErr("core", "stream core id %d out of range", core)
+		}
+		// The op count cannot be bounded by the remaining input: run-length
+		// markers stand for arbitrarily many ops by design. The budget —
+		// shared across every stream in the file — is the bound instead.
+		nops, err := d.uvarint("ops")
+		if err != nil {
+			return spans, err
+		}
+		if nops > uint64(opBudget) {
+			return spans, formatErr("ops", "core %d: ops count %d exceeds remaining decoder budget %d",
+				core, nops, opBudget)
+		}
+		opBudget -= int(nops)
+		size, err := d.uvarint("bytes")
+		if err != nil {
+			return spans, err
+		}
+		if size > uint64(len(d.buf)-d.pos) {
+			return spans, formatErr("bytes", "core %d: stream length %d exceeds remaining input %d",
+				core, size, len(d.buf)-d.pos)
+		}
+		spans = append(spans, span{core: int(core), nops: int(nops), start: d.pos, end: d.pos + int(size)})
+		d.pos += int(size)
+	}
+	if d.pos != len(d.buf) {
+		return spans, formatErr("streams", "%d trailing bytes after streams", len(d.buf)-d.pos)
+	}
+	return spans, nil
+}
+
+// scanOps checks that the nops op records at d.pos fill the rest of
+// d.buf exactly and returns them as an Ops without expanding anything:
+// framing, the per-op rule (checkOp's,
 // applied here to the fields as they are read), one halt and only at
 // the end; a repeat marker re-states an op already checked. Canonical
 // records — what Encode writes — are kept as the sub-slice just
@@ -317,7 +377,7 @@ func (d *decoder) scanOps(core, nops int) (Ops, error) {
 	if nops == 0 {
 		return Ops{}, formatErr("ops", "core %d stream is empty", core)
 	}
-	pos, start := d.pos, d.pos
+	buf, pos, start := d.buf, d.pos, d.pos
 	d.padded = false
 	var (
 		prev        uint64 // running address
@@ -329,10 +389,10 @@ func (d *decoder) scanOps(core, nops int) (Ops, error) {
 		lastGap, lastInstrs, lastVal, lastVal2 uint64
 	)
 	for j := 0; j < nops; {
-		if pos >= len(d.buf) {
+		if pos >= len(buf) {
 			return Ops{}, formatErr("ops", "truncated at core %d op %d", core, j)
 		}
-		head := d.buf[pos]
+		head := buf[pos]
 		pos++
 		if head&kindMask == rleMarker {
 			if head != rleMarker {
@@ -371,8 +431,18 @@ func (d *decoder) scanOps(core, nops int) (Ops, error) {
 		}
 		var delta, val, val2 uint64
 		if kind.HasAddr() {
-			if delta, next = d.varint(pos); next < 0 {
-				return Ops{}, inCore(core, varintErr("addr", pos))
+			// Every load and store carries an address delta, mostly a
+			// few bytes long: where eight bytes remain, varint's word
+			// reader, inlined, reads it without a call.
+			n, padded := 0, false
+			if pos+8 <= len(buf) {
+				delta, n, padded = varintWord(binary.LittleEndian.Uint64(buf[pos : pos+8]))
+				d.padded = d.padded || padded
+			}
+			if next = pos + n; n == 0 {
+				if delta, next = d.varint(pos); next < 0 {
+					return Ops{}, inCore(core, varintErr("addr", pos))
+				}
 			}
 			pos = next
 			prev += uint64(unzigzag(delta))
@@ -396,7 +466,7 @@ func (d *decoder) scanOps(core, nops int) (Ops, error) {
 			return Ops{}, formatErr("halt", "core %d has halt at op %d before end of stream", core, j)
 		}
 		if code != headCode(gap, instrs) ||
-			kind == lastKind && gap == lastGap && instrs == lastInstrs && delta == 0 && val == lastVal && val2 == lastVal2 {
+			delta == 0 && kind == lastKind && gap == lastGap && instrs == lastInstrs && val == lastVal && val2 == lastVal2 {
 			canonical = false
 		}
 		lastKind, lastGap, lastInstrs, lastVal, lastVal2 = kind, gap, instrs, val, val2
@@ -407,7 +477,10 @@ func (d *decoder) scanOps(core, nops int) (Ops, error) {
 	if lastKind != config.TraceHalt {
 		return Ops{}, formatErr("halt", "core %d stream does not end in halt", core)
 	}
-	rec := d.buf[start:pos:pos]
+	if pos != len(buf) {
+		return Ops{}, formatErr("bytes", "core %d: %d bytes left after its %d ops", core, len(buf)-pos, nops)
+	}
+	rec := buf[start:pos:pos]
 	if canonical && !d.padded {
 		return Ops{rec: rec, n: nops}, nil
 	}
@@ -447,20 +520,68 @@ func varintErr(what string, pos int) error {
 // uvarintAt: it returns the varint at d.buf[pos:] with the offset just
 // past it, or a negative offset if the bytes there are truncated or
 // encode more than 64 bits. A varint longer than its value needs is
-// valid but sets d.padded.
+// valid but sets d.padded. Where eight bytes remain it reads them as one
+// word (varintWord), and a nine- or ten-byte varint as that word and one
+// or two bytes more; only the last bytes of d.buf go through
+// binary.Uvarint.
 func (d *decoder) varint(pos int) (uint64, int) {
 	b := d.buf
-	if pos < len(b) && b[pos] < 0x80 { // most fields of a real stream
-		return uint64(b[pos]), pos + 1
+	if pos+8 > len(b) {
+		v, n := binary.Uvarint(b[pos:])
+		if n <= 0 {
+			return 0, -1
+		}
+		if n > 1 && b[pos+n-1] == 0 {
+			d.padded = true
+		}
+		return v, pos + n
 	}
-	v, n := binary.Uvarint(b[pos:])
-	if n <= 0 {
+	w := binary.LittleEndian.Uint64(b[pos : pos+8])
+	if v, n, padded := varintWord(w); n > 0 {
+		d.padded = d.padded || padded
+		return v, pos + n
+	}
+	// No terminator in the word: bytes 8 and 9 end the varint, the tenth
+	// carrying bit 63 alone.
+	v := pack7(w & 0x7f7f7f7f7f7f7f7f)
+	if pos+8 >= len(b) {
 		return 0, -1
 	}
-	if b[pos+n-1] == 0 {
-		d.padded = true
+	if c := uint64(b[pos+8]); c < 0x80 {
+		d.padded = d.padded || c == 0
+		return v | c<<56, pos + 9
+	} else if pos+9 < len(b) && b[pos+9] <= 1 {
+		c9 := uint64(b[pos+9])
+		d.padded = d.padded || c9 == 0
+		return v | (c&0x7f)<<56 | c9<<63, pos + 10
 	}
-	return v, pos + n
+	return 0, -1
+}
+
+// varintWord decodes the varint that starts w, eight input bytes loaded
+// little-endian: its value, its length, and whether it is longer than
+// its value needs (a zero last byte after the first); length 0 if it
+// does not end within the word. The terminator is the lowest byte with
+// its high bit clear, found by one trailing-zero count. It inlines, so
+// scanOps reads address deltas through it without a call.
+func varintWord(w uint64) (v uint64, n int, padded bool) {
+	stop := ^w & 0x8080808080808080
+	if stop == 0 {
+		return 0, 0, false
+	}
+	t := bits.TrailingZeros64(stop) + 1 // the varint's bits, terminator included
+	w &= 1<<t - 1
+	return pack7(w & 0x7f7f7f7f7f7f7f7f), t >> 3, t > 8 && w < 1<<(t-8)
+}
+
+// pack7 packs the seven-bit groups of w, one a byte with the high bits
+// clear, into the low 56 bits: bytes into 14-bit pairs (a subtraction
+// suffices, the high bits being clear), pairs into 28-bit quads, quads
+// into one value.
+func pack7(w uint64) uint64 {
+	w -= (w & 0x7f007f007f007f00) >> 1
+	w = w&0x00003fff00003fff | (w&0x3fff00003fff0000)>>2
+	return w&0x000000000fffffff | (w&0x0fffffff00000000)>>4
 }
 
 func (d *decoder) str(what string) (string, error) {

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"reflect"
 	"runtime"
+	"slices"
 	"testing"
 
 	"repro/internal/config"
@@ -61,11 +62,12 @@ func spinRef(probes int) *refTrace {
 	}
 }
 
-// TestCodecRefusesOldVersions: versions 1 (before run-length markers)
-// and 2 (a kind byte and gap and instrs varints per record) are no
-// longer read; a file declaring either is refused at the version field.
+// TestCodecRefusesOldVersions: versions 1 (before run-length markers),
+// 2 (a kind byte and gap and instrs varints per record) and 3 (no
+// per-stream byte length) are no longer read; a file declaring any of
+// them is refused at the version field.
 func TestCodecRefusesOldVersions(t *testing.T) {
-	for _, v := range []byte{1, 2} {
+	for _, v := range []byte{1, 2, 3} {
 		data, err := Encode(sampleRef().pack(t))
 		if err != nil {
 			t.Fatal(err)
@@ -73,14 +75,17 @@ func TestCodecRefusesOldVersions(t *testing.T) {
 		data[magicLen] = v
 		var fe *FormatError
 		if _, err := Decode(data); !errors.As(err, &fe) || fe.Field != "version" ||
-			fe.Msg != fmt.Sprintf("unsupported format version %d (have 3)", v) {
+			fe.Msg != fmt.Sprintf("unsupported format version %d (have 4)", v) {
 			t.Errorf("decode of a version-%d file: got %v, want the version FormatError", v, err)
 		}
 	}
-	// A whole version-2 file too, not only its version byte.
-	var fe *FormatError
-	if _, err := Decode(EncodeV2(sampleRef().pack(t))); !errors.As(err, &fe) || fe.Field != "version" {
-		t.Errorf("decode of a version-2 file: got %v, want the version FormatError", err)
+	// Whole version-2 and version-3 files too, not only their version
+	// bytes.
+	for v, data := range map[int][]byte{2: EncodeV2(sampleRef().pack(t)), 3: v3.file(sampleRef())} {
+		var fe *FormatError
+		if _, err := Decode(data); !errors.As(err, &fe) || fe.Field != "version" {
+			t.Errorf("decode of a version-%d file: got %v, want the version FormatError", v, err)
+		}
 	}
 }
 
@@ -161,15 +166,18 @@ func TestCodecRLEIgnoresUnencodedFields(t *testing.T) {
 	}
 }
 
-// bombHeader is the header of a one-core, one-stream file whose stream
-// declares nops ops; the caller appends the records.
-func bombHeader(nops uint64) []byte {
+// bombFile is a one-core, one-stream file whose stream declares nops
+// ops and holds the records given, joined.
+func bombFile(nops uint64, records ...[]byte) []byte {
 	var w refWriter
 	w.header(formatVersion, &refTrace{Meta: Meta{Protocol: "MESI", Workload: "evil",
 		Seed: 1, Sys: normalizeSys(config.Small(1))}})
 	w.uvarint(1) // stream count
 	w.uvarint(0) // core 0
 	w.uvarint(nops)
+	rec := bytes.Join(records, nil)
+	w.uvarint(uint64(len(rec)))
+	w.buf = append(w.buf, rec...)
 	return w.buf
 }
 
@@ -177,7 +185,7 @@ func bombHeader(nops uint64) []byte {
 // more total ops than the decoder budget is rejected at the count, with
 // the typed error naming it.
 func TestCodecDecodeOpBudget(t *testing.T) {
-	data := append(bombHeader(maxDecodeOps+1), 0) // one op would follow...
+	data := bombFile(maxDecodeOps+1, []byte{0}) // one op would follow...
 	_, err := Decode(data)
 	var fe *FormatError
 	if !errors.As(err, &fe) || fe.Field != "ops" {
@@ -220,7 +228,6 @@ func TestCodecDecodeAllocation(t *testing.T) {
 		w.marker(n)
 		return w.buf
 	}
-	join := func(parts ...[]byte) []byte { return bytes.Join(parts, nil) }
 
 	zipf, err := Encode(Zipf(SynthParams{Cores: 8, OpsPerCore: 300000, Seed: 1}))
 	if err != nil {
@@ -231,8 +238,8 @@ func TestCodecDecodeAllocation(t *testing.T) {
 		data []byte
 		ops  int
 	}{
-		{"bomb, one run", join(bombHeader(maxDecodeOps), load, marker(maxDecodeOps-2), halt), maxDecodeOps},
-		{"bomb, split run", join(bombHeader(maxDecodeOps), load, marker(maxDecodeOps/2),
+		{"bomb, one run", bombFile(maxDecodeOps, load, marker(maxDecodeOps-2), halt), maxDecodeOps},
+		{"bomb, split run", bombFile(maxDecodeOps, load, marker(maxDecodeOps/2),
 			marker(maxDecodeOps-2-maxDecodeOps/2), halt), maxDecodeOps},
 		{"zipf 8x300k", zipf, 8 * 300001},
 	}
@@ -521,4 +528,140 @@ func TestReadWriteFile(t *testing.T) {
 	if !reflect.DeepEqual(orig, got) {
 		t.Fatal("file round trip mismatch")
 	}
+}
+
+// TestCodecStreamBytes: a stream's records must fill exactly the bytes
+// its header declares. One byte short cuts its last record (here the
+// halt's one-byte head); one byte long takes in the first byte of the
+// next stream's header, left over once the stream's ops are read. Both
+// are refused as the first stream's error, whatever the misframed rest
+// of the file holds.
+func TestCodecStreamBytes(t *testing.T) {
+	ref := sampleRef()
+	file := func(delta int) []byte {
+		var w refWriter
+		w.header(formatVersion, ref)
+		w.uvarint(uint64(len(ref.Streams)))
+		for i, s := range ref.Streams {
+			rec := v4.records(s.Ops)
+			w.uvarint(uint64(s.Core))
+			w.uvarint(uint64(len(s.Ops)))
+			if i == 0 {
+				w.uvarint(uint64(len(rec) + delta))
+			} else {
+				w.uvarint(uint64(len(rec)))
+			}
+			w.buf = append(w.buf, rec...)
+		}
+		return w.buf
+	}
+	if _, err := Decode(file(0)); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		delta      int
+		field, msg string
+	}{
+		{-1, "ops", "truncated at core 0 op 5"},
+		{+1, "bytes", "core 0: 1 bytes left after its 6 ops"},
+	} {
+		var fe *FormatError
+		if _, err := Decode(file(tc.delta)); !errors.As(err, &fe) || fe.Field != tc.field || fe.Msg != tc.msg {
+			t.Errorf("bytes off by %+d: got %v, want %q %q", tc.delta, err, tc.field, tc.msg)
+		}
+	}
+}
+
+// withProcs runs f at each GOMAXPROCS setting Decode is held to.
+func withProcs(f func(procs int)) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 2, 8} {
+		runtime.GOMAXPROCS(procs)
+		f(procs)
+	}
+}
+
+// TestDecodeSameAtAnyWidth: Decode checks streams on up to GOMAXPROCS
+// goroutines, and what it returns must not depend on how many. A Zipf
+// trace of eight streams decodes to the same Trace at 1, 2 and 8, in
+// Encode's spelling (each stream kept as checked) and with its runs
+// split (each stream rebuilt).
+func TestDecodeSameAtAnyWidth(t *testing.T) {
+	tr := Zipf(SynthParams{Cores: 8, OpsPerCore: 5000, Seed: 3})
+	enc, err := Encode(tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	split := splitRuns(unpack(tr))
+	withProcs(func(procs int) {
+		for name, data := range map[string][]byte{"canonical": enc, "split runs": split} {
+			for i := 0; i < 5; i++ {
+				got, err := Decode(data)
+				if err != nil {
+					t.Fatalf("%s, GOMAXPROCS %d: %v", name, procs, err)
+				}
+				if !reflect.DeepEqual(got, tr) {
+					t.Fatalf("%s, GOMAXPROCS %d: decoded trace differs from the encoded one", name, procs)
+				}
+			}
+		}
+	})
+}
+
+// TestDecodeErrorIsSequential: with several faults in a file, Decode
+// returns the one a reader taking header, records, header, ... in turn
+// meets first, at any width, its offset counted from the start of the
+// file. Streams 2 and 5 of eight end in a cut varint (the halt's
+// instrs, 9, made 0x87: a continuation byte with nothing after it), and
+// the header after stream 6 names a core out of range: stream 2's error
+// wins. Each fault alone is reported as itself, so the test pins which
+// one wins.
+func TestDecodeErrorIsSequential(t *testing.T) {
+	ops := longOps()
+	ref := &refTrace{Meta: Meta{Protocol: "MESI", Workload: "faults", Seed: 1,
+		Sys: normalizeSys(config.Small(8))}}
+	file := func(badBody []int, badHeader bool) []byte {
+		var w refWriter
+		w.header(formatVersion, ref)
+		w.uvarint(8)
+		for core := 0; core < 8; core++ {
+			rec := v4.records(ops)
+			if slices.Contains(badBody, core) {
+				rec[len(rec)-1] = 0x87
+			}
+			if core == 7 && badHeader {
+				core = 1 << 21
+			}
+			w.stream(formatVersion, core, len(ops), rec)
+		}
+		return w.buf
+	}
+	const (
+		body2 = "core 2: bad or truncated varint (instrs) at offset 10975"
+		body5 = "core 5: bad or truncated varint (instrs) at offset 21910"
+		head7 = "stream core id 2097152 out of range"
+	)
+	cases := []struct {
+		name       string
+		data       []byte
+		field, msg string
+	}{
+		{"streams 2 and 5, header 7", file([]int{2, 5}, true), "instrs", body2},
+		{"stream 5, header 7", file([]int{5}, true), "instrs", body5},
+		{"stream 5", file([]int{5}, false), "instrs", body5},
+		{"header 7", file(nil, true), "core", head7},
+	}
+	if _, err := Decode(file(nil, false)); err != nil {
+		t.Fatal(err)
+	}
+	withProcs(func(procs int) {
+		for _, tc := range cases {
+			for i := 0; i < 5; i++ {
+				var fe *FormatError
+				if _, err := Decode(tc.data); !errors.As(err, &fe) || fe.Field != tc.field || fe.Msg != tc.msg {
+					t.Fatalf("%s, GOMAXPROCS %d: got %v, want %q %q", tc.name, procs, err, tc.field, tc.msg)
+				}
+			}
+		}
+	})
 }

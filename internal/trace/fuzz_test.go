@@ -78,16 +78,16 @@ func traceFromBytes(data []byte) *refTrace {
 	return t
 }
 
-// splitRuns re-spells a version-3 encoding of ref with every repeat
+// splitRuns re-spells a version-4 encoding of ref with every repeat
 // marker of count >= 2 split in two and, where the run allows it, one
 // repeat written out as a full record, and with every other record's
 // head code longer than it needs (31, or 30 where instrs is the gap):
 // valid, the same ops, but not the bytes Encode writes. Decode must
 // fold it back.
 func splitRuns(ref *refTrace) []byte {
-	var w refWriter
-	w.header(3, ref)
-	w.uvarint(uint64(len(ref.Streams)))
+	var file, w refWriter // w: the stream being spelled
+	file.header(4, ref)
+	file.uvarint(uint64(len(ref.Streams)))
 	records := 0
 	record := func(op Op, prev *uint64) {
 		code := refCode(uint64(op.Gap), uint64(op.Instrs))
@@ -100,8 +100,7 @@ func splitRuns(ref *refTrace) []byte {
 		w.recordAs(op, prev, code)
 	}
 	for _, s := range ref.Streams {
-		w.uvarint(uint64(s.Core))
-		w.uvarint(uint64(len(s.Ops)))
+		w.buf = nil
 		prev := uint64(0)
 		for i := 0; i < len(s.Ops); {
 			op := s.Ops[i]
@@ -123,8 +122,9 @@ func splitRuns(ref *refTrace) []byte {
 			}
 			i += 1 + run
 		}
+		file.stream(4, s.Core, len(s.Ops), w.buf)
 	}
-	return w.buf
+	return file.buf
 }
 
 // headCodesRef is a one-stream trace with a record at each edge of the
@@ -199,7 +199,7 @@ func checkAgainstReferee(t *testing.T, data []byte) *Trace {
 //
 //  1. Building it through OpsBuilder and encoding it writes the bytes
 //     the referee encoder writes; decode deep-equals the built trace
-//     and re-encode is byte-identical (version 3, the current format).
+//     and re-encode is byte-identical (version 4, the current format).
 //     No stream is longer than its version-2 spelling.
 //  2. A spelling with every run split and longer head codes decodes to
 //     the same deep-equal trace: Decode folds it through the builder,
@@ -245,8 +245,8 @@ func FuzzTraceRoundTrip(f *testing.F) {
 			t.Fatal("cursors do not yield the ops that were appended")
 		}
 		for _, s := range ref.Streams {
-			if n3, n2 := len(v3.records(s.Ops)), len(v2.records(s.Ops)); n3 > n2 {
-				t.Fatalf("core %d: %d bytes in version 3, %d in version 2", s.Core, n3, n2)
+			if n4, n2 := len(v4.records(s.Ops)), len(v2.records(s.Ops)); n4 > n2 {
+				t.Fatalf("core %d: %d bytes in version 4, %d in version 2", s.Core, n4, n2)
 			}
 		}
 

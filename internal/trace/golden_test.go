@@ -17,9 +17,10 @@ import (
 // streams were still []Op slices (version-2 hashes captured at commit
 // 96cb040, the last with the materializing codec): packing the
 // in-memory form, the builder's run folding, the guide-table Zipf
-// sampler and the version-3 head codes must not move a single op of any
-// generator's output, for any seed, nor of a recorded run's trace. Each
-// trace is encoded (version 3, whose bytes are pinned beside), decoded,
+// sampler, the version-3 head codes and the version-4 stream byte
+// lengths must not move a single op of any generator's output, for any
+// seed, nor of a recorded run's trace. Each
+// trace is encoded (version 4, whose bytes are pinned beside), decoded,
 // and its decoded ops written by the test-only version-2 writer
 // (EncodeV2) for the old hash.
 func TestGoldenEncodings(t *testing.T) {
@@ -34,7 +35,7 @@ func TestGoldenEncodings(t *testing.T) {
 			t.Fatal(err)
 		}
 		if len(data) != size || sum(data) != hash {
-			t.Errorf("%s: version 3 is %d bytes, sha256 %s; want %d bytes, %s", name, len(data), sum(data), size, hash)
+			t.Errorf("%s: version 4 is %d bytes, sha256 %s; want %d bytes, %s", name, len(data), sum(data), size, hash)
 		}
 		dec, err := trace.Decode(data)
 		if err != nil {
@@ -51,15 +52,15 @@ func TestGoldenEncodings(t *testing.T) {
 		v2size, size int
 		v2hash, hash string
 	}{
-		{"zipf", 1, 63483, 47475, "65067749c97769e0e644a4a84533bc0cabc504565785fb30afb62f59690d784c", "f76bed1edf297095d5fab2e19def6eb159eba77b5ffa6ef36eeb9f9e87bccfc0"},
-		{"zipf", 7, 62930, 46924, "5b31c12f2f6c16d5e4e9030cf1df77895018638a65e0b5ae8bdca8212ef412c2", "895547a527e7ebbc6fbe8bfab7bd4a76ad4fac32227f561ef0ae5b4fb9ea6da6"},
-		{"zipf", 12345, 64426, 48418, "703ee5017d45711ddaed361a12fba0c8e302baeb69d45f33dc6db81ea31a58ee", "0655f39ac2a73f66ec2d8aa9ed4b9837d8766f3bdf735e7810c4b0ce67b7775d"},
-		{"migratory", 1, 74038, 58030, "dd1268ac3c6ae61c9f30b6b4413a9be57ff9eae6c565aa79343c47bf7e1ce187", "e44122ec4d403c1c243e8caa37c23e405bc30b36f17fd24f532636190dc05d52"},
-		{"migratory", 7, 74110, 58102, "60fcfd01366467dbd75a139123bc147cc4abb49c18579e0b60c4e54d6b77cb8b", "aea234c73e06cf58f67046e3ce7ca25d46ecd8144de758eef0ae647b631b9b2a"},
-		{"migratory", 12345, 74039, 58031, "97c014ed045934b1c165b8f59b8e21edbcbf471faabf65355be5a8bb9d8cad88", "7eef663c4a1897737596ddf976ea07e16be9ff180f784873efc7a81b76cbeffe"},
-		{"scan", 1, 42205, 26197, "ef5652b37ff040719248c641b17fd6caf319ed47fc10cddf9b1eccc17979a6b1", "efbfa238d8706e5c3205e1900e39d7c9e3780b9c67c4f26347c83efa1de84eff"},
-		{"scan", 7, 42205, 26197, "796c7b0d66a9e154750a1428ba4d1dc04830a0d431952c259689d52f26337116", "195704bb8087a2dccf39242fe22b718429e69ff52d0bc37d319c4cda56f6e15d"},
-		{"scan", 12345, 42206, 26198, "4eed9ebe6f315cb847b7f451165ebe67ac75adcc181efe6c8ccf52b83f5e4223", "b873f68631a838f8ed1fd3766c7f018975dbf685ca9141cafaf96a84cf502a98"},
+		{"zipf", 1, 63483, 47483, "65067749c97769e0e644a4a84533bc0cabc504565785fb30afb62f59690d784c", "0a7ec7c79ebfe05b1bc898cd6c19b5bd1325fe3d93ef9b7716071ea079ac8e28"},
+		{"zipf", 7, 62930, 46932, "5b31c12f2f6c16d5e4e9030cf1df77895018638a65e0b5ae8bdca8212ef412c2", "3d3435d0240f3d67e28bbd378f6b8085f26de9263c2d72b82f973789211359c1"},
+		{"zipf", 12345, 64426, 48426, "703ee5017d45711ddaed361a12fba0c8e302baeb69d45f33dc6db81ea31a58ee", "8e12810513a4966ca888bd3a1e02f480d99e1dc8fd420e5b6301dccef080f1c2"},
+		{"migratory", 1, 74038, 58038, "dd1268ac3c6ae61c9f30b6b4413a9be57ff9eae6c565aa79343c47bf7e1ce187", "94aaa4d437c6f312e35ceff6221a592317fd8d680710de27d404925bfe487a1f"},
+		{"migratory", 7, 74110, 58110, "60fcfd01366467dbd75a139123bc147cc4abb49c18579e0b60c4e54d6b77cb8b", "c29ac5a48561b1b361f21932be2b8d16ab922f32be57f81acf856185f5cdf152"},
+		{"migratory", 12345, 74039, 58039, "97c014ed045934b1c165b8f59b8e21edbcbf471faabf65355be5a8bb9d8cad88", "d6b3e2fd530732be040d36e76a4de8e2c9b23e768681ce3fd5984473eaa80be6"},
+		{"scan", 1, 42205, 26205, "ef5652b37ff040719248c641b17fd6caf319ed47fc10cddf9b1eccc17979a6b1", "be6251d19d0919eed0f1652b3f0b453257c30f6c7bca1b6e4412eb968c9f7bbd"},
+		{"scan", 7, 42205, 26205, "796c7b0d66a9e154750a1428ba4d1dc04830a0d431952c259689d52f26337116", "1382779ee4540f0264bdae78297daeb0dec08337f3912766be117dec49df5e14"},
+		{"scan", 12345, 42206, 26206, "4eed9ebe6f315cb847b7f451165ebe67ac75adcc181efe6c8ccf52b83f5e4223", "48e599402723d008efaaeaa797026b32f8fea8fbd9a346579ba44571b8b383a5"},
 	}
 	gens := map[string]func(trace.SynthParams) *trace.Trace{}
 	for _, g := range synthGens {
@@ -83,5 +84,5 @@ func TestGoldenEncodings(t *testing.T) {
 	}
 	check("recorded x264", tr,
 		7864, "87e72b7d63625a72e5fac41c0e3699f8a7da57ce6b142b806bf428ae126f0492",
-		6234, "f6bd8e82dd9af2131a62382c4d131020418cd305952405c695b89a73c9899b0e")
+		6242, "f3bc3235f654d9a53e28a179f959431aa2680db14020c8d712c1ec8a94a5e7ae")
 }

@@ -9,7 +9,7 @@ import (
 )
 
 // Ops is one stream's operation sequence, held in its wire form: the
-// canonical version-3 op records of codec.go (maximal repeat runs,
+// canonical op records of codec.go (maximal repeat runs,
 // shortest head codes, minimal varints, addresses delta-coded from 0)
 // plus the expanded op count. There is no decoded form — Encode copies
 // these bytes behind the header, Decode checks a file's bytes once and

@@ -12,14 +12,15 @@ import (
 // The referee: the codec as it stood before streams were packed — every
 // op materialized as a 48-byte Op in a slice, decoded by expanding
 // repeat markers, validated by walking the slices, encoded by walking
-// them again. Its writer and reader are written from the version-3
+// them again. Its writer and reader are written from the version-4
 // format comment in codec.go alone, calling none of codec.go's or
 // ops.go's helpers, so it is kept, in tests only, as the independent
 // statement of what the format means: the packed Decode must accept
 // exactly what refDecode accepts, a Cursor must yield exactly
 // refDecode's ops, and Encode must write exactly refEncode's bytes
-// (FuzzTraceRoundTrip). A version-2 writer sits beside it: the golden
-// hashes taken while version 2 was the format are hashes of its bytes.
+// (FuzzTraceRoundTrip). Version-2 and version-3 writers sit beside it:
+// the golden hashes taken while version 2 was the format are hashes of
+// its bytes, and neither older version may be read.
 
 type refStream struct {
 	Core int
@@ -92,7 +93,7 @@ func (t *refTrace) validate() error {
 // never fewer than 4 Mi.
 func refBudget(n int) int { return max(4096*n, 4<<20) }
 
-// refEncode is the pre-packing Encode, writing version 3.
+// refEncode is the pre-packing Encode, writing version 4.
 func refEncode(t *refTrace) ([]byte, error) {
 	if err := t.validate(); err != nil {
 		return nil, err
@@ -111,7 +112,7 @@ func refEncode(t *refTrace) ([]byte, error) {
 
 // rawEncode is refEncode's serializer without its checks, so tests can
 // put a malformed trace on the wire and see who refuses it.
-func rawEncode(t *refTrace) []byte { return v3.file(t) }
+func rawEncode(t *refTrace) []byte { return v4.file(t) }
 
 // refGeometry lists the header's geometry fields in encoding order.
 func refGeometry(sys config.System) [12]int64 {
@@ -189,13 +190,13 @@ func refCode(gap, instrs uint64) byte {
 	return 31
 }
 
-// record writes one version-3 op record with its shortest head code;
+// record writes one op record (versions 3 and 4) with its shortest head code;
 // *prev is the stream's running address.
 func (w *refWriter) record(op Op, prev *uint64) {
 	w.recordAs(op, prev, refCode(uint64(op.Gap), uint64(op.Instrs)))
 }
 
-// recordAs writes one version-3 op record with head code code, which
+// recordAs writes one op record (versions 3 and 4) with head code code, which
 // must spell op's gap and instrs: the shortest, or a longer one.
 func (w *refWriter) recordAs(op Op, prev *uint64, code byte) {
 	w.buf = append(w.buf, code<<3|byte(op.Kind))
@@ -217,13 +218,14 @@ func (w *refWriter) recordV2(op Op, prev *uint64) {
 	w.vals(op, prev)
 }
 
-// marker writes a version-3 repeat marker for n more occurrences.
+// marker writes a repeat marker (versions 3 and 4) for n more occurrences.
 func (w *refWriter) marker(n int) {
 	w.buf = append(w.buf, 0x07)
 	w.uvarint(uint64(n))
 }
 
-// refFormat is one format version's op-record spelling.
+// refFormat is one format version's op-record spelling; from version
+// 4 on, each stream header also gives its records' length in bytes.
 type refFormat struct {
 	version uint64
 	record  func(w *refWriter, op Op, prev *uint64)
@@ -231,6 +233,7 @@ type refFormat struct {
 }
 
 var (
+	v4 = refFormat{4, (*refWriter).record, 0x07}
 	v3 = refFormat{3, (*refWriter).record, 0x07}
 	v2 = refFormat{2, (*refWriter).recordV2, 0xFF}
 )
@@ -263,11 +266,20 @@ func (f refFormat) file(t *refTrace) []byte {
 	w.header(f.version, t)
 	w.uvarint(uint64(len(t.Streams)))
 	for _, s := range t.Streams {
-		w.uvarint(uint64(s.Core))
-		w.uvarint(uint64(len(s.Ops)))
-		w.buf = append(w.buf, f.records(s.Ops)...)
+		w.stream(f.version, s.Core, len(s.Ops), f.records(s.Ops))
 	}
 	return w.buf
+}
+
+// stream writes one stream header, in the given version's framing, and
+// the stream's records.
+func (w *refWriter) stream(version uint64, core, nops int, records []byte) {
+	w.uvarint(uint64(core))
+	w.uvarint(uint64(nops))
+	if version >= 4 {
+		w.uvarint(uint64(len(records)))
+	}
+	w.buf = append(w.buf, records...)
 }
 
 // EncodeV2 writes t in version 2, for TestGoldenEncodings: its pinned
@@ -314,7 +326,7 @@ func (d *refReader) count() (int, error) {
 	return int(n), nil
 }
 
-// refDecode is the pre-packing Decode, reading version 3: it expands
+// refDecode is the pre-packing Decode, reading version 4: it expands
 // every repeat marker into Op values (which is why it must not be
 // handed an RLE bomb) and validates the result afterwards.
 func refDecode(data []byte) (*refTrace, error) {
@@ -327,7 +339,7 @@ func refDecode(data []byte) (*refTrace, error) {
 	if err != nil {
 		return nil, err
 	}
-	if version != 3 {
+	if version != 4 {
 		return nil, fmt.Errorf("trace: unsupported format version %d", version)
 	}
 	t := &refTrace{}
@@ -405,6 +417,16 @@ func refDecode(data []byte) (*refTrace, error) {
 		}
 		nops := int(nopsU)
 		opBudget -= nops
+		size, err := d.uvarint()
+		if err != nil {
+			return nil, err
+		}
+		if size > uint64(len(d.buf)-d.pos) {
+			return nil, fmt.Errorf("trace: stream length %d exceeds remaining input", size)
+		}
+		// The records are read from data up to the stream's end only.
+		end := d.pos + int(size)
+		d.buf = data[:end]
 		capHint := nops
 		if rem := len(d.buf) - d.pos; capHint > rem {
 			capHint = rem
@@ -480,6 +502,10 @@ func refDecode(data []byte) (*refTrace, error) {
 			}
 			s.Ops = append(s.Ops, op)
 		}
+		if d.pos != end {
+			return nil, fmt.Errorf("trace: core %d: %d bytes after its records", core, end-d.pos)
+		}
+		d.buf = data
 		t.Streams = append(t.Streams, s)
 	}
 	if d.pos != len(d.buf) {

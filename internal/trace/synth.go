@@ -142,24 +142,32 @@ func synthesize(name string, p SynthParams, salt uint64, perOp float64, body fun
 		}
 		t.Streams[core] = Stream{Core: core, Ops: ops}
 	}
-	var next atomic.Int64 // the next core to claim
-	var wg sync.WaitGroup
-	for w := min(runtime.GOMAXPROCS(0), p.Cores); w > 0; w-- {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for core := int(next.Add(1) - 1); core < p.Cores; core = int(next.Add(1) - 1) {
-				stream(core)
-			}
-		}()
-	}
-	wg.Wait()
+	forEach(p.Cores, stream)
 	for _, f := range fails {
 		if f != nil {
 			panic(f)
 		}
 	}
 	return t
+}
+
+// forEach calls f(i) for every i in [0, n) on up to GOMAXPROCS
+// goroutines, each claiming the next i as it finishes one, and returns
+// once every call has. Synthesis writes its streams, and Decode checks
+// a file's streams, through it.
+func forEach(n int, f func(i int)) {
+	var next atomic.Int64 // the next i to claim
+	var wg sync.WaitGroup
+	for w := min(runtime.GOMAXPROCS(0), n); w > 0; w-- {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := int(next.Add(1) - 1); i < n; i = int(next.Add(1) - 1) {
+				f(i)
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 // zipfSampler draws block ranks with probability proportional to
