@@ -1,13 +1,23 @@
 GO ?= go
 
-.PHONY: all vet fmt-check loc build test inline-check race bench-smoke bench repo-bench repo-bench-compare fuzz-smoke trace-gate fault-smoke oracle-sweep obs-smoke scale-smoke ci
+.PHONY: all vet fmt-check layer-check loc build test inline-check race bench-smoke bench repo-bench repo-bench-compare fuzz-smoke trace-gate fault-smoke oracle-sweep obs-smoke scale-smoke ci
 
 all: ci
 
 # vet also fails on unformatted files: size criteria are measured as
-# wc -l of gofmt-clean source (make loc), so formatting must not drift.
-vet: fmt-check
+# wc -l of gofmt-clean source (make loc), so formatting must not drift;
+# and on a dependency edge layer-check forbids.
+vet: fmt-check layer-check
 	$(GO) vet ./...
+
+# internal/workloads builds programs on internal/program and nothing
+# else in the repo, and internal/trace never imports internal/program:
+# a trace runs through ReplayCore, not as a program.
+layer-check:
+	@bad=$$($(GO) list -deps ./internal/workloads | grep '^repro/internal/' | grep -vx -e repro/internal/program -e repro/internal/workloads); \
+	  if [ -n "$$bad" ]; then echo "internal/workloads depends on:"; echo "$$bad"; exit 1; fi
+	@if $(GO) list -f '{{join .Imports "\n"}}' ./internal/trace | grep -qx repro/internal/program; then \
+	  echo "internal/trace imports repro/internal/program"; exit 1; fi
 
 fmt-check:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt -l reports:"; echo "$$out"; exit 1; fi
@@ -186,8 +196,8 @@ obs-smoke:
 # 64 cores is measured by the repository benchmark's `miss64` workload.
 scale-smoke:
 	$(GO) test -run 'TestScale64' .
-	$(GO) test -run 'TestFlitHopConservation|TestHopDistanceMatchesXYRoute|TestLinkEpochRebase' ./internal/mesh/
-	$(GO) test -race -run 'TestFlitHopConservation|TestLinkEpochRebase' ./internal/mesh/
+	$(GO) test -run 'TestFlitHopConservation|TestHopDistanceMatchesXYRoute|TestLinkTimingIndependentOfCycle' ./internal/mesh/
+	$(GO) test -race -run 'TestFlitHopConservation|TestLinkTimingIndependentOfCycle' ./internal/mesh/
 	$(GO) run ./cmd/tsocc-sim -cores 256 -bench canneal -checks > /dev/null
 	$(GO) run ./cmd/tsocc-sim -cores 256 -bench ssca2 -proto MESI -checks > /dev/null
 

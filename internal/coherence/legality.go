@@ -1,9 +1,6 @@
 package coherence
 
-import (
-	"fmt"
-	"strconv"
-)
+import "strconv"
 
 // Edge is one directed state transition (From → To) in a controller's
 // state machine. State ids are the protocol's own compact encodings;
@@ -41,30 +38,11 @@ func (t *StateTable) Name(s int) string {
 	return "state" + strconv.Itoa(s)
 }
 
-// Legality is a protocol's registered state-transition specification:
-// one table for its L1 controllers, one for its L2 directory
-// controllers. Protocols register it alongside their Protocol factory
-// (RegisterLegality from the same init function) so the legality
-// oracle in internal/check can arm itself for any protocol resolved by
-// name.
+// Legality is a protocol's state-transition specification: one table
+// for its L1 controllers, one for its L2 directory controllers. A
+// protocol hands it to RegisterProtocol with its factory, so the
+// legality oracle in internal/check can arm itself for any protocol
+// resolved by name (LegalityByName).
 type Legality struct {
 	L1, L2 StateTable
 }
-
-var legalities = map[string]*Legality{}
-
-// RegisterLegality records the legality tables for a registered
-// protocol name. Presets that share a state machine may register the
-// same *Legality under each preset name. A duplicate name panics, like
-// RegisterProtocol.
-func RegisterLegality(proto string, l *Legality) {
-	if _, dup := legalities[proto]; dup {
-		panic(fmt.Sprintf("coherence: legality for %q registered twice", proto))
-	}
-	legalities[proto] = l
-}
-
-// LegalityByName returns the legality tables registered for a protocol
-// name, or nil if the protocol never registered any (the oracle then
-// has nothing to check).
-func LegalityByName(proto string) *Legality { return legalities[proto] }

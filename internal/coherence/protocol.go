@@ -36,27 +36,31 @@ type Protocol interface {
 	Build(sys config.System, net Network, mem Memory) ([]L1Like, []Controller)
 }
 
-// registryEntry pairs a factory with its plotting order.
+// registryEntry pairs a factory with its plotting order and legality
+// tables.
 type registryEntry struct {
-	name    string
-	order   int
-	factory func() Protocol
+	name     string
+	order    int
+	legality *Legality
+	factory  func() Protocol
 }
 
 var registry []registryEntry
 
-// RegisterProtocol adds a protocol factory under a unique name. The
-// order key sorts Protocols()/ProtocolNames() deterministically (the
-// paper's plotting order) regardless of package-init sequence; ties
-// break by name. Called from protocol package init functions; a
+// RegisterProtocol adds a protocol factory and its legality tables
+// under a unique name. The order key sorts Protocols()/ProtocolNames()
+// deterministically (the paper's plotting order) regardless of
+// package-init sequence; ties break by name. Presets that share a state
+// machine may pass the same *Legality; nil leaves the legality oracle
+// nothing to check. Called from protocol package init functions; a
 // duplicate name panics.
-func RegisterProtocol(name string, order int, factory func() Protocol) {
+func RegisterProtocol(name string, order int, legality *Legality, factory func() Protocol) {
 	for _, e := range registry {
 		if e.name == name {
 			panic(fmt.Sprintf("coherence: protocol %q registered twice", name))
 		}
 	}
-	registry = append(registry, registryEntry{name: name, order: order, factory: factory})
+	registry = append(registry, registryEntry{name: name, order: order, legality: legality, factory: factory})
 	sort.SliceStable(registry, func(i, j int) bool {
 		if registry[i].order != registry[j].order {
 			return registry[i].order < registry[j].order
@@ -73,6 +77,17 @@ func ProtocolByName(name string) (Protocol, error) {
 		}
 	}
 	return nil, fmt.Errorf("coherence: unknown protocol %q (registered: %v)", name, ProtocolNames())
+}
+
+// LegalityByName returns the legality tables registered with a protocol
+// name, or nil if the name is unknown or registered none.
+func LegalityByName(name string) *Legality {
+	for _, e := range registry {
+		if e.name == name {
+			return e.legality
+		}
+	}
+	return nil
 }
 
 // ProtocolNames lists every registered protocol name in order.

@@ -27,9 +27,10 @@ func withCleanRegistry(t *testing.T, f func()) {
 func TestProtocolRegistryOrderAndLookup(t *testing.T) {
 	withCleanRegistry(t, func() {
 		// Register out of order; enumeration must sort by (order, name).
-		RegisterProtocol("beta", 2, func() Protocol { return fakeProto{"beta"} })
-		RegisterProtocol("alpha", 1, func() Protocol { return fakeProto{"alpha"} })
-		RegisterProtocol("base", 0, func() Protocol { return fakeProto{"base"} })
+		leg := &Legality{}
+		RegisterProtocol("beta", 2, nil, func() Protocol { return fakeProto{"beta"} })
+		RegisterProtocol("alpha", 1, leg, func() Protocol { return fakeProto{"alpha"} })
+		RegisterProtocol("base", 0, nil, func() Protocol { return fakeProto{"base"} })
 
 		names := ProtocolNames()
 		if len(names) != 3 || names[0] != "base" || names[1] != "alpha" || names[2] != "beta" {
@@ -46,17 +47,20 @@ func TestProtocolRegistryOrderAndLookup(t *testing.T) {
 		if _, err := ProtocolByName("nope"); err == nil {
 			t.Fatal("unknown name did not error")
 		}
+		if LegalityByName("alpha") != leg || LegalityByName("beta") != nil || LegalityByName("nope") != nil {
+			t.Fatal("LegalityByName does not return what each name registered")
+		}
 	})
 }
 
 func TestProtocolRegistryDuplicatePanics(t *testing.T) {
 	withCleanRegistry(t, func() {
-		RegisterProtocol("dup", 0, func() Protocol { return fakeProto{"dup"} })
+		RegisterProtocol("dup", 0, nil, func() Protocol { return fakeProto{"dup"} })
 		defer func() {
 			if recover() == nil {
 				t.Fatal("duplicate registration did not panic")
 			}
 		}()
-		RegisterProtocol("dup", 1, func() Protocol { return fakeProto{"dup"} })
+		RegisterProtocol("dup", 1, nil, func() Protocol { return fakeProto{"dup"} })
 	})
 }

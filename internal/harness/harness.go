@@ -33,7 +33,8 @@ func Protocols() []system.Protocol {
 // ListWorkloads writes the canonical workload listing shared by the
 // -list-workloads flag of tsocc-sim, tsocc-bench and tsocc-trace: the
 // Table 3 registry followed by the synthetic extras, each with its
-// suite and one-line description.
+// suite and one-line description. The trace patterns (zipf, migratory,
+// scan) are not workloads: tsocc-trace synth -kind names them.
 func ListWorkloads(w io.Writer) {
 	fmt.Fprintln(w, "workloads (Table 3 registry):")
 	for _, e := range workloads.Registry() {

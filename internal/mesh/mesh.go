@@ -41,8 +41,10 @@ type Config struct {
 // the engine fires a cycle's completions in filing order before any
 // component ticks, so a message due at cycle t is in its receiver's
 // inbox when the receiver ticks at t, and messages due in the same cycle
-// arrive in send order. The network has no work of its own: Tick does
-// nothing and NextWake is WakeNever.
+// arrive in send order. A send reserves each link on its XY path up to
+// an absolute cycle (linkBusy), which is all the contention state there
+// is. The network has no work of its own: Tick does nothing and
+// NextWake is WakeNever.
 type Network struct {
 	cfg  Config
 	rows int
@@ -56,14 +58,11 @@ type Network struct {
 	// unattached slot.
 	nodes []attachment
 
-	// linkBusy[d][r] is the cycle through which the outgoing link of
-	// router r in direction d is reserved, stored relative to linkBase.
-	// Every linkEpoch cycles the entries are rebased (stale reservations
-	// clamp to zero), so the stored values stay bounded by one epoch
-	// plus the worst-case backlog instead of growing with absolute
-	// simulation time — arbitrarily long runs cannot overflow them.
+	// linkBusy[d][r] is the absolute cycle through which the outgoing
+	// link of router r in direction d is reserved. A run stops at the
+	// engine's cycle limit and a trace header's cycles are capped at
+	// 2^62, so an int64 cycle cannot overflow here.
 	linkBusy [4][]sim.Cycle
-	linkBase sim.Cycle
 
 	waker    sim.Waker
 	free     []*delivery // delivery records not in flight
@@ -125,12 +124,6 @@ const (
 	dirNorth
 	dirSouth
 )
-
-// linkEpoch is the rebase period for link reservations (see linkBusy).
-// Any power of two far above the worst-case link backlog works; the
-// value only bounds how stale a reservation may get before the sweep
-// clamps it.
-const linkEpoch sim.Cycle = 1 << 20
 
 // New builds a mesh network.
 func New(cfg Config) *Network {
@@ -327,9 +320,6 @@ func (n *Network) coords(r int) (x, y int) {
 // reserving link bandwidth along the XY path (all column hops, then all
 // row hops), and returns the delivery cycle.
 func (n *Network) walkLinks(now sim.Cycle, flits, src, dst int) sim.Cycle {
-	if now-n.linkBase >= linkEpoch {
-		n.rebaseLinks(now)
-	}
 	sx, sy := n.coords(src)
 	dx, dy := n.coords(dst)
 	xDir, xStep, xHops := dirEast, 1, dx-sx
@@ -352,7 +342,7 @@ func (n *Network) walkLinks(now sim.Cycle, flits, src, dst int) sim.Cycle {
 // routers starting at r (step apart), for a head flit reaching r at
 // cycle t, and returns the cycle it reaches the router after the last.
 func (n *Network) walkLeg(t sim.Cycle, flits, r, dir, step, hops int) sim.Cycle {
-	busy, base, latency := n.linkBusy[dir], n.linkBase, n.cfg.LinkLatency
+	busy, latency := n.linkBusy[dir], n.cfg.LinkLatency
 	if n.metricsOn {
 		for i, q := 0, r; i < hops; i, q = i+1, q+step {
 			n.occ[dir][q] += int64(flits)
@@ -360,35 +350,16 @@ func (n *Network) walkLeg(t sim.Cycle, flits, r, dir, step, hops int) sim.Cycle 
 	}
 	for ; hops > 0; hops-- {
 		depart := t
-		if b := base + busy[r]; b > depart {
-			depart = b
+		if busy[r] > depart {
+			depart = busy[r]
 		}
 		// The link is occupied while the message's flits stream
 		// across it.
-		busy[r] = depart + sim.Cycle(flits) - base
+		busy[r] = depart + sim.Cycle(flits)
 		t = depart + latency
 		r += step
 	}
 	return t
-}
-
-// rebaseLinks starts a new link-reservation epoch at now: reservations
-// already in the past clamp to zero (an expired reservation and a free
-// link are indistinguishable to Send), live ones shift to the new base.
-// Observable behavior is unchanged — only the stored representation is
-// re-anchored.
-func (n *Network) rebaseLinks(now sim.Cycle) {
-	delta := now - n.linkBase
-	for d := 0; d < 4; d++ {
-		for r := range n.linkBusy[d] {
-			if b := n.linkBusy[d][r]; b > delta {
-				n.linkBusy[d][r] = b - delta
-			} else {
-				n.linkBusy[d][r] = 0
-			}
-		}
-	}
-	n.linkBase = now
 }
 
 // BindWaker implements sim.WakeSink: the engine hands the network the

@@ -264,78 +264,27 @@ func drainByWake(t *testing.T, e *sim.Engine, n *Network) {
 	}
 }
 
-// TestLinkEpochRebase is the regression test for the linkBusy epoch
-// reset: runs that advance far past a link-reservation epoch boundary
-// must behave exactly like early-run traffic — uncontended sends see the
-// base latency, back-to-back sends see identical serialization delay,
-// and a reservation created just before the boundary still delays a send
-// issued just after the rebase.
-func TestLinkEpochRebase(t *testing.T) {
+// TestLinkTimingIndependentOfCycle: link reservations are stored as
+// absolute cycles, so a contended pair of sends must see the same
+// uncontended and contended latencies early in a run, far into it and
+// near the largest cycle a trace header may carry (2^62).
+func TestLinkTimingIndependentOfCycle(t *testing.T) {
 	n, sinks, e := build(2) // 1x2 mesh: one east link 0 -> 1
-	arrivalAt := func(i int) sim.Cycle { return sinks[1].got[i].at }
-
-	// Reference behavior, far from any boundary: two same-cycle sends.
-	sendData(n, 10)
-	sendData(n, 10)
-	drainByWake(t, e, n)
-	uncontended := arrivalAt(0) - 10
-	contended := arrivalAt(1) - 10
-	if contended <= uncontended {
-		t.Fatalf("no serialization: %d vs %d", contended, uncontended)
-	}
-
-	// Straddle the first epoch boundary: send just before it, deliver
-	// just after.
-	pre := linkEpoch - 3
-	sendData(n, pre)
-	sendData(n, pre)
-	drainByWake(t, e, n)
-	if got := arrivalAt(2) - pre; got != uncontended {
-		t.Fatalf("pre-boundary uncontended latency %d, want %d", got, uncontended)
-	}
-	if got := arrivalAt(3) - pre; got != contended {
-		t.Fatalf("pre-boundary contended latency %d, want %d", got, contended)
-	}
-
-	// Past the boundary: the next send rebases the reservations; timing
-	// must be unchanged.
-	post := linkEpoch + 20
-	sendData(n, post)
-	sendData(n, post)
-	if n.linkBase != post {
-		t.Fatalf("linkBase = %d, want rebase to %d", n.linkBase, post)
-	}
-	drainByWake(t, e, n)
-	if got := arrivalAt(4) - post; got != uncontended {
-		t.Fatalf("post-rebase uncontended latency %d, want %d", got, uncontended)
-	}
-	if got := arrivalAt(5) - post; got != contended {
-		t.Fatalf("post-rebase contended latency %d, want %d", got, contended)
-	}
-
-	// A live reservation must survive a rebase: reserve just below the
-	// next threshold, then send two cycles later (triggering the rebase
-	// with the reservation still in the future).
-	reserveAt := n.linkBase + linkEpoch - 1
-	sendData(n, reserveAt)
-	after := reserveAt + 2
-	sendData(n, after)
-	if n.linkBase != after {
-		t.Fatalf("linkBase = %d, want rebase to %d", n.linkBase, after)
-	}
-	drainByWake(t, e, n)
-	// The second send departs when the first's flits clear the link:
-	// contended latency minus the two elapsed cycles.
-	if got := arrivalAt(7) - after; got != contended-2 {
-		t.Fatalf("reservation lost across rebase: latency %d, want %d", got, contended-2)
-	}
-	// Stored reservations stay bounded after rebasing: no entry may
-	// exceed the backlog horizon regardless of absolute time.
-	for d := 0; d < 4; d++ {
-		for r, b := range n.linkBusy[d] {
-			if b > 4*linkEpoch {
-				t.Fatalf("linkBusy[%d][%d] = %d grew unbounded", d, r, b)
+	var uncontended, contended sim.Cycle
+	for i, now := range []sim.Cycle{10, 1 << 40, 1<<62 - 1<<20} {
+		sendData(n, now)
+		sendData(n, now)
+		drainByWake(t, e, n)
+		u, c := sinks[1].got[2*i].at-now, sinks[1].got[2*i+1].at-now
+		if i == 0 {
+			if c <= u {
+				t.Fatalf("no serialization at cycle %d: %d vs %d", now, c, u)
 			}
+			uncontended, contended = u, c
+			continue
+		}
+		if u != uncontended || c != contended {
+			t.Fatalf("at cycle %d: latencies %d / %d, want %d / %d", now, u, c, uncontended, contended)
 		}
 	}
 }

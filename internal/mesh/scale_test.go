@@ -121,7 +121,7 @@ func refXYStep(cols, r, dst int) (dir, next int) {
 type linkHop struct{ dir, router int }
 
 // refWalk is the per-hop reservation loop over refXYStep, on its own
-// link table (linkBase 0).
+// link table.
 func refWalk(busy *[4][]sim.Cycle, cols int, latency, now sim.Cycle, flits, src, dst int) (at sim.Cycle, hops []linkHop) {
 	t := now
 	for r := src; r != dst; {

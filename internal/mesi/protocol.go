@@ -14,12 +14,11 @@ func New() Protocol { return Protocol{} }
 // init publishes the baseline in the protocol registry; order 0 keeps it
 // first (the paper plots everything normalized against MESI).
 func init() {
-	coherence.RegisterProtocol("MESI", 0, func() coherence.Protocol { return New() })
-	coherence.RegisterLegality("MESI", legality())
+	coherence.RegisterProtocol("MESI", 0, legality(), func() coherence.Protocol { return New() })
 }
 
 // legality builds the MESI state-transition legality table consumed by
-// the protocol-legality oracle (see coherence.RegisterLegality). Every
+// the protocol-legality oracle (see coherence.RegisterProtocol). Every
 // direct hop a correct run can take is enumerated; anything else — e.g.
 // Modified silently downgrading to Exclusive — is a violation.
 func legality() *coherence.Legality {

@@ -55,10 +55,10 @@ type stimToy struct {
 	refQ *[]refCompletion
 
 	// Windowed-property-test fields (zero in the other tests): toys in
-	// different groups (shards) may only stimulate each other at least
-	// `look` cycles ahead, and when `route` is set those stimulations go
+	// different groups may only stimulate each other at least `look`
+	// cycles ahead, and when `route` is set those stimulations go
 	// through it (the windowed run's outbox) instead of landing directly.
-	shard int
+	group int
 	look  Cycle
 	route func(target *stimToy, at Cycle)
 }
@@ -106,7 +106,7 @@ func (t *stimToy) Tick(now Cycle) {
 		if t.rng.Intn(4) == 0 {
 			delta = edgeGaps[t.rng.Intn(len(edgeGaps))]
 		}
-		if target.shard != t.shard {
+		if target.group != t.group {
 			if delta < t.look {
 				delta = t.look // cross-group: the lookahead floor
 			}

@@ -194,7 +194,7 @@ func TestMergeWakeIntoLaggingShard(t *testing.T) {
 	sendAt := Cycle(5 * wheelSlots)
 	var logA, logB []workRec
 	a := &stimToy{id: 0, log: &logA, selfDue: []Cycle{1, sendAt}}
-	b := &stimToy{id: 1, shard: 1, log: &logB, selfDue: []Cycle{1}}
+	b := &stimToy{id: 1, group: 1, log: &logB, selfDue: []Cycle{1}}
 	e := NewEngine(100_000)
 	e.Register(a)
 	e.Register(b)
@@ -230,6 +230,6 @@ func FuzzWakeWheel(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, seed uint64) {
 		checkWakeSet(t, seed)
-		checkSharded(t, seed)
+		checkWindowed(t, seed)
 	})
 }

@@ -14,22 +14,22 @@ type stimOut struct {
 	at     Cycle
 }
 
-// buildShardedToys is buildToys plus a group assignment: toy i lands in
+// buildGroupedToys is buildToys plus a group assignment: toy i lands in
 // group i*k/n (contiguous ranges), and the cross-group lookahead floor
 // is wired into every toy so the reference and windowed runs draw
 // identical stimulation schedules.
-func buildShardedToys(seed uint64, look Cycle, log *[]workRec) (toys []*stimToy, shards int) {
+func buildGroupedToys(seed uint64, look Cycle, log *[]workRec) (toys []*stimToy, groups int) {
 	toys = buildToys(seed, log)
 	n := len(toys)
-	shards = 1 + int(seed%4)
-	if shards > n {
-		shards = n
+	groups = 1 + int(seed%4)
+	if groups > n {
+		groups = n
 	}
 	for i, t := range toys {
-		t.shard = i * shards / n
+		t.group = i * groups / n
 		t.look = look
 	}
-	return toys, shards
+	return toys, groups
 }
 
 // TestShardedEngineMatchesScanAllReference is the property gate for
@@ -41,29 +41,31 @@ func buildShardedToys(seed uint64, look Cycle, log *[]workRec) (toys []*stimToy,
 // the window's end. Across many random scenarios the windowed run must
 // produce exactly the scan-all reference's work — same cycles, same
 // per-cycle component order, same final cycle, no tick without work —
-// for every seed and its derived group count.
+// for every seed and its derived group count. (The name is kept from
+// the sharded engine that once ran these windows on goroutines; the
+// engine is serial now and the property is the windows alone.)
 func TestShardedEngineMatchesScanAllReference(t *testing.T) {
 	for seed := uint64(1); seed <= 120; seed++ {
-		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) { checkSharded(t, seed) })
+		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) { checkWindowed(t, seed) })
 	}
 }
 
-// checkSharded runs one seeded scenario through the scan-all reference
+// checkWindowed runs one seeded scenario through the scan-all reference
 // and the windowed engine and compares them (the property body shared
 // with FuzzWakeWheel).
-func checkSharded(t *testing.T, seed uint64) {
+func checkWindowed(t *testing.T, seed uint64) {
 	const look = Cycle(2)
 	const limit = 1_000_000
 
 	var refLog []workRec
-	refToys, shards := buildShardedToys(seed, look, &refLog)
+	refToys, groups := buildGroupedToys(seed, look, &refLog)
 	refCycles, _ := runReference(t, refToys, limit)
 
 	var log []workRec
-	outboxes := make([][]stimOut, shards)
-	toys, _ := buildShardedToys(seed, look, &log)
+	outboxes := make([][]stimOut, groups)
+	toys, _ := buildGroupedToys(seed, look, &log)
 	for _, toy := range toys {
-		s := toy.shard
+		s := toy.group
 		toy.route = func(target *stimToy, at Cycle) {
 			outboxes[s] = append(outboxes[s], stimOut{target: target, at: at})
 		}

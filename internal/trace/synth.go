@@ -14,9 +14,8 @@ import (
 // access-pattern synthesizers for the access classes whose locality the
 // paper's lazy self-invalidation exploits. Each appends its ops straight
 // into wire form (OpsBuilder checks every one) and returns a valid
-// Trace replayable through ReplayCore (or convertible to a
-// program-based workload with Trace.Workload). Identical parameters
-// always produce byte-identical traces.
+// Trace replayable through ReplayCore. Identical parameters always
+// produce byte-identical traces.
 
 // Shared address regions for synthesized traces; far from the workload
 // package's regions so mixed experiments never collide.

@@ -23,15 +23,14 @@ func init() {
 	leg := legality()
 	for i, preset := range config.Presets() {
 		cfg := preset
-		coherence.RegisterProtocol(cfg.Name(), i+1, func() coherence.Protocol { return New(cfg) })
 		// All presets share the same state machine, so they share one
-		// legality table registered under each preset name.
-		coherence.RegisterLegality(cfg.Name(), leg)
+		// legality table.
+		coherence.RegisterProtocol(cfg.Name(), i+1, leg, func() coherence.Protocol { return New(cfg) })
 	}
 }
 
 // legality builds the TSO-CC state-transition legality table consumed
-// by the protocol-legality oracle (see coherence.RegisterLegality).
+// by the protocol-legality oracle (see coherence.RegisterProtocol).
 // Every direct hop a correct run can take is enumerated; anything else
 // — e.g. Modified reverting to Exclusive, or Exclusive decaying into a
 // stale-tolerant state without passing through invalid — is a

@@ -1,9 +1,6 @@
 package workloads
 
-import (
-	"repro/internal/program"
-	"repro/internal/trace"
-)
+import "repro/internal/program"
 
 // Entry is one benchmark in the suite.
 type Entry struct {
@@ -171,40 +168,15 @@ func Registry() []Entry {
 // Extras lists synthetic workloads resolvable by name but deliberately
 // outside the Table 3 registry: they never join default grids or
 // figures (Names covers only the registry), yet every -bench selection
-// path can run them. The synth-* entries are the trace package's
-// seeded generators run through the trace→program conversion
-// (trace.Trace.Workload), so the same access streams drive both the
-// program pipeline here and ReplayCore in tsocc-trace.
+// path can run them. The trace package's seeded access patterns are
+// not here: they run as traces (trace.Zipf / Migratory / Scan through
+// system.Replay, or tsocc-trace synth then replay).
 func Extras() []Entry {
-	synth := func(gen func(trace.SynthParams) *trace.Trace) Generator {
-		return func(p Params) *program.Workload {
-			return gen(trace.SynthParams{
-				Cores:      p.Threads,
-				OpsPerCore: int(p.scale(256)),
-				Seed:       p.Seed,
-			}).Workload()
-		}
-	}
 	return []Entry{
 		{
 			Name: "dense-compute", Suite: "synthetic",
 			Desc: "unrolled ALU mix chains; the batched-core acceptance workload",
 			Gen:  DenseCompute,
-		},
-		{
-			Name: "synth-zipf", Suite: "trace",
-			Desc: "zipf-popularity shared working set, 1-in-4 writes (synthesized trace)",
-			Gen:  synth(trace.Zipf),
-		},
-		{
-			Name: "synth-migratory", Suite: "trace",
-			Desc: "read-then-write objects migrating core to core (synthesized trace)",
-			Gen:  synth(trace.Migratory),
-		},
-		{
-			Name: "synth-scan", Suite: "trace",
-			Desc: "staggered streaming scans over one shared array (synthesized trace)",
-			Gen:  synth(trace.Scan),
 		},
 	}
 }
